@@ -42,7 +42,7 @@ from .sampler import (
 @dataclass
 class RunConfig:
     """Flat, JSON-serializable sampling-run parameters: a run is reproducible
-    from this plus the input files alone (deterministic mode)."""
+    from this plus the input files alone."""
 
     target_language: str = "de"
     language_filter_enabled: bool = True
@@ -62,7 +62,6 @@ class RunConfig:
     profile_window_seconds: float = 900.0
     profile_batch: int = 100
     rate_limits_enabled: bool = True
-    deterministic: bool = False
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -103,8 +102,19 @@ def _read_graph_any(path):
 
 
 def _read_seed_pool_file(path) -> list[int]:
+    ids = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [int(line.strip()) for line in fh if line.strip()]
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                ids.append(int(line))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected an integer account id, got {line!r}"
+                ) from None
+    return ids
 
 
 def cmd_generate(args, out_dir: Path, seed: int) -> int:
@@ -129,7 +139,7 @@ def cmd_generate(args, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_sample(args, out_dir: Path, seed: int, deterministic: bool, config: RunConfig) -> int:
+def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
     config.rng_seed = seed
     for name in (
         "max_sample_nodes",
@@ -164,12 +174,13 @@ def cmd_sample(args, out_dir: Path, seed: int, deterministic: bool, config: RunC
     else:
         pool_ids = sorted(graph.nodes)
     if config.filter_seed_pool_language:
+        unknown = [n for n in pool_ids if n not in profiles]
+        if unknown:
+            raise ValueError(f"{args.seed_pool}: seed id {unknown[0]} has no profile")
         pool_ids = [n for n in pool_ids if profiles[n].language == config.target_language]
     seed_pool = SeedPool(pool_ids, substream(seed, "seed-pool"))
     resume = load_run_state(args.resume_from) if args.resume_from else None
-    sample, stats = run_sample(
-        config.sampler_config(), oracle, seed_pool, deterministic=deterministic, resume=resume
-    )
+    sample, stats = run_sample(config.sampler_config(), oracle, seed_pool, resume=resume)
     write_sample_csv(sample, out_dir / args.out_sample)
     write_stats_json(stats, out_dir / args.out_stats)
     write_growth_csv(stats, out_dir / args.out_growth)
@@ -358,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--seed", type=int, help="master RNG seed (overrides config)")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="single-threaded round-robin walker scheduling (bit-for-bit reproducible)",
-    )
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument(
         "--print-config",
@@ -481,8 +487,6 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.seed is not None:
             config.rng_seed = args.seed
-        if args.deterministic:
-            config.deterministic = True
         if args.print_config:
             print(config.to_json())
             return 0
@@ -492,12 +496,11 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = config.rng_seed
-        deterministic = config.deterministic
 
         if args.command == "generate":
             return cmd_generate(args, out_dir, seed)
         if args.command == "sample":
-            return cmd_sample(args, out_dir, seed, deterministic, config)
+            return cmd_sample(args, out_dir, seed, config)
         if args.command == "reference":
             return cmd_reference(args, out_dir, seed)
         if args.command == "evaluate":

@@ -56,8 +56,8 @@ class NodeProfile:
 class DirectedGraph:
     """Simple directed graph: no self-loops, no parallel edges.
 
-    Immutable-by-convention after construction; concurrent readers are safe,
-    construction is single-threaded.
+    A ground-truth graph is immutable by convention once built; the sample
+    graph grows edge by edge.
     """
 
     __slots__ = ("_succ", "_pred", "_num_edges")

@@ -4,8 +4,6 @@ budgets driven by a simulated clock, serving a fixed ground-truth snapshot."""
 from __future__ import annotations
 
 import json
-import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -65,7 +63,6 @@ class RateLimiter:
 
     Invariant: at any simulated instant t, each key holds at most
     calls_per_window charges with timestamps in (t - window_seconds, t].
-    Not internally locked; the oracle serialises access.
     """
 
     def __init__(self, calls_per_window: int, window_seconds: float, key_count: int = 1) -> None:
@@ -109,17 +106,14 @@ class RateLimiter:
         self._charges[key].append(clock.now)
         return key, self.calls_per_window - len(self._charges[key])
 
-    def in_window(self, key: int, now: float) -> int:
-        self._prune(key, now)
-        return len(self._charges[key])
-
 
 class SimulatedOracle:
     """Answers friend and profile lookups from a fixed snapshot.
 
     Answers are pure functions of (node, construction inputs); only the clock
-    and budget state change between identical queries. Safe for concurrent
-    walkers: budget check-and-charge is atomic per call.
+    and budget state change between identical queries. Construction checks
+    that every graph node has a profile whose friend list matches its
+    out-neighbors.
     """
 
     FRIENDS = "friends"
@@ -134,12 +128,10 @@ class SimulatedOracle:
         profiles_limiter: RateLimiter | None = None,
         page_size: int = 5000,
         profile_batch: int = 100,
-        validate: bool = True,
     ) -> None:
         if page_size < 1 or profile_batch < 1:
             raise ValueError("page_size and profile_batch must be positive")
-        if validate:
-            _check_consistency(graph, profiles)
+        _check_consistency(graph, profiles)
         self.graph = graph
         self.profiles = dict(profiles)
         self.clock = clock if clock is not None else SimulatedClock()
@@ -149,8 +141,6 @@ class SimulatedOracle:
         self.profile_batch = profile_batch
         self.call_log: list[CallRecord] = []
         self.calls_by_endpoint: dict[str, int] = {self.FRIENDS: 0, self.PROFILES: 0}
-        self.friend_records_served = 0
-        self._lock = threading.RLock()
 
     def _charge(self, endpoint: str, limiter: RateLimiter | None, nodes: tuple[NodeId, ...]) -> None:
         key: int | None = None
@@ -167,25 +157,22 @@ class SimulatedOracle:
         all keys are exhausted. Unknown ids raise NotFoundError, protected
         accounts ProtectedError; neither consumes budget.
         """
-        with self._lock:
-            profile = self.profiles.get(node)
-            if profile is None:
-                raise NotFoundError(f"unknown account id {node}")
-            if profile.protected:
-                raise ProtectedError(f"account {node} is protected")
-            self._charge(self.FRIENDS, self.friends_limiter, (node,))
-            friends = tuple(profile.friends_recent_first[: self.page_size])
-            self.friend_records_served += len(friends)
-            return FriendsPage(friends, truncated=len(profile.friends_recent_first) > self.page_size)
+        profile = self.profiles.get(node)
+        if profile is None:
+            raise NotFoundError(f"unknown account id {node}")
+        if profile.protected:
+            raise ProtectedError(f"account {node} is protected")
+        self._charge(self.FRIENDS, self.friends_limiter, (node,))
+        friends = tuple(profile.friends_recent_first[: self.page_size])
+        return FriendsPage(friends, truncated=len(profile.friends_recent_first) > self.page_size)
 
     def get_profile(self, node: NodeId) -> NodeProfile:
         """Single profile snapshot; one profiles-endpoint call."""
-        with self._lock:
-            profile = self.profiles.get(node)
-            if profile is None:
-                raise NotFoundError(f"unknown account id {node}")
-            self._charge(self.PROFILES, self.profiles_limiter, (node,))
-            return profile
+        profile = self.profiles.get(node)
+        if profile is None:
+            raise NotFoundError(f"unknown account id {node}")
+        self._charge(self.PROFILES, self.profiles_limiter, (node,))
+        return profile
 
     def get_profiles(self, nodes: Sequence[NodeId]) -> dict[NodeId, NodeProfile]:
         """Batched profile lookup: ceil(len(nodes) / profile_batch) calls.
@@ -195,22 +182,18 @@ class SimulatedOracle:
         """
         nodes = list(nodes)
         result: dict[NodeId, NodeProfile] = {}
-        with self._lock:
-            for start in range(0, len(nodes), self.profile_batch):
-                chunk = nodes[start : start + self.profile_batch]
-                self._charge(self.PROFILES, self.profiles_limiter, tuple(chunk))
-                for node in chunk:
-                    profile = self.profiles.get(node)
-                    if profile is not None:
-                        result[node] = profile
+        for start in range(0, len(nodes), self.profile_batch):
+            chunk = nodes[start : start + self.profile_batch]
+            self._charge(self.PROFILES, self.profiles_limiter, tuple(chunk))
+            for node in chunk:
+                profile = self.profiles.get(node)
+                if profile is not None:
+                    result[node] = profile
         return result
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
         """Ground-truth reciprocity check; uncharged and unlogged."""
         return self.graph.has_edge(source, target)
-
-    def profile_calls_for(self, count: int) -> int:
-        return math.ceil(count / self.profile_batch)
 
 
 def _check_consistency(graph: DirectedGraph, profiles: Mapping[NodeId, NodeProfile]) -> None:

@@ -1,16 +1,16 @@
 """Adapted rank-degree walk for directed follow networks.
 
-Parallel walkers hop from a node to its highest-follower-count, language-matching
-friend over an unburned edge, burning each traversed edge and jumping to a fresh
-random seed at dead ends. Traversed edges land in the sample together with the
-reciprocal edge when the ground truth contains one.
+Logical walkers, stepped round-robin on one thread, hop from a node to its
+highest-follower-count, language-matching friend over an unburned edge,
+burning each traversed edge and jumping to a fresh random seed at dead ends.
+Traversed edges land in the sample together with the reciprocal edge when the
+ground truth contains one.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -71,11 +71,9 @@ class SeedPool:
             raise ValueError("seed pool must not be empty")
         self._nodes = list(nodes)
         self._rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-        self._lock = threading.Lock()
 
     def draw(self) -> NodeId:
-        with self._lock:
-            return self._nodes[self._rng.randrange(len(self._nodes))]
+        return self._nodes[self._rng.randrange(len(self._nodes))]
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -88,25 +86,23 @@ class SeedPool:
 
 
 class BurnStore:
-    """Append-only set of walked directed edges with atomic check-and-burn."""
+    """Append-only set of walked directed edges; an edge burns at most once."""
 
     def __init__(self, edges: Sequence[Edge] = ()) -> None:
         self._edges: set[Edge] = set()
         self._log: list[Edge] = []
         self._into: Counter[NodeId] = Counter()
-        self._lock = threading.Lock()
         for edge in edges:
             self.burn(tuple(edge))
 
     def burn(self, edge: Edge) -> bool:
         """Claim an edge. Returns False if some walker already burned it."""
-        with self._lock:
-            if edge in self._edges:
-                return False
-            self._edges.add(edge)
-            self._log.append(edge)
-            self._into[edge[1]] += 1
-            return True
+        if edge in self._edges:
+            return False
+        self._edges.add(edge)
+        self._log.append(edge)
+        self._into[edge[1]] += 1
+        return True
 
     def __contains__(self, edge: Edge) -> bool:
         return edge in self._edges
@@ -135,23 +131,20 @@ class SampleGraph:
         self.graph = DirectedGraph()
         self._edge_provenance: dict[Edge, str] = {}
         self._node_provenance: dict[NodeId, str] = {}
-        self._lock = threading.Lock()
 
     def add_seed(self, node: NodeId) -> None:
-        with self._lock:
-            self.graph.add_node(node)
-            self._node_provenance.setdefault(node, SEED)
+        self.graph.add_node(node)
+        self._node_provenance.setdefault(node, SEED)
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
-        with self._lock:
-            added = self.graph.add_edge(source, target)
-            if added:
-                self._edge_provenance[(source, target)] = provenance
-            elif provenance == WALKED:
-                self._edge_provenance[(source, target)] = WALKED
-            self._node_provenance.setdefault(source, provenance)
-            self._node_provenance.setdefault(target, provenance)
-            return added
+        added = self.graph.add_edge(source, target)
+        if added:
+            self._edge_provenance[(source, target)] = provenance
+        elif provenance == WALKED:
+            self._edge_provenance[(source, target)] = WALKED
+        self._node_provenance.setdefault(source, provenance)
+        self._node_provenance.setdefault(target, provenance)
+        return added
 
     def edge_provenance(self, source: NodeId, target: NodeId) -> str:
         return self._edge_provenance[(source, target)]
@@ -166,8 +159,7 @@ class SampleGraph:
         return self.graph.num_nodes()
 
     def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
-        with self._lock:
-            return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
+        return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
 
 
 @dataclass
@@ -255,8 +247,8 @@ def walker_step(
     """One walker step: fetch the current node's friends page, walk the best
     eligible edge, or jump to a fresh seed when none qualifies.
 
-    Burn-check and burn are atomic, so two walkers can never claim the same
-    edge; a walker that loses the race simply rescans the page.
+    select_target skips burned edges, so the burn always succeeds; a refused
+    burn means an edge would be walked twice and aborts the run.
     """
     w = state.current
     profiles = profile_cache if profile_cache is not None else {}
@@ -275,13 +267,11 @@ def walker_step(
     if missing:
         profiles.update(oracle.get_profiles(missing))
 
-    while True:
-        v = select_target(w, page.friends, profiles, burn, config)
-        if v is None:
-            return jump()
-        if burn.burn((w, v)):
-            break
-        # lost the race for (w, v); the burn store now excludes it
+    v = select_target(w, page.friends, profiles, burn, config)
+    if v is None:
+        return jump()
+    if not burn.burn((w, v)):
+        raise RuntimeError(f"edge {(w, v)} selected after it was burned")
 
     sample.add_edge(w, v, WALKED)
     has_reverse = oracle.follows(v, w)
@@ -313,12 +303,11 @@ def run_sample(
 ) -> tuple[SampleGraph, RunStats]:
     """Run walker_count logical walkers until a stop condition triggers.
 
-    Walkers landing on the same node continue independently (no collapsing).
-    Deterministic mode steps walkers round-robin in a single thread and is
-    reproducible bit-for-bit; concurrent mode runs one thread per walker and
-    guarantees the invariants but not an interleaving. Stop conditions are
-    checked after each completed step, so concurrent runs may overshoot by at
-    most walker_count - 1 steps.
+    Walkers step round-robin in a single thread, so a run is reproducible
+    bit-for-bit from its inputs and seed. Walkers landing on the same node
+    continue independently (no collapsing). Stop conditions are checked after
+    every step. `deterministic` is accepted for older callers and ignored:
+    round-robin is the only schedule.
     """
     if len(seed_pool) == 0:
         raise ValueError("seed pool must not be empty")
@@ -364,70 +353,23 @@ def run_sample(
             return "max_steps"
         return None
 
-    record_lock = threading.Lock()
-
-    def record(state: WalkerState) -> None:
+    reason = stop_reason()
+    index = 0
+    while reason is None:
+        state = walker_step(
+            walkers[index], oracle, burn, sample, seed_pool, config, profile_cache
+        )
+        walkers[index] = state
         stats.steps += 1
         if state.last_edge is None:
             stats.jumps += 1
         else:
             stats.walk_log.append(state.last_edge)
-        t = oracle.clock.now - clock_start
         edges = sample.num_edges()
         if edges != stats.growth[-1][1]:
-            stats.growth.append((t, edges, sample.num_nodes()))
-
-    reason = stop_reason()
-    if reason is None:
-        if deterministic:
-            index = 0
-            while True:
-                walkers[index] = walker_step(
-                    walkers[index], oracle, burn, sample, seed_pool, config, profile_cache
-                )
-                record(walkers[index])
-                reason = stop_reason()
-                if reason is not None:
-                    break
-                index = (index + 1) % len(walkers)
-        else:
-            stop_event = threading.Event()
-            reasons: list[str] = []
-            failures: list[BaseException] = []
-
-            def worker(walker_index: int) -> None:
-                try:
-                    while not stop_event.is_set():
-                        new_state = walker_step(
-                            walkers[walker_index],
-                            oracle,
-                            burn,
-                            sample,
-                            seed_pool,
-                            config,
-                            profile_cache,
-                        )
-                        walkers[walker_index] = new_state
-                        with record_lock:
-                            record(new_state)
-                            found = stop_reason()
-                            if found is not None:
-                                reasons.append(found)
-                                stop_event.set()
-                except BaseException as exc:  # abort the whole run with a diagnostic
-                    failures.append(exc)
-                    stop_event.set()
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(len(walkers))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if failures:
-                raise RuntimeError(f"walker failed: {failures[0]!r}") from failures[0]
-            reason = reasons[0] if reasons else "stopped"
+            stats.growth.append((oracle.clock.now - clock_start, edges, sample.num_nodes()))
+        reason = stop_reason()
+        index = (index + 1) % len(walkers)
 
     stats.stop_reason = reason
     stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - friends_calls_start

@@ -86,7 +86,7 @@ def test_acceptance_1_reference_equivalence():
                 burn_symmetric=True,
                 dynamic_rank=True,
             )
-            _, stats = run_sample(config, oracle, sampler_pool, deterministic=True)
+            _, stats = run_sample(config, oracle, sampler_pool)
             first_seed = reference_pool.draw()
             undirected = UndirectedGraph.from_directed(graph)
             reference = rank_degree(
@@ -127,7 +127,7 @@ def test_acceptance_2_rate_budget_safety():
             max_sample_edges=2500,
             max_steps=10**6,
         )
-        _, stats = run_sample(config, oracle, pool, deterministic=True)
+        _, stats = run_sample(config, oracle, pool)
         assert stats.sample_edges >= 2500
         assert stats.simulated_seconds > 0
         assert_budget_safety(oracle.call_log, "friends", 15, 900.0)
@@ -191,7 +191,7 @@ def test_acceptance_4_influence_capture():
                 max_sample_edges=budget,
                 max_steps=10**7,
             )
-            sample, stats = run_sample(config, oracle, pool, deterministic=True)
+            sample, stats = run_sample(config, oracle, pool)
             # no reciprocal pairs in this model, so sample edges == burned edges
             assert stats.symmetric_edges == 0
             assert len(stats.burn_store.log) == stats.sample_edges
@@ -275,7 +275,7 @@ def test_acceptance_6_two_class_separation():
             max_sample_edges=150,
             max_steps=10**6,
         )
-        sample, _ = run_sample(config, oracle, pool, deterministic=True)
+        sample, _ = run_sample(config, oracle, pool)
         influencer = influencer_nodes(sample.graph)
         assert influencer
         baseline = baseline_sample(sorted(graph.nodes), len(influencer), 777 + fixture_seed)
@@ -361,7 +361,7 @@ def run_pipeline(out_dir, seed):
     ) == 0
     assert cli_main(
         [
-            "--out-dir", d, "--seed", str(seed), "--deterministic",
+            "--out-dir", d, "--seed", str(seed),
             "sample",
             "--graph", f"{d}/edges.csv",
             "--profiles", f"{d}/profiles.jsonl",
@@ -388,8 +388,8 @@ def run_pipeline(out_dir, seed):
 
 
 def test_acceptance_9_determinism(tmp_path):
-    """Any command run twice with identical config and seed in deterministic
-    mode produces byte-identical outputs."""
+    """Any command run twice with identical config and seed produces
+    byte-identical outputs."""
     with criterion(9, "determinism"):
         dirs = []
         for run_index in range(2):
@@ -424,7 +424,7 @@ def test_acceptance_10_end_to_end(tmp_path):
 
         assert cli_main(
             [
-                "--out-dir", d, "--seed", "7", "--deterministic",
+                "--out-dir", d, "--seed", "7",
                 "sample",
                 "--graph", f"{d}/edges.csv",
                 "--profiles", f"{d}/profiles.jsonl",

@@ -64,7 +64,7 @@ class TestPipelineCommands:
         d = str(fixture_dir)
         rc = run(
             [
-                "--out-dir", d, "--seed", "3", "--deterministic",
+                "--out-dir", d, "--seed", "3",
                 "sample",
                 "--graph", f"{d}/edges.csv",
                 "--profiles", f"{d}/profiles.jsonl",
@@ -178,7 +178,6 @@ class TestConfigDrivenRuns:
                 max_sample_edges=40,
                 max_steps=50000,
                 walker_count=3,
-                deterministic=True,
             ).to_json()
         )
         assert run(
@@ -204,7 +203,7 @@ class TestConfigDrivenRuns:
         ) == 0
         assert run(
             [
-                "--out-dir", d, "--seed", "33", "--deterministic",
+                "--out-dir", d, "--seed", "33",
                 "sample",
                 "--graph", f"{d}/edges.csv", "--profiles", f"{d}/profiles.jsonl",
                 "--max-sample-edges", "60", "--walker-count", "3",
@@ -214,7 +213,7 @@ class TestConfigDrivenRuns:
         first, _ = read_sample_csv(tmp_path / "sample.csv")
         assert run(
             [
-                "--out-dir", d, "--seed", "33", "--deterministic",
+                "--out-dir", d, "--seed", "33",
                 "sample",
                 "--graph", f"{d}/edges.csv", "--profiles", f"{d}/profiles.jsonl",
                 "--max-sample-edges", "140", "--walker-count", "3",
@@ -239,6 +238,49 @@ class TestErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def seed_pool_run(self, tmp_path, pool_text, capsys):
+        d = str(tmp_path)
+        assert run(
+            [
+                "--out-dir", d, "--seed", "9",
+                "generate", "--model", "reciprocal-er", "--nodes", "30", "--p", "0.2",
+            ]
+        ) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            RunConfig(filter_seed_pool_language=True, max_sample_edges=20).to_json()
+        )
+        pool_path = tmp_path / "pool.txt"
+        pool_path.write_text(pool_text)
+        capsys.readouterr()
+        rc = run(
+            [
+                "--config", str(config_path), "--out-dir", d,
+                "sample",
+                "--graph", f"{d}/edges.csv", "--profiles", f"{d}/profiles.jsonl",
+                "--seed-pool", str(pool_path), "--walker-count", "2",
+            ]
+        )
+        return rc, capsys.readouterr().err
+
+    def test_seed_pool_id_without_profile_gives_exit_one(self, tmp_path, capsys):
+        rc, err = self.seed_pool_run(tmp_path, "1\n99999\n2\n", capsys)
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "99999" in err
+
+    def test_non_integer_seed_pool_line_gives_exit_one(self, tmp_path, capsys):
+        rc, err = self.seed_pool_run(tmp_path, "1\n\n2\nabc\n", capsys)
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "pool.txt" in err and "line 4" in err and "'abc'" in err
+
+    def test_deterministic_config_key_rejected(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"deterministic": true}')
+        assert run(["--config", str(config_path), "--print-config"]) == 1
+        assert "deterministic" in capsys.readouterr().err
+
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
 
@@ -253,7 +295,7 @@ class TestErrors:
         out2 = tmp_path / "out2"
         assert run(
             [
-                "--out-dir", str(out2), "--seed", "8", "--deterministic",
+                "--out-dir", str(out2), "--seed", "8",
                 "sample",
                 "--graph", str(tmp_path / "edges.csv"),
                 "--profiles", str(tmp_path / "profiles.jsonl"),

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from rankwalk.graph import DirectedGraph, NodeProfile
@@ -211,23 +209,19 @@ class TestConstruction:
         assert oracle.calls_by_endpoint[oracle.PROFILES] == 0
 
 
-class TestConcurrency:
-    def test_concurrent_calls_respect_budget(self):
+class TestInterleavedCalls:
+    def test_interleaved_calls_respect_budget(self):
         g = DirectedGraph()
         for source in range(8):
             for target in range(100, 130):
                 g.add_edge(source, target)
         profiles = make_profiles(g)
         oracle = build_simulated_oracle(g, profiles, key_count=2)
-
-        def hammer(node):
-            for _ in range(25):
+        # 8 logical callers take turns, 25 calls each, on one thread
+        for _ in range(25):
+            for node in range(8):
                 oracle.get_friends(node)
-
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 200
         assert_budget_safety(oracle.call_log, "friends", 15, 900.0)
+        # 2 keys x 15 calls = 30 calls per 900 s, so call 200 lands in the 7th window
+        assert oracle.clock.now >= 5400.0

@@ -2,9 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er
 from rankwalk.graph import DirectedGraph
+from rankwalk import sampler as sampler_module
 from rankwalk.oracle import assert_budget_safety, build_simulated_oracle, write_call_log
 from rankwalk.sampler import (
     SEED,
@@ -175,6 +178,19 @@ class TestWalkerStep:
         assert sample.num_edges() == 0
         assert sample.node_provenance(7) == SEED
 
+    def test_reburn_aborts_the_step(self, monkeypatch):
+        _, oracle = build_oracle([(1, 2)])
+        burn = BurnStore([(1, 2)])
+        picks = iter([2])  # a selector that ignores the burn store once
+        monkeypatch.setattr(
+            sampler_module, "select_target", lambda *args: next(picks, None)
+        )
+        with pytest.raises(RuntimeError, match="after it was burned"):
+            walker_step(
+                WalkerState(0, 1), oracle, burn, SampleGraph(), SeedPool([1], 0), config()
+            )
+        assert burn.log == [(1, 2)]
+
     def test_unknown_current_node_jumps(self):
         _, oracle = build_oracle([(1, 2)])
         pool = SeedPool([1], 0)
@@ -202,7 +218,7 @@ def run_fixture(seed=0, n=120, p=0.06, **config_kwargs):
     oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
     pool = SeedPool(sorted(g.nodes), seed)
     cfg = config(**config_kwargs)
-    sample, stats = run_sample(cfg, oracle, pool, deterministic=True)
+    sample, stats = run_sample(cfg, oracle, pool)
     return g, sample, stats
 
 
@@ -210,9 +226,7 @@ class TestRunSample:
     def test_zero_edge_budget_means_no_calls(self):
         g, oracle = build_oracle([(1, 2), (2, 3)])
         pool = SeedPool([1], 0)
-        sample, stats = run_sample(
-            config(max_sample_edges=0), oracle, pool, deterministic=True
-        )
+        sample, stats = run_sample(config(max_sample_edges=0), oracle, pool)
         assert sample.num_edges() == 0
         assert stats.steps == 0
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
@@ -255,7 +269,6 @@ class TestRunSample:
             config(max_sample_edges=150, max_steps=20000),
             oracle,
             SeedPool(pool_ids, 1),
-            deterministic=True,
         )
         for node in sample.graph.nodes:
             assert profiles[node].language == "de"
@@ -274,6 +287,17 @@ class TestRunSample:
             outputs.append((path.read_bytes(), tuple(stats.walk_log)))
         assert outputs[0] == outputs[1]
 
+    def test_deterministic_keyword_is_ignored(self):
+        def run(**kwargs):
+            g, oracle = build_oracle(reciprocal_er(40, 0.15, random.Random(3)), nodes=range(40))
+            sample, _ = run_sample(
+                config(walker_count=3, max_sample_edges=60), oracle, SeedPool(range(40), 1),
+                **kwargs,
+            )
+            return sample.edges_with_provenance(), oracle.call_log
+
+        assert run() == run(deterministic=True) == run(deterministic=False)
+
     def test_call_logs_reproducible(self, tmp_path):
         logs = []
         for run in range(2):
@@ -283,9 +307,7 @@ class TestRunSample:
             profiles = build_profiles(60, edges, random.Random(22), language_fraction=1.0)
             oracle = build_simulated_oracle(g, profiles, key_count=2)
             pool = SeedPool(sorted(g.nodes), 5)
-            run_sample(
-                config(walker_count=4, max_sample_edges=120), oracle, pool, deterministic=True
-            )
+            run_sample(config(walker_count=4, max_sample_edges=120), oracle, pool)
             path = tmp_path / f"log{run}.jsonl"
             write_call_log(oracle.call_log, path)
             logs.append(path.read_bytes())
@@ -301,9 +323,7 @@ class TestRunSample:
             g, profiles, key_count=2, friends_calls_per_window=15, friends_window_seconds=900.0
         )
         pool = SeedPool(sorted(g.nodes), 2)
-        _, stats = run_sample(
-            config(walker_count=8, max_sample_edges=150), oracle, pool, deterministic=True
-        )
+        _, stats = run_sample(config(walker_count=8, max_sample_edges=150), oracle, pool)
         assert stats.simulated_seconds > 0
         assert_budget_safety(oracle.call_log, "friends", 15, 900.0)
 
@@ -328,29 +348,70 @@ class TestRunSample:
             config(max_sample_edges=None, max_steps=None, max_simulated_seconds=1800.0),
             oracle,
             pool,
-            deterministic=True,
         )
         assert stats.stop_reason == "max_simulated_seconds"
         assert stats.simulated_seconds >= 1800.0
 
-    def test_concurrent_mode_preserves_invariants(self):
-        n = 150
-        rng = random.Random(61)
-        edges = reciprocal_er(n, 0.08, rng)
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(10, 50),
+        p=st.sampled_from([0.05, 0.1, 0.2]),
+        walker_count=st.integers(1, 8),
+        key_count=st.integers(1, 4),
+        burn_symmetric=st.booleans(),
+        dynamic_rank=st.booleans(),
+        language_filter=st.booleans(),
+        language_fraction=st.sampled_from([1.0, 0.5]),
+        protected_fraction=st.sampled_from([0.0, 0.1]),
+        edge_stop=st.booleans(),
+        stop_at=st.integers(1, 150),
+    )
+    def test_round_robin_preserves_invariants(
+        self, graph_seed, n, p, walker_count, key_count, burn_symmetric, dynamic_rank,
+        language_filter, language_fraction, protected_fraction, edge_stop, stop_at,
+    ):
+        edges = reciprocal_er(n, p, random.Random(graph_seed))
         g = DirectedGraph.from_edges(edges, nodes=range(n))
-        profiles = build_profiles(n, edges, random.Random(62), language_fraction=1.0)
-        oracle = build_simulated_oracle(g, profiles, key_count=4)
-        pool = SeedPool(sorted(g.nodes), 4)
-        sample, stats = run_sample(
-            config(walker_count=8, max_sample_edges=250), oracle, pool, deterministic=False
+        profiles = build_profiles(
+            n, edges, random.Random(graph_seed + 1),
+            language_fraction=language_fraction, protected_fraction=protected_fraction,
         )
+        cfg = config(
+            walker_count=walker_count,
+            burn_symmetric=burn_symmetric,
+            dynamic_rank=dynamic_rank,
+            language_filter_enabled=language_filter,
+            # an edge stop may never trigger once every edge is burned
+            max_sample_edges=stop_at if edge_stop else None,
+            max_steps=2000 if edge_stop else stop_at,
+        )
+
+        def run():
+            oracle = build_simulated_oracle(g, profiles, key_count=key_count)
+            pool = SeedPool(sorted(g.nodes), graph_seed)
+            sample, stats = run_sample(cfg, oracle, pool)
+            return oracle, sample, stats
+
+        oracle, sample, stats = run()
         log = stats.burn_store.log
         assert len(log) == len(set(log))
-        for s, t, _prov in sample.edges_with_provenance():
+        burned = set(log)
+        for s, t, prov in sample.edges_with_provenance():
             assert g.has_edge(s, t)
+            if prov == WALKED:
+                assert (s, t) in burned
         assert_budget_safety(oracle.call_log, "friends", 15, 900.0)
-        # overshoot is bounded by one step per walker
-        assert sample.num_edges() <= 250 + 2 * 8
+        assert_budget_safety(oracle.call_log, "profiles", 900, 900.0)
+        if stats.stop_reason == "max_steps":
+            assert stats.steps == cfg.max_steps
+        if stats.stop_reason == "max_sample_edges":
+            # one step adds at most the walked edge and its reciprocal
+            assert stop_at <= sample.num_edges() <= stop_at + 1
+
+        oracle2, sample2, _ = run()
+        assert sample2.edges_with_provenance() == sample.edges_with_provenance()
+        assert oracle2.call_log == oracle.call_log
 
     def test_seeds_flagged_in_sample(self):
         _, sample, _ = run_fixture(seed=71, walker_count=3, max_sample_edges=60)
@@ -371,7 +432,7 @@ class TestResume:
         oracle1 = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool1 = SeedPool(sorted(g.nodes), 9)
         sample1, stats1 = run_sample(
-            config(walker_count=3, max_sample_edges=80), oracle1, pool1, deterministic=True
+            config(walker_count=3, max_sample_edges=80), oracle1, pool1
         )
         state_path = tmp_path / "resume.jsonl"
         save_run_state(
@@ -387,7 +448,6 @@ class TestResume:
             config(walker_count=3, max_sample_edges=160),
             oracle2,
             pool2,
-            deterministic=True,
             resume=resume,
         )
         assert sample2.num_edges() >= 160

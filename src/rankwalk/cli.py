@@ -201,12 +201,25 @@ def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
     return 0
 
 
+def _parse_seed_ids(text: str) -> list[int]:
+    ids = []
+    for part in text.split(","):
+        try:
+            ids.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"--seeds: expected comma-separated integer ids, got {part!r}"
+            ) from None
+    return ids
+
+
 def cmd_reference(args, out_dir: Path, seed: int) -> int:
+    if args.num_seeds < 1:
+        raise ValueError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+    initial = _parse_seed_ids(args.seeds) if args.seeds else None
     directed = _read_graph_any(args.graph)
     graph = UndirectedGraph.from_directed(directed)
-    if args.seeds:
-        initial = [int(s) for s in args.seeds.split(",")]
-    else:
+    if initial is None:
         pool = sorted(graph.nodes)
         rng = substream(seed, "reference-seeds")
         initial = [pool[rng.randrange(len(pool))] for _ in range(args.num_seeds)]

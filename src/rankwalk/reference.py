@@ -2,12 +2,13 @@
 
 Serves as the equivalence oracle for the API-constrained walker and as a
 standalone sampling baseline: each seed walks to its highest-current-degree
-neighbor, the traversed edge is removed from the working graph, and seeds are
+neighbor, the traversed edge counts as removed from then on, and seeds are
 redrawn when the walk runs out of usable neighbors.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from .graph import DirectedGraph, NodeId
 
 
 class UndirectedGraph:
-    """Simple undirected graph used as the reference sampler's working copy."""
+    """Simple undirected graph; the reference sampler reads it and never modifies it."""
 
     def __init__(self) -> None:
         self._adj: dict[NodeId, set[NodeId]] = {}
@@ -39,14 +40,6 @@ class UndirectedGraph:
         self._num_edges += 1
         return True
 
-    def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
-        self._num_edges -= 1
-
-    def degree(self, node: NodeId) -> int:
-        return len(self._adj[node])
-
     def neighbors(self, node: NodeId) -> set[NodeId]:
         return self._adj[node]
 
@@ -62,16 +55,6 @@ class UndirectedGraph:
 
     def num_nodes(self) -> int:
         return len(self._adj)
-
-    def non_isolated_nodes(self) -> list[NodeId]:
-        return sorted(n for n, nbrs in self._adj.items() if nbrs)
-
-    def copy(self) -> "UndirectedGraph":
-        g = UndirectedGraph()
-        for node, nbrs in self._adj.items():
-            g._adj[node] = set(nbrs)
-        g._num_edges = self._num_edges
-        return g
 
     @classmethod
     def from_edges(
@@ -89,11 +72,10 @@ class UndirectedGraph:
         """Collapse a directed graph: every directed edge (and in particular each
         reciprocal pair) becomes one undirected edge."""
         g = cls()
-        for node in graph.nodes:
-            g.add_node(node)
-        for u, v in graph.edges():
-            if not (v in g._adj and u in g._adj[v]):
-                g.add_edge(u, v)
+        g._adj = {
+            node: graph.successors(node) | graph.predecessors(node) for node in graph.nodes
+        }
+        g._num_edges = sum(map(len, g._adj.values())) // 2
         return g
 
 
@@ -127,8 +109,17 @@ def rank_degree(
     Per seed w, the top-k neighbors by current (dynamically updated) degree are
     selected, ties broken by lowest id; rho == 1 selects the single-best-neighbor
     variant, rho < 1 the top-k variant with k = max(1, floor(rho * degree(w))).
-    Selected undirected edges leave the working graph; both orientations enter
-    the sample. With collapse=True walkers landing on the same node merge.
+    Selected undirected edges count as removed from then on; both orientations
+    enter the sample. With collapse=True walkers landing on the same node merge.
+
+    The input graph is not modified: current degrees and removed edges are
+    tracked beside it. Each walked node w keeps a lazy heap of its neighbors
+    keyed (-degree when pushed, id), built on w's first visit. A step pops
+    entries whose edge is gone and re-pushes entries whose degree has fallen
+    until the top is current; degrees only fall, so a stale key ranks too
+    high, never too low, and the top is the true best neighbor. The top k are
+    drawn one at a time, which equals ranking once, because removing w-v
+    changes only the degrees of w and v.
 
     Re-seeding triggers once every current seed has degree <= 1 (or degree 0
     with reseed_on_leaf=False) and draws uniformly from the remaining
@@ -144,7 +135,11 @@ def rank_degree(
     if unknown:
         raise ValueError(f"seeds not in graph: {unknown}")
 
-    work = graph.copy()
+    adj = graph._adj
+    degree = {node: len(nbrs) for node, nbrs in adj.items()}
+    removed: set[tuple[NodeId, NodeId]] = set()
+    heaps: dict[NodeId, list[tuple[int, NodeId]]] = {}
+    eligible = sorted(adj)
     rng = random.Random(rng_seed)
     threshold = 1 if reseed_on_leaf else 0
     seed_count = max(1, len(initial_seeds))
@@ -154,8 +149,23 @@ def rank_degree(
     seeds = list(initial_seeds)
     fresh = True
 
+    def best_neighbor(w: NodeId) -> NodeId:
+        heap = heaps.get(w)
+        if heap is None:
+            heap = heaps[w] = [(-degree[v], v) for v in adj[w]]
+            heapq.heapify(heap)
+        while True:
+            key, v = heap[0]
+            if ((w, v) if w < v else (v, w)) in removed:
+                heapq.heappop(heap)
+            elif -key != degree[v]:
+                heapq.heapreplace(heap, (-degree[v], v))
+            else:
+                return v
+
     def redraw() -> list[NodeId]:
-        eligible = work.non_isolated_nodes()
+        nonlocal eligible
+        eligible = [n for n in eligible if degree[n]]
         if not eligible:
             return []
         if seed_source is not None:
@@ -169,7 +179,7 @@ def rank_degree(
         return [rng.choice(eligible) for _ in range(seed_count)]
 
     while len(edges) < sample_size:
-        if not fresh and all(work.degree(s) <= threshold for s in seeds):
+        if not fresh and all(degree[s] <= threshold for s in seeds):
             seeds = redraw()
             fresh = True
             if not seeds:
@@ -178,30 +188,21 @@ def rank_degree(
         for w in seeds:
             if len(edges) >= sample_size:
                 break
-            neighbors = work.neighbors(w)
-            if not neighbors:
+            if not degree[w]:
                 continue
-            if rho >= 1.0:
-                k = 1
-            else:
-                k = max(1, math.floor(rho * work.degree(w)))
-            ranked = sorted(neighbors, key=lambda v: (-work.degree(v), v))
-            for v in ranked[:k]:
+            k = 1 if rho >= 1.0 else max(1, math.floor(rho * degree[w]))
+            for _ in range(k):
+                v = best_neighbor(w)
                 edges.append((w, v))
                 edges.append((v, w))
                 walked.append((w, v))
-                work.remove_edge(w, v)
+                removed.add((w, v) if w < v else (v, w))
+                degree[w] -= 1
+                degree[v] -= 1
                 new_seeds.append(v)
                 if len(edges) >= sample_size:
                     break
-        if collapse:
-            deduped: list[NodeId] = []
-            for v in new_seeds:
-                if v not in deduped:
-                    deduped.append(v)
-            seeds = deduped
-        else:
-            seeds = new_seeds
+        seeds = list(dict.fromkeys(new_seeds)) if collapse else new_seeds
         fresh = False
 
     return RankDegreeResult(edges, walked, reached_target=len(edges) >= sample_size)

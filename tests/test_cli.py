@@ -275,6 +275,32 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "pool.txt" in err and "line 4" in err and "'abc'" in err
 
+    def reference_run(self, tmp_path, extra, capsys):
+        d = str(tmp_path)
+        assert run(
+            [
+                "--out-dir", d, "--seed", "9",
+                "generate", "--model", "reciprocal-er", "--nodes", "30", "--p", "0.2",
+            ]
+        ) == 0
+        capsys.readouterr()
+        rc = run(
+            ["--out-dir", d, "reference", "--graph", f"{d}/edges.csv", "--sample-size", "10"]
+            + extra
+        )
+        return rc, capsys.readouterr().err
+
+    def test_non_integer_reference_seed_gives_exit_one(self, tmp_path, capsys):
+        rc, err = self.reference_run(tmp_path, ["--seeds", "a,b"], capsys)
+        assert rc == 1
+        assert err == "error: --seeds: expected comma-separated integer ids, got 'a'\n"
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_reference_num_seeds_below_one_gives_exit_one(self, tmp_path, capsys, count):
+        rc, err = self.reference_run(tmp_path, ["--num-seeds", count], capsys)
+        assert rc == 1
+        assert err == f"error: --num-seeds must be >= 1, got {count}\n"
+
     def test_deterministic_config_key_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"deterministic": true}')

@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankwalk.graph import DirectedGraph
 from rankwalk.reference import RankDegreeResult, UndirectedGraph, rank_degree
@@ -25,41 +29,84 @@ class TestUndirectedGraph:
         with pytest.raises(ValueError):
             UndirectedGraph.from_edges([(1, 1)])
 
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_from_directed_equals_edge_by_edge_build(self, data):
+        # sparse ids, so that a set of the nodes does not iterate in sorted order
+        nodes = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=30, unique=True))
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        edges = [(u, v) for u, v in data.draw(st.lists(pairs, max_size=60)) if u != v]
+        # close some edges into reciprocal pairs; nodes without edges stay isolated
+        reciprocal = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges += [(v, u) for (u, v), back in zip(edges, reciprocal) if back]
+        directed = DirectedGraph.from_edges(edges, nodes=nodes)
+        expected = UndirectedGraph.from_edges(directed.edges(), nodes=directed.nodes)
+        got = UndirectedGraph.from_directed(directed)
+        assert got._adj == expected._adj
+        assert list(got._adj) == list(expected._adj)
+        assert got.num_edges() == expected.num_edges()
 
-def simulate_rules(graph, initial_seeds, sample_size, rng_seed):
-    """Independent step-by-step simulation of the sampling rules (k = 1,
-    collapse on, re-seed when every seed is a leaf)."""
+
+def simulate_rules(
+    graph,
+    initial_seeds,
+    sample_size,
+    rng_seed,
+    rho=1.0,
+    collapse=True,
+    reseed_on_leaf=True,
+    seed_source=None,
+):
+    """Independent step-by-step simulation of the sampling rules: re-rank each
+    seed's neighborhood with sorted() on every step and take the top k."""
     work = {n: set(graph.neighbors(n)) for n in graph.nodes}
     rng = random.Random(rng_seed)
+    threshold = 1 if reseed_on_leaf else 0
+    seed_count = max(1, len(initial_seeds))
     seeds = list(initial_seeds)
     fresh = True
-    collected = []
-    while len(collected) < sample_size:
-        if not fresh and all(len(work[s]) <= 1 for s in seeds):
+    edges, walked = [], []
+    while len(edges) < sample_size:
+        if not fresh and all(len(work[s]) <= threshold for s in seeds):
             eligible = sorted(n for n in work if work[n])
             if not eligible:
-                return collected, False
-            seeds = [rng.choice(eligible) for _ in range(max(1, len(initial_seeds)))]
+                return RankDegreeResult(edges, walked, reached_target=False)
+            if seed_source is None:
+                seeds = [rng.choice(eligible) for _ in range(seed_count)]
+            else:
+                seeds = []
+                while len(seeds) < seed_count:
+                    candidate = seed_source()
+                    if candidate in eligible:
+                        seeds.append(candidate)
             fresh = True
         new_seeds = []
         for w in seeds:
-            if len(collected) >= sample_size:
+            if len(edges) >= sample_size:
                 break
             if not work[w]:
                 continue
-            v = min(work[w], key=lambda x: (-len(work[x]), x))
-            collected.append((w, v))
-            collected.append((v, w))
-            work[w].remove(v)
-            work[v].remove(w)
-            new_seeds.append(v)
-        deduped = []
-        for v in new_seeds:
-            if v not in deduped:
-                deduped.append(v)
-        seeds = deduped
+            k = 1 if rho >= 1.0 else max(1, math.floor(rho * len(work[w])))
+            ranked = sorted(work[w], key=lambda x: (-len(work[x]), x))
+            for v in ranked[:k]:
+                edges.append((w, v))
+                edges.append((v, w))
+                walked.append((w, v))
+                work[w].remove(v)
+                work[v].remove(w)
+                new_seeds.append(v)
+                if len(edges) >= sample_size:
+                    break
+        if collapse:
+            deduped = []
+            for v in new_seeds:
+                if v not in deduped:
+                    deduped.append(v)
+            seeds = deduped
+        else:
+            seeds = new_seeds
         fresh = False
-    return collected, True
+    return RankDegreeResult(edges, walked, reached_target=True)
 
 
 class TestRankDegree:
@@ -73,9 +120,7 @@ class TestRankDegree:
         for seed in range(5):
             graph = star_graph(4)
             result = rank_degree(graph, [1], 8, rng_seed=seed)
-            expected, reached = simulate_rules(graph, [1], 8, seed)
-            assert result.edges == expected
-            assert result.reached_target == reached
+            assert result == simulate_rules(graph, [1], 8, seed)
             assert result.walked[0] == (1, 0)  # the hub is the only neighbor
 
     def test_random_graphs_match_direct_rule_simulation(self):
@@ -94,9 +139,7 @@ class TestRankDegree:
             target = min(2 * len(edges), rng.randrange(2, 2 * len(edges) + 2))
             seeds = [rng.choice(sorted(graph.nodes))]
             result = rank_degree(graph, seeds, target, rng_seed=seed)
-            expected, reached = simulate_rules(graph, seeds, target, seed)
-            assert result.edges == expected
-            assert result.reached_target == reached
+            assert result == simulate_rules(graph, seeds, target, seed)
 
     def test_rho_one_selects_single_neighbor_per_step(self):
         # hub degree 4, but rho = 1 is the single-best-neighbor variant
@@ -147,3 +190,53 @@ class TestRankDegree:
         )
         assert result.reached_target
         assert len(result.edges) == 4
+
+    def test_stale_degree_refreshed_between_visits(self):
+        # Walker one at hub 0 first takes 9. Walker two at 3 then takes its only
+        # neighbor 1, so 1's degree falls from 3 to 2 while 0's heap still holds 3.
+        # Walker three, back at 0, must refresh that key and take 2 (degree 3).
+        graph = UndirectedGraph.from_edges(
+            [(0, 1), (0, 2), (0, 9), (9, 10), (9, 11), (9, 12),
+             (1, 3), (1, 4), (2, 5), (2, 6)]
+        )
+        result = rank_degree(graph, [0, 3, 0], 6, rng_seed=0, collapse=False)
+        assert result.walked == [(0, 9), (3, 1), (0, 2)]
+        assert result == simulate_rules(graph, [0, 3, 0], 6, 0, collapse=False)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 30),
+        p=st.sampled_from([0.05, 0.15, 0.4]),
+        rho=st.sampled_from([1.0, 0.9, 0.5, 0.3]),
+        collapse=st.booleans(),
+        reseed_on_leaf=st.booleans(),
+        use_seed_source=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_sorted_reference(
+        self, graph_seed, n, p, rho, collapse, reseed_on_leaf, use_seed_source, data
+    ):
+        rng = random.Random(graph_seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        graph = UndirectedGraph.from_edges(edges, nodes=range(n))
+        seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        target = data.draw(st.integers(0, 2 * len(edges) + 4))
+        # cycling through every node always reaches an eligible one
+        order = data.draw(st.permutations(range(n)))
+
+        def run(sampler):
+            source = itertools.cycle(order).__next__ if use_seed_source else None
+            return sampler(
+                graph, seeds, target, rng_seed=graph_seed, rho=rho, collapse=collapse,
+                reseed_on_leaf=reseed_on_leaf, seed_source=source,
+            )
+
+        adjacency = {node: set(nbrs) for node, nbrs in graph._adj.items()}
+        result = run(rank_degree)
+        assert graph._adj == adjacency
+        assert graph.num_edges() == len(edges)
+        expected = run(simulate_rules)
+        assert result.edges == expected.edges
+        assert result.walked == expected.walked
+        assert result.reached_target == expected.reached_target

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -13,16 +17,39 @@ logger = logging.getLogger(__name__)
 
 NodeId = int
 
-# Mandatory JSONL profile fields; last_status_at is optional.
-PROFILE_FIELDS = (
-    "node",
-    "follower_count",
-    "friends_recent_first",
-    "language",
-    "protected",
-    "created_at",
-    "status_count",
-)
+
+def _integer_id(value) -> int:
+    # JSON ids must be integers: a bool, float or string is rejected, not coerced.
+    if type(value) is not int:
+        raise TypeError(f"expected an integer id, got {value!r:.80}")
+    return value
+
+
+def _integer_ids(value) -> list[int]:
+    if type(value) is not list:
+        raise TypeError(f"expected a list of integer ids, got {value!r:.80}")
+    for v in value:
+        if type(v) is not int:
+            raise TypeError(f"expected an integer id, got {v!r}")
+    return value
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+# JSONL profile fields and how read_profiles converts each; last_status_at is
+# the only optional one.
+PROFILE_FIELDS = {
+    "node": _integer_id,
+    "follower_count": int,
+    "friends_recent_first": _integer_ids,
+    "language": str,
+    "protected": bool,
+    "created_at": float,
+    "status_count": int,
+    "last_status_at": _optional_float,
+}
 
 
 @dataclass
@@ -125,14 +152,6 @@ class DirectedGraph:
             for target in targets:
                 yield source, target
 
-    def copy(self) -> "DirectedGraph":
-        g = DirectedGraph()
-        for node in self._succ:
-            g.add_node(node)
-        for source, target in self.edges():
-            g.add_edge(source, target)
-        return g
-
     def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
         """Induced subgraph on the given node subset."""
         keep = set(nodes)
@@ -218,14 +237,10 @@ def pagerank(
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
     m = graph.num_edges()
-    src = np.empty(m, dtype=np.intp)
-    dst = np.empty(m, dtype=np.intp)
-    pos = 0
-    for node in nodes:
-        for target in graph.successors(node):
-            src[pos] = index[node]
-            dst[pos] = index[target]
-            pos += 1
+    targets = [graph.successors(node) for node in nodes]
+    src = np.repeat(np.arange(n), np.fromiter(map(len, targets), dtype=np.intp, count=n))
+    # A dict lookup rather than a search of an int64 id array: ids may exceed 2**63.
+    dst = np.fromiter(map(index.__getitem__, chain.from_iterable(targets)), dtype=np.intp, count=m)
     out_degree = np.bincount(src, minlength=n).astype(np.float64)
     dangling = out_degree == 0.0
     inv_out = np.zeros(n)
@@ -251,7 +266,7 @@ def pagerank(
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", max_iters)
     return PageRankResult(
-        scores={node: float(scores[index[node]]) for node in nodes},
+        scores=dict(zip(nodes, scores.tolist())),
         converged=converged,
         iterations=iterations,
     )
@@ -265,32 +280,122 @@ def write_edge_list(graph: DirectedGraph, path) -> None:
             fh.write(f"{source},{target}\n")
 
 
+# A block of rows exactly as write_edge_list writes them. Ids are capped at
+# 18 digits because np.fromstring clamps an id past 2**63 - 1 without error;
+# longer ids take the per-line path.
+_CANONICAL_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18}\n)*")
+_BLOCK_CHARS = 1 << 20
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector while a reader allocates millions of objects.
+
+    None of them form cycles, so every collection in between is wasted work.
+    The collector is switched back on only if it was on before.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _read_canonical_rows(path, fh) -> list[int] | None:
+    """Flat [source, target, ...] ids of a canonical body, or None if any row is not canonical.
+
+    Reads ~1 MB blocks cut at the last newline and parses each with one numpy
+    call. A self-loop raises with its line number, as the per-line path would.
+    """
+    ids: list[int] = []
+    tail = ""
+    while chunk := fh.read(_BLOCK_CHARS):
+        block = tail + chunk
+        cut = block.rfind("\n") + 1
+        block, tail = block[:cut], block[cut:]
+        if not _CANONICAL_ROWS.fullmatch(block):
+            return None
+        values = np.fromstring(block.replace("\n", ","), dtype=np.int64, sep=",")
+        loops = np.flatnonzero(values[0::2] == values[1::2])
+        if loops.size:
+            row = int(loops[0])
+            source = int(values[2 * row])
+            lineno = len(ids) // 2 + row + 2  # the header is line 1
+            raise ValueError(f"{path}: line {lineno}: self-loop {source},{source}")
+        ids += values.tolist()
+    return None if tail else ids
+
+
+def _read_rows(path, fh) -> list[int]:
+    """Per-line parse of any body; raises on the first bad row with its line number."""
+    ids: list[int] = []
+    for lineno, raw in enumerate(fh, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 'source,target', got {line!r}")
+        try:
+            source, target = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
+        if source < 0 or target < 0:
+            raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
+        if source == target:
+            raise ValueError(f"{path}: line {lineno}: self-loop {source},{target}")
+        ids += (source, target)
+    return ids
+
+
+def _graph_from_rows(ids: list[int]) -> DirectedGraph:
+    """Build from flat [source, target, ...] ids of valid rows, in file order.
+
+    Nodes and set members come out in the order a per-row add_edge build gives,
+    and each node is one int object wherever it appears.
+    """
+    canon: dict[int, int] = {}
+    # in place, so that the parsed copies of repeated ids are freed at once
+    ids[:] = map(canon.setdefault, ids, ids)
+    succ: dict[NodeId, set[NodeId]] = {node: set() for node in canon}
+    pred: dict[NodeId, set[NodeId]] = {node: set() for node in canon}
+    rows = iter(ids)
+    for source, target in zip(rows, rows):
+        succ[source].add(target)
+        pred[target].add(source)
+    graph = DirectedGraph()
+    graph._succ, graph._pred = succ, pred
+    graph._num_edges = sum(map(len, succ.values()))
+    return graph
+
+
 def read_edge_list(path) -> DirectedGraph:
     """Parse a `source,target` CSV. Duplicate edges are dropped with a logged count;
-    malformed lines and self-loops raise with the offending line number."""
-    graph = DirectedGraph()
-    duplicates = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "source,target":
-            raise ValueError(f"{path}: line 1: expected header 'source,target', got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'source,target', got {line!r}")
-            try:
-                source, target = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
-            if source < 0 or target < 0:
-                raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
-            if source == target:
-                raise ValueError(f"{path}: line {lineno}: self-loop {source},{target}")
-            if not graph.add_edge(source, target):
-                duplicates += 1
+    malformed lines and self-loops raise with the offending line number.
+
+    A body in the form write_edge_list writes (rows of two non-negative ids of
+    at most 18 digits, every row ending in a newline) is parsed in bulk, one
+    numpy call per ~1 MB block; reading in text mode turns CRLF into LF first.
+    Any other body (blank lines, padding, signs, ids of 19 or more digits, a
+    missing final newline or a malformed row) is parsed line by line, and
+    that path raises every diagnostic except a self-loop in a canonical body.
+    Both paths give the same graph: nodes and set members in file order, and
+    each node one int object shared by its dict keys and set entries.
+    """
+    with _gc_paused():
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "source,target":
+                raise ValueError(f"{path}: line 1: expected header 'source,target', got {header!r}")
+            body = fh.tell()
+            ids = _read_canonical_rows(path, fh)
+            if ids is None:
+                fh.seek(body)
+                ids = _read_rows(path, fh)
+        graph = _graph_from_rows(ids)
+    duplicates = len(ids) // 2 - graph.num_edges()
     if duplicates:
         logger.warning("%s: ignored %d duplicate edge(s)", path, duplicates)
     return graph
@@ -317,10 +422,43 @@ def write_profiles(profiles: Mapping[NodeId, NodeProfile] | Iterable[NodeProfile
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def _profile(record) -> NodeProfile:
+    return NodeProfile(
+        node=_integer_id(record["node"]),
+        follower_count=int(record["follower_count"]),
+        friends_recent_first=_integer_ids(record["friends_recent_first"]),
+        language=str(record["language"]),
+        protected=bool(record["protected"]),
+        created_at=float(record["created_at"]),
+        status_count=int(record["status_count"]),
+        last_status_at=_optional_float(record.get("last_status_at")),
+    )
+
+
+def _profile_fault(record) -> str | None:
+    """What makes a parsed JSON line unusable as a profile record, if anything."""
+    if type(record) is not dict:
+        return f"expected a JSON object, got {record!r:.80}"
+    for name in PROFILE_FIELDS:
+        if name not in record and name != "last_status_at":
+            return f"missing field {name!r}"
+    for name, convert in PROFILE_FIELDS.items():
+        try:
+            convert(record.get(name))
+        except (TypeError, ValueError, OverflowError) as exc:
+            return f"field {name!r}: {exc}"
+    return None
+
+
 def read_profiles(path) -> dict[NodeId, NodeProfile]:
-    """Parse JSONL profiles. Missing mandatory fields and duplicate node ids raise."""
+    """Parse JSONL profiles, one JSON object per line.
+
+    A line that is not an object, a missing mandatory field, a field that does
+    not convert (ids must be JSON integers), a record NodeProfile rejects and
+    a duplicate node id raise ValueError naming the line.
+    """
     profiles: dict[NodeId, NodeProfile] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _gc_paused(), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -329,22 +467,13 @@ def read_profiles(path) -> dict[NodeId, NodeProfile]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-            for field_name in PROFILE_FIELDS:
-                if field_name not in record:
-                    raise ValueError(f"{path}: line {lineno}: missing field {field_name!r}")
-            node = int(record["node"])
-            if node in profiles:
-                raise ValueError(f"{path}: line {lineno}: duplicate node id {node}")
-            profiles[node] = NodeProfile(
-                node=node,
-                follower_count=int(record["follower_count"]),
-                friends_recent_first=[int(v) for v in record["friends_recent_first"]],
-                language=str(record["language"]),
-                protected=bool(record["protected"]),
-                created_at=float(record["created_at"]),
-                status_count=int(record["status_count"]),
-                last_status_at=(
-                    None if record.get("last_status_at") is None else float(record["last_status_at"])
-                ),
-            )
+            try:
+                profile = _profile(record)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                # Conversion faults are named by field; what remains is NodeProfile's own check.
+                fault = _profile_fault(record) or exc
+                raise ValueError(f"{path}: line {lineno}: {fault}") from None
+            if profile.node in profiles:
+                raise ValueError(f"{path}: line {lineno}: duplicate node id {profile.node}")
+            profiles[profile.node] = profile
     return profiles

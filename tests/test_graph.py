@@ -1,7 +1,14 @@
+import gc
+import logging
 import random
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankwalk import graph as graph_module
 from rankwalk.graph import (
     DirectedGraph,
     NodeProfile,
@@ -122,6 +129,33 @@ def iterate_pagerank_by_hand(graph, damping, tolerance, max_iters=10000):
     return scores
 
 
+def pagerank_by_edge_loop(graph, damping=0.85, tolerance=1e-9, max_iters=200):
+    """Reference: the same power iteration over edge arrays filled one edge at a time."""
+    nodes = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    n, m = len(nodes), graph.num_edges()
+    src = np.empty(m, dtype=np.intp)
+    dst = np.empty(m, dtype=np.intp)
+    pos = 0
+    for node in nodes:
+        for target in graph.successors(node):
+            src[pos], dst[pos] = index[node], index[target]
+            pos += 1
+    out_degree = np.bincount(src, minlength=n).astype(np.float64)
+    dangling = out_degree == 0.0
+    inv_out = np.zeros(n)
+    np.divide(1.0, out_degree, out=inv_out, where=~dangling)
+    scores = np.full(n, 1.0 / n)
+    for iterations in range(1, max_iters + 1):
+        incoming = np.bincount(dst, weights=(scores * inv_out)[src], minlength=n)
+        new_scores = damping * (incoming + scores[dangling].sum() / n) + (1.0 - damping) / n
+        delta = np.abs(new_scores - scores).sum()
+        scores = new_scores
+        if delta < tolerance:
+            break
+    return {node: float(scores[index[node]]) for node in nodes}, iterations
+
+
 class TestPageRank:
     def test_cycle_is_uniform(self):
         cycle = DirectedGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -160,6 +194,32 @@ class TestPageRank:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             pagerank(DirectedGraph())
+
+    def test_bit_identical_to_edge_loop_build(self):
+        for seed in range(8):
+            rng = random.Random(seed)
+            # sparse ids, some past 2**63, so that set order is not id order
+            ids = list({rng.choice([rng.randint(0, 10**6), 2**63 + rng.randint(0, 10**6)]) for _ in range(40)})
+            edges = [tuple(rng.sample(ids, 2)) for _ in range(150)]
+            g = DirectedGraph.from_edges(edges, nodes=ids)
+            result = pagerank(g, 0.85, tolerance=1e-12)
+            scores, iterations = pagerank_by_edge_loop(g, 0.85, tolerance=1e-12)
+            assert list(result.scores.items()) == list(scores.items())
+            assert result.iterations == iterations
+
+
+@contextmanager
+def captured_warnings():
+    """Messages logged by rankwalk.graph inside the block (caplog is per test, not per example)."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("rankwalk.graph")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
 
 
 class TestEdgeListIO:
@@ -202,6 +262,84 @@ class TestEdgeListIO:
         assert g.num_edges() == 2
         assert "2 duplicate" in caplog.text
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_equals_row_by_row_build(self, data, tmp_path_factory):
+        # ids of 19+ digits, and 10**19 >= 2**63, must take the per-line path
+        ids = st.one_of(
+            st.integers(0, 40),
+            st.integers(0, 10**6),
+            st.sampled_from([10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19]),
+        )
+        rows = [
+            (u, v)
+            for u, v in data.draw(st.lists(st.tuples(ids, ids), max_size=80))
+            if u != v
+        ]
+        canonical_form = "{},{}\n"
+        forms = st.sampled_from(
+            [canonical_form, "{},{}\r\n", " {},{}\n", "{} , {}\n", "+{},{}\n", "\n{},{}\n"]
+        )
+        irregular = data.draw(st.booleans())
+        lines = [
+            (data.draw(forms) if irregular else canonical_form).format(u, v) for u, v in rows
+        ]
+        final_newline = data.draw(st.booleans())
+        body = "".join(lines)
+        if lines and not final_newline:
+            body = body[:-1]
+        path = tmp_path_factory.mktemp("edges") / "edges.csv"
+        path.write_bytes(("source,target\n" + body).encode())
+        # text-mode reading turns CR and CRLF into LF, so a CRLF row is still canonical
+        text = body.replace("\r\n", "\n").replace("\r", "\n")
+        canonical = text == "".join(f"{u},{v}\n" for u, v in rows) and all(
+            u < 10**18 and v < 10**18 for u, v in rows
+        )
+
+        per_line_calls = []
+        read_rows = graph_module._read_rows
+        block = data.draw(st.sampled_from([3, 8, 17, 1 << 20]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_BLOCK_CHARS", block)
+            mp.setattr(graph_module, "_read_rows", lambda *a: per_line_calls.append(1) or read_rows(*a))
+            with captured_warnings() as warnings:
+                got = read_edge_list(path)
+
+        expected = DirectedGraph.from_edges(rows)
+        assert list(got._succ) == list(expected._succ)
+        assert [list(s) for s in got._succ.values()] == [list(s) for s in expected._succ.values()]
+        assert list(got._pred) == list(expected._pred)
+        assert [list(s) for s in got._pred.values()] == [list(s) for s in expected._pred.values()]
+        assert got.num_edges() == expected.num_edges()
+        duplicates = len(rows) - expected.num_edges()
+        assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
+        assert bool(per_line_calls) != canonical
+        # one int object per node, wherever it appears
+        keys = {id(node) for node in got._succ}
+        assert all(id(v) in keys for s in got._succ.values() for v in s)
+        assert all(id(v) in keys for s in got._pred.values() for v in s)
+
+    def test_self_loop_line_same_on_both_paths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 16)
+        rows = "".join(f"{i},{i + 1}\n" for i in range(40)) + "7,7\n" + "1,2\n"
+        canonical = tmp_path / "canonical.csv"
+        canonical.write_text("source,target\n" + rows)
+        irregular = tmp_path / "irregular.csv"
+        irregular.write_text("source,target\n" + rows[:-1])
+        messages = []
+        for path in (canonical, irregular):
+            with pytest.raises(ValueError, match="line 42: self-loop 7,7") as info:
+                read_edge_list(path)
+            messages.append(str(info.value).replace(str(path), "FILE"))
+        assert messages[0] == messages[1]
+
+    def test_id_past_int64_not_clamped(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("source,target\n1,2\n99999999999999999999,3\n")
+        g = read_edge_list(path)
+        assert g.has_edge(99999999999999999999, 3)
+        assert g.num_nodes() == 4
+
 
 def random_profile(rng, node):
     friends = rng.sample([v for v in range(50) if v != node], rng.randint(0, 8))
@@ -215,6 +353,12 @@ def random_profile(rng, node):
         status_count=rng.randint(0, 1000),
         last_status_at=float(rng.randint(0, 10**9)) if rng.random() < 0.5 else None,
     )
+
+
+VALID_RECORD = (
+    '{"node": 1, "follower_count": 0, "friends_recent_first": [2], '
+    '"language": "de", "protected": false, "created_at": 0, "status_count": 0}'
+)
 
 
 class TestProfileIO:
@@ -271,3 +415,61 @@ class TestProfileIO:
             NodeProfile(1, 0, [1], "de", False, 0.0, 0)
         with pytest.raises(ValueError, match="duplicate"):
             NodeProfile(1, 0, [2, 2], "de", False, 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("5", "expected a JSON object, got 5"),
+            (VALID_RECORD.replace('"node": 1', '"node": null'), "field 'node'"),
+            (VALID_RECORD.replace('"node": 1', '"node": "abc"'), "field 'node'.*'abc'"),
+            (
+                VALID_RECORD.replace('"friends_recent_first": [2]', '"friends_recent_first": 5'),
+                "field 'friends_recent_first'.*5",
+            ),
+            (
+                VALID_RECORD.replace('"friends_recent_first": [2]', '"friends_recent_first": [2.7]'),
+                "field 'friends_recent_first'.*2.7",
+            ),
+            (
+                VALID_RECORD.replace('"friends_recent_first": [2]', '"friends_recent_first": [true]'),
+                "field 'friends_recent_first'.*True",
+            ),
+        ],
+        ids=["not-object", "null-node", "string-node", "int-friends", "float-friend", "bool-friend"],
+    )
+    def test_malformed_record_names_path_line_and_field(self, tmp_path, record, message):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(VALID_RECORD.replace('"node": 1', '"node": 9') + "\n" + record + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: {message}"):
+            read_profiles(path)
+
+    def test_rejected_profile_names_path_and_line(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(VALID_RECORD.replace('"follower_count": 0', '"follower_count": -1') + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 1: profile 1: negative follower_count"):
+            read_profiles(path)
+
+
+
+@pytest.mark.parametrize(
+    "reader, good, bad",
+    [
+        (read_edge_list, "source,target\n1,2\n", "source,target\n1,1\n"),
+        (read_profiles, VALID_RECORD + "\n", "5\n"),
+    ],
+    ids=["edges", "profiles"],
+)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reader_restores_gc_state(tmp_path, reader, good, bad, enabled):
+    good_path, bad_path = tmp_path / "good", tmp_path / "bad"
+    good_path.write_text(good)
+    bad_path.write_text(bad)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        reader(good_path)
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            reader(bad_path)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()

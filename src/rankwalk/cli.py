@@ -15,8 +15,10 @@ from . import evaluation as evaluation_mod
 from . import keywords as keywords_mod
 from .generate import generate_network
 from .graph import (
+    _read_lines,
     k_core,
     pagerank,
+    parse_id,
     read_edge_list,
     read_profiles,
     write_edge_list,
@@ -79,7 +81,6 @@ class RunConfig:
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(
             target_language=self.target_language,
-            page_size=self.page_size,
             walker_count=self.walker_count,
             max_sample_nodes=self.max_sample_nodes,
             max_sample_edges=self.max_sample_edges,
@@ -102,18 +103,8 @@ def _read_graph_any(path):
 
 
 def _read_seed_pool_file(path) -> list[int]:
-    ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected an integer account id, got {line!r}"
-                ) from None
+    ids: list[int] = []
+    _read_lines(path, lambda line: ids.append(parse_id(line)))
     return ids
 
 
@@ -205,7 +196,7 @@ def _parse_seed_ids(text: str) -> list[int]:
     ids = []
     for part in text.split(","):
         try:
-            ids.append(int(part))
+            ids.append(parse_id(part))
         except ValueError:
             raise ValueError(
                 f"--seeds: expected comma-separated integer ids, got {part!r}"

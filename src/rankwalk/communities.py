@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import DirectedGraph, NodeId
+from .graph import DirectedGraph, NodeId, _read_lines, parse_id
 
 
 def label_propagation(
@@ -68,24 +68,21 @@ def load_assignment(path, graph: DirectedGraph | None = None) -> dict[NodeId, in
     """Parse a `node,community` CSV. When a graph is given the assignment must be
     total over its nodes and must not mention unknown nodes."""
     assignment: dict[NodeId, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "node,community":
-            raise ValueError(f"{path}: line 1: expected header 'node,community', got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'node,community'")
-            try:
-                node, community = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer value in {line!r}") from None
-            if node in assignment:
-                raise ValueError(f"{path}: line {lineno}: duplicate node {node}")
-            assignment[node] = community
+
+    def add(line: str) -> None:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected 'node,community', got {line!r}")
+        node = parse_id(parts[0])
+        try:
+            community = int(parts[1])
+        except ValueError:
+            raise ValueError(f"non-integer community in {line!r}") from None
+        if node in assignment:
+            raise ValueError(f"duplicate node {node}")
+        assignment[node] = community
+
+    _read_lines(path, add, header="node,community")
     if graph is not None:
         unknown = sorted(n for n in assignment if n not in graph)
         if unknown:

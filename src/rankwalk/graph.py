@@ -8,8 +8,10 @@ import logging
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, product
+from operator import itemgetter
+from types import NoneType
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -18,38 +20,90 @@ logger = logging.getLogger(__name__)
 NodeId = int
 
 
-def _integer_id(value) -> int:
-    # JSON ids must be integers: a bool, float or string is rejected, not coerced.
-    if type(value) is not int:
-        raise TypeError(f"expected an integer id, got {value!r:.80}")
+_ID_TEXT = re.compile(r"\s*\+?([0-9]+)\s*")
+
+
+def parse_id(text: str) -> NodeId:
+    """An account id written as text: ASCII digits, at most one leading '+' and
+    surrounding whitespace; anything else raises ValueError naming the text."""
+    match = _ID_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"expected a non-negative integer account id, got {text!r}")
+    return int(match[1])
+
+
+def _integer_id(value, field: str) -> NodeId:
+    """An account id from JSON: an integer >= 0; a bool, float or string is rejected."""
+    if type(value) is not int or value < 0:
+        raise TypeError(f"field {field!r}: expected a JSON integer >= 0, got {value!r:.80}")
     return value
 
 
-def _integer_ids(value) -> list[int]:
-    if type(value) is not list:
-        raise TypeError(f"expected a list of integer ids, got {value!r:.80}")
-    for v in value:
-        if type(v) is not int:
-            raise TypeError(f"expected an integer id, got {v!r}")
-    return value
+def _check_fields(record: dict, fields: Mapping[str, tuple[type, ...]]) -> None:
+    """Raise for the first field of `fields` that `record` lacks or holds with a
+    JSON type not listed for it. A field that allows null may be missing."""
+    for name, types in fields.items():
+        value = record.get(name) if NoneType in types else record[name]
+        if type(value) not in types:
+            expected = " or ".join("null" if t is NoneType else t.__name__ for t in types)
+            raise TypeError(f"field {name!r}: expected {expected}, got {value!r:.80}")
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def _read_lines(path, parse: Callable[[str], object], header: str | None = None) -> None:
+    """Call `parse` on each non-blank line of a UTF-8 text file, stripped; with a
+    header, line 1 must equal it. A ValueError, TypeError, KeyError (a missing
+    field) or OverflowError from `parse` is raised again as
+    ValueError("<path>: line N: <reason>").
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        if header is not None:
+            found = fh.readline().strip()
+            if found != header:
+                raise ValueError(f"{path}: line 1: expected header {header!r}, got {found!r}")
+        for lineno, raw in enumerate(fh, start=1 if header is None else 2):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                parse(line)
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            except OverflowError as exc:  # a JSON integer too large for a float field
+                raise ValueError(f"{path}: line {lineno}: {exc}: {line:.80}") from None
 
 
-# JSONL profile fields and how read_profiles converts each; last_status_at is
-# the only optional one.
-PROFILE_FIELDS = {
-    "node": _integer_id,
-    "follower_count": int,
-    "friends_recent_first": _integer_ids,
-    "language": str,
-    "protected": bool,
-    "created_at": float,
-    "status_count": int,
-    "last_status_at": _optional_float,
+def _read_json_lines(path, parse: Callable[[dict], object]) -> None:
+    """_read_lines for JSONL: every non-blank line must hold a JSON object."""
+
+    def parse_line(line: str) -> None:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON ({exc})") from None
+        if type(record) is not dict:
+            raise TypeError(f"expected a JSON object, got {record!r:.80}")
+        parse(record)
+
+    _read_lines(path, parse_line)
+
+
+# The JSON types each profile field accepts, in NodeProfile's field order; int
+# never matches a JSON boolean. last_status_at, the one field that allows
+# null, may be missing. node and each friend must also pass _integer_id.
+PROFILE_FIELDS: dict[str, tuple[type, ...]] = {
+    "node": (int,),
+    "follower_count": (int,),
+    "friends_recent_first": (list,),
+    "language": (str,),
+    "protected": (bool,),
+    "created_at": (int, float),
+    "status_count": (int,),
+    "last_status_at": (int, float, NoneType),
 }
+_PROFILE_SIGNATURES = frozenset(product(*PROFILE_FIELDS.values()))
+_profile_values = itemgetter(*PROFILE_FIELDS)
 
 
 @dataclass
@@ -328,25 +382,24 @@ def _read_canonical_rows(path, fh) -> list[int] | None:
     return None if tail else ids
 
 
-def _read_rows(path, fh) -> list[int]:
-    """Per-line parse of any body; raises on the first bad row with its line number."""
+def _parse_edge(source: str, target: str) -> tuple[NodeId, NodeId]:
+    u, v = parse_id(source), parse_id(target)
+    if u == v:
+        raise ValueError(f"self-loop {u},{v}")
+    return u, v
+
+
+def _read_rows(path) -> list[int]:
+    """Per-line parse of any edge list; raises on the first bad row with its line number."""
     ids: list[int] = []
-    for lineno, raw in enumerate(fh, start=2):
-        line = raw.strip()
-        if not line:
-            continue
+
+    def add(line: str) -> None:
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 'source,target', got {line!r}")
-        try:
-            source, target = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
-        if source < 0 or target < 0:
-            raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
-        if source == target:
-            raise ValueError(f"{path}: line {lineno}: self-loop {source},{target}")
-        ids += (source, target)
+            raise ValueError(f"expected 'source,target', got {line!r}")
+        ids.extend(_parse_edge(*parts))
+
+    _read_lines(path, add, header="source,target")
     return ids
 
 
@@ -378,22 +431,19 @@ def read_edge_list(path) -> DirectedGraph:
     A body in the form write_edge_list writes (rows of two non-negative ids of
     at most 18 digits, every row ending in a newline) is parsed in bulk, one
     numpy call per ~1 MB block; reading in text mode turns CRLF into LF first.
-    Any other body (blank lines, padding, signs, ids of 19 or more digits, a
-    missing final newline or a malformed row) is parsed line by line, and
-    that path raises every diagnostic except a self-loop in a canonical body.
+    Any other file (a padded header, blank lines, padding, '+' signs, ids of
+    19 or more digits, a missing final newline or a malformed row) is parsed
+    line by line with parse_id, and that path raises every diagnostic except
+    a self-loop in a canonical body.
     Both paths give the same graph: nodes and set members in file order, and
     each node one int object shared by its dict keys and set entries.
     """
     with _gc_paused():
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "source,target":
-                raise ValueError(f"{path}: line 1: expected header 'source,target', got {header!r}")
-            body = fh.tell()
-            ids = _read_canonical_rows(path, fh)
-            if ids is None:
-                fh.seek(body)
-                ids = _read_rows(path, fh)
+            canonical = fh.readline() == "source,target\n"
+            ids = _read_canonical_rows(path, fh) if canonical else None
+        if ids is None:
+            ids = _read_rows(path)
         graph = _graph_from_rows(ids)
     duplicates = len(ids) // 2 - graph.num_edges()
     if duplicates:
@@ -422,58 +472,31 @@ def write_profiles(profiles: Mapping[NodeId, NodeProfile] | Iterable[NodeProfile
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _profile(record) -> NodeProfile:
-    return NodeProfile(
-        node=_integer_id(record["node"]),
-        follower_count=int(record["follower_count"]),
-        friends_recent_first=_integer_ids(record["friends_recent_first"]),
-        language=str(record["language"]),
-        protected=bool(record["protected"]),
-        created_at=float(record["created_at"]),
-        status_count=int(record["status_count"]),
-        last_status_at=_optional_float(record.get("last_status_at")),
-    )
-
-
-def _profile_fault(record) -> str | None:
-    """What makes a parsed JSON line unusable as a profile record, if anything."""
-    if type(record) is not dict:
-        return f"expected a JSON object, got {record!r:.80}"
-    for name in PROFILE_FIELDS:
-        if name not in record and name != "last_status_at":
-            return f"missing field {name!r}"
-    for name, convert in PROFILE_FIELDS.items():
-        try:
-            convert(record.get(name))
-        except (TypeError, ValueError, OverflowError) as exc:
-            return f"field {name!r}: {exc}"
-    return None
-
-
 def read_profiles(path) -> dict[NodeId, NodeProfile]:
-    """Parse JSONL profiles, one JSON object per line.
-
-    A line that is not an object, a missing mandatory field, a field that does
-    not convert (ids must be JSON integers), a record NodeProfile rejects and
-    a duplicate node id raise ValueError naming the line.
-    """
+    """Parse JSONL profiles, one JSON object per line; a value of a JSON type that
+    PROFILE_FIELDS does not allow is rejected, not coerced."""
     profiles: dict[NodeId, NodeProfile] = {}
-    with _gc_paused(), open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-            try:
-                profile = _profile(record)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                # Conversion faults are named by field; what remains is NodeProfile's own check.
-                fault = _profile_fault(record) or exc
-                raise ValueError(f"{path}: line {lineno}: {fault}") from None
-            if profile.node in profiles:
-                raise ValueError(f"{path}: line {lineno}: duplicate node id {profile.node}")
-            profiles[profile.node] = profile
+
+    def add(record: dict) -> None:
+        record.setdefault("last_status_at", None)
+        (node, follower_count, friends, language, protected, created_at, status_count,
+         last_status_at) = _profile_values(record)
+        signature = (
+            type(node), type(follower_count), type(friends), type(language),
+            type(protected), type(created_at), type(status_count), type(last_status_at),
+        )
+        if signature not in _PROFILE_SIGNATURES:
+            _check_fields(record, PROFILE_FIELDS)
+        _integer_id(node, "node")
+        for friend in friends:
+            _integer_id(friend, "friends_recent_first")
+        if node in profiles:
+            raise ValueError(f"duplicate node id {node}")
+        profiles[node] = NodeProfile(
+            node, follower_count, friends, language, protected, float(created_at), status_count,
+            None if last_status_at is None else float(last_status_at),
+        )
+
+    with _gc_paused():
+        _read_json_lines(path, add)
     return profiles

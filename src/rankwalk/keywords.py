@@ -7,9 +7,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .graph import NodeId
+from .graph import NodeId, _check_fields, _integer_id, _read_json_lines
 
 _URL_RE = re.compile(r"https?://\S+")
 _TOKEN_RE = re.compile(r"[#@]?\w+")
@@ -206,21 +207,21 @@ def keywords_by_community(
     return results
 
 
+# The JSON types each document field accepts; node must also pass _integer_id.
+DOC_FIELDS: dict[str, tuple[type, ...]] = {"node": (int,), "ts": (int, float), "text": (str,)}
+_DOC_SIGNATURES = frozenset(product(*DOC_FIELDS.values()))
+
+
 def read_docs_jsonl(path) -> list[Doc]:
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-            for field_name in ("node", "ts", "text"):
-                if field_name not in record:
-                    raise ValueError(f"{path}: line {lineno}: missing field {field_name!r}")
-            docs.append(Doc(int(record["node"]), float(record["ts"]), str(record["text"])))
+
+    def add(record: dict) -> None:
+        node, ts, text = record["node"], record["ts"], record["text"]
+        if (type(node), type(ts), type(text)) not in _DOC_SIGNATURES:
+            _check_fields(record, DOC_FIELDS)
+        docs.append(Doc(_integer_id(node, "node"), float(ts), text))
+
+    _read_json_lines(path, add)
     return docs
 
 

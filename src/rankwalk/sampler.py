@@ -13,9 +13,20 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import countOf
 from typing import Mapping, Sequence
 
-from .graph import DirectedGraph, NodeId, NodeProfile
+from .graph import (
+    DirectedGraph,
+    NodeId,
+    NodeProfile,
+    _check_fields,
+    _graph_from_rows,
+    _integer_id,
+    _parse_edge,
+    _read_json_lines,
+    _read_lines,
+)
 from .oracle import NotFoundError, ProtectedError, SimulatedOracle
 
 WALKED = "walked"
@@ -36,7 +47,6 @@ class SamplerConfig:
     """
 
     target_language: str = "de"
-    page_size: int = 5000
     walker_count: int = 200
     max_sample_nodes: int | None = None
     max_sample_edges: int | None = None
@@ -49,8 +59,6 @@ class SamplerConfig:
     dynamic_rank: bool = False
 
     def __post_init__(self) -> None:
-        if self.page_size < 1:
-            raise ValueError("page_size must be positive")
         if self.walker_count < 1:
             raise ValueError("walker_count must be positive")
         stops = (
@@ -377,9 +385,7 @@ def run_sample(
     stats.simulated_seconds = oracle.clock.now - clock_start
     stats.sample_nodes = sample.num_nodes()
     stats.sample_edges = sample.num_edges()
-    stats.walked_edges = sum(
-        1 for _, _, p in sample.edges_with_provenance() if p == WALKED
-    )
+    stats.walked_edges = countOf(sample._edge_provenance.values(), WALKED)
     stats.symmetric_edges = stats.sample_edges - stats.walked_edges
     stats.final_walkers = walkers
     stats.burn_store = burn
@@ -395,25 +401,19 @@ def write_sample_csv(sample: SampleGraph, path) -> None:
 
 
 def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
-    graph = DirectedGraph()
+    ids: list[NodeId] = []
     provenance: dict[Edge, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "source,target,provenance":
-            raise ValueError(
-                f"{path}: line 1: expected header 'source,target,provenance', got {header!r}"
-            )
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 or parts[2] not in (WALKED, SYMMETRIC):
-                raise ValueError(f"{path}: line {lineno}: malformed sample row {line!r}")
-            source, target = int(parts[0]), int(parts[1])
-            graph.add_edge(source, target)
-            provenance[(source, target)] = parts[2]
-    return graph, provenance
+
+    def add(line: str) -> None:
+        parts = line.split(",")
+        if len(parts) != 3 or parts[2] not in (WALKED, SYMMETRIC):
+            raise ValueError(f"malformed sample row {line!r}")
+        edge = _parse_edge(parts[0], parts[1])
+        ids.extend(edge)
+        provenance[edge] = parts[2]
+
+    _read_lines(path, add, header="source,target,provenance")
+    return _graph_from_rows(ids), provenance
 
 
 def write_growth_csv(stats: RunStats, path) -> None:
@@ -442,7 +442,7 @@ def save_run_state(
         meta = {
             "type": "meta",
             "clock_now": clock_now,
-            "seed_pool_state": _state_to_json(seed_pool.getstate()),
+            "seed_pool_state": seed_pool.getstate(),
         }
         fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
         for source, target in burn.log:
@@ -469,48 +469,35 @@ def save_run_state(
 
 
 def load_run_state(path) -> RunState:
-    clock_now = 0.0
-    pool_state = None
+    meta: list[tuple[float, tuple]] = []
     burned: list[Edge] = []
     edges: list[tuple[NodeId, NodeId, str]] = []
     seed_nodes: list[NodeId] = []
     walkers: list[WalkerState] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            record = json.loads(raw)
-            kind = record["type"]
-            if kind == "meta":
-                clock_now = record["clock_now"]
-                pool_state = _state_from_json(record["seed_pool_state"])
-            elif kind == "burned":
-                burned.append((record["s"], record["t"]))
-            elif kind == "edge":
-                edges.append((record["s"], record["t"], record["p"]))
-            elif kind == "seed_node":
-                seed_nodes.append(record["n"])
-            elif kind == "walker":
-                walkers.append(WalkerState(record["id"], record["current"], record["hops"]))
-            else:
-                raise ValueError(f"unknown resume record type {kind!r}")
-    if pool_state is None:
+
+    def add(record: dict) -> None:
+        kind = record["type"]
+        if kind == "meta":
+            _check_fields(record, {"clock_now": (int, float), "seed_pool_state": (list,)})
+            # random.Random.getstate(), which JSON turned into nested arrays
+            version, internal, gauss_next = record["seed_pool_state"]
+            meta.append((record["clock_now"], (version, tuple(internal), gauss_next)))
+        elif kind == "burned":
+            burned.append((_integer_id(record["s"], "s"), _integer_id(record["t"], "t")))
+        elif kind == "edge":
+            source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
+            edges.append((source, target, record["p"]))
+        elif kind == "seed_node":
+            seed_nodes.append(_integer_id(record["n"], "n"))
+        elif kind == "walker":
+            _check_fields(record, {"id": (int,), "hops": (int,)})
+            current = _integer_id(record["current"], "current")
+            walkers.append(WalkerState(record["id"], current, record["hops"]))
+        else:
+            raise ValueError(f"unknown resume record type {kind!r:.80}")
+
+    _read_json_lines(path, add)
+    if not meta:
         raise ValueError(f"{path}: missing meta record")
+    clock_now, pool_state = meta[-1]
     return RunState(clock_now, pool_state, burned, edges, seed_nodes, walkers)
-
-
-def _state_to_json(state):
-    # random.Random.getstate() is a nested tuple of ints; JSON round-trips it as lists.
-    def convert(x):
-        if isinstance(x, tuple):
-            return [convert(v) for v in x]
-        return x
-
-    return convert(state)
-
-
-def _state_from_json(state):
-    def convert(x):
-        if isinstance(x, list):
-            return tuple(convert(v) for v in x)
-        return x
-
-    return convert(state)

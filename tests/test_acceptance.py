@@ -79,7 +79,6 @@ def test_acceptance_1_reference_equivalence():
             config = SamplerConfig(
                 language_filter_enabled=False,
                 walker_count=1,
-                page_size=10**6,
                 max_sample_edges=directed_count,
                 max_steps=200 * directed_count + 1000,
                 add_symmetric_edge=True,

@@ -330,3 +330,79 @@ class TestErrors:
             ]
         ) == 0
         assert (tmp_path / "edges.csv").read_bytes() == before
+
+
+def profile_line(node, friend, **fields):
+    record = {
+        "node": node, "follower_count": 1, "friends_recent_first": [friend], "language": "de",
+        "protected": False, "created_at": 0.0, "status_count": 0, "last_status_at": None,
+    }
+    return json.dumps({**record, **fields}) + "\n"
+
+
+# A two-account world: edges 1 -> 2 and 2 -> 1, with matching profiles.
+GOOD_FILES = {
+    "edges.csv": "source,target\n1,2\n2,1\n",
+    "profiles.jsonl": profile_line(1, 2) + profile_line(2, 1),
+    "sample.csv": "source,target,provenance\n1,2,walked\n2,1,symmetric\n",
+    "assignment.csv": "node,community\n1,0\n2,1\n",
+    "docs.jsonl": '{"node": 1, "ts": 1.0, "text": "a"}\n{"node": 2, "ts": 2.0, "text": "b"}\n',
+    "pool.txt": "1\n2\n",
+}
+SAMPLE = ["sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
+          "--max-sample-edges", "2", "--walker-count", "1"]
+KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, text, lineno, names",
+    [
+        (["pagerank", "--graph", "{d}/edges.csv"], "edges.csv",
+         "source,target\n1,2\n1_0,2\n", 3, "'1_0'"),
+        (["pagerank", "--graph", "{d}/edges.csv"], "edges.csv",
+         "source,target\n1,2\n\u0663,2\n", 3, "'\u0663'"),
+        (["kcore", "--graph", "{d}/sample.csv", "--k", "1"], "sample.csv",
+         "source,target,provenance\n1,2,walked\n1,x,walked\n", 3, "'x'"),
+        (["communities", "--graph", "{d}/sample.csv"], "sample.csv",
+         "source,target,provenance\n1,2,walked\n1,1,walked\n", 3, "self-loop 1,1"),
+        (KEYWORDS, "docs.jsonl", '{"node": 1, "ts": 1.0, "text": "a"}\n5\n', 2,
+         "expected a JSON object, got 5"),
+        (KEYWORDS, "docs.jsonl", '{"node": null, "ts": 1.0, "text": "a"}\n', 1, "field 'node'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         '{"clock_now": 0.0}\n', 1, "missing field 'type'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl", "nope\n", 1,
+         "invalid JSON"),
+        (SAMPLE + ["--seed-pool", "{d}/pool.txt"], "pool.txt", "1\n-1\n", 2, "'-1'"),
+        (["communities", "--graph", "{d}/edges.csv", "--assignment", "{d}/assignment.csv"],
+         "assignment.csv", "node,community\n1,0\n1_0,1\n", 3, "'1_0'"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, follower_count=2.7),
+         2, "field 'follower_count'"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, protected="false"),
+         2, "field 'protected'"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, language=5),
+         2, "field 'language'"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, created_at="1e9"),
+         2, "field 'created_at'"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, status_count=True),
+         2, "field 'status_count'"),
+    ],
+    ids=[
+        "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
+        "docs-not-object", "docs-null-node", "resume-without-type", "resume-bad-json",
+        "seed-pool-negative", "assignment-underscore", "profile-float-count",
+        "profile-string-protected", "profile-integer-language", "profile-string-time",
+        "profile-bool-count",
+    ],
+)
+def test_malformed_input_gives_one_line_naming_path_and_line(
+    tmp_path, capsys, argv, name, text, lineno, names
+):
+    for good_name, good_text in GOOD_FILES.items():
+        (tmp_path / good_name).write_text(good_text, encoding="utf-8")
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    rc = run(["--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {tmp_path / name}: line {lineno}: ") and err.count("\n") == 1
+    assert names in err

@@ -1,6 +1,8 @@
 import gc
+import json
 import logging
 import random
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,6 +16,7 @@ from rankwalk.graph import (
     NodeProfile,
     k_core,
     pagerank,
+    parse_id,
     read_edge_list,
     read_profiles,
     write_edge_list,
@@ -448,6 +451,54 @@ class TestProfileIO:
         path.write_text(VALID_RECORD.replace('"follower_count": 0', '"follower_count": -1') + "\n")
         with pytest.raises(ValueError, match=f"^{path}: line 1: profile 1: negative follower_count"):
             read_profiles(path)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("follower_count", 2.7, "int"),
+            ("protected", "false", "bool"),
+            ("language", 5, "str"),
+            ("created_at", "1e9", "int or float"),
+            ("status_count", True, "int"),
+        ],
+    )
+    def test_field_of_another_json_type_is_not_coerced(self, tmp_path, field, value, expected):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps({**json.loads(VALID_RECORD), field: value}) + "\n")
+        message = f"{path}: line 1: field {field!r}: expected {expected}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_profiles(path)
+
+    @pytest.mark.parametrize(
+        "field, value, bad", [("node", -1, -1), ("friends_recent_first", [2, -3], -3)]
+    )
+    def test_negative_id_rejected(self, tmp_path, field, value, bad):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps({**json.loads(VALID_RECORD), field: value}) + "\n")
+        message = f"{path}: line 1: field {field!r}: expected a JSON integer >= 0, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_profiles(path)
+
+
+# The id rule as stated: optional whitespace, at most one '+', ASCII digits.
+ID_TEXT = re.compile(r"\s*\+?[0-9]+\s*")
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(
+    text=st.one_of(
+        st.from_regex(ID_TEXT, fullmatch=True),
+        st.text(alphabet=" \t\x0b\x1c\x85\xa0\u2003+-_.e0123456789\u0663\uff11x", max_size=12),
+        st.text(max_size=12),
+    )
+)
+def test_parse_id_accepts_exactly_the_id_rule(text):
+    if ID_TEXT.fullmatch(text):
+        # int() rejects the separators \x1c-\x1f, which \s and str.strip() count as whitespace
+        assert parse_id(text) == int(text.strip())
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_id(text)
 
 
 

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -237,6 +239,22 @@ class TestDocsIO:
         path = tmp_path / "docs.jsonl"
         path.write_text('{"node": 1, "ts": 5.0}\n')
         with pytest.raises(ValueError, match="text"):
+            read_docs_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("node", True, "expected int, got True"),
+            ("node", -4, "expected a JSON integer >= 0, got -4"),
+            ("ts", "1e9", "expected int or float, got '1e9'"),
+            ("text", 5, "expected str, got 5"),
+        ],
+    )
+    def test_field_of_another_json_type_is_not_coerced(self, tmp_path, field, value, expected):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"node": 1, "ts": 5.0, "text": "a", field: value}) + "\n")
+        message = f"{path}: line 1: field {field!r}: {expected}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_docs_jsonl(path)
 
     def test_tokenize_docs_groups_by_node(self):

@@ -9,12 +9,15 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import NoneType
 
 from . import communities as communities_mod
 from . import evaluation as evaluation_mod
 from . import keywords as keywords_mod
 from .generate import generate_network
 from .graph import (
+    _check_fields,
+    _open_text,
     _read_lines,
     k_core,
     pagerank,
@@ -39,6 +42,30 @@ from .sampler import (
     write_sample_csv,
     write_stats_json,
 )
+
+
+# The JSON types each RunConfig field accepts in a config file; int never
+# matches a JSON boolean.
+RUN_CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
+    "target_language": (str,),
+    "language_filter_enabled": (bool,),
+    "filter_seed_pool_language": (bool,),
+    "add_symmetric_edge": (bool,),
+    "page_size": (int,),
+    "walker_count": (int,),
+    "max_sample_nodes": (int, NoneType),
+    "max_sample_edges": (int, NoneType),
+    "max_simulated_seconds": (int, float, NoneType),
+    "max_steps": (int, NoneType),
+    "rng_seed": (int,),
+    "key_count": (int,),
+    "friends_calls_per_window": (int,),
+    "friends_window_seconds": (int, float),
+    "profile_calls_per_window": (int,),
+    "profile_window_seconds": (int, float),
+    "profile_batch": (int,),
+    "rate_limits_enabled": (bool,),
+}
 
 
 @dataclass
@@ -67,12 +94,23 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        """A JSON object holding any of the fields, each of a JSON type that
+        RUN_CONFIG_FIELDS allows for it; anything else raises ValueError naming
+        the file."""
+        with _open_text(path) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: invalid JSON ({exc})") from None
+        if type(data) is not dict:
+            raise ValueError(f"{path}: expected a JSON object, got {data!r:.80}")
+        unknown = sorted(set(data) - RUN_CONFIG_FIELDS.keys())
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {unknown}")
+        try:
+            _check_fields(data, {name: RUN_CONFIG_FIELDS[name] for name in data})
+        except TypeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cls(**data)
 
     def to_json(self) -> str:
@@ -94,7 +132,7 @@ class RunConfig:
 
 def _read_graph_any(path):
     """Edge-list CSV with or without the sample provenance column."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().strip()
     if header == "source,target,provenance":
         graph, _ = read_sample_csv(path)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
 from types import NoneType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -49,13 +49,38 @@ def _check_fields(record: dict, fields: Mapping[str, tuple[type, ...]]) -> None:
             raise TypeError(f"field {name!r}: expected {expected}, got {value!r:.80}")
 
 
+@contextmanager
+def _open_text(path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8, read
+    anywhere in the with-block, raise ValueError("<path>: line N: <reason>")
+    for the first line that holds them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ValueError:
+    # The decoder works on blocks, so its error does not say which line failed.
+    # No UTF-8 sequence holds a line-break byte, so the lines decode one by one.
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            return ValueError(f"{path}: line {lineno}: {line_exc}")
+    return ValueError(f"{path}: {exc}")
+
+
 def _read_lines(path, parse: Callable[[str], object], header: str | None = None) -> None:
     """Call `parse` on each non-blank line of a UTF-8 text file, stripped; with a
     header, line 1 must equal it. A ValueError, TypeError, KeyError (a missing
     field) or OverflowError from `parse` is raised again as
     ValueError("<path>: line N: <reason>").
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         if header is not None:
             found = fh.readline().strip()
             if found != header:
@@ -343,7 +368,8 @@ _BLOCK_CHARS = 1 << 20
 
 @contextmanager
 def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector while a reader allocates millions of objects.
+    """Pause the cyclic collector while a reader or the walk allocates millions
+    of objects.
 
     None of them form cycles, so every collection in between is wasted work.
     The collector is switched back on only if it was on before.
@@ -439,7 +465,7 @@ def read_edge_list(path) -> DirectedGraph:
     each node one int object shared by its dict keys and set entries.
     """
     with _gc_paused():
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             canonical = fh.readline() == "source,target\n"
             ids = _read_canonical_rows(path, fh) if canonical else None
         if ids is None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .graph import NodeId, _check_fields, _integer_id, _read_json_lines
+from .graph import NodeId, _check_fields, _integer_id, _open_text, _read_json_lines
 
 _URL_RE = re.compile(r"https?://\S+")
 _TOKEN_RE = re.compile(r"[#@]?\w+")
@@ -238,7 +238,7 @@ def write_docs_jsonl(docs: Iterable[Doc], path) -> None:
 
 def read_stopwords(path) -> set[str]:
     """One word per line, UTF-8; blank lines ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return {line.strip().lower() for line in fh if line.strip()}
 
 

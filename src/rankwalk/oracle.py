@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import DirectedGraph, NodeId, NodeProfile
 
@@ -41,16 +40,17 @@ class SimulatedClock:
         return self._now
 
 
-@dataclass(frozen=True)
-class FriendsPage:
+class FriendsPage(NamedTuple):
     """One friends-endpoint response: a recency-ordered prefix of the friend list."""
 
     friends: tuple[NodeId, ...]
     truncated: bool
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
+    """One charged call: its simulated time, the key charged (None with rate
+    limits off), the endpoint, the ids asked for and the calls left on the key."""
+
     t: float
     key: int | None
     endpoint: str
@@ -63,6 +63,12 @@ class RateLimiter:
 
     Invariant: at any simulated instant t, each key holds at most
     calls_per_window charges with timestamps in (t - window_seconds, t].
+
+    Expired charges are pruned only when the key choice is made at another
+    instant than the last prune. That is exact: a charge is stamped with the
+    instant its key was chosen at, so every charge made since a prune at t is
+    stamped t, and none can expire at t because window_seconds > 0. The
+    simulated clock never goes back, so a crawl prunes once per instant at most.
     """
 
     def __init__(self, calls_per_window: int, window_seconds: float, key_count: int = 1) -> None:
@@ -72,24 +78,20 @@ class RateLimiter:
         self.window_seconds = float(window_seconds)
         self.key_count = key_count
         self._charges: list[deque[float]] = [deque() for _ in range(key_count)]
-
-    def _prune(self, key: int, now: float) -> None:
-        cutoff = now - self.window_seconds
-        charges = self._charges[key]
-        # A charge at ts stops counting once ts <= now - window.
-        while charges and charges[0] <= cutoff:
-            charges.popleft()
+        self._pruned_at: float | None = None
 
     def _available_key(self, now: float) -> int | None:
         """Least-loaded key with remaining budget; ties broken by lowest index."""
-        best = None
-        best_load = None
-        for key in range(self.key_count):
-            self._prune(key, now)
-            load = len(self._charges[key])
-            if load < self.calls_per_window and (best_load is None or load < best_load):
-                best, best_load = key, load
-        return best
+        if now != self._pruned_at:
+            cutoff = now - self.window_seconds
+            for charges in self._charges:
+                # A charge at ts stops counting once ts <= now - window.
+                while charges and charges[0] <= cutoff:
+                    charges.popleft()
+            self._pruned_at = now
+        loads = list(map(len, self._charges))
+        load = min(loads)
+        return loads.index(load) if load < self.calls_per_window else None
 
     def next_expiry(self) -> float:
         """Earliest simulated instant at which any key frees one slot."""
@@ -249,21 +251,22 @@ def build_simulated_oracle(
 
 
 def write_call_log(records: Iterable[CallRecord], path) -> None:
-    """JSONL, one record per charged call."""
+    """JSONL, one record per charged call.
+
+    Each line is the compact json.dumps of {"t", "key", "endpoint", "nodes",
+    "calls_remaining"}, formatted directly: repr of a finite float or an int is
+    its JSON text, and str of an int is a JSON integer.
+    """
+    endpoints: dict[str, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for r in records:
+        for t, key, endpoint, nodes, remaining in records:
+            name = endpoints.get(endpoint)
+            if name is None:
+                name = endpoints[endpoint] = json.dumps(endpoint)
             fh.write(
-                json.dumps(
-                    {
-                        "t": r.t,
-                        "key": r.key,
-                        "endpoint": r.endpoint,
-                        "nodes": list(r.nodes),
-                        "calls_remaining": r.calls_remaining,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
+                f'{{"t":{t!r},"key":{"null" if key is None else key},"endpoint":{name},'
+                f'"nodes":[{",".join(map(str, nodes))}],'
+                f'"calls_remaining":{"null" if remaining is None else remaining}}}\n'
             )
 
 

@@ -93,6 +93,9 @@ class RankDegreeResult:
     reached_target: bool
 
 
+SEED_POLLS_PER_NODE = 100
+
+
 def rank_degree(
     graph: UndirectedGraph,
     initial_seeds: Sequence[NodeId],
@@ -124,7 +127,10 @@ def rank_degree(
     Re-seeding triggers once every current seed has degree <= 1 (or degree 0
     with reseed_on_leaf=False) and draws uniformly from the remaining
     non-isolated nodes, either via the internal RNG or via seed_source, which
-    is polled with rejection of unusable ids. Exhausting the graph before
+    is polled with rejection of unusable ids. After SEED_POLLS_PER_NODE polls
+    per graph node in a row without a usable id, ValueError is raised; a
+    source drawing uniformly from the graph's nodes gets that far with
+    probability below e**-SEED_POLLS_PER_NODE. Exhausting the graph before
     sample_size returns the partial sample flagged.
     """
     if sample_size < 0:
@@ -142,6 +148,7 @@ def rank_degree(
     eligible = sorted(adj)
     rng = random.Random(rng_seed)
     threshold = 1 if reseed_on_leaf else 0
+    poll_limit = SEED_POLLS_PER_NODE * len(adj)
     seed_count = max(1, len(initial_seeds))
 
     edges: list[tuple[NodeId, NodeId]] = []
@@ -171,10 +178,18 @@ def rank_degree(
         if seed_source is not None:
             drawn: list[NodeId] = []
             eligible_set = set(eligible)
+            misses = 0
             while len(drawn) < seed_count:
                 candidate = seed_source()
                 if candidate in eligible_set:
                     drawn.append(candidate)
+                    misses = 0
+                else:
+                    misses += 1
+                    if misses == poll_limit:
+                        raise ValueError(
+                            f"seed_source gave no usable seed in {poll_limit} polls in a row"
+                        )
             return drawn
         return [rng.choice(eligible) for _ in range(seed_count)]
 

@@ -21,6 +21,7 @@ from .graph import (
     NodeId,
     NodeProfile,
     _check_fields,
+    _gc_paused,
     _graph_from_rows,
     _integer_id,
     _parse_edge,
@@ -226,13 +227,14 @@ def select_target(
     Returns None when no friend qualifies (the jump signal)."""
     best: NodeId | None = None
     best_key: tuple[int, NodeId] | None = None
+    burned = burn._edges
     for v in friends_page:
         profile = profiles.get(v)
         if profile is None:
             continue
         if config.language_filter_enabled and profile.language != config.target_language:
             continue
-        if (w, v) in burn:
+        if (w, v) in burned:
             continue
         score = profile.follower_count
         if config.dynamic_rank:
@@ -316,6 +318,9 @@ def run_sample(
     continue independently (no collapsing). Stop conditions are checked after
     every step. `deterministic` is accepted for older callers and ignored:
     round-robin is the only schedule.
+
+    The steps run with the cyclic GC paused: they build no reference cycles,
+    so a collection during the walk finds nothing to free.
     """
     if len(seed_pool) == 0:
         raise ValueError("seed pool must not be empty")
@@ -363,21 +368,22 @@ def run_sample(
 
     reason = stop_reason()
     index = 0
-    while reason is None:
-        state = walker_step(
-            walkers[index], oracle, burn, sample, seed_pool, config, profile_cache
-        )
-        walkers[index] = state
-        stats.steps += 1
-        if state.last_edge is None:
-            stats.jumps += 1
-        else:
-            stats.walk_log.append(state.last_edge)
-        edges = sample.num_edges()
-        if edges != stats.growth[-1][1]:
-            stats.growth.append((oracle.clock.now - clock_start, edges, sample.num_nodes()))
-        reason = stop_reason()
-        index = (index + 1) % len(walkers)
+    with _gc_paused():
+        while reason is None:
+            state = walker_step(
+                walkers[index], oracle, burn, sample, seed_pool, config, profile_cache
+            )
+            walkers[index] = state
+            stats.steps += 1
+            if state.last_edge is None:
+                stats.jumps += 1
+            else:
+                stats.walk_log.append(state.last_edge)
+            edges = sample.num_edges()
+            if edges != stats.growth[-1][1]:
+                stats.growth.append((oracle.clock.now - clock_start, edges, sample.num_nodes()))
+            reason = stop_reason()
+            index = (index + 1) % len(walkers)
 
     stats.stop_reason = reason
     stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - friends_calls_start
@@ -481,7 +487,9 @@ def load_run_state(path) -> RunState:
             _check_fields(record, {"clock_now": (int, float), "seed_pool_state": (list,)})
             # random.Random.getstate(), which JSON turned into nested arrays
             version, internal, gauss_next = record["seed_pool_state"]
-            meta.append((record["clock_now"], (version, tuple(internal), gauss_next)))
+            state = (version, tuple(internal), gauss_next)
+            random.Random().setstate(state)  # rejects a state of the wrong size or types
+            meta.append((record["clock_now"], state))
         elif kind == "burned":
             burned.append((_integer_id(record["s"], "s"), _integer_id(record["t"], "t")))
         elif kind == "edge":

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from rankwalk.cli import RunConfig, main
+from rankwalk.cli import RUN_CONFIG_FIELDS, RunConfig, main
 from rankwalk.communities import load_assignment
 from rankwalk.graph import read_edge_list, read_profiles
 from rankwalk.keywords import Doc, write_docs_jsonl
@@ -26,6 +27,15 @@ class TestConfig:
         loaded = RunConfig.from_file(path)
         assert loaded.walker_count == 7
         assert loaded.rng_seed == 3
+
+    def test_type_table_accepts_every_field_as_written(self, tmp_path):
+        assert list(RUN_CONFIG_FIELDS) == [f.name for f in dataclasses.fields(RunConfig)]
+        config = RunConfig(
+            max_sample_nodes=1, max_sample_edges=2, max_simulated_seconds=3.5, max_steps=4
+        )
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        assert RunConfig.from_file(path) == config
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -385,24 +395,49 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          2, "field 'created_at'"),
         (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, status_count=True),
          2, "field 'status_count'"),
+        (["--config", "{d}/config.json"] + SAMPLE, "config.json", '{"walker_count": "5"}\n',
+         None, "field 'walker_count'"),
+        (["--config", "{d}/config.json"] + SAMPLE, "config.json", "5\n", None,
+         "expected a JSON object, got 5"),
+        (["--config", "{d}/config.json"] + SAMPLE, "config.json", '{"walker_count": }\n', None,
+         "invalid JSON"),
+        (["pagerank", "--graph", "{d}/edges.csv"], "edges.csv", b"source,target\n1,2\n\xff,2\n",
+         3, "can't decode byte 0xff"),
+        (["pagerank", "--graph", "{d}/edges.csv"], "edges.csv",
+         b"source,target\n" + b"1,2\n" * 5000 + b"2,\xff\n", 5002, "can't decode byte 0xff"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2).encode() + b'{"node": "\xff"}\n', 2,
+         "can't decode byte 0xff"),
+        (KEYWORDS + ["--stopwords", "{d}/stop.txt"], "stop.txt", b"the\r\n\xfe\r\n", 2,
+         "can't decode byte 0xfe"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         '{"type": "meta", "clock_now": 0.0, "seed_pool_state": [3, [1, 2, 3], null]}\n', 1,
+         "state vector is the wrong size"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
         "docs-not-object", "docs-null-node", "resume-without-type", "resume-bad-json",
         "seed-pool-negative", "assignment-underscore", "profile-float-count",
         "profile-string-protected", "profile-integer-language", "profile-string-time",
-        "profile-bool-count",
+        "profile-bool-count", "config-string-count", "config-not-object",
+        "config-bad-json", "edges-not-utf8",
+        "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
+        "resume-wrong-size-pool-state",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
     tmp_path, capsys, argv, name, text, lineno, names
 ):
+    """`text` may be bytes that are not UTF-8; lineno None is a file read whole."""
     for good_name, good_text in GOOD_FILES.items():
         (tmp_path / good_name).write_text(good_text, encoding="utf-8")
-    (tmp_path / name).write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        (tmp_path / name).write_bytes(text)
+    else:
+        (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [arg.format(d=tmp_path) for arg in argv]
     rc = run(["--out-dir", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
+    where = "" if lineno is None else f"line {lineno}: "
     assert rc == 1
-    assert err.startswith(f"error: {tmp_path / name}: line {lineno}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / name}: {where}") and err.count("\n") == 1
     assert names in err

@@ -1,7 +1,13 @@
+import json
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankwalk.graph import DirectedGraph, NodeProfile
 from rankwalk.oracle import (
+    CallRecord,
     NotFoundError,
     ProtectedError,
     RateLimiter,
@@ -133,6 +139,71 @@ class TestRateBudget:
         limiter.charge(clock)  # then until the second one does
         assert clock.now == 14.0
 
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        key_count=st.integers(1, 12),
+        calls_per_window=st.integers(1, 4),
+        window=st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+        steps=st.lists(
+            st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0, 2.5, 7.0])), max_size=120
+        ),
+    )
+    def test_key_choice_equals_pruning_every_key_on_every_charge(
+        self, key_count, calls_per_window, window, steps
+    ):
+        """None in `steps` is a charge, a number a clock advance."""
+        clock, ref_clock = SimulatedClock(), SimulatedClock()
+        limiter = RateLimiter(calls_per_window, window, key_count)
+        reference = ReferenceRateLimiter(calls_per_window, window, key_count)
+        log = []
+        for step in steps:
+            if step is None:
+                key, remaining = limiter.charge(clock)
+                assert (key, remaining) == reference.charge(ref_clock)
+                log.append(CallRecord(clock.now, key, "friends", (0,), remaining))
+            else:
+                clock.advance(step)
+                ref_clock.advance(step)
+            assert clock.now == ref_clock.now
+        assert_budget_safety(log, "friends", calls_per_window, window)
+
+
+class ReferenceRateLimiter:
+    """RateLimiter as first written: prunes every key at every key choice."""
+
+    def __init__(self, calls_per_window, window_seconds, key_count):
+        self.calls_per_window = calls_per_window
+        self.window_seconds = float(window_seconds)
+        self.key_count = key_count
+        self._charges = [deque() for _ in range(key_count)]
+
+    def _prune(self, key, now):
+        cutoff = now - self.window_seconds
+        charges = self._charges[key]
+        while charges and charges[0] <= cutoff:
+            charges.popleft()
+
+    def _available_key(self, now):
+        best = None
+        best_load = None
+        for key in range(self.key_count):
+            self._prune(key, now)
+            load = len(self._charges[key])
+            if load < self.calls_per_window and (best_load is None or load < best_load):
+                best, best_load = key, load
+        return best
+
+    def next_expiry(self):
+        return min(charges[0] + self.window_seconds for charges in self._charges if charges)
+
+    def charge(self, clock):
+        key = self._available_key(clock.now)
+        if key is None:
+            clock.advance_to(self.next_expiry())
+            key = self._available_key(clock.now)
+        self._charges[key].append(clock.now)
+        return key, self.calls_per_window - len(self._charges[key])
+
 
 class TestProfiles:
     def test_profile_roundtrip_value(self):
@@ -207,6 +278,65 @@ class TestConstruction:
         assert not oracle.follows(7, 0)
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
         assert oracle.calls_by_endpoint[oracle.PROFILES] == 0
+
+
+def reference_call_log(records):
+    """write_call_log's bytes as the compact json.dumps of each record."""
+    return "".join(
+        json.dumps(
+            {
+                "t": r.t,
+                "key": r.key,
+                "endpoint": r.endpoint,
+                "nodes": list(r.nodes),
+                "calls_remaining": r.calls_remaining,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for r in records
+    ).encode("utf-8")
+
+
+class TestCallLog:
+    def test_empty_log_writes_an_empty_file(self, tmp_path):
+        write_call_log([], tmp_path / "log.jsonl")
+        assert (tmp_path / "log.jsonl").read_bytes() == b""
+
+    def test_oracle_log_matches_json_dumps(self, tmp_path):
+        for limits in (True, False):
+            g = DirectedGraph()
+            for node in range(250):
+                g.add_edge(node, (node + 1) % 250)
+            oracle = build_simulated_oracle(
+                g, make_profiles(g), key_count=2, rate_limits_enabled=limits
+            )
+            for node in range(40):
+                oracle.get_friends(node)
+            oracle.get_profiles(list(range(250)))  # chunks of 100, 100 and 50 ids
+            write_call_log(oracle.call_log, tmp_path / "log.jsonl")
+            assert (tmp_path / "log.jsonl").read_bytes() == reference_call_log(oracle.call_log)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        records=st.lists(
+            st.builds(
+                CallRecord,
+                t=st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10**6)
+                ),
+                key=st.one_of(st.none(), st.integers(0, 11)),
+                endpoint=st.sampled_from(["friends", "profiles"]),
+                nodes=st.lists(st.integers(0, 2**70), max_size=100).map(tuple),
+                calls_remaining=st.one_of(st.none(), st.integers(0, 900)),
+            ),
+            max_size=8,
+        )
+    )
+    def test_records_match_json_dumps(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        write_call_log(records, path)
+        assert path.read_bytes() == reference_call_log(records)
 
 
 class TestInterleavedCalls:

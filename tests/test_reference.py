@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankwalk.graph import DirectedGraph
-from rankwalk.reference import RankDegreeResult, UndirectedGraph, rank_degree
+from rankwalk.reference import SEED_POLLS_PER_NODE, RankDegreeResult, UndirectedGraph, rank_degree
 
 
 def path_graph():
@@ -190,6 +190,21 @@ class TestRankDegree:
         )
         assert result.reached_target
         assert len(result.edges) == 4
+
+    def test_seed_source_without_usable_ids_raises(self):
+        # after 0-1 is walked only 5-6 is left; the source yields walked-out
+        # nodes and an id outside the graph, never 5 or 6
+        graph = UndirectedGraph.from_edges([(0, 1), (5, 6)])
+        polls = []
+        source = itertools.cycle([0, 1, 99])
+
+        def seed_source():
+            polls.append(None)
+            return next(source)
+
+        with pytest.raises(ValueError, match="no usable seed"):
+            rank_degree(graph, [0], 4, seed_source=seed_source)
+        assert len(polls) == SEED_POLLS_PER_NODE * 4
 
     def test_stale_degree_refreshed_between_visits(self):
         # Walker one at hub 0 first takes 9. Walker two at 3 then takes its only

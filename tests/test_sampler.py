@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -230,6 +231,27 @@ class TestRunSample:
         assert sample.num_edges() == 0
         assert stats.steps == 0
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_walk_restores_gc_state(self, monkeypatch, enabled):
+        states = []
+
+        def select_recording_gc(*args):
+            states.append(gc.isenabled())
+            return select_target(*args)
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            monkeypatch.setattr(sampler_module, "select_target", select_recording_gc)
+            run_fixture(seed=3, max_sample_edges=50)
+            assert states and not any(states)  # the walk ran with the GC paused
+            assert gc.isenabled() == enabled
+            monkeypatch.setattr(sampler_module, "select_target", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                run_fixture(seed=3, max_sample_edges=50)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
     def test_no_edge_walked_twice(self):
         _, _, stats = run_fixture(seed=3, max_sample_edges=300)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .graph import DirectedGraph, NodeId, _read_lines, parse_id
 
@@ -159,20 +159,3 @@ def write_community_sizes_csv(sizes: Mapping[int, int], path) -> None:
         for community in sorted(sizes):
             fh.write(f"{community},{sizes[community]}\n")
 
-
-def active_accounts(
-    assignment: Mapping[NodeId, int],
-    t0: float,
-    t1: float,
-    node_timestamps: Mapping[NodeId, Sequence[float]],
-) -> dict[int, int]:
-    """Per community, the number of member accounts with at least one activity
-    timestamp inside [t0, t1]."""
-    if t1 < t0:
-        raise ValueError(f"invalid window: t1={t1} < t0={t0}")
-    counts: dict[int, int] = {}
-    for node, community in assignment.items():
-        timestamps = node_timestamps.get(node, ())
-        if any(t0 <= t <= t1 for t in timestamps):
-            counts[community] = counts.get(community, 0) + 1
-    return counts

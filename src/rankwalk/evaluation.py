@@ -215,24 +215,6 @@ def activity_histogram(
     return rows
 
 
-def last_status_histogram(
-    timestamps: Sequence[float], t_end: float, bin_seconds: float = 30 * SECONDS_PER_DAY
-) -> list[tuple[float, float, int]]:
-    """Fixed-width (monthly by default) histogram of last-activity timestamps,
-    binned backwards from t_end."""
-    if not timestamps:
-        return []
-    t_start = min(timestamps)
-    n_bins = max(1, int(np.ceil((t_end - t_start) / bin_seconds)))
-    rows = []
-    for i in range(n_bins):
-        hi = t_end - i * bin_seconds
-        lo = hi - bin_seconds
-        count = sum(1 for t in timestamps if lo < t <= hi)
-        rows.append((lo, hi, count))
-    return list(reversed(rows))
-
-
 def write_histogram_csv(rows: Iterable[tuple[float, float, int]], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bin_lo,bin_hi,count\n")

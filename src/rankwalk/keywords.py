@@ -88,14 +88,11 @@ def window_docs(
     t0: float,
     t1: float,
     per_node_cap: int | None = None,
-    cap_rule: str = "newest",
 ) -> list[Doc]:
-    """Keep texts timestamped in [t0, t1], at most per_node_cap per node
-    (newest first by default)."""
+    """Keep texts timestamped in [t0, t1], at most per_node_cap per node,
+    newest first."""
     if t1 < t0:
         raise ValueError(f"invalid window: t1={t1} < t0={t0}")
-    if cap_rule not in ("newest", "oldest"):
-        raise ValueError(f"unknown cap_rule {cap_rule!r}")
     by_node: dict[NodeId, list[tuple[int, Doc]]] = {}
     for index, doc in enumerate(docs):
         if t0 <= doc.ts <= t1:
@@ -103,10 +100,7 @@ def window_docs(
     kept: list[Doc] = []
     for node in sorted(by_node):
         entries = by_node[node]
-        if cap_rule == "newest":
-            entries.sort(key=lambda item: (-item[1].ts, item[0]))
-        else:
-            entries.sort(key=lambda item: (item[1].ts, item[0]))
+        entries.sort(key=lambda item: (-item[1].ts, item[0]))
         if per_node_cap is not None:
             entries = entries[:per_node_cap]
         kept.extend(doc for _, doc in entries)

@@ -28,12 +28,6 @@ class SimulatedClock:
     def now(self) -> float:
         return self._now
 
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self._now += seconds
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         if timestamp > self._now:
             self._now = timestamp
@@ -167,14 +161,6 @@ class SimulatedOracle:
         self._charge(self.FRIENDS, self.friends_limiter, (node,))
         friends = tuple(profile.friends_recent_first[: self.page_size])
         return FriendsPage(friends, truncated=len(profile.friends_recent_first) > self.page_size)
-
-    def get_profile(self, node: NodeId) -> NodeProfile:
-        """Single profile snapshot; one profiles-endpoint call."""
-        profile = self.profiles.get(node)
-        if profile is None:
-            raise NotFoundError(f"unknown account id {node}")
-        self._charge(self.PROFILES, self.profiles_limiter, (node,))
-        return profile
 
     def get_profiles(self, nodes: Sequence[NodeId]) -> dict[NodeId, NodeProfile]:
         """Batched profile lookup: ceil(len(nodes) / profile_batch) calls.

@@ -13,7 +13,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import countOf
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .graph import (
@@ -95,11 +95,10 @@ class SeedPool:
 
 
 class BurnStore:
-    """Append-only set of walked directed edges; an edge burns at most once."""
+    """Append-only set of walked directed edges, in burn order; an edge burns once."""
 
     def __init__(self, edges: Sequence[Edge] = ()) -> None:
-        self._edges: set[Edge] = set()
-        self._log: list[Edge] = []
+        self._edges: dict[Edge, None] = {}
         self._into: Counter[NodeId] = Counter()
         for edge in edges:
             self.burn(tuple(edge))
@@ -108,8 +107,7 @@ class BurnStore:
         """Claim an edge. Returns False if some walker already burned it."""
         if edge in self._edges:
             return False
-        self._edges.add(edge)
-        self._log.append(edge)
+        self._edges[edge] = None
         self._into[edge[1]] += 1
         return True
 
@@ -125,20 +123,21 @@ class BurnStore:
 
     @property
     def log(self) -> list[Edge]:
-        return list(self._log)
+        return list(self._edges)
 
 
 class SampleGraph:
     """The growing sample: collected edges plus node/edge provenance.
 
     Provenance per edge is `walked` or `symmetric`; a symmetric edge that is
-    later walked is upgraded. Seeds are registered as nodes even when no edge
+    later walked is upgraded. `graph` holds every edge, and `_symmetric` only
+    those not walked yet. Seeds are registered as nodes even when no edge
     touches them, so downstream filters can drop leaf seeds explicitly.
     """
 
     def __init__(self) -> None:
         self.graph = DirectedGraph()
-        self._edge_provenance: dict[Edge, str] = {}
+        self._symmetric: set[Edge] = set()
         self._node_provenance: dict[NodeId, str] = {}
 
     def add_seed(self, node: NodeId) -> None:
@@ -147,16 +146,18 @@ class SampleGraph:
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
         added = self.graph.add_edge(source, target)
-        if added:
-            self._edge_provenance[(source, target)] = provenance
-        elif provenance == WALKED:
-            self._edge_provenance[(source, target)] = WALKED
+        if provenance == WALKED:
+            self._symmetric.discard((source, target))
+        elif added:
+            self._symmetric.add((source, target))
         self._node_provenance.setdefault(source, provenance)
         self._node_provenance.setdefault(target, provenance)
         return added
 
     def edge_provenance(self, source: NodeId, target: NodeId) -> str:
-        return self._edge_provenance[(source, target)]
+        if not self.graph.has_edge(source, target):
+            raise KeyError((source, target))
+        return SYMMETRIC if (source, target) in self._symmetric else WALKED
 
     def node_provenance(self, node: NodeId) -> str:
         return self._node_provenance[node]
@@ -168,18 +169,16 @@ class SampleGraph:
         return self.graph.num_nodes()
 
     def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
-        return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
+        symmetric = self._symmetric
+        return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in sorted(self.graph.edges())]
 
 
 @dataclass
 class WalkerState:
-    """Position of one logical walker. last_edge is the edge walked by the step
-    that produced this state, or None when that step jumped."""
+    """Position of one logical walker."""
 
     walker_id: int
     current: NodeId
-    hops_since_jump: int = 0
-    last_edge: Edge | None = None
 
 
 @dataclass
@@ -266,7 +265,7 @@ def walker_step(
     def jump() -> WalkerState:
         seed = seed_pool.draw()
         sample.add_seed(seed)
-        return WalkerState(state.walker_id, seed, 0, None)
+        return WalkerState(state.walker_id, seed)
 
     try:
         page = oracle.get_friends(w)
@@ -289,7 +288,7 @@ def walker_step(
         sample.add_edge(v, w, SYMMETRIC)
     if has_reverse and config.burn_symmetric:
         burn.burn((v, w))
-    return WalkerState(state.walker_id, v, state.hops_since_jump + 1, (w, v))
+    return WalkerState(state.walker_id, v)
 
 
 @dataclass
@@ -319,6 +318,11 @@ def run_sample(
     every step. `deterministic` is accepted for older callers and ignored:
     round-robin is the only schedule.
 
+    A node a step jumped from yields a jump on every later visit (pages and
+    profiles are fixed, burns only grow). Once every seed-pool node has done so
+    and the last len(walkers) steps all jumped, each walker stands on a pool
+    node and no step can add an edge again: the run stops as "exhausted".
+
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
     """
@@ -337,9 +341,7 @@ def run_sample(
             sample.add_seed(node)
         for source, target, provenance in resume.edges:
             sample.add_edge(source, target, provenance)
-        walkers = [
-            WalkerState(w.walker_id, w.current, w.hops_since_jump) for w in resume.walkers
-        ]
+        walkers = list(resume.walkers)
     else:
         walkers = []
         for walker_id in range(config.walker_count):
@@ -350,6 +352,9 @@ def run_sample(
     friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
     profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
     clock_start = oracle.clock.now
+    burns_start = len(burn)
+    not_jumped = set(seed_pool._nodes)
+    jump_run = 0
     stats.growth.append((0.0, sample.num_edges(), sample.num_nodes()))
 
     def stop_reason() -> str | None:
@@ -364,35 +369,45 @@ def run_sample(
             return "max_simulated_seconds"
         if config.max_steps is not None and stats.steps >= config.max_steps:
             return "max_steps"
+        if jump_run >= len(walkers) and not not_jumped:
+            return "exhausted"
         return None
 
     reason = stop_reason()
     index = 0
     with _gc_paused():
         while reason is None:
-            state = walker_step(
-                walkers[index], oracle, burn, sample, seed_pool, config, profile_cache
+            burned = len(burn)
+            state = walkers[index]
+            walkers[index] = walker_step(
+                state, oracle, burn, sample, seed_pool, config, profile_cache
             )
-            walkers[index] = state
             stats.steps += 1
-            if state.last_edge is None:
-                stats.jumps += 1
+            if len(burn) == burned:  # a walk always burns, a jump never
+                not_jumped.discard(state.current)
+                jump_run += 1
             else:
-                stats.walk_log.append(state.last_edge)
+                jump_run = 0
             edges = sample.num_edges()
             if edges != stats.growth[-1][1]:
                 stats.growth.append((oracle.clock.now - clock_start, edges, sample.num_nodes()))
             reason = stop_reason()
             index = (index + 1) % len(walkers)
 
+    # This run's burns that are walked sample edges: its walks, in step order,
+    # without the reverse burns made under burn_symmetric.
+    graph, symmetric = sample.graph, sample._symmetric
+    new_burns = islice(burn._edges, burns_start, None)
+    stats.walk_log = [e for e in new_burns if graph.has_edge(*e) and e not in symmetric]
+    stats.jumps = stats.steps - len(stats.walk_log)
     stats.stop_reason = reason
     stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - friends_calls_start
     stats.profile_calls = oracle.calls_by_endpoint[oracle.PROFILES] - profile_calls_start
     stats.simulated_seconds = oracle.clock.now - clock_start
     stats.sample_nodes = sample.num_nodes()
     stats.sample_edges = sample.num_edges()
-    stats.walked_edges = countOf(sample._edge_provenance.values(), WALKED)
-    stats.symmetric_edges = stats.sample_edges - stats.walked_edges
+    stats.symmetric_edges = len(symmetric)
+    stats.walked_edges = stats.sample_edges - stats.symmetric_edges
     stats.final_walkers = walkers
     stats.burn_store = burn
     return sample, stats
@@ -461,17 +476,7 @@ def save_run_state(
             if sample.node_provenance(node) == SEED:
                 fh.write(json.dumps({"type": "seed_node", "n": node}) + "\n")
         for w in walkers:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "walker",
-                        "id": w.walker_id,
-                        "current": w.current,
-                        "hops": w.hops_since_jump,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"type": "walker", "id": w.walker_id, "current": w.current}) + "\n")
 
 
 def load_run_state(path) -> RunState:
@@ -494,18 +499,23 @@ def load_run_state(path) -> RunState:
             burned.append((_integer_id(record["s"], "s"), _integer_id(record["t"], "t")))
         elif kind == "edge":
             source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
+            if record["p"] not in (WALKED, SYMMETRIC):
+                raise ValueError(
+                    f"field 'p': expected {WALKED!r} or {SYMMETRIC!r}, got {record['p']!r:.80}"
+                )
             edges.append((source, target, record["p"]))
         elif kind == "seed_node":
             seed_nodes.append(_integer_id(record["n"], "n"))
         elif kind == "walker":
-            _check_fields(record, {"id": (int,), "hops": (int,)})
-            current = _integer_id(record["current"], "current")
-            walkers.append(WalkerState(record["id"], current, record["hops"]))
+            _check_fields(record, {"id": (int,)})
+            walkers.append(WalkerState(record["id"], _integer_id(record["current"], "current")))
         else:
             raise ValueError(f"unknown resume record type {kind!r:.80}")
 
     _read_json_lines(path, add)
     if not meta:
         raise ValueError(f"{path}: missing meta record")
+    if not walkers:
+        raise ValueError(f"{path}: no walker records")
     clock_now, pool_state = meta[-1]
     return RunState(clock_now, pool_state, burned, edges, seed_nodes, walkers)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -361,6 +363,9 @@ GOOD_FILES = {
 }
 SAMPLE = ["sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
           "--max-sample-edges", "2", "--walker-count", "1"]
+META = json.dumps(
+    {"type": "meta", "clock_now": 0.0, "seed_pool_state": random.Random(0).getstate()}
+)
 KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv"]
 
 
@@ -412,6 +417,10 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          '{"type": "meta", "clock_now": 0.0, "seed_pool_state": [3, [1, 2, 3], null]}\n', 1,
          "state vector is the wrong size"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl", META + "\n", None,
+         "no walker records"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "edge", "s": 1, "t": 2, "p": "bogus"}\n', 2, "field 'p'"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -421,7 +430,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "profile-bool-count", "config-string-count", "config-not-object",
         "config-bad-json", "edges-not-utf8",
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
-        "resume-wrong-size-pool-state",
+        "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -441,3 +450,96 @@ def test_malformed_input_gives_one_line_naming_path_and_line(
     assert rc == 1
     assert err.startswith(f"error: {tmp_path / name}: {where}") and err.count("\n") == 1
     assert names in err
+
+
+def test_unreachable_stop_ends_exhausted(tmp_path):
+    """The two-account world holds 2 edges, so a 3-edge stop is never reached."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in SAMPLE]
+    argv[argv.index("--max-sample-edges") + 1] = "3"
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 0
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+    assert stats["stop_reason"] == "exhausted"
+    assert stats["sample_edges"] == 2
+
+
+# Every command on a 1000-node world, sampled in two parts through a resume file.
+PIPELINE = [
+    ["--seed", "42", "generate", "--model", "planted-blocks", "--nodes", "1000", "--m", "3",
+     "--blocks", "3", "--language-fraction", "0.9", "--protected-fraction", "0.02"],
+    ["--seed", "7", "sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
+     "--max-sample-edges", "800", "--walker-count", "20", "--resume-to", "resume_first.jsonl",
+     "--out-sample", "sample_first.csv", "--out-stats", "stats_first.json",
+     "--out-growth", "growth_first.csv", "--out-call-log", "call_log_first.jsonl"],
+    ["--seed", "7", "sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
+     "--max-sample-edges", "2000", "--walker-count", "20",
+     "--resume-from", "{d}/resume_first.jsonl", "--resume-to", "resume.jsonl"],
+    ["--seed", "8", "evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
+     "--profiles", "{d}/profiles.jsonl", "--test-size", "200"],
+    ["kcore", "--graph", "{d}/sample.csv", "--k", "3", "--min-in-degree", "1",
+     "--out", "core.csv"],
+    ["--seed", "5", "communities", "--graph", "{d}/core.csv", "--min-size", "10"],
+    ["pagerank", "--graph", "{d}/core.csv"],
+    ["--seed", "9", "reference", "--graph", "{d}/edges.csv", "--sample-size", "500"],
+    ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv",
+     "--top-n", "5"],
+    ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv",
+     "--top-n", "5", "--per-node-cap", "2", "--out", "keywords_cap.csv"],
+    ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv",
+     "--top-n", "5", "--window-start", "2", "--per-node-cap", "1",
+     "--out", "keywords_window.csv"],
+]
+
+
+def run_pipeline(directory):
+    """Run PIPELINE in `directory`; return the sha256 of every file it wrote."""
+    docs = directory / "docs.jsonl"
+    with open(docs, "w", encoding="utf-8") as fh:
+        for node in range(1000):
+            for k in range(3):
+                text = f"word{node % 5} topic{node % 3 + k} tag{(node * k) % 7}"
+                fh.write(json.dumps({"node": node, "ts": float(node % 4 + k), "text": text}))
+                fh.write("\n")
+    for argv in PIPELINE:
+        assert run(["--out-dir", str(directory), *(a.format(d=directory) for a in argv)]) == 0
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+        if path != docs
+    }
+
+
+# sha256 of each file PIPELINE writes: a run is byte-reproducible, so any change
+# here is a change in what the commands write.
+PIPELINE_DIGESTS = {
+    "activity_hist.csv": "08d028f714ac917df2ba83b3143eee67ec7990e8cf94b48e58a43895c69139c4",
+    "assignment.csv": "1b414a65935d0a1a1b44c1cf65495ba2e9fac0d8a0df3c55c1c8857df968c7f9",
+    "call_log.jsonl": "3678c9518eb26f6462b36f83df2ca91893de5734798f29613e866999c08f2ba7",
+    "call_log_first.jsonl": "4068f2eb69a1821bdde278037f6be11f07242ddbc0c37e88722d32b26e74dd83",
+    "community_graph.csv": "de44ecada27f13882022e9c04047bc7787f77e28f04080edae223e8882d220eb",
+    "community_sizes.csv": "79dc74c80bbd204d0692e288b71ebddf18341a3b335424d4d8f25e5e4ac4e00b",
+    "core.csv": "a12b4904377746b6d652817eeee88527e48602d22a975b577d59321836aada08",
+    "coverage_report.csv": "41d5a16bfe3c00b30b7fa8a1b279e63549675574bb864727bc52208b004a12ed",
+    "edges.csv": "e47a014edd48ee034e093dc885ed28cfa573f40a272dd2a8f4751113629618ef",
+    "growth.csv": "b1e63e9cca45b9484d36c5ec427b78ac6cfc5724092f0bf0cabc3a2a149c3469",
+    "growth_first.csv": "c22d15b072545ddc68d826fba4aa9d7be8bf2e57a2a42851edd8abd60d3de68b",
+    "keywords.csv": "2534b607adc369acc539246a4a514656188c0e3d8989381e86a68146cbd07a14",
+    "keywords_cap.csv": "68c820ce7bd419f0a33938c6b40a8999a253fbb34cf0a985a3fc50f7b64dd47c",
+    "keywords_window.csv": "442c0f76ccbe0032be958037463e92c864be8278c68ba556ad01c0c37c79f3e5",
+    "pagerank.csv": "4fe3fecfe1d43665b6540b679e0864954c9762c3a99cd480f3edb3bed9156dbe",
+    "profiles.jsonl": "afaf8f0d4e62fae796fdaf6756d2e621ae4ab7131420475f0e0a848dfa9ae454",
+    "rank_coverage.csv": "7f66132ff9fe396e54c6ca7e2f57cc3976da382874c47394aa2a6391bfe19f32",
+    "rank_reach.csv": "7fe29ab02dd872910a738a036e4783b18c7ba48e0728f7ace2f0cef39f09f7b1",
+    "reference_sample.csv": "16f25bb77127cade72395b9e3c69432df88b30c48d2c7a95c8c25a6d8f486d8d",
+    "resume.jsonl": "1da67f717ac7d5aeb98af5dead096024499cf741d99f32c2d2ae625b4c84502c",
+    "resume_first.jsonl": "b658afa6fd9fe47e3ab85fa1c718d10b7935b6d40e70982483d15d5aaeeaece1",
+    "sample.csv": "283c43dfee5b9dc9b4095cd63a18f51f52ddc8047f1e6676ab1258d0e9c7dae6",
+    "sample_first.csv": "d21c49ecde16964a2cfb65b49744b1534649af678c7deb644aaf9de5eb68c058",
+    "stats.json": "e89fb0245d3dfd98817d8e2691a1c583e891a7110d7d218b4924d0f683cc08cf",
+    "stats_first.json": "f1284288fd8fd674b0fd44d3531778a6d050edb0ea2246bd4adeb00a2cca2394",
+}
+
+
+def test_pipeline_outputs_match_recorded_digests(tmp_path):
+    assert run_pipeline(tmp_path) == PIPELINE_DIGESTS

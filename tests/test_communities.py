@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from rankwalk.communities import (
-    active_accounts,
     aggregate_weights,
     community_graph,
     community_sizes,
@@ -176,33 +175,6 @@ class TestCommunityGraph:
         g = DirectedGraph.from_edges([(0, 1)])
         with pytest.raises(ValueError, match="misses"):
             community_graph(g, {0: 0}, min_size=1)
-
-
-class TestActiveAccounts:
-    def test_window_covering_everything(self):
-        assignment = {1: 0, 2: 0, 3: 1}
-        stamps = {1: [10.0], 2: [20.0], 3: [30.0]}
-        assert active_accounts(assignment, 0.0, 100.0, stamps) == {0: 2, 1: 1}
-
-    def test_empty_window(self):
-        assignment = {1: 0, 2: 1}
-        stamps = {1: [10.0], 2: [20.0]}
-        assert active_accounts(assignment, 50.0, 60.0, stamps) == {}
-
-    def test_matches_brute_force_filter(self):
-        rng = random.Random(13)
-        assignment = {n: rng.randrange(3) for n in range(50)}
-        stamps = {n: [rng.uniform(0, 100) for _ in range(rng.randint(0, 4))] for n in range(50)}
-        t0, t1 = 25.0, 75.0
-        expected = Counter()
-        for n, community in assignment.items():
-            if any(t0 <= t <= t1 for t in stamps[n]):
-                expected[community] += 1
-        assert active_accounts(assignment, t0, t1, stamps) == dict(expected)
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(ValueError):
-            active_accounts({1: 0}, 10.0, 5.0, {1: [7.0]})
 
 
 def test_community_sizes():

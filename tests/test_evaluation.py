@@ -13,7 +13,6 @@ from rankwalk.evaluation import (
     coverage,
     coverage_report,
     influencer_nodes,
-    last_status_histogram,
     rank_coverage,
     rank_reach,
     reach,
@@ -285,11 +284,3 @@ class TestActivityHistogram:
         rows = activity_histogram(values, bins=20)
         assert sum(count for _, _, count in rows) == 500
 
-    def test_last_status_monthly_bins(self):
-        month = 30 * DAY
-        t_end = 10 * month
-        stamps = [0.5 * month, 9.5 * month, 9.6 * month]
-        rows = last_status_histogram(stamps, t_end)
-        assert sum(count for _, _, count in rows) == 3
-        assert all(hi - lo == pytest.approx(month) for lo, hi, _ in rows)
-        assert rows[-1][2] == 2  # the two recent stamps share the last month

@@ -24,17 +24,12 @@ class TestSimulatedClock:
     def test_advances(self):
         clock = SimulatedClock()
         assert clock.now == 0.0
-        clock.advance(5.0)
+        clock.advance_to(clock.now + 5.0)
         assert clock.now == 5.0
         clock.advance_to(3.0)  # never goes backwards
         assert clock.now == 5.0
         clock.advance_to(9.0)
         assert clock.now == 9.0
-
-    def test_rejects_negative_advance(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().advance(-1.0)
-
 
 def simple_oracle(**kwargs):
     g = DirectedGraph.from_edges([(0, 7), (0, 5), (0, 2), (5, 0)])
@@ -74,7 +69,7 @@ class TestGetFriends:
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         with pytest.raises(ProtectedError):
             oracle.get_friends(0)
-        assert oracle.get_profile(0).protected
+        assert oracle.get_profiles([0])[0].protected
         # the refused friends call consumed no budget
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
 
@@ -132,7 +127,7 @@ class TestRateBudget:
         clock = SimulatedClock()
         limiter = RateLimiter(2, 10.0, key_count=1)
         limiter.charge(clock)
-        clock.advance(4.0)
+        clock.advance_to(clock.now + 4.0)
         limiter.charge(clock)
         limiter.charge(clock)  # must wait until the first charge expires
         assert clock.now == 10.0
@@ -162,8 +157,8 @@ class TestRateBudget:
                 assert (key, remaining) == reference.charge(ref_clock)
                 log.append(CallRecord(clock.now, key, "friends", (0,), remaining))
             else:
-                clock.advance(step)
-                ref_clock.advance(step)
+                clock.advance_to(clock.now + step)
+                ref_clock.advance_to(ref_clock.now + step)
             assert clock.now == ref_clock.now
         assert_budget_safety(log, "friends", calls_per_window, window)
 
@@ -210,7 +205,7 @@ class TestProfiles:
         g = DirectedGraph.from_edges([(1, 2)])
         profiles = make_profiles(g, follower_counts={2: 42})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-        assert oracle.get_profile(2).follower_count == 42
+        assert oracle.get_profiles([2])[2].follower_count == 42
 
     def test_batch_charges_ceil_division(self):
         g = DirectedGraph()
@@ -226,11 +221,6 @@ class TestProfiles:
         oracle = simple_oracle(rate_limits_enabled=False)
         result = oracle.get_profiles([0, 99999])
         assert set(result) == {0}
-
-    def test_unknown_single_lookup_raises(self):
-        with pytest.raises(NotFoundError):
-            simple_oracle().get_profile(99999)
-
 
 class TestConstruction:
     def test_inconsistent_profile_rejected(self):
@@ -270,7 +260,7 @@ class TestConstruction:
     def test_repeated_queries_return_identical_payloads(self):
         oracle = simple_oracle(rate_limits_enabled=False)
         assert oracle.get_friends(0) == oracle.get_friends(0)
-        assert oracle.get_profile(5) == oracle.get_profile(5)
+        assert oracle.get_profiles([5]) == oracle.get_profiles([5])
 
     def test_follows_is_uncharged(self):
         oracle = simple_oracle()

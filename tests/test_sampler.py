@@ -1,6 +1,8 @@
 import gc
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from rankwalk.sampler import (
     write_sample_csv,
 )
 
-from conftest import make_profiles
+from conftest import make_profiles, random_digraph
 
 
 def config(**kwargs):
@@ -130,6 +132,76 @@ class TestSelectTarget:
             assert select_target(0, friends, profiles, burn, cfg) == expected
 
 
+class DictProvenanceSampleGraph:
+    """SampleGraph as first written: a provenance entry for every sample edge."""
+
+    def __init__(self):
+        self.graph = DirectedGraph()
+        self._edge_provenance = {}
+        self._node_provenance = {}
+
+    def add_seed(self, node):
+        self.graph.add_node(node)
+        self._node_provenance.setdefault(node, SEED)
+
+    def add_edge(self, source, target, provenance):
+        added = self.graph.add_edge(source, target)
+        if added:
+            self._edge_provenance[(source, target)] = provenance
+        elif provenance == WALKED:
+            self._edge_provenance[(source, target)] = WALKED
+        self._node_provenance.setdefault(source, provenance)
+        self._node_provenance.setdefault(target, provenance)
+        return added
+
+    def edges_with_provenance(self):
+        return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
+
+
+class TestSampleGraph:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.integers(0, 6),  # add_seed
+                st.tuples(
+                    st.integers(0, 6), st.integers(0, 6), st.sampled_from([WALKED, SYMMETRIC])
+                ).filter(lambda op: op[0] != op[1]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_equals_dict_provenance_reference(self, ops):
+        sample, reference = SampleGraph(), DictProvenanceSampleGraph()
+        for op in ops:
+            if isinstance(op, int):
+                sample.add_seed(op)
+                reference.add_seed(op)
+            else:
+                assert sample.add_edge(*op) == reference.add_edge(*op)
+        nodes = list(reference.graph._succ)
+        assert list(sample.graph._succ) == nodes
+        for node in nodes:
+            assert list(sample.graph.successors(node)) == list(reference.graph.successors(node))
+            assert list(sample.graph.predecessors(node)) == list(
+                reference.graph.predecessors(node)
+            )
+            assert sample.node_provenance(node) == reference._node_provenance[node]
+        rows = reference.edges_with_provenance()
+        assert sample.edges_with_provenance() == rows
+        for s, t, provenance in rows:
+            assert sample.edge_provenance(s, t) == provenance
+        assert sample.num_nodes() == reference.graph.num_nodes()
+        assert sample.num_edges() == len(rows)
+        assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
+
+    def test_absent_edge_has_no_provenance(self):
+        sample = SampleGraph()
+        sample.add_edge(1, 2, SYMMETRIC)
+        with pytest.raises(KeyError):
+            sample.edge_provenance(2, 1)
+
+
 def build_oracle(edges, nodes=(), **profile_kwargs):
     g = DirectedGraph.from_edges(edges, nodes=nodes)
     profiles = make_profiles(g, **profile_kwargs)
@@ -144,7 +216,6 @@ class TestWalkerStep:
         pool = SeedPool([1], 0)
         state = walker_step(WalkerState(0, 1), oracle, burn, sample, pool, config())
         assert state.current == 2
-        assert state.last_edge == (1, 2)
         assert (1, 2) in burn
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
@@ -161,8 +232,8 @@ class TestWalkerStep:
         assert sample.edge_provenance(2, 1) == SYMMETRIC
         assert (1, 2) in burn and (2, 1) not in burn
         # a later walker at 2 may still walk (2, 1)
-        state2 = walker_step(WalkerState(1, 2), oracle, burn, sample, pool, config())
-        assert state2.last_edge == (2, 1)
+        walker_step(WalkerState(1, 2), oracle, burn, sample, pool, config())
+        assert (2, 1) in burn
         assert sample.edge_provenance(2, 1) == WALKED
 
     def test_dead_end_jumps_without_burning(self):
@@ -173,8 +244,6 @@ class TestWalkerStep:
         g.add_node(7)
         state = walker_step(WalkerState(0, 2), oracle, burn, sample, pool, config())
         assert state.current == 7
-        assert state.last_edge is None
-        assert state.hops_since_jump == 0
         assert len(burn) == 0
         assert sample.num_edges() == 0
         assert sample.node_provenance(7) == SEED
@@ -443,6 +512,146 @@ class TestRunSample:
         assert seeds  # at least the initial walker positions
 
 
+def record_steps(mp):
+    """Patch the sampler so that each walker_step appends, to the returned list,
+    the edge it walked, read from select_target's pick, or None for a jump."""
+    steps, picks = [], []
+    real_step, real_select = sampler_module.walker_step, sampler_module.select_target
+
+    def select(*args):
+        picks.append(real_select(*args))
+        return picks[-1]
+
+    def step(state, *args):
+        picks.clear()
+        result = real_step(state, *args)
+        steps.append((state.current, picks[0]) if picks and picks[0] is not None else None)
+        return result
+
+    mp.setattr(sampler_module, "walker_step", step)
+    mp.setattr(sampler_module, "select_target", select)
+    return steps
+
+
+def mixed_world(graph_seed, n, p, reciprocal, **profile_kwargs):
+    """A fully reciprocal or a partly reciprocal random graph with its profiles."""
+    if reciprocal:
+        edges = reciprocal_er(n, p, random.Random(graph_seed))
+    else:
+        edges = list(random_digraph(n, p, graph_seed).edges())
+    g = DirectedGraph.from_edges(edges, nodes=range(n))
+    profiles = build_profiles(n, edges, random.Random(graph_seed + 1), **profile_kwargs)
+    return g, profiles
+
+
+class TestWalkLog:
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 40),
+        p=st.sampled_from([0.05, 0.1, 0.3]),
+        reciprocal=st.booleans(),
+        walker_count=st.integers(1, 6),
+        burn_symmetric=st.booleans(),
+        add_symmetric_edge=st.booleans(),
+        dynamic_rank=st.booleans(),
+        language_fraction=st.sampled_from([1.0, 0.5]),
+        protected_fraction=st.sampled_from([0.0, 0.1]),
+        steps=st.integers(1, 300),
+        split=st.one_of(st.none(), st.integers(0, 300)),
+    )
+    def test_walk_log_and_jumps_equal_a_per_step_record(
+        self, graph_seed, n, p, reciprocal, walker_count, burn_symmetric, add_symmetric_edge,
+        dynamic_rank, language_fraction, protected_fraction, steps, split,
+    ):
+        g, profiles = mixed_world(
+            graph_seed, n, p, reciprocal,
+            language_fraction=language_fraction, protected_fraction=protected_fraction,
+        )
+        first = steps if split is None else min(split, steps)
+        cfg = dict(
+            walker_count=walker_count, burn_symmetric=burn_symmetric,
+            add_symmetric_edge=add_symmetric_edge, dynamic_rank=dynamic_rank,
+            max_sample_edges=None,
+        )
+
+        def check(stats, record):
+            assert stats.steps == len(record)
+            assert stats.walk_log == [edge for edge in record if edge is not None]
+            assert stats.jumps == record.count(None)
+
+        with pytest.MonkeyPatch.context() as mp:
+            record = record_steps(mp)
+            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            pool = SeedPool(range(n), graph_seed)
+            sample, stats = run_sample(config(max_steps=first, **cfg), oracle, pool)
+            check(stats, record)
+            if split is None:
+                return
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "resume.jsonl"
+                save_run_state(
+                    path, sample, stats.burn_store, stats.final_walkers, oracle.clock.now, pool
+                )
+                resume = load_run_state(path)
+            record.clear()
+            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            _, stats = run_sample(
+                config(max_steps=steps - first, **cfg), oracle, SeedPool(range(n), 0),
+                resume=resume,
+            )
+            check(stats, record)
+
+
+class TestExhausted:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 12),
+        p=st.sampled_from([0.1, 0.3, 0.6]),
+        reciprocal=st.booleans(),
+        walker_count=st.integers(1, 5),
+        burn_symmetric=st.booleans(),
+        dynamic_rank=st.booleans(),
+        language_filter=st.booleans(),
+        language_fraction=st.sampled_from([1.0, 0.5]),
+        protected_fraction=st.sampled_from([0.0, 0.2]),
+        pool=st.lists(st.integers(0, 14), min_size=1, max_size=20),  # 12-14 are unknown ids
+    )
+    def test_exhausted_run_burned_every_eligible_pool_edge(
+        self, graph_seed, n, p, reciprocal, walker_count, burn_symmetric, dynamic_rank,
+        language_filter, language_fraction, protected_fraction, pool,
+    ):
+        g, profiles = mixed_world(
+            graph_seed, n, p, reciprocal,
+            language_fraction=language_fraction, protected_fraction=protected_fraction,
+        )
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        cfg = config(
+            walker_count=walker_count, burn_symmetric=burn_symmetric, dynamic_rank=dynamic_rank,
+            language_filter_enabled=language_filter, max_sample_edges=None, max_steps=10**5,
+        )
+        _, stats = run_sample(cfg, oracle, SeedPool(pool, graph_seed))
+        assert stats.stop_reason == "exhausted"
+        burned = set(stats.burn_store.log)
+
+        def unburned_eligible_edges(u):
+            profile = profiles.get(u)
+            if profile is None or profile.protected:
+                return []
+            return [
+                (u, v)
+                for v in profile.friends_recent_first
+                if v in profiles
+                and (not language_filter or profiles[v].language == "de")
+                and (u, v) not in burned
+            ]
+
+        # no pool node, and so no walker after a jump, can walk again
+        for u in set(pool) | {w.current for w in stats.final_walkers}:
+            assert unburned_eligible_edges(u) == []
+
+
 class TestResume:
     def test_interrupted_run_continues_without_rewalking(self, tmp_path):
         n = 100
@@ -478,3 +687,17 @@ class TestResume:
         assert not set(new_burns) & set(resume.burned)
         for s, t, _prov in sample2.edges_with_provenance():
             assert g.has_edge(s, t)
+
+    def test_walker_records_may_carry_extra_fields(self, tmp_path):
+        # resume files written before walker records lost "hops" still load
+        _, oracle = build_oracle([(1, 2), (2, 3)])
+        pool = SeedPool([1, 2, 3], 0)
+        sample, stats = run_sample(config(walker_count=2, max_steps=3), oracle, pool)
+        path = tmp_path / "resume.jsonl"
+        save_run_state(path, sample, stats.burn_store, stats.final_walkers, oracle.clock.now, pool)
+        lines = [
+            line.replace("}", ', "hops": 4}') if '"walker"' in line else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_run_state(path).walkers == stats.final_walkers

@@ -3,6 +3,7 @@ limits, with sample-quality evaluation and community/keyword analysis."""
 
 from .graph import (
     DirectedGraph,
+    FrozenGraph,
     NodeProfile,
     PageRankResult,
     k_core,
@@ -39,6 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BurnStore",
     "DirectedGraph",
+    "FrozenGraph",
     "FriendsPage",
     "NodeProfile",
     "NotFoundError",

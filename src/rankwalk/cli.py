@@ -277,11 +277,12 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     influencer = evaluation_mod.influencer_nodes(sample_graph)
     if not influencer:
         raise ValueError("influencer sample is empty (no sampled node has in-degree >= 1)")
-    population = sorted(
-        n
-        for n in graph.nodes
-        if args.language is None or profiles[n].language == args.language
-    )
+    population = sorted(graph.nodes)
+    if args.language is not None:
+        lacking = next((n for n in population if n not in profiles), None)
+        if lacking is not None:
+            raise ValueError(f"{args.profiles}: graph node {lacking} has no profile")
+        population = [n for n in population if profiles[n].language == args.language]
     test_rng = substream(seed, "test-sample")
     test_ids = sorted(
         evaluation_mod.baseline_sample(
@@ -378,6 +379,8 @@ def cmd_keywords(args, out_dir: Path) -> int:
     stopwords = keywords_mod.read_stopwords(args.stopwords) if args.stopwords else set()
     assignment = communities_mod.load_assignment(args.assignment)
     if any(v is not None for v in (args.window_start, args.window_end, args.per_node_cap)):
+        if not docs:
+            raise ValueError(f"{args.docs}: holds no documents")
         t0 = args.window_start if args.window_start is not None else min(d.ts for d in docs)
         t1 = args.window_end if args.window_end is not None else max(d.ts for d in docs)
         docs = keywords_mod.window_docs(docs, t0, t1, per_node_cap=args.per_node_cap)

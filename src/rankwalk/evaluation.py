@@ -9,14 +9,14 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph, NodeId, NodeProfile
+from .graph import Graph, NodeId, NodeProfile
 
 SECONDS_PER_DAY = 86400.0
 
 STATISTIC_NAMES = ("mean", "std", "min", "25%", "50%", "75%", "max")
 
 
-def influencer_nodes(sample: DirectedGraph) -> set[NodeId]:
+def influencer_nodes(sample: Graph) -> set[NodeId]:
     """Sample nodes with in-degree >= 1; leaf seeds are excluded."""
     return {n for n in sample.nodes if sample.in_degree(n) >= 1}
 

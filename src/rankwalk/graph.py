@@ -162,8 +162,9 @@ class NodeProfile:
 class DirectedGraph:
     """Simple directed graph: no self-loops, no parallel edges.
 
-    A ground-truth graph is immutable by convention once built; the sample
-    graph grows edge by edge.
+    The in-memory, mutable form: the generator's output, the sample that grows
+    edge by edge, subgraphs and k-cores. A graph read from a file is a
+    FrozenGraph.
     """
 
     __slots__ = ("_succ", "_pred", "_num_edges")
@@ -232,14 +233,14 @@ class DirectedGraph:
                 yield source, target
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
-        """Induced subgraph on the given node subset."""
+        """Induced subgraph on the given node subset (FrozenGraph shares this method)."""
         keep = set(nodes)
         g = DirectedGraph()
         for node in keep:
-            if node in self._succ:
+            if node in self:
                 g.add_node(node)
         for node in g.nodes:
-            for target in self._succ[node]:
+            for target in self.successors(node):
                 if target in keep:
                     g.add_edge(node, target)
         return g
@@ -264,7 +265,121 @@ class DirectedGraph:
         return g
 
 
-def k_core(graph: DirectedGraph, k: int) -> DirectedGraph:
+class FrozenGraph:
+    """Read-only directed graph in compressed sparse row (CSR) form: the form of
+    a graph read from a file, at ~35 B per edge against ~270 for DirectedGraph.
+
+    Node i (a dense index, in order of first appearance) has id ids[i], and
+    index maps each id back; ids are Python ints because they may pass 2**63,
+    and each is one object shared by ids and index. Row i of out_targets
+    (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the indices of i's
+    successors and row i of in_sources those of its predecessors, each in the
+    order its edges came. It has DirectedGraph's read methods; rows come back
+    as lists in that order, and subgraph gives a DirectedGraph.
+    """
+
+    __slots__ = ("ids", "index", "out_offsets", "out_targets", "in_offsets", "in_sources")
+
+    def __init__(
+        self, ids: list[NodeId], index: dict[NodeId, int], sources: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Build from the index pairs of the edges in order; a repeated edge is
+        dropped, and the first occurrence kept."""
+        n = len(ids)
+        _, first = np.unique(sources.astype(np.int64) * n + targets, return_index=True)
+        first.sort()
+        sources, targets = sources[first], targets[first]
+        self.ids = ids
+        self.index = index
+        self.out_offsets, self.out_targets = _csr_rows(sources, targets, n)
+        self.in_offsets, self.in_sources = _csr_rows(targets, sources, n)
+
+    @classmethod
+    def from_graph(cls, graph: DirectedGraph) -> "FrozenGraph":
+        """The frozen form of a DirectedGraph, nodes in insertion order."""
+        ids = list(graph._succ)
+        index = dict(zip(ids, range(len(ids))))
+        m = graph.num_edges()
+        sources = np.repeat(
+            np.arange(len(ids)), np.fromiter(map(len, graph._succ.values()), np.intp, len(ids))
+        )
+        targets = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(graph._succ.values())), np.intp, m
+        )
+        return cls(ids, index, sources, targets)
+
+    def _row(self, offsets: np.ndarray, ends: np.ndarray, node: NodeId) -> list[NodeId]:
+        i = self.index[node]
+        return list(map(self.ids.__getitem__, ends[offsets[i] : offsets[i + 1]].tolist()))
+
+    @property
+    def nodes(self):
+        """A read-only set view of the ids, in index order."""
+        return self.index.keys()
+
+    def __contains__(self, node: NodeId) -> bool:
+        return node in self.index
+
+    def has_edge(self, source: NodeId, target: NodeId) -> bool:
+        i, j = self.index.get(source), self.index.get(target)
+        if i is None or j is None:
+            return False
+        return bool((self.out_targets[self.out_offsets[i] : self.out_offsets[i + 1]] == j).any())
+
+    def successors(self, node: NodeId) -> list[NodeId]:
+        return self._row(self.out_offsets, self.out_targets, node)
+
+    def predecessors(self, node: NodeId) -> list[NodeId]:
+        return self._row(self.in_offsets, self.in_sources, node)
+
+    def out_degree(self, node: NodeId) -> int:
+        i = self.index[node]
+        return int(self.out_offsets[i + 1] - self.out_offsets[i])
+
+    def in_degree(self, node: NodeId) -> int:
+        i = self.index[node]
+        return int(self.in_offsets[i + 1] - self.in_offsets[i])
+
+    def total_degree(self, node: NodeId) -> int:
+        return self.out_degree(node) + self.in_degree(node)
+
+    def num_nodes(self) -> int:
+        return len(self.ids)
+
+    def num_edges(self) -> int:
+        return len(self.out_targets)
+
+    def edge_sources(self) -> np.ndarray:
+        """The index of the source of each edge in out_targets."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.out_offsets))
+
+    def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
+        get = self.ids.__getitem__
+        return zip(map(get, self.edge_sources().tolist()), map(get, self.out_targets.tolist()))
+
+    subgraph = DirectedGraph.subgraph
+
+    def __repr__(self) -> str:
+        return f"FrozenGraph(nodes={self.num_nodes()}, edges={self.num_edges()})"
+
+
+def _csr_rows(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 offsets and int32 values of the rows keys[i] -> values[i], each row in input order."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets, values[np.argsort(keys, kind="stable")].astype(np.int32)
+
+
+# Either form, for a function that only reads the graph.
+Graph = DirectedGraph | FrozenGraph
+
+
+def freeze(graph: Graph) -> FrozenGraph:
+    """The graph itself if frozen, else its frozen form."""
+    return graph if isinstance(graph, FrozenGraph) else FrozenGraph.from_graph(graph)
+
+
+def k_core(graph: Graph, k: int) -> DirectedGraph:
     """Maximal subgraph in which every node has total degree (in + out) >= k.
 
     Iterative peeling; the fixpoint is independent of deletion order, so
@@ -298,7 +413,7 @@ class PageRankResult:
 
 
 def pagerank(
-    graph: DirectedGraph,
+    graph: Graph,
     damping: float = 0.85,
     tolerance: float = 1e-9,
     max_iters: int = 200,
@@ -306,21 +421,27 @@ def pagerank(
     """Power iteration with uniform teleport; dangling mass is redistributed uniformly.
 
     Stops when the L1 change drops below `tolerance`; if `max_iters` is reached
-    first the result is flagged as non-converged.
+    first the result is flagged as non-converged. Scores are indexed in
+    ascending id order and each node's incoming terms are summed in ascending
+    id order of their sources, so the scores do not depend on node or row order.
     """
     if graph.num_nodes() == 0:
         raise ValueError("pagerank requires a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    nodes = sorted(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
+    graph = freeze(graph)
+    ids = graph.ids
+    n = len(ids)
     m = graph.num_edges()
-    targets = [graph.successors(node) for node in nodes]
-    src = np.repeat(np.arange(n), np.fromiter(map(len, targets), dtype=np.intp, count=n))
-    # A dict lookup rather than a search of an int64 id array: ids may exceed 2**63.
-    dst = np.fromiter(map(index.__getitem__, chain.from_iterable(targets)), dtype=np.intp, count=m)
-    out_degree = np.bincount(src, minlength=n).astype(np.float64)
+    # sorted in Python, as ids may exceed 2**63
+    by_id = sorted(range(n), key=ids.__getitem__)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_id] = np.arange(n)
+    src = rank[graph.edge_sources()]
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    dst = rank[graph.out_targets[order]]
+    out_degree = np.diff(graph.out_offsets)[by_id].astype(np.float64)
     dangling = out_degree == 0.0
     inv_out = np.zeros(n)
     np.divide(1.0, out_degree, out=inv_out, where=~dangling)
@@ -345,13 +466,13 @@ def pagerank(
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", max_iters)
     return PageRankResult(
-        scores=dict(zip(nodes, scores.tolist())),
+        scores=dict(zip(map(ids.__getitem__, by_id), scores.tolist())),
         converged=converged,
         iterations=iterations,
     )
 
 
-def write_edge_list(graph: DirectedGraph, path) -> None:
+def write_edge_list(graph: Graph, path) -> None:
     """CSV with header `source,target`, one edge per line, sorted for determinism."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("source,target\n")
@@ -383,13 +504,14 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _read_canonical_rows(path, fh) -> list[int] | None:
-    """Flat [source, target, ...] ids of a canonical body, or None if any row is not canonical.
+def _read_canonical_rows(path, fh) -> np.ndarray | None:
+    """Flat [source, target, ...] int64 ids of a canonical body, or None if any row is not canonical.
 
     Reads ~1 MB blocks cut at the last newline and parses each with one numpy
     call. A self-loop raises with its line number, as the per-line path would.
     """
-    ids: list[int] = []
+    blocks: list[np.ndarray] = []
+    rows = 0
     tail = ""
     while chunk := fh.read(_BLOCK_CHARS):
         block = tail + chunk
@@ -402,10 +524,11 @@ def _read_canonical_rows(path, fh) -> list[int] | None:
         if loops.size:
             row = int(loops[0])
             source = int(values[2 * row])
-            lineno = len(ids) // 2 + row + 2  # the header is line 1
+            lineno = rows + row + 2  # the header is line 1
             raise ValueError(f"{path}: line {lineno}: self-loop {source},{source}")
-        ids += values.tolist()
-    return None if tail else ids
+        blocks.append(values)
+        rows += len(values) // 2
+    return None if tail else np.concatenate(blocks or [np.empty(0, dtype=np.int64)])
 
 
 def _parse_edge(source: str, target: str) -> tuple[NodeId, NodeId]:
@@ -429,30 +552,28 @@ def _read_rows(path) -> list[int]:
     return ids
 
 
-def _graph_from_rows(ids: list[int]) -> DirectedGraph:
-    """Build from flat [source, target, ...] ids of valid rows, in file order.
-
-    Nodes and set members come out in the order a per-row add_edge build gives,
-    and each node is one int object wherever it appears.
-    """
-    canon: dict[int, int] = {}
-    # in place, so that the parsed copies of repeated ids are freed at once
-    ids[:] = map(canon.setdefault, ids, ids)
-    succ: dict[NodeId, set[NodeId]] = {node: set() for node in canon}
-    pred: dict[NodeId, set[NodeId]] = {node: set() for node in canon}
-    rows = iter(ids)
-    for source, target in zip(rows, rows):
-        succ[source].add(target)
-        pred[target].add(source)
-    graph = DirectedGraph()
-    graph._succ, graph._pred = succ, pred
-    graph._num_edges = sum(map(len, succ.values()))
-    return graph
+def _graph_from_ids(ids: list[int]) -> FrozenGraph:
+    """The graph of flat [source, target, ...] ids of valid rows, in file order."""
+    index: dict[int, int] = {}
+    ends = np.fromiter([index.setdefault(node, len(index)) for node in ids], np.intp, len(ids))
+    return FrozenGraph(list(index), index, ends[0::2], ends[1::2])
 
 
-def read_edge_list(path) -> DirectedGraph:
-    """Parse a `source,target` CSV. Duplicate edges are dropped with a logged count;
-    malformed lines and self-loops raise with the offending line number.
+def _graph_from_array(ids: np.ndarray) -> FrozenGraph:
+    """_graph_from_ids for int64 ids: nodes are numbered by first appearance with np.unique."""
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty(len(unique), dtype=np.intp)
+    number[by_first] = np.arange(len(unique))
+    ends = number[inverse]
+    nodes = unique[by_first].tolist()
+    return FrozenGraph(nodes, dict(zip(nodes, range(len(nodes)))), ends[0::2], ends[1::2])
+
+
+def read_edge_list(path) -> FrozenGraph:
+    """Parse a `source,target` CSV into a FrozenGraph. Duplicate edges are dropped
+    with a logged count; malformed lines and self-loops raise with the offending
+    line number.
 
     A body in the form write_edge_list writes (rows of two non-negative ids of
     at most 18 digits, every row ending in a newline) is parsed in bulk, one
@@ -461,17 +582,18 @@ def read_edge_list(path) -> DirectedGraph:
     19 or more digits, a missing final newline or a malformed row) is parsed
     line by line with parse_id, and that path raises every diagnostic except
     a self-loop in a canonical body.
-    Both paths give the same graph: nodes and set members in file order, and
-    each node one int object shared by its dict keys and set entries.
+    Both paths give the same graph: nodes, and each node's rows, in file order.
     """
     with _gc_paused():
         with _open_text(path) as fh:
             canonical = fh.readline() == "source,target\n"
-            ids = _read_canonical_rows(path, fh) if canonical else None
-        if ids is None:
+            values = _read_canonical_rows(path, fh) if canonical else None
+        if values is None:
             ids = _read_rows(path)
-        graph = _graph_from_rows(ids)
-    duplicates = len(ids) // 2 - graph.num_edges()
+            rows, graph = len(ids) // 2, _graph_from_ids(ids)
+        else:
+            rows, graph = len(values) // 2, _graph_from_array(values)
+    duplicates = rows - graph.num_edges()
     if duplicates:
         logger.warning("%s: ignored %d duplicate edge(s)", path, duplicates)
     return graph

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graph import DirectedGraph, NodeId, NodeProfile
+import numpy as np
+
+from .graph import Graph, NodeId, NodeProfile, freeze
 
 
 class NotFoundError(LookupError):
@@ -109,7 +113,8 @@ class SimulatedOracle:
     Answers are pure functions of (node, construction inputs); only the clock
     and budget state change between identical queries. Construction checks
     that every graph node has a profile whose friend list matches its
-    out-neighbors.
+    out-neighbors, and that no other profile lists a friend; the graph is not
+    kept, and follows() reads the checked friend lists.
     """
 
     FRIENDS = "friends"
@@ -117,7 +122,7 @@ class SimulatedOracle:
 
     def __init__(
         self,
-        graph: DirectedGraph,
+        graph: Graph,
         profiles: Mapping[NodeId, NodeProfile],
         clock: SimulatedClock | None = None,
         friends_limiter: RateLimiter | None = None,
@@ -128,7 +133,6 @@ class SimulatedOracle:
         if page_size < 1 or profile_batch < 1:
             raise ValueError("page_size and profile_batch must be positive")
         _check_consistency(graph, profiles)
-        self.graph = graph
         self.profiles = dict(profiles)
         self.clock = clock if clock is not None else SimulatedClock()
         self.friends_limiter = friends_limiter
@@ -180,18 +184,45 @@ class SimulatedOracle:
         return result
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
-        """Ground-truth reciprocity check; uncharged and unlogged."""
-        return self.graph.has_edge(source, target)
+        """Ground-truth reciprocity check; uncharged and unlogged. Reads the source's
+        friend list, which construction checked against the graph."""
+        profile = self.profiles.get(source)
+        return profile is not None and target in profile.friends_recent_first
 
 
-def _check_consistency(graph: DirectedGraph, profiles: Mapping[NodeId, NodeProfile]) -> None:
-    missing = sorted(n for n in graph.nodes if n not in profiles)
+_friends = attrgetter("friends_recent_first")
+
+
+def _check_consistency(graph: Graph, profiles: Mapping[NodeId, NodeProfile]) -> None:
+    """Raise unless every graph node has a profile and each profile's friends are
+    exactly the account's out-neighbors (none for an account outside the graph).
+
+    Each (node, friend) pair is encoded as node * n + friend over dense indices.
+    Neither side holds a pair twice, so a pair found once in both together is
+    on one side only, and its node disagrees.
+    """
+    graph = freeze(graph)
+    ids, index = graph.ids, graph.index
+    missing = sorted(index.keys() - profiles.keys())
     if missing:
         shown = ", ".join(str(n) for n in missing[:10])
         raise ValueError(f"{len(missing)} graph node(s) lack a profile: {shown}")
-    mismatched = sorted(
-        n for n in graph.nodes if set(profiles[n].friends_recent_first) != graph.successors(n)
+    n = len(ids)
+    friend_lists = list(map(_friends, map(profiles.__getitem__, ids)))
+    lengths = np.fromiter(map(len, friend_lists), np.int64, n)
+    friends = np.fromiter(
+        map(index.get, chain.from_iterable(friend_lists), repeat(-1)), np.int64, int(lengths.sum())
     )
+    rows = np.repeat(np.arange(n), lengths)
+    inside = friends >= 0
+    listed = rows[inside] * n + friends[inside]
+    edges = graph.edge_sources() * n + graph.out_targets
+    pairs, counts = np.unique(np.concatenate([listed, edges]), return_counts=True)
+    bad_rows = np.concatenate([rows[~inside], pairs[counts == 1] // n])
+    bad = {ids[i] for i in bad_rows.tolist()}
+    if len(profiles) > n:  # accounts outside the graph
+        bad.update(v for v, p in profiles.items() if p.friends_recent_first and v not in index)
+    mismatched = sorted(bad)
     if mismatched:
         shown = ", ".join(str(n) for n in mismatched[:10])
         raise ValueError(
@@ -200,7 +231,7 @@ def _check_consistency(graph: DirectedGraph, profiles: Mapping[NodeId, NodeProfi
 
 
 def build_simulated_oracle(
-    graph: DirectedGraph,
+    graph: Graph,
     profiles: Mapping[NodeId, NodeProfile],
     *,
     clock: SimulatedClock | None = None,

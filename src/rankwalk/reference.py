@@ -14,7 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .graph import DirectedGraph, NodeId
+import numpy as np
+
+from .graph import Graph, NodeId, freeze
 
 
 class UndirectedGraph:
@@ -68,13 +70,19 @@ class UndirectedGraph:
         return g
 
     @classmethod
-    def from_directed(cls, graph: DirectedGraph) -> "UndirectedGraph":
+    def from_directed(cls, graph: Graph) -> "UndirectedGraph":
         """Collapse a directed graph: every directed edge (and in particular each
         reciprocal pair) becomes one undirected edge."""
+        graph = freeze(graph)
+        sources, targets = graph.edge_sources(), graph.out_targets
+        rows = np.concatenate([sources, targets])
+        ends = np.concatenate([targets, sources])[np.argsort(rows)]
+        neighbors = np.array(graph.ids, dtype=object)[ends].tolist()
+        bounds = np.cumsum(np.bincount(rows, minlength=graph.num_nodes())).tolist()
+        adj = [set(neighbors[start:stop]) for start, stop in zip([0, *bounds], bounds)]
         g = cls()
-        g._adj = {
-            node: graph.successors(node) | graph.predecessors(node) for node in graph.nodes
-        }
+        # nodes in the order a set of them iterates, as DirectedGraph.nodes gives them
+        g._adj = {node: adj[graph.index[node]] for node in set(graph.index)}
         g._num_edges = sum(map(len, g._adj.values())) // 2
         return g
 

@@ -18,11 +18,12 @@ from typing import Mapping, Sequence
 
 from .graph import (
     DirectedGraph,
+    FrozenGraph,
     NodeId,
     NodeProfile,
     _check_fields,
     _gc_paused,
-    _graph_from_rows,
+    _graph_from_ids,
     _integer_id,
     _parse_edge,
     _read_json_lines,
@@ -421,7 +422,7 @@ def write_sample_csv(sample: SampleGraph, path) -> None:
             fh.write(f"{source},{target},{provenance}\n")
 
 
-def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
+def read_sample_csv(path) -> tuple[FrozenGraph, dict[Edge, str]]:
     ids: list[NodeId] = []
     provenance: dict[Edge, str] = {}
 
@@ -434,7 +435,7 @@ def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
         provenance[edge] = parts[2]
 
     _read_lines(path, add, header="source,target,provenance")
-    return _graph_from_rows(ids), provenance
+    return _graph_from_ids(ids), provenance
 
 
 def write_growth_csv(stats: RunStats, path) -> None:

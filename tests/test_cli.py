@@ -421,6 +421,10 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          "no walker records"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          META + '\n{"type": "edge", "s": 1, "t": 2, "p": "bogus"}\n', 2, "field 'p'"),
+        (["evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
+          "--profiles", "{d}/profiles.jsonl", "--language", "de"], "profiles.jsonl",
+         profile_line(1, 2), None, "graph node 2 has no profile"),
+        (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl", "", None, "holds no documents"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -431,6 +435,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "config-bad-json", "edges-not-utf8",
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
+        "evaluate-language-without-profile", "docs-empty-windowed",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(

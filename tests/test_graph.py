@@ -3,7 +3,9 @@ import json
 import logging
 import random
 import re
+import tracemalloc
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankwalk import graph as graph_module
+from rankwalk.generate import generate_network
 from rankwalk.graph import (
     DirectedGraph,
+    FrozenGraph,
     NodeProfile,
     k_core,
     pagerank,
@@ -198,17 +202,25 @@ class TestPageRank:
         with pytest.raises(ValueError):
             pagerank(DirectedGraph())
 
-    def test_bit_identical_to_edge_loop_build(self):
+    def test_bit_identical_to_edge_loop_build(self, tmp_path):
         for seed in range(8):
             rng = random.Random(seed)
             # sparse ids, some past 2**63, so that set order is not id order
             ids = list({rng.choice([rng.randint(0, 10**6), 2**63 + rng.randint(0, 10**6)]) for _ in range(40)})
             edges = [tuple(rng.sample(ids, 2)) for _ in range(150)]
             g = DirectedGraph.from_edges(edges, nodes=ids)
-            result = pagerank(g, 0.85, tolerance=1e-12)
-            scores, iterations = pagerank_by_edge_loop(g, 0.85, tolerance=1e-12)
-            assert list(result.scores.items()) == list(scores.items())
-            assert result.iterations == iterations
+            path = tmp_path / f"edges{seed}.csv"
+            path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in edges))
+            read = read_edge_list(path)
+            assert read.ids != sorted(read.ids)
+            # frozen inputs, nodes in insertion order and in file order (an edge
+            # list holds no isolated nodes); neither order is id order
+            cases = [(g, g), (FrozenGraph.from_graph(g), g), (read, DirectedGraph.from_edges(edges))]
+            for graph, reference in cases:
+                result = pagerank(graph, 0.85, tolerance=1e-12)
+                scores, iterations = pagerank_by_edge_loop(reference, 0.85, tolerance=1e-12)
+                assert list(result.scores.items()) == list(scores.items())
+                assert result.iterations == iterations
 
 
 @contextmanager
@@ -225,6 +237,36 @@ def captured_warnings():
         logger.removeHandler(handler)
 
 
+def assert_frozen_equals_row_build(got, rows, data):
+    """Every read method of a FrozenGraph against DirectedGraph.from_edges(rows),
+    with each row in file order."""
+    expected = DirectedGraph.from_edges(rows)
+    unique = list(dict.fromkeys(rows))
+    nodes = list(expected._succ)
+    assert isinstance(got, FrozenGraph)
+    assert list(got.nodes) == nodes and got.nodes == expected.nodes
+    assert got.num_nodes() == expected.num_nodes()
+    assert got.num_edges() == expected.num_edges()
+    for node in nodes:
+        assert node in got
+        assert got.successors(node) == [t for s, t in unique if s == node]
+        assert got.predecessors(node) == [s for s, t in unique if t == node]
+        assert set(got.successors(node)) == expected.successors(node)
+        assert set(got.predecessors(node)) == expected.predecessors(node)
+        assert got.out_degree(node) == expected.out_degree(node)
+        assert got.in_degree(node) == expected.in_degree(node)
+        assert got.total_degree(node) == expected.total_degree(node)
+    assert list(got.edges()) == [(s, t) for node in nodes for s, t in unique if s == node]
+    absent = [10**19 + 1, max(nodes, default=0) + 1]
+    assert all(node not in got for node in absent)
+    probes = nodes[:10] + absent
+    for u, v in [*product(probes, probes), *rows]:
+        assert got.has_edge(u, v) == expected.has_edge(u, v)
+    keep = data.draw(st.lists(st.sampled_from(probes), max_size=12))
+    sub, expected_sub = got.subgraph(keep), expected.subgraph(keep)
+    assert sub == expected_sub and list(sub._succ) == list(expected_sub._succ)
+
+
 class TestEdgeListIO:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -237,7 +279,8 @@ class TestEdgeListIO:
         assert g.num_edges() > 100
         path = tmp_path / "edges.csv"
         write_edge_list(g, path)
-        assert read_edge_list(path) == g
+        read = read_edge_list(path)
+        assert read.nodes == g.nodes and set(read.edges()) == set(g.edges())
 
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -279,6 +322,9 @@ class TestEdgeListIO:
             for u, v in data.draw(st.lists(st.tuples(ids, ids), max_size=80))
             if u != v
         ]
+        if rows:  # repeat some rows anywhere in the file
+            repeats = data.draw(st.lists(st.sampled_from(rows), max_size=10))
+            rows = data.draw(st.permutations(rows + repeats))
         canonical_form = "{},{}\n"
         forms = st.sampled_from(
             [canonical_form, "{},{}\r\n", " {},{}\n", "{} , {}\n", "+{},{}\n", "\n{},{}\n"]
@@ -308,19 +354,13 @@ class TestEdgeListIO:
             with captured_warnings() as warnings:
                 got = read_edge_list(path)
 
-        expected = DirectedGraph.from_edges(rows)
-        assert list(got._succ) == list(expected._succ)
-        assert [list(s) for s in got._succ.values()] == [list(s) for s in expected._succ.values()]
-        assert list(got._pred) == list(expected._pred)
-        assert [list(s) for s in got._pred.values()] == [list(s) for s in expected._pred.values()]
-        assert got.num_edges() == expected.num_edges()
-        duplicates = len(rows) - expected.num_edges()
+        assert_frozen_equals_row_build(got, rows, data)
+        duplicates = len(rows) - len(set(rows))
         assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
         assert bool(per_line_calls) != canonical
-        # one int object per node, wherever it appears
-        keys = {id(node) for node in got._succ}
-        assert all(id(v) in keys for s in got._succ.values() for v in s)
-        assert all(id(v) in keys for s in got._pred.values() for v in s)
+        # one int object per node, shared by ids and index
+        assert got.index == {node: i for i, node in enumerate(got.ids)}
+        assert all(a is b for a, b in zip(got.ids, got.index))
 
     def test_self_loop_line_same_on_both_paths(self, tmp_path, monkeypatch):
         monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 16)
@@ -342,6 +382,23 @@ class TestEdgeListIO:
         g = read_edge_list(path)
         assert g.has_edge(99999999999999999999, 3)
         assert g.num_nodes() == 4
+
+
+def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
+    """A dict of sets costs ~270 B per edge and the frozen CSR form ~35, mostly
+    the id list and id -> index dict; 64 catches a return to per-edge objects."""
+    graph, _ = generate_network("preferential-attachment", 20_000, 1, m=5)
+    path = tmp_path / "edges.csv"
+    write_edge_list(graph, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        frozen = read_edge_list(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert frozen.num_edges() == graph.num_edges() > 90_000
+    assert retained / frozen.num_edges() < 64
 
 
 def random_profile(rng, node):

@@ -1,11 +1,12 @@
 import json
 from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankwalk.graph import DirectedGraph, NodeProfile
+from rankwalk.graph import DirectedGraph, FrozenGraph, NodeProfile
 from rankwalk.oracle import (
     CallRecord,
     NotFoundError,
@@ -261,6 +262,59 @@ class TestConstruction:
         oracle = simple_oracle(rate_limits_enabled=False)
         assert oracle.get_friends(0) == oracle.get_friends(0)
         assert oracle.get_profiles([5]) == oracle.get_profiles([5])
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_check_raises_exactly_when_a_set_comparison_fails(self, data):
+        nodes = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        g = DirectedGraph.from_edges(
+            [(u, v) for u, v in data.draw(st.lists(pairs, max_size=30)) if u != v], nodes=nodes
+        )
+        profiles = make_profiles(g)
+        # accounts outside the graph: 50 and up; a profile of one may list no friend
+        outside = st.integers(50, 55)
+        for node in data.draw(st.lists(outside, max_size=2, unique=True)):
+            profiles[node] = NodeProfile(node, 0, [], "de", False, 0.0, 0)
+        accounts = st.sampled_from(sorted(profiles))
+        for _ in range(data.draw(st.integers(0, 2))):
+            kind = data.draw(st.sampled_from(["drop", "missing", "extra", "outside"]))
+            node = data.draw(accounts)
+            if node not in profiles:
+                continue
+            friends = profiles[node].friends_recent_first
+            if kind == "drop":
+                del profiles[node]
+            elif kind == "missing" and friends:
+                friends.remove(data.draw(st.sampled_from(friends)))
+            elif kind in ("extra", "outside"):
+                friend = data.draw(outside if kind == "outside" else st.sampled_from(nodes))
+                if friend != node and friend not in friends:
+                    friends.insert(data.draw(st.integers(0, len(friends))), friend)
+
+        lacking = sorted(n for n in g.nodes if n not in profiles)
+        disagree = sorted(
+            n
+            for n, p in profiles.items()
+            if set(p.friends_recent_first) != (g.successors(n) if n in g else set())
+        )
+        for graph in (g, FrozenGraph.from_graph(g)):
+            if lacking:
+                shown = ", ".join(map(str, lacking[:10]))
+                message = f"^{len(lacking)} graph node\\(s\\) lack a profile: {shown}$"
+            elif disagree:
+                shown = ", ".join(map(str, disagree[:10]))
+                message = (
+                    f"^{len(disagree)} profile friend list\\(s\\) disagree with graph "
+                    f"out-neighbors: {shown}$"
+                )
+            else:
+                oracle = build_simulated_oracle(graph, profiles, rate_limits_enabled=False)
+                for u, v in product([*profiles, 99], [*profiles, 99]):
+                    assert oracle.follows(u, v) == g.has_edge(u, v)
+                continue
+            with pytest.raises(ValueError, match=message):
+                build_simulated_oracle(graph, profiles)
 
     def test_follows_is_uncharged(self):
         oracle = simple_oracle()

@@ -3,7 +3,6 @@ limits, with sample-quality evaluation and community/keyword analysis."""
 
 from .graph import (
     DirectedGraph,
-    FrozenGraph,
     NodeProfile,
     PageRankResult,
     k_core,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BurnStore",
     "DirectedGraph",
-    "FrozenGraph",
     "FriendsPage",
     "NodeProfile",
     "NotFoundError",

@@ -8,11 +8,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Graph, NodeId, _read_lines, parse_id
+from .graph import DirectedGraph, NodeId, _read_lines, parse_id
 
 
 def label_propagation(
-    graph: Graph, rng_seed: int = 0, max_iters: int = 100
+    graph: DirectedGraph, rng_seed: int = 0, max_iters: int = 100
 ) -> dict[NodeId, int]:
     """Asynchronous label propagation on the undirected view.
 
@@ -64,7 +64,7 @@ def write_assignment(assignment: Mapping[NodeId, int], path) -> None:
             fh.write(f"{node},{assignment[node]}\n")
 
 
-def load_assignment(path, graph: Graph | None = None) -> dict[NodeId, int]:
+def load_assignment(path, graph: DirectedGraph | None = None) -> dict[NodeId, int]:
     """Parse a `node,community` CSV. When a graph is given the assignment must be
     total over its nodes and must not mention unknown nodes."""
     assignment: dict[NodeId, int] = {}
@@ -105,7 +105,7 @@ class CommunityGraph:
 
 
 def aggregate_weights(
-    graph: Graph, assignment: Mapping[NodeId, int]
+    graph: DirectedGraph, assignment: Mapping[NodeId, int]
 ) -> tuple[dict[tuple[int, int], int], int]:
     """Unfiltered inter-community edge counts plus the intra-community count.
 
@@ -126,7 +126,7 @@ def aggregate_weights(
 
 
 def community_graph(
-    graph: Graph,
+    graph: DirectedGraph,
     assignment: Mapping[NodeId, int],
     min_size: int = 100,
     min_weight: int = 0,

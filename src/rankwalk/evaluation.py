@@ -5,20 +5,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeId, NodeProfile
+from .graph import DirectedGraph, NodeId, NodeProfile
 
 SECONDS_PER_DAY = 86400.0
 
 STATISTIC_NAMES = ("mean", "std", "min", "25%", "50%", "75%", "max")
 
 
-def influencer_nodes(sample: Graph) -> set[NodeId]:
+def influencer_nodes(sample: DirectedGraph) -> set[NodeId]:
     """Sample nodes with in-degree >= 1; leaf seeds are excluded."""
-    return {n for n in sample.nodes if sample.in_degree(n) >= 1}
+    return set(compress(sample.ids, (np.diff(sample.in_offsets) >= 1).tolist()))
 
 
 def coverage(friends_of_a: AbstractSet[NodeId], sample_nodes: AbstractSet[NodeId]) -> float:

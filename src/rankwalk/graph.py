@@ -8,7 +8,7 @@ import logging
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import itemgetter
 from types import NoneType
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
@@ -160,122 +160,15 @@ class NodeProfile:
 
 
 class DirectedGraph:
-    """Simple directed graph: no self-loops, no parallel edges.
-
-    The in-memory, mutable form: the generator's output, the sample that grows
-    edge by edge, subgraphs and k-cores. A graph read from a file is a
-    FrozenGraph.
-    """
-
-    __slots__ = ("_succ", "_pred", "_num_edges")
-
-    def __init__(self) -> None:
-        self._succ: dict[NodeId, set[NodeId]] = {}
-        self._pred: dict[NodeId, set[NodeId]] = {}
-        self._num_edges = 0
-
-    def add_node(self, node: NodeId) -> None:
-        if node < 0:
-            raise ValueError(f"node ids must be non-negative, got {node}")
-        if node not in self._succ:
-            self._succ[node] = set()
-            self._pred[node] = set()
-
-    def add_edge(self, source: NodeId, target: NodeId) -> bool:
-        """Insert a directed edge. Returns False if it was already present."""
-        if source == target:
-            raise ValueError(f"self-loop rejected: ({source}, {target})")
-        self.add_node(source)
-        self.add_node(target)
-        if target in self._succ[source]:
-            return False
-        self._succ[source].add(target)
-        self._pred[target].add(source)
-        self._num_edges += 1
-        return True
-
-    @property
-    def nodes(self) -> set[NodeId]:
-        return set(self._succ)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._succ
-
-    def has_edge(self, source: NodeId, target: NodeId) -> bool:
-        friends = self._succ.get(source)
-        return friends is not None and target in friends
-
-    def successors(self, node: NodeId) -> set[NodeId]:
-        return self._succ[node]
-
-    def predecessors(self, node: NodeId) -> set[NodeId]:
-        return self._pred[node]
-
-    def out_degree(self, node: NodeId) -> int:
-        return len(self._succ[node])
-
-    def in_degree(self, node: NodeId) -> int:
-        return len(self._pred[node])
-
-    def total_degree(self, node: NodeId) -> int:
-        # A reciprocal pair counts 2: one in plus one out.
-        return len(self._succ[node]) + len(self._pred[node])
-
-    def num_nodes(self) -> int:
-        return len(self._succ)
-
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
-        for source, targets in self._succ.items():
-            for target in targets:
-                yield source, target
-
-    def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
-        """Induced subgraph on the given node subset (FrozenGraph shares this method)."""
-        keep = set(nodes)
-        g = DirectedGraph()
-        for node in keep:
-            if node in self:
-                g.add_node(node)
-        for node in g.nodes:
-            for target in self.successors(node):
-                if target in keep:
-                    g.add_edge(node, target)
-        return g
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DirectedGraph):
-            return NotImplemented
-        return self._succ == other._succ
-
-    def __repr__(self) -> str:
-        return f"DirectedGraph(nodes={self.num_nodes()}, edges={self.num_edges()})"
-
-    @classmethod
-    def from_edges(
-        cls, edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
-    ) -> "DirectedGraph":
-        g = cls()
-        for node in nodes:
-            g.add_node(node)
-        for source, target in edges:
-            g.add_edge(source, target)
-        return g
-
-
-class FrozenGraph:
-    """Read-only directed graph in compressed sparse row (CSR) form: the form of
-    a graph read from a file, at ~35 B per edge against ~270 for DirectedGraph.
+    """Simple directed graph (no self-loops, no parallel edges) in compressed
+    sparse row (CSR) form, at ~35 B per edge; nothing changes it once built.
 
     Node i (a dense index, in order of first appearance) has id ids[i], and
     index maps each id back; ids are Python ints because they may pass 2**63,
     and each is one object shared by ids and index. Row i of out_targets
     (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the indices of i's
     successors and row i of in_sources those of its predecessors, each in the
-    order its edges came. It has DirectedGraph's read methods; rows come back
-    as lists in that order, and subgraph gives a DirectedGraph.
+    order its edges came; rows come back as lists of ids in that order.
     """
 
     __slots__ = ("ids", "index", "out_offsets", "out_targets", "in_offsets", "in_sources")
@@ -295,17 +188,28 @@ class FrozenGraph:
         self.in_offsets, self.in_sources = _csr_rows(targets, sources, n)
 
     @classmethod
-    def from_graph(cls, graph: DirectedGraph) -> "FrozenGraph":
-        """The frozen form of a DirectedGraph, nodes in insertion order."""
-        ids = list(graph._succ)
-        index = dict(zip(ids, range(len(ids))))
-        m = graph.num_edges()
-        sources = np.repeat(
-            np.arange(len(ids)), np.fromiter(map(len, graph._succ.values()), np.intp, len(ids))
+    def from_edges(
+        cls, edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
+    ) -> "DirectedGraph":
+        """The graph of `edges` and `nodes`, a node being listed in either or both.
+        Ids are numbered in order of first appearance: `nodes` first, then each
+        edge's ends. A repeated edge is dropped; a self-loop or a negative id
+        raises ValueError."""
+        index: dict[NodeId, int] = {}
+        for node in nodes:
+            index.setdefault(node, len(index))
+        ends = np.fromiter(
+            [index.setdefault(node, len(index)) for edge in edges for node in edge], np.intp
         )
-        targets = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(graph._succ.values())), np.intp, m
-        )
+        sources, targets = ends[0::2], ends[1::2]
+        ids = list(index)
+        loops = np.flatnonzero(sources == targets)
+        if loops.size:
+            node = ids[sources[loops[0]]]
+            raise ValueError(f"self-loop rejected: ({node}, {node})")
+        negative = next((node for node in ids if node < 0), None)
+        if negative is not None:
+            raise ValueError(f"node ids must be non-negative, got {negative}")
         return cls(ids, index, sources, targets)
 
     def _row(self, offsets: np.ndarray, ends: np.ndarray, node: NodeId) -> list[NodeId]:
@@ -341,6 +245,7 @@ class FrozenGraph:
         return int(self.in_offsets[i + 1] - self.in_offsets[i])
 
     def total_degree(self, node: NodeId) -> int:
+        # A reciprocal pair counts 2: one in plus one out.
         return self.out_degree(node) + self.in_degree(node)
 
     def num_nodes(self) -> int:
@@ -357,10 +262,26 @@ class FrozenGraph:
         get = self.ids.__getitem__
         return zip(map(get, self.edge_sources().tolist()), map(get, self.out_targets.tolist()))
 
-    subgraph = DirectedGraph.subgraph
+    def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
+        """Induced subgraph on the given ids, in this graph's node order; an id
+        not in the graph is ignored."""
+        keep = np.zeros(len(self.ids), dtype=bool)
+        kept = [i for i in map(self.index.get, nodes) if i is not None]
+        keep[np.array(kept, dtype=np.intp)] = True
+        return self._induced(keep)
+
+    def _induced(self, keep: np.ndarray) -> "DirectedGraph":
+        """The subgraph on the nodes i with keep[i], renumbered in index order; its
+        edges come in the order edges() gives them."""
+        sources, targets = self.edge_sources(), self.out_targets
+        inside = keep[sources] & keep[targets]
+        number = np.cumsum(keep) - 1
+        ids = list(compress(self.ids, keep.tolist()))
+        index = dict(zip(ids, range(len(ids))))
+        return DirectedGraph(ids, index, number[sources[inside]], number[targets[inside]])
 
     def __repr__(self) -> str:
-        return f"FrozenGraph(nodes={self.num_nodes()}, edges={self.num_edges()})"
+        return f"DirectedGraph(nodes={self.num_nodes()}, edges={self.num_edges()})"
 
 
 def _csr_rows(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -370,37 +291,29 @@ def _csr_rows(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray,
     return offsets, values[np.argsort(keys, kind="stable")].astype(np.int32)
 
 
-# Either form, for a function that only reads the graph.
-Graph = DirectedGraph | FrozenGraph
-
-
-def freeze(graph: Graph) -> FrozenGraph:
-    """The graph itself if frozen, else its frozen form."""
-    return graph if isinstance(graph, FrozenGraph) else FrozenGraph.from_graph(graph)
-
-
-def k_core(graph: Graph, k: int) -> DirectedGraph:
+def k_core(graph: DirectedGraph, k: int) -> DirectedGraph:
     """Maximal subgraph in which every node has total degree (in + out) >= k.
 
-    Iterative peeling; the fixpoint is independent of deletion order, so
-    k_core is idempotent. An empty graph yields an empty graph.
+    Iterative peeling by index; the fixpoint is independent of deletion order,
+    so k_core is idempotent. An empty graph yields an empty graph.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    degree = {n: graph.total_degree(n) for n in graph.nodes}
-    removed: set[NodeId] = set()
-    stack = [n for n, d in degree.items() if d < k]
-    removed.update(stack)
+    degree = (np.diff(graph.out_offsets) + np.diff(graph.in_offsets)).tolist()
+    keep = [d >= k for d in degree]
+    stack = [i for i, kept in enumerate(keep) if not kept]
+    out_offsets, out_targets = graph.out_offsets.tolist(), graph.out_targets.tolist()
+    in_offsets, in_sources = graph.in_offsets.tolist(), graph.in_sources.tolist()
     while stack:
-        node = stack.pop()
-        for neighbor in list(graph.successors(node)) + list(graph.predecessors(node)):
-            if neighbor in removed:
-                continue
-            degree[neighbor] -= 1
-            if degree[neighbor] < k:
-                removed.add(neighbor)
-                stack.append(neighbor)
-    return graph.subgraph(n for n in graph.nodes if n not in removed)
+        i = stack.pop()
+        successors = out_targets[out_offsets[i] : out_offsets[i + 1]]
+        for j in chain(successors, in_sources[in_offsets[i] : in_offsets[i + 1]]):
+            if keep[j]:
+                degree[j] -= 1
+                if degree[j] < k:
+                    keep[j] = False
+                    stack.append(j)
+    return graph._induced(np.array(keep, dtype=bool))
 
 
 @dataclass
@@ -413,7 +326,7 @@ class PageRankResult:
 
 
 def pagerank(
-    graph: Graph,
+    graph: DirectedGraph,
     damping: float = 0.85,
     tolerance: float = 1e-9,
     max_iters: int = 200,
@@ -429,7 +342,6 @@ def pagerank(
         raise ValueError("pagerank requires a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    graph = freeze(graph)
     ids = graph.ids
     n = len(ids)
     m = graph.num_edges()
@@ -472,7 +384,7 @@ def pagerank(
     )
 
 
-def write_edge_list(graph: Graph, path) -> None:
+def write_edge_list(graph: DirectedGraph, path) -> None:
     """CSV with header `source,target`, one edge per line, sorted for determinism."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("source,target\n")
@@ -538,40 +450,34 @@ def _parse_edge(source: str, target: str) -> tuple[NodeId, NodeId]:
     return u, v
 
 
-def _read_rows(path) -> list[int]:
+def _read_rows(path) -> list[tuple[NodeId, NodeId]]:
     """Per-line parse of any edge list; raises on the first bad row with its line number."""
-    ids: list[int] = []
+    edges: list[tuple[NodeId, NodeId]] = []
 
     def add(line: str) -> None:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'source,target', got {line!r}")
-        ids.extend(_parse_edge(*parts))
+        edges.append(_parse_edge(*parts))
 
     _read_lines(path, add, header="source,target")
-    return ids
+    return edges
 
 
-def _graph_from_ids(ids: list[int]) -> FrozenGraph:
-    """The graph of flat [source, target, ...] ids of valid rows, in file order."""
-    index: dict[int, int] = {}
-    ends = np.fromiter([index.setdefault(node, len(index)) for node in ids], np.intp, len(ids))
-    return FrozenGraph(list(index), index, ends[0::2], ends[1::2])
-
-
-def _graph_from_array(ids: np.ndarray) -> FrozenGraph:
-    """_graph_from_ids for int64 ids: nodes are numbered by first appearance with np.unique."""
+def _graph_from_array(ids: np.ndarray) -> DirectedGraph:
+    """DirectedGraph.from_edges for flat [source, target, ...] int64 ids of valid
+    rows: nodes are numbered by first appearance with np.unique."""
     unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     number = np.empty(len(unique), dtype=np.intp)
     number[by_first] = np.arange(len(unique))
     ends = number[inverse]
     nodes = unique[by_first].tolist()
-    return FrozenGraph(nodes, dict(zip(nodes, range(len(nodes)))), ends[0::2], ends[1::2])
+    return DirectedGraph(nodes, dict(zip(nodes, range(len(nodes)))), ends[0::2], ends[1::2])
 
 
-def read_edge_list(path) -> FrozenGraph:
-    """Parse a `source,target` CSV into a FrozenGraph. Duplicate edges are dropped
+def read_edge_list(path) -> DirectedGraph:
+    """Parse a `source,target` CSV into a DirectedGraph. Duplicate edges are dropped
     with a logged count; malformed lines and self-loops raise with the offending
     line number.
 
@@ -589,8 +495,8 @@ def read_edge_list(path) -> FrozenGraph:
             canonical = fh.readline() == "source,target\n"
             values = _read_canonical_rows(path, fh) if canonical else None
         if values is None:
-            ids = _read_rows(path)
-            rows, graph = len(ids) // 2, _graph_from_ids(ids)
+            edges = _read_rows(path)
+            rows, graph = len(edges), DirectedGraph.from_edges(edges)
         else:
             rows, graph = len(values) // 2, _graph_from_array(values)
     duplicates = rows - graph.num_edges()

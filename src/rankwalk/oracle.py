@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeId, NodeProfile, freeze
+from .graph import DirectedGraph, NodeId, NodeProfile
 
 
 class NotFoundError(LookupError):
@@ -122,7 +122,7 @@ class SimulatedOracle:
 
     def __init__(
         self,
-        graph: Graph,
+        graph: DirectedGraph,
         profiles: Mapping[NodeId, NodeProfile],
         clock: SimulatedClock | None = None,
         friends_limiter: RateLimiter | None = None,
@@ -193,7 +193,7 @@ class SimulatedOracle:
 _friends = attrgetter("friends_recent_first")
 
 
-def _check_consistency(graph: Graph, profiles: Mapping[NodeId, NodeProfile]) -> None:
+def _check_consistency(graph: DirectedGraph, profiles: Mapping[NodeId, NodeProfile]) -> None:
     """Raise unless every graph node has a profile and each profile's friends are
     exactly the account's out-neighbors (none for an account outside the graph).
 
@@ -201,7 +201,6 @@ def _check_consistency(graph: Graph, profiles: Mapping[NodeId, NodeProfile]) -> 
     Neither side holds a pair twice, so a pair found once in both together is
     on one side only, and its node disagrees.
     """
-    graph = freeze(graph)
     ids, index = graph.ids, graph.index
     missing = sorted(index.keys() - profiles.keys())
     if missing:
@@ -231,7 +230,7 @@ def _check_consistency(graph: Graph, profiles: Mapping[NodeId, NodeProfile]) -> 
 
 
 def build_simulated_oracle(
-    graph: Graph,
+    graph: DirectedGraph,
     profiles: Mapping[NodeId, NodeProfile],
     *,
     clock: SimulatedClock | None = None,

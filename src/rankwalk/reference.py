@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeId, freeze
+from .graph import DirectedGraph, NodeId
 
 
 class UndirectedGraph:
@@ -70,10 +70,9 @@ class UndirectedGraph:
         return g
 
     @classmethod
-    def from_directed(cls, graph: Graph) -> "UndirectedGraph":
+    def from_directed(cls, graph: DirectedGraph) -> "UndirectedGraph":
         """Collapse a directed graph: every directed edge (and in particular each
         reciprocal pair) becomes one undirected edge."""
-        graph = freeze(graph)
         sources, targets = graph.edge_sources(), graph.out_targets
         rows = np.concatenate([sources, targets])
         ends = np.concatenate([targets, sources])[np.argsort(rows)]
@@ -81,8 +80,7 @@ class UndirectedGraph:
         bounds = np.cumsum(np.bincount(rows, minlength=graph.num_nodes())).tolist()
         adj = [set(neighbors[start:stop]) for start, stop in zip([0, *bounds], bounds)]
         g = cls()
-        # nodes in the order a set of them iterates, as DirectedGraph.nodes gives them
-        g._adj = {node: adj[graph.index[node]] for node in set(graph.index)}
+        g._adj = dict(zip(graph.ids, adj))
         g._num_edges = sum(map(len, g._adj.values())) // 2
         return g
 

@@ -18,12 +18,10 @@ from typing import Mapping, Sequence
 
 from .graph import (
     DirectedGraph,
-    FrozenGraph,
     NodeId,
     NodeProfile,
     _check_fields,
     _gc_paused,
-    _graph_from_ids,
     _integer_id,
     _parse_edge,
     _read_json_lines,
@@ -131,32 +129,47 @@ class SampleGraph:
     """The growing sample: collected edges plus node/edge provenance.
 
     Provenance per edge is `walked` or `symmetric`; a symmetric edge that is
-    later walked is upgraded. `graph` holds every edge, and `_symmetric` only
-    those not walked yet. Seeds are registered as nodes even when no edge
+    later walked is upgraded. `_edges` holds every edge in insertion order, and
+    `_symmetric` only those not walked yet. `_node_provenance` holds every node
+    in insertion order. Seeds are registered as nodes even when no edge
     touches them, so downstream filters can drop leaf seeds explicitly.
     """
 
     def __init__(self) -> None:
-        self.graph = DirectedGraph()
+        self._edges: dict[Edge, None] = {}
         self._symmetric: set[Edge] = set()
         self._node_provenance: dict[NodeId, str] = {}
+        self._graph: DirectedGraph | None = None
+
+    @property
+    def graph(self) -> DirectedGraph:
+        """The sample as a DirectedGraph, nodes and rows in insertion order; built
+        on the first read after a change and kept until the next one."""
+        if self._graph is None:
+            self._graph = DirectedGraph.from_edges(self._edges, nodes=self._node_provenance)
+        return self._graph
 
     def add_seed(self, node: NodeId) -> None:
-        self.graph.add_node(node)
         self._node_provenance.setdefault(node, SEED)
+        self._graph = None
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
-        added = self.graph.add_edge(source, target)
+        if source == target:
+            raise ValueError(f"self-loop rejected: ({source}, {target})")
+        edge = (source, target)
+        added = edge not in self._edges
         if provenance == WALKED:
-            self._symmetric.discard((source, target))
+            self._symmetric.discard(edge)
         elif added:
-            self._symmetric.add((source, target))
+            self._symmetric.add(edge)
+        self._edges[edge] = None
         self._node_provenance.setdefault(source, provenance)
         self._node_provenance.setdefault(target, provenance)
+        self._graph = None
         return added
 
     def edge_provenance(self, source: NodeId, target: NodeId) -> str:
-        if not self.graph.has_edge(source, target):
+        if (source, target) not in self._edges:
             raise KeyError((source, target))
         return SYMMETRIC if (source, target) in self._symmetric else WALKED
 
@@ -164,14 +177,14 @@ class SampleGraph:
         return self._node_provenance[node]
 
     def num_edges(self) -> int:
-        return self.graph.num_edges()
+        return len(self._edges)
 
     def num_nodes(self) -> int:
-        return self.graph.num_nodes()
+        return len(self._node_provenance)
 
     def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
         symmetric = self._symmetric
-        return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in sorted(self.graph.edges())]
+        return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in sorted(self._edges)]
 
 
 @dataclass
@@ -397,9 +410,9 @@ def run_sample(
 
     # This run's burns that are walked sample edges: its walks, in step order,
     # without the reverse burns made under burn_symmetric.
-    graph, symmetric = sample.graph, sample._symmetric
+    edges, symmetric = sample._edges, sample._symmetric
     new_burns = islice(burn._edges, burns_start, None)
-    stats.walk_log = [e for e in new_burns if graph.has_edge(*e) and e not in symmetric]
+    stats.walk_log = [e for e in new_burns if e in edges and e not in symmetric]
     stats.jumps = stats.steps - len(stats.walk_log)
     stats.stop_reason = reason
     stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - friends_calls_start
@@ -422,8 +435,9 @@ def write_sample_csv(sample: SampleGraph, path) -> None:
             fh.write(f"{source},{target},{provenance}\n")
 
 
-def read_sample_csv(path) -> tuple[FrozenGraph, dict[Edge, str]]:
-    ids: list[NodeId] = []
+def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
+    """The sample graph, nodes in file order, and each edge's provenance. An
+    edge listed twice is rejected: write_sample_csv writes each edge once."""
     provenance: dict[Edge, str] = {}
 
     def add(line: str) -> None:
@@ -431,11 +445,12 @@ def read_sample_csv(path) -> tuple[FrozenGraph, dict[Edge, str]]:
         if len(parts) != 3 or parts[2] not in (WALKED, SYMMETRIC):
             raise ValueError(f"malformed sample row {line!r}")
         edge = _parse_edge(parts[0], parts[1])
-        ids.extend(edge)
+        if edge in provenance:
+            raise ValueError(f"edge {edge[0]},{edge[1]} listed twice")
         provenance[edge] = parts[2]
 
     _read_lines(path, add, header="source,target,provenance")
-    return _graph_from_ids(ids), provenance
+    return DirectedGraph.from_edges(provenance), provenance
 
 
 def write_growth_csv(stats: RunStats, path) -> None:
@@ -473,8 +488,8 @@ def save_run_state(
             fh.write(
                 json.dumps({"type": "edge", "s": source, "t": target, "p": provenance}) + "\n"
             )
-        for node in sorted(sample.graph.nodes):
-            if sample.node_provenance(node) == SEED:
+        for node, provenance in sorted(sample._node_provenance.items()):
+            if provenance == SEED:
                 fh.write(json.dumps({"type": "seed_node", "n": node}) + "\n")
         for w in walkers:
             fh.write(json.dumps({"type": "walker", "id": w.walker_id, "current": w.current}) + "\n")

@@ -32,18 +32,14 @@ def make_profiles(graph, language="de", follower_counts=None, languages=None,
 
 def random_digraph(n, p, seed, allow_isolated=True):
     rng = random.Random(seed)
-    g = DirectedGraph()
-    for node in range(n):
-        g.add_node(node)
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < p:
-                g.add_edge(i, j)
-    if not allow_isolated:
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p]
+    if not allow_isolated and n > 1:
+        touched = {node for edge in edges for node in edge}
         for node in range(n):
-            if g.total_degree(node) == 0 and n > 1:
-                g.add_edge(node, (node + 1) % n)
-    return g
+            if node not in touched:
+                edges.append((node, (node + 1) % n))
+                touched.update(edges[-1])
+    return DirectedGraph.from_edges(edges, nodes=range(n))
 
 
 @pytest.fixture

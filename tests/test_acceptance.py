@@ -150,10 +150,9 @@ def test_acceptance_3_throughput_arithmetic():
     900 simulated seconds, and reaches that ceiling; 12 keys scale it by 12."""
     with criterion(3, "throughput ceiling"):
         for key_count in (1, 12):
-            graph = DirectedGraph()
-            for source in range(4):
-                for target in range(10, 5600):
-                    graph.add_edge(source, target)
+            graph = DirectedGraph.from_edges(
+                [(source, target) for source in range(4) for target in range(10, 5600)]
+            )
             from conftest import make_profiles
 
             profiles = make_profiles(graph)

@@ -380,6 +380,10 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          "source,target,provenance\n1,2,walked\n1,x,walked\n", 3, "'x'"),
         (["communities", "--graph", "{d}/sample.csv"], "sample.csv",
          "source,target,provenance\n1,2,walked\n1,1,walked\n", 3, "self-loop 1,1"),
+        (["evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
+          "--profiles", "{d}/profiles.jsonl"], "sample.csv",
+         "source,target,provenance\n1,2,walked\n2,1,symmetric\n1,2,symmetric\n", 4,
+         "edge 1,2 listed twice"),
         (KEYWORDS, "docs.jsonl", '{"node": 1, "ts": 1.0, "text": "a"}\n5\n', 2,
          "expected a JSON object, got 5"),
         (KEYWORDS, "docs.jsonl", '{"node": null, "ts": 1.0, "text": "a"}\n', 1, "field 'node'"),
@@ -428,6 +432,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
+        "sample-repeated-edge",
         "docs-not-object", "docs-null-node", "resume-without-type", "resume-bad-json",
         "seed-pool-negative", "assignment-underscore", "profile-float-count",
         "profile-string-protected", "profile-integer-language", "profile-string-time",

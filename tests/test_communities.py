@@ -14,22 +14,21 @@ from rankwalk.communities import (
 from rankwalk.graph import DirectedGraph
 
 
-def two_cliques_with_bridge():
-    g = DirectedGraph()
-    for base in (0, 5):
-        members = range(base, base + 5)
-        for i in members:
-            for j in members:
-                if i < j:
-                    g.add_edge(i, j)
-    g.add_edge(4, 5)
-    return g
+def two_cliques_with_bridge(*extra_edges):
+    edges = [
+        (i, j)
+        for base in (0, 5)
+        for i in range(base, base + 5)
+        for j in range(base, base + 5)
+        if i < j
+    ]
+    return DirectedGraph.from_edges([*edges, (4, 5), *extra_edges])
 
 
 def is_fixpoint(graph, labels):
     """Every node's label is the most frequent among its neighbors (tie: lowest)."""
     for node in graph.nodes:
-        neighbors = graph.successors(node) | graph.predecessors(node)
+        neighbors = {*graph.successors(node), *graph.predecessors(node)}
         if not neighbors:
             continue
         counts = Counter(labels[v] for v in neighbors)
@@ -50,24 +49,17 @@ class TestLabelPropagation:
             assert is_fixpoint(g, labels)
 
     def test_complete_graph_is_one_community(self):
-        g = DirectedGraph()
-        for i in range(6):
-            for j in range(6):
-                if i != j:
-                    g.add_edge(i, j)
+        g = DirectedGraph.from_edges([(i, j) for i in range(6) for j in range(6) if i != j])
         labels = label_propagation(g, rng_seed=0)
         assert set(labels.values()) == {0}
 
     def test_edgeless_graph_gives_singletons(self):
-        g = DirectedGraph()
-        for node in range(4):
-            g.add_node(node)
+        g = DirectedGraph.from_edges([], nodes=range(4))
         labels = label_propagation(g, rng_seed=0)
         assert len(set(labels.values())) == 4
 
     def test_labels_renumbered_by_size(self):
-        g = two_cliques_with_bridge()
-        g.add_edge(20, 21)  # a 2-node appendage community
+        g = two_cliques_with_bridge((20, 21))  # a 2-node appendage community
         labels = label_propagation(g, rng_seed=1)
         sizes = Counter(labels.values())
         ordered = sorted(sizes.items())
@@ -80,7 +72,7 @@ class TestLabelPropagation:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            label_propagation(DirectedGraph())
+            label_propagation(DirectedGraph.from_edges([]))
 
 
 class TestAssignmentIO:
@@ -139,13 +131,8 @@ class TestCommunityGraph:
 
     def test_matches_brute_force_pair_counting(self):
         rng = random.Random(11)
-        g = DirectedGraph()
-        for node in range(200):
-            g.add_node(node)
-        for _ in range(900):
-            i, j = rng.randrange(200), rng.randrange(200)
-            if i != j:
-                g.add_edge(i, j)
+        pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(900)]
+        g = DirectedGraph.from_edges([(i, j) for i, j in pairs if i != j], nodes=range(200))
         assignment = {n: rng.randrange(5) for n in range(200)}
         expected = Counter()
         intra_expected = 0
@@ -160,13 +147,8 @@ class TestCommunityGraph:
 
     def test_weight_conservation(self):
         rng = random.Random(12)
-        g = DirectedGraph()
-        for node in range(100):
-            g.add_node(node)
-        for _ in range(400):
-            i, j = rng.randrange(100), rng.randrange(100)
-            if i != j:
-                g.add_edge(i, j)
+        pairs = [(rng.randrange(100), rng.randrange(100)) for _ in range(400)]
+        g = DirectedGraph.from_edges([(i, j) for i, j in pairs if i != j], nodes=range(100))
         assignment = {n: rng.randrange(4) for n in range(100)}
         weights, intra = aggregate_weights(g, assignment)
         assert sum(weights.values()) + intra == g.num_edges()

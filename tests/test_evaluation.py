@@ -267,8 +267,7 @@ class TestCoverageReport:
 
 class TestInfluencerNodes:
     def test_excludes_leaf_seeds(self):
-        g = DirectedGraph.from_edges([(1, 2), (2, 3)])
-        g.add_node(9)  # a seed that never received an edge
+        g = DirectedGraph.from_edges([(1, 2), (2, 3)], nodes=[9])  # 9: a seed without an edge
         assert influencer_nodes(g) == {2, 3}
 
 

@@ -4,19 +4,20 @@ import logging
 import random
 import re
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankwalk import graph as graph_module
-from rankwalk.generate import generate_network
+from rankwalk.generate import generate_network, preferential_attachment
 from rankwalk.graph import (
     DirectedGraph,
-    FrozenGraph,
     NodeProfile,
     k_core,
     pagerank,
@@ -32,15 +33,27 @@ from conftest import random_digraph
 
 class TestDirectedGraph:
     def test_rejects_self_loop(self):
-        g = DirectedGraph()
-        with pytest.raises(ValueError, match="self-loop"):
-            g.add_edge(1, 1)
+        with pytest.raises(ValueError, match=r"self-loop rejected: \(2, 2\)"):
+            DirectedGraph.from_edges([(1, 2), (2, 2)])
+
+    def test_rejects_negative_id(self):
+        for edges, nodes in [([(1, -3)], ()), ([], [4, -3])]:
+            with pytest.raises(ValueError, match="non-negative, got -3"):
+                DirectedGraph.from_edges(edges, nodes=nodes)
 
     def test_duplicate_edge_not_double_counted(self):
-        g = DirectedGraph()
-        assert g.add_edge(1, 2)
-        assert not g.add_edge(1, 2)
+        g = DirectedGraph.from_edges([(1, 2), (1, 2)])
         assert g.num_edges() == 1
+
+    def test_nodes_first_then_edge_ends_in_order_of_first_appearance(self):
+        g = DirectedGraph.from_edges([(5, 3), (3, 9), (7, 5)], nodes=[8, 3, 8])
+        assert list(g.nodes) == g.ids == [8, 3, 5, 9, 7]
+        assert g.successors(8) == [] and g.predecessors(5) == [7]
+
+    def test_empty_graph(self):
+        g = DirectedGraph.from_edges([])
+        assert g.num_nodes() == g.num_edges() == 0
+        assert list(g.edges()) == [] and g.subgraph([1]).num_nodes() == 0
 
     def test_degrees_count_reciprocal_pair_twice(self):
         g = DirectedGraph.from_edges([(1, 2), (2, 1)])
@@ -55,15 +68,18 @@ class TestDirectedGraph:
         assert set(sub.edges()) == {(0, 1), (1, 2), (2, 0)}
 
 
-def brute_force_peel(graph, k):
-    """Independent oracle: repeatedly delete any node with total degree < k."""
-    nodes = set(graph.nodes)
+def brute_force_peel(graph, k, choose=min):
+    """Independent oracle on plain sets: repeatedly delete a node, picked by
+    `choose`, from those with total degree < k."""
+    nodes, edges = set(graph.nodes), set(graph.edges())
     while True:
-        current = graph.subgraph(nodes)
-        doomed = [n for n in current.nodes if current.total_degree(n) < k]
+        degree = Counter(node for edge in edges for node in edge)
+        doomed = sorted(n for n in nodes if degree[n] < k)
         if not doomed:
-            return current
-        nodes -= {doomed[0]}
+            return DirectedGraph.from_edges(edges, nodes=nodes)
+        node = choose(doomed)
+        nodes.discard(node)
+        edges = {edge for edge in edges if node not in edge}
 
 
 class TestKCore:
@@ -88,15 +104,28 @@ class TestKCore:
         g = random_digraph(40, 0.08, 7)
         reference = k_core(g, 3).nodes
         for seed in range(5):
-            rng = random.Random(seed)
-            nodes = set(g.nodes)
-            while True:
-                current = g.subgraph(nodes)
-                doomed = [n for n in current.nodes if current.total_degree(n) < 3]
-                if not doomed:
-                    break
-                nodes -= {rng.choice(doomed)}
-            assert nodes == reference
+            assert brute_force_peel(g, 3, random.Random(seed).choice).nodes == reference
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15)).filter(lambda e: e[0] != e[1]),
+            max_size=60,
+        ),
+        isolated=st.lists(st.integers(0, 20), max_size=5),
+        k=st.integers(1, 6),
+    )
+    def test_equals_networkx_k_core(self, edges, isolated, k):
+        g = DirectedGraph.from_edges(edges, nodes=isolated)
+        expected = nx.DiGraph()
+        expected.add_nodes_from(isolated)
+        expected.add_edges_from(edges)
+        expected = nx.k_core(expected, k)  # the degree of a DiGraph node is in + out
+        core = k_core(g, k)
+        # kept nodes, and each kept row, stay in the input's order
+        assert list(core.nodes) == [n for n in g.nodes if n in expected]
+        assert list(core.edges()) == [e for e in g.edges() if expected.has_edge(*e)]
+        assert core.num_edges() == expected.number_of_edges()
 
     def test_nesting_and_idempotence(self):
         g = random_digraph(60, 0.07, 3)
@@ -109,7 +138,7 @@ class TestKCore:
             assert set(again.edges()) == set(outer.edges())
 
     def test_empty_graph(self):
-        assert k_core(DirectedGraph(), 3).num_nodes() == 0
+        assert k_core(DirectedGraph.from_edges([]), 3).num_nodes() == 0
 
     def test_invalid_k(self, triangle):
         with pytest.raises(ValueError):
@@ -200,7 +229,7 @@ class TestPageRank:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            pagerank(DirectedGraph())
+            pagerank(DirectedGraph.from_edges([]))
 
     def test_bit_identical_to_edge_loop_build(self, tmp_path):
         for seed in range(8):
@@ -213,9 +242,9 @@ class TestPageRank:
             path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in edges))
             read = read_edge_list(path)
             assert read.ids != sorted(read.ids)
-            # frozen inputs, nodes in insertion order and in file order (an edge
-            # list holds no isolated nodes); neither order is id order
-            cases = [(g, g), (FrozenGraph.from_graph(g), g), (read, DirectedGraph.from_edges(edges))]
+            # nodes in insertion order and in file order (an edge list holds no
+            # isolated nodes); neither order is id order
+            cases = [(g, g), (read, DirectedGraph.from_edges(edges))]
             for graph, reference in cases:
                 result = pagerank(graph, 0.85, tolerance=1e-12)
                 scores, iterations = pagerank_by_edge_loop(reference, 0.85, tolerance=1e-12)
@@ -237,34 +266,38 @@ def captured_warnings():
         logger.removeHandler(handler)
 
 
-def assert_frozen_equals_row_build(got, rows, data):
-    """Every read method of a FrozenGraph against DirectedGraph.from_edges(rows),
-    with each row in file order."""
-    expected = DirectedGraph.from_edges(rows)
-    unique = list(dict.fromkeys(rows))
-    nodes = list(expected._succ)
-    assert isinstance(got, FrozenGraph)
-    assert list(got.nodes) == nodes and got.nodes == expected.nodes
-    assert got.num_nodes() == expected.num_nodes()
-    assert got.num_edges() == expected.num_edges()
+def assert_equals_row_build(got, rows, data):
+    """Every read method of a DirectedGraph against a networkx.DiGraph built row
+    by row, whose nodes, successors and predecessors keep insertion order."""
+    expected = nx.DiGraph()
+    expected.add_edges_from(rows)
+    nodes = list(expected)
+    assert isinstance(got, DirectedGraph)
+    assert list(got.nodes) == nodes and got.nodes == set(nodes)
+    assert got.num_nodes() == expected.number_of_nodes()
+    assert got.num_edges() == expected.number_of_edges()
     for node in nodes:
         assert node in got
-        assert got.successors(node) == [t for s, t in unique if s == node]
-        assert got.predecessors(node) == [s for s, t in unique if t == node]
-        assert set(got.successors(node)) == expected.successors(node)
-        assert set(got.predecessors(node)) == expected.predecessors(node)
+        assert got.successors(node) == list(expected.successors(node))
+        assert got.predecessors(node) == list(expected.predecessors(node))
         assert got.out_degree(node) == expected.out_degree(node)
         assert got.in_degree(node) == expected.in_degree(node)
-        assert got.total_degree(node) == expected.total_degree(node)
-    assert list(got.edges()) == [(s, t) for node in nodes for s, t in unique if s == node]
+        assert got.total_degree(node) == expected.degree(node)
+    assert list(got.edges()) == list(expected.edges())
     absent = [10**19 + 1, max(nodes, default=0) + 1]
     assert all(node not in got for node in absent)
     probes = nodes[:10] + absent
     for u, v in [*product(probes, probes), *rows]:
         assert got.has_edge(u, v) == expected.has_edge(u, v)
     keep = data.draw(st.lists(st.sampled_from(probes), max_size=12))
-    sub, expected_sub = got.subgraph(keep), expected.subgraph(keep)
-    assert sub == expected_sub and list(sub._succ) == list(expected_sub._succ)
+    # the subgraph keeps the parent's node order, and its edges come in the
+    # parent's edges() order
+    sub, kept = got.subgraph(keep), set(keep)
+    sub_edges = [(u, v) for u, v in expected.edges() if u in kept and v in kept]
+    assert list(sub.nodes) == [n for n in nodes if n in kept]
+    assert list(sub.edges()) == sub_edges
+    for node in sub.nodes:
+        assert sub.predecessors(node) == [u for u, v in sub_edges if v == node]
 
 
 class TestEdgeListIO:
@@ -354,7 +387,7 @@ class TestEdgeListIO:
             with captured_warnings() as warnings:
                 got = read_edge_list(path)
 
-        assert_frozen_equals_row_build(got, rows, data)
+        assert_equals_row_build(got, rows, data)
         duplicates = len(rows) - len(set(rows))
         assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
         assert bool(per_line_calls) != canonical
@@ -385,8 +418,8 @@ class TestEdgeListIO:
 
 
 def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
-    """A dict of sets costs ~270 B per edge and the frozen CSR form ~35, mostly
-    the id list and id -> index dict; 64 catches a return to per-edge objects."""
+    """A dict of sets costs ~270 B per edge and the CSR form ~35, mostly the id
+    list and id -> index dict; 64 catches a return to per-edge objects."""
     graph, _ = generate_network("preferential-attachment", 20_000, 1, m=5)
     path = tmp_path / "edges.csv"
     write_edge_list(graph, path)
@@ -399,6 +432,22 @@ def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
         tracemalloc.stop()
     assert frozen.num_edges() == graph.num_edges() > 90_000
     assert retained / frozen.num_edges() < 64
+
+
+def test_from_edges_retains_under_64_bytes_per_edge():
+    """The generator's graph: from_edges keeps the CSR arrays, the id list and
+    the id -> index dict, and no per-edge object."""
+    n = 20_000
+    edges = preferential_attachment(n, 5, random.Random(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = DirectedGraph.from_edges(edges, nodes=range(n))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert graph.num_nodes() == n and graph.num_edges() > 90_000
+    assert retained / graph.num_edges() < 64
 
 
 def random_profile(rng, node):

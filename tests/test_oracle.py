@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankwalk.graph import DirectedGraph, FrozenGraph, NodeProfile
+from rankwalk.graph import DirectedGraph, NodeProfile
 from rankwalk.oracle import (
     CallRecord,
     NotFoundError,
@@ -33,8 +33,7 @@ class TestSimulatedClock:
         assert clock.now == 9.0
 
 def simple_oracle(**kwargs):
-    g = DirectedGraph.from_edges([(0, 7), (0, 5), (0, 2), (5, 0)])
-    g.add_node(9)
+    g = DirectedGraph.from_edges([(0, 7), (0, 5), (0, 2), (5, 0)], nodes=[9])
     profiles = make_profiles(g, friends_order={0: [7, 5, 2]})
     defaults = dict(key_count=1, rate_limits_enabled=True)
     defaults.update(kwargs)
@@ -49,9 +48,7 @@ class TestGetFriends:
         assert not page.truncated
 
     def test_truncates_to_page_size(self):
-        g = DirectedGraph()
-        for target in range(1, 6001):
-            g.add_edge(0, target)
+        g = DirectedGraph.from_edges([(0, target) for target in range(1, 6001)])
         friends = list(range(6000, 0, -1))
         profiles = make_profiles(g, friends_order={0: friends})
         oracle = build_simulated_oracle(g, profiles, page_size=5000, rate_limits_enabled=False)
@@ -108,10 +105,9 @@ class TestRateBudget:
         assert [r.calls_remaining for r in oracle.call_log] == [14, 13]
 
     def test_single_key_throughput_ceiling(self):
-        g = DirectedGraph()
-        for source in range(4):
-            for target in range(10, 5010):
-                g.add_edge(source, target)
+        g = DirectedGraph.from_edges(
+            [(source, target) for source in range(4) for target in range(10, 5010)]
+        )
         profiles = make_profiles(g)
         oracle = build_simulated_oracle(g, profiles, key_count=1, page_size=5000)
         for i in range(45):
@@ -209,9 +205,7 @@ class TestProfiles:
         assert oracle.get_profiles([2])[2].follower_count == 42
 
     def test_batch_charges_ceil_division(self):
-        g = DirectedGraph()
-        for node in range(250):
-            g.add_node(node)
+        g = DirectedGraph.from_edges([], nodes=range(250))
         profiles = make_profiles(g)
         oracle = build_simulated_oracle(g, profiles, profile_batch=100, rate_limits_enabled=False)
         result = oracle.get_profiles(list(range(250)))
@@ -238,13 +232,11 @@ class TestConstruction:
             build_simulated_oracle(g, profiles)
 
     def test_consistent_oracle_serves_out_neighbors(self):
-        g = DirectedGraph()
-        for i in range(100):
-            g.add_edge(i, (i + 1) % 100)
+        g = DirectedGraph.from_edges([(i, (i + 1) % 100) for i in range(100)])
         profiles = make_profiles(g)
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         for node in range(0, 100, 7):
-            assert set(oracle.get_friends(node).friends) == g.successors(node)
+            assert set(oracle.get_friends(node).friends) == set(g.successors(node))
 
     def test_identical_inputs_give_identical_call_logs(self, tmp_path):
         logs = []
@@ -296,25 +288,24 @@ class TestConstruction:
         disagree = sorted(
             n
             for n, p in profiles.items()
-            if set(p.friends_recent_first) != (g.successors(n) if n in g else set())
+            if set(p.friends_recent_first) != (set(g.successors(n)) if n in g else set())
         )
-        for graph in (g, FrozenGraph.from_graph(g)):
-            if lacking:
-                shown = ", ".join(map(str, lacking[:10]))
-                message = f"^{len(lacking)} graph node\\(s\\) lack a profile: {shown}$"
-            elif disagree:
-                shown = ", ".join(map(str, disagree[:10]))
-                message = (
-                    f"^{len(disagree)} profile friend list\\(s\\) disagree with graph "
-                    f"out-neighbors: {shown}$"
-                )
-            else:
-                oracle = build_simulated_oracle(graph, profiles, rate_limits_enabled=False)
-                for u, v in product([*profiles, 99], [*profiles, 99]):
-                    assert oracle.follows(u, v) == g.has_edge(u, v)
-                continue
-            with pytest.raises(ValueError, match=message):
-                build_simulated_oracle(graph, profiles)
+        if lacking:
+            shown = ", ".join(map(str, lacking[:10]))
+            message = f"^{len(lacking)} graph node\\(s\\) lack a profile: {shown}$"
+        elif disagree:
+            shown = ", ".join(map(str, disagree[:10]))
+            message = (
+                f"^{len(disagree)} profile friend list\\(s\\) disagree with graph "
+                f"out-neighbors: {shown}$"
+            )
+        else:
+            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            for u, v in product([*profiles, 99], [*profiles, 99]):
+                assert oracle.follows(u, v) == g.has_edge(u, v)
+            return
+        with pytest.raises(ValueError, match=message):
+            build_simulated_oracle(g, profiles)
 
     def test_follows_is_uncharged(self):
         oracle = simple_oracle()
@@ -349,9 +340,7 @@ class TestCallLog:
 
     def test_oracle_log_matches_json_dumps(self, tmp_path):
         for limits in (True, False):
-            g = DirectedGraph()
-            for node in range(250):
-                g.add_edge(node, (node + 1) % 250)
+            g = DirectedGraph.from_edges([(node, (node + 1) % 250) for node in range(250)])
             oracle = build_simulated_oracle(
                 g, make_profiles(g), key_count=2, rate_limits_enabled=limits
             )
@@ -385,10 +374,9 @@ class TestCallLog:
 
 class TestInterleavedCalls:
     def test_interleaved_calls_respect_budget(self):
-        g = DirectedGraph()
-        for source in range(8):
-            for target in range(100, 130):
-                g.add_edge(source, target)
+        g = DirectedGraph.from_edges(
+            [(source, target) for source in range(8) for target in range(100, 130)]
+        )
         profiles = make_profiles(g)
         oracle = build_simulated_oracle(g, profiles, key_count=2)
         # 8 logical callers take turns, 25 calls each, on one thread

@@ -133,23 +133,20 @@ class TestSelectTarget:
 
 
 class DictProvenanceSampleGraph:
-    """SampleGraph as first written: a provenance entry for every sample edge."""
+    """SampleGraph as first written, on plain dicts in insertion order: a
+    provenance entry for every sample node and every sample edge."""
 
     def __init__(self):
-        self.graph = DirectedGraph()
         self._edge_provenance = {}
         self._node_provenance = {}
 
     def add_seed(self, node):
-        self.graph.add_node(node)
         self._node_provenance.setdefault(node, SEED)
 
     def add_edge(self, source, target, provenance):
-        added = self.graph.add_edge(source, target)
-        if added:
+        added = (source, target) not in self._edge_provenance
+        if added or provenance == WALKED:
             self._edge_provenance[(source, target)] = provenance
-        elif provenance == WALKED:
-            self._edge_provenance[(source, target)] = WALKED
         self._node_provenance.setdefault(source, provenance)
         self._node_provenance.setdefault(target, provenance)
         return added
@@ -157,12 +154,22 @@ class DictProvenanceSampleGraph:
     def edges_with_provenance(self):
         return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
 
+    def assert_graph_equal(self, graph):
+        """graph shows every node and edge added so far: nodes in insertion
+        order, each row in the order its edges were added."""
+        nodes, edges = list(self._node_provenance), list(self._edge_provenance)
+        assert list(graph.nodes) == nodes
+        assert list(graph.edges()) == [(s, t) for node in nodes for s, t in edges if s == node]
+        for node in nodes:
+            assert graph.predecessors(node) == [s for s, t in edges if t == node]
+
 
 class TestSampleGraph:
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(
         ops=st.lists(
             st.one_of(
+                st.none(),  # read sample.graph
                 st.integers(0, 6),  # add_seed
                 st.tuples(
                     st.integers(0, 6), st.integers(0, 6), st.sampled_from([WALKED, SYMMETRIC])
@@ -174,26 +181,29 @@ class TestSampleGraph:
     def test_equals_dict_provenance_reference(self, ops):
         sample, reference = SampleGraph(), DictProvenanceSampleGraph()
         for op in ops:
-            if isinstance(op, int):
+            if op is None:
+                graph = sample.graph
+                reference.assert_graph_equal(graph)
+                assert sample.graph is graph  # cached until the next change
+            elif isinstance(op, int):
                 sample.add_seed(op)
                 reference.add_seed(op)
             else:
                 assert sample.add_edge(*op) == reference.add_edge(*op)
-        nodes = list(reference.graph._succ)
-        assert list(sample.graph._succ) == nodes
-        for node in nodes:
-            assert list(sample.graph.successors(node)) == list(reference.graph.successors(node))
-            assert list(sample.graph.predecessors(node)) == list(
-                reference.graph.predecessors(node)
-            )
+        reference.assert_graph_equal(sample.graph)
+        for node in reference._node_provenance:
             assert sample.node_provenance(node) == reference._node_provenance[node]
         rows = reference.edges_with_provenance()
         assert sample.edges_with_provenance() == rows
         for s, t, provenance in rows:
             assert sample.edge_provenance(s, t) == provenance
-        assert sample.num_nodes() == reference.graph.num_nodes()
+        assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
         assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            SampleGraph().add_edge(3, 3, WALKED)
 
     def test_absent_edge_has_no_provenance(self):
         sample = SampleGraph()
@@ -241,7 +251,6 @@ class TestWalkerStep:
         burn = BurnStore()
         sample = SampleGraph()
         pool = SeedPool([7], 0)
-        g.add_node(7)
         state = walker_step(WalkerState(0, 2), oracle, burn, sample, pool, config())
         assert state.current == 7
         assert len(burn) == 0

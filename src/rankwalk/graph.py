@@ -75,12 +75,12 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ValueError:
 
 
 def _read_lines(path, parse: Callable[[str], object], header: str | None = None) -> None:
-    """Call `parse` on each non-blank line of a UTF-8 text file, stripped; with a
-    header, line 1 must equal it. A ValueError, TypeError, KeyError (a missing
-    field) or OverflowError from `parse` is raised again as
-    ValueError("<path>: line N: <reason>").
+    """Call `parse` on each non-blank line of a UTF-8 text file, stripped, with
+    the cyclic collector paused; with a header, line 1 must equal it. A
+    ValueError, TypeError, KeyError (a missing field) or OverflowError from
+    `parse` is raised again as ValueError("<path>: line N: <reason>").
     """
-    with _open_text(path) as fh:
+    with _gc_paused(), _open_text(path) as fh:
         if header is not None:
             found = fh.readline().strip()
             if found != header:
@@ -99,12 +99,28 @@ def _read_lines(path, parse: Callable[[str], object], header: str | None = None)
                 raise ValueError(f"{path}: line {lineno}: {exc}: {line:.80}") from None
 
 
+_scan_json = json.JSONDecoder().scan_once
+# json.dumps(value, separators=(",", ":")) without a new encoder per call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _decode_json(line: str):
+    """json.loads(line) for a stripped line. The scanner decodes a valid line
+    without json.loads's checks; any other line goes to json.loads, so every
+    error (a leading BOM, trailing data) carries json.loads's own text."""
+    try:
+        value, end = _scan_json(line, 0)
+    except StopIteration:
+        end = None
+    return value if end == len(line) else json.loads(line)
+
+
 def _read_json_lines(path, parse: Callable[[dict], object]) -> None:
     """_read_lines for JSONL: every non-blank line must hold a JSON object."""
 
     def parse_line(line: str) -> None:
         try:
-            record = json.loads(line)
+            record = _decode_json(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON ({exc})") from None
         if type(record) is not dict:
@@ -523,7 +539,7 @@ def write_profiles(profiles: Mapping[NodeId, NodeProfile] | Iterable[NodeProfile
                 "status_count": p.status_count,
                 "last_status_at": p.last_status_at,
             }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            fh.write(_compact_json(record) + "\n")
 
 
 def read_profiles(path) -> dict[NodeId, NodeProfile]:
@@ -551,6 +567,5 @@ def read_profiles(path) -> dict[NodeId, NodeProfile]:
             None if last_status_at is None else float(last_status_at),
         )
 
-    with _gc_paused():
-        _read_json_lines(path, add)
+    _read_json_lines(path, add)
     return profiles

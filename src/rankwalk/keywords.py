@@ -3,20 +3,27 @@ chi-squared keyness statistic, with top-n and community-usage filters."""
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .graph import NodeId, _check_fields, _integer_id, _open_text, _read_json_lines
+from .graph import (
+    NodeId,
+    _check_fields,
+    _compact_json,
+    _gc_paused,
+    _integer_id,
+    _open_text,
+    _read_json_lines,
+)
 
 _URL_RE = re.compile(r"https?://\S+")
 _TOKEN_RE = re.compile(r"[#@]?\w+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Doc:
     """One raw text with its author and timestamp."""
 
@@ -69,18 +76,40 @@ def chi_squared_keyness(a: int, b: int, c: int, d: int) -> float:
     return numerator / denominator
 
 
+def _kept(token: str, stopwords: AbstractSet[str]) -> bool:
+    """A token is kept unless it is a stop-word or a number of fewer than 4 digits."""
+    return token not in stopwords and not (token.isdigit() and len(token) < 4)
+
+
 def tokenize(text: str, stopwords: AbstractSet[str]) -> list[str]:
-    """Lowercase, split on non-word boundaries keeping # and @ prefixes, drop
-    stop-words, URLs, and pure numbers shorter than 4 digits."""
+    """Lowercase, drop URLs, take the [#@]?\\w+ tokens (keeping # and @
+    prefixes), and drop stop-words and pure numbers shorter than 4 digits."""
     cleaned = _URL_RE.sub(" ", text.lower())
-    tokens = []
-    for token in _TOKEN_RE.findall(cleaned):
-        if token in stopwords:
-            continue
-        if token.isdigit() and len(token) < 4:
-            continue
-        tokens.append(token)
-    return tokens
+    return [token for token in _TOKEN_RE.findall(cleaned) if _kept(token, stopwords)]
+
+
+class _PieceTokens(dict):
+    """Memo from a whitespace-free piece of lowercased, URL-free text to the
+    tuple of its kept tokens, so each distinct piece is tokenized once.
+
+    Neither a token nor a URL match can span whitespace, and re's \\s and
+    str.split() agree on what whitespace is, so the tokens of a text are those
+    of its pieces in order. Equal tokens are one shared str object.
+    """
+
+    def __init__(self, stopwords: AbstractSet[str]) -> None:
+        super().__init__()
+        self.stopwords = stopwords
+        self.canonical: dict[str, str] = {}
+
+    def __missing__(self, piece: str) -> tuple[str, ...]:
+        share = self.canonical.setdefault
+        tokens = self[piece] = tuple(
+            share(token, token)
+            for token in _TOKEN_RE.findall(piece)
+            if _kept(token, self.stopwords)
+        )
+        return tokens
 
 
 def window_docs(
@@ -110,12 +139,18 @@ def window_docs(
 def tokenize_docs(
     docs: Sequence[Doc], stopwords: AbstractSet[str]
 ) -> list[TokenDoc]:
-    """Aggregate raw texts into one TokenDoc per node."""
+    """Aggregate raw texts into one TokenDoc per node: the tokenize() tokens of
+    its texts in order, each distinct token one str object shared by all."""
+    pieces = _PieceTokens(stopwords)
     by_node: dict[NodeId, TokenDoc] = {}
-    for doc in docs:
-        token_doc = by_node.setdefault(doc.node, TokenDoc(doc.node, [], []))
-        token_doc.tokens.extend(tokenize(doc.text, stopwords))
-        token_doc.timestamps.append(doc.ts)
+    with _gc_paused():
+        for doc in docs:
+            token_doc = by_node.get(doc.node)
+            if token_doc is None:
+                token_doc = by_node[doc.node] = TokenDoc(doc.node, [], [])
+            cleaned = _URL_RE.sub(" ", doc.text.lower())
+            token_doc.tokens.extend(chain.from_iterable(map(pieces.__getitem__, cleaned.split())))
+            token_doc.timestamps.append(doc.ts)
     return [by_node[node] for node in sorted(by_node)]
 
 
@@ -222,12 +257,7 @@ def read_docs_jsonl(path) -> list[Doc]:
 def write_docs_jsonl(docs: Iterable[Doc], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for doc in docs:
-            fh.write(
-                json.dumps(
-                    {"node": doc.node, "ts": doc.ts, "text": doc.text}, separators=(",", ":")
-                )
-                + "\n"
-            )
+            fh.write(_compact_json({"node": doc.node, "ts": doc.ts, "text": doc.text}) + "\n")
 
 
 def read_stopwords(path) -> set[str]:

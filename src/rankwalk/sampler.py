@@ -21,6 +21,7 @@ from .graph import (
     NodeId,
     NodeProfile,
     _check_fields,
+    _compact_json,
     _gc_paused,
     _integer_id,
     _parse_edge,
@@ -481,7 +482,7 @@ def save_run_state(
             "clock_now": clock_now,
             "seed_pool_state": seed_pool.getstate(),
         }
-        fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
+        fh.write(_compact_json(meta) + "\n")
         for source, target in burn.log:
             fh.write(json.dumps({"type": "burned", "s": source, "t": target}) + "\n")
         for source, target, provenance in sample.edges_with_provenance():
@@ -502,6 +503,12 @@ def load_run_state(path) -> RunState:
     seed_nodes: list[NodeId] = []
     walkers: list[WalkerState] = []
 
+    def edge_of(record: dict) -> Edge:
+        source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
+        if source == target:
+            raise ValueError(f"self-loop {source},{target}")
+        return source, target
+
     def add(record: dict) -> None:
         kind = record["type"]
         if kind == "meta":
@@ -512,9 +519,9 @@ def load_run_state(path) -> RunState:
             random.Random().setstate(state)  # rejects a state of the wrong size or types
             meta.append((record["clock_now"], state))
         elif kind == "burned":
-            burned.append((_integer_id(record["s"], "s"), _integer_id(record["t"], "t")))
+            burned.append(edge_of(record))
         elif kind == "edge":
-            source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
+            source, target = edge_of(record)
             if record["p"] not in (WALKED, SYMMETRIC):
                 raise ValueError(
                     f"field 'p': expected {WALKED!r} or {SYMMETRIC!r}, got {record['p']!r:.80}"

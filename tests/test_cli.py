@@ -425,6 +425,10 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          "no walker records"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          META + '\n{"type": "edge", "s": 1, "t": 2, "p": "bogus"}\n', 2, "field 'p'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "edge", "s": 1, "t": 1, "p": "walked"}\n', 2, "self-loop 1,1"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "burned", "s": 2, "t": 2}\n', 2, "self-loop 2,2"),
         (["evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
           "--profiles", "{d}/profiles.jsonl", "--language", "de"], "profiles.jsonl",
          profile_line(1, 2), None, "graph node 2 has no profile"),
@@ -440,6 +444,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "config-bad-json", "edges-not-utf8",
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
+        "resume-self-loop", "resume-burned-self-loop",
         "evaluate-language-without-profile", "docs-empty-windowed",
     ],
 )

@@ -11,7 +11,7 @@ from itertools import product
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankwalk import graph as graph_module
@@ -27,6 +27,7 @@ from rankwalk.graph import (
     write_edge_list,
     write_profiles,
 )
+from rankwalk.keywords import read_docs_jsonl
 
 from conftest import random_digraph
 
@@ -608,13 +609,57 @@ def test_parse_id_accepts_exactly_the_id_rule(text):
 
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+JSON_OBJECTS = st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3).map(json.dumps)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(
+    line=st.one_of(
+        JSON_OBJECTS,
+        JSON_VALUES.map(json.dumps),  # arrays and scalars
+        st.tuples(JSON_OBJECTS, st.text(alphabet=' ,]}x0"{', min_size=1, max_size=3)).map("".join),
+        JSON_OBJECTS.map("\ufeff".__add__),
+        st.text(alphabet='abu0"\\', max_size=5).map('{{"k": "{}"}}'.format),  # escapes
+        st.text(alphabet='{}[]":, \tae0Nn', max_size=12),  # fragments
+    )
+)
+def test_json_lines_accept_and_reject_exactly_as_json_loads(line, tmp_path_factory):
+    line = line.strip()
+    assume(line)
+    path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    records = []
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        message = f"{path}: line 1: invalid JSON ({exc})"
+    else:
+        message = f"{path}: line 1: expected a JSON object, got {expected!r:.80}"
+        if type(expected) is dict:
+            graph_module._read_json_lines(path, records.append)
+            # json.dumps tells NaN, -0.0 and key order apart, where == would not
+            assert [json.dumps(r) for r in records] == [json.dumps(expected)]
+            return
+    with pytest.raises(ValueError) as info:
+        graph_module._read_json_lines(path, records.append)
+    assert str(info.value) == message
+    assert records == []
+
+
 @pytest.mark.parametrize(
     "reader, good, bad",
     [
         (read_edge_list, "source,target\n1,2\n", "source,target\n1,1\n"),
         (read_profiles, VALID_RECORD + "\n", "5\n"),
+        (read_docs_jsonl, '{"node": 1, "ts": 1.0, "text": "a"}\n', '{"node": 1}\n'),
     ],
-    ids=["edges", "profiles"],
+    ids=["edges", "profiles", "docs"],
 )
 @pytest.mark.parametrize("enabled", [True, False])
 def test_reader_restores_gc_state(tmp_path, reader, good, bad, enabled):

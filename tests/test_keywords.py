@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankwalk.keywords import (
     Doc,
@@ -264,3 +266,61 @@ class TestDocsIO:
         assert token_docs[0].tokens == ["alpha", "beta", "gamma"]
         assert token_docs[0].timestamps == [10.0, 20.0]
         assert token_docs[1].tokens == ["delta"]
+
+
+def reference_tokenize_docs(docs, stopwords):
+    """tokenize_docs as first written: one findall over each whole text, a new
+    str per token."""
+    by_node = {}
+    for doc in docs:
+        token_doc = by_node.setdefault(doc.node, TokenDoc(doc.node, [], []))
+        cleaned = re.sub(r"https?://\S+", " ", doc.text.lower())
+        for token in re.findall(r"[#@]?\w+", cleaned):
+            if token in stopwords:
+                continue
+            if token.isdigit() and len(token) < 4:
+                continue
+            token_doc.tokens.append(token)
+        token_doc.timestamps.append(doc.ts)
+    return [by_node[node] for node in sorted(by_node)]
+
+
+# Case mappings that change length or depend on context (final sigma), digits
+# that are \w but not ASCII, URL prefixes, and whitespace that \s and
+# str.split() both count, some of it outside ASCII.
+TEXT_PARTS = [
+    "a", "b", "ab", "Zelda", "\u03a3", "\u0130", "\u00df", "\u00b2", "\u0663", "_", "1",
+    "12", "2019", "#", "@", ".", "/", ":", "http://", "HTTPS://",
+    " ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
+]
+STOPWORDS = ["ab", "#ab", "zelda", "\u03c3", "ss", "i\u0307", "2019", "_"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    docs=st.lists(
+        st.builds(
+            Doc,
+            st.integers(0, 3),
+            st.integers(0, 9).map(float),
+            st.lists(st.sampled_from(TEXT_PARTS), max_size=12).map("".join),
+        ),
+        max_size=8,
+    ),
+    stopwords=st.sets(st.sampled_from(STOPWORDS)),
+)
+def test_tokenize_docs_equals_whole_text_reference(docs, stopwords):
+    assert tokenize_docs(docs, stopwords) == reference_tokenize_docs(docs, stopwords)
+
+
+def test_tokenize_docs_shares_one_str_per_distinct_token():
+    docs = [
+        Doc(1, 1.0, "Zelda zelda! #zelda"),
+        Doc(2, 2.0, "(zelda) ZELDA, streams"),
+        Doc(1, 3.0, "zelda? streams https://t.example/zelda"),
+    ]
+    first = {}
+    for token_doc in tokenize_docs(docs, set()):
+        for token in token_doc.tokens:
+            assert first.setdefault(token, token) is token
+    assert set(first) == {"zelda", "#zelda", "streams"}

@@ -6,8 +6,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from itertools import product
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .graph import (
     NodeId,
@@ -76,40 +76,22 @@ def chi_squared_keyness(a: int, b: int, c: int, d: int) -> float:
     return numerator / denominator
 
 
-def _kept(token: str, stopwords: AbstractSet[str]) -> bool:
-    """A token is kept unless it is a stop-word or a number of fewer than 4 digits."""
-    return token not in stopwords and not (token.isdigit() and len(token) < 4)
+def _tokens(
+    text: str, stopwords: AbstractSet[str], share: Callable[[str, str], str]
+) -> list[str]:
+    """tokenize(), with each kept token passed through share(token, token)."""
+    cleaned = _URL_RE.sub(" ", text.lower())
+    return [
+        share(token, token)
+        for token in _TOKEN_RE.findall(cleaned)
+        if token not in stopwords and not (token.isdigit() and len(token) < 4)
+    ]
 
 
 def tokenize(text: str, stopwords: AbstractSet[str]) -> list[str]:
     """Lowercase, drop URLs, take the [#@]?\\w+ tokens (keeping # and @
     prefixes), and drop stop-words and pure numbers shorter than 4 digits."""
-    cleaned = _URL_RE.sub(" ", text.lower())
-    return [token for token in _TOKEN_RE.findall(cleaned) if _kept(token, stopwords)]
-
-
-class _PieceTokens(dict):
-    """Memo from a whitespace-free piece of lowercased, URL-free text to the
-    tuple of its kept tokens, so each distinct piece is tokenized once.
-
-    Neither a token nor a URL match can span whitespace, and re's \\s and
-    str.split() agree on what whitespace is, so the tokens of a text are those
-    of its pieces in order. Equal tokens are one shared str object.
-    """
-
-    def __init__(self, stopwords: AbstractSet[str]) -> None:
-        super().__init__()
-        self.stopwords = stopwords
-        self.canonical: dict[str, str] = {}
-
-    def __missing__(self, piece: str) -> tuple[str, ...]:
-        share = self.canonical.setdefault
-        tokens = self[piece] = tuple(
-            share(token, token)
-            for token in _TOKEN_RE.findall(piece)
-            if _kept(token, self.stopwords)
-        )
-        return tokens
+    return _tokens(text, stopwords, {}.setdefault)
 
 
 def window_docs(
@@ -141,15 +123,14 @@ def tokenize_docs(
 ) -> list[TokenDoc]:
     """Aggregate raw texts into one TokenDoc per node: the tokenize() tokens of
     its texts in order, each distinct token one str object shared by all."""
-    pieces = _PieceTokens(stopwords)
+    share = {}.setdefault
     by_node: dict[NodeId, TokenDoc] = {}
     with _gc_paused():
         for doc in docs:
             token_doc = by_node.get(doc.node)
             if token_doc is None:
                 token_doc = by_node[doc.node] = TokenDoc(doc.node, [], [])
-            cleaned = _URL_RE.sub(" ", doc.text.lower())
-            token_doc.tokens.extend(chain.from_iterable(map(pieces.__getitem__, cleaned.split())))
+            token_doc.tokens.extend(_tokens(doc.text, stopwords, share))
             token_doc.timestamps.append(doc.ts)
     return [by_node[node] for node in sorted(by_node)]
 

@@ -286,8 +286,8 @@ def reference_tokenize_docs(docs, stopwords):
 
 
 # Case mappings that change length or depend on context (final sigma), digits
-# that are \w but not ASCII, URL prefixes, and whitespace that \s and
-# str.split() both count, some of it outside ASCII.
+# that are \w but not ASCII, URL prefixes, and whitespace, some of it outside
+# ASCII.
 TEXT_PARTS = [
     "a", "b", "ab", "Zelda", "\u03a3", "\u0130", "\u00df", "\u00b2", "\u0663", "_", "1",
     "12", "2019", "#", "@", ".", "/", ":", "http://", "HTTPS://",

@@ -247,9 +247,11 @@ def cmd_reference(args, out_dir: Path, seed: int) -> int:
         raise ValueError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     initial = _parse_seed_ids(args.seeds) if args.seeds else None
     directed = _read_graph_any(args.graph)
+    if not directed.num_edges():
+        raise ValueError(f"{args.graph}: graph has no edges")
     graph = UndirectedGraph.from_directed(directed)
     if initial is None:
-        pool = sorted(graph.nodes)
+        pool = graph.nodes
         rng = substream(seed, "reference-seeds")
         initial = [pool[rng.randrange(len(pool))] for _ in range(args.num_seeds)]
     result = rank_degree(

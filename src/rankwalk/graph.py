@@ -307,6 +307,15 @@ def _csr_rows(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray,
     return offsets, values[np.argsort(keys, kind="stable")].astype(np.int32)
 
 
+def _id_order(ids: list[NodeId]) -> tuple[list[int], np.ndarray]:
+    """The indices of ids in ascending id order, and each index's place in that
+    order; sorted in Python, as ids may exceed 2**63."""
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[by_id] = np.arange(len(ids))
+    return by_id, rank
+
+
 def k_core(graph: DirectedGraph, k: int) -> DirectedGraph:
     """Maximal subgraph in which every node has total degree (in + out) >= k.
 
@@ -361,10 +370,7 @@ def pagerank(
     ids = graph.ids
     n = len(ids)
     m = graph.num_edges()
-    # sorted in Python, as ids may exceed 2**63
-    by_id = sorted(range(n), key=ids.__getitem__)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_id] = np.arange(n)
+    by_id, rank = _id_order(ids)
     src = rank[graph.edge_sources()]
     order = np.argsort(src, kind="stable")
     src = src[order]

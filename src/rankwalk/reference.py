@@ -11,97 +11,65 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph, NodeId
+from .graph import DirectedGraph, NodeId, _csr_rows, _gc_paused, _id_order
 
 
 class UndirectedGraph:
-    """Simple undirected graph; the reference sampler reads it and never modifies it."""
+    """Simple undirected graph in symmetric compressed sparse row (CSR) form;
+    the reference sampler reads it and nothing changes it once built.
 
-    def __init__(self) -> None:
-        self._adj: dict[NodeId, set[NodeId]] = {}
-        self._num_edges = 0
+    Node i has id nodes[i], with ids ascending, so a lower index is a lower
+    id. Row i of neighbors (neighbors[offsets[i]:offsets[i + 1]]) holds the
+    indices of i's neighbors in ascending order; each edge is in two rows.
+    """
 
-    def add_node(self, node: NodeId) -> None:
-        if node not in self._adj:
-            self._adj[node] = set()
+    __slots__ = ("nodes", "offsets", "neighbors")
 
-    def add_edge(self, u: NodeId, v: NodeId) -> bool:
-        if u == v:
-            raise ValueError(f"self-loop rejected: {u}")
-        self.add_node(u)
-        self.add_node(v)
-        if v in self._adj[u]:
-            return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._num_edges += 1
-        return True
-
-    def neighbors(self, node: NodeId) -> set[NodeId]:
-        return self._adj[node]
-
-    @property
-    def nodes(self) -> set[NodeId]:
-        return set(self._adj)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._adj
-
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    def num_nodes(self) -> int:
-        return len(self._adj)
+    def __init__(self, nodes: list[NodeId], offsets: np.ndarray, neighbors: np.ndarray) -> None:
+        self.nodes = nodes
+        self.offsets = offsets
+        self.neighbors = neighbors
 
     @classmethod
-    def from_edges(
-        cls, edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
-    ) -> "UndirectedGraph":
-        g = cls()
-        for node in nodes:
-            g.add_node(node)
-        for u, v in edges:
-            g.add_edge(u, v)
-        return g
-
-    @classmethod
+    @_gc_paused()
     def from_directed(cls, graph: DirectedGraph) -> "UndirectedGraph":
         """Collapse a directed graph: every directed edge (and in particular each
         reciprocal pair) becomes one undirected edge."""
-        sources, targets = graph.edge_sources(), graph.out_targets
-        rows = np.concatenate([sources, targets])
-        ends = np.concatenate([targets, sources])[np.argsort(rows)]
-        neighbors = np.array(graph.ids, dtype=object)[ends].tolist()
-        bounds = np.cumsum(np.bincount(rows, minlength=graph.num_nodes())).tolist()
-        adj = [set(neighbors[start:stop]) for start, stop in zip([0, *bounds], bounds)]
-        g = cls()
-        g._adj = dict(zip(graph.ids, adj))
-        g._num_edges = sum(map(len, g._adj.values())) // 2
-        return g
+        n = graph.num_nodes()
+        by_id, rank = _id_order(graph.ids)
+        u, v = rank[graph.edge_sources()], rank[graph.out_targets]
+        low, high = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+        offsets, neighbors = _csr_rows(np.concatenate([high, low]), np.concatenate([low, high]), n)
+        return cls(list(map(graph.ids.__getitem__, by_id)), offsets, neighbors)
 
 
 @dataclass
 class RankDegreeResult:
-    """Sample as directed pairs plus the walk-oriented trace.
+    """The walk-oriented (w, v) selections in collection order; the sample is
+    every traversed undirected edge in both orientations.
 
-    edges holds (w, v) and (v, w) for every traversed undirected edge, in
-    collection order; walked holds just the walk-oriented (w, v) selections.
     reached_target is False when the graph was exhausted before sample_size.
     """
 
-    edges: list[tuple[NodeId, NodeId]]
     walked: list[tuple[NodeId, NodeId]]
     reached_target: bool
+
+    @property
+    def edges(self) -> list[tuple[NodeId, NodeId]]:
+        """(w, v) and (v, w) for every walked (w, v), in collection order."""
+        return [edge for w, v in self.walked for edge in ((w, v), (v, w))]
 
 
 SEED_POLLS_PER_NODE = 100
 
 
+@_gc_paused()
 def rank_degree(
     graph: UndirectedGraph,
     initial_seeds: Sequence[NodeId],
@@ -122,13 +90,14 @@ def rank_degree(
     enter the sample. With collapse=True walkers landing on the same node merge.
 
     The input graph is not modified: current degrees and removed edges are
-    tracked beside it. Each walked node w keeps a lazy heap of its neighbors
-    keyed (-degree when pushed, id), built on w's first visit. A step pops
-    entries whose edge is gone and re-pushes entries whose degree has fallen
-    until the top is current; degrees only fall, so a stale key ranks too
-    high, never too low, and the top is the true best neighbor. The top k are
-    drawn one at a time, which equals ranking once, because removing w-v
-    changes only the degrees of w and v.
+    tracked beside it, by node index, which orders as the ids do. Each walked
+    node w keeps a lazy heap of its neighbors keyed (-degree when pushed,
+    index), built from w's row on its first visit. A step pops entries whose
+    edge is gone and re-pushes entries whose degree has fallen until the top
+    is current; degrees only fall, so a stale key ranks too high, never too
+    low, and the top is the true best neighbor. The top k are drawn one at a
+    time, which equals ranking once, because removing w-v changes only the
+    degrees of w and v.
 
     Re-seeding triggers once every current seed has degree <= 1 (or degree 0
     with reseed_on_leaf=False) and draws uniformly from the remaining
@@ -143,52 +112,57 @@ def rank_degree(
         raise ValueError("sample_size must be non-negative")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    unknown = [s for s in initial_seeds if s not in graph]
+    ids, offsets, neighbors = graph.nodes, graph.offsets, graph.neighbors
+    n = len(ids)
+
+    def index_of(node: NodeId) -> int | None:
+        i = bisect_left(ids, node)
+        return i if i < n and ids[i] == node else None
+
+    unknown = [s for s in initial_seeds if index_of(s) is None]
     if unknown:
         raise ValueError(f"seeds not in graph: {unknown}")
 
-    adj = graph._adj
-    degree = {node: len(nbrs) for node, nbrs in adj.items()}
-    removed: set[tuple[NodeId, NodeId]] = set()
-    heaps: dict[NodeId, list[tuple[int, NodeId]]] = {}
-    eligible = sorted(adj)
+    degree = np.diff(offsets).tolist()
+    removed: set[int] = set()  # u * n + v for each removed edge u-v with u < v
+    heaps: dict[int, list[tuple[int, int]]] = {}
+    eligible = list(range(n))
     rng = random.Random(rng_seed)
     threshold = 1 if reseed_on_leaf else 0
-    poll_limit = SEED_POLLS_PER_NODE * len(adj)
+    poll_limit = SEED_POLLS_PER_NODE * n
     seed_count = max(1, len(initial_seeds))
 
-    edges: list[tuple[NodeId, NodeId]] = []
     walked: list[tuple[NodeId, NodeId]] = []
-    seeds = list(initial_seeds)
+    seeds = list(map(index_of, initial_seeds))
     fresh = True
 
-    def best_neighbor(w: NodeId) -> NodeId:
+    def best_neighbor(w: int) -> int:
         heap = heaps.get(w)
         if heap is None:
-            heap = heaps[w] = [(-degree[v], v) for v in adj[w]]
+            row = neighbors[offsets[w] : offsets[w + 1]].tolist()
+            heap = heaps[w] = [(-degree[v], v) for v in row]
             heapq.heapify(heap)
         while True:
             key, v = heap[0]
-            if ((w, v) if w < v else (v, w)) in removed:
+            if (w * n + v if w < v else v * n + w) in removed:
                 heapq.heappop(heap)
             elif -key != degree[v]:
                 heapq.heapreplace(heap, (-degree[v], v))
             else:
                 return v
 
-    def redraw() -> list[NodeId]:
+    def redraw() -> list[int]:
         nonlocal eligible
-        eligible = [n for n in eligible if degree[n]]
+        eligible = [i for i in eligible if degree[i]]
         if not eligible:
             return []
         if seed_source is not None:
-            drawn: list[NodeId] = []
-            eligible_set = set(eligible)
+            drawn: list[int] = []
             misses = 0
             while len(drawn) < seed_count:
-                candidate = seed_source()
-                if candidate in eligible_set:
-                    drawn.append(candidate)
+                i = index_of(seed_source())
+                if i is not None and degree[i]:
+                    drawn.append(i)
                     misses = 0
                 else:
                     misses += 1
@@ -199,31 +173,30 @@ def rank_degree(
             return drawn
         return [rng.choice(eligible) for _ in range(seed_count)]
 
-    while len(edges) < sample_size:
+    while 2 * len(walked) < sample_size:
         if not fresh and all(degree[s] <= threshold for s in seeds):
             seeds = redraw()
             fresh = True
             if not seeds:
-                return RankDegreeResult(edges, walked, reached_target=False)
-        new_seeds: list[NodeId] = []
+                return RankDegreeResult(walked, reached_target=False)
+        new_seeds: list[int] = []
         for w in seeds:
-            if len(edges) >= sample_size:
+            if 2 * len(walked) >= sample_size:
                 break
             if not degree[w]:
                 continue
             k = 1 if rho >= 1.0 else max(1, math.floor(rho * degree[w]))
             for _ in range(k):
                 v = best_neighbor(w)
-                edges.append((w, v))
-                edges.append((v, w))
-                walked.append((w, v))
-                removed.add((w, v) if w < v else (v, w))
+                walked.append((ids[w], ids[v]))
+                removed.add(w * n + v if w < v else v * n + w)
                 degree[w] -= 1
                 degree[v] -= 1
                 new_seeds.append(v)
-                if len(edges) >= sample_size:
+                if 2 * len(walked) >= sample_size:
                     break
         seeds = list(dict.fromkeys(new_seeds)) if collapse else new_seeds
         fresh = False
 
-    return RankDegreeResult(edges, walked, reached_target=len(edges) >= sample_size)
+
+    return RankDegreeResult(walked, reached_target=True)

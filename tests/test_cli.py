@@ -433,6 +433,8 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
           "--profiles", "{d}/profiles.jsonl", "--language", "de"], "profiles.jsonl",
          profile_line(1, 2), None, "graph node 2 has no profile"),
         (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl", "", None, "holds no documents"),
+        (["reference", "--graph", "{d}/edges.csv", "--sample-size", "10"], "edges.csv",
+         "source,target\n", None, "graph has no edges"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -445,7 +447,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
         "resume-self-loop", "resume-burned-self-loop",
-        "evaluate-language-without-profile", "docs-empty-windowed",
+        "evaluate-language-without-profile", "docs-empty-windowed", "reference-no-edges",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(

@@ -143,6 +143,8 @@ def _read_graph_any(path):
 def _read_seed_pool_file(path) -> list[int]:
     ids: list[int] = []
     _read_lines(path, lambda line: ids.append(parse_id(line)))
+    if not ids:
+        raise ValueError(f"{path}: holds no account ids")
     return ids
 
 
@@ -184,10 +186,9 @@ def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
             setattr(config, name, value)
     if args.no_language_filter:
         config.language_filter_enabled = False
-    graph = read_edge_list(args.graph)
     profiles = read_profiles(args.profiles)
     oracle = build_simulated_oracle(
-        graph,
+        None,
         profiles,
         key_count=config.key_count,
         friends_calls_per_window=config.friends_calls_per_window,
@@ -201,7 +202,7 @@ def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
     if args.seed_pool:
         pool_ids = _read_seed_pool_file(args.seed_pool)
     else:
-        pool_ids = sorted(graph.nodes)
+        pool_ids = sorted(profiles)
     if config.filter_seed_pool_language:
         unknown = [n for n in pool_ids if n not in profiles]
         if unknown:
@@ -273,17 +274,15 @@ def cmd_reference(args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
+    if args.test_size < 1:
+        raise ValueError(f"--test-size must be >= 1, got {args.test_size}")
     sample_graph, _ = read_sample_csv(args.sample)
-    graph = read_edge_list(args.graph)
     profiles = read_profiles(args.profiles)
     influencer = evaluation_mod.influencer_nodes(sample_graph)
     if not influencer:
         raise ValueError("influencer sample is empty (no sampled node has in-degree >= 1)")
-    population = sorted(graph.nodes)
+    population = sorted(profiles)
     if args.language is not None:
-        lacking = next((n for n in population if n not in profiles), None)
-        if lacking is not None:
-            raise ValueError(f"{args.profiles}: graph node {lacking} has no profile")
         population = [n for n in population if profiles[n].language == args.language]
     test_rng = substream(seed, "test-sample")
     test_ids = sorted(
@@ -291,7 +290,7 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
             population, min(args.test_size, len(population)), test_rng.randrange(2**32)
         )
     )
-    test = {a: frozenset(graph.successors(a)) for a in test_ids}
+    test = {a: frozenset(profiles[a].friends_recent_first) for a in test_ids}
     baseline_rng = substream(seed, "baseline-sample")
     baseline = evaluation_mod.baseline_sample(
         population, len(influencer), baseline_rng.randrange(2**32)
@@ -437,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-profiles", default="profiles.jsonl")
 
     s = sub.add_parser("sample", help="run the rate-limited walker sampler")
-    s.add_argument("--graph", required=True)
     s.add_argument("--profiles", required=True)
-    s.add_argument("--seed-pool", help="file with one seed id per line (default: all nodes)")
+    s.add_argument("--seed-pool", help="file with one seed id per line "
+                                       "(default: every account in --profiles)")
     s.add_argument("--walker-count", dest="walker_count", type=int)
     s.add_argument("--page-size", dest="page_size", type=int)
     s.add_argument("--target-language", dest="target_language")
@@ -466,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evaluate", help="coverage/reach/activity reports for a sample")
     e.add_argument("--sample", required=True)
-    e.add_argument("--graph", required=True)
     e.add_argument("--profiles", required=True)
     e.add_argument("--test-size", type=int, default=1000)
     e.add_argument("--language", help="restrict the test/baseline population to this language")

@@ -131,6 +131,14 @@ def build_profiles(
     ground-truth in-degree (optionally perturbed by a multiplicative noise
     factor), and friends_recent_first is the reversed edge-creation order.
     """
+    for name, fraction in (
+        ("language_fraction", language_fraction),
+        ("protected_fraction", protected_fraction),
+    ):
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {fraction}")
+    if follower_noise < 0.0:
+        raise ValueError(f"follower_noise must be >= 0, got {follower_noise}")
     out_order: dict[NodeId, list[NodeId]] = {node: [] for node in range(n)}
     in_degree: dict[NodeId, int] = {node: 0 for node in range(n)}
     for source, target in edges:

@@ -5,13 +5,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import chain, repeat
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .graph import DirectedGraph, NodeId, NodeProfile
+from .graph import NodeId, NodeProfile
 
 
 class NotFoundError(LookupError):
@@ -108,13 +104,12 @@ class RateLimiter:
 
 
 class SimulatedOracle:
-    """Answers friend and profile lookups from a fixed snapshot.
+    """Answers friend and profile lookups from a fixed snapshot of profiles.
 
-    Answers are pure functions of (node, construction inputs); only the clock
-    and budget state change between identical queries. Construction checks
-    that every graph node has a profile whose friend list matches its
-    out-neighbors, and that no other profile lists a friend; the graph is not
-    kept, and follows() reads the checked friend lists.
+    The profiles are the one ground truth: an account's friend list is its
+    profile's friends_recent_first, and an id with no profile is unknown to
+    every endpoint. Answers are pure functions of (node, construction inputs);
+    only the clock and budget state change between identical queries.
     """
 
     FRIENDS = "friends"
@@ -122,7 +117,6 @@ class SimulatedOracle:
 
     def __init__(
         self,
-        graph: DirectedGraph,
         profiles: Mapping[NodeId, NodeProfile],
         clock: SimulatedClock | None = None,
         friends_limiter: RateLimiter | None = None,
@@ -132,7 +126,6 @@ class SimulatedOracle:
     ) -> None:
         if page_size < 1 or profile_batch < 1:
             raise ValueError("page_size and profile_batch must be positive")
-        _check_consistency(graph, profiles)
         self.profiles = dict(profiles)
         self.clock = clock if clock is not None else SimulatedClock()
         self.friends_limiter = friends_limiter
@@ -184,53 +177,14 @@ class SimulatedOracle:
         return result
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
-        """Ground-truth reciprocity check; uncharged and unlogged. Reads the source's
-        friend list, which construction checked against the graph."""
+        """Ground-truth follow check; uncharged and unlogged. Reads the source's
+        friend list, so an id with no profile follows nobody."""
         profile = self.profiles.get(source)
         return profile is not None and target in profile.friends_recent_first
 
 
-_friends = attrgetter("friends_recent_first")
-
-
-def _check_consistency(graph: DirectedGraph, profiles: Mapping[NodeId, NodeProfile]) -> None:
-    """Raise unless every graph node has a profile and each profile's friends are
-    exactly the account's out-neighbors (none for an account outside the graph).
-
-    Each (node, friend) pair is encoded as node * n + friend over dense indices.
-    Neither side holds a pair twice, so a pair found once in both together is
-    on one side only, and its node disagrees.
-    """
-    ids, index = graph.ids, graph.index
-    missing = sorted(index.keys() - profiles.keys())
-    if missing:
-        shown = ", ".join(str(n) for n in missing[:10])
-        raise ValueError(f"{len(missing)} graph node(s) lack a profile: {shown}")
-    n = len(ids)
-    friend_lists = list(map(_friends, map(profiles.__getitem__, ids)))
-    lengths = np.fromiter(map(len, friend_lists), np.int64, n)
-    friends = np.fromiter(
-        map(index.get, chain.from_iterable(friend_lists), repeat(-1)), np.int64, int(lengths.sum())
-    )
-    rows = np.repeat(np.arange(n), lengths)
-    inside = friends >= 0
-    listed = rows[inside] * n + friends[inside]
-    edges = graph.edge_sources() * n + graph.out_targets
-    pairs, counts = np.unique(np.concatenate([listed, edges]), return_counts=True)
-    bad_rows = np.concatenate([rows[~inside], pairs[counts == 1] // n])
-    bad = {ids[i] for i in bad_rows.tolist()}
-    if len(profiles) > n:  # accounts outside the graph
-        bad.update(v for v, p in profiles.items() if p.friends_recent_first and v not in index)
-    mismatched = sorted(bad)
-    if mismatched:
-        shown = ", ".join(str(n) for n in mismatched[:10])
-        raise ValueError(
-            f"{len(mismatched)} profile friend list(s) disagree with graph out-neighbors: {shown}"
-        )
-
-
 def build_simulated_oracle(
-    graph: DirectedGraph,
+    graph: object,
     profiles: Mapping[NodeId, NodeProfile],
     *,
     clock: SimulatedClock | None = None,
@@ -243,7 +197,10 @@ def build_simulated_oracle(
     profile_batch: int = 100,
     rate_limits_enabled: bool = True,
 ) -> SimulatedOracle:
-    """Construct an oracle over a ground-truth snapshot.
+    """Construct an oracle over a ground-truth snapshot of profiles.
+
+    `graph` is accepted for older callers and ignored: the profiles' friend
+    lists are the only adjacency the oracle serves.
 
     Defaults mirror the public platform quotas: 15 friends calls per key per
     900 s window (5,000 friends each) and 900 batched profile calls per key
@@ -256,7 +213,6 @@ def build_simulated_oracle(
         friends_limiter = RateLimiter(friends_calls_per_window, friends_window_seconds, key_count)
         profiles_limiter = RateLimiter(profile_calls_per_window, profile_window_seconds, key_count)
     return SimulatedOracle(
-        graph,
         profiles,
         clock=clock,
         friends_limiter=friends_limiter,

@@ -91,13 +91,14 @@ def rank_degree(
 
     The input graph is not modified: current degrees and removed edges are
     tracked beside it, by node index, which orders as the ids do. Each walked
-    node w keeps a lazy heap of its neighbors keyed (-degree when pushed,
-    index), built from w's row on its first visit. A step pops entries whose
-    edge is gone and re-pushes entries whose degree has fallen until the top
-    is current; degrees only fall, so a stale key ranks too high, never too
-    low, and the top is the true best neighbor. The top k are drawn one at a
-    time, which equals ranking once, because removing w-v changes only the
-    degrees of w and v.
+    node w keeps a lazy heap of its neighbors, built from w's row on its first
+    visit. An entry for neighbor v is one int, v - degree * n with the degree
+    v had when pushed: it orders as (-degree, v), and v is the entry mod n. A
+    step pops entries whose edge is gone and re-pushes entries whose degree
+    has fallen until the top is current; degrees only fall, so a stale key
+    ranks too high, never too low, and the top is the true best neighbor. The
+    top k are drawn one at a time, which equals ranking once, because removing
+    w-v changes only the degrees of w and v.
 
     Re-seeding triggers once every current seed has degree <= 1 (or degree 0
     with reseed_on_leaf=False) and draws uniformly from the remaining
@@ -125,7 +126,7 @@ def rank_degree(
 
     degree = np.diff(offsets).tolist()
     removed: set[int] = set()  # u * n + v for each removed edge u-v with u < v
-    heaps: dict[int, list[tuple[int, int]]] = {}
+    heaps: dict[int, list[int]] = {}
     eligible = list(range(n))
     rng = random.Random(rng_seed)
     threshold = 1 if reseed_on_leaf else 0
@@ -140,14 +141,15 @@ def rank_degree(
         heap = heaps.get(w)
         if heap is None:
             row = neighbors[offsets[w] : offsets[w + 1]].tolist()
-            heap = heaps[w] = [(-degree[v], v) for v in row]
+            heap = heaps[w] = [v - degree[v] * n for v in row]
             heapq.heapify(heap)
         while True:
-            key, v = heap[0]
+            key = heap[0]
+            v = key % n
             if (w * n + v if w < v else v * n + w) in removed:
                 heapq.heappop(heap)
-            elif -key != degree[v]:
-                heapq.heapreplace(heap, (-degree[v], v))
+            elif key != v - degree[v] * n:
+                heapq.heapreplace(heap, v - degree[v] * n)
             else:
                 return v
 
@@ -197,6 +199,5 @@ def rank_degree(
                     break
         seeds = list(dict.fromkeys(new_seeds)) if collapse else new_seeds
         fresh = False
-
 
     return RankDegreeResult(walked, reached_target=True)

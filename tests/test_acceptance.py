@@ -361,7 +361,6 @@ def run_pipeline(out_dir, seed):
         [
             "--out-dir", d, "--seed", str(seed),
             "sample",
-            "--graph", f"{d}/edges.csv",
             "--profiles", f"{d}/profiles.jsonl",
             "--max-sample-edges", "200",
             "--walker-count", "6",
@@ -372,7 +371,6 @@ def run_pipeline(out_dir, seed):
             "--out-dir", d, "--seed", str(seed),
             "evaluate",
             "--sample", f"{d}/sample.csv",
-            "--graph", f"{d}/edges.csv",
             "--profiles", f"{d}/profiles.jsonl",
             "--test-size", "50",
         ]
@@ -424,7 +422,6 @@ def test_acceptance_10_end_to_end(tmp_path):
             [
                 "--out-dir", d, "--seed", "7",
                 "sample",
-                "--graph", f"{d}/edges.csv",
                 "--profiles", f"{d}/profiles.jsonl",
                 "--max-sample-edges", "8000",
                 "--walker-count", "100",

@@ -60,6 +60,25 @@ class TestGenerateCommand:
         assert graph.num_nodes() == 200
         assert set(profiles) == graph.nodes
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--protected-fraction", "1.5", "protected_fraction must lie in [0, 1], got 1.5"),
+            ("--language-fraction", "-3", "language_fraction must lie in [0, 1], got -3.0"),
+            ("--follower-noise", "-0.1", "follower_noise must be >= 0, got -0.1"),
+        ],
+    )
+    def test_setting_out_of_range_gives_exit_one(self, tmp_path, capsys, flag, value, message):
+        rc = run(
+            [
+                "--out-dir", str(tmp_path),
+                "generate", "--model", "reciprocal-er", "--nodes", "10", flag, value,
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestPipelineCommands:
     @pytest.fixture
@@ -78,7 +97,6 @@ class TestPipelineCommands:
             [
                 "--out-dir", d, "--seed", "3",
                 "sample",
-                "--graph", f"{d}/edges.csv",
                 "--profiles", f"{d}/profiles.jsonl",
                 "--max-sample-edges", "120",
                 "--walker-count", "4",
@@ -101,7 +119,6 @@ class TestPipelineCommands:
                 "--out-dir", d, "--seed", "4",
                 "evaluate",
                 "--sample", f"{d}/sample.csv",
-                "--graph", f"{d}/edges.csv",
                 "--profiles", f"{d}/profiles.jsonl",
                 "--test-size", "40",
             ]
@@ -196,7 +213,6 @@ class TestConfigDrivenRuns:
             [
                 "--config", str(config_path), "--out-dir", d, "--seed", "31",
                 "sample",
-                "--graph", f"{d}/edges.csv",
                 "--profiles", f"{d}/profiles.jsonl",
             ]
         ) == 0
@@ -217,7 +233,7 @@ class TestConfigDrivenRuns:
             [
                 "--out-dir", d, "--seed", "33",
                 "sample",
-                "--graph", f"{d}/edges.csv", "--profiles", f"{d}/profiles.jsonl",
+                "--profiles", f"{d}/profiles.jsonl",
                 "--max-sample-edges", "60", "--walker-count", "3",
                 "--resume-to", "resume.jsonl",
             ]
@@ -227,7 +243,7 @@ class TestConfigDrivenRuns:
             [
                 "--out-dir", d, "--seed", "33",
                 "sample",
-                "--graph", f"{d}/edges.csv", "--profiles", f"{d}/profiles.jsonl",
+                "--profiles", f"{d}/profiles.jsonl",
                 "--max-sample-edges", "140", "--walker-count", "3",
                 "--resume-from", f"{d}/resume.jsonl",
                 "--out-sample", "sample2.csv",
@@ -237,6 +253,11 @@ class TestConfigDrivenRuns:
         assert combined.num_edges() >= 140
         for s, t in first.edges():
             assert combined.has_edge(s, t)
+
+
+# Commands to run on GOOD_FILES, the two-account world defined further down.
+EVALUATE = ["evaluate", "--sample", "{d}/sample.csv", "--profiles", "{d}/profiles.jsonl"]
+REFERENCE = ["reference", "--graph", "{d}/edges.csv", "--sample-size", "10"]
 
 
 class TestErrors:
@@ -269,7 +290,7 @@ class TestErrors:
             [
                 "--config", str(config_path), "--out-dir", d,
                 "sample",
-                "--graph", f"{d}/edges.csv", "--profiles", f"{d}/profiles.jsonl",
+                "--profiles", f"{d}/profiles.jsonl",
                 "--seed-pool", str(pool_path), "--walker-count", "2",
             ]
         )
@@ -307,11 +328,24 @@ class TestErrors:
         assert rc == 1
         assert err == "error: --seeds: expected comma-separated integer ids, got 'a'\n"
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_reference_num_seeds_below_one_gives_exit_one(self, tmp_path, capsys, count):
-        rc, err = self.reference_run(tmp_path, ["--num-seeds", count], capsys)
-        assert rc == 1
-        assert err == f"error: --num-seeds must be >= 1, got {count}\n"
+    @pytest.mark.parametrize(
+        "argv, flag, count",
+        [
+            (REFERENCE, "--num-seeds", "0"),
+            (REFERENCE, "--num-seeds", "-2"),
+            (EVALUATE, "--test-size", "-1"),
+        ],
+        ids=["0", "-2", "evaluate-test-size--1"],
+    )
+    def test_reference_num_seeds_below_one_gives_exit_one(
+        self, tmp_path, capsys, argv, flag, count
+    ):
+        """A count flag below 1 names itself, for `reference` and `evaluate` alike."""
+        for name, text in GOOD_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, count]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {count}\n"
 
     def test_deterministic_config_key_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -335,7 +369,6 @@ class TestErrors:
             [
                 "--out-dir", str(out2), "--seed", "8",
                 "sample",
-                "--graph", str(tmp_path / "edges.csv"),
                 "--profiles", str(tmp_path / "profiles.jsonl"),
                 "--max-sample-edges", "20",
                 "--walker-count", "2",
@@ -361,7 +394,7 @@ GOOD_FILES = {
     "docs.jsonl": '{"node": 1, "ts": 1.0, "text": "a"}\n{"node": 2, "ts": 2.0, "text": "b"}\n',
     "pool.txt": "1\n2\n",
 }
-SAMPLE = ["sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
+SAMPLE = ["sample", "--profiles", "{d}/profiles.jsonl",
           "--max-sample-edges", "2", "--walker-count", "1"]
 META = json.dumps(
     {"type": "meta", "clock_now": 0.0, "seed_pool_state": random.Random(0).getstate()}
@@ -380,8 +413,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          "source,target,provenance\n1,2,walked\n1,x,walked\n", 3, "'x'"),
         (["communities", "--graph", "{d}/sample.csv"], "sample.csv",
          "source,target,provenance\n1,2,walked\n1,1,walked\n", 3, "self-loop 1,1"),
-        (["evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
-          "--profiles", "{d}/profiles.jsonl"], "sample.csv",
+        (EVALUATE, "sample.csv",
          "source,target,provenance\n1,2,walked\n2,1,symmetric\n1,2,symmetric\n", 4,
          "edge 1,2 listed twice"),
         (KEYWORDS, "docs.jsonl", '{"node": 1, "ts": 1.0, "text": "a"}\n5\n', 2,
@@ -392,6 +424,8 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl", "nope\n", 1,
          "invalid JSON"),
         (SAMPLE + ["--seed-pool", "{d}/pool.txt"], "pool.txt", "1\n-1\n", 2, "'-1'"),
+        (SAMPLE + ["--seed-pool", "{d}/pool.txt"], "pool.txt", "\n\n", None,
+         "holds no account ids"),
         (["communities", "--graph", "{d}/edges.csv", "--assignment", "{d}/assignment.csv"],
          "assignment.csv", "node,community\n1,0\n1_0,1\n", 3, "'1_0'"),
         (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, follower_count=2.7),
@@ -429,25 +463,21 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          META + '\n{"type": "edge", "s": 1, "t": 1, "p": "walked"}\n', 2, "self-loop 1,1"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          META + '\n{"type": "burned", "s": 2, "t": 2}\n', 2, "self-loop 2,2"),
-        (["evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
-          "--profiles", "{d}/profiles.jsonl", "--language", "de"], "profiles.jsonl",
-         profile_line(1, 2), None, "graph node 2 has no profile"),
         (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl", "", None, "holds no documents"),
-        (["reference", "--graph", "{d}/edges.csv", "--sample-size", "10"], "edges.csv",
-         "source,target\n", None, "graph has no edges"),
+        (REFERENCE, "edges.csv", "source,target\n", None, "graph has no edges"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
         "sample-repeated-edge",
         "docs-not-object", "docs-null-node", "resume-without-type", "resume-bad-json",
-        "seed-pool-negative", "assignment-underscore", "profile-float-count",
+        "seed-pool-negative", "seed-pool-empty", "assignment-underscore", "profile-float-count",
         "profile-string-protected", "profile-integer-language", "profile-string-time",
         "profile-bool-count", "config-string-count", "config-not-object",
         "config-bad-json", "edges-not-utf8",
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
-        "resume-self-loop", "resume-burned-self-loop",
-        "evaluate-language-without-profile", "docs-empty-windowed", "reference-no-edges",
+        "resume-self-loop", "resume-burned-self-loop", "docs-empty-windowed",
+        "reference-no-edges",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -481,19 +511,43 @@ def test_unreachable_stop_ends_exhausted(tmp_path):
     assert stats["sample_edges"] == 2
 
 
+def test_sample_reads_only_profiles(tmp_path):
+    """A world given as profiles alone: account 3 has no edge, and account 1 lists
+    friend 9, which has no profile. The run is driven to exhaustion, which visits
+    every account of the default pool."""
+    (tmp_path / "profiles.jsonl").write_text(
+        profile_line(1, 2, friends_recent_first=[9, 2])
+        + profile_line(2, 1)
+        + profile_line(3, None, friends_recent_first=[]),
+        encoding="utf-8",
+    )
+    argv = [arg.format(d=tmp_path) for arg in SAMPLE]
+    argv[argv.index("--max-sample-edges") + 1] = "3"
+    argv += ["--resume-to", "resume.jsonl"]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 0
+    out = tmp_path / "out"
+    assert json.loads((out / "stats.json").read_text())["stop_reason"] == "exhausted"
+    records = [json.loads(line) for line in (out / "resume.jsonl").read_text().splitlines()]
+    assert 3 in {r["n"] for r in records if r["type"] == "seed_node"}
+    graph, _ = read_sample_csv(out / "sample.csv")
+    assert sorted(graph.edges()) == [(1, 2), (2, 1)]
+    calls = [json.loads(line) for line in (out / "call_log.jsonl").read_text().splitlines()]
+    assert [9] not in [c["nodes"] for c in calls if c["endpoint"] == "friends"]
+
+
 # Every command on a 1000-node world, sampled in two parts through a resume file.
 PIPELINE = [
     ["--seed", "42", "generate", "--model", "planted-blocks", "--nodes", "1000", "--m", "3",
      "--blocks", "3", "--language-fraction", "0.9", "--protected-fraction", "0.02"],
-    ["--seed", "7", "sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
+    ["--seed", "7", "sample", "--profiles", "{d}/profiles.jsonl",
      "--max-sample-edges", "800", "--walker-count", "20", "--resume-to", "resume_first.jsonl",
      "--out-sample", "sample_first.csv", "--out-stats", "stats_first.json",
      "--out-growth", "growth_first.csv", "--out-call-log", "call_log_first.jsonl"],
-    ["--seed", "7", "sample", "--graph", "{d}/edges.csv", "--profiles", "{d}/profiles.jsonl",
+    ["--seed", "7", "sample", "--profiles", "{d}/profiles.jsonl",
      "--max-sample-edges", "2000", "--walker-count", "20",
      "--resume-from", "{d}/resume_first.jsonl", "--resume-to", "resume.jsonl"],
-    ["--seed", "8", "evaluate", "--sample", "{d}/sample.csv", "--graph", "{d}/edges.csv",
-     "--profiles", "{d}/profiles.jsonl", "--test-size", "200"],
+    ["--seed", "8", "evaluate", "--sample", "{d}/sample.csv", "--profiles", "{d}/profiles.jsonl",
+     "--test-size", "200"],
     ["kcore", "--graph", "{d}/sample.csv", "--k", "3", "--min-in-degree", "1",
      "--out", "core.csv"],
     ["--seed", "5", "communities", "--graph", "{d}/core.csv", "--min-size", "10"],

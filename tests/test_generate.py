@@ -12,7 +12,6 @@ from rankwalk.generate import (
     two_class,
 )
 from rankwalk.graph import DirectedGraph
-from rankwalk.oracle import build_simulated_oracle
 
 
 class TestReciprocalER:
@@ -125,10 +124,12 @@ class TestBuildProfiles:
 
 class TestGenerateNetwork:
     def test_profiles_consistent_with_graph(self):
-        for model in ("preferential-attachment", "reciprocal-er", "two-class"):
+        models = ("preferential-attachment", "reciprocal-er", "two-class", "planted-blocks")
+        for model in models:
             graph, profiles = generate_network(model, 120, rng_seed=13, m=2, p=0.05)
-            # oracle construction validates friend lists against the graph
-            build_simulated_oracle(graph, profiles, rate_limits_enabled=False)
+            assert profiles.keys() == set(graph.nodes)
+            for v in graph.nodes:
+                assert set(profiles[v].friends_recent_first) == set(graph.successors(v))
 
     def test_reproducible(self):
         a_graph, a_profiles = generate_network("preferential-attachment", 150, rng_seed=14)

@@ -218,19 +218,6 @@ class TestProfiles:
         assert set(result) == {0}
 
 class TestConstruction:
-    def test_inconsistent_profile_rejected(self):
-        g = DirectedGraph.from_edges([(1, 2)])
-        profiles = make_profiles(g, friends_order={1: []})  # 1 follows 2 but lists nobody
-        with pytest.raises(ValueError, match="disagree.*1"):
-            build_simulated_oracle(g, profiles)
-
-    def test_missing_profile_rejected(self):
-        g = DirectedGraph.from_edges([(1, 2)])
-        profiles = make_profiles(g)
-        del profiles[2]
-        with pytest.raises(ValueError, match="lack a profile: 2"):
-            build_simulated_oracle(g, profiles)
-
     def test_consistent_oracle_serves_out_neighbors(self):
         g = DirectedGraph.from_edges([(i, (i + 1) % 100) for i in range(100)])
         profiles = make_profiles(g)
@@ -257,55 +244,26 @@ class TestConstruction:
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
-    def test_check_raises_exactly_when_a_set_comparison_fails(self, data):
+    def test_follows_equals_has_edge(self, data):
         nodes = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
         pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
         g = DirectedGraph.from_edges(
             [(u, v) for u, v in data.draw(st.lists(pairs, max_size=30)) if u != v], nodes=nodes
         )
-        profiles = make_profiles(g)
-        # accounts outside the graph: 50 and up; a profile of one may list no friend
-        outside = st.integers(50, 55)
-        for node in data.draw(st.lists(outside, max_size=2, unique=True)):
-            profiles[node] = NodeProfile(node, 0, [], "de", False, 0.0, 0)
-        accounts = st.sampled_from(sorted(profiles))
-        for _ in range(data.draw(st.integers(0, 2))):
-            kind = data.draw(st.sampled_from(["drop", "missing", "extra", "outside"]))
-            node = data.draw(accounts)
-            if node not in profiles:
-                continue
-            friends = profiles[node].friends_recent_first
-            if kind == "drop":
-                del profiles[node]
-            elif kind == "missing" and friends:
-                friends.remove(data.draw(st.sampled_from(friends)))
-            elif kind in ("extra", "outside"):
-                friend = data.draw(outside if kind == "outside" else st.sampled_from(nodes))
-                if friend != node and friend not in friends:
-                    friends.insert(data.draw(st.integers(0, len(friends))), friend)
+        oracle = build_simulated_oracle(None, make_profiles(g), rate_limits_enabled=False)
+        for u, v in product([*nodes, 99], repeat=2):
+            assert oracle.follows(u, v) == g.has_edge(u, v)
 
-        lacking = sorted(n for n in g.nodes if n not in profiles)
-        disagree = sorted(
-            n
-            for n, p in profiles.items()
-            if set(p.friends_recent_first) != (set(g.successors(n)) if n in g else set())
-        )
-        if lacking:
-            shown = ", ".join(map(str, lacking[:10]))
-            message = f"^{len(lacking)} graph node\\(s\\) lack a profile: {shown}$"
-        elif disagree:
-            shown = ", ".join(map(str, disagree[:10]))
-            message = (
-                f"^{len(disagree)} profile friend list\\(s\\) disagree with graph "
-                f"out-neighbors: {shown}$"
-            )
-        else:
-            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-            for u, v in product([*profiles, 99], [*profiles, 99]):
-                assert oracle.follows(u, v) == g.has_edge(u, v)
-            return
-        with pytest.raises(ValueError, match=message):
-            build_simulated_oracle(g, profiles)
+    def test_friend_without_profile_is_served_as_unknown(self):
+        profiles = {
+            1: NodeProfile(1, 1, [9, 2], "de", False, 0.0, 0),
+            2: NodeProfile(2, 1, [1], "de", False, 0.0, 0),
+        }
+        oracle = build_simulated_oracle(None, profiles, rate_limits_enabled=False)
+        assert oracle.get_friends(1).friends == (9, 2)
+        assert set(oracle.get_profiles([9, 2])) == {2}
+        assert oracle.follows(1, 9)
+        assert not oracle.follows(9, 1)
 
     def test_follows_is_uncharged(self):
         oracle = simple_oracle()

@@ -208,6 +208,12 @@ def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
         if unknown:
             raise ValueError(f"{args.seed_pool}: seed id {unknown[0]} has no profile")
         pool_ids = [n for n in pool_ids if profiles[n].language == config.target_language]
+        if not pool_ids:
+            # the filter is on only through a config file
+            raise ValueError(
+                f"{args.config}: filter_seed_pool_language: no seed-pool account has "
+                f"target_language {config.target_language!r}"
+            )
     seed_pool = SeedPool(pool_ids, substream(seed, "seed-pool"))
     resume = load_run_state(args.resume_from) if args.resume_from else None
     sample, stats = run_sample(config.sampler_config(), oracle, seed_pool, resume=resume)
@@ -284,6 +290,8 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     population = sorted(profiles)
     if args.language is not None:
         population = [n for n in population if profiles[n].language == args.language]
+        if not population:
+            raise ValueError(f"{args.profiles}: no account has --language {args.language!r}")
     test_rng = substream(seed, "test-sample")
     test_ids = sorted(
         evaluation_mod.baseline_sample(
@@ -376,6 +384,12 @@ def cmd_communities(args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_keywords(args, out_dir: Path) -> int:
+    if args.top_n < 1:
+        raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
+    if args.per_node_cap is not None and args.per_node_cap < 1:
+        raise ValueError(f"--per-node-cap must be >= 1, got {args.per_node_cap}")
+    if not 0.0 <= args.min_user_frac <= 1.0:
+        raise ValueError(f"--min-user-frac must lie in [0, 1], got {args.min_user_frac}")
     docs = keywords_mod.read_docs_jsonl(args.docs)
     stopwords = keywords_mod.read_stopwords(args.stopwords) if args.stopwords else set()
     assignment = communities_mod.load_assignment(args.assignment)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import DirectedGraph, NodeId, _read_lines, parse_id
+from .reference import UndirectedGraph
 
 
 def label_propagation(
@@ -25,32 +26,28 @@ def label_propagation(
     if graph.num_nodes() == 0:
         raise ValueError("label_propagation requires a non-empty graph")
     rng = random.Random(rng_seed)
-    neighbors = {
-        n: sorted({*graph.successors(n), *graph.predecessors(n)}) for n in graph.nodes
-    }
-    labels: dict[NodeId, int] = {n: n for n in graph.nodes}
-    order = sorted(graph.nodes)
+    undirected = UndirectedGraph.from_directed(graph)
+    offsets, neighbors = undirected.offsets.tolist(), undirected.neighbors.tolist()
+    # A label is a node index, which orders as the node ids do.
+    labels = list(range(graph.num_nodes()))
+    order = labels.copy()
     for _ in range(max_iters):
         rng.shuffle(order)
         changed = False
-        for node in order:
-            if not neighbors[node]:
+        for i in order:
+            if offsets[i] == offsets[i + 1]:
                 continue
-            counts = Counter(labels[v] for v in neighbors[node])
+            counts = Counter(labels[j] for j in neighbors[offsets[i] : offsets[i + 1]])
             best = min(counts, key=lambda lbl: (-counts[lbl], lbl))
-            if best != labels[node]:
-                labels[node] = best
+            if best != labels[i]:
+                labels[i] = best
                 changed = True
         if not changed:
             break
-    return _renumber(labels)
-
-
-def _renumber(labels: Mapping[NodeId, int]) -> dict[NodeId, int]:
-    sizes = Counter(labels.values())
+    sizes = Counter(labels)
     ordered = sorted(sizes, key=lambda lbl: (-sizes[lbl], lbl))
     mapping = {old: new for new, old in enumerate(ordered)}
-    return {node: mapping[lbl] for node, lbl in labels.items()}
+    return dict(zip(graph.ids, [mapping[lbl] for lbl in labels]))
 
 
 def community_sizes(assignment: Mapping[NodeId, int]) -> dict[int, int]:

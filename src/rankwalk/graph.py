@@ -179,12 +179,13 @@ class DirectedGraph:
     """Simple directed graph (no self-loops, no parallel edges) in compressed
     sparse row (CSR) form, at ~35 B per edge; nothing changes it once built.
 
-    Node i (a dense index, in order of first appearance) has id ids[i], and
-    index maps each id back; ids are Python ints because they may pass 2**63,
-    and each is one object shared by ids and index. Row i of out_targets
-    (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the indices of i's
-    successors and row i of in_sources those of its predecessors, each in the
-    order its edges came; rows come back as lists of ids in that order.
+    Node i (a dense index) has id ids[i], with ids ascending, so a lower index
+    is a lower id, and index maps each id back; ids are Python ints because
+    they may pass 2**63, and each is one object shared by ids and index. Row i
+    of out_targets (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the
+    indices of i's successors and row i of in_sources those of its
+    predecessors, each in the order its edges came; rows come back as lists of
+    ids in that order.
     """
 
     __slots__ = ("ids", "index", "out_offsets", "out_targets", "in_offsets", "in_sources")
@@ -208,24 +209,20 @@ class DirectedGraph:
         cls, edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
     ) -> "DirectedGraph":
         """The graph of `edges` and `nodes`, a node being listed in either or both.
-        Ids are numbered in order of first appearance: `nodes` first, then each
-        edge's ends. A repeated edge is dropped; a self-loop or a negative id
+        Ids are numbered in ascending order, sorted in Python because they may
+        pass 2**63. A repeated edge is dropped; a self-loop or a negative id
         raises ValueError."""
-        index: dict[NodeId, int] = {}
-        for node in nodes:
-            index.setdefault(node, len(index))
-        ends = np.fromiter(
-            [index.setdefault(node, len(index)) for edge in edges for node in edge], np.intp
-        )
-        sources, targets = ends[0::2], ends[1::2]
-        ids = list(index)
+        ends = [node for edge in edges for node in edge]
+        ids = sorted({*nodes, *ends})
+        if ids and ids[0] < 0:
+            raise ValueError(f"node ids must be non-negative, got {ids[0]}")
+        index = dict(zip(ids, range(len(ids))))
+        numbers = np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))
+        sources, targets = numbers[0::2], numbers[1::2]
         loops = np.flatnonzero(sources == targets)
         if loops.size:
             node = ids[sources[loops[0]]]
             raise ValueError(f"self-loop rejected: ({node}, {node})")
-        negative = next((node for node in ids if node < 0), None)
-        if negative is not None:
-            raise ValueError(f"node ids must be non-negative, got {negative}")
         return cls(ids, index, sources, targets)
 
     def _row(self, offsets: np.ndarray, ends: np.ndarray, node: NodeId) -> list[NodeId]:
@@ -234,7 +231,7 @@ class DirectedGraph:
 
     @property
     def nodes(self):
-        """A read-only set view of the ids, in index order."""
+        """A read-only set view of the ids, in ascending order."""
         return self.index.keys()
 
     def __contains__(self, node: NodeId) -> bool:
@@ -279,8 +276,8 @@ class DirectedGraph:
         return zip(map(get, self.edge_sources().tolist()), map(get, self.out_targets.tolist()))
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
-        """Induced subgraph on the given ids, in this graph's node order; an id
-        not in the graph is ignored."""
+        """Induced subgraph on the given ids, in ascending id order; an id not in
+        the graph is ignored."""
         keep = np.zeros(len(self.ids), dtype=bool)
         kept = [i for i in map(self.index.get, nodes) if i is not None]
         keep[np.array(kept, dtype=np.intp)] = True
@@ -305,15 +302,6 @@ def _csr_rows(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray,
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
     return offsets, values[np.argsort(keys, kind="stable")].astype(np.int32)
-
-
-def _id_order(ids: list[NodeId]) -> tuple[list[int], np.ndarray]:
-    """The indices of ids in ascending id order, and each index's place in that
-    order; sorted in Python, as ids may exceed 2**63."""
-    by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[by_id] = np.arange(len(ids))
-    return by_id, rank
 
 
 def k_core(graph: DirectedGraph, k: int) -> DirectedGraph:
@@ -359,9 +347,9 @@ def pagerank(
     """Power iteration with uniform teleport; dangling mass is redistributed uniformly.
 
     Stops when the L1 change drops below `tolerance`; if `max_iters` is reached
-    first the result is flagged as non-converged. Scores are indexed in
-    ascending id order and each node's incoming terms are summed in ascending
-    id order of their sources, so the scores do not depend on node or row order.
+    first the result is flagged as non-converged. Each node's incoming terms
+    are summed in CSR order, which is ascending id order of their sources, so
+    the scores do not depend on the order of the rows.
     """
     if graph.num_nodes() == 0:
         raise ValueError("pagerank requires a non-empty graph")
@@ -370,12 +358,8 @@ def pagerank(
     ids = graph.ids
     n = len(ids)
     m = graph.num_edges()
-    by_id, rank = _id_order(ids)
-    src = rank[graph.edge_sources()]
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = rank[graph.out_targets[order]]
-    out_degree = np.diff(graph.out_offsets)[by_id].astype(np.float64)
+    src, dst = graph.edge_sources(), graph.out_targets
+    out_degree = np.diff(graph.out_offsets).astype(np.float64)
     dangling = out_degree == 0.0
     inv_out = np.zeros(n)
     np.divide(1.0, out_degree, out=inv_out, where=~dangling)
@@ -400,7 +384,7 @@ def pagerank(
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", max_iters)
     return PageRankResult(
-        scores=dict(zip(map(ids.__getitem__, by_id), scores.tolist())),
+        scores=dict(zip(ids, scores.tolist())),
         converged=converged,
         iterations=iterations,
     )
@@ -488,13 +472,9 @@ def _read_rows(path) -> list[tuple[NodeId, NodeId]]:
 
 def _graph_from_array(ids: np.ndarray) -> DirectedGraph:
     """DirectedGraph.from_edges for flat [source, target, ...] int64 ids of valid
-    rows: nodes are numbered by first appearance with np.unique."""
-    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    number = np.empty(len(unique), dtype=np.intp)
-    number[by_first] = np.arange(len(unique))
-    ends = number[inverse]
-    nodes = unique[by_first].tolist()
+    rows: np.unique numbers the nodes in ascending id order."""
+    unique, ends = np.unique(ids, return_inverse=True)
+    nodes = unique.tolist()
     return DirectedGraph(nodes, dict(zip(nodes, range(len(nodes)))), ends[0::2], ends[1::2])
 
 
@@ -510,7 +490,8 @@ def read_edge_list(path) -> DirectedGraph:
     19 or more digits, a missing final newline or a malformed row) is parsed
     line by line with parse_id, and that path raises every diagnostic except
     a self-loop in a canonical body.
-    Both paths give the same graph: nodes, and each node's rows, in file order.
+    Both paths give the same graph: nodes in ascending id order, and each
+    node's rows in file order.
     """
     with _gc_paused():
         with _open_text(path) as fh:

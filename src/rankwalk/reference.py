@@ -11,30 +11,30 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph, NodeId, _csr_rows, _gc_paused, _id_order
+from .graph import DirectedGraph, NodeId, _csr_rows, _gc_paused
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class UndirectedGraph:
     """Simple undirected graph in symmetric compressed sparse row (CSR) form;
-    the reference sampler reads it and nothing changes it once built.
+    the reference sampler and label propagation read it, and nothing changes
+    it once built.
 
-    Node i has id nodes[i], with ids ascending, so a lower index is a lower
-    id. Row i of neighbors (neighbors[offsets[i]:offsets[i + 1]]) holds the
-    indices of i's neighbors in ascending order; each edge is in two rows.
+    Node i has id nodes[i] and index maps each id back, both shared with the
+    DirectedGraph it was built from, so a lower index is a lower id. Row i of
+    neighbors (neighbors[offsets[i]:offsets[i + 1]]) holds the indices of i's
+    neighbors in ascending order; each edge is in two rows.
     """
 
-    __slots__ = ("nodes", "offsets", "neighbors")
-
-    def __init__(self, nodes: list[NodeId], offsets: np.ndarray, neighbors: np.ndarray) -> None:
-        self.nodes = nodes
-        self.offsets = offsets
-        self.neighbors = neighbors
+    nodes: list[NodeId]
+    index: dict[NodeId, int]
+    offsets: np.ndarray
+    neighbors: np.ndarray
 
     @classmethod
     @_gc_paused()
@@ -42,11 +42,10 @@ class UndirectedGraph:
         """Collapse a directed graph: every directed edge (and in particular each
         reciprocal pair) becomes one undirected edge."""
         n = graph.num_nodes()
-        by_id, rank = _id_order(graph.ids)
-        u, v = rank[graph.edge_sources()], rank[graph.out_targets]
+        u, v = graph.edge_sources(), graph.out_targets
         low, high = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
         offsets, neighbors = _csr_rows(np.concatenate([high, low]), np.concatenate([low, high]), n)
-        return cls(list(map(graph.ids.__getitem__, by_id)), offsets, neighbors)
+        return cls(graph.ids, graph.index, offsets, neighbors)
 
 
 @dataclass
@@ -114,11 +113,8 @@ def rank_degree(
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     ids, offsets, neighbors = graph.nodes, graph.offsets, graph.neighbors
+    index_of = graph.index.get
     n = len(ids)
-
-    def index_of(node: NodeId) -> int | None:
-        i = bisect_left(ids, node)
-        return i if i < n and ids[i] == node else None
 
     unknown = [s for s in initial_seeds if index_of(s) is None]
     if unknown:

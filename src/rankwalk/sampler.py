@@ -132,8 +132,9 @@ class SampleGraph:
     Provenance per edge is `walked` or `symmetric`; a symmetric edge that is
     later walked is upgraded. `_edges` holds every edge in insertion order, and
     `_symmetric` only those not walked yet. `_node_provenance` holds every node
-    in insertion order. Seeds are registered as nodes even when no edge
-    touches them, so downstream filters can drop leaf seeds explicitly.
+    in insertion order; `graph` lists them in ascending id order. Seeds are
+    registered as nodes even when no edge touches them, so downstream filters
+    can drop leaf seeds explicitly.
     """
 
     def __init__(self) -> None:
@@ -144,8 +145,9 @@ class SampleGraph:
 
     @property
     def graph(self) -> DirectedGraph:
-        """The sample as a DirectedGraph, nodes and rows in insertion order; built
-        on the first read after a change and kept until the next one."""
+        """The sample as a DirectedGraph, nodes in ascending id order and rows in
+        insertion order; built on the first read after a change and kept until
+        the next one."""
         if self._graph is None:
             self._graph = DirectedGraph.from_edges(self._edges, nodes=self._node_provenance)
         return self._graph
@@ -437,8 +439,9 @@ def write_sample_csv(sample: SampleGraph, path) -> None:
 
 
 def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
-    """The sample graph, nodes in file order, and each edge's provenance. An
-    edge listed twice is rejected: write_sample_csv writes each edge once."""
+    """The sample graph, nodes in ascending id order and rows in file order,
+    and each edge's provenance. An edge listed twice is rejected:
+    write_sample_csv writes each edge once."""
     provenance: dict[Edge, str] = {}
 
     def add(line: str) -> None:

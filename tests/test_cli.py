@@ -465,6 +465,11 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          META + '\n{"type": "burned", "s": 2, "t": 2}\n', 2, "self-loop 2,2"),
         (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl", "", None, "holds no documents"),
         (REFERENCE, "edges.csv", "source,target\n", None, "graph has no edges"),
+        (["--config", "{d}/config.json"] + SAMPLE, "config.json",
+         '{"filter_seed_pool_language": true, "target_language": "xx"}\n', None,
+         "filter_seed_pool_language: no seed-pool account has target_language 'xx'"),
+        (EVALUATE + ["--language", "xx"], "profiles.jsonl", GOOD_FILES["profiles.jsonl"], None,
+         "no account has --language 'xx'"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -477,7 +482,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
         "resume-self-loop", "resume-burned-self-loop", "docs-empty-windowed",
-        "reference-no-edges",
+        "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -497,6 +502,27 @@ def test_malformed_input_gives_one_line_naming_path_and_line(
     assert rc == 1
     assert err.startswith(f"error: {tmp_path / name}: {where}") and err.count("\n") == 1
     assert names in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--top-n", "-1", "--top-n must be >= 1, got -1"),
+        ("--top-n", "0", "--top-n must be >= 1, got 0"),
+        ("--per-node-cap", "-1", "--per-node-cap must be >= 1, got -1"),
+        ("--per-node-cap", "0", "--per-node-cap must be >= 1, got 0"),
+        ("--min-user-frac", "1.5", "--min-user-frac must lie in [0, 1], got 1.5"),
+        ("--min-user-frac", "-0.1", "--min-user-frac must lie in [0, 1], got -0.1"),
+        ("--min-user-frac", "nan", "--min-user-frac must lie in [0, 1], got nan"),
+    ],
+)
+def test_keywords_setting_out_of_range_gives_exit_one(tmp_path, capsys, flag, value, message):
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in KEYWORDS]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "keywords.csv").exists()
 
 
 def test_unreachable_stop_ends_exhausted(tmp_path):

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankwalk.communities import (
     aggregate_weights,
@@ -38,7 +40,56 @@ def is_fixpoint(graph, labels):
     return True
 
 
+def label_propagation_on_neighbor_lists(graph, rng_seed=0, max_iters=100):
+    """label_propagation as first written: node ids as labels, with a dict of
+    sorted neighbor lists."""
+    if graph.num_nodes() == 0:
+        raise ValueError("label_propagation requires a non-empty graph")
+    rng = random.Random(rng_seed)
+    neighbors = {
+        n: sorted({*graph.successors(n), *graph.predecessors(n)}) for n in graph.nodes
+    }
+    labels = {n: n for n in graph.nodes}
+    order = sorted(graph.nodes)
+    for _ in range(max_iters):
+        rng.shuffle(order)
+        changed = False
+        for node in order:
+            if not neighbors[node]:
+                continue
+            counts = Counter(labels[v] for v in neighbors[node])
+            best = min(counts, key=lambda lbl: (-counts[lbl], lbl))
+            if best != labels[node]:
+                labels[node] = best
+                changed = True
+        if not changed:
+            break
+    sizes = Counter(labels.values())
+    ordered = sorted(sizes, key=lambda lbl: (-sizes[lbl], lbl))
+    mapping = {old: new for new, old in enumerate(ordered)}
+    return {node: mapping[lbl] for node, lbl in labels.items()}
+
+
+# sparse ids, some past 2**63, drawn in no particular order
+sparse_ids = st.lists(
+    st.one_of(st.integers(0, 10**6), st.integers(2**63, 2**63 + 10**6)),
+    min_size=1,
+    max_size=25,
+    unique=True,
+)
+
+
 class TestLabelPropagation:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), rng_seed=st.integers(0, 2**32), max_iters=st.integers(1, 12))
+    def test_equals_neighbor_list_implementation(self, data, rng_seed, max_iters):
+        ids = data.draw(sparse_ids)
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pairs, max_size=60)) if len(ids) > 1 else []
+        g = DirectedGraph.from_edges(edges, nodes=ids)
+        got = label_propagation(g, rng_seed=rng_seed, max_iters=max_iters)
+        assert got == label_propagation_on_neighbor_lists(g, rng_seed, max_iters)
+
     def test_two_cliques_split_at_the_bridge(self):
         g = two_cliques_with_bridge()
         for seed in range(5):

@@ -46,9 +46,9 @@ class TestDirectedGraph:
         g = DirectedGraph.from_edges([(1, 2), (1, 2)])
         assert g.num_edges() == 1
 
-    def test_nodes_first_then_edge_ends_in_order_of_first_appearance(self):
+    def test_nodes_and_edge_ends_numbered_in_ascending_id_order(self):
         g = DirectedGraph.from_edges([(5, 3), (3, 9), (7, 5)], nodes=[8, 3, 8])
-        assert list(g.nodes) == g.ids == [8, 3, 5, 9, 7]
+        assert list(g.nodes) == g.ids == [3, 5, 7, 8, 9]
         assert g.successors(8) == [] and g.predecessors(5) == [7]
 
     def test_empty_graph(self):
@@ -123,6 +123,7 @@ class TestKCore:
         expected.add_edges_from(edges)
         expected = nx.k_core(expected, k)  # the degree of a DiGraph node is in + out
         core = k_core(g, k)
+        assert g.ids == sorted(g.ids) and core.ids == sorted(core.ids)
         # kept nodes, and each kept row, stay in the input's order
         assert list(core.nodes) == [n for n in g.nodes if n in expected]
         assert list(core.edges()) == [e for e in g.edges() if expected.has_edge(*e)]
@@ -242,9 +243,9 @@ class TestPageRank:
             path = tmp_path / f"edges{seed}.csv"
             path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in edges))
             read = read_edge_list(path)
-            assert read.ids != sorted(read.ids)
-            # nodes in insertion order and in file order (an edge list holds no
-            # isolated nodes); neither order is id order
+            # the rows come in file order, which is not id order
+            assert edges != sorted(edges)
+            assert g.ids == sorted(ids) and read.ids == sorted(read.ids)
             cases = [(g, g), (read, DirectedGraph.from_edges(edges))]
             for graph, reference in cases:
                 result = pagerank(graph, 0.85, tolerance=1e-12)
@@ -269,11 +270,14 @@ def captured_warnings():
 
 def assert_equals_row_build(got, rows, data):
     """Every read method of a DirectedGraph against a networkx.DiGraph built row
-    by row, whose nodes, successors and predecessors keep insertion order."""
+    by row, whose successors and predecessors keep insertion order; the nodes
+    come in ascending id order."""
     expected = nx.DiGraph()
     expected.add_edges_from(rows)
-    nodes = list(expected)
+    nodes = sorted(expected)
+    edges = [(u, v) for u in nodes for v in expected.successors(u)]
     assert isinstance(got, DirectedGraph)
+    assert got.ids == sorted(got.ids)
     assert list(got.nodes) == nodes and got.nodes == set(nodes)
     assert got.num_nodes() == expected.number_of_nodes()
     assert got.num_edges() == expected.number_of_edges()
@@ -284,7 +288,7 @@ def assert_equals_row_build(got, rows, data):
         assert got.out_degree(node) == expected.out_degree(node)
         assert got.in_degree(node) == expected.in_degree(node)
         assert got.total_degree(node) == expected.degree(node)
-    assert list(got.edges()) == list(expected.edges())
+    assert list(got.edges()) == edges
     absent = [10**19 + 1, max(nodes, default=0) + 1]
     assert all(node not in got for node in absent)
     probes = nodes[:10] + absent
@@ -294,7 +298,8 @@ def assert_equals_row_build(got, rows, data):
     # the subgraph keeps the parent's node order, and its edges come in the
     # parent's edges() order
     sub, kept = got.subgraph(keep), set(keep)
-    sub_edges = [(u, v) for u, v in expected.edges() if u in kept and v in kept]
+    sub_edges = [(u, v) for u, v in edges if u in kept and v in kept]
+    assert sub.ids == sorted(sub.ids)
     assert list(sub.nodes) == [n for n in nodes if n in kept]
     assert list(sub.edges()) == sub_edges
     for node in sub.nodes:

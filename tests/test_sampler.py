@@ -22,6 +22,7 @@ from rankwalk.sampler import (
     SeedPool,
     WalkerState,
     load_run_state,
+    read_sample_csv,
     run_sample,
     save_run_state,
     select_target,
@@ -155,9 +156,9 @@ class DictProvenanceSampleGraph:
         return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
 
     def assert_graph_equal(self, graph):
-        """graph shows every node and edge added so far: nodes in insertion
+        """graph shows every node and edge added so far: nodes in ascending id
         order, each row in the order its edges were added."""
-        nodes, edges = list(self._node_provenance), list(self._edge_provenance)
+        nodes, edges = sorted(self._node_provenance), list(self._edge_provenance)
         assert list(graph.nodes) == nodes
         assert list(graph.edges()) == [(s, t) for node in nodes for s, t in edges if s == node]
         for node in nodes:
@@ -178,7 +179,7 @@ class TestSampleGraph:
             max_size=60,
         )
     )
-    def test_equals_dict_provenance_reference(self, ops):
+    def test_equals_dict_provenance_reference(self, ops, tmp_path_factory):
         sample, reference = SampleGraph(), DictProvenanceSampleGraph()
         for op in ops:
             if op is None:
@@ -200,6 +201,14 @@ class TestSampleGraph:
         assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
         assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
+        # the written file reads back with nodes in ascending id order and each
+        # row in file order, which write_sample_csv sorts
+        path = tmp_path_factory.mktemp("sample") / "sample.csv"
+        write_sample_csv(sample, path)
+        read, provenance = read_sample_csv(path)
+        assert read.ids == sorted(read.ids)
+        assert list(read.edges()) == [(s, t) for s, t, _ in rows]
+        assert provenance == {(s, t): p for s, t, p in rows}
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):

@@ -252,6 +252,10 @@ def _parse_seed_ids(text: str) -> list[int]:
 def cmd_reference(args, out_dir: Path, seed: int) -> int:
     if args.num_seeds < 1:
         raise ValueError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+    if args.sample_size < 0:
+        raise ValueError(f"--sample-size must be >= 0, got {args.sample_size}")
+    if not 0.0 < args.rho <= 1.0:
+        raise ValueError(f"--rho must lie in (0, 1], got {args.rho}")
     initial = _parse_seed_ids(args.seeds) if args.seeds else None
     directed = _read_graph_any(args.graph)
     if not directed.num_edges():
@@ -338,6 +342,10 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_kcore(args, out_dir: Path) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    if args.min_in_degree < 0:
+        raise ValueError(f"--min-in-degree must be >= 0, got {args.min_in_degree}")
     graph = _read_graph_any(args.graph)
     if args.min_in_degree > 0:
         graph = graph.subgraph(
@@ -350,6 +358,12 @@ def cmd_kcore(args, out_dir: Path) -> int:
 
 
 def cmd_pagerank(args, out_dir: Path) -> int:
+    if not 0.0 < args.damping < 1.0:
+        raise ValueError(f"--damping must lie in (0, 1), got {args.damping}")
+    if not args.tolerance > 0.0:
+        raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
+    if args.max_iters < 1:
+        raise ValueError(f"--max-iters must be >= 1, got {args.max_iters}")
     graph = _read_graph_any(args.graph)
     result = pagerank(graph, args.damping, args.tolerance, args.max_iters)
     with open(out_dir / args.out, "w", encoding="utf-8", newline="") as fh:
@@ -366,6 +380,12 @@ def cmd_pagerank(args, out_dir: Path) -> int:
 
 
 def cmd_communities(args, out_dir: Path, seed: int) -> int:
+    if args.max_iters < 1:
+        raise ValueError(f"--max-iters must be >= 1, got {args.max_iters}")
+    if args.min_size < 1:
+        raise ValueError(f"--min-size must be >= 1, got {args.min_size}")
+    if args.min_weight < 0:
+        raise ValueError(f"--min-weight must be >= 0, got {args.min_weight}")
     graph = _read_graph_any(args.graph)
     if args.assignment:
         assignment = communities_mod.load_assignment(args.assignment, graph)

@@ -19,7 +19,7 @@ STATISTIC_NAMES = ("mean", "std", "min", "25%", "50%", "75%", "max")
 
 def influencer_nodes(sample: DirectedGraph) -> set[NodeId]:
     """Sample nodes with in-degree >= 1; leaf seeds are excluded."""
-    return set(compress(sample.ids, (np.diff(sample.in_offsets) >= 1).tolist()))
+    return set(compress(sample.ids, (sample.in_degrees >= 1).tolist()))
 
 
 def coverage(friends_of_a: AbstractSet[NodeId], sample_nodes: AbstractSet[NodeId]) -> float:

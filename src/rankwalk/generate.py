@@ -70,7 +70,7 @@ def planted_blocks(
     for lo, hi in bounds:
         for source, target in preferential_attachment(hi - lo, m, rng):
             edges.append((source + lo, target + lo))
-    seen = set(edges)
+    seen: set[tuple[NodeId, NodeId]] = set()  # cross-block pairs; no block edge is one
     for node in range(n):
         if blocks > 1 and rng.random() < cross_fraction:
             block = next(i for i, (lo, hi) in enumerate(bounds) if lo <= node < hi)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph, NodeId, _csr_rows, _gc_paused
+from .graph import DirectedGraph, NodeId, _csr_rows, _distinct, _gc_paused
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -43,7 +43,7 @@ class UndirectedGraph:
         reciprocal pair) becomes one undirected edge."""
         n = graph.num_nodes()
         u, v = graph.edge_sources(), graph.out_targets
-        low, high = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+        low, high = np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n)
         offsets, neighbors = _csr_rows(np.concatenate([high, low]), np.concatenate([low, high]), n)
         return cls(graph.ids, graph.index, offsets, neighbors)
 

@@ -145,9 +145,9 @@ class SampleGraph:
 
     @property
     def graph(self) -> DirectedGraph:
-        """The sample as a DirectedGraph, nodes in ascending id order and rows in
-        insertion order; built on the first read after a change and kept until
-        the next one."""
+        """The sample as a DirectedGraph, nodes and each row in ascending id
+        order; built on the first read after a change and kept until the next
+        one."""
         if self._graph is None:
             self._graph = DirectedGraph.from_edges(self._edges, nodes=self._node_provenance)
         return self._graph
@@ -439,8 +439,8 @@ def write_sample_csv(sample: SampleGraph, path) -> None:
 
 
 def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
-    """The sample graph, nodes in ascending id order and rows in file order,
-    and each edge's provenance. An edge listed twice is rejected:
+    """The sample graph, nodes and each row in ascending id order whatever the
+    file's order, and each edge's provenance. An edge listed twice is rejected:
     write_sample_csv writes each edge once."""
     provenance: dict[Edge, str] = {}
 

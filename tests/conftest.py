@@ -42,6 +42,13 @@ def random_digraph(n, p, seed, allow_isolated=True):
     return DirectedGraph.from_edges(edges, nodes=range(n))
 
 
+def assert_edges_ascend(graph):
+    """graph's rows ascend: edges() lists each edge once, in ascending
+    (source id, target id) order."""
+    edges = list(graph.edges())
+    assert edges == sorted(set(edges))
+
+
 @pytest.fixture
 def triangle():
     return DirectedGraph.from_edges([(0, 1), (1, 2), (2, 0)])

@@ -525,6 +525,59 @@ def test_keywords_setting_out_of_range_gives_exit_one(tmp_path, capsys, flag, va
     assert not (tmp_path / "out" / "keywords.csv").exists()
 
 
+KCORE = ["kcore", "--graph", "{d}/edges.csv", "--k", "1"]
+PAGERANK = ["pagerank", "--graph", "{d}/edges.csv"]
+COMMUNITIES = ["communities", "--graph", "{d}/edges.csv"]
+
+
+RANGE_ERRORS = [
+    (COMMUNITIES, "--max-iters", "-1", "--max-iters must be >= 1, got -1"),
+    (COMMUNITIES, "--max-iters", "0", "--max-iters must be >= 1, got 0"),
+    (COMMUNITIES, "--min-size", "0", "--min-size must be >= 1, got 0"),
+    (COMMUNITIES, "--min-weight", "-1", "--min-weight must be >= 0, got -1"),
+    (PAGERANK, "--max-iters", "0", "--max-iters must be >= 1, got 0"),
+    (PAGERANK, "--max-iters", "-1", "--max-iters must be >= 1, got -1"),
+    (PAGERANK, "--tolerance", "-1", "--tolerance must be > 0, got -1.0"),
+    (PAGERANK, "--tolerance", "0", "--tolerance must be > 0, got 0.0"),
+    (PAGERANK, "--tolerance", "nan", "--tolerance must be > 0, got nan"),
+    (PAGERANK, "--damping", "1.5", "--damping must lie in (0, 1), got 1.5"),
+    (PAGERANK, "--damping", "0", "--damping must lie in (0, 1), got 0.0"),
+    (REFERENCE, "--sample-size", "-2", "--sample-size must be >= 0, got -2"),
+    (REFERENCE, "--rho", "0", "--rho must lie in (0, 1], got 0.0"),
+    (REFERENCE, "--rho", "1.5", "--rho must lie in (0, 1], got 1.5"),
+    (KCORE, "--k", "0", "--k must be >= 1, got 0"),
+    (KCORE, "--min-in-degree", "-3", "--min-in-degree must be >= 0, got -3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    RANGE_ERRORS,
+    ids=[f"{argv[0]}{flag}={value}" for argv, flag, value, _ in RANGE_ERRORS],
+)
+def test_analysis_setting_out_of_range_gives_exit_one(
+    tmp_path, capsys, argv, flag, value, message
+):
+    """A setting out of range ends in exit 1 with one line naming its flag, and
+    no output is written."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_pagerank_non_convergence_gives_one_warning_line(tmp_path, capsys, caplog):
+    """Without a logging set-up, a logged warning reaches stderr through the
+    last-resort handler, so the warning line must be the only report."""
+    (tmp_path / "edges.csv").write_text("source,target\n1,2\n", encoding="utf-8")
+    argv = ["--out-dir", str(tmp_path), *PAGERANK, "--max-iters", "1"]
+    assert run([arg.format(d=tmp_path) for arg in argv]) == 0
+    assert capsys.readouterr().err == "warning: pagerank did not converge in 1 iterations\n"
+    assert not caplog.records
+
+
 def test_unreachable_stop_ends_exhausted(tmp_path):
     """The two-account world holds 2 edges, so a 3-edge stop is never reached."""
     for name, text in GOOD_FILES.items():

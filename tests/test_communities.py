@@ -27,10 +27,19 @@ def two_cliques_with_bridge(*extra_edges):
     return DirectedGraph.from_edges([*edges, (4, 5), *extra_edges])
 
 
+def predecessor_sets(graph):
+    """Each node's predecessors, read from graph.edges()."""
+    predecessors = {n: set() for n in graph.nodes}
+    for u, v in graph.edges():
+        predecessors[v].add(u)
+    return predecessors
+
+
 def is_fixpoint(graph, labels):
     """Every node's label is the most frequent among its neighbors (tie: lowest)."""
+    predecessors = predecessor_sets(graph)
     for node in graph.nodes:
-        neighbors = {*graph.successors(node), *graph.predecessors(node)}
+        neighbors = {*graph.successors(node), *predecessors[node]}
         if not neighbors:
             continue
         counts = Counter(labels[v] for v in neighbors)
@@ -46,8 +55,9 @@ def label_propagation_on_neighbor_lists(graph, rng_seed=0, max_iters=100):
     if graph.num_nodes() == 0:
         raise ValueError("label_propagation requires a non-empty graph")
     rng = random.Random(rng_seed)
+    predecessors = predecessor_sets(graph)
     neighbors = {
-        n: sorted({*graph.successors(n), *graph.predecessors(n)}) for n in graph.nodes
+        n: sorted({*graph.successors(n), *predecessors[n]}) for n in graph.nodes
     }
     labels = {n: n for n in graph.nodes}
     order = sorted(graph.nodes)

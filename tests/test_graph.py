@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rankwalk import graph as graph_module
 from rankwalk.generate import generate_network, preferential_attachment
@@ -29,7 +30,7 @@ from rankwalk.graph import (
 )
 from rankwalk.keywords import read_docs_jsonl
 
-from conftest import random_digraph
+from conftest import assert_edges_ascend, random_digraph
 
 
 class TestDirectedGraph:
@@ -47,9 +48,10 @@ class TestDirectedGraph:
         assert g.num_edges() == 1
 
     def test_nodes_and_edge_ends_numbered_in_ascending_id_order(self):
-        g = DirectedGraph.from_edges([(5, 3), (3, 9), (7, 5)], nodes=[8, 3, 8])
-        assert list(g.nodes) == g.ids == [3, 5, 7, 8, 9]
-        assert g.successors(8) == [] and g.predecessors(5) == [7]
+        g = DirectedGraph.from_edges([(5, 3), (3, 9), (7, 5), (5, 1)], nodes=[8, 3, 8])
+        assert list(g.nodes) == g.ids == [1, 3, 5, 7, 8, 9]
+        assert list(g.edges()) == [(3, 9), (5, 1), (5, 3), (7, 5)]
+        assert g.successors(8) == [] and g.successors(5) == [1, 3] and g.in_degree(5) == 1
 
     def test_empty_graph(self):
         g = DirectedGraph.from_edges([])
@@ -67,6 +69,21 @@ class TestDirectedGraph:
         sub = g.subgraph([0, 1, 2])
         assert sub.nodes == {0, 1, 2}
         assert set(sub.edges()) == {(0, 1), (1, 2), (2, 0)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    codes=hnp.arrays(
+        np.int64,
+        st.integers(0, 40),
+        # a narrow range repeats values; the int64 extremes must survive the compare
+        elements=st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]),
+    )
+)
+def test_distinct_equals_np_unique(codes):
+    got = graph_module._distinct(codes)
+    assert got.dtype == codes.dtype
+    assert np.array_equal(got, np.unique(codes))
 
 
 def brute_force_peel(graph, k, choose=min):
@@ -124,7 +141,9 @@ class TestKCore:
         expected = nx.k_core(expected, k)  # the degree of a DiGraph node is in + out
         core = k_core(g, k)
         assert g.ids == sorted(g.ids) and core.ids == sorted(core.ids)
-        # kept nodes, and each kept row, stay in the input's order
+        assert_edges_ascend(g)
+        assert_edges_ascend(core)
+        # kept nodes and edges stay in the input's order
         assert list(core.nodes) == [n for n in g.nodes if n in expected]
         assert list(core.edges()) == [e for e in g.edges() if expected.has_edge(*e)]
         assert core.num_edges() == expected.number_of_edges()
@@ -151,13 +170,16 @@ def iterate_pagerank_by_hand(graph, damping, tolerance, max_iters=10000):
     """Independent dict-based power iteration."""
     nodes = sorted(graph.nodes)
     n = len(nodes)
+    predecessors = {v: [] for v in nodes}
+    for u, v in graph.edges():
+        predecessors[v].append(u)
     scores = {v: 1.0 / n for v in nodes}
     for _ in range(max_iters):
         new = {}
         dangling = sum(scores[v] for v in nodes if graph.out_degree(v) == 0)
         for v in nodes:
             incoming = sum(
-                scores[u] / graph.out_degree(u) for u in graph.predecessors(v)
+                scores[u] / graph.out_degree(u) for u in predecessors[v]
             )
             new[v] = damping * (incoming + dangling / n) + (1 - damping) / n
         delta = sum(abs(new[v] - scores[v]) for v in nodes)
@@ -243,7 +265,7 @@ class TestPageRank:
             path = tmp_path / f"edges{seed}.csv"
             path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in edges))
             read = read_edge_list(path)
-            # the rows come in file order, which is not id order
+            # the file's rows are not in id order
             assert edges != sorted(edges)
             assert g.ids == sorted(ids) and read.ids == sorted(read.ids)
             cases = [(g, g), (read, DirectedGraph.from_edges(edges))]
@@ -270,21 +292,21 @@ def captured_warnings():
 
 def assert_equals_row_build(got, rows, data):
     """Every read method of a DirectedGraph against a networkx.DiGraph built row
-    by row, whose successors and predecessors keep insertion order; the nodes
-    come in ascending id order."""
+    by row; the nodes, and each node's successors, come in ascending id order."""
     expected = nx.DiGraph()
     expected.add_edges_from(rows)
     nodes = sorted(expected)
-    edges = [(u, v) for u in nodes for v in expected.successors(u)]
+    edges = [(u, v) for u in nodes for v in sorted(expected.successors(u))]
     assert isinstance(got, DirectedGraph)
     assert got.ids == sorted(got.ids)
+    assert_edges_ascend(got)
     assert list(got.nodes) == nodes and got.nodes == set(nodes)
     assert got.num_nodes() == expected.number_of_nodes()
     assert got.num_edges() == expected.number_of_edges()
     for node in nodes:
         assert node in got
-        assert got.successors(node) == list(expected.successors(node))
-        assert got.predecessors(node) == list(expected.predecessors(node))
+        assert got.successors(node) == sorted(expected.successors(node))
+        assert {u for u, v in got.edges() if v == node} == set(expected.predecessors(node))
         assert got.out_degree(node) == expected.out_degree(node)
         assert got.in_degree(node) == expected.in_degree(node)
         assert got.total_degree(node) == expected.degree(node)
@@ -300,10 +322,13 @@ def assert_equals_row_build(got, rows, data):
     sub, kept = got.subgraph(keep), set(keep)
     sub_edges = [(u, v) for u, v in edges if u in kept and v in kept]
     assert sub.ids == sorted(sub.ids)
+    assert_edges_ascend(sub)
     assert list(sub.nodes) == [n for n in nodes if n in kept]
     assert list(sub.edges()) == sub_edges
     for node in sub.nodes:
-        assert sub.predecessors(node) == [u for u, v in sub_edges if v == node]
+        predecessors = {u for u, v in sub.edges() if v == node}
+        assert predecessors == {u for u, v in sub_edges if v == node}
+        assert sub.in_degree(node) == len(predecessors)
 
 
 class TestEdgeListIO:
@@ -424,7 +449,7 @@ class TestEdgeListIO:
 
 
 def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
-    """A dict of sets costs ~270 B per edge and the CSR form ~35, mostly the id
+    """A dict of sets costs ~270 B per edge and the CSR form ~32, mostly the id
     list and id -> index dict; 64 catches a return to per-edge objects."""
     graph, _ = generate_network("preferential-attachment", 20_000, 1, m=5)
     path = tmp_path / "edges.csv"

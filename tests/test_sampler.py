@@ -30,7 +30,7 @@ from rankwalk.sampler import (
     write_sample_csv,
 )
 
-from conftest import make_profiles, random_digraph
+from conftest import assert_edges_ascend, make_profiles, random_digraph
 
 
 def config(**kwargs):
@@ -156,13 +156,13 @@ class DictProvenanceSampleGraph:
         return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
 
     def assert_graph_equal(self, graph):
-        """graph shows every node and edge added so far: nodes in ascending id
-        order, each row in the order its edges were added."""
+        """graph shows every node and edge added so far: nodes, and each row, in
+        ascending id order."""
         nodes, edges = sorted(self._node_provenance), list(self._edge_provenance)
         assert list(graph.nodes) == nodes
-        assert list(graph.edges()) == [(s, t) for node in nodes for s, t in edges if s == node]
+        assert list(graph.edges()) == sorted(edges)
         for node in nodes:
-            assert graph.predecessors(node) == [s for s, t in edges if t == node]
+            assert graph.in_degree(node) == sum(t == node for s, t in edges)
 
 
 class TestSampleGraph:
@@ -201,14 +201,19 @@ class TestSampleGraph:
         assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
         assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
-        # the written file reads back with nodes in ascending id order and each
-        # row in file order, which write_sample_csv sorts
+        # the written file reads back with nodes in ascending id order
         path = tmp_path_factory.mktemp("sample") / "sample.csv"
         write_sample_csv(sample, path)
         read, provenance = read_sample_csv(path)
         assert read.ids == sorted(read.ids)
         assert list(read.edges()) == [(s, t) for s, t, _ in rows]
         assert provenance == {(s, t): p for s, t, p in rows}
+        # and its rows ascend whatever the order of the file's rows
+        body = "".join(f"{s},{t},{p}\n" for s, t, p in reversed(rows))
+        path.write_text("source,target,provenance\n" + body)
+        read, _ = read_sample_csv(path)
+        assert_edges_ascend(read)
+        assert list(read.edges()) == [(s, t) for s, t, _ in rows]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):

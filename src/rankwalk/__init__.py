@@ -23,7 +23,6 @@ from .oracle import (
 )
 from .reference import RankDegreeResult, UndirectedGraph, rank_degree
 from .sampler import (
-    BurnStore,
     RunStats,
     SampleGraph,
     SamplerConfig,
@@ -37,7 +36,6 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BurnStore",
     "DirectedGraph",
     "FriendsPage",
     "NodeProfile",

@@ -149,6 +149,26 @@ def _read_seed_pool_file(path) -> list[int]:
 
 
 def cmd_generate(args, out_dir: Path, seed: int) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
+    if args.blocks < 1:
+        raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
+    if not args.factor >= 1.0:
+        raise ValueError(f"--factor must be >= 1, got {args.factor}")
+    if not 0.0 < args.high_fraction < 1.0:
+        raise ValueError(f"--high-fraction must lie in (0, 1), got {args.high_fraction}")
+    for flag, value in (("--p", args.p), ("--cross-fraction", args.cross_fraction)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{flag} must lie in [0, 1], got {value}")
+    least = {
+        "preferential-attachment": args.m + 1,
+        "two-class": 2,
+        "planted-blocks": args.blocks * (args.m + 1),
+    }.get(args.model, 1)
+    if args.nodes < least:
+        raise ValueError(f"--nodes must be >= {least} for --model {args.model}, got {args.nodes}")
+    if args.model == "two-class" and args.p == 0.0:
+        raise ValueError("--p must be > 0 for --model two-class, got 0.0")
     graph, profiles = generate_network(
         args.model,
         args.nodes,
@@ -171,6 +191,16 @@ def cmd_generate(args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
+    for flag, value, low in (
+        ("--walker-count", args.walker_count, 1),
+        ("--page-size", args.page_size, 1),
+        ("--max-sample-nodes", args.max_sample_nodes, 0),
+        ("--max-sample-edges", args.max_sample_edges, 0),
+        ("--max-simulated-seconds", args.max_simulated_seconds, 0),
+        ("--max-steps", args.max_steps, 0),
+    ):
+        if value is not None and not value >= low:  # NaN fails too
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     config.rng_seed = seed
     for name in (
         "max_sample_nodes",
@@ -223,12 +253,7 @@ def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
     write_call_log(oracle.call_log, out_dir / args.out_call_log)
     if args.resume_to:
         save_run_state(
-            out_dir / args.resume_to,
-            sample,
-            stats.burn_store,
-            stats.final_walkers,
-            oracle.clock.now,
-            seed_pool,
+            out_dir / args.resume_to, sample, stats.final_walkers, oracle.clock.now, seed_pool
         )
     print(
         f"sampled {stats.sample_edges} edges / {stats.sample_nodes} nodes "

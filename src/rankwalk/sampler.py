@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .graph import (
@@ -39,12 +38,15 @@ Edge = tuple[NodeId, NodeId]
 
 @dataclass
 class SamplerConfig:
-    """Run parameters. At least one stop condition must be set.
+    """Run parameters. At least one stop condition must be set, and none may be
+    negative or NaN.
 
-    burn_symmetric and dynamic_rank switch off the two API-practicality
-    adaptations (partial burning, static follower ranking); both default to
-    the adapted behavior and exist so the walk can be compared against the
-    original full-knowledge formulation on reciprocal graphs.
+    original_rank_degree switches off the two API-practicality adaptations
+    (partial burning, static follower ranking) so the walk can be compared
+    against the original full-knowledge formulation on reciprocal graphs: every
+    sample edge is burned, a walk's reverse edge joins the sample whenever the
+    ground truth holds it (even with add_symmetric_edge off), and a friend
+    ranks by follower count minus its in-degree in the sample.
     """
 
     target_language: str = "de"
@@ -56,20 +58,22 @@ class SamplerConfig:
     rng_seed: int = 0
     language_filter_enabled: bool = True
     add_symmetric_edge: bool = True
-    burn_symmetric: bool = False
-    dynamic_rank: bool = False
+    original_rank_degree: bool = False
 
     def __post_init__(self) -> None:
         if self.walker_count < 1:
             raise ValueError("walker_count must be positive")
-        stops = (
-            self.max_sample_nodes,
-            self.max_sample_edges,
-            self.max_simulated_seconds,
-            self.max_steps,
-        )
-        if all(s is None for s in stops):
+        stops = {
+            "max_sample_nodes": self.max_sample_nodes,
+            "max_sample_edges": self.max_sample_edges,
+            "max_simulated_seconds": self.max_simulated_seconds,
+            "max_steps": self.max_steps,
+        }
+        if all(s is None for s in stops.values()):
             raise ValueError("at least one stop condition must be set")
+        for name, stop in stops.items():
+            if stop is not None and not stop >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {stop}")
 
 
 class SeedPool:
@@ -94,52 +98,23 @@ class SeedPool:
         self._rng.setstate(state)
 
 
-class BurnStore:
-    """Append-only set of walked directed edges, in burn order; an edge burns once."""
-
-    def __init__(self, edges: Sequence[Edge] = ()) -> None:
-        self._edges: dict[Edge, None] = {}
-        self._into: Counter[NodeId] = Counter()
-        for edge in edges:
-            self.burn(tuple(edge))
-
-    def burn(self, edge: Edge) -> bool:
-        """Claim an edge. Returns False if some walker already burned it."""
-        if edge in self._edges:
-            return False
-        self._edges[edge] = None
-        self._into[edge[1]] += 1
-        return True
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self._edges
-
-    def __len__(self) -> int:
-        return len(self._edges)
-
-    def burned_into(self, node: NodeId) -> int:
-        """Number of burned edges pointing at `node`."""
-        return self._into.get(node, 0)
-
-    @property
-    def log(self) -> list[Edge]:
-        return list(self._edges)
-
-
 class SampleGraph:
-    """The growing sample: collected edges plus node/edge provenance.
+    """The growing sample and the walk's only record: collected edges plus
+    node/edge provenance.
 
-    Provenance per edge is `walked` or `symmetric`; a symmetric edge that is
-    later walked is upgraded. `_edges` holds every edge in insertion order, and
-    `_symmetric` only those not walked yet. `_node_provenance` holds every node
-    in insertion order; `graph` lists them in ascending id order. Seeds are
-    registered as nodes even when no edge touches them, so downstream filters
-    can drop leaf seeds explicitly.
+    Provenance per edge is `walked` or `symmetric`. `_walked` holds the walked
+    edges in walk order, which are the burned edges; a symmetric edge that is
+    later walked moves there, at the end. `_symmetric` holds the other edges.
+    `_in_degree` counts the sample edges into each node. `_node_provenance`
+    holds every node in insertion order; `graph` lists them in ascending id
+    order. Seeds are registered as nodes even when no edge touches them, so
+    downstream filters can drop leaf seeds explicitly.
     """
 
     def __init__(self) -> None:
-        self._edges: dict[Edge, None] = {}
+        self._walked: dict[Edge, None] = {}
         self._symmetric: set[Edge] = set()
+        self._in_degree: dict[NodeId, int] = {}
         self._node_provenance: dict[NodeId, str] = {}
         self._graph: DirectedGraph | None = None
 
@@ -149,7 +124,9 @@ class SampleGraph:
         order; built on the first read after a change and kept until the next
         one."""
         if self._graph is None:
-            self._graph = DirectedGraph.from_edges(self._edges, nodes=self._node_provenance)
+            self._graph = DirectedGraph.from_edges(
+                chain(self._walked, self._symmetric), nodes=self._node_provenance
+            )
         return self._graph
 
     def add_seed(self, node: NodeId) -> None:
@@ -157,37 +134,45 @@ class SampleGraph:
         self._graph = None
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
+        """Collect an edge; True when it is new to the sample."""
         if source == target:
             raise ValueError(f"self-loop rejected: ({source}, {target})")
         edge = (source, target)
-        added = edge not in self._edges
+        if edge in self._walked:
+            return False
+        added = edge not in self._symmetric
         if provenance == WALKED:
             self._symmetric.discard(edge)
+            self._walked[edge] = None
         elif added:
             self._symmetric.add(edge)
-        self._edges[edge] = None
-        self._node_provenance.setdefault(source, provenance)
-        self._node_provenance.setdefault(target, provenance)
-        self._graph = None
+        if added:
+            self._in_degree[target] = self._in_degree.get(target, 0) + 1
+            self._node_provenance.setdefault(source, provenance)
+            self._node_provenance.setdefault(target, provenance)
+            self._graph = None
         return added
 
     def edge_provenance(self, source: NodeId, target: NodeId) -> str:
-        if (source, target) not in self._edges:
-            raise KeyError((source, target))
-        return SYMMETRIC if (source, target) in self._symmetric else WALKED
+        if (source, target) in self._walked:
+            return WALKED
+        if (source, target) in self._symmetric:
+            return SYMMETRIC
+        raise KeyError((source, target))
 
     def node_provenance(self, node: NodeId) -> str:
         return self._node_provenance[node]
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._walked) + len(self._symmetric)
 
     def num_nodes(self) -> int:
         return len(self._node_provenance)
 
     def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
         symmetric = self._symmetric
-        return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in sorted(self._edges)]
+        edges = sorted(chain(self._walked, symmetric))
+        return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in edges]
 
 
 @dataclass
@@ -214,7 +199,6 @@ class RunStats:
     growth: list[tuple[float, int, int]] = field(default_factory=list)
     # Run artifacts for resume support; not part of the serialized stats.
     final_walkers: list["WalkerState"] = field(default_factory=list)
-    burn_store: "BurnStore | None" = None
 
     def to_dict(self) -> dict:
         return {
@@ -235,26 +219,34 @@ def select_target(
     w: NodeId,
     friends_page: Sequence[NodeId],
     profiles: Mapping[NodeId, NodeProfile],
-    burn: BurnStore,
+    sample: SampleGraph,
     config: SamplerConfig,
 ) -> NodeId | None:
     """Pick the friend with the highest follower count over an unburned edge,
     language-matching when the filter is on; ties broken by lowest id.
-    Returns None when no friend qualifies (the jump signal)."""
+    Returns None when no friend qualifies (the jump signal).
+
+    The burned edges are the sample's walked edges, and under
+    original_rank_degree its symmetric edges too, where the score also loses
+    the friend's in-degree in the sample.
+    """
     best: NodeId | None = None
     best_key: tuple[int, NodeId] | None = None
-    burned = burn._edges
+    original = config.original_rank_degree
+    walked = sample._walked
+    symmetric = sample._symmetric if original else ()
     for v in friends_page:
         profile = profiles.get(v)
         if profile is None:
             continue
         if config.language_filter_enabled and profile.language != config.target_language:
             continue
-        if (w, v) in burned:
+        edge = (w, v)
+        if edge in walked or edge in symmetric:
             continue
         score = profile.follower_count
-        if config.dynamic_rank:
-            score -= burn.burned_into(v)
+        if original:
+            score -= sample._in_degree.get(v, 0)
         key = (-score, v)
         if best_key is None or key < best_key:
             best, best_key = v, key
@@ -264,17 +256,17 @@ def select_target(
 def walker_step(
     state: WalkerState,
     oracle: SimulatedOracle,
-    burn: BurnStore,
     sample: SampleGraph,
     seed_pool: SeedPool,
     config: SamplerConfig,
     profile_cache: dict[NodeId, NodeProfile] | None = None,
 ) -> WalkerState:
     """One walker step: fetch the current node's friends page, walk the best
-    eligible edge, or jump to a fresh seed when none qualifies.
+    eligible edge into the sample, or jump to a fresh seed when none qualifies.
 
-    select_target skips burned edges, so the burn always succeeds; a refused
-    burn means an edge would be walked twice and aborts the run.
+    A walk adds one edge to the sample's walked edges, a jump none.
+    select_target skips burned edges, so a pick that select_target's burn rule
+    excludes means an edge would be walked twice and aborts the run.
     """
     w = state.current
     profiles = profile_cache if profile_cache is not None else {}
@@ -293,18 +285,16 @@ def walker_step(
     if missing:
         profiles.update(oracle.get_profiles(missing))
 
-    v = select_target(w, page.friends, profiles, burn, config)
+    v = select_target(w, page.friends, profiles, sample, config)
     if v is None:
         return jump()
-    if not burn.burn((w, v)):
+    original = config.original_rank_degree
+    if (w, v) in sample._walked or (original and (w, v) in sample._symmetric):
         raise RuntimeError(f"edge {(w, v)} selected after it was burned")
 
     sample.add_edge(w, v, WALKED)
-    has_reverse = oracle.follows(v, w)
-    if has_reverse and config.add_symmetric_edge:
+    if (config.add_symmetric_edge or original) and oracle.follows(v, w):
         sample.add_edge(v, w, SYMMETRIC)
-    if has_reverse and config.burn_symmetric:
-        burn.burn((v, w))
     return WalkerState(state.walker_id, v)
 
 
@@ -336,9 +326,13 @@ def run_sample(
     round-robin is the only schedule.
 
     A node a step jumped from yields a jump on every later visit (pages and
-    profiles are fixed, burns only grow). Once every seed-pool node has done so
-    and the last len(walkers) steps all jumped, each walker stands on a pool
-    node and no step can add an edge again: the run stops as "exhausted".
+    profiles are fixed, the sample only grows). Once every seed-pool node has
+    done so and the last len(walkers) steps all jumped, each walker stands on a
+    pool node and no step can add an edge again: the run stops as "exhausted".
+
+    A resumed run restores the walked edges in the order of the `burned`
+    records, then adds every `edge` record, so the walk record and the burn
+    rule carry over. `stats.walk_log` lists this run's walks in step order.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
@@ -346,7 +340,6 @@ def run_sample(
     if len(seed_pool) == 0:
         raise ValueError("seed pool must not be empty")
 
-    burn = BurnStore(resume.burned if resume else ())
     sample = SampleGraph()
     stats = RunStats()
     profile_cache: dict[NodeId, NodeProfile] = {}
@@ -356,6 +349,8 @@ def run_sample(
         seed_pool.setstate(resume.seed_pool_state)
         for node in resume.seed_nodes:
             sample.add_seed(node)
+        for source, target in resume.burned:
+            sample.add_edge(source, target, WALKED)
         for source, target, provenance in resume.edges:
             sample.add_edge(source, target, provenance)
         walkers = list(resume.walkers)
@@ -369,7 +364,8 @@ def run_sample(
     friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
     profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
     clock_start = oracle.clock.now
-    burns_start = len(burn)
+    walked = sample._walked
+    walks_start = len(walked)
     not_jumped = set(seed_pool._nodes)
     jump_run = 0
     stats.growth.append((0.0, sample.num_edges(), sample.num_nodes()))
@@ -394,13 +390,11 @@ def run_sample(
     index = 0
     with _gc_paused():
         while reason is None:
-            burned = len(burn)
+            walks = len(walked)
             state = walkers[index]
-            walkers[index] = walker_step(
-                state, oracle, burn, sample, seed_pool, config, profile_cache
-            )
+            walkers[index] = walker_step(state, oracle, sample, seed_pool, config, profile_cache)
             stats.steps += 1
-            if len(burn) == burned:  # a walk always burns, a jump never
+            if len(walked) == walks:  # a jump
                 not_jumped.discard(state.current)
                 jump_run += 1
             else:
@@ -411,11 +405,7 @@ def run_sample(
             reason = stop_reason()
             index = (index + 1) % len(walkers)
 
-    # This run's burns that are walked sample edges: its walks, in step order,
-    # without the reverse burns made under burn_symmetric.
-    edges, symmetric = sample._edges, sample._symmetric
-    new_burns = islice(burn._edges, burns_start, None)
-    stats.walk_log = [e for e in new_burns if e in edges and e not in symmetric]
+    stats.walk_log = list(islice(walked, walks_start, None))
     stats.jumps = stats.steps - len(stats.walk_log)
     stats.stop_reason = reason
     stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - friends_calls_start
@@ -423,10 +413,9 @@ def run_sample(
     stats.simulated_seconds = oracle.clock.now - clock_start
     stats.sample_nodes = sample.num_nodes()
     stats.sample_edges = sample.num_edges()
-    stats.symmetric_edges = len(symmetric)
-    stats.walked_edges = stats.sample_edges - stats.symmetric_edges
+    stats.symmetric_edges = len(sample._symmetric)
+    stats.walked_edges = len(walked)
     stats.final_walkers = walkers
-    stats.burn_store = burn
     return sample, stats
 
 
@@ -473,12 +462,13 @@ def write_stats_json(stats: RunStats, path) -> None:
 def save_run_state(
     path,
     sample: SampleGraph,
-    burn: BurnStore,
     walkers: Sequence[WalkerState],
     clock_now: float,
     seed_pool: SeedPool,
 ) -> None:
-    """Serialize burn store and walker states (plus the sample so far) as JSONL."""
+    """Serialize the sample so far and the walker states as JSONL: `burned`
+    records list the walked edges in walk order, and `edge` records every
+    sample edge with its provenance, in ascending order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         meta = {
             "type": "meta",
@@ -486,7 +476,7 @@ def save_run_state(
             "seed_pool_state": seed_pool.getstate(),
         }
         fh.write(_compact_json(meta) + "\n")
-        for source, target in burn.log:
+        for source, target in sample._walked:
             fh.write(json.dumps({"type": "burned", "s": source, "t": target}) + "\n")
         for source, target, provenance in sample.edges_with_provenance():
             fh.write(
@@ -543,5 +533,9 @@ def load_run_state(path) -> RunState:
         raise ValueError(f"{path}: missing meta record")
     if not walkers:
         raise ValueError(f"{path}: no walker records")
+    walked = {(s, t) for s, t, provenance in edges if provenance == WALKED}
+    for source, target in burned:
+        if (source, target) not in walked:
+            raise ValueError(f"{path}: burned edge {source},{target} has no walked edge record")
     clock_now, pool_state = meta[-1]
     return RunState(clock_now, pool_state, burned, edges, seed_nodes, walkers)

@@ -82,8 +82,7 @@ def test_acceptance_1_reference_equivalence():
                 max_sample_edges=directed_count,
                 max_steps=200 * directed_count + 1000,
                 add_symmetric_edge=True,
-                burn_symmetric=True,
-                dynamic_rank=True,
+                original_rank_degree=True,
             )
             _, stats = run_sample(config, oracle, sampler_pool)
             first_seed = reference_pool.draw()
@@ -192,7 +191,7 @@ def test_acceptance_4_influence_capture():
             sample, stats = run_sample(config, oracle, pool)
             # no reciprocal pairs in this model, so sample edges == burned edges
             assert stats.symmetric_edges == 0
-            assert len(stats.burn_store.log) == stats.sample_edges
+            assert len(stats.walk_log) == stats.sample_edges
             top100 = sorted(graph.nodes, key=lambda v: (-graph.in_degree(v), v))[:100]
             captured = sum(1 for v in top100 if v in sample.graph.nodes)
             assert captured >= 80, f"seed {seed}: only {captured}/100 captured"

@@ -399,6 +399,7 @@ SAMPLE = ["sample", "--profiles", "{d}/profiles.jsonl",
 META = json.dumps(
     {"type": "meta", "clock_now": 0.0, "seed_pool_state": random.Random(0).getstate()}
 )
+WALKER = '{"type": "walker", "id": 0, "current": 1}\n'
 KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv"]
 
 
@@ -463,6 +464,13 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          META + '\n{"type": "edge", "s": 1, "t": 1, "p": "walked"}\n', 2, "self-loop 1,1"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          META + '\n{"type": "burned", "s": 2, "t": 2}\n', 2, "self-loop 2,2"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "burned", "s": 1, "t": 2}\n' + WALKER, None,
+         "burned edge 1,2 has no walked edge record"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "burned", "s": 1, "t": 2}\n'
+         '{"type": "edge", "s": 1, "t": 2, "p": "symmetric"}\n' + WALKER, None,
+         "burned edge 1,2 has no walked edge record"),
         (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl", "", None, "holds no documents"),
         (REFERENCE, "edges.csv", "source,target\n", None, "graph has no edges"),
         (["--config", "{d}/config.json"] + SAMPLE, "config.json",
@@ -481,7 +489,8 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "config-bad-json", "edges-not-utf8",
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
-        "resume-self-loop", "resume-burned-self-loop", "docs-empty-windowed",
+        "resume-self-loop", "resume-burned-self-loop", "resume-burned-without-edge",
+        "resume-burned-symmetric-edge", "docs-empty-windowed",
         "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
     ],
 )
@@ -564,6 +573,74 @@ def test_analysis_setting_out_of_range_gives_exit_one(
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [arg.format(d=tmp_path) for arg in argv]
     assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+def generate_argv(model):
+    return ["generate", "--model", model, "--nodes", "10"]
+
+
+FLAG_ERRORS = [
+    (generate_argv("reciprocal-er"), "--nodes", "0",
+     "--nodes must be >= 1 for --model reciprocal-er, got 0"),
+    (generate_argv("preferential-attachment"), "--nodes", "3",
+     "--nodes must be >= 4 for --model preferential-attachment, got 3"),
+    (generate_argv("two-class"), "--nodes", "1",
+     "--nodes must be >= 2 for --model two-class, got 1"),
+    (generate_argv("planted-blocks") + ["--blocks", "3"], "--nodes", "11",
+     "--nodes must be >= 12 for --model planted-blocks, got 11"),
+    (generate_argv("reciprocal-er"), "--p", "2", "--p must lie in [0, 1], got 2.0"),
+    (generate_argv("reciprocal-er"), "--p", "nan", "--p must lie in [0, 1], got nan"),
+    (generate_argv("two-class"), "--p", "0", "--p must be > 0 for --model two-class, got 0.0"),
+    (generate_argv("preferential-attachment"), "--m", "0", "--m must be >= 1, got 0"),
+    (generate_argv("two-class"), "--factor", "0.5", "--factor must be >= 1, got 0.5"),
+    (generate_argv("two-class"), "--high-fraction", "0",
+     "--high-fraction must lie in (0, 1), got 0.0"),
+    (generate_argv("planted-blocks"), "--blocks", "0", "--blocks must be >= 1, got 0"),
+    (generate_argv("planted-blocks"), "--cross-fraction", "2",
+     "--cross-fraction must lie in [0, 1], got 2.0"),
+    (SAMPLE, "--walker-count", "0", "--walker-count must be >= 1, got 0"),
+    (SAMPLE, "--page-size", "0", "--page-size must be >= 1, got 0"),
+    (SAMPLE, "--max-steps", "-1", "--max-steps must be >= 0, got -1"),
+    (SAMPLE, "--max-sample-edges", "-3", "--max-sample-edges must be >= 0, got -3"),
+    (SAMPLE, "--max-sample-nodes", "-1", "--max-sample-nodes must be >= 0, got -1"),
+    (SAMPLE, "--max-simulated-seconds", "-5", "--max-simulated-seconds must be >= 0, got -5.0"),
+    (SAMPLE, "--max-simulated-seconds", "nan", "--max-simulated-seconds must be >= 0, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    FLAG_ERRORS,
+    ids=[f"{argv[0]}{flag}={value}" for argv, flag, value, _ in FLAG_ERRORS],
+)
+def test_generate_or_sample_setting_out_of_range_names_the_flag(
+    tmp_path, capsys, argv, flag, value, message
+):
+    """A generator or sampler setting out of range ends in exit 1 with one line
+    naming its flag, and no output is written."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"max_steps": -1}', "max_steps must be >= 0, got -1"),
+        ('{"max_simulated_seconds": NaN}', "max_simulated_seconds must be >= 0, got nan"),
+    ],
+)
+def test_config_stop_out_of_range_gives_exit_one(tmp_path, capsys, text, message):
+    for name, good_text in GOOD_FILES.items():
+        (tmp_path / name).write_text(good_text, encoding="utf-8")
+    (tmp_path / "config.json").write_text(text, encoding="utf-8")
+    argv = ["--config", "{d}/config.json", *SAMPLE]
+    assert run(["--out-dir", str(tmp_path / "out"), *(a.format(d=tmp_path) for a in argv)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any((tmp_path / "out").iterdir())
 

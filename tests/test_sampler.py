@@ -16,7 +16,6 @@ from rankwalk.sampler import (
     SEED,
     SYMMETRIC,
     WALKED,
-    BurnStore,
     SampleGraph,
     SamplerConfig,
     SeedPool,
@@ -54,6 +53,20 @@ class TestSamplerConfig:
         SamplerConfig(max_sample_nodes=5)
         SamplerConfig(max_simulated_seconds=60.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_sample_nodes", -1),
+            ("max_sample_edges", -3),
+            ("max_simulated_seconds", -5.0),
+            ("max_simulated_seconds", float("nan")),
+            ("max_steps", -1),
+        ],
+    )
+    def test_rejects_negative_or_nan_stop(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+            SamplerConfig(**{"max_sample_edges": 10, name: value})
+
 
 class TestSeedPool:
     def test_reproducible_draws(self):
@@ -66,20 +79,14 @@ class TestSeedPool:
             SeedPool([], 0)
 
 
-class TestBurnStore:
-    def test_burn_once(self):
-        burn = BurnStore()
-        assert burn.burn((1, 2))
-        assert not burn.burn((1, 2))
-        assert (1, 2) in burn
-        assert (2, 1) not in burn
-        assert burn.log == [(1, 2)]
-
-    def test_burned_into(self):
-        burn = BurnStore([(1, 5), (2, 5), (3, 4)])
-        assert burn.burned_into(5) == 2
-        assert burn.burned_into(4) == 1
-        assert burn.burned_into(1) == 0
+def sample_of(walked=(), symmetric=()):
+    """A SampleGraph holding `walked` in walk order and the `symmetric` edges."""
+    sample = SampleGraph()
+    for edge in walked:
+        sample.add_edge(*edge, WALKED)
+    for edge in symmetric:
+        sample.add_edge(*edge, SYMMETRIC)
+    return sample
 
 
 class TestSelectTarget:
@@ -92,7 +99,7 @@ class TestSelectTarget:
 
     def test_tie_broken_by_lowest_id(self):
         _, profiles = self.fixture()
-        got = select_target(0, [5, 9, 3], profiles, BurnStore(), config())
+        got = select_target(0, [5, 9, 3], profiles, SampleGraph(), config())
         assert got == 3
 
     def test_burned_and_language_mismatch_excluded(self):
@@ -100,37 +107,39 @@ class TestSelectTarget:
         profiles = make_profiles(
             g, follower_counts={5: 10, 9: 3}, languages={9: "en"}
         )
-        burn = BurnStore([(0, 5)])
-        assert select_target(0, [5, 9], profiles, burn, config()) is None
+        sample = sample_of(walked=[(0, 5)])
+        assert select_target(0, [5, 9], profiles, sample, config()) is None
 
     def test_language_filter_can_be_disabled(self):
         g = DirectedGraph.from_edges([(0, 9)])
         profiles = make_profiles(g, languages={9: "en"})
-        assert select_target(0, [9], profiles, BurnStore(), config()) is None
+        assert select_target(0, [9], profiles, SampleGraph(), config()) is None
         assert (
-            select_target(0, [9], profiles, BurnStore(), config(language_filter_enabled=False))
+            select_target(0, [9], profiles, SampleGraph(), config(language_filter_enabled=False))
             == 9
         )
 
     def test_matches_brute_force_argmax(self):
+        """Burned: the walked edges, and under original_rank_degree the
+        symmetric ones too, where the score also loses the sample in-degree."""
         rng = random.Random(4)
-        for _ in range(30):
+        for original in [False, True] * 30:
             friends = rng.sample(range(1, 60), 20)
             g = DirectedGraph.from_edges([(0, v) for v in friends])
             followers = {v: rng.randint(0, 40) for v in friends}
             languages = {v: rng.choice(["de", "en"]) for v in friends}
-            burn = BurnStore([(0, v) for v in friends if rng.random() < 0.3])
+            walked = [(0, v) for v in friends if rng.random() < 0.3]
+            symmetric = [(0, v) for v in friends if rng.random() < 0.2]
+            symmetric += [(rng.randrange(60, 70), rng.choice(friends)) for _ in range(30)]
+            sample = sample_of(walked, symmetric)
             profiles = make_profiles(g, follower_counts=followers, languages=languages)
-            cfg = config()
-            eligible = [
-                v
-                for v in friends
-                if languages[v] == "de" and (0, v) not in burn
-            ]
-            expected = (
-                min(eligible, key=lambda v: (-followers[v], v)) if eligible else None
-            )
-            assert select_target(0, friends, profiles, burn, cfg) == expected
+            cfg = config(original_rank_degree=original)
+            burned = set(walked) | (set(symmetric) if original else set())
+            eligible = [v for v in friends if languages[v] == "de" and (0, v) not in burned]
+            into = Counter(t for _, t in set(walked) | set(symmetric))
+            score = {v: followers[v] - (into[v] if original else 0) for v in friends}
+            expected = min(eligible, key=lambda v: (-score[v], v)) if eligible else None
+            assert select_target(0, friends, profiles, sample, cfg) == expected
 
 
 class DictProvenanceSampleGraph:
@@ -140,12 +149,15 @@ class DictProvenanceSampleGraph:
     def __init__(self):
         self._edge_provenance = {}
         self._node_provenance = {}
+        self.walk_order = []  # each edge once, when first added as walked
 
     def add_seed(self, node):
         self._node_provenance.setdefault(node, SEED)
 
     def add_edge(self, source, target, provenance):
         added = (source, target) not in self._edge_provenance
+        if provenance == WALKED and (source, target) not in self.walk_order:
+            self.walk_order.append((source, target))
         if added or provenance == WALKED:
             self._edge_provenance[(source, target)] = provenance
         self._node_provenance.setdefault(source, provenance)
@@ -201,6 +213,12 @@ class TestSampleGraph:
         assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
         assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
+        # the walked edges, the burn record, are kept in walk order
+        assert list(sample._walked) == reference.walk_order
+        graph = sample.graph
+        for node in graph.nodes:
+            assert sample._in_degree.get(node, 0) == graph.in_degree(node)
+        assert sum(sample._in_degree.values()) == len(rows)
         # the written file reads back with nodes in ascending id order
         path = tmp_path_factory.mktemp("sample") / "sample.csv"
         write_sample_csv(sample, path)
@@ -235,61 +253,70 @@ def build_oracle(edges, nodes=(), **profile_kwargs):
 class TestWalkerStep:
     def test_walks_best_edge(self):
         g, oracle = build_oracle([(1, 2), (2, 3)])
-        burn = BurnStore()
         sample = SampleGraph()
         pool = SeedPool([1], 0)
-        state = walker_step(WalkerState(0, 1), oracle, burn, sample, pool, config())
+        state = walker_step(WalkerState(0, 1), oracle, sample, pool, config())
         assert state.current == 2
-        assert (1, 2) in burn
+        assert list(sample._walked) == [(1, 2)]
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
 
     def test_reciprocal_pair_adds_symmetric_without_burning(self):
         g, oracle = build_oracle([(1, 2), (2, 1)])
-        burn = BurnStore()
         sample = SampleGraph()
         pool = SeedPool([1], 0)
-        state = walker_step(WalkerState(0, 1), oracle, burn, sample, pool, config())
+        state = walker_step(WalkerState(0, 1), oracle, sample, pool, config())
         assert state.current == 2
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
         assert sample.edge_provenance(1, 2) == WALKED
         assert sample.edge_provenance(2, 1) == SYMMETRIC
-        assert (1, 2) in burn and (2, 1) not in burn
+        assert list(sample._walked) == [(1, 2)]
         # a later walker at 2 may still walk (2, 1)
-        walker_step(WalkerState(1, 2), oracle, burn, sample, pool, config())
-        assert (2, 1) in burn
+        walker_step(WalkerState(1, 2), oracle, sample, pool, config())
+        assert list(sample._walked) == [(1, 2), (2, 1)]
         assert sample.edge_provenance(2, 1) == WALKED
+
+    @pytest.mark.parametrize("add_symmetric_edge", [True, False])
+    def test_original_rank_degree_burns_the_reciprocal_edge(self, add_symmetric_edge):
+        _, oracle = build_oracle([(1, 2), (2, 1)])
+        sample = SampleGraph()
+        pool = SeedPool([1], 0)
+        cfg = config(original_rank_degree=True, add_symmetric_edge=add_symmetric_edge)
+        assert walker_step(WalkerState(0, 1), oracle, sample, pool, cfg).current == 2
+        assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
+        # the reverse edge is burned, so a walker at 2 jumps
+        assert walker_step(WalkerState(1, 2), oracle, sample, pool, cfg).current == 1
+        assert list(sample._walked) == [(1, 2)]
 
     def test_dead_end_jumps_without_burning(self):
         g, oracle = build_oracle([(1, 2)])
-        burn = BurnStore()
         sample = SampleGraph()
         pool = SeedPool([7], 0)
-        state = walker_step(WalkerState(0, 2), oracle, burn, sample, pool, config())
+        state = walker_step(WalkerState(0, 2), oracle, sample, pool, config())
         assert state.current == 7
-        assert len(burn) == 0
         assert sample.num_edges() == 0
         assert sample.node_provenance(7) == SEED
 
     def test_reburn_aborts_the_step(self, monkeypatch):
         _, oracle = build_oracle([(1, 2)])
-        burn = BurnStore([(1, 2)])
-        picks = iter([2])  # a selector that ignores the burn store once
-        monkeypatch.setattr(
-            sampler_module, "select_target", lambda *args: next(picks, None)
-        )
-        with pytest.raises(RuntimeError, match="after it was burned"):
-            walker_step(
-                WalkerState(0, 1), oracle, burn, SampleGraph(), SeedPool([1], 0), config()
-            )
-        assert burn.log == [(1, 2)]
+        # a selector that ignores the burn rule
+        monkeypatch.setattr(sampler_module, "select_target", lambda *args: 2)
+        for walked, symmetric, original in [
+            ([(1, 2)], [], False), ([(1, 2)], [], True), ([], [(1, 2)], True)
+        ]:
+            sample = sample_of(walked, symmetric)
+            rows = sample.edges_with_provenance()
+            with pytest.raises(RuntimeError, match="after it was burned"):
+                walker_step(
+                    WalkerState(0, 1), oracle, sample, SeedPool([1], 0),
+                    config(original_rank_degree=original),
+                )
+            assert sample.edges_with_provenance() == rows
 
     def test_unknown_current_node_jumps(self):
         _, oracle = build_oracle([(1, 2)])
         pool = SeedPool([1], 0)
-        state = walker_step(
-            WalkerState(0, 999), oracle, BurnStore(), SampleGraph(), pool, config()
-        )
+        state = walker_step(WalkerState(0, 999), oracle, SampleGraph(), pool, config())
         assert state.current == 1
 
     def test_protected_current_node_jumps(self):
@@ -297,9 +324,7 @@ class TestWalkerStep:
         profiles = make_profiles(g, protected={1})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool = SeedPool([3], 0)
-        state = walker_step(
-            WalkerState(0, 1), oracle, BurnStore(), SampleGraph(), pool, config()
-        )
+        state = walker_step(WalkerState(0, 1), oracle, SampleGraph(), pool, config())
         assert state.current == 3
 
 
@@ -347,7 +372,7 @@ class TestRunSample:
 
     def test_no_edge_walked_twice(self):
         _, _, stats = run_fixture(seed=3, max_sample_edges=300)
-        log = stats.burn_store.log
+        log = stats.walk_log
         assert len(log) == len(set(log))
 
     def test_sample_soundness(self):
@@ -473,8 +498,7 @@ class TestRunSample:
         p=st.sampled_from([0.05, 0.1, 0.2]),
         walker_count=st.integers(1, 8),
         key_count=st.integers(1, 4),
-        burn_symmetric=st.booleans(),
-        dynamic_rank=st.booleans(),
+        original_rank_degree=st.booleans(),
         language_filter=st.booleans(),
         language_fraction=st.sampled_from([1.0, 0.5]),
         protected_fraction=st.sampled_from([0.0, 0.1]),
@@ -482,7 +506,7 @@ class TestRunSample:
         stop_at=st.integers(1, 150),
     )
     def test_round_robin_preserves_invariants(
-        self, graph_seed, n, p, walker_count, key_count, burn_symmetric, dynamic_rank,
+        self, graph_seed, n, p, walker_count, key_count, original_rank_degree,
         language_filter, language_fraction, protected_fraction, edge_stop, stop_at,
     ):
         edges = reciprocal_er(n, p, random.Random(graph_seed))
@@ -493,8 +517,7 @@ class TestRunSample:
         )
         cfg = config(
             walker_count=walker_count,
-            burn_symmetric=burn_symmetric,
-            dynamic_rank=dynamic_rank,
+            original_rank_degree=original_rank_degree,
             language_filter_enabled=language_filter,
             # an edge stop may never trigger once every edge is burned
             max_sample_edges=stop_at if edge_stop else None,
@@ -508,13 +531,12 @@ class TestRunSample:
             return oracle, sample, stats
 
         oracle, sample, stats = run()
-        log = stats.burn_store.log
+        log = stats.walk_log
         assert len(log) == len(set(log))
         burned = set(log)
         for s, t, prov in sample.edges_with_provenance():
             assert g.has_edge(s, t)
-            if prov == WALKED:
-                assert (s, t) in burned
+            assert ((s, t) in burned) == (prov == WALKED)
         assert_budget_safety(oracle.call_log, "friends", 15, 900.0)
         assert_budget_safety(oracle.call_log, "profiles", 900, 900.0)
         if stats.stop_reason == "max_steps":
@@ -575,17 +597,16 @@ class TestWalkLog:
         p=st.sampled_from([0.05, 0.1, 0.3]),
         reciprocal=st.booleans(),
         walker_count=st.integers(1, 6),
-        burn_symmetric=st.booleans(),
         add_symmetric_edge=st.booleans(),
-        dynamic_rank=st.booleans(),
+        original_rank_degree=st.booleans(),
         language_fraction=st.sampled_from([1.0, 0.5]),
         protected_fraction=st.sampled_from([0.0, 0.1]),
         steps=st.integers(1, 300),
         split=st.one_of(st.none(), st.integers(0, 300)),
     )
     def test_walk_log_and_jumps_equal_a_per_step_record(
-        self, graph_seed, n, p, reciprocal, walker_count, burn_symmetric, add_symmetric_edge,
-        dynamic_rank, language_fraction, protected_fraction, steps, split,
+        self, graph_seed, n, p, reciprocal, walker_count, add_symmetric_edge,
+        original_rank_degree, language_fraction, protected_fraction, steps, split,
     ):
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
@@ -593,9 +614,8 @@ class TestWalkLog:
         )
         first = steps if split is None else min(split, steps)
         cfg = dict(
-            walker_count=walker_count, burn_symmetric=burn_symmetric,
-            add_symmetric_edge=add_symmetric_edge, dynamic_rank=dynamic_rank,
-            max_sample_edges=None,
+            walker_count=walker_count, add_symmetric_edge=add_symmetric_edge,
+            original_rank_degree=original_rank_degree, max_sample_edges=None,
         )
 
         def check(stats, record):
@@ -613,9 +633,7 @@ class TestWalkLog:
                 return
             with tempfile.TemporaryDirectory() as directory:
                 path = Path(directory) / "resume.jsonl"
-                save_run_state(
-                    path, sample, stats.burn_store, stats.final_walkers, oracle.clock.now, pool
-                )
+                save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
                 resume = load_run_state(path)
             record.clear()
             oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
@@ -634,15 +652,14 @@ class TestExhausted:
         p=st.sampled_from([0.1, 0.3, 0.6]),
         reciprocal=st.booleans(),
         walker_count=st.integers(1, 5),
-        burn_symmetric=st.booleans(),
-        dynamic_rank=st.booleans(),
+        original_rank_degree=st.booleans(),
         language_filter=st.booleans(),
         language_fraction=st.sampled_from([1.0, 0.5]),
         protected_fraction=st.sampled_from([0.0, 0.2]),
         pool=st.lists(st.integers(0, 14), min_size=1, max_size=20),  # 12-14 are unknown ids
     )
     def test_exhausted_run_burned_every_eligible_pool_edge(
-        self, graph_seed, n, p, reciprocal, walker_count, burn_symmetric, dynamic_rank,
+        self, graph_seed, n, p, reciprocal, walker_count, original_rank_degree,
         language_filter, language_fraction, protected_fraction, pool,
     ):
         g, profiles = mixed_world(
@@ -651,12 +668,17 @@ class TestExhausted:
         )
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         cfg = config(
-            walker_count=walker_count, burn_symmetric=burn_symmetric, dynamic_rank=dynamic_rank,
+            walker_count=walker_count, original_rank_degree=original_rank_degree,
             language_filter_enabled=language_filter, max_sample_edges=None, max_steps=10**5,
         )
-        _, stats = run_sample(cfg, oracle, SeedPool(pool, graph_seed))
+        sample, stats = run_sample(cfg, oracle, SeedPool(pool, graph_seed))
         assert stats.stop_reason == "exhausted"
-        burned = set(stats.burn_store.log)
+        # the burn rule: walked edges, and under the switch every sample edge
+        burned = {
+            (s, t)
+            for s, t, prov in sample.edges_with_provenance()
+            if prov == WALKED or original_rank_degree
+        }
 
         def unburned_eligible_edges(u):
             profile = profiles.get(u)
@@ -689,15 +711,12 @@ class TestResume:
             config(walker_count=3, max_sample_edges=80), oracle1, pool1
         )
         state_path = tmp_path / "resume.jsonl"
-        save_run_state(
-            state_path, sample1, stats1.burn_store, stats1.final_walkers,
-            oracle1.clock.now, pool1,
-        )
+        save_run_state(state_path, sample1, stats1.final_walkers, oracle1.clock.now, pool1)
 
         oracle2 = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool2 = SeedPool(sorted(g.nodes), 0)  # state is overwritten by the resume file
         resume = load_run_state(state_path)
-        assert set(resume.burned) == set(stats1.burn_store.log)
+        assert resume.burned == stats1.walk_log
         sample2, stats2 = run_sample(
             config(walker_count=3, max_sample_edges=160),
             oracle2,
@@ -706,10 +725,79 @@ class TestResume:
         )
         assert sample2.num_edges() >= 160
         # edges walked before the interruption are never walked again
-        new_burns = stats2.burn_store.log[len(resume.burned):]
-        assert not set(new_burns) & set(resume.burned)
+        assert not set(stats2.walk_log) & set(resume.burned)
         for s, t, _prov in sample2.edges_with_provenance():
             assert g.has_edge(s, t)
+
+    def test_walked_edge_records_stay_burned_without_burned_records(self, tmp_path):
+        """The walked `edge` records are the burn record: a resume file without
+        its `burned` lines still burns every edge the first run walked."""
+        n = 40
+        edges = reciprocal_er(n, 0.15, random.Random(83))
+        g = DirectedGraph.from_edges(edges, nodes=range(n))
+        profiles = build_profiles(n, edges, random.Random(84), language_fraction=1.0)
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        pool = SeedPool(range(n), 10)
+        sample, first = run_sample(config(walker_count=3, max_steps=30), oracle, pool)
+        path = tmp_path / "resume.jsonl"
+        save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if '"burned"' not in line))
+        resume = load_run_state(path)
+        assert resume.burned == []
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        _, resumed = run_sample(
+            config(walker_count=3, max_steps=300), oracle, SeedPool(range(n), 0), resume=resume
+        )
+        assert len(first.walk_log) > 10 and len(resumed.walk_log) > 10
+        assert not set(resumed.walk_log) & set(first.walk_log)
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 40),
+        p=st.sampled_from([0.05, 0.1, 0.3]),
+        reciprocal=st.booleans(),
+        walker_count=st.integers(1, 6),
+        original_rank_degree=st.booleans(),
+        language_fraction=st.sampled_from([1.0, 0.5]),
+        protected_fraction=st.sampled_from([0.0, 0.1]),
+        steps=st.integers(0, 300),
+        rounds=st.integers(0, 60),
+    )
+    def test_split_run_walks_as_one_run(
+        self, graph_seed, n, p, reciprocal, walker_count, original_rank_degree,
+        language_fraction, protected_fraction, steps, rounds,
+    ):
+        """k steps, a resume file, then steps - k more walk the edges of one
+        steps-long run, in its order, when k is a whole number of rounds (a
+        resumed run starts at walker 0) and the rate limits are off."""
+        g, profiles = mixed_world(
+            graph_seed, n, p, reciprocal,
+            language_fraction=language_fraction, protected_fraction=protected_fraction,
+        )
+        first = min(rounds, steps // walker_count) * walker_count
+        cfg = dict(
+            walker_count=walker_count, original_rank_degree=original_rank_degree,
+            max_sample_edges=None,
+        )
+
+        def run(max_steps, pool, resume=None):
+            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            cfg_steps = config(max_steps=max_steps, **cfg)
+            sample, stats = run_sample(cfg_steps, oracle, pool, resume=resume)
+            return oracle, sample, stats
+
+        _, whole, whole_stats = run(steps, SeedPool(range(n), graph_seed))
+        pool = SeedPool(range(n), graph_seed)
+        oracle, sample, stats = run(first, pool)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "resume.jsonl"
+            save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
+            resume = load_run_state(path)
+        _, resumed, resumed_stats = run(steps - first, SeedPool(range(n), 0), resume)
+        assert stats.walk_log + resumed_stats.walk_log == whole_stats.walk_log
+        assert resumed.edges_with_provenance() == whole.edges_with_provenance()
 
     def test_walker_records_may_carry_extra_fields(self, tmp_path):
         # resume files written before walker records lost "hops" still load
@@ -717,7 +805,7 @@ class TestResume:
         pool = SeedPool([1, 2, 3], 0)
         sample, stats = run_sample(config(walker_count=2, max_steps=3), oracle, pool)
         path = tmp_path / "resume.jsonl"
-        save_run_state(path, sample, stats.burn_store, stats.final_walkers, oracle.clock.now, pool)
+        save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
         lines = [
             line.replace("}", ', "hops": 4}') if '"walker"' in line else line
             for line in path.read_text().splitlines()

@@ -13,6 +13,7 @@ from .graph import (
     write_profiles,
 )
 from .oracle import (
+    ApiBudget,
     FriendsPage,
     NotFoundError,
     ProtectedError,
@@ -36,6 +37,7 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ApiBudget",
     "DirectedGraph",
     "FriendsPage",
     "NodeProfile",

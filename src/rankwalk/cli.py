@@ -7,9 +7,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+import typing
 from pathlib import Path
-from types import NoneType
 
 from . import communities as communities_mod
 from . import evaluation as evaluation_mod
@@ -27,7 +26,7 @@ from .graph import (
     write_edge_list,
     write_profiles,
 )
-from .oracle import build_simulated_oracle, write_call_log
+from .oracle import ApiBudget, SimulatedOracle, write_call_log
 from .reference import UndirectedGraph, rank_degree
 from .rng import substream
 from .sampler import (
@@ -44,90 +43,61 @@ from .sampler import (
 )
 
 
-# The JSON types each RunConfig field accepts in a config file; int never
-# matches a JSON boolean.
-RUN_CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
-    "target_language": (str,),
-    "language_filter_enabled": (bool,),
-    "filter_seed_pool_language": (bool,),
-    "add_symmetric_edge": (bool,),
-    "page_size": (int,),
-    "walker_count": (int,),
-    "max_sample_nodes": (int, NoneType),
-    "max_sample_edges": (int, NoneType),
-    "max_simulated_seconds": (int, float, NoneType),
-    "max_steps": (int, NoneType),
-    "rng_seed": (int,),
-    "key_count": (int,),
-    "friends_calls_per_window": (int,),
-    "friends_window_seconds": (int, float),
-    "profile_calls_per_window": (int,),
-    "profile_window_seconds": (int, float),
-    "profile_batch": (int,),
-    "rate_limits_enabled": (bool,),
-}
+def _json_types(hint) -> tuple[type, ...]:
+    """The JSON value types a field typed `hint` takes: a float field takes an
+    integer too, and a JSON boolean never passes for an int."""
+    return tuple(
+        t for h in typing.get_args(hint) or (hint,) for t in ((int, float) if h is float else (h,))
+    )
 
 
-@dataclass
-class RunConfig:
-    """Flat, JSON-serializable sampling-run parameters: a run is reproducible
-    from this plus the input files alone."""
+def _declared_fields():
+    """(name, JSON types, default) of every run-config field the sampler and the
+    API budget declare, less the test-only original_rank_degree."""
+    for cls in (SamplerConfig, ApiBudget):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            if field.name != "original_rank_degree":
+                yield field.name, _json_types(hints[field.name]), field.default
 
-    target_language: str = "de"
-    language_filter_enabled: bool = True
-    filter_seed_pool_language: bool = False
-    add_symmetric_edge: bool = True
-    page_size: int = 5000
-    walker_count: int = 200
-    max_sample_nodes: int | None = None
-    max_sample_edges: int | None = None
-    max_simulated_seconds: float | None = None
-    max_steps: int | None = None
-    rng_seed: int = 0
-    key_count: int = 12
-    friends_calls_per_window: int = 15
-    friends_window_seconds: float = 900.0
-    profile_calls_per_window: int = 900
-    profile_window_seconds: float = 900.0
-    profile_batch: int = 100
-    rate_limits_enabled: bool = True
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        """A JSON object holding any of the fields, each of a JSON type that
-        RUN_CONFIG_FIELDS allows for it; anything else raises ValueError naming
-        the file."""
-        with _open_text(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid JSON ({exc})") from None
-        if type(data) is not dict:
-            raise ValueError(f"{path}: expected a JSON object, got {data!r:.80}")
-        unknown = sorted(set(data) - RUN_CONFIG_FIELDS.keys())
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys: {unknown}")
+# The CLI's one field of its own, then SamplerConfig's and ApiBudget's.
+_FIELDS = [("filter_seed_pool_language", (bool,), False), *_declared_fields()]
+RUN_CONFIG_FIELDS: dict[str, tuple[type, ...]] = {name: types for name, types, _ in _FIELDS}
+RUN_CONFIG_DEFAULTS: dict[str, object] = {name: default for name, _, default in _FIELDS}
+
+
+def read_run_config(path) -> dict:
+    """A JSON object holding any run-config fields, each of a JSON type that
+    RUN_CONFIG_FIELDS allows for it; anything else raises ValueError naming
+    the file."""
+    with _open_text(path) as fh:
         try:
-            _check_fields(data, {name: RUN_CONFIG_FIELDS[name] for name in data})
-        except TypeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        return cls(**data)
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if type(data) is not dict:
+        raise ValueError(f"{path}: expected a JSON object, got {data!r:.80}")
+    unknown = sorted(set(data) - RUN_CONFIG_FIELDS.keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {unknown}")
+    try:
+        _check_fields(data, {name: RUN_CONFIG_FIELDS[name] for name in data})
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return data
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
-    def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            target_language=self.target_language,
-            walker_count=self.walker_count,
-            max_sample_nodes=self.max_sample_nodes,
-            max_sample_edges=self.max_sample_edges,
-            max_simulated_seconds=self.max_simulated_seconds,
-            max_steps=self.max_steps,
-            rng_seed=self.rng_seed,
-            language_filter_enabled=self.language_filter_enabled,
-            add_symmetric_edge=self.add_symmetric_edge,
-        )
+def _name_the_source(exc: ValueError, flags, path=None, file_fields=()) -> ValueError:
+    """A range error that starts with a field name, reworded to name the flag
+    that set the field (`--field-name ...`) or the config file that did
+    (`<path>: field_name ...`); any other error as it is."""
+    name, _, rest = str(exc).partition(" ")
+    if name in flags:
+        return ValueError(f"--{name.replace('_', '-')} {rest}")
+    if name in file_fields:
+        return ValueError(f"{path}: {exc}")
+    return exc
 
 
 def _read_graph_any(path):
@@ -169,84 +139,67 @@ def cmd_generate(args, out_dir: Path, seed: int) -> int:
         raise ValueError(f"--nodes must be >= {least} for --model {args.model}, got {args.nodes}")
     if args.model == "two-class" and args.p == 0.0:
         raise ValueError("--p must be > 0 for --model two-class, got 0.0")
-    graph, profiles = generate_network(
-        args.model,
-        args.nodes,
-        seed,
-        m=args.m,
-        p=args.p,
-        factor=args.factor,
-        high_fraction=args.high_fraction,
-        blocks=args.blocks,
-        cross_fraction=args.cross_fraction,
-        target_language=args.target_language,
-        language_fraction=args.language_fraction,
-        protected_fraction=args.protected_fraction,
-        follower_noise=args.follower_noise,
-    )
+    try:
+        graph, profiles = generate_network(
+            args.model,
+            args.nodes,
+            seed,
+            m=args.m,
+            p=args.p,
+            factor=args.factor,
+            high_fraction=args.high_fraction,
+            blocks=args.blocks,
+            cross_fraction=args.cross_fraction,
+            target_language=args.target_language,
+            language_fraction=args.language_fraction,
+            protected_fraction=args.protected_fraction,
+            follower_noise=args.follower_noise,
+        )
+    except ValueError as exc:
+        raise _name_the_source(exc, vars(args)) from None
     write_edge_list(graph, out_dir / args.out_graph)
     write_profiles(profiles, out_dir / args.out_profiles)
     print(f"generated {graph.num_nodes()} nodes, {graph.num_edges()} edges ({args.model})")
     return 0
 
 
-def cmd_sample(args, out_dir: Path, seed: int, config: RunConfig) -> int:
-    for flag, value, low in (
-        ("--walker-count", args.walker_count, 1),
-        ("--page-size", args.page_size, 1),
-        ("--max-sample-nodes", args.max_sample_nodes, 0),
-        ("--max-sample-edges", args.max_sample_edges, 0),
-        ("--max-simulated-seconds", args.max_simulated_seconds, 0),
-        ("--max-steps", args.max_steps, 0),
-    ):
-        if value is not None and not value >= low:  # NaN fails too
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
-    config.rng_seed = seed
-    for name in (
-        "max_sample_nodes",
-        "max_sample_edges",
-        "max_simulated_seconds",
-        "max_steps",
-        "walker_count",
-        "page_size",
-        "target_language",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    if args.no_language_filter:
-        config.language_filter_enabled = False
+def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
+    """`config` holds the fields the config file set; a flag wins over it."""
+    flags = {
+        name: value
+        for name, value in vars(args).items()
+        if name in RUN_CONFIG_FIELDS and value is not None
+    }
+    settings = {**RUN_CONFIG_DEFAULTS, **config, **flags}
+    try:
+        sampler_config, budget = (
+            cls(**{f.name: settings[f.name] for f in dataclasses.fields(cls)
+                   if f.name in settings})
+            for cls in (SamplerConfig, ApiBudget)
+        )
+    except ValueError as exc:
+        raise _name_the_source(exc, flags, args.config, config) from None
     profiles = read_profiles(args.profiles)
-    oracle = build_simulated_oracle(
-        None,
-        profiles,
-        key_count=config.key_count,
-        friends_calls_per_window=config.friends_calls_per_window,
-        friends_window_seconds=config.friends_window_seconds,
-        profile_calls_per_window=config.profile_calls_per_window,
-        profile_window_seconds=config.profile_window_seconds,
-        page_size=config.page_size,
-        profile_batch=config.profile_batch,
-        rate_limits_enabled=config.rate_limits_enabled,
-    )
+    oracle = SimulatedOracle(profiles, budget)
     if args.seed_pool:
         pool_ids = _read_seed_pool_file(args.seed_pool)
     else:
         pool_ids = sorted(profiles)
-    if config.filter_seed_pool_language:
+    if settings["filter_seed_pool_language"]:
         unknown = [n for n in pool_ids if n not in profiles]
         if unknown:
             raise ValueError(f"{args.seed_pool}: seed id {unknown[0]} has no profile")
-        pool_ids = [n for n in pool_ids if profiles[n].language == config.target_language]
+        language = sampler_config.target_language
+        pool_ids = [n for n in pool_ids if profiles[n].language == language]
         if not pool_ids:
             # the filter is on only through a config file
             raise ValueError(
                 f"{args.config}: filter_seed_pool_language: no seed-pool account has "
-                f"target_language {config.target_language!r}"
+                f"target_language {language!r}"
             )
     seed_pool = SeedPool(pool_ids, substream(seed, "seed-pool"))
     resume = load_run_state(args.resume_from) if args.resume_from else None
-    sample, stats = run_sample(config.sampler_config(), oracle, seed_pool, resume=resume)
+    sample, stats = run_sample(sampler_config, oracle, seed_pool, resume=resume)
     write_sample_csv(sample, out_dir / args.out_sample)
     write_stats_json(stats, out_dir / args.out_stats)
     write_growth_csv(stats, out_dir / args.out_growth)
@@ -501,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--walker-count", dest="walker_count", type=int)
     s.add_argument("--page-size", dest="page_size", type=int)
     s.add_argument("--target-language", dest="target_language")
-    s.add_argument("--no-language-filter", action="store_true")
+    s.add_argument("--no-language-filter", dest="language_filter_enabled",
+                   action="store_false", default=None)
     s.add_argument("--max-sample-nodes", dest="max_sample_nodes", type=int)
     s.add_argument("--max-sample-edges", dest="max_sample_edges", type=int)
     s.add_argument("--max-simulated-seconds", dest="max_simulated_seconds", type=float)
@@ -581,18 +535,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig()
+        config = read_run_config(args.config) if args.config else {}
         if args.seed is not None:
-            config.rng_seed = args.seed
+            config["rng_seed"] = args.seed
         if args.print_config:
-            print(config.to_json())
+            print(json.dumps({**RUN_CONFIG_DEFAULTS, **config}, indent=2, sort_keys=True))
             return 0
         if args.command is None:
             parser.print_help()
             return 2
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = config.rng_seed
+        seed = config.get("rng_seed", RUN_CONFIG_DEFAULTS["rng_seed"])
 
         if args.command == "generate":
             return cmd_generate(args, out_dir, seed)

@@ -4,7 +4,9 @@ budgets driven by a simulated clock, serving a fixed ground-truth snapshot."""
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import NodeId, NodeProfile
@@ -52,6 +54,42 @@ class CallRecord(NamedTuple):
     calls_remaining: int | None
 
 
+@dataclass(frozen=True)
+class ApiBudget:
+    """The simulated API's quotas: the one place they and their defaults live,
+    and the one place their ranges are checked.
+
+    Defaults mirror the public platform: 15 friends calls per key per 900 s
+    window, 5,000 friends per page, and 900 profile calls of up to 100 ids
+    per key per window, over 12 keys. Counts must be at least 1 and windows
+    finite and above 0. With rate_limits_enabled off, calls are logged but
+    never charged or blocked.
+    """
+
+    key_count: int = 12
+    friends_calls_per_window: int = 15
+    friends_window_seconds: float = 900.0
+    profile_calls_per_window: int = 900
+    profile_window_seconds: float = 900.0
+    page_size: int = 5000
+    profile_batch: int = 100
+    rate_limits_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        for name in (
+            "key_count", "friends_calls_per_window", "profile_calls_per_window",
+            "page_size", "profile_batch",
+        ):
+            value = getattr(self, name)
+            if not value >= 1:  # NaN fails too
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("friends_window_seconds", "profile_window_seconds"):
+            value = getattr(self, name)
+            # an infinite window never frees a slot, so a crawl would block for good
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 class RateLimiter:
     """Sliding-window budget over a pool of API keys.
 
@@ -63,11 +101,10 @@ class RateLimiter:
     instant its key was chosen at, so every charge made since a prune at t is
     stamped t, and none can expire at t because window_seconds > 0. The
     simulated clock never goes back, so a crawl prunes once per instant at most.
+    The parameters are taken as given: ApiBudget checks their ranges.
     """
 
     def __init__(self, calls_per_window: int, window_seconds: float, key_count: int = 1) -> None:
-        if calls_per_window < 1 or key_count < 1 or window_seconds <= 0:
-            raise ValueError("invalid rate budget parameters")
         self.calls_per_window = calls_per_window
         self.window_seconds = float(window_seconds)
         self.key_count = key_count
@@ -104,7 +141,8 @@ class RateLimiter:
 
 
 class SimulatedOracle:
-    """Answers friend and profile lookups from a fixed snapshot of profiles.
+    """Answers friend and profile lookups from a fixed snapshot of profiles,
+    under the quotas of an ApiBudget.
 
     The profiles are the one ground truth: an account's friend list is its
     profile's friends_recent_first, and an id with no profile is unknown to
@@ -118,20 +156,23 @@ class SimulatedOracle:
     def __init__(
         self,
         profiles: Mapping[NodeId, NodeProfile],
+        budget: ApiBudget = ApiBudget(),
         clock: SimulatedClock | None = None,
-        friends_limiter: RateLimiter | None = None,
-        profiles_limiter: RateLimiter | None = None,
-        page_size: int = 5000,
-        profile_batch: int = 100,
     ) -> None:
-        if page_size < 1 or profile_batch < 1:
-            raise ValueError("page_size and profile_batch must be positive")
         self.profiles = dict(profiles)
+        self.budget = budget
         self.clock = clock if clock is not None else SimulatedClock()
-        self.friends_limiter = friends_limiter
-        self.profiles_limiter = profiles_limiter
-        self.page_size = page_size
-        self.profile_batch = profile_batch
+        self.friends_limiter: RateLimiter | None = None
+        self.profiles_limiter: RateLimiter | None = None
+        if budget.rate_limits_enabled:
+            self.friends_limiter = RateLimiter(
+                budget.friends_calls_per_window, budget.friends_window_seconds, budget.key_count
+            )
+            self.profiles_limiter = RateLimiter(
+                budget.profile_calls_per_window, budget.profile_window_seconds, budget.key_count
+            )
+        self.page_size = budget.page_size
+        self.profile_batch = budget.profile_batch
         self.call_log: list[CallRecord] = []
         self.calls_by_endpoint: dict[str, int] = {self.FRIENDS: 0, self.PROFILES: 0}
 
@@ -188,38 +229,12 @@ def build_simulated_oracle(
     profiles: Mapping[NodeId, NodeProfile],
     *,
     clock: SimulatedClock | None = None,
-    key_count: int = 12,
-    friends_calls_per_window: int = 15,
-    friends_window_seconds: float = 900.0,
-    profile_calls_per_window: int = 900,
-    profile_window_seconds: float = 900.0,
-    page_size: int = 5000,
-    profile_batch: int = 100,
-    rate_limits_enabled: bool = True,
+    **budget,
 ) -> SimulatedOracle:
-    """Construct an oracle over a ground-truth snapshot of profiles.
-
-    `graph` is accepted for older callers and ignored: the profiles' friend
-    lists are the only adjacency the oracle serves.
-
-    Defaults mirror the public platform quotas: 15 friends calls per key per
-    900 s window (5,000 friends each) and 900 batched profile calls per key
-    per window. With rate_limits_enabled=False calls are logged but never
-    charged or blocked.
-    """
-    friends_limiter = None
-    profiles_limiter = None
-    if rate_limits_enabled:
-        friends_limiter = RateLimiter(friends_calls_per_window, friends_window_seconds, key_count)
-        profiles_limiter = RateLimiter(profile_calls_per_window, profile_window_seconds, key_count)
-    return SimulatedOracle(
-        profiles,
-        clock=clock,
-        friends_limiter=friends_limiter,
-        profiles_limiter=profiles_limiter,
-        page_size=page_size,
-        profile_batch=profile_batch,
-    )
+    """SimulatedOracle(profiles, ApiBudget(**budget), clock), for callers that
+    pass the budget as keywords. `graph` is ignored: the profiles' friend lists
+    are the only adjacency the oracle serves."""
+    return SimulatedOracle(profiles, ApiBudget(**budget), clock)
 
 
 def write_call_log(records: Iterable[CallRecord], path) -> None:

@@ -38,8 +38,9 @@ Edge = tuple[NodeId, NodeId]
 
 @dataclass
 class SamplerConfig:
-    """Run parameters. At least one stop condition must be set, and none may be
-    negative or NaN.
+    """The walk's run parameters, their defaults and their ranges (the API's
+    quotas are an ApiBudget's). walker_count must be at least 1, and at least
+    one stop condition must be set, none negative or NaN.
 
     original_rank_degree switches off the two API-practicality adaptations
     (partial burning, static follower ranking) so the walk can be compared
@@ -62,7 +63,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         if self.walker_count < 1:
-            raise ValueError("walker_count must be positive")
+            raise ValueError(f"walker_count must be >= 1, got {self.walker_count}")
         stops = {
             "max_sample_nodes": self.max_sample_nodes,
             "max_sample_edges": self.max_sample_edges,
@@ -87,9 +88,6 @@ class SeedPool:
 
     def draw(self) -> NodeId:
         return self._nodes[self._rng.randrange(len(self._nodes))]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def getstate(self):
         return self._rng.getstate()
@@ -337,9 +335,6 @@ def run_sample(
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
     """
-    if len(seed_pool) == 0:
-        raise ValueError("seed pool must not be empty")
-
     sample = SampleGraph()
     stats = RunStats()
     profile_cache: dict[NodeId, NodeProfile] = {}

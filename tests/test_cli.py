@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -5,15 +6,48 @@ import random
 
 import pytest
 
-from rankwalk.cli import RUN_CONFIG_FIELDS, RunConfig, main
+from rankwalk import cli
+from rankwalk.cli import RUN_CONFIG_FIELDS, build_parser, main, read_run_config
 from rankwalk.communities import load_assignment
 from rankwalk.graph import read_edge_list, read_profiles
 from rankwalk.keywords import Doc, write_docs_jsonl
-from rankwalk.sampler import read_sample_csv
+from rankwalk.oracle import ApiBudget
+from rankwalk.sampler import SamplerConfig, read_sample_csv
 
 
 def run(argv):
     return main(argv)
+
+
+# `--print-config` with no config file and no `--seed`: every field's default.
+DEFAULT_CONFIG_TEXT = """\
+{
+  "add_symmetric_edge": true,
+  "filter_seed_pool_language": false,
+  "friends_calls_per_window": 15,
+  "friends_window_seconds": 900.0,
+  "key_count": 12,
+  "language_filter_enabled": true,
+  "max_sample_edges": null,
+  "max_sample_nodes": null,
+  "max_simulated_seconds": null,
+  "max_steps": null,
+  "page_size": 5000,
+  "profile_batch": 100,
+  "profile_calls_per_window": 900,
+  "profile_window_seconds": 900.0,
+  "rate_limits_enabled": true,
+  "rng_seed": 0,
+  "target_language": "de",
+  "walker_count": 200
+}
+"""
+
+
+def printed_config(capsys, *argv):
+    capsys.readouterr()
+    assert run([*argv, "--print-config"]) == 0
+    return capsys.readouterr().out
 
 
 class TestConfig:
@@ -23,27 +57,43 @@ class TestConfig:
         assert config["walker_count"] == 200
         assert config["friends_calls_per_window"] == 15
 
-    def test_config_file_round_trip(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(RunConfig(walker_count=7, rng_seed=3).to_json())
-        loaded = RunConfig.from_file(path)
-        assert loaded.walker_count == 7
-        assert loaded.rng_seed == 3
+    def test_print_config_prints_every_default(self, capsys):
+        assert printed_config(capsys) == DEFAULT_CONFIG_TEXT
 
-    def test_type_table_accepts_every_field_as_written(self, tmp_path):
-        assert list(RUN_CONFIG_FIELDS) == [f.name for f in dataclasses.fields(RunConfig)]
-        config = RunConfig(
-            max_sample_nodes=1, max_sample_edges=2, max_simulated_seconds=3.5, max_steps=4
-        )
+    def test_config_file_round_trip(self, tmp_path, capsys):
+        config = {**json.loads(DEFAULT_CONFIG_TEXT), "walker_count": 7, "rng_seed": 3}
         path = tmp_path / "config.json"
-        path.write_text(config.to_json())
-        assert RunConfig.from_file(path) == config
+        path.write_text(json.dumps(config))
+        assert read_run_config(path) == config
+        loaded = json.loads(printed_config(capsys, "--config", str(path)))
+        assert loaded["walker_count"] == 7
+        assert loaded["rng_seed"] == 3
+
+    def test_type_table_accepts_every_field_as_written(self, tmp_path, capsys):
+        declared = [
+            f.name
+            for cls in (SamplerConfig, ApiBudget)
+            for f in dataclasses.fields(cls)
+            if f.name != "original_rank_degree"
+        ]
+        assert list(RUN_CONFIG_FIELDS) == ["filter_seed_pool_language", *declared]
+        stops = {
+            "max_sample_nodes": 1, "max_sample_edges": 2, "max_simulated_seconds": 3.5,
+            "max_steps": 4,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(printed_config(capsys))
+        assert printed_config(capsys, "--config", str(path)) == DEFAULT_CONFIG_TEXT
+        path.write_text(json.dumps({**json.loads(DEFAULT_CONFIG_TEXT), **stops}))
+        assert json.loads(printed_config(capsys, "--config", str(path))) == {
+            **json.loads(DEFAULT_CONFIG_TEXT), **stops
+        }
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"walker_countt": 7}')
         with pytest.raises(ValueError, match="walker_countt"):
-            RunConfig.from_file(path)
+            read_run_config(path)
 
 
 class TestGenerateCommand:
@@ -69,6 +119,10 @@ class TestGenerateCommand:
         ],
     )
     def test_setting_out_of_range_gives_exit_one(self, tmp_path, capsys, flag, value, message):
+        """`message` is generate_network's; the line names the flag in place of
+        the parameter."""
+        parameter, _, reason = message.partition(" ")
+        assert flag == "--" + parameter.replace("_", "-")
         rc = run(
             [
                 "--out-dir", str(tmp_path),
@@ -76,7 +130,7 @@ class TestGenerateCommand:
             ]
         )
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {flag} {reason}\n"
         assert not any(tmp_path.iterdir())
 
 
@@ -202,12 +256,14 @@ class TestConfigDrivenRuns:
         ) == 0
         config_path = tmp_path / "config.json"
         config_path.write_text(
-            RunConfig(
-                filter_seed_pool_language=True,
-                max_sample_edges=40,
-                max_steps=50000,
-                walker_count=3,
-            ).to_json()
+            json.dumps(
+                {
+                    "filter_seed_pool_language": True,
+                    "max_sample_edges": 40,
+                    "max_steps": 50000,
+                    "walker_count": 3,
+                }
+            )
         )
         assert run(
             [
@@ -281,7 +337,7 @@ class TestErrors:
         ) == 0
         config_path = tmp_path / "config.json"
         config_path.write_text(
-            RunConfig(filter_seed_pool_language=True, max_sample_edges=20).to_json()
+            json.dumps({"filter_seed_pool_language": True, "max_sample_edges": 20})
         )
         pool_path = tmp_path / "pool.txt"
         pool_path.write_text(pool_text)
@@ -628,21 +684,121 @@ def test_generate_or_sample_setting_out_of_range_names_the_flag(
     assert not any((tmp_path / "out").iterdir())
 
 
+# `sample` with no flag for a run-config field, so the config file's values reach the run.
+CONFIG_SAMPLE = ["--config", "{d}/config.json", "sample", "--profiles", "{d}/profiles.jsonl"]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ('{"max_steps": -1}', "max_steps must be >= 0, got -1"),
         ('{"max_simulated_seconds": NaN}', "max_simulated_seconds must be >= 0, got nan"),
+        ('{"key_count": 0}', "key_count must be >= 1, got 0"),
+        ('{"page_size": 0}', "page_size must be >= 1, got 0"),
+        ('{"profile_batch": 0}', "profile_batch must be >= 1, got 0"),
+        ('{"friends_calls_per_window": 0}', "friends_calls_per_window must be >= 1, got 0"),
+        ('{"walker_count": 0}', "walker_count must be >= 1, got 0"),
+        ('{"friends_window_seconds": NaN}',
+         "friends_window_seconds must be finite and > 0, got nan"),
+        ('{"friends_window_seconds": Infinity, "key_count": 1}',
+         "friends_window_seconds must be finite and > 0, got inf"),
+        ('{"profile_window_seconds": NaN}',
+         "profile_window_seconds must be finite and > 0, got nan"),
+        ('{"profile_window_seconds": Infinity, "key_count": 1}',
+         "profile_window_seconds must be finite and > 0, got inf"),
     ],
 )
 def test_config_stop_out_of_range_gives_exit_one(tmp_path, capsys, text, message):
+    """A config field out of range ends in exit 1 with one line naming the file
+    and the field, and no output is written."""
     for name, good_text in GOOD_FILES.items():
         (tmp_path / name).write_text(good_text, encoding="utf-8")
     (tmp_path / "config.json").write_text(text, encoding="utf-8")
-    argv = ["--config", "{d}/config.json", *SAMPLE]
-    assert run(["--out-dir", str(tmp_path / "out"), *(a.format(d=tmp_path) for a in argv)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    argv = [a.format(d=tmp_path) for a in CONFIG_SAMPLE] + ["--max-sample-edges", "2"]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'config.json'}: {message}\n"
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_flag_in_range_wins_over_config_out_of_range(tmp_path, capsys):
+    for name, good_text in GOOD_FILES.items():
+        (tmp_path / name).write_text(good_text, encoding="utf-8")
+    (tmp_path / "config.json").write_text('{"walker_count": 0, "page_size": 0}')
+    argv = [a.format(d=tmp_path) for a in CONFIG_SAMPLE]
+    argv += ["--max-sample-edges", "2", "--walker-count", "1", "--page-size", "1"]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
+class Captured(Exception):
+    """Raised in place of run_sample, holding the SamplerConfig and ApiBudget
+    that `sample` built."""
+
+
+def captured_settings(monkeypatch, tmp_path, config, flags=(), global_flags=()):
+    def stand_in(sampler_config, oracle, seed_pool, resume=None):
+        raise Captured(sampler_config, oracle.budget)
+
+    monkeypatch.setattr(cli, "run_sample", stand_in)
+    for name, good_text in GOOD_FILES.items():
+        (tmp_path / name).write_text(good_text, encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = [*global_flags, *(a.format(d=tmp_path) for a in CONFIG_SAMPLE), *flags]
+    with pytest.raises(Captured) as caught:
+        run(["--out-dir", str(tmp_path / "out"), *argv])
+    sampler_config, budget = caught.value.args
+    return {**dataclasses.asdict(sampler_config), **dataclasses.asdict(budget)}
+
+
+def sample_flags():
+    """{field: (flag, value it sets or None)} for each run-config field a flag sets."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        action.dest: (action.option_strings[0], action.const)
+        for action in commands.choices["sample"]._actions
+        if action.dest in RUN_CONFIG_FIELDS
+    }
+    flags["rng_seed"] = ("--seed", None)  # a global flag
+    return flags
+
+
+DECLARED = [
+    f.name
+    for cls in (SamplerConfig, ApiBudget)
+    for f in dataclasses.fields(cls)
+    if f.name in RUN_CONFIG_FIELDS
+]
+
+
+@pytest.mark.parametrize("field", DECLARED)
+def test_config_field_reaches_the_run_and_its_flag_wins(monkeypatch, tmp_path, field):
+    """A non-default value in the config file reaches the SamplerConfig or the
+    ApiBudget, and the field's flag, where one exists, wins over the file."""
+    defaults = json.loads(DEFAULT_CONFIG_TEXT)
+    del defaults["filter_seed_pool_language"]
+    default = defaults[field]
+    if isinstance(default, bool):
+        value = not default
+    elif isinstance(default, str):
+        value = "xx"
+    else:
+        value = (default or 0) + 3
+    config = {"max_sample_edges": 2, field: value}
+    assert captured_settings(monkeypatch, tmp_path, config).items() >= {
+        **defaults, **config
+    }.items()
+    flag = sample_flags().get(field)
+    if flag is None:
+        return
+    option, const = flag
+    if const is None:  # the flag takes a value
+        override = "yy" if isinstance(value, str) else value + 2
+        flags = [option, str(override)]
+    else:  # a switch: the file holds the value it does not set
+        config[field], override, flags = not const, const, [option]
+    flags, global_flags = ([], flags) if option == "--seed" else (flags, [])
+    assert captured_settings(monkeypatch, tmp_path, config, flags, global_flags)[field] == override
 
 
 def test_pagerank_non_convergence_gives_one_warning_line(tmp_path, capsys, caplog):

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from collections import deque
 from itertools import product
 
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from rankwalk.graph import DirectedGraph, NodeProfile
 from rankwalk.oracle import (
+    ApiBudget,
     CallRecord,
     NotFoundError,
     ProtectedError,
     RateLimiter,
     SimulatedClock,
+    SimulatedOracle,
     assert_budget_safety,
     build_simulated_oracle,
     write_call_log,
@@ -31,6 +35,38 @@ class TestSimulatedClock:
         assert clock.now == 5.0
         clock.advance_to(9.0)
         assert clock.now == 9.0
+
+class TestApiBudget:
+    @pytest.mark.parametrize(
+        "name, value, reason",
+        [
+            ("key_count", 0, ">= 1"),
+            ("friends_calls_per_window", 0, ">= 1"),
+            ("profile_calls_per_window", -1, ">= 1"),
+            ("page_size", 0, ">= 1"),
+            ("profile_batch", 0, ">= 1"),
+            ("friends_window_seconds", 0.0, "finite and > 0"),
+            ("friends_window_seconds", math.nan, "finite and > 0"),
+            ("friends_window_seconds", math.inf, "finite and > 0"),
+            ("profile_window_seconds", -900.0, "finite and > 0"),
+            ("profile_window_seconds", math.nan, "finite and > 0"),
+            ("profile_window_seconds", math.inf, "finite and > 0"),
+        ],
+    )
+    def test_rejects_out_of_range(self, name, value, reason):
+        with pytest.raises(ValueError, match=f"^{name} must be {re.escape(reason)}, got {value}$"):
+            ApiBudget(**{name: value})
+
+    def test_oracle_takes_its_limits_from_the_budget(self):
+        budget = ApiBudget(key_count=3, friends_calls_per_window=4, profile_window_seconds=60.0)
+        oracle = SimulatedOracle({}, budget)
+        assert oracle.budget is budget
+        friends = oracle.friends_limiter
+        assert (friends.key_count, friends.calls_per_window) == (3, 4)
+        assert oracle.profiles_limiter.window_seconds == 60.0
+        unlimited = SimulatedOracle({}, ApiBudget(rate_limits_enabled=False))
+        assert unlimited.friends_limiter is None and unlimited.profiles_limiter is None
+
 
 def simple_oracle(**kwargs):
     g = DirectedGraph.from_edges([(0, 7), (0, 5), (0, 2), (5, 0)], nodes=[9])

@@ -5,6 +5,8 @@ from .graph import (
     DirectedGraph,
     NodeProfile,
     PageRankResult,
+    ProfileRecord,
+    ProfileTable,
     k_core,
     pagerank,
     read_edge_list,
@@ -43,6 +45,8 @@ __all__ = [
     "NodeProfile",
     "NotFoundError",
     "PageRankResult",
+    "ProfileRecord",
+    "ProfileTable",
     "ProtectedError",
     "RankDegreeResult",
     "RateLimiter",

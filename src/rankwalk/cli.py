@@ -8,7 +8,10 @@ import dataclasses
 import json
 import sys
 import typing
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import communities as communities_mod
 from . import evaluation as evaluation_mod
@@ -190,7 +193,8 @@ def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
         if unknown:
             raise ValueError(f"{args.seed_pool}: seed id {unknown[0]} has no profile")
         language = sampler_config.target_language
-        pool_ids = [n for n in pool_ids if profiles[n].language == language]
+        rows = np.fromiter(map(profiles.index.__getitem__, pool_ids), np.intp, len(pool_ids))
+        pool_ids = list(compress(pool_ids, profiles.has_language(language)[rows].tolist()))
         if not pool_ids:
             # the filter is on only through a config file
             raise ValueError(
@@ -198,7 +202,16 @@ def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
                 f"target_language {language!r}"
             )
     seed_pool = SeedPool(pool_ids, substream(seed, "seed-pool"))
-    resume = load_run_state(args.resume_from) if args.resume_from else None
+    resume = None
+    if args.resume_from:
+        resume = load_run_state(args.resume_from)
+        window = min(budget.friends_window_seconds, budget.profile_window_seconds)
+        # a clock so large that adding the window leaves it unchanged never frees a spent key
+        if budget.rate_limits_enabled and not resume.clock_now + window > resume.clock_now:
+            raise ValueError(
+                f"{args.resume_from}: clock_now {resume.clock_now!r} is too large to add "
+                f"a {window!r} s rate window to"
+            )
     sample, stats = run_sample(sampler_config, oracle, seed_pool, resume=resume)
     write_sample_csv(sample, out_dir / args.out_sample)
     write_stats_json(stats, out_dir / args.out_stats)
@@ -269,9 +282,9 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     influencer = evaluation_mod.influencer_nodes(sample_graph)
     if not influencer:
         raise ValueError("influencer sample is empty (no sampled node has in-degree >= 1)")
-    population = sorted(profiles)
+    population = profiles.ids
     if args.language is not None:
-        population = [n for n in population if profiles[n].language == args.language]
+        population = list(compress(population, profiles.has_language(args.language).tolist()))
         if not population:
             raise ValueError(f"{args.profiles}: no account has --language {args.language!r}")
     test_rng = substream(seed, "test-sample")
@@ -299,10 +312,8 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     )
     as_of = args.as_of
     if as_of is None:
-        as_of = max(
-            [p.created_at for p in profiles.values()]
-            + [p.last_status_at for p in profiles.values() if p.last_status_at is not None]
-        )
+        known = profiles.last_status_at[profiles.last_status_known]
+        as_of = np.concatenate([profiles.created_at, known]).max().item()
     activities = [
         evaluation_mod.activity(profiles[n], as_of)
         for n in sorted(influencer)

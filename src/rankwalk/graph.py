@@ -5,11 +5,15 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import math
+import operator
 import re
+import struct
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, product
-from operator import itemgetter
+from itertools import compress, islice, product
+from operator import attrgetter, itemgetter
 from types import NoneType
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
@@ -149,10 +153,12 @@ _profile_values = itemgetter(*PROFILE_FIELDS)
 
 @dataclass
 class NodeProfile:
-    """Static per-account metadata.
+    """Static per-account metadata, as the generator builds it and tests write
+    it out; a read profile file is a ProfileTable instead.
 
     friends_recent_first is ordered most recently followed first and must not
-    contain duplicates or the account itself.
+    contain duplicates or the account itself; the counts must lie in
+    [0, 2**63).
     """
 
     node: NodeId
@@ -165,14 +171,229 @@ class NodeProfile:
     last_status_at: float | None = None
 
     def __post_init__(self) -> None:
-        if self.follower_count < 0:
-            raise ValueError(f"profile {self.node}: negative follower_count")
-        if self.status_count < 0:
-            raise ValueError(f"profile {self.node}: negative status_count")
-        if self.node in self.friends_recent_first:
-            raise ValueError(f"profile {self.node}: lists itself as a friend")
-        if len(set(self.friends_recent_first)) != len(self.friends_recent_first):
-            raise ValueError(f"profile {self.node}: duplicate entries in friend list")
+        _check_profile(self.node, self.follower_count, self.friends_recent_first, self.status_count)
+
+
+_INT64_END = 1 << 63
+
+
+def _check_profile(node: NodeId, follower_count: int, friends: list[NodeId], status_count: int) -> None:
+    if not (0 <= follower_count < _INT64_END and 0 <= status_count < _INT64_END):
+        for name, count in (("follower_count", follower_count), ("status_count", status_count)):
+            if count < 0:
+                raise ValueError(f"profile {node}: negative {name}")
+            if count >= _INT64_END:
+                raise ValueError(f"profile {node}: {name} must be < 2**63, got {count}")
+    if node in friends:
+        raise ValueError(f"profile {node}: lists itself as a friend")
+    if len(set(friends)) != len(friends):
+        raise ValueError(f"profile {node}: duplicate entries in friend list")
+
+
+class ProfileRecord:
+    """One account of a ProfileTable: NodeProfile's eight attributes with the
+    Python types read_profiles gives them (int, float, None, a list of ints),
+    copied from the table's columns without re-running NodeProfile's checks.
+
+    friends_recent_first is read from the table's friend rows on each access,
+    so a record that a crawl keeps in its profile cache holds no friend list.
+    A record equals a NodeProfile or record with the same eight values.
+    """
+
+    __slots__ = (
+        "node", "follower_count", "language", "protected", "created_at", "status_count",
+        "last_status_at", "_table", "_row",
+    )
+
+    def __init__(self, table: ProfileTable, row: int) -> None:
+        (follower_count, language_codes, protected, created_at, status_count, last_status_at,
+         last_status_known, _) = table._views
+        self.node = table.ids[row]
+        self.follower_count = follower_count[row]
+        self.language = table.languages[language_codes[row]]
+        self.protected = protected[row]
+        self.created_at = created_at[row]
+        self.status_count = status_count[row]
+        self.last_status_at = last_status_at[row] if last_status_known[row] else None
+        self._table = table
+        self._row = row
+
+    @property
+    def friends_recent_first(self) -> list[NodeId]:
+        return self._table.friends(self._row).tolist()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (NodeProfile, ProfileRecord)):
+            return NotImplemented
+        return _profile_attributes(self) == _profile_attributes(other)
+
+    __hash__ = None  # type: ignore[assignment]  # equal to a mutable NodeProfile
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in PROFILE_FIELDS)
+        return f"ProfileRecord({values})"
+
+
+Profile = NodeProfile | ProfileRecord
+_profile_attributes = attrgetter(*PROFILE_FIELDS)
+
+
+class ProfileTable(Mapping[NodeId, ProfileRecord]):
+    """A read-only snapshot of profiles, stored as columns: the one profile
+    store that read_profiles returns and SimulatedOracle serves, at ~160 B per
+    account plus 8 B per friend.
+
+    Row i holds the account ids[i], with ids ascending and index mapping each
+    id back; ids are Python ints because they may pass 2**63, and each is one
+    object shared by ids and index. The scalar fields are numpy columns by
+    row: follower_count and status_count int64, created_at float64, protected
+    bool, language_codes small ints into the list languages of the distinct
+    language strings, and last_status_at float64 wherever last_status_known
+    is set (elsewhere the account's last_status_at is None). The friend lists
+    are one set of compressed sparse rows in recency order: friends(i), that
+    is friend_ids[friend_offsets[i]:friend_offsets[i + 1]], holds row i's
+    friend ids, int64, or Python ints in an object array once any id passes
+    2**63 - 1.
+
+    table[node] and values() build a ProfileRecord per call; loops over every
+    account read the columns instead. Build one with read_profiles or
+    ProfileTable.from_profiles, never by hand.
+    """
+
+    __slots__ = (
+        "ids", "index", "follower_count", "languages", "language_codes", "protected",
+        "created_at", "status_count", "last_status_at", "last_status_known",
+        "friend_offsets", "friend_ids", "_views",
+    )
+
+    @classmethod
+    def from_profiles(cls, profiles: Iterable[Profile]) -> ProfileTable:
+        """The table of `profiles`, in any order; a repeated node id raises
+        ValueError, as does any profile that NodeProfile would reject."""
+        columns = _ProfileColumns()
+        for p in profiles:
+            columns.add(
+                p.node, p.follower_count, list(p.friends_recent_first), p.language, p.protected,
+                p.created_at, p.status_count, p.last_status_at,
+            )
+        return columns.build()
+
+    def __getitem__(self, node: NodeId) -> ProfileRecord:
+        return ProfileRecord(self, self.index[node])
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.index
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def friends(self, row: int) -> np.ndarray:
+        """Row `row`'s friend ids, most recently followed first (a view)."""
+        offsets = self._views[-1]
+        return self.friend_ids[offsets[row] : offsets[row + 1]]
+
+    def has_language(self, language: str) -> np.ndarray:
+        """A bool per row: whether that account's language is `language`."""
+        if language not in self.languages:
+            return np.zeros(len(self.ids), dtype=bool)
+        return self.language_codes == self.languages.index(language)
+
+    def __repr__(self) -> str:
+        return f"ProfileTable(accounts={len(self.ids)}, friends={len(self.friend_ids)})"
+
+
+# The scalar fields of one added profile, packed by _ProfileColumns.add into
+# one row of its scalars buffer, and the numpy type that reads the rows back.
+_pack_scalars = struct.Struct("<qqqqdd??").pack
+_SCALAR_ROW = np.dtype([
+    ("follower_count", "<i8"), ("status_count", "<i8"), ("language_code", "<i8"),
+    ("friend_count", "<i8"), ("created_at", "<f8"), ("last_status_at", "<f8"),
+    ("protected", "?"), ("last_status_known", "?"),
+])
+
+
+class _ProfileColumns:
+    """Builds a ProfileTable one profile at a time, in any id order: each
+    profile's scalar fields become one packed row of a bytes buffer and its
+    friends are appended to one int64 array, so no per-profile object is
+    kept; build() sorts the rows by id."""
+
+    __slots__ = ("rows", "languages", "scalars", "friend_ids")
+
+    def __init__(self) -> None:
+        self.rows: dict[NodeId, int] = {}  # id -> the order it was added in
+        self.languages: dict[str, int] = {}  # language -> its code
+        self.scalars = bytearray()
+        self.friend_ids: array | list[NodeId] = array("q")
+
+    def add(
+        self, node: NodeId, follower_count: int, friends: list[NodeId], language: str,
+        protected: bool, created_at: float, status_count: int, last_status_at: float | None,
+    ) -> None:
+        row = len(self.rows)
+        if self.rows.setdefault(node, row) != row:
+            raise ValueError(f"duplicate node id {node}")
+        _check_profile(node, follower_count, friends, status_count)
+        code = self.languages.setdefault(language, len(self.languages))
+        known = last_status_at is not None
+        self.scalars += _pack_scalars(
+            follower_count, status_count, code, len(friends), created_at,
+            last_status_at if known else math.nan, protected, known,
+        )
+        if isinstance(self.friend_ids, list):
+            self.friend_ids += friends
+            return
+        try:
+            self.friend_ids.fromlist(friends)  # all or nothing
+        except OverflowError:  # an id past 2**63 - 1: keep Python ints from here on
+            self.friend_ids = [*self.friend_ids, *friends]
+
+    def build(self) -> ProfileTable:
+        """The table, rows in ascending id order; add nothing after this. Rows
+        added in id order, as write_profiles writes them, are kept as they are."""
+        rows = self.rows
+        n = len(rows)
+        added = np.frombuffer(self.scalars, _SCALAR_ROW)
+        if isinstance(self.friend_ids, array):
+            friend_ids = np.frombuffer(self.friend_ids, np.int64)
+        else:
+            friend_ids = np.array(self.friend_ids, dtype=object)
+        if all(map(operator.lt, rows, islice(rows, 1, None))):
+            ids = list(rows)
+            scalars = added
+        else:
+            ids = sorted(rows)
+            order = np.fromiter(map(rows.__getitem__, ids), np.intp, n)  # the added row of each id
+            rows.update(zip(ids, range(n)))  # now the index: the same keys, their sorted rows
+            scalars = added[order]
+            rank = np.empty(n, dtype=np.intp)
+            rank[order] = np.arange(n)  # the sorted row of each added row
+            # each friend goes to its row's sorted place, keeping its place in the row
+            friend_ids = friend_ids[np.argsort(np.repeat(rank, added["friend_count"]), kind="stable")]
+        table = ProfileTable.__new__(ProfileTable)
+        table.ids = ids
+        table.index = rows
+        for name in (
+            "follower_count", "status_count", "created_at", "last_status_at", "protected",
+            "last_status_known",
+        ):
+            setattr(table, name, scalars[name].copy())
+        table.languages = list(self.languages)
+        code_type = np.min_scalar_type(max(len(self.languages) - 1, 0))
+        table.language_codes = scalars["language_code"].astype(code_type)
+        table.friend_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(scalars["friend_count"], out=table.friend_offsets[1:])
+        table.friend_ids = friend_ids
+        # Per-row reads index these: a memoryview gives a Python scalar in about
+        # half the time ndarray.item takes.
+        table._views = tuple(memoryview(getattr(table, name)) for name in (
+            "follower_count", "language_codes", "protected", "created_at", "status_count",
+            "last_status_at", "last_status_known", "friend_offsets",
+        ))
+        return table
 
 
 class DirectedGraph:
@@ -508,10 +729,10 @@ def read_edge_list(path) -> DirectedGraph:
     return graph
 
 
-def write_profiles(profiles: Mapping[NodeId, NodeProfile] | Iterable[NodeProfile], path) -> None:
+def write_profiles(profiles: Mapping[NodeId, Profile] | Iterable[Profile], path) -> None:
     """One JSON object per line, sorted by node id."""
     if isinstance(profiles, Mapping):
-        items = [profiles[node] for node in sorted(profiles)]
+        items = map(profiles.__getitem__, sorted(profiles))
     else:
         items = sorted(profiles, key=lambda p: p.node)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -529,10 +750,17 @@ def write_profiles(profiles: Mapping[NodeId, NodeProfile] | Iterable[NodeProfile
             fh.write(_compact_json(record) + "\n")
 
 
-def read_profiles(path) -> dict[NodeId, NodeProfile]:
-    """Parse JSONL profiles, one JSON object per line; a value of a JSON type that
-    PROFILE_FIELDS does not allow is rejected, not coerced."""
-    profiles: dict[NodeId, NodeProfile] = {}
+_INT_ONLY = frozenset({int})
+
+
+def read_profiles(path) -> ProfileTable:
+    """Parse JSONL profiles, one JSON object per line, into a ProfileTable; a
+    value of a JSON type that PROFILE_FIELDS does not allow is rejected, not
+    coerced, and each record must pass NodeProfile's checks. The records go
+    straight into the table's columns: no per-account object outlives the
+    read."""
+    columns = _ProfileColumns()
+    add_columns = columns.add
 
     def add(record: dict) -> None:
         record.setdefault("last_status_at", None)
@@ -544,15 +772,16 @@ def read_profiles(path) -> dict[NodeId, NodeProfile]:
         )
         if signature not in _PROFILE_SIGNATURES:
             _check_fields(record, PROFILE_FIELDS)
-        _integer_id(node, "node")
-        for friend in friends:
-            _integer_id(friend, "friends_recent_first")
-        if node in profiles:
-            raise ValueError(f"duplicate node id {node}")
-        profiles[node] = NodeProfile(
-            node, follower_count, friends, language, protected, float(created_at), status_count,
-            None if last_status_at is None else float(last_status_at),
+        if node < 0:
+            _integer_id(node, "node")
+        # one pass in C for the usual list of ints >= 0, _integer_id's message otherwise
+        if friends and not (set(map(type, friends)) == _INT_ONLY and min(friends) >= 0):
+            for friend in friends:
+                _integer_id(friend, "friends_recent_first")
+        add_columns(
+            node, follower_count, friends, language, protected, created_at, status_count,
+            last_status_at,
         )
 
     _read_json_lines(path, add)
-    return profiles
+    return columns.build()

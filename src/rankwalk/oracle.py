@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graph import NodeId, NodeProfile
+from .graph import NodeId, Profile, ProfileRecord, ProfileTable
 
 
 class NotFoundError(LookupError):
@@ -144,10 +144,13 @@ class SimulatedOracle:
     """Answers friend and profile lookups from a fixed snapshot of profiles,
     under the quotas of an ApiBudget.
 
-    The profiles are the one ground truth: an account's friend list is its
-    profile's friends_recent_first, and an id with no profile is unknown to
-    every endpoint. Answers are pure functions of (node, construction inputs);
-    only the clock and budget state change between identical queries.
+    The profiles are the one ground truth, held as one ProfileTable: the
+    table read_profiles returned is kept as is, and any other mapping (the
+    generator's dict of NodeProfiles) is turned into one. An account's
+    friend list is its table row's friends, and an id with no profile is
+    unknown to every endpoint. Answers are pure functions of (node,
+    construction inputs); only the clock and budget state change between
+    identical queries.
     """
 
     FRIENDS = "friends"
@@ -155,11 +158,13 @@ class SimulatedOracle:
 
     def __init__(
         self,
-        profiles: Mapping[NodeId, NodeProfile],
+        profiles: Mapping[NodeId, Profile],
         budget: ApiBudget = ApiBudget(),
         clock: SimulatedClock | None = None,
     ) -> None:
-        self.profiles = dict(profiles)
+        if not isinstance(profiles, ProfileTable):
+            profiles = ProfileTable.from_profiles(profiles.values())
+        self.profiles = profiles
         self.budget = budget
         self.clock = clock if clock is not None else SimulatedClock()
         self.friends_limiter: RateLimiter | None = None
@@ -191,42 +196,44 @@ class SimulatedOracle:
         all keys are exhausted. Unknown ids raise NotFoundError, protected
         accounts ProtectedError; neither consumes budget.
         """
-        profile = self.profiles.get(node)
-        if profile is None:
+        row = self.profiles.index.get(node)
+        if row is None:
             raise NotFoundError(f"unknown account id {node}")
-        if profile.protected:
+        if self.profiles.protected[row]:
             raise ProtectedError(f"account {node} is protected")
         self._charge(self.FRIENDS, self.friends_limiter, (node,))
-        friends = tuple(profile.friends_recent_first[: self.page_size])
-        return FriendsPage(friends, truncated=len(profile.friends_recent_first) > self.page_size)
+        friends = self.profiles.friends(row).tolist()
+        return FriendsPage(tuple(friends[: self.page_size]), len(friends) > self.page_size)
 
-    def get_profiles(self, nodes: Sequence[NodeId]) -> dict[NodeId, NodeProfile]:
+    def get_profiles(self, nodes: Sequence[NodeId]) -> dict[NodeId, ProfileRecord]:
         """Batched profile lookup: ceil(len(nodes) / profile_batch) calls.
 
         Unknown ids are silently dropped from the result, mirroring batched
         user-lookup endpoints.
         """
         nodes = list(nodes)
-        result: dict[NodeId, NodeProfile] = {}
+        index = self.profiles.index
+        result: dict[NodeId, ProfileRecord] = {}
         for start in range(0, len(nodes), self.profile_batch):
             chunk = nodes[start : start + self.profile_batch]
             self._charge(self.PROFILES, self.profiles_limiter, tuple(chunk))
             for node in chunk:
-                profile = self.profiles.get(node)
-                if profile is not None:
-                    result[node] = profile
+                row = index.get(node)
+                if row is not None:
+                    result[node] = ProfileRecord(self.profiles, row)
         return result
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
         """Ground-truth follow check; uncharged and unlogged. Reads the source's
         friend list, so an id with no profile follows nobody."""
-        profile = self.profiles.get(source)
-        return profile is not None and target in profile.friends_recent_first
+        row = self.profiles.index.get(source)
+        # a short row's list is searched ~10x faster than the numpy row
+        return row is not None and target in self.profiles.friends(row).tolist()
 
 
 def build_simulated_oracle(
     graph: object,
-    profiles: Mapping[NodeId, NodeProfile],
+    profiles: Mapping[NodeId, Profile],
     *,
     clock: SimulatedClock | None = None,
     **budget,

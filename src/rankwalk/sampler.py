@@ -10,6 +10,7 @@ ground truth contains one.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 from .graph import (
     DirectedGraph,
     NodeId,
-    NodeProfile,
+    Profile,
     _check_fields,
     _compact_json,
     _gc_paused,
@@ -216,7 +217,7 @@ class RunStats:
 def select_target(
     w: NodeId,
     friends_page: Sequence[NodeId],
-    profiles: Mapping[NodeId, NodeProfile],
+    profiles: Mapping[NodeId, Profile],
     sample: SampleGraph,
     config: SamplerConfig,
 ) -> NodeId | None:
@@ -257,7 +258,7 @@ def walker_step(
     sample: SampleGraph,
     seed_pool: SeedPool,
     config: SamplerConfig,
-    profile_cache: dict[NodeId, NodeProfile] | None = None,
+    profile_cache: dict[NodeId, Profile] | None = None,
 ) -> WalkerState:
     """One walker step: fetch the current node's friends page, walk the best
     eligible edge into the sample, or jump to a fresh seed when none qualifies.
@@ -337,7 +338,7 @@ def run_sample(
     """
     sample = SampleGraph()
     stats = RunStats()
-    profile_cache: dict[NodeId, NodeProfile] = {}
+    profile_cache: dict[NodeId, Profile] = {}
 
     if resume is not None:
         oracle.clock.advance_to(resume.clock_now)
@@ -505,7 +506,12 @@ def load_run_state(path) -> RunState:
             version, internal, gauss_next = record["seed_pool_state"]
             state = (version, tuple(internal), gauss_next)
             random.Random().setstate(state)  # rejects a state of the wrong size or types
-            meta.append((record["clock_now"], state))
+            clock_now = float(record["clock_now"])
+            if not 0.0 <= clock_now < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"field 'clock_now': expected a finite number >= 0, got {clock_now!r}"
+                )
+            meta.append((clock_now, state))
         elif kind == "burned":
             burned.append(edge_of(record))
         elif kind == "edge":

@@ -456,6 +456,11 @@ META = json.dumps(
     {"type": "meta", "clock_now": 0.0, "seed_pool_state": random.Random(0).getstate()}
 )
 WALKER = '{"type": "walker", "id": 0, "current": 1}\n'
+
+
+def meta_at(clock_now):
+    """META with another clock_now; json.dumps writes inf and nan as Infinity and NaN."""
+    return META.replace('"clock_now": 0.0', f'"clock_now": {json.dumps(clock_now)}')
 KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignment.csv"]
 
 
@@ -534,6 +539,14 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          "filter_seed_pool_language: no seed-pool account has target_language 'xx'"),
         (EVALUATE + ["--language", "xx"], "profiles.jsonl", GOOD_FILES["profiles.jsonl"], None,
          "no account has --language 'xx'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         meta_at(float("inf")) + "\n" + WALKER, 1, "field 'clock_now'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         meta_at(float("nan")) + "\n" + WALKER, 1, "field 'clock_now'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         meta_at(-1.0) + "\n" + WALKER, 1, "field 'clock_now'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         meta_at(1e20) + "\n" + WALKER, None, "clock_now 1e+20 is too large"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -548,6 +561,8 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "resume-self-loop", "resume-burned-self-loop", "resume-burned-without-edge",
         "resume-burned-symmetric-edge", "docs-empty-windowed",
         "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
+        "resume-infinite-clock", "resume-nan-clock", "resume-negative-clock",
+        "resume-clock-past-window-resolution",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(

@@ -29,6 +29,7 @@ from rankwalk.graph import (
     write_profiles,
 )
 from rankwalk.keywords import read_docs_jsonl
+from rankwalk.oracle import SimulatedOracle
 
 from conftest import assert_edges_ascend, random_digraph
 
@@ -589,6 +590,15 @@ class TestProfileIO:
         with pytest.raises(ValueError, match=f"^{path}: line 1: profile 1: negative follower_count"):
             read_profiles(path)
 
+    @pytest.mark.parametrize("field", ["follower_count", "status_count"])
+    def test_count_past_int64_names_path_line_and_field(self, tmp_path, field):
+        """The table holds counts as int64; a larger JSON integer is rejected."""
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps({**json.loads(VALID_RECORD), field: 2**63}) + "\n")
+        message = f"{path}: line 1: profile 1: {field} must be < 2**63, got {2**63}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_profiles(path)
+
     @pytest.mark.parametrize(
         "field, value, expected",
         [
@@ -615,6 +625,96 @@ class TestProfileIO:
         message = f"{path}: line 1: field {field!r}: expected a JSON integer >= 0, got {bad}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_profiles(path)
+
+
+# Ids of either size: small ones, and ones past 2**63 that int64 cannot hold.
+PROFILE_IDS = st.one_of(st.integers(0, 60), st.integers(2**63 - 2, 2**63 + 60))
+TIMES = st.floats(allow_nan=False)
+
+
+@st.composite
+def profile_sets(draw):
+    """NodeProfiles with distinct ids; friends may lack a profile of their own."""
+    nodes = draw(st.lists(PROFILE_IDS, unique=True, max_size=12))
+    profiles = []
+    for node in nodes:
+        friends = draw(st.lists(PROFILE_IDS.filter(lambda v: v != node), unique=True, max_size=5))
+        profiles.append(
+            NodeProfile(
+                node=node,
+                follower_count=draw(st.integers(0, 2**63 - 1)),
+                friends_recent_first=friends,
+                language=draw(st.sampled_from(["de", "en"]) | st.text(max_size=3)),
+                protected=draw(st.booleans()),
+                created_at=draw(TIMES),
+                status_count=draw(st.integers(0, 2**63 - 1)),
+                last_status_at=draw(st.none() | TIMES),
+            )
+        )
+    return profiles
+
+
+def typed_fields(profile):
+    """Each field of a profile with its Python type, and each friend's type."""
+    values = [getattr(profile, name) for name in graph_module.PROFILE_FIELDS]
+    friends = list(profile.friends_recent_first)
+    return [(v, type(v)) for v in values], list(map(type, friends))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(profiles=profile_sets(), data=st.data())
+def test_profile_table_round_trips_field_by_field_and_byte_for_byte(
+    profiles, data, tmp_path_factory
+):
+    directory = tmp_path_factory.mktemp("profiles")
+    written, rewritten = directory / "written.jsonl", directory / "rewritten.jsonl"
+    write_profiles(profiles, written)
+    lines = written.read_text(encoding="utf-8").splitlines(keepends=True)
+    # in any line order, and with a null last_status_at left out
+    shuffled = data.draw(st.permutations(lines))
+    (directory / "shuffled.jsonl").write_text(
+        "".join(line.replace(',"last_status_at":null', "") for line in shuffled), encoding="utf-8"
+    )
+    expected = {p.node: typed_fields(p) for p in profiles}
+    for path in (written, directory / "shuffled.jsonl"):
+        table = read_profiles(path)
+        assert list(table) == table.ids == sorted(expected)
+        assert {node: typed_fields(table[node]) for node in table} == expected
+        assert [typed_fields(p) for p in table.values()] == [expected[n] for n in table.ids]
+        assert table == {p.node: p for p in profiles}
+        write_profiles(table, rewritten)
+        assert rewritten.read_bytes() == written.read_bytes()
+
+
+def test_profile_table_from_dict_equals_table_read_from_file(tmp_path):
+    _, profiles = generate_network("planted-blocks", 300, 4, protected_fraction=0.1)
+    write_profiles(profiles, tmp_path / "profiles.jsonl")
+    read = read_profiles(tmp_path / "profiles.jsonl")
+    built = graph_module.ProfileTable.from_profiles(profiles.values())
+    for name in (n for n in graph_module.ProfileTable.__slots__ if not n.startswith("_")):
+        np.testing.assert_array_equal(getattr(read, name), getattr(built, name), err_msg=name)
+    assert read == built == profiles
+
+
+def test_profile_table_holds_no_object_per_account(tmp_path):
+    """read_profiles plus the oracle built on it keep the id list and index, the
+    numpy columns and the friend rows: at most 300 B per account on a
+    preferential-attachment world, where a dict of NodeProfiles kept ~510 B."""
+    n = 20_000
+    _, profiles = generate_network("preferential-attachment", n, 11, m=5)
+    path = tmp_path / "profiles.jsonl"
+    write_profiles(profiles, path)
+    del profiles
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read_profiles(path)
+        oracle = SimulatedOracle(table)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert oracle.profiles is table and len(table) == n
+    assert retained / n <= 300
 
 
 # The id rule as stated: optional whitespace, at most one '+', ASCII digits.

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankwalk.graph import DirectedGraph, NodeProfile
+from rankwalk.graph import DirectedGraph, NodeProfile, read_profiles, write_profiles
 from rankwalk.oracle import (
     ApiBudget,
     CallRecord,
+    FriendsPage,
     NotFoundError,
     ProtectedError,
     RateLimiter,
@@ -307,6 +308,58 @@ class TestConstruction:
         assert not oracle.follows(7, 0)
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
         assert oracle.calls_by_endpoint[oracle.PROFILES] == 0
+
+
+# Ids of either size, so that some friend rows cannot be held as int64.
+ORACLE_IDS = st.one_of(st.integers(0, 30), st.integers(2**63 - 3, 2**63 + 30))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_oracle_on_a_table_answers_as_the_profiles_it_was_built_from(data, tmp_path_factory):
+    """One oracle on the ProfileTable read from a file, one on the dict of
+    NodeProfiles written to it: both give the answers the dict holds."""
+    nodes = data.draw(st.lists(ORACLE_IDS, unique=True, max_size=10))
+    profiles = {
+        node: NodeProfile(
+            node, data.draw(st.integers(0, 9)),
+            data.draw(st.lists(ORACLE_IDS.filter(lambda v: v != node), unique=True, max_size=6)),
+            data.draw(st.sampled_from(["de", "en"])), data.draw(st.booleans()),
+            0.0, 0,
+        )
+        for node in nodes
+    }
+    path = tmp_path_factory.mktemp("oracle") / "profiles.jsonl"
+    write_profiles(profiles, path)
+    budget = ApiBudget(page_size=data.draw(st.integers(1, 4)), profile_batch=3)
+    from_table, from_dict = SimulatedOracle(read_profiles(path), budget), SimulatedOracle(profiles, budget)
+    asked = [*nodes, 7, 2**63 + 31]
+
+    def answer(oracle, call, *args):
+        try:
+            return call(oracle)(*args)
+        except (NotFoundError, ProtectedError) as exc:
+            return type(exc), str(exc)
+
+    for node in asked:
+        profile = profiles.get(node)
+        if profile is None:
+            expected = NotFoundError, f"unknown account id {node}"
+        elif profile.protected:
+            expected = ProtectedError, f"account {node} is protected"
+        else:
+            friends = profile.friends_recent_first
+            expected = FriendsPage(tuple(friends[: budget.page_size]), len(friends) > budget.page_size)
+        for oracle in (from_table, from_dict):
+            assert answer(oracle, lambda o: o.get_friends, node) == expected
+            for target in asked:
+                assert oracle.follows(node, target) == (
+                    profile is not None and target in profile.friends_recent_first
+                )
+    batch = data.draw(st.permutations(asked))
+    expected = {node: profiles[node] for node in batch if node in profiles}
+    assert from_table.get_profiles(batch) == from_dict.get_profiles(batch) == expected
+    assert from_table.call_log == from_dict.call_log
 
 
 def reference_call_log(records):

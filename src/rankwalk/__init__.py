@@ -3,7 +3,6 @@ limits, with sample-quality evaluation and community/keyword analysis."""
 
 from .graph import (
     DirectedGraph,
-    NodeProfile,
     PageRankResult,
     ProfileRecord,
     ProfileTable,
@@ -42,7 +41,6 @@ __all__ = [
     "ApiBudget",
     "DirectedGraph",
     "FriendsPage",
-    "NodeProfile",
     "NotFoundError",
     "PageRankResult",
     "ProfileRecord",

@@ -10,7 +10,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph, NodeId, Profile
+from .graph import DirectedGraph, NodeId, ProfileRecord
 
 SECONDS_PER_DAY = 86400.0
 
@@ -86,7 +86,7 @@ def total_reach(
     return 100.0 * reached / len(restricted)
 
 
-def activity(profile: Profile, as_of: float) -> float:
+def activity(profile: ProfileRecord, as_of: float) -> float:
     """Statuses per day since account creation, floored at one day of age."""
     if as_of < profile.created_at:
         raise ValueError(f"as_of predates creation of account {profile.node}")

@@ -5,9 +5,12 @@ population, plus closed-world profile synthesis."""
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Sequence
 
-from .graph import DirectedGraph, NodeId, NodeProfile
+import numpy as np
+
+from .graph import DirectedGraph, NodeId, ProfileTable, _csr_rows, _ProfileColumns
 from .rng import substream
 
 SECONDS_PER_DAY = 86400.0
@@ -126,10 +129,14 @@ def build_profiles(
     protected_fraction: float = 0.0,
     follower_noise: float = 0.0,
     now: float = 1_600_000_000.0,
-) -> dict[NodeId, NodeProfile]:
+) -> ProfileTable:
     """Closed-world profiles for nodes 0..n-1: follower_count equals the
     ground-truth in-degree (optionally perturbed by a multiplicative noise
     factor), and friends_recent_first is the reversed edge-creation order.
+
+    The edges become two index arrays once; in-degrees and the friend rows
+    are read from them. Each node's draws go, in node order, straight into
+    the table's column builder, so no per-node list or record is kept.
     """
     for name, fraction in (
         ("language_fraction", language_fraction),
@@ -139,12 +146,12 @@ def build_profiles(
             raise ValueError(f"{name} must lie in [0, 1], got {fraction}")
     if follower_noise < 0.0:
         raise ValueError(f"follower_noise must be >= 0, got {follower_noise}")
-    out_order: dict[NodeId, list[NodeId]] = {node: [] for node in range(n)}
-    in_degree: dict[NodeId, int] = {node: 0 for node in range(n)}
-    for source, target in edges:
-        out_order[source].append(target)
-        in_degree[target] += 1
-    profiles: dict[NodeId, NodeProfile] = {}
+    ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+    sources, targets = ends[0::2], ends[1::2]
+    in_degree = np.bincount(targets, minlength=n).tolist()
+    # rows of the reversed edges keep input order, so each starts at the newest follow
+    offsets, friends = (a.tolist() for a in _csr_rows(sources[::-1], targets[::-1], n))
+    columns = _ProfileColumns()
     for node in range(n):
         followers = in_degree[node]
         if follower_noise > 0.0:
@@ -155,17 +162,11 @@ def build_profiles(
         last_status_at = None
         if status_count > 0:
             last_status_at = rng.uniform(created_at, now)
-        profiles[node] = NodeProfile(
-            node=node,
-            follower_count=followers,
-            friends_recent_first=list(reversed(out_order[node])),
-            language=language,
-            protected=rng.random() < protected_fraction,
-            created_at=created_at,
-            status_count=status_count,
-            last_status_at=last_status_at,
+        columns.add(
+            node, followers, friends[offsets[node] : offsets[node + 1]], language,
+            rng.random() < protected_fraction, created_at, status_count, last_status_at,
         )
-    return profiles
+    return columns.build()
 
 
 def generate_network(
@@ -183,8 +184,10 @@ def generate_network(
     language_fraction: float = 1.0,
     protected_fraction: float = 0.0,
     follower_noise: float = 0.0,
-) -> tuple[DirectedGraph, dict[NodeId, NodeProfile]]:
-    """One-call generator: edges plus consistent profiles for the chosen model."""
+) -> tuple[DirectedGraph, ProfileTable]:
+    """One-call generator: edges plus consistent profiles for the chosen model.
+    The graph is built from the profiles' friend rows, which hold every edge,
+    and shares the table's id list and index."""
     edge_rng = substream(rng_seed, f"generate/{model}/edges")
     profile_rng = substream(rng_seed, f"generate/{model}/profiles")
     if model == "preferential-attachment":
@@ -197,7 +200,6 @@ def generate_network(
         edges = planted_blocks(n, m, blocks, cross_fraction, edge_rng)
     else:
         raise ValueError(f"unknown model {model!r}")
-    graph = DirectedGraph.from_edges(edges, nodes=range(n))
     profiles = build_profiles(
         n,
         edges,
@@ -207,4 +209,6 @@ def generate_network(
         protected_fraction=protected_fraction,
         follower_noise=follower_noise,
     )
+    sources = np.repeat(np.arange(n), np.diff(profiles.friend_offsets))
+    graph = DirectedGraph(profiles.ids, profiles.index, sources, profiles.friend_ids)
     return graph, profiles

@@ -134,9 +134,10 @@ def _read_json_lines(path, parse: Callable[[dict], object]) -> None:
     _read_lines(path, parse_line)
 
 
-# The JSON types each profile field accepts, in NodeProfile's field order; int
-# never matches a JSON boolean. last_status_at, the one field that allows
-# null, may be missing. node and each friend must also pass _integer_id.
+# The JSON types each profile field accepts, in the order write_profiles
+# writes them; int never matches a JSON boolean. last_status_at, the one field
+# that allows null, may be missing. node and each friend must also pass
+# _integer_id.
 PROFILE_FIELDS: dict[str, tuple[type, ...]] = {
     "node": (int,),
     "follower_count": (int,),
@@ -148,42 +149,30 @@ PROFILE_FIELDS: dict[str, tuple[type, ...]] = {
     "last_status_at": (int, float, NoneType),
 }
 _PROFILE_SIGNATURES = frozenset(product(*PROFILE_FIELDS.values()))
-_profile_values = itemgetter(*PROFILE_FIELDS)
-
-
-@dataclass
-class NodeProfile:
-    """Static per-account metadata, as the generator builds it and tests write
-    it out; a read profile file is a ProfileTable instead.
-
-    friends_recent_first is ordered most recently followed first and must not
-    contain duplicates or the account itself; the counts must lie in
-    [0, 2**63).
-    """
-
-    node: NodeId
-    follower_count: int
-    friends_recent_first: list[NodeId]
-    language: str
-    protected: bool
-    created_at: float
-    status_count: int
-    last_status_at: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_profile(self.node, self.follower_count, self.friends_recent_first, self.status_count)
-
-
+_required_values = itemgetter(*list(PROFILE_FIELDS)[:-1])  # all but last_status_at
+_INT_ONLY = frozenset({int})
 _INT64_END = 1 << 63
 
 
-def _check_profile(node: NodeId, follower_count: int, friends: list[NodeId], status_count: int) -> None:
+def _check_profile(
+    node: NodeId, follower_count: int, friends: list[NodeId], created_at: float,
+    status_count: int, last_status_at: float | None,
+) -> None:
+    """Raise ValueError for a profile no account can have: a count outside
+    [0, 2**63), a time that is not finite, or a friend list that holds the
+    account itself or one friend twice."""
     if not (0 <= follower_count < _INT64_END and 0 <= status_count < _INT64_END):
         for name, count in (("follower_count", follower_count), ("status_count", status_count)):
             if count < 0:
                 raise ValueError(f"profile {node}: negative {name}")
             if count >= _INT64_END:
                 raise ValueError(f"profile {node}: {name} must be < 2**63, got {count}")
+    # comparisons, not math.isfinite, so an int too large for a float is left
+    # to the packing, which raises OverflowError for it
+    if not -math.inf < created_at < math.inf:
+        raise ValueError(f"profile {node}: created_at must be finite, got {created_at}")
+    if last_status_at is not None and not -math.inf < last_status_at < math.inf:
+        raise ValueError(f"profile {node}: last_status_at must be finite, got {last_status_at}")
     if node in friends:
         raise ValueError(f"profile {node}: lists itself as a friend")
     if len(set(friends)) != len(friends):
@@ -191,13 +180,13 @@ def _check_profile(node: NodeId, follower_count: int, friends: list[NodeId], sta
 
 
 class ProfileRecord:
-    """One account of a ProfileTable: NodeProfile's eight attributes with the
-    Python types read_profiles gives them (int, float, None, a list of ints),
-    copied from the table's columns without re-running NodeProfile's checks.
+    """One account of a ProfileTable: the eight fields of a profiles.jsonl
+    line, with the Python types read_profiles gives them (int, float, None, a
+    list of ints), copied from the table's columns.
 
     friends_recent_first is read from the table's friend rows on each access,
     so a record that a crawl keeps in its profile cache holds no friend list.
-    A record equals a NodeProfile or record with the same eight values.
+    Two records are equal when their eight values are.
     """
 
     __slots__ = (
@@ -223,25 +212,22 @@ class ProfileRecord:
         return self._table.friends(self._row).tolist()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (NodeProfile, ProfileRecord)):
+        if not isinstance(other, ProfileRecord):
             return NotImplemented
         return _profile_attributes(self) == _profile_attributes(other)
-
-    __hash__ = None  # type: ignore[assignment]  # equal to a mutable NodeProfile
 
     def __repr__(self) -> str:
         values = ", ".join(f"{name}={getattr(self, name)!r}" for name in PROFILE_FIELDS)
         return f"ProfileRecord({values})"
 
 
-Profile = NodeProfile | ProfileRecord
 _profile_attributes = attrgetter(*PROFILE_FIELDS)
 
 
 class ProfileTable(Mapping[NodeId, ProfileRecord]):
     """A read-only snapshot of profiles, stored as columns: the one profile
-    store that read_profiles returns and SimulatedOracle serves, at ~160 B per
-    account plus 8 B per friend.
+    store, which the generator and read_profiles return and SimulatedOracle
+    serves, at ~160 B per account plus 8 B per friend.
 
     Row i holds the account ids[i], with ids ascending and index mapping each
     id back; ids are Python ints because they may pass 2**63, and each is one
@@ -256,8 +242,9 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
     2**63 - 1.
 
     table[node] and values() build a ProfileRecord per call; loops over every
-    account read the columns instead. Build one with read_profiles or
-    ProfileTable.from_profiles, never by hand.
+    account read the columns instead. Every table is built by _ProfileColumns,
+    through read_profiles, ProfileTable.from_records or
+    generate.build_profiles, never by hand.
     """
 
     __slots__ = (
@@ -267,15 +254,13 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
     )
 
     @classmethod
-    def from_profiles(cls, profiles: Iterable[Profile]) -> ProfileTable:
-        """The table of `profiles`, in any order; a repeated node id raises
-        ValueError, as does any profile that NodeProfile would reject."""
+    def from_records(cls, records: Iterable[dict]) -> ProfileTable:
+        """The table of `records`, in any order, each a dict shaped as one
+        profiles.jsonl line; a record that read_profiles would reject raises
+        the same error here, without the path and line."""
         columns = _ProfileColumns()
-        for p in profiles:
-            columns.add(
-                p.node, p.follower_count, list(p.friends_recent_first), p.language, p.protected,
-                p.created_at, p.status_count, p.last_status_at,
-            )
+        for record in records:
+            columns.add_record(record)
         return columns.build()
 
     def __getitem__(self, node: NodeId) -> ProfileRecord:
@@ -319,7 +304,8 @@ class _ProfileColumns:
     """Builds a ProfileTable one profile at a time, in any id order: each
     profile's scalar fields become one packed row of a bytes buffer and its
     friends are appended to one int64 array, so no per-profile object is
-    kept; build() sorts the rows by id."""
+    kept; build() sorts the rows by id. add() runs _check_profile on every
+    profile; add_record() also checks the JSON types of a record first."""
 
     __slots__ = ("rows", "languages", "scalars", "friend_ids")
 
@@ -336,7 +322,7 @@ class _ProfileColumns:
         row = len(self.rows)
         if self.rows.setdefault(node, row) != row:
             raise ValueError(f"duplicate node id {node}")
-        _check_profile(node, follower_count, friends, status_count)
+        _check_profile(node, follower_count, friends, created_at, status_count, last_status_at)
         code = self.languages.setdefault(language, len(self.languages))
         known = last_status_at is not None
         self.scalars += _pack_scalars(
@@ -350,6 +336,30 @@ class _ProfileColumns:
             self.friend_ids.fromlist(friends)  # all or nothing
         except OverflowError:  # an id past 2**63 - 1: keep Python ints from here on
             self.friend_ids = [*self.friend_ids, *friends]
+
+    def add_record(self, record: dict) -> None:
+        """add() for one record shaped as a profiles.jsonl line: a value of a
+        JSON type that PROFILE_FIELDS does not allow is rejected, not coerced,
+        and so is a negative id."""
+        (node, follower_count, friends, language, protected, created_at,
+         status_count) = _required_values(record)
+        last_status_at = record.get("last_status_at")
+        signature = (
+            type(node), type(follower_count), type(friends), type(language),
+            type(protected), type(created_at), type(status_count), type(last_status_at),
+        )
+        if signature not in _PROFILE_SIGNATURES:
+            _check_fields(record, PROFILE_FIELDS)
+        if node < 0:
+            _integer_id(node, "node")
+        # one pass in C for the usual list of ints >= 0, _integer_id's message otherwise
+        if friends and not (set(map(type, friends)) == _INT_ONLY and min(friends) >= 0):
+            for friend in friends:
+                _integer_id(friend, "friends_recent_first")
+        self.add(
+            node, follower_count, friends, language, protected, created_at, status_count,
+            last_status_at,
+        )
 
     def build(self) -> ProfileTable:
         """The table, rows in ascending id order; add nothing after this. Rows
@@ -729,59 +739,40 @@ def read_edge_list(path) -> DirectedGraph:
     return graph
 
 
-def write_profiles(profiles: Mapping[NodeId, Profile] | Iterable[Profile], path) -> None:
-    """One JSON object per line, sorted by node id."""
-    if isinstance(profiles, Mapping):
-        items = map(profiles.__getitem__, sorted(profiles))
-    else:
-        items = sorted(profiles, key=lambda p: p.node)
+def write_profiles(profiles: ProfileTable, path) -> None:
+    """One JSON object per line, in the table's ascending id order, with the
+    fields in PROFILE_FIELDS order and a null last_status_at written out."""
+    offsets = profiles.friend_offsets.tolist()
+    friend_ids = profiles.friend_ids.tolist()
+    languages = profiles.languages
+    rows = zip(
+        profiles.ids, profiles.follower_count.tolist(), offsets, offsets[1:],
+        profiles.language_codes.tolist(), profiles.protected.tolist(),
+        profiles.created_at.tolist(), profiles.status_count.tolist(),
+        profiles.last_status_at.tolist(), profiles.last_status_known.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for p in items:
+        for (node, follower_count, start, end, code, protected, created_at, status_count,
+             last_status_at, known) in rows:
             record = {
-                "node": p.node,
-                "follower_count": p.follower_count,
-                "friends_recent_first": list(p.friends_recent_first),
-                "language": p.language,
-                "protected": p.protected,
-                "created_at": p.created_at,
-                "status_count": p.status_count,
-                "last_status_at": p.last_status_at,
+                "node": node,
+                "follower_count": follower_count,
+                "friends_recent_first": friend_ids[start:end],
+                "language": languages[code],
+                "protected": protected,
+                "created_at": created_at,
+                "status_count": status_count,
+                "last_status_at": last_status_at if known else None,
             }
             fh.write(_compact_json(record) + "\n")
 
 
-_INT_ONLY = frozenset({int})
-
-
 def read_profiles(path) -> ProfileTable:
-    """Parse JSONL profiles, one JSON object per line, into a ProfileTable; a
-    value of a JSON type that PROFILE_FIELDS does not allow is rejected, not
-    coerced, and each record must pass NodeProfile's checks. The records go
-    straight into the table's columns: no per-account object outlives the
-    read."""
+    """Parse JSONL profiles, one JSON object per line in any id order, into a
+    ProfileTable. Each line passes the one per-record check that
+    ProfileTable.from_records runs (_ProfileColumns.add_record), and an error
+    names the path and line. The records go straight into the table's
+    columns: no per-account object outlives the read."""
     columns = _ProfileColumns()
-    add_columns = columns.add
-
-    def add(record: dict) -> None:
-        record.setdefault("last_status_at", None)
-        (node, follower_count, friends, language, protected, created_at, status_count,
-         last_status_at) = _profile_values(record)
-        signature = (
-            type(node), type(follower_count), type(friends), type(language),
-            type(protected), type(created_at), type(status_count), type(last_status_at),
-        )
-        if signature not in _PROFILE_SIGNATURES:
-            _check_fields(record, PROFILE_FIELDS)
-        if node < 0:
-            _integer_id(node, "node")
-        # one pass in C for the usual list of ints >= 0, _integer_id's message otherwise
-        if friends and not (set(map(type, friends)) == _INT_ONLY and min(friends) >= 0):
-            for friend in friends:
-                _integer_id(friend, "friends_recent_first")
-        add_columns(
-            node, follower_count, friends, language, protected, created_at, status_count,
-            last_status_at,
-        )
-
-    _read_json_lines(path, add)
+    _read_json_lines(path, columns.add_record)
     return columns.build()

@@ -7,9 +7,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .graph import NodeId, Profile, ProfileRecord, ProfileTable
+from .graph import NodeId, ProfileRecord, ProfileTable
 
 
 class NotFoundError(LookupError):
@@ -135,7 +135,11 @@ class RateLimiter:
         if key is None:
             clock.advance_to(self.next_expiry())
             key = self._available_key(clock.now)
-            assert key is not None, "a slot must free up at the window expiry"
+            if key is None:  # the clock is so large that adding the window leaves it unchanged
+                raise ValueError(
+                    f"a rate window of {self.window_seconds!r} s is too small to free a slot "
+                    f"at simulated time {clock.now!r}"
+                )
         self._charges[key].append(clock.now)
         return key, self.calls_per_window - len(self._charges[key])
 
@@ -144,11 +148,10 @@ class SimulatedOracle:
     """Answers friend and profile lookups from a fixed snapshot of profiles,
     under the quotas of an ApiBudget.
 
-    The profiles are the one ground truth, held as one ProfileTable: the
-    table read_profiles returned is kept as is, and any other mapping (the
-    generator's dict of NodeProfiles) is turned into one. An account's
-    friend list is its table row's friends, and an id with no profile is
-    unknown to every endpoint. Answers are pure functions of (node,
+    The profiles are the one ground truth: the ProfileTable that
+    read_profiles or the generator returned, kept as it is and never copied.
+    An account's friend list is its table row's friends, and an id with no
+    profile is unknown to every endpoint. Answers are pure functions of (node,
     construction inputs); only the clock and budget state change between
     identical queries.
     """
@@ -158,12 +161,10 @@ class SimulatedOracle:
 
     def __init__(
         self,
-        profiles: Mapping[NodeId, Profile],
+        profiles: ProfileTable,
         budget: ApiBudget = ApiBudget(),
         clock: SimulatedClock | None = None,
     ) -> None:
-        if not isinstance(profiles, ProfileTable):
-            profiles = ProfileTable.from_profiles(profiles.values())
         self.profiles = profiles
         self.budget = budget
         self.clock = clock if clock is not None else SimulatedClock()
@@ -233,7 +234,7 @@ class SimulatedOracle:
 
 def build_simulated_oracle(
     graph: object,
-    profiles: Mapping[NodeId, Profile],
+    profiles: ProfileTable,
     *,
     clock: SimulatedClock | None = None,
     **budget,

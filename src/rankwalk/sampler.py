@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .graph import (
     DirectedGraph,
     NodeId,
-    Profile,
+    ProfileRecord,
     _check_fields,
     _compact_json,
     _gc_paused,
@@ -217,7 +217,7 @@ class RunStats:
 def select_target(
     w: NodeId,
     friends_page: Sequence[NodeId],
-    profiles: Mapping[NodeId, Profile],
+    profiles: Mapping[NodeId, ProfileRecord],
     sample: SampleGraph,
     config: SamplerConfig,
 ) -> NodeId | None:
@@ -258,7 +258,7 @@ def walker_step(
     sample: SampleGraph,
     seed_pool: SeedPool,
     config: SamplerConfig,
-    profile_cache: dict[NodeId, Profile] | None = None,
+    profile_cache: dict[NodeId, ProfileRecord] | None = None,
 ) -> WalkerState:
     """One walker step: fetch the current node's friends page, walk the best
     eligible edge into the sample, or jump to a fresh seed when none qualifies.
@@ -338,7 +338,7 @@ def run_sample(
     """
     sample = SampleGraph()
     stats = RunStats()
-    profile_cache: dict[NodeId, Profile] = {}
+    profile_cache: dict[NodeId, ProfileRecord] = {}
 
     if resume is not None:
         oracle.clock.advance_to(resume.clock_now)

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from rankwalk.graph import DirectedGraph, NodeProfile
+from rankwalk.graph import DirectedGraph, ProfileTable
 
 
 def make_profiles(graph, language="de", follower_counts=None, languages=None,
                   protected=(), friends_order=None):
     """Closed-world profiles for a graph: follower_count = in-degree unless
     overridden, friends in descending-id order unless given explicitly."""
-    profiles = {}
+    records = []
     for node in graph.nodes:
         if friends_order and node in friends_order:
             friends = list(friends_order[node])
@@ -18,16 +18,24 @@ def make_profiles(graph, language="de", follower_counts=None, languages=None,
         followers = graph.in_degree(node)
         if follower_counts and node in follower_counts:
             followers = follower_counts[node]
-        profiles[node] = NodeProfile(
-            node=node,
+        records.append(profile_record(
+            node,
             follower_count=followers,
             friends_recent_first=friends,
             language=(languages or {}).get(node, language),
             protected=node in protected,
-            created_at=0.0,
-            status_count=0,
-        )
-    return profiles
+        ))
+    return ProfileTable.from_records(records)
+
+
+def profile_record(node, **fields):
+    """One profiles.jsonl record as a dict: an account with no friends,
+    followers or statuses, created at time 0, unless `fields` say otherwise."""
+    record = {
+        "node": node, "follower_count": 0, "friends_recent_first": [], "language": "de",
+        "protected": False, "created_at": 0.0, "status_count": 0, "last_status_at": None,
+    }
+    return {**record, **fields}
 
 
 def random_digraph(n, p, seed, allow_isolated=True):

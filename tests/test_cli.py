@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -547,6 +548,11 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          meta_at(-1.0) + "\n" + WALKER, 1, "field 'clock_now'"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          meta_at(1e20) + "\n" + WALKER, None, "clock_now 1e+20 is too large"),
+        (SAMPLE, "profiles.jsonl", profile_line(1, 2) + profile_line(2, 1, created_at=math.nan),
+         2, "profile 2: created_at must be finite, got nan"),
+        (EVALUATE, "profiles.jsonl",
+         profile_line(1, 2, last_status_at=math.inf) + profile_line(2, 1), 1,
+         "profile 1: last_status_at must be finite, got inf"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -562,7 +568,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "resume-burned-symmetric-edge", "docs-empty-windowed",
         "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
         "resume-infinite-clock", "resume-nan-clock", "resume-negative-clock",
-        "resume-clock-past-window-resolution",
+        "resume-clock-past-window-resolution", "profile-nan-time", "profile-infinite-time",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -733,6 +739,32 @@ def test_config_stop_out_of_range_gives_exit_one(tmp_path, capsys, text, message
     assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'config.json'}: {message}\n"
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"friends_window_seconds": 1e-300},
+        {"profile_window_seconds": 1e-300, "profile_batch": 1},
+    ],
+    ids=["friends", "profiles"],
+)
+def test_rate_window_too_small_for_the_clock_gives_exit_one(tmp_path, capsys, config):
+    """A window that the clock, once moved on by the other endpoint's wait,
+    cannot be added to (900 + 1e-300 == 900) never frees a slot: the run ends
+    in exit 1 with one line naming the window and the clock."""
+    config = {**config, "key_count": 1, "friends_calls_per_window": 1,
+              "profile_calls_per_window": 1}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = ["--out-dir", str(tmp_path)]
+    assert run([*argv, "generate", "--model", "reciprocal-er", "--nodes", "60"]) == 0
+    capsys.readouterr()
+    argv += ["--config", str(tmp_path / "config.json"), "sample", "--profiles",
+             str(tmp_path / "profiles.jsonl"), "--max-sample-edges", "30", "--walker-count", "2"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a rate window of 1e-300 s is too small to free a slot at "
+                          "simulated time ") and err.count("\n") == 1
 
 
 def test_flag_in_range_wins_over_config_out_of_range(tmp_path, capsys):

@@ -19,7 +19,9 @@ from rankwalk.evaluation import (
     total_reach,
     write_coverage_report_csv,
 )
-from rankwalk.graph import DirectedGraph, NodeProfile
+from rankwalk.graph import DirectedGraph, ProfileTable
+
+from conftest import profile_record
 
 DAY = 86400.0
 
@@ -28,7 +30,8 @@ CHI2_CRIT_99_001 = 134.6416168557892
 
 
 def profile(node=0, statuses=0, created=0.0, last=None):
-    return NodeProfile(node, 0, [], "de", False, created, statuses, last)
+    record = profile_record(node, created_at=created, status_count=statuses, last_status_at=last)
+    return ProfileTable.from_records([record])[node]
 
 
 class TestCoverage:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from statistics import mean
 
@@ -11,7 +12,7 @@ from rankwalk.generate import (
     reciprocal_er,
     two_class,
 )
-from rankwalk.graph import DirectedGraph
+from rankwalk.graph import DirectedGraph, write_edge_list, write_profiles
 
 
 class TestReciprocalER:
@@ -141,3 +142,45 @@ class TestGenerateNetwork:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             generate_network("small-world", 10, rng_seed=0)
+
+
+# Each model with every branch of the profile draws in use: follower noise,
+# protected accounts and two languages.
+GENERATOR_SETTINGS = dict(
+    m=3, p=0.04, blocks=3, cross_fraction=0.1, language_fraction=0.7,
+    protected_fraction=0.1, follower_noise=0.3,
+)
+
+# sha256 of edges.csv and profiles.jsonl that generate_network(model, 150, 21,
+# **GENERATOR_SETTINGS) writes: any change here is a change in the generator's
+# draws or in what the writers write.
+GENERATOR_DIGESTS = {
+    "planted-blocks": (
+        "c59b3b78fd7d7c45899635161f7d937ece05ef31f61f5ffb6030b1d1f70e37bd",
+        "d57b57bf2bc04c3543fdae049912b6f06557ba3d16064c139150c811b1ab1ba1",
+    ),
+    "preferential-attachment": (
+        "d18577bdd7663dc09f0b9ea07d4b67f5f87f82fc1a988b4403f4221fbdadf0cf",
+        "933fcbc5b464e21ccdc717d15e265d80a84aa79e1ebc7f1c4320380b7e167c28",
+    ),
+    "reciprocal-er": (
+        "a22ee4fdf475b73d9bf4f12b2728f8786c4e77eae21dcdb941fdc309739f2294",
+        "6838351504deff4b56891cdc0adfb468c15996d7e3b8c1efd11556a00865e1ec",
+    ),
+    "two-class": (
+        "618ce710f9f8d3ac47c671715cae88fcd469b670aedf1220597a586b63e29068",
+        "d3a973640e8fbebea036a60e73ee925761297e39181978a98b63b2d76b4e4d86",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GENERATOR_DIGESTS))
+def test_generated_files_match_recorded_digests(tmp_path, model):
+    graph, profiles = generate_network(model, 150, 21, **GENERATOR_SETTINGS)
+    write_edge_list(graph, tmp_path / "edges.csv")
+    write_profiles(profiles, tmp_path / "profiles.jsonl")
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("edges.csv", "profiles.jsonl")
+    )
+    assert digests == GENERATOR_DIGESTS[model]

@@ -1,6 +1,7 @@
 import gc
 import json
 import logging
+import math
 import random
 import re
 import tracemalloc
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rankwalk import graph as graph_module
-from rankwalk.generate import generate_network, preferential_attachment
+from rankwalk.generate import build_profiles, generate_network, preferential_attachment
 from rankwalk.graph import (
     DirectedGraph,
-    NodeProfile,
+    ProfileTable,
     k_core,
     pagerank,
     parse_id,
@@ -31,7 +32,7 @@ from rankwalk.graph import (
 from rankwalk.keywords import read_docs_jsonl
 from rankwalk.oracle import SimulatedOracle
 
-from conftest import assert_edges_ascend, random_digraph
+from conftest import assert_edges_ascend, profile_record, random_digraph
 
 
 class TestDirectedGraph:
@@ -484,8 +485,8 @@ def test_from_edges_retains_under_64_bytes_per_edge():
 
 def random_profile(rng, node):
     friends = rng.sample([v for v in range(50) if v != node], rng.randint(0, 8))
-    return NodeProfile(
-        node=node,
+    return profile_record(
+        node,
         follower_count=rng.randint(0, 500),
         friends_recent_first=friends,
         language=rng.choice(["de", "en"]),
@@ -525,7 +526,7 @@ class TestProfileIO:
 
     def test_round_trip(self, tmp_path):
         rng = random.Random(9)
-        profiles = {n: random_profile(rng, n) for n in range(100)}
+        profiles = ProfileTable.from_records(random_profile(rng, n) for n in range(100))
         path = tmp_path / "profiles.jsonl"
         write_profiles(profiles, path)
         assert read_profiles(path) == profiles
@@ -552,10 +553,15 @@ class TestProfileIO:
             read_profiles(path)
 
     def test_profile_invariants(self):
-        with pytest.raises(ValueError, match="itself"):
-            NodeProfile(1, 0, [1], "de", False, 0.0, 0)
-        with pytest.raises(ValueError, match="duplicate"):
-            NodeProfile(1, 0, [2, 2], "de", False, 0.0, 0)
+        """Records built in memory pass the check that read_profiles runs."""
+        for fields, message in (
+            ({"friends_recent_first": [1]}, "profile 1: lists itself as a friend"),
+            ({"friends_recent_first": [2, 2]}, "profile 1: duplicate entries in friend list"),
+            ({"created_at": math.nan}, "profile 1: created_at must be finite, got nan"),
+            ({"follower_count": 2.0}, "field 'follower_count': expected int, got 2.0"),
+        ):
+            with pytest.raises((ValueError, TypeError), match=f"^{re.escape(message)}$"):
+                ProfileTable.from_records([profile_record(1, **fields)])
 
     @pytest.mark.parametrize(
         "record, message",
@@ -575,8 +581,36 @@ class TestProfileIO:
                 VALID_RECORD.replace('"friends_recent_first": [2]', '"friends_recent_first": [true]'),
                 "field 'friends_recent_first'.*True",
             ),
+            (
+                VALID_RECORD.replace('"friends_recent_first": [2]', '"friends_recent_first": [1]'),
+                "profile 1: lists itself as a friend",
+            ),
+            (
+                VALID_RECORD.replace('"friends_recent_first": [2]', '"friends_recent_first": [2, 2]'),
+                "profile 1: duplicate entries in friend list",
+            ),
+            (
+                VALID_RECORD.replace('"created_at": 0', '"created_at": NaN'),
+                "profile 1: created_at must be finite, got nan",
+            ),
+            (
+                VALID_RECORD.replace('"created_at": 0', '"created_at": Infinity'),
+                "profile 1: created_at must be finite, got inf",
+            ),
+            (
+                VALID_RECORD.replace("}", ', "last_status_at": NaN}'),
+                "profile 1: last_status_at must be finite, got nan",
+            ),
+            (
+                VALID_RECORD.replace("}", ', "last_status_at": -Infinity}'),
+                "profile 1: last_status_at must be finite, got -inf",
+            ),
         ],
-        ids=["not-object", "null-node", "string-node", "int-friends", "float-friend", "bool-friend"],
+        ids=[
+            "not-object", "null-node", "string-node", "int-friends", "float-friend", "bool-friend",
+            "self-friend", "repeated-friend", "nan-created-at", "infinite-created-at",
+            "nan-last-status", "negative-infinite-last-status",
+        ],
     )
     def test_malformed_record_names_path_line_and_field(self, tmp_path, record, message):
         path = tmp_path / "profiles.jsonl"
@@ -629,19 +663,19 @@ class TestProfileIO:
 
 # Ids of either size: small ones, and ones past 2**63 that int64 cannot hold.
 PROFILE_IDS = st.one_of(st.integers(0, 60), st.integers(2**63 - 2, 2**63 + 60))
-TIMES = st.floats(allow_nan=False)
+TIMES = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def profile_sets(draw):
-    """NodeProfiles with distinct ids; friends may lack a profile of their own."""
+    """Profile records with distinct ids; friends may lack a profile of their own."""
     nodes = draw(st.lists(PROFILE_IDS, unique=True, max_size=12))
-    profiles = []
+    records = []
     for node in nodes:
         friends = draw(st.lists(PROFILE_IDS.filter(lambda v: v != node), unique=True, max_size=5))
-        profiles.append(
-            NodeProfile(
-                node=node,
+        records.append(
+            profile_record(
+                node,
                 follower_count=draw(st.integers(0, 2**63 - 1)),
                 friends_recent_first=friends,
                 language=draw(st.sampled_from(["de", "en"]) | st.text(max_size=3)),
@@ -651,70 +685,87 @@ def profile_sets(draw):
                 last_status_at=draw(st.none() | TIMES),
             )
         )
-    return profiles
+    return records
 
 
-def typed_fields(profile):
-    """Each field of a profile with its Python type, and each friend's type."""
-    values = [getattr(profile, name) for name in graph_module.PROFILE_FIELDS]
-    friends = list(profile.friends_recent_first)
+def typed_fields(values):
+    """Each field value with its Python type, and each friend's type."""
+    values = list(values)
+    friends = values[list(graph_module.PROFILE_FIELDS).index("friends_recent_first")]
     return [(v, type(v)) for v in values], list(map(type, friends))
 
 
+def record_fields(record):
+    return typed_fields(map(record.__getitem__, graph_module.PROFILE_FIELDS))
+
+
+def table_fields(profile):
+    return typed_fields(getattr(profile, name) for name in graph_module.PROFILE_FIELDS)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(profiles=profile_sets(), data=st.data())
+@given(records=profile_sets(), data=st.data())
 def test_profile_table_round_trips_field_by_field_and_byte_for_byte(
-    profiles, data, tmp_path_factory
+    records, data, tmp_path_factory
 ):
     directory = tmp_path_factory.mktemp("profiles")
     written, rewritten = directory / "written.jsonl", directory / "rewritten.jsonl"
-    write_profiles(profiles, written)
+    built = ProfileTable.from_records(records)
+    write_profiles(built, written)
+    assert written.read_text(encoding="utf-8") == "".join(
+        json.dumps(r, separators=(",", ":")) + "\n" for r in sorted(records, key=lambda r: r["node"])
+    )
     lines = written.read_text(encoding="utf-8").splitlines(keepends=True)
     # in any line order, and with a null last_status_at left out
     shuffled = data.draw(st.permutations(lines))
     (directory / "shuffled.jsonl").write_text(
         "".join(line.replace(',"last_status_at":null', "") for line in shuffled), encoding="utf-8"
     )
-    expected = {p.node: typed_fields(p) for p in profiles}
-    for path in (written, directory / "shuffled.jsonl"):
-        table = read_profiles(path)
+    expected = {r["node"]: record_fields(r) for r in records}
+    for table in (built, read_profiles(written), read_profiles(directory / "shuffled.jsonl")):
         assert list(table) == table.ids == sorted(expected)
-        assert {node: typed_fields(table[node]) for node in table} == expected
-        assert [typed_fields(p) for p in table.values()] == [expected[n] for n in table.ids]
-        assert table == {p.node: p for p in profiles}
+        assert {node: table_fields(table[node]) for node in table} == expected
+        assert [table_fields(p) for p in table.values()] == [expected[n] for n in table.ids]
+        assert table == built
         write_profiles(table, rewritten)
         assert rewritten.read_bytes() == written.read_bytes()
 
 
-def test_profile_table_from_dict_equals_table_read_from_file(tmp_path):
-    _, profiles = generate_network("planted-blocks", 300, 4, protected_fraction=0.1)
-    write_profiles(profiles, tmp_path / "profiles.jsonl")
+def test_generated_profile_table_equals_the_table_read_back(tmp_path):
+    """The generator's table and the one read_profiles makes of its file hold
+    the same columns."""
+    _, generated = generate_network(
+        "planted-blocks", 300, 4, protected_fraction=0.1, language_fraction=0.7,
+        follower_noise=0.3,
+    )
+    write_profiles(generated, tmp_path / "profiles.jsonl")
     read = read_profiles(tmp_path / "profiles.jsonl")
-    built = graph_module.ProfileTable.from_profiles(profiles.values())
-    for name in (n for n in graph_module.ProfileTable.__slots__ if not n.startswith("_")):
-        np.testing.assert_array_equal(getattr(read, name), getattr(built, name), err_msg=name)
-    assert read == built == profiles
+    for name in (n for n in ProfileTable.__slots__ if not n.startswith("_")):
+        np.testing.assert_array_equal(getattr(read, name), getattr(generated, name), err_msg=name)
+    assert read == generated
 
 
 def test_profile_table_holds_no_object_per_account(tmp_path):
-    """read_profiles plus the oracle built on it keep the id list and index, the
-    numpy columns and the friend rows: at most 300 B per account on a
-    preferential-attachment world, where a dict of NodeProfiles kept ~510 B."""
+    """A profile table plus the oracle built on it keep the id list and index,
+    the numpy columns and the friend rows: at most 300 B per account on a
+    preferential-attachment world, whether the table was read from a file or
+    made by the generator, where a dict of per-account objects kept ~510 B."""
     n = 20_000
-    _, profiles = generate_network("preferential-attachment", n, 11, m=5)
+    edges = preferential_attachment(n, 5, random.Random(11))
     path = tmp_path / "profiles.jsonl"
-    write_profiles(profiles, path)
-    del profiles
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        table = read_profiles(path)
-        oracle = SimulatedOracle(table)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert oracle.profiles is table and len(table) == n
-    assert retained / n <= 300
+    write_profiles(build_profiles(n, edges, random.Random(12)), path)
+    for make in (lambda: read_profiles(path), lambda: build_profiles(n, edges, random.Random(12))):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = make()
+            oracle = SimulatedOracle(table)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert oracle.profiles is table and len(table) == n
+        assert retained / n <= 300
+        del table, oracle
 
 
 # The id rule as stated: optional whitespace, at most one '+', ASCII digits.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankwalk.graph import DirectedGraph, NodeProfile, read_profiles, write_profiles
+from rankwalk.graph import PROFILE_FIELDS, DirectedGraph, ProfileTable, read_profiles, write_profiles
 from rankwalk.oracle import (
     ApiBudget,
     CallRecord,
@@ -23,7 +23,7 @@ from rankwalk.oracle import (
     write_call_log,
 )
 
-from conftest import make_profiles
+from conftest import make_profiles, profile_record
 
 
 class TestSimulatedClock:
@@ -292,10 +292,10 @@ class TestConstruction:
             assert oracle.follows(u, v) == g.has_edge(u, v)
 
     def test_friend_without_profile_is_served_as_unknown(self):
-        profiles = {
-            1: NodeProfile(1, 1, [9, 2], "de", False, 0.0, 0),
-            2: NodeProfile(2, 1, [1], "de", False, 0.0, 0),
-        }
+        profiles = ProfileTable.from_records([
+            profile_record(1, follower_count=1, friends_recent_first=[9, 2]),
+            profile_record(2, follower_count=1, friends_recent_first=[1]),
+        ])
         oracle = build_simulated_oracle(None, profiles, rate_limits_enabled=False)
         assert oracle.get_friends(1).friends == (9, 2)
         assert set(oracle.get_profiles([9, 2])) == {2}
@@ -317,22 +317,26 @@ ORACLE_IDS = st.one_of(st.integers(0, 30), st.integers(2**63 - 3, 2**63 + 30))
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_oracle_on_a_table_answers_as_the_profiles_it_was_built_from(data, tmp_path_factory):
-    """One oracle on the ProfileTable read from a file, one on the dict of
-    NodeProfiles written to it: both give the answers the dict holds."""
+    """One oracle on the ProfileTable built from records, one on the table read
+    back from its file: both give the answers the records hold."""
     nodes = data.draw(st.lists(ORACLE_IDS, unique=True, max_size=10))
-    profiles = {
-        node: NodeProfile(
-            node, data.draw(st.integers(0, 9)),
-            data.draw(st.lists(ORACLE_IDS.filter(lambda v: v != node), unique=True, max_size=6)),
-            data.draw(st.sampled_from(["de", "en"])), data.draw(st.booleans()),
-            0.0, 0,
+    records = {
+        node: profile_record(
+            node,
+            follower_count=data.draw(st.integers(0, 9)),
+            friends_recent_first=data.draw(
+                st.lists(ORACLE_IDS.filter(lambda v: v != node), unique=True, max_size=6)
+            ),
+            language=data.draw(st.sampled_from(["de", "en"])),
+            protected=data.draw(st.booleans()),
         )
         for node in nodes
     }
+    built = ProfileTable.from_records(records.values())
     path = tmp_path_factory.mktemp("oracle") / "profiles.jsonl"
-    write_profiles(profiles, path)
+    write_profiles(built, path)
     budget = ApiBudget(page_size=data.draw(st.integers(1, 4)), profile_batch=3)
-    from_table, from_dict = SimulatedOracle(read_profiles(path), budget), SimulatedOracle(profiles, budget)
+    from_file, from_records = SimulatedOracle(read_profiles(path), budget), SimulatedOracle(built, budget)
     asked = [*nodes, 7, 2**63 + 31]
 
     def answer(oracle, call, *args):
@@ -342,24 +346,28 @@ def test_oracle_on_a_table_answers_as_the_profiles_it_was_built_from(data, tmp_p
             return type(exc), str(exc)
 
     for node in asked:
-        profile = profiles.get(node)
-        if profile is None:
+        record = records.get(node)
+        if record is None:
             expected = NotFoundError, f"unknown account id {node}"
-        elif profile.protected:
+        elif record["protected"]:
             expected = ProtectedError, f"account {node} is protected"
         else:
-            friends = profile.friends_recent_first
+            friends = record["friends_recent_first"]
             expected = FriendsPage(tuple(friends[: budget.page_size]), len(friends) > budget.page_size)
-        for oracle in (from_table, from_dict):
+        for oracle in (from_file, from_records):
             assert answer(oracle, lambda o: o.get_friends, node) == expected
             for target in asked:
                 assert oracle.follows(node, target) == (
-                    profile is not None and target in profile.friends_recent_first
+                    record is not None and target in record["friends_recent_first"]
                 )
     batch = data.draw(st.permutations(asked))
-    expected = {node: profiles[node] for node in batch if node in profiles}
-    assert from_table.get_profiles(batch) == from_dict.get_profiles(batch) == expected
-    assert from_table.call_log == from_dict.call_log
+    expected = {node: records[node] for node in batch if node in records}
+    for oracle in (from_file, from_records):
+        answers = oracle.get_profiles(batch)
+        assert {
+            node: {name: getattr(p, name) for name in PROFILE_FIELDS} for node, p in answers.items()
+        } == expected
+    assert from_file.call_log == from_records.call_log
 
 
 def reference_call_log(records):

@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankwalk.generate import (
-    build_profiles,
-    generate_network,
-    preferential_attachment,
-    reciprocal_er,
-)
-from rankwalk.graph import DirectedGraph, read_profiles, write_profiles
+from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er
+from rankwalk.graph import DirectedGraph
 from rankwalk import sampler as sampler_module
 from rankwalk.oracle import assert_budget_safety, build_simulated_oracle, write_call_log
 from rankwalk.sampler import (
@@ -592,33 +587,6 @@ def mixed_world(graph_seed, n, p, reciprocal, **profile_kwargs):
     g = DirectedGraph.from_edges(edges, nodes=range(n))
     profiles = build_profiles(n, edges, random.Random(graph_seed + 1), **profile_kwargs)
     return g, profiles
-
-
-@pytest.mark.parametrize("language_filter", [True, False])
-def test_run_on_a_read_profile_table_equals_run_on_the_generated_dict(tmp_path, language_filter):
-    """The oracle serves a ProfileTable either way; one read from a file and one
-    built from the generator's NodeProfiles give the same run, rate limits on."""
-    _, profiles = generate_network(
-        "planted-blocks", 600, 5, m=3, blocks=3, language_fraction=0.8, protected_fraction=0.05
-    )
-    write_profiles(profiles, tmp_path / "profiles.jsonl")
-    runs = []
-    for source in (read_profiles(tmp_path / "profiles.jsonl"), profiles):
-        oracle = build_simulated_oracle(None, source, key_count=2)
-        pool = SeedPool(sorted(profiles), random.Random(3))
-        cfg = config(walker_count=20, max_sample_edges=400, language_filter_enabled=language_filter)
-        sample, stats = run_sample(cfg, oracle, pool)
-        out = tmp_path / f"run{len(runs)}"
-        out.mkdir()
-        write_sample_csv(sample, out / "sample.csv")
-        write_call_log(oracle.call_log, out / "call_log.jsonl")
-        runs.append((
-            stats.walk_log, stats.to_dict(),
-            (out / "sample.csv").read_bytes(), (out / "call_log.jsonl").read_bytes(),
-        ))
-    assert runs[0] == runs[1]
-    walk_log, stats, _, _ = runs[0]
-    assert len(walk_log) > 300 and stats["simulated_seconds"] > 0  # the budget was spent
 
 
 class TestWalkLog:

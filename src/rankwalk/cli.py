@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import typing
@@ -16,7 +17,7 @@ import numpy as np
 from . import communities as communities_mod
 from . import evaluation as evaluation_mod
 from . import keywords as keywords_mod
-from .generate import generate_network
+from .generate import build_profiles, generate_network
 from .graph import (
     _check_fields,
     _open_text,
@@ -91,15 +92,30 @@ def read_run_config(path) -> dict:
     return data
 
 
-def _name_the_source(exc: ValueError, flags, path=None, file_fields=()) -> ValueError:
-    """A range error that starts with a field name, reworded to name the flag
-    that set the field (`--field-name ...`) or the config file that did
-    (`<path>: field_name ...`); any other error as it is."""
+def _given(args, *functions) -> dict:
+    """The options given on the command line whose dest is a parameter with a
+    default of one of `functions`, as keywords. An option left out is None,
+    so the function's own default holds."""
+    names = {
+        name
+        for function in functions
+        for name, param in inspect.signature(function).parameters.items()
+        if param.default is not param.empty
+    }
+    return {name: value for name, value in vars(args).items() if name in names and value is not None}
+
+
+def _name_the_source(exc: Exception, args, config: dict) -> Exception:
+    """A range error `<name> must ...`, reworded to name the option of this
+    command line that set `name` (`--name ...`) or else the config file that
+    did (`<path>: name must ...`); any other error as it is."""
     name, _, rest = str(exc).partition(" ")
-    if name in flags:
+    if not rest.startswith("must "):
+        return exc
+    if getattr(args, name, None) is not None:
         return ValueError(f"--{name.replace('_', '-')} {rest}")
-    if name in file_fields:
-        return ValueError(f"{path}: {exc}")
+    if name in config:
+        return ValueError(f"{args.config}: {exc}")
     return exc
 
 
@@ -122,44 +138,9 @@ def _read_seed_pool_file(path) -> list[int]:
 
 
 def cmd_generate(args, out_dir: Path, seed: int) -> int:
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
-    if args.blocks < 1:
-        raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
-    if not args.factor >= 1.0:
-        raise ValueError(f"--factor must be >= 1, got {args.factor}")
-    if not 0.0 < args.high_fraction < 1.0:
-        raise ValueError(f"--high-fraction must lie in (0, 1), got {args.high_fraction}")
-    for flag, value in (("--p", args.p), ("--cross-fraction", args.cross_fraction)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{flag} must lie in [0, 1], got {value}")
-    least = {
-        "preferential-attachment": args.m + 1,
-        "two-class": 2,
-        "planted-blocks": args.blocks * (args.m + 1),
-    }.get(args.model, 1)
-    if args.nodes < least:
-        raise ValueError(f"--nodes must be >= {least} for --model {args.model}, got {args.nodes}")
-    if args.model == "two-class" and args.p == 0.0:
-        raise ValueError("--p must be > 0 for --model two-class, got 0.0")
-    try:
-        graph, profiles = generate_network(
-            args.model,
-            args.nodes,
-            seed,
-            m=args.m,
-            p=args.p,
-            factor=args.factor,
-            high_fraction=args.high_fraction,
-            blocks=args.blocks,
-            cross_fraction=args.cross_fraction,
-            target_language=args.target_language,
-            language_fraction=args.language_fraction,
-            protected_fraction=args.protected_fraction,
-            follower_noise=args.follower_noise,
-        )
-    except ValueError as exc:
-        raise _name_the_source(exc, vars(args)) from None
+    graph, profiles = generate_network(
+        args.model, args.nodes, seed, **_given(args, generate_network, build_profiles)
+    )
     write_edge_list(graph, out_dir / args.out_graph)
     write_profiles(profiles, out_dir / args.out_profiles)
     print(f"generated {graph.num_nodes()} nodes, {graph.num_edges()} edges ({args.model})")
@@ -168,20 +149,11 @@ def cmd_generate(args, out_dir: Path, seed: int) -> int:
 
 def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
     """`config` holds the fields the config file set; a flag wins over it."""
-    flags = {
-        name: value
-        for name, value in vars(args).items()
-        if name in RUN_CONFIG_FIELDS and value is not None
-    }
-    settings = {**RUN_CONFIG_DEFAULTS, **config, **flags}
-    try:
-        sampler_config, budget = (
-            cls(**{f.name: settings[f.name] for f in dataclasses.fields(cls)
-                   if f.name in settings})
-            for cls in (SamplerConfig, ApiBudget)
-        )
-    except ValueError as exc:
-        raise _name_the_source(exc, flags, args.config, config) from None
+    settings = {**RUN_CONFIG_DEFAULTS, **config, **_given(args, SamplerConfig, ApiBudget)}
+    sampler_config, budget = (
+        cls(**{f.name: settings[f.name] for f in dataclasses.fields(cls) if f.name in settings})
+        for cls in (SamplerConfig, ApiBudget)
+    )
     profiles = read_profiles(args.profiles)
     oracle = SimulatedOracle(profiles, budget)
     if args.seed_pool:
@@ -243,10 +215,6 @@ def _parse_seed_ids(text: str) -> list[int]:
 def cmd_reference(args, out_dir: Path, seed: int) -> int:
     if args.num_seeds < 1:
         raise ValueError(f"--num-seeds must be >= 1, got {args.num_seeds}")
-    if args.sample_size < 0:
-        raise ValueError(f"--sample-size must be >= 0, got {args.sample_size}")
-    if not 0.0 < args.rho <= 1.0:
-        raise ValueError(f"--rho must lie in (0, 1], got {args.rho}")
     initial = _parse_seed_ids(args.seeds) if args.seeds else None
     directed = _read_graph_any(args.graph)
     if not directed.num_edges():
@@ -260,9 +228,9 @@ def cmd_reference(args, out_dir: Path, seed: int) -> int:
         graph,
         initial,
         args.sample_size,
-        rho=args.rho,
         rng_seed=seed,
         collapse=not args.no_collapse,
+        **_given(args, rank_degree),
     )
     sample = SampleGraph()
     for w, v in result.walked:
@@ -298,8 +266,17 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     baseline = evaluation_mod.baseline_sample(
         population, len(influencer), baseline_rng.randrange(2**32)
     )
+    as_of = args.as_of
+    if as_of is None:
+        known = profiles.last_status_at[profiles.last_status_known]
+        as_of = np.concatenate([profiles.created_at, known]).max().item()
+    activities = [
+        evaluation_mod.activity(profiles[n], as_of)
+        for n in sorted(influencer)
+        if n in profiles and not profiles[n].protected
+    ]
     report = evaluation_mod.coverage_report(
-        test, influencer, baseline, include_all=args.include_all
+        test, influencer, baseline, **_given(args, evaluation_mod.coverage_report)
     )
     evaluation_mod.write_coverage_report_csv(report, out_dir / args.out_report)
     min_friends = 1 if args.include_all else 2
@@ -310,15 +287,6 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     evaluation_mod.write_rank_csv(
         evaluation_mod.rank_reach(influencer, test), out_dir / args.out_rank_reach
     )
-    as_of = args.as_of
-    if as_of is None:
-        known = profiles.last_status_at[profiles.last_status_known]
-        as_of = np.concatenate([profiles.created_at, known]).max().item()
-    activities = [
-        evaluation_mod.activity(profiles[n], as_of)
-        for n in sorted(influencer)
-        if n in profiles and not profiles[n].protected
-    ]
     evaluation_mod.write_histogram_csv(
         evaluation_mod.activity_histogram(activities), out_dir / args.out_activity
     )
@@ -331,8 +299,6 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_kcore(args, out_dir: Path) -> int:
-    if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.min_in_degree < 0:
         raise ValueError(f"--min-in-degree must be >= 0, got {args.min_in_degree}")
     graph = _read_graph_any(args.graph)
@@ -347,21 +313,15 @@ def cmd_kcore(args, out_dir: Path) -> int:
 
 
 def cmd_pagerank(args, out_dir: Path) -> int:
-    if not 0.0 < args.damping < 1.0:
-        raise ValueError(f"--damping must lie in (0, 1), got {args.damping}")
-    if not args.tolerance > 0.0:
-        raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
-    if args.max_iters < 1:
-        raise ValueError(f"--max-iters must be >= 1, got {args.max_iters}")
     graph = _read_graph_any(args.graph)
-    result = pagerank(graph, args.damping, args.tolerance, args.max_iters)
+    result = pagerank(graph, **_given(args, pagerank))
     with open(out_dir / args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("node,score\n")
         for node in sorted(result.scores):
             fh.write(f"{node},{result.scores[node]:.12e}\n")
     if not result.converged:
         print(
-            f"warning: pagerank did not converge in {args.max_iters} iterations",
+            f"warning: pagerank did not converge in {result.iterations} iterations",
             file=sys.stderr,
         )
     print(f"pagerank over {graph.num_nodes()} nodes in {result.iterations} iterations")
@@ -369,36 +329,28 @@ def cmd_pagerank(args, out_dir: Path) -> int:
 
 
 def cmd_communities(args, out_dir: Path, seed: int) -> int:
-    if args.max_iters < 1:
-        raise ValueError(f"--max-iters must be >= 1, got {args.max_iters}")
-    if args.min_size < 1:
-        raise ValueError(f"--min-size must be >= 1, got {args.min_size}")
-    if args.min_weight < 0:
-        raise ValueError(f"--min-weight must be >= 0, got {args.min_weight}")
     graph = _read_graph_any(args.graph)
     if args.assignment:
         assignment = communities_mod.load_assignment(args.assignment, graph)
     else:
-        assignment = communities_mod.label_propagation(graph, rng_seed=seed, max_iters=args.max_iters)
-    communities_mod.write_assignment(assignment, out_dir / args.out_assignment)
+        assignment = communities_mod.label_propagation(
+            graph, rng_seed=seed, **_given(args, communities_mod.label_propagation)
+        )
     sizes = communities_mod.community_sizes(assignment)
+    meta = communities_mod.community_graph(
+        graph, assignment, **_given(args, communities_mod.community_graph)
+    )
+    communities_mod.write_assignment(assignment, out_dir / args.out_assignment)
     communities_mod.write_community_sizes_csv(sizes, out_dir / args.out_sizes)
-    meta = communities_mod.community_graph(graph, assignment, args.min_size, args.min_weight)
     communities_mod.write_community_graph_csv(meta, out_dir / args.out_meta)
     print(
-        f"{len(sizes)} communities; {len(meta.sizes)} of size >= {args.min_size}, "
+        f"{len(sizes)} communities; {len(meta.sizes)} of size >= {meta.min_size}, "
         f"{len(meta.weights)} meta edges"
     )
     return 0
 
 
 def cmd_keywords(args, out_dir: Path) -> int:
-    if args.top_n < 1:
-        raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
-    if args.per_node_cap is not None and args.per_node_cap < 1:
-        raise ValueError(f"--per-node-cap must be >= 1, got {args.per_node_cap}")
-    if not 0.0 <= args.min_user_frac <= 1.0:
-        raise ValueError(f"--min-user-frac must lie in [0, 1], got {args.min_user_frac}")
     docs = keywords_mod.read_docs_jsonl(args.docs)
     stopwords = keywords_mod.read_stopwords(args.stopwords) if args.stopwords else set()
     assignment = communities_mod.load_assignment(args.assignment)
@@ -415,8 +367,7 @@ def cmd_keywords(args, out_dir: Path) -> int:
         token_docs,
         assignment,
         communities=analyzed,
-        top_n=args.top_n,
-        min_user_frac=args.min_user_frac,
+        **_given(args, keywords_mod.keywords_by_community),
     )
     keywords_mod.write_keywords_csv(results, out_dir / args.out)
     print(f"extracted keywords for {len(results)} communities")
@@ -444,17 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("preferential-attachment", "reciprocal-er", "two-class",
                             "planted-blocks"))
     g.add_argument("--nodes", type=int, required=True)
-    g.add_argument("--m", type=int, default=3, help="edges per new node (preferential-attachment)")
-    g.add_argument("--p", type=float, default=0.05, help="edge probability (reciprocal-er, two-class)")
-    g.add_argument("--factor", type=float, default=50.0, help="two-class in-degree factor")
-    g.add_argument("--high-fraction", type=float, default=0.01)
-    g.add_argument("--blocks", type=int, default=2, help="block count (planted-blocks)")
-    g.add_argument("--cross-fraction", type=float, default=0.02,
+    g.add_argument("--m", type=int, help="edges per new node (preferential-attachment)")
+    g.add_argument("--p", type=float, help="edge probability (reciprocal-er, two-class)")
+    g.add_argument("--factor", type=float, help="two-class in-degree factor")
+    g.add_argument("--high-fraction", type=float)
+    g.add_argument("--blocks", type=int, help="block count (planted-blocks)")
+    g.add_argument("--cross-fraction", type=float,
                    help="per-node reciprocal cross-block link probability (planted-blocks)")
-    g.add_argument("--target-language", default="de")
-    g.add_argument("--language-fraction", type=float, default=1.0)
-    g.add_argument("--protected-fraction", type=float, default=0.0)
-    g.add_argument("--follower-noise", type=float, default=0.0)
+    g.add_argument("--target-language")
+    g.add_argument("--language-fraction", type=float)
+    g.add_argument("--protected-fraction", type=float)
+    g.add_argument("--follower-noise", type=float)
     g.add_argument("--out-graph", default="edges.csv")
     g.add_argument("--out-profiles", default="profiles.jsonl")
 
@@ -483,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seeds", help="comma-separated initial seed ids")
     r.add_argument("--num-seeds", type=int, default=1)
     r.add_argument("--sample-size", type=int, required=True, help="directed edge count target")
-    r.add_argument("--rho", type=float, default=1.0)
+    r.add_argument("--rho", type=float)
     r.add_argument("--no-collapse", action="store_true")
     r.add_argument("--out-sample", default="reference_sample.csv")
 
@@ -492,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--profiles", required=True)
     e.add_argument("--test-size", type=int, default=1000)
     e.add_argument("--language", help="restrict the test/baseline population to this language")
-    e.add_argument("--include-all", action="store_true",
+    e.add_argument("--include-all", action="store_true", default=None,
                    help="keep test accounts with a single friend (drops the >=2 exclusion)")
     e.add_argument("--as-of", type=float, help="activity reference timestamp")
     e.add_argument("--out-report", default="coverage_report.csv")
@@ -509,18 +460,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pagerank", help="PageRank scores of an edge list or sample")
     p.add_argument("--graph", required=True)
-    p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--damping", type=float)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--out", default="pagerank.csv")
 
     c = sub.add_parser("communities", help="community assignment and meta-graph")
     c.add_argument("--graph", required=True)
     c.add_argument("--assignment", help="ingest an external node,community CSV instead "
                                         "of running label propagation")
-    c.add_argument("--max-iters", type=int, default=100)
-    c.add_argument("--min-size", type=int, default=100)
-    c.add_argument("--min-weight", type=int, default=0)
+    c.add_argument("--max-iters", type=int)
+    c.add_argument("--min-size", type=int)
+    c.add_argument("--min-weight", type=int)
     c.add_argument("--out-assignment", default="assignment.csv")
     c.add_argument("--out-sizes", default="community_sizes.csv")
     c.add_argument("--out-meta", default="community_graph.csv")
@@ -529,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--docs", required=True, help="JSONL with node, ts, text per line")
     w.add_argument("--assignment", required=True)
     w.add_argument("--stopwords", help="file with one stop-word per line")
-    w.add_argument("--top-n", type=int, default=50)
-    w.add_argument("--min-user-frac", type=float, default=0.05)
+    w.add_argument("--top-n", type=int)
+    w.add_argument("--min-user-frac", type=float)
     w.add_argument("--min-size", type=int, default=1,
                    help="only analyze communities with at least this many accounts")
     w.add_argument("--window-start", type=float)
@@ -544,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
+    config: dict = {}
     try:
         config = read_run_config(args.config) if args.config else {}
         if args.seed is not None:
@@ -577,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_keywords(args, out_dir)
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_name_the_source(exc, args, config)}", file=sys.stderr)
         return 1
     return 2
 

@@ -23,6 +23,8 @@ def label_propagation(
     renumbered by descending community size (ties by lowest original label),
     so community 0 is always the largest.
     """
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if graph.num_nodes() == 0:
         raise ValueError("label_propagation requires a non-empty graph")
     rng = random.Random(rng_seed)
@@ -128,10 +130,10 @@ def community_graph(
     min_size: int = 100,
     min_weight: int = 0,
 ) -> CommunityGraph:
-    if min_size < 1:
-        raise ValueError("min_size must be positive")
-    if min_weight < 0:
-        raise ValueError("min_weight must be non-negative")
+    if not min_size >= 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    if not min_weight >= 0:
+        raise ValueError(f"min_weight must be >= 0, got {min_weight}")
     weights, _ = aggregate_weights(graph, assignment)
     sizes = Counter(assignment[n] for n in graph.nodes)
     kept = {c: s for c, s in sizes.items() if s >= min_size}

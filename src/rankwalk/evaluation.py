@@ -3,6 +3,7 @@ and summary-table statistics."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import compress
@@ -88,6 +89,8 @@ def total_reach(
 
 def activity(profile: ProfileRecord, as_of: float) -> float:
     """Statuses per day since account creation, floored at one day of age."""
+    if not math.isfinite(as_of):
+        raise ValueError(f"as_of must be finite, got {as_of}")
     if as_of < profile.created_at:
         raise ValueError(f"as_of predates creation of account {profile.node}")
     days = max(1.0, (as_of - profile.created_at) / SECONDS_PER_DAY)

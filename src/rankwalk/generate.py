@@ -16,17 +16,27 @@ from .rng import substream
 SECONDS_PER_DAY = 86400.0
 
 
-def preferential_attachment(n: int, m: int, rng: random.Random) -> list[tuple[NodeId, NodeId]]:
+def _check_blocks(nodes: int, m: int, blocks: int) -> None:
+    """The ranges of m and nodes for `blocks` preferential-attachment blocks,
+    each of at least m + 1 nodes."""
+    if not m >= 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    least = blocks * (m + 1)
+    if not nodes >= least:
+        raise ValueError(f"nodes must be >= {least} (m + 1 per block), got {nodes}")
+
+
+def preferential_attachment(nodes: int, m: int, rng: random.Random) -> list[tuple[NodeId, NodeId]]:
     """Directed preferential attachment: after m edgeless seed nodes, every new
     node follows m distinct existing nodes chosen with probability proportional
-    to in-degree + 1. Produces exactly m * (n - m) edges, all newer -> older.
+    to in-degree + 1. Produces exactly m * (nodes - m) edges, all newer -> older.
+    The graph is one block, so nodes must be at least m + 1.
     """
-    if m < 1 or n <= m:
-        raise ValueError("need n > m >= 1")
+    _check_blocks(nodes, m, 1)
     edges: list[tuple[NodeId, NodeId]] = []
     # One list entry per unit of attachment weight (in-degree + 1 smoothing).
     weighted: list[NodeId] = list(range(m))
-    for new in range(m, n):
+    for new in range(m, nodes):
         targets: set[NodeId] = set()
         while len(targets) < m:
             targets.add(weighted[rng.randrange(len(weighted))])
@@ -37,14 +47,16 @@ def preferential_attachment(n: int, m: int, rng: random.Random) -> list[tuple[No
     return edges
 
 
-def reciprocal_er(n: int, p: float, rng: random.Random) -> list[tuple[NodeId, NodeId]]:
+def reciprocal_er(nodes: int, p: float, rng: random.Random) -> list[tuple[NodeId, NodeId]]:
     """Fully reciprocal Erdos-Renyi digraph: each unordered pair appears with
     probability p as two opposite directed edges."""
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise ValueError("need n >= 1 and p in [0, 1]")
+    if not nodes >= 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     edges: list[tuple[NodeId, NodeId]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(nodes):
+        for j in range(i + 1, nodes):
             if rng.random() < p:
                 edges.append((i, j))
                 edges.append((j, i))
@@ -52,7 +64,7 @@ def reciprocal_er(n: int, p: float, rng: random.Random) -> list[tuple[NodeId, No
 
 
 def planted_blocks(
-    n: int,
+    nodes: int,
     m: int,
     blocks: int,
     cross_fraction: float,
@@ -61,20 +73,21 @@ def planted_blocks(
     """Community-structured fixture: `blocks` preferential-attachment blocks
     plus sparse reciprocal cross-block links (each node gets one with
     probability cross_fraction)."""
-    if blocks < 1 or n < blocks * (m + 1):
-        raise ValueError("need at least m + 1 nodes per block")
+    if not blocks >= 1:
+        raise ValueError(f"blocks must be >= 1, got {blocks}")
+    _check_blocks(nodes, m, blocks)
     if not 0.0 <= cross_fraction <= 1.0:
-        raise ValueError("cross_fraction must lie in [0, 1]")
+        raise ValueError(f"cross_fraction must lie in [0, 1], got {cross_fraction}")
     edges: list[tuple[NodeId, NodeId]] = []
-    size = n // blocks
+    size = nodes // blocks
     bounds = [
-        (b * size, (b + 1) * size if b < blocks - 1 else n) for b in range(blocks)
+        (b * size, (b + 1) * size if b < blocks - 1 else nodes) for b in range(blocks)
     ]
     for lo, hi in bounds:
         for source, target in preferential_attachment(hi - lo, m, rng):
             edges.append((source + lo, target + lo))
     seen: set[tuple[NodeId, NodeId]] = set()  # cross-block pairs; no block edge is one
-    for node in range(n):
+    for node in range(nodes):
         if blocks > 1 and rng.random() < cross_fraction:
             block = next(i for i, (lo, hi) in enumerate(bounds) if lo <= node < hi)
             other = rng.randrange(blocks - 1)
@@ -91,26 +104,31 @@ def planted_blocks(
 
 
 def two_class(
-    n: int,
+    nodes: int,
     p: float,
     factor: float,
-    high_fraction: float = 0.01,
-    rng: random.Random | None = None,
+    high_fraction: float,
+    rng: random.Random,
 ) -> tuple[list[tuple[NodeId, NodeId]], set[NodeId]]:
-    """Two-class population: the first ceil(high_fraction * n) nodes attract
-    follows with probability p * factor, the rest with probability p. Expected
-    in-degree means differ by the configured factor. Returns (edges, high set).
+    """Two-class population: the first round(high_fraction * nodes) nodes (at
+    least one) attract follows with probability p * factor, the rest with
+    probability p. Expected in-degree means differ by the configured factor.
+    Returns (edges, high set).
     """
-    if rng is None:
-        rng = random.Random(0)
-    if n < 2 or p <= 0 or factor < 1 or not 0 < high_fraction < 1:
-        raise ValueError("invalid two-class parameters")
+    if not nodes >= 2:
+        raise ValueError(f"nodes must be >= 2, got {nodes}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must lie in (0, 1], got {p}")
+    if not factor >= 1.0:
+        raise ValueError(f"factor must be >= 1, got {factor}")
+    if not 0.0 < high_fraction < 1.0:
+        raise ValueError(f"high_fraction must lie in (0, 1), got {high_fraction}")
     p_high = min(1.0, p * factor)
-    n_high = max(1, round(high_fraction * n))
+    n_high = max(1, round(high_fraction * nodes))
     high = set(range(n_high))
     edges: list[tuple[NodeId, NodeId]] = []
-    for source in range(n):
-        for target in range(n):
+    for source in range(nodes):
+        for target in range(nodes):
             if target == source:
                 continue
             prob = p_high if target in high else p
@@ -120,7 +138,7 @@ def two_class(
 
 
 def build_profiles(
-    n: int,
+    nodes: int,
     edges: Sequence[tuple[NodeId, NodeId]],
     rng: random.Random,
     target_language: str = "de",
@@ -130,7 +148,7 @@ def build_profiles(
     follower_noise: float = 0.0,
     now: float = 1_600_000_000.0,
 ) -> ProfileTable:
-    """Closed-world profiles for nodes 0..n-1: follower_count equals the
+    """Closed-world profiles for nodes 0..nodes-1: follower_count equals the
     ground-truth in-degree (optionally perturbed by a multiplicative noise
     factor), and friends_recent_first is the reversed edge-creation order.
 
@@ -144,15 +162,15 @@ def build_profiles(
     ):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {fraction}")
-    if follower_noise < 0.0:
+    if not follower_noise >= 0.0:
         raise ValueError(f"follower_noise must be >= 0, got {follower_noise}")
     ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
     sources, targets = ends[0::2], ends[1::2]
-    in_degree = np.bincount(targets, minlength=n).tolist()
+    in_degree = np.bincount(targets, minlength=nodes).tolist()
     # rows of the reversed edges keep input order, so each starts at the newest follow
-    offsets, friends = (a.tolist() for a in _csr_rows(sources[::-1], targets[::-1], n))
+    offsets, friends = (a.tolist() for a in _csr_rows(sources[::-1], targets[::-1], nodes))
     columns = _ProfileColumns()
-    for node in range(n):
+    for node in range(nodes):
         followers = in_degree[node]
         if follower_noise > 0.0:
             followers = max(0, round(followers * (1.0 + rng.uniform(-follower_noise, follower_noise))))
@@ -171,7 +189,7 @@ def build_profiles(
 
 def generate_network(
     model: str,
-    n: int,
+    nodes: int,
     rng_seed: int,
     *,
     m: int = 3,
@@ -180,35 +198,26 @@ def generate_network(
     high_fraction: float = 0.01,
     blocks: int = 2,
     cross_fraction: float = 0.02,
-    target_language: str = "de",
-    language_fraction: float = 1.0,
-    protected_fraction: float = 0.0,
-    follower_noise: float = 0.0,
+    **profile_settings,
 ) -> tuple[DirectedGraph, ProfileTable]:
     """One-call generator: edges plus consistent profiles for the chosen model.
-    The graph is built from the profiles' friend rows, which hold every edge,
-    and shares the table's id list and index."""
+    Each model reads only its own settings and checks their ranges;
+    profile_settings go to build_profiles. The graph is built from the
+    profiles' friend rows, which hold every edge, and shares the table's id
+    list and index."""
     edge_rng = substream(rng_seed, f"generate/{model}/edges")
     profile_rng = substream(rng_seed, f"generate/{model}/profiles")
     if model == "preferential-attachment":
-        edges = preferential_attachment(n, m, edge_rng)
+        edges = preferential_attachment(nodes, m, edge_rng)
     elif model == "reciprocal-er":
-        edges = reciprocal_er(n, p, edge_rng)
+        edges = reciprocal_er(nodes, p, edge_rng)
     elif model == "two-class":
-        edges, _ = two_class(n, p, factor, high_fraction, edge_rng)
+        edges, _ = two_class(nodes, p, factor, high_fraction, edge_rng)
     elif model == "planted-blocks":
-        edges = planted_blocks(n, m, blocks, cross_fraction, edge_rng)
+        edges = planted_blocks(nodes, m, blocks, cross_fraction, edge_rng)
     else:
         raise ValueError(f"unknown model {model!r}")
-    profiles = build_profiles(
-        n,
-        edges,
-        profile_rng,
-        target_language=target_language,
-        language_fraction=language_fraction,
-        protected_fraction=protected_fraction,
-        follower_noise=follower_noise,
-    )
-    sources = np.repeat(np.arange(n), np.diff(profiles.friend_offsets))
+    profiles = build_profiles(nodes, edges, profile_rng, **profile_settings)
+    sources = np.repeat(np.arange(nodes), np.diff(profiles.friend_offsets))
     graph = DirectedGraph(profiles.ids, profiles.index, sources, profiles.friend_ids)
     return graph, profiles

@@ -583,10 +583,14 @@ def pagerank(
     first the result is flagged as non-converged. Each node's incoming terms
     are summed in edges() order, which is ascending id order of their sources.
     """
-    if graph.num_nodes() == 0:
-        raise ValueError("pagerank requires a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if graph.num_nodes() == 0:
+        raise ValueError("pagerank requires a non-empty graph")
     ids = graph.ids
     n = len(ids)
     m = graph.num_edges()

@@ -102,8 +102,10 @@ def window_docs(
 ) -> list[Doc]:
     """Keep texts timestamped in [t0, t1], at most per_node_cap per node,
     newest first."""
-    if t1 < t0:
-        raise ValueError(f"invalid window: t1={t1} < t0={t0}")
+    if not t0 <= t1:
+        raise ValueError(f"invalid window: need t0 <= t1, got t0={t0}, t1={t1}")
+    if per_node_cap is not None and not per_node_cap >= 1:
+        raise ValueError(f"per_node_cap must be >= 1, got {per_node_cap}")
     by_node: dict[NodeId, list[tuple[int, Doc]]] = {}
     for index, doc in enumerate(docs):
         if t0 <= doc.ts <= t1:
@@ -135,11 +137,23 @@ def tokenize_docs(
     return [by_node[node] for node in sorted(by_node)]
 
 
+# extract_keywords' defaults, which keywords_by_community passes on
+TOP_N = 50
+MIN_USER_FRAC = 0.05
+
+
+def _check_settings(top_n: int, min_user_frac: float) -> None:
+    if not top_n >= 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    if not 0.0 <= min_user_frac <= 1.0:
+        raise ValueError(f"min_user_frac must lie in [0, 1], got {min_user_frac}")
+
+
 def extract_keywords(
     community_docs: Sequence[TokenDoc],
     remainder_docs: Sequence[TokenDoc],
-    top_n: int = 50,
-    min_user_frac: float = 0.05,
+    top_n: int = TOP_N,
+    min_user_frac: float = MIN_USER_FRAC,
 ) -> list[KeywordEntry]:
     """Keywords of a community corpus against a remainder corpus.
 
@@ -148,6 +162,7 @@ def extract_keywords(
     lexicographic, truncated to top_n, and then tokens used by fewer than
     min_user_frac of the community's nodes are dropped.
     """
+    _check_settings(top_n, min_user_frac)
     community_counts: Counter[str] = Counter()
     users_by_token: dict[str, set[NodeId]] = {}
     community_nodes: set[NodeId] = set()
@@ -192,11 +207,13 @@ def keywords_by_community(
     docs_by_node: Mapping[NodeId, TokenDoc],
     assignment: Mapping[NodeId, int],
     communities: Iterable[int] | None = None,
-    top_n: int = 50,
-    min_user_frac: float = 0.05,
+    top_n: int = TOP_N,
+    min_user_frac: float = MIN_USER_FRAC,
 ) -> list[KeywordResult]:
     """Run extraction per community; each community's remainder corpus is the
-    union of all other analyzed communities' docs."""
+    union of all other analyzed communities' docs. The settings are checked
+    here, so a bad one fails even where no community has a remainder."""
+    _check_settings(top_n, min_user_frac)
     grouped: dict[int, list[TokenDoc]] = {}
     for node, doc in docs_by_node.items():
         community = assignment.get(node)

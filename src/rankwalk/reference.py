@@ -108,8 +108,8 @@ def rank_degree(
     probability below e**-SEED_POLLS_PER_NODE. Exhausting the graph before
     sample_size returns the partial sample flagged.
     """
-    if sample_size < 0:
-        raise ValueError("sample_size must be non-negative")
+    if not sample_size >= 0:
+        raise ValueError(f"sample_size must be >= 0, got {sample_size}")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     ids, offsets, neighbors = graph.nodes, graph.offsets, graph.neighbors

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -9,10 +10,13 @@ import pytest
 
 from rankwalk import cli
 from rankwalk.cli import RUN_CONFIG_FIELDS, build_parser, main, read_run_config
-from rankwalk.communities import load_assignment
-from rankwalk.graph import read_edge_list, read_profiles
-from rankwalk.keywords import Doc, write_docs_jsonl
+from rankwalk.communities import community_graph, label_propagation, load_assignment
+from rankwalk.evaluation import activity, coverage_report
+from rankwalk.generate import build_profiles, generate_network
+from rankwalk.graph import k_core, pagerank, read_edge_list, read_profiles
+from rankwalk.keywords import Doc, keywords_by_community, window_docs, write_docs_jsonl
 from rankwalk.oracle import ApiBudget
+from rankwalk.reference import rank_degree
 from rankwalk.sampler import SamplerConfig, read_sample_csv
 
 
@@ -117,6 +121,7 @@ class TestGenerateCommand:
             ("--protected-fraction", "1.5", "protected_fraction must lie in [0, 1], got 1.5"),
             ("--language-fraction", "-3", "language_fraction must lie in [0, 1], got -3.0"),
             ("--follower-noise", "-0.1", "follower_noise must be >= 0, got -0.1"),
+            ("--follower-noise", "nan", "follower_noise must be >= 0, got nan"),
         ],
     )
     def test_setting_out_of_range_gives_exit_one(self, tmp_path, capsys, flag, value, message):
@@ -600,6 +605,8 @@ def test_malformed_input_gives_one_line_naming_path_and_line(
         ("--min-user-frac", "1.5", "--min-user-frac must lie in [0, 1], got 1.5"),
         ("--min-user-frac", "-0.1", "--min-user-frac must lie in [0, 1], got -0.1"),
         ("--min-user-frac", "nan", "--min-user-frac must lie in [0, 1], got nan"),
+        ("--window-start", "nan", "invalid window: need t0 <= t1, got t0=nan, t1=2.0"),
+        ("--window-end", "nan", "invalid window: need t0 <= t1, got t0=1.0, t1=nan"),
     ],
 )
 def test_keywords_setting_out_of_range_gives_exit_one(tmp_path, capsys, flag, value, message):
@@ -633,6 +640,8 @@ RANGE_ERRORS = [
     (REFERENCE, "--rho", "1.5", "--rho must lie in (0, 1], got 1.5"),
     (KCORE, "--k", "0", "--k must be >= 1, got 0"),
     (KCORE, "--min-in-degree", "-3", "--min-in-degree must be >= 0, got -3"),
+    (EVALUATE, "--as-of", "nan", "--as-of must be finite, got nan"),
+    (EVALUATE, "--as-of", "inf", "--as-of must be finite, got inf"),
 ]
 
 
@@ -660,16 +669,17 @@ def generate_argv(model):
 
 FLAG_ERRORS = [
     (generate_argv("reciprocal-er"), "--nodes", "0",
-     "--nodes must be >= 1 for --model reciprocal-er, got 0"),
+     "--nodes must be >= 1, got 0"),
     (generate_argv("preferential-attachment"), "--nodes", "3",
-     "--nodes must be >= 4 for --model preferential-attachment, got 3"),
+     "--nodes must be >= 4 (m + 1 per block), got 3"),
     (generate_argv("two-class"), "--nodes", "1",
-     "--nodes must be >= 2 for --model two-class, got 1"),
+     "--nodes must be >= 2, got 1"),
     (generate_argv("planted-blocks") + ["--blocks", "3"], "--nodes", "11",
-     "--nodes must be >= 12 for --model planted-blocks, got 11"),
+     "--nodes must be >= 12 (m + 1 per block), got 11"),
     (generate_argv("reciprocal-er"), "--p", "2", "--p must lie in [0, 1], got 2.0"),
     (generate_argv("reciprocal-er"), "--p", "nan", "--p must lie in [0, 1], got nan"),
-    (generate_argv("two-class"), "--p", "0", "--p must be > 0 for --model two-class, got 0.0"),
+    (generate_argv("two-class"), "--p", "0", "--p must lie in (0, 1], got 0.0"),
+    (generate_argv("two-class"), "--p", "1.5", "--p must lie in (0, 1], got 1.5"),
     (generate_argv("preferential-attachment"), "--m", "0", "--m must be >= 1, got 0"),
     (generate_argv("two-class"), "--factor", "0.5", "--factor must be >= 1, got 0.5"),
     (generate_argv("two-class"), "--high-fraction", "0",
@@ -703,6 +713,50 @@ def test_generate_or_sample_setting_out_of_range_names_the_flag(
     assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, value]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "model, flag, value",
+    [
+        ("preferential-attachment", "--p", "2"),
+        ("reciprocal-er", "--m", "0"),
+        ("reciprocal-er", "--blocks", "0"),
+        ("two-class", "--cross-fraction", "2"),
+        ("planted-blocks", "--factor", "0.5"),
+    ],
+)
+def test_generate_ignores_a_setting_its_model_does_not_read(tmp_path, model, flag, value):
+    argv = ["--out-dir", str(tmp_path), "generate", "--model", model, "--nodes", "20"]
+    assert run([*argv, flag, value]) == 0
+
+
+# The library functions each command passes its settings to.
+FEEDS = {
+    "generate": (generate_network, build_profiles),
+    "sample": (SamplerConfig, ApiBudget),
+    "reference": (rank_degree,),
+    "evaluate": (coverage_report, activity),
+    "kcore": (k_core,),
+    "pagerank": (pagerank,),
+    "communities": (label_propagation, community_graph),
+    "keywords": (window_docs, keywords_by_community),
+}
+
+
+def test_no_option_repeats_a_library_default():
+    """An option that sets a parameter of a library function defaults to None,
+    so the parameter's default is declared once, in the function."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands.choices.keys() == FEEDS.keys()
+    for command, functions in FEEDS.items():
+        parameters = set().union(*(inspect.signature(f).parameters for f in functions))
+        repeated = [
+            action.dest
+            for action in commands.choices[command]._actions
+            if action.dest in parameters and action.default is not None
+        ]
+        assert not repeated, command
 
 
 # `sample` with no flag for a run-config field, so the config file's values reach the run.

@@ -354,12 +354,11 @@ def cmd_keywords(args, out_dir: Path) -> int:
     docs = keywords_mod.read_docs_jsonl(args.docs)
     stopwords = keywords_mod.read_stopwords(args.stopwords) if args.stopwords else set()
     assignment = communities_mod.load_assignment(args.assignment)
-    if any(v is not None for v in (args.window_start, args.window_end, args.per_node_cap)):
+    window = _given(args, keywords_mod.window_docs)
+    if window:
         if not docs:
             raise ValueError(f"{args.docs}: holds no documents")
-        t0 = args.window_start if args.window_start is not None else min(d.ts for d in docs)
-        t1 = args.window_end if args.window_end is not None else max(d.ts for d in docs)
-        docs = keywords_mod.window_docs(docs, t0, t1, per_node_cap=args.per_node_cap)
+        docs = keywords_mod.window_docs(docs, **window)
     token_docs = {d.node: d for d in keywords_mod.tokenize_docs(docs, stopwords)}
     sizes = communities_mod.community_sizes(assignment)
     analyzed = [c for c, size in sizes.items() if size >= args.min_size]

@@ -3,6 +3,7 @@ chi-squared keyness statistic, with top-n and community-usage filters."""
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -96,14 +97,20 @@ def tokenize(text: str, stopwords: AbstractSet[str]) -> list[str]:
 
 def window_docs(
     docs: Sequence[Doc],
-    t0: float,
-    t1: float,
+    window_start: float | None = None,
+    window_end: float | None = None,
     per_node_cap: int | None = None,
 ) -> list[Doc]:
-    """Keep texts timestamped in [t0, t1], at most per_node_cap per node,
-    newest first."""
-    if not t0 <= t1:
-        raise ValueError(f"invalid window: need t0 <= t1, got t0={t0}, t1={t1}")
+    """Keep texts timestamped in [window_start, window_end], at most
+    per_node_cap per node, newest first. A bound left out is the oldest or
+    newest text's timestamp; the start must not lie past the end."""
+    t0 = min((d.ts for d in docs), default=-math.inf) if window_start is None else window_start
+    t1 = max((d.ts for d in docs), default=math.inf) if window_end is None else window_end
+    if not t0 <= t1:  # NaN fails too
+        # name a bound the caller gave: the start when it alone was given or is NaN
+        if window_start is not None and (window_end is None or math.isnan(window_start)):
+            raise ValueError(f"window_start must be <= {t1}, got {t0}")
+        raise ValueError(f"window_end must be >= {t0}, got {t1}")
     if per_node_cap is not None and not per_node_cap >= 1:
         raise ValueError(f"per_node_cap must be >= 1, got {per_node_cap}")
     by_node: dict[NodeId, list[tuple[int, Doc]]] = {}

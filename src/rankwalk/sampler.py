@@ -4,7 +4,9 @@ Logical walkers, stepped round-robin on one thread, hop from a node to its
 highest-follower-count, language-matching friend over an unburned edge,
 burning each traversed edge and jumping to a fresh random seed at dead ends.
 Traversed edges land in the sample together with the reciprocal edge when the
-ground truth contains one.
+ground truth contains one. A run fetches each account's friends page once and
+reads it from its cache on every later visit, so the run's friends calls,
+simulated seconds, growth times and call log count only charged calls.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .graph import (
     _read_json_lines,
     _read_lines,
 )
-from .oracle import NotFoundError, ProtectedError, SimulatedOracle
+from .oracle import FriendsPage, NotFoundError, ProtectedError, SimulatedOracle
 
 WALKED = "walked"
 SYMMETRIC = "symmetric"
@@ -259,9 +261,15 @@ def walker_step(
     seed_pool: SeedPool,
     config: SamplerConfig,
     profile_cache: dict[NodeId, ProfileRecord] | None = None,
+    page_cache: dict[NodeId, FriendsPage] | None = None,
 ) -> WalkerState:
-    """One walker step: fetch the current node's friends page, walk the best
+    """One walker step: read the current node's friends page, walk the best
     eligible edge into the sample, or jump to a fresh seed when none qualifies.
+
+    The page comes from page_cache when it holds one, else from a charged
+    get_friends call whose answer is added to it; without a cache every step
+    makes that call. A protected or unknown account is never cached: each visit
+    asks again, uncharged, and jumps.
 
     A walk adds one edge to the sample's walked edges, a jump none.
     select_target skips burned edges, so a pick that select_target's burn rule
@@ -269,16 +277,19 @@ def walker_step(
     """
     w = state.current
     profiles = profile_cache if profile_cache is not None else {}
+    pages = page_cache if page_cache is not None else {}
 
     def jump() -> WalkerState:
         seed = seed_pool.draw()
         sample.add_seed(seed)
         return WalkerState(state.walker_id, seed)
 
-    try:
-        page = oracle.get_friends(w)
-    except (NotFoundError, ProtectedError):
-        return jump()
+    page = pages.get(w)
+    if page is None:
+        try:
+            page = pages[w] = oracle.get_friends(w)
+        except (NotFoundError, ProtectedError):
+            return jump()
 
     missing = [v for v in page.friends if v not in profiles]
     if missing:
@@ -329,9 +340,15 @@ def run_sample(
     done so and the last len(walkers) steps all jumped, each walker stands on a
     pool node and no step can add an edge again: the run stops as "exhausted".
 
+    The run keeps every friends page and profile it fetched, in dicts local to
+    this call, so an account's page costs one charged call per run; a
+    protected or unknown account is refused, uncharged, on every visit.
+
     A resumed run restores the walked edges in the order of the `burned`
     records, then adds every `edge` record, so the walk record and the burn
-    rule carry over. `stats.walk_log` lists this run's walks in step order.
+    rule carry over. The caches are not in the resume file, so a resumed run
+    fetches its pages and profiles again. `stats.walk_log` lists this run's
+    walks in step order.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
@@ -339,6 +356,7 @@ def run_sample(
     sample = SampleGraph()
     stats = RunStats()
     profile_cache: dict[NodeId, ProfileRecord] = {}
+    page_cache: dict[NodeId, FriendsPage] = {}
 
     if resume is not None:
         oracle.clock.advance_to(resume.clock_now)
@@ -388,7 +406,9 @@ def run_sample(
         while reason is None:
             walks = len(walked)
             state = walkers[index]
-            walkers[index] = walker_step(state, oracle, sample, seed_pool, config, profile_cache)
+            walkers[index] = walker_step(
+                state, oracle, sample, seed_pool, config, profile_cache, page_cache
+            )
             stats.steps += 1
             if len(walked) == walks:  # a jump
                 not_jumped.discard(state.current)

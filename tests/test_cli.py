@@ -605,8 +605,10 @@ def test_malformed_input_gives_one_line_naming_path_and_line(
         ("--min-user-frac", "1.5", "--min-user-frac must lie in [0, 1], got 1.5"),
         ("--min-user-frac", "-0.1", "--min-user-frac must lie in [0, 1], got -0.1"),
         ("--min-user-frac", "nan", "--min-user-frac must lie in [0, 1], got nan"),
-        ("--window-start", "nan", "invalid window: need t0 <= t1, got t0=nan, t1=2.0"),
-        ("--window-end", "nan", "invalid window: need t0 <= t1, got t0=1.0, t1=nan"),
+        ("--window-start", "nan", "--window-start must be <= 2.0, got nan"),
+        ("--window-end", "nan", "--window-end must be >= 1.0, got nan"),
+        ("--window-start", "3", "--window-start must be <= 2.0, got 3.0"),
+        ("--window-end", "0.5", "--window-end must be >= 1.0, got 0.5"),
     ],
 )
 def test_keywords_setting_out_of_range_gives_exit_one(tmp_path, capsys, flag, value, message):
@@ -999,15 +1001,15 @@ def run_pipeline(directory):
 PIPELINE_DIGESTS = {
     "activity_hist.csv": "08d028f714ac917df2ba83b3143eee67ec7990e8cf94b48e58a43895c69139c4",
     "assignment.csv": "1b414a65935d0a1a1b44c1cf65495ba2e9fac0d8a0df3c55c1c8857df968c7f9",
-    "call_log.jsonl": "3678c9518eb26f6462b36f83df2ca91893de5734798f29613e866999c08f2ba7",
-    "call_log_first.jsonl": "4068f2eb69a1821bdde278037f6be11f07242ddbc0c37e88722d32b26e74dd83",
+    "call_log.jsonl": "d656da5bc452e8bba8ce6b3fe295081e3681ae298b7b773a9c901a073bd16d39",
+    "call_log_first.jsonl": "99127800ae758908bc728fe27fc61b39c111ce901ad5f37d2c92fa7b89bb8aec",
     "community_graph.csv": "de44ecada27f13882022e9c04047bc7787f77e28f04080edae223e8882d220eb",
     "community_sizes.csv": "79dc74c80bbd204d0692e288b71ebddf18341a3b335424d4d8f25e5e4ac4e00b",
     "core.csv": "a12b4904377746b6d652817eeee88527e48602d22a975b577d59321836aada08",
     "coverage_report.csv": "41d5a16bfe3c00b30b7fa8a1b279e63549675574bb864727bc52208b004a12ed",
     "edges.csv": "e47a014edd48ee034e093dc885ed28cfa573f40a272dd2a8f4751113629618ef",
-    "growth.csv": "b1e63e9cca45b9484d36c5ec427b78ac6cfc5724092f0bf0cabc3a2a149c3469",
-    "growth_first.csv": "c22d15b072545ddc68d826fba4aa9d7be8bf2e57a2a42851edd8abd60d3de68b",
+    "growth.csv": "6c155f7403e2339a5453667de94113ba53227b95d45e046a2090f3a227fc786b",
+    "growth_first.csv": "ec718a6a0582e2060d3cd4218d9127d97729221bf5b9bcae75a8640e76f42db3",
     "keywords.csv": "2534b607adc369acc539246a4a514656188c0e3d8989381e86a68146cbd07a14",
     "keywords_cap.csv": "68c820ce7bd419f0a33938c6b40a8999a253fbb34cf0a985a3fc50f7b64dd47c",
     "keywords_window.csv": "442c0f76ccbe0032be958037463e92c864be8278c68ba556ad01c0c37c79f3e5",
@@ -1016,12 +1018,12 @@ PIPELINE_DIGESTS = {
     "rank_coverage.csv": "7f66132ff9fe396e54c6ca7e2f57cc3976da382874c47394aa2a6391bfe19f32",
     "rank_reach.csv": "7fe29ab02dd872910a738a036e4783b18c7ba48e0728f7ace2f0cef39f09f7b1",
     "reference_sample.csv": "16f25bb77127cade72395b9e3c69432df88b30c48d2c7a95c8c25a6d8f486d8d",
-    "resume.jsonl": "1da67f717ac7d5aeb98af5dead096024499cf741d99f32c2d2ae625b4c84502c",
-    "resume_first.jsonl": "b658afa6fd9fe47e3ab85fa1c718d10b7935b6d40e70982483d15d5aaeeaece1",
+    "resume.jsonl": "600147788b184b5c34957d13caa53d228c765a6b448f44aaf249522b97ebfde3",
+    "resume_first.jsonl": "b2a641ffce39f88d394b0697978f1f478ff04d47e888e9776928652f4d4473ce",
     "sample.csv": "283c43dfee5b9dc9b4095cd63a18f51f52ddc8047f1e6676ab1258d0e9c7dae6",
     "sample_first.csv": "d21c49ecde16964a2cfb65b49744b1534649af678c7deb644aaf9de5eb68c058",
-    "stats.json": "e89fb0245d3dfd98817d8e2691a1c583e891a7110d7d218b4924d0f683cc08cf",
-    "stats_first.json": "f1284288fd8fd674b0fd44d3531778a6d050edb0ea2246bd4adeb00a2cca2394",
+    "stats.json": "7258725fa6313cf0cec0d375f8d6781603800e2bc3596b4e0519839ae1764489",
+    "stats_first.json": "9a42a4aff7d6bbc123382c12c969dafeff1566c90d8f1626b002fa5d8c1d2b88",
 }
 
 

@@ -56,10 +56,10 @@ RANGE_ERRORS = [
      "min_user_frac must lie in [0, 1], got nan"),
     (partial(window_docs, DOCS, 0.0, 5.0, per_node_cap=-1), "per_node_cap must be >= 1, got -1"),
     (partial(window_docs, DOCS, 0.0, 5.0, per_node_cap=0), "per_node_cap must be >= 1, got 0"),
-    (partial(window_docs, DOCS, math.nan, 5.0),
-     "invalid window: need t0 <= t1, got t0=nan, t1=5.0"),
-    (partial(window_docs, DOCS, 0.0, math.nan),
-     "invalid window: need t0 <= t1, got t0=0.0, t1=nan"),
+    (partial(window_docs, DOCS, math.nan, 5.0), "window_start must be <= 5.0, got nan"),
+    (partial(window_docs, DOCS, 0.0, math.nan), "window_end must be >= 0.0, got nan"),
+    (partial(window_docs, DOCS, 5.0, 0.0), "window_end must be >= 5.0, got 0.0"),
+    (partial(window_docs, DOCS, window_start=math.nan), "window_start must be <= 2.0, got nan"),
     (partial(rank_degree, UndirectedGraph.from_directed(GRAPH), [1], -1),
      "sample_size must be >= 0, got -1"),
     (partial(activity, ACCOUNT, math.nan), "as_of must be finite, got nan"),

@@ -327,6 +327,19 @@ class TestWalkerStep:
         state = walker_step(WalkerState(0, 1), oracle, SampleGraph(), pool, config())
         assert state.current == 3
 
+    def test_page_cache_serves_a_revisit_without_a_call(self):
+        _, oracle = build_oracle([(1, 2), (1, 3)], nodes=[9], protected={9})
+        sample, pool, pages = SampleGraph(), SeedPool([1], 0), {}
+        for expected in (2, 3):
+            step = walker_step(WalkerState(0, 1), oracle, sample, pool, config(), {}, pages)
+            assert step.current == expected
+        assert pages == {1: oracle.get_friends(1)}
+        assert oracle.calls_by_endpoint[oracle.FRIENDS] == 2  # the step's call and this one
+        # refused accounts jump, uncharged and uncached
+        for refused in (9, 999):
+            walker_step(WalkerState(0, refused), oracle, sample, pool, config(), {}, pages)
+        assert pages.keys() == {1} and oracle.calls_by_endpoint[oracle.FRIENDS] == 2
+
 
 def run_fixture(seed=0, n=120, p=0.06, **config_kwargs):
     rng = random.Random(seed)
@@ -391,10 +404,11 @@ class TestRunSample:
         edge_counts = [edges for _, edges, _ in stats.growth]
         assert edge_counts == sorted(edge_counts)
 
-    def test_friends_calls_match_steps_on_clean_graph(self):
-        # every node exists and is unprotected, so each step fetches one page
+    def test_friends_calls_match_distinct_accounts_on_clean_graph(self, monkeypatch):
+        # every node exists and is unprotected, so each account's page is fetched once
+        stood = record_positions(monkeypatch)
         _, _, stats = run_fixture(seed=7, max_sample_edges=200)
-        assert stats.friends_calls == stats.steps
+        assert stats.friends_calls == len(set(stood)) < stats.steps == len(stood)
 
     def test_language_purity_with_prefiltered_pool(self):
         n = 80
@@ -578,6 +592,20 @@ def record_steps(mp):
     return steps
 
 
+def record_positions(mp):
+    """Patch the sampler so that each walker_step appends, to the returned
+    list, the account its walker stands on."""
+    positions = []
+    real_step = sampler_module.walker_step
+
+    def step(state, *args):
+        positions.append(state.current)
+        return real_step(state, *args)
+
+    mp.setattr(sampler_module, "walker_step", step)
+    return positions
+
+
 def mixed_world(graph_seed, n, p, reciprocal, **profile_kwargs):
     """A fully reciprocal or a partly reciprocal random graph with its profiles."""
     if reciprocal:
@@ -642,6 +670,84 @@ class TestWalkLog:
                 resume=resume,
             )
             check(stats, record)
+
+
+class TestPageCache:
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 40),
+        p=st.sampled_from([0.05, 0.1, 0.3]),
+        reciprocal=st.booleans(),
+        walker_count=st.integers(1, 6),
+        rate_limits=st.booleans(),
+        key_count=st.integers(1, 3),
+        language_filter=st.booleans(),
+        language_fraction=st.sampled_from([1.0, 0.5]),
+        protected_fraction=st.sampled_from([0.0, 0.2]),
+        original_rank_degree=st.booleans(),
+        steps=st.integers(0, 300),
+    )
+    def test_run_walks_as_an_uncached_step_loop(
+        self, graph_seed, n, p, reciprocal, walker_count, rate_limits, key_count,
+        language_filter, language_fraction, protected_fraction, original_rank_degree, steps,
+    ):
+        """run_sample fetches each account's friends page once and walks as a
+        round-robin loop of walker_step without a page cache, which fetches one
+        page on every step that is not refused."""
+        g, profiles = mixed_world(
+            graph_seed, n, p, reciprocal,
+            language_fraction=language_fraction, protected_fraction=protected_fraction,
+        )
+        pool_ids = range(n + 2)  # n and n + 1 are unknown ids
+        cfg = config(
+            walker_count=walker_count, language_filter_enabled=language_filter,
+            original_rank_degree=original_rank_degree, max_sample_edges=None, max_steps=steps,
+        )
+
+        def served(node):  # get_friends answers, and charges
+            return node in profiles and not profiles[node].protected
+
+        def new_oracle():
+            return build_simulated_oracle(
+                g, profiles, rate_limits_enabled=rate_limits, key_count=key_count
+            )
+
+        oracle = new_oracle()
+        with pytest.MonkeyPatch.context() as mp:
+            stood = record_positions(mp)
+            sample, stats = run_sample(cfg, oracle, SeedPool(pool_ids, graph_seed))
+        assert stats.steps == steps or stats.stop_reason == "exhausted"
+
+        loop_oracle, loop_sample, pool = new_oracle(), SampleGraph(), SeedPool(pool_ids, graph_seed)
+        walkers = []
+        for walker_id in range(walker_count):
+            walkers.append(WalkerState(walker_id, pool.draw()))
+            loop_sample.add_seed(walkers[-1].current)
+        profile_cache, served_steps = {}, 0
+        for step in range(stats.steps):
+            state = walkers[step % walker_count]
+            served_steps += served(state.current)
+            walkers[step % walker_count] = walker_step(
+                state, loop_oracle, loop_sample, pool, cfg, profile_cache
+            )
+
+        assert stats.walk_log == list(loop_sample._walked)
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [Path(directory) / name for name in ("run.csv", "loop.csv")]
+            write_sample_csv(sample, paths[0])
+            write_sample_csv(loop_sample, paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert stats.jumps == stats.steps - len(loop_sample._walked)
+        assert stats.profile_calls == loop_oracle.calls_by_endpoint[oracle.PROFILES]
+        assert loop_oracle.calls_by_endpoint[oracle.FRIENDS] == served_steps
+        fetched = [r.nodes[0] for r in oracle.call_log if r.endpoint == oracle.FRIENDS]
+        assert len(fetched) == len(set(fetched))
+        assert stats.friends_calls == len({node for node in stood if served(node)})
+        assert len(oracle.call_log) == stats.friends_calls + stats.profile_calls
+        for checked in (oracle, loop_oracle):
+            assert_budget_safety(checked.call_log, oracle.FRIENDS, 15, 900.0)
+            assert_budget_safety(checked.call_log, oracle.PROFILES, 900, 900.0)
 
 
 class TestExhausted:

@@ -300,10 +300,31 @@ _SCALAR_ROW = np.dtype([
 ])
 
 
+class _IdColumn:
+    """An append-only column of account ids (or other ints): an array('q') of
+    8 B per value while every value fits in int64, and a list of Python ints,
+    in the same order, from the first value that does not, so an id past
+    2**63 - 1 is kept exactly. Read `values`, which is one or the other."""
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: array | list[int] = array("q")
+
+    def extend(self, ints: list[int]) -> None:
+        if isinstance(self.values, list):
+            self.values += ints
+            return
+        try:
+            self.values.fromlist(ints)  # all or nothing
+        except OverflowError:  # a value past int64: keep Python ints from here on
+            self.values = [*self.values, *ints]
+
+
 class _ProfileColumns:
     """Builds a ProfileTable one profile at a time, in any id order: each
     profile's scalar fields become one packed row of a bytes buffer and its
-    friends are appended to one int64 array, so no per-profile object is
+    friends are appended to one _IdColumn, so no per-profile object is
     kept; build() sorts the rows by id. add() runs _check_profile on every
     profile; add_record() also checks the JSON types of a record first."""
 
@@ -313,7 +334,7 @@ class _ProfileColumns:
         self.rows: dict[NodeId, int] = {}  # id -> the order it was added in
         self.languages: dict[str, int] = {}  # language -> its code
         self.scalars = bytearray()
-        self.friend_ids: array | list[NodeId] = array("q")
+        self.friend_ids = _IdColumn()
 
     def add(
         self, node: NodeId, follower_count: int, friends: list[NodeId], language: str,
@@ -329,13 +350,7 @@ class _ProfileColumns:
             follower_count, status_count, code, len(friends), created_at,
             last_status_at if known else math.nan, protected, known,
         )
-        if isinstance(self.friend_ids, list):
-            self.friend_ids += friends
-            return
-        try:
-            self.friend_ids.fromlist(friends)  # all or nothing
-        except OverflowError:  # an id past 2**63 - 1: keep Python ints from here on
-            self.friend_ids = [*self.friend_ids, *friends]
+        self.friend_ids.extend(friends)
 
     def add_record(self, record: dict) -> None:
         """add() for one record shaped as a profiles.jsonl line: a value of a
@@ -367,10 +382,11 @@ class _ProfileColumns:
         rows = self.rows
         n = len(rows)
         added = np.frombuffer(self.scalars, _SCALAR_ROW)
-        if isinstance(self.friend_ids, array):
-            friend_ids = np.frombuffer(self.friend_ids, np.int64)
+        friend_ids = self.friend_ids.values
+        if isinstance(friend_ids, array):
+            friend_ids = np.frombuffer(friend_ids, np.int64)
         else:
-            friend_ids = np.array(self.friend_ids, dtype=object)
+            friend_ids = np.array(friend_ids, dtype=object)
         if all(map(operator.lt, rows, islice(rows, 1, None))):
             ids = list(rows)
             scalars = added

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import NodeId, ProfileRecord, ProfileTable
+from .graph import NodeId, ProfileRecord, ProfileTable, _IdColumn
 
 
 class NotFoundError(LookupError):
@@ -32,7 +34,7 @@ class SimulatedClock:
 
     def advance_to(self, timestamp: float) -> float:
         if timestamp > self._now:
-            self._now = timestamp
+            self._now = float(timestamp)
         return self._now
 
 
@@ -52,6 +54,69 @@ class CallRecord(NamedTuple):
     endpoint: str
     nodes: tuple[NodeId, ...]
     calls_remaining: int | None
+
+
+class CallLog:
+    """The charged calls of one oracle, in call order, kept as typed columns
+    with no object per call: the times as float64, the key as int64 and the
+    endpoint as a one-byte code, and the calls remaining and the ids of every
+    call each in one _IdColumn, a call's ids up to its end offset; -1 stands
+    for a None key or calls remaining. A call with one id costs 41 B, and each
+    further id 8 B more.
+
+    It stands in for the list of CallRecords it replaces: len() counts the
+    calls, iteration rebuilds each one's CallRecord (nodes a tuple of ints),
+    and two logs are == when they hold the same records.
+    """
+
+    __slots__ = ("_t", "_key", "_endpoint", "_codes", "_remaining", "_node_ids", "_node_ends")
+
+    def __init__(self) -> None:
+        self._t = array("d")
+        self._key = array("q")  # a key is below key_count, so it fits
+        self._endpoint = array("B")
+        self._codes: dict[str, int] = {}  # endpoint -> its code
+        self._remaining = _IdColumn()  # a window may allow more than 2**63 calls
+        self._node_ids = _IdColumn()
+        self._node_ends = array("q")
+
+    def append(
+        self, t: float, key: int | None, endpoint: str, nodes: list[NodeId],
+        calls_remaining: int | None,
+    ) -> None:
+        self._node_ids.extend(nodes)  # first: a non-int id raises before any column grows
+        self._node_ends.append(len(self._node_ids.values))
+        self._t.append(t)
+        self._key.append(-1 if key is None else key)
+        self._endpoint.append(self._codes.setdefault(endpoint, len(self._codes)))
+        self._remaining.extend([-1 if calls_remaining is None else calls_remaining])
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self) -> Iterator[CallRecord]:
+        endpoints = list(self._codes)
+        ids = self._node_ids.values
+        record = tuple.__new__  # a CallRecord without the Python-level CallRecord.__new__
+        start = 0
+        for t, key, code, remaining, end in zip(
+            self._t, self._key, self._endpoint, self._remaining.values, self._node_ends
+        ):
+            # most calls ask for one id, and this skips the slice's copy
+            nodes = (ids[start],) if end - start == 1 else tuple(ids[start:end])
+            yield record(CallRecord, (
+                t, None if key < 0 else key, endpoints[code], nodes,
+                None if remaining < 0 else remaining,
+            ))
+            start = end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CallLog):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"CallLog(calls={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -154,6 +219,9 @@ class SimulatedOracle:
     profile is unknown to every endpoint. Answers are pure functions of (node,
     construction inputs); only the clock and budget state change between
     identical queries.
+
+    `call_log` is a CallLog of every charged call, and `calls_by_endpoint`
+    counts them per endpoint.
     """
 
     FRIENDS = "friends"
@@ -179,16 +247,16 @@ class SimulatedOracle:
             )
         self.page_size = budget.page_size
         self.profile_batch = budget.profile_batch
-        self.call_log: list[CallRecord] = []
+        self.call_log = CallLog()
         self.calls_by_endpoint: dict[str, int] = {self.FRIENDS: 0, self.PROFILES: 0}
 
-    def _charge(self, endpoint: str, limiter: RateLimiter | None, nodes: tuple[NodeId, ...]) -> None:
+    def _charge(self, endpoint: str, limiter: RateLimiter | None, nodes: list[NodeId]) -> None:
         key: int | None = None
         remaining: int | None = None
         if limiter is not None:
             key, remaining = limiter.charge(self.clock)
         self.calls_by_endpoint[endpoint] += 1
-        self.call_log.append(CallRecord(self.clock.now, key, endpoint, nodes, remaining))
+        self.call_log.append(self.clock.now, key, endpoint, nodes, remaining)
 
     def get_friends(self, node: NodeId) -> FriendsPage:
         """First page of the node's friends, most recent first.
@@ -202,9 +270,9 @@ class SimulatedOracle:
             raise NotFoundError(f"unknown account id {node}")
         if self.profiles.protected[row]:
             raise ProtectedError(f"account {node} is protected")
-        self._charge(self.FRIENDS, self.friends_limiter, (node,))
-        friends = self.profiles.friends(row).tolist()
-        return FriendsPage(tuple(friends[: self.page_size]), len(friends) > self.page_size)
+        self._charge(self.FRIENDS, self.friends_limiter, [node])
+        friends = self.profiles.friends(row)
+        return FriendsPage(tuple(friends[: self.page_size].tolist()), len(friends) > self.page_size)
 
     def get_profiles(self, nodes: Sequence[NodeId]) -> dict[NodeId, ProfileRecord]:
         """Batched profile lookup: ceil(len(nodes) / profile_batch) calls.
@@ -217,7 +285,7 @@ class SimulatedOracle:
         result: dict[NodeId, ProfileRecord] = {}
         for start in range(0, len(nodes), self.profile_batch):
             chunk = nodes[start : start + self.profile_batch]
-            self._charge(self.PROFILES, self.profiles_limiter, tuple(chunk))
+            self._charge(self.PROFILES, self.profiles_limiter, chunk)
             for node in chunk:
                 row = index.get(node)
                 if row is not None:

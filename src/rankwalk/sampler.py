@@ -7,6 +7,11 @@ Traversed edges land in the sample together with the reciprocal edge when the
 ground truth contains one. A run fetches each account's friends page once and
 reads it from its cache on every later visit, so the run's friends calls,
 simulated seconds, growth times and call log count only charged calls.
+
+What a run keeps after it returns: the sample, its RunStats and the oracle's
+call log. The growth curve (a GrowthCurve) and the call log (a CallLog) hold
+one record per point or charged call as typed columns, with no Python object
+per record; the page and profile caches are freed when run_sample returns.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .graph import (
     DirectedGraph,
@@ -184,8 +190,50 @@ class WalkerState:
     current: NodeId
 
 
+class GrowthCurve:
+    """The sample's size over a run: a point (simulated seconds since the run
+    started, sample edges, sample nodes) at the start and after each step that
+    changed the edge count. The points are kept as three typed columns, float64
+    seconds and int64 edges and nodes, at 24 B a point with no object per point.
+
+    It stands in for the list of (seconds, edges, nodes) tuples it replaces:
+    len() counts the points, iteration yields the tuples, and two curves are
+    == when they hold the same points.
+    """
+
+    __slots__ = ("seconds", "edges", "nodes")
+
+    def __init__(self) -> None:
+        self.seconds = array("d")
+        self.edges = array("q")
+        self.nodes = array("q")
+
+    def append(self, seconds: float, edges: int, nodes: int) -> None:
+        self.seconds.append(seconds)
+        self.edges.append(edges)
+        self.nodes.append(nodes)
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def __iter__(self) -> Iterator[tuple[float, int, int]]:
+        return zip(self.seconds, self.edges, self.nodes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GrowthCurve):
+            return NotImplemented
+        return (self.seconds, self.edges, self.nodes) == (other.seconds, other.edges, other.nodes)
+
+    def __repr__(self) -> str:
+        return f"GrowthCurve(points={len(self)})"
+
+
 @dataclass
 class RunStats:
+    """What a run did: its counts, its stop reason, `walk_log` (the walked
+    edges in step order) and `growth`, the GrowthCurve of the sample's size
+    over simulated time. to_dict() holds the counts and stop reason only."""
+
     steps: int = 0
     jumps: int = 0
     friends_calls: int = 0
@@ -197,7 +245,7 @@ class RunStats:
     symmetric_edges: int = 0
     stop_reason: str = ""
     walk_log: list[Edge] = field(default_factory=list)
-    growth: list[tuple[float, int, int]] = field(default_factory=list)
+    growth: GrowthCurve = field(default_factory=GrowthCurve)
     # Run artifacts for resume support; not part of the serialized stats.
     final_walkers: list["WalkerState"] = field(default_factory=list)
 
@@ -382,7 +430,8 @@ def run_sample(
     walks_start = len(walked)
     not_jumped = set(seed_pool._nodes)
     jump_run = 0
-    stats.growth.append((0.0, sample.num_edges(), sample.num_nodes()))
+    growth = stats.growth
+    growth.append(0.0, sample.num_edges(), sample.num_nodes())
 
     def stop_reason() -> str | None:
         if config.max_sample_edges is not None and sample.num_edges() >= config.max_sample_edges:
@@ -416,8 +465,8 @@ def run_sample(
             else:
                 jump_run = 0
             edges = sample.num_edges()
-            if edges != stats.growth[-1][1]:
-                stats.growth.append((oracle.clock.now - clock_start, edges, sample.num_nodes()))
+            if edges != growth.edges[-1]:
+                growth.append(oracle.clock.now - clock_start, edges, sample.num_nodes())
             reason = stop_reason()
             index = (index + 1) % len(walkers)
 

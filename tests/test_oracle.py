@@ -427,6 +427,81 @@ class TestCallLog:
         assert path.read_bytes() == reference_call_log(records)
 
 
+class ListLog(list):
+    """The call log as a plain list of CallRecords."""
+
+    def append(self, t, key, endpoint, nodes, calls_remaining):
+        super().append(CallRecord(t, key, endpoint, tuple(nodes), calls_remaining))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_call_log_holds_the_records_a_list_would(data, tmp_path_factory):
+    """Random friends and profiles calls, with rate limits on and off, on ids of
+    either size, known and unknown: the log iterates as the list of CallRecords
+    the same calls fill, writes the same bytes, equals the log of a second
+    identical run and keeps the budget."""
+    nodes = data.draw(st.lists(ORACLE_IDS, unique=True, max_size=8))
+    table = ProfileTable.from_records(
+        profile_record(
+            node,
+            friends_recent_first=data.draw(
+                st.lists(ORACLE_IDS.filter(lambda v: v != node), unique=True, max_size=4)
+            ),
+            protected=data.draw(st.booleans()),
+        )
+        for node in nodes
+    )
+    budget = ApiBudget(
+        key_count=data.draw(st.integers(1, 3)),
+        # 2**64 calls a window leaves more calls than int64 holds
+        friends_calls_per_window=data.draw(st.sampled_from([1, 2, 5, 2**64])),
+        friends_window_seconds=data.draw(st.sampled_from([1.0, 900.0])),
+        profile_calls_per_window=data.draw(st.sampled_from([1, 3, 2**64])),
+        profile_window_seconds=data.draw(st.sampled_from([0.5, 900.0])),
+        profile_batch=data.draw(st.integers(1, 4)),
+        rate_limits_enabled=data.draw(st.booleans()),
+    )
+    asked = ORACLE_IDS | st.sampled_from(nodes or [0])
+    calls = data.draw(
+        st.lists(
+            st.tuples(st.just("friends"), asked)
+            | st.tuples(st.just("profiles"), st.lists(asked, max_size=9)),
+            max_size=25,
+        )
+    )
+
+    def run(log=None):
+        oracle = SimulatedOracle(table, budget)
+        if log is not None:
+            oracle.call_log = log
+        for endpoint, arg in calls:
+            if endpoint == "profiles":
+                oracle.get_profiles(arg)
+                continue
+            try:
+                oracle.get_friends(arg)
+            except (NotFoundError, ProtectedError):
+                pass
+        return oracle.call_log
+
+    log, again, expected = run(), run(), run(ListLog())
+    assert len(log) == len(expected)
+    assert list(log) == expected
+    path = tmp_path_factory.mktemp("log") / "log.jsonl"
+    write_call_log(log, path)
+    assert path.read_bytes() == reference_call_log(expected)
+    assert log == again
+    again.append(0.0, None, "friends", [0], None)
+    assert log != again
+    assert_budget_safety(
+        log, "friends", budget.friends_calls_per_window, budget.friends_window_seconds
+    )
+    assert_budget_safety(
+        log, "profiles", budget.profile_calls_per_window, budget.profile_window_seconds
+    )
+
+
 class TestInterleavedCalls:
     def test_interleaved_calls_respect_budget(self):
         g = DirectedGraph.from_edges(

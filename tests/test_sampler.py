@@ -1,6 +1,7 @@
 import gc
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -403,6 +404,29 @@ class TestRunSample:
         _, _, stats = run_fixture(seed=6, max_sample_edges=400)
         edge_counts = [edges for _, edges, _ in stats.growth]
         assert edge_counts == sorted(edge_counts)
+
+    def test_call_log_and_growth_keep_at_most_48_bytes_a_record(self):
+        """Both keep typed columns, no object per record: a list of CallRecords
+        and of growth tuples retains ~150 B a record on this run."""
+        n = 2000
+        edges = preferential_attachment(n, 3, random.Random(1))
+        g = DirectedGraph.from_edges(edges, nodes=range(n))
+        profiles = build_profiles(n, edges, random.Random(2), language_fraction=0.9)
+        oracle = build_simulated_oracle(g, profiles)
+        cfg = config(walker_count=20, max_sample_edges=1500)
+        tracemalloc.start()
+        try:
+            _, stats = run_sample(cfg, oracle, SeedPool(range(n), 3))
+            records = len(oracle.call_log) + len(stats.growth)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            oracle.call_log = stats.growth = None
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert records > 2000
+        assert retained / records <= 48
 
     def test_friends_calls_match_distinct_accounts_on_clean_graph(self, monkeypatch):
         # every node exists and is unprotected, so each account's page is fetched once

@@ -6,6 +6,7 @@ from .graph import (
     PageRankResult,
     ProfileRecord,
     ProfileTable,
+    UndirectedGraph,
     k_core,
     pagerank,
     read_edge_list,
@@ -23,7 +24,7 @@ from .oracle import (
     SimulatedOracle,
     build_simulated_oracle,
 )
-from .reference import RankDegreeResult, UndirectedGraph, rank_degree
+from .reference import RankDegreeResult, rank_degree
 from .sampler import (
     RunStats,
     SampleGraph,

@@ -19,6 +19,7 @@ from . import evaluation as evaluation_mod
 from . import keywords as keywords_mod
 from .generate import build_profiles, generate_network
 from .graph import (
+    UndirectedGraph,
     _check_fields,
     _open_text,
     _read_lines,
@@ -31,7 +32,7 @@ from .graph import (
     write_profiles,
 )
 from .oracle import ApiBudget, SimulatedOracle, write_call_log
-from .reference import UndirectedGraph, rank_degree
+from .reference import rank_degree
 from .rng import substream
 from .sampler import (
     SamplerConfig,
@@ -221,7 +222,7 @@ def cmd_reference(args, out_dir: Path, seed: int) -> int:
         raise ValueError(f"{args.graph}: graph has no edges")
     graph = UndirectedGraph.from_directed(directed)
     if initial is None:
-        pool = graph.nodes
+        pool = graph.ids
         rng = substream(seed, "reference-seeds")
         initial = [pool[rng.randrange(len(pool))] for _ in range(args.num_seeds)]
     result = rank_degree(

@@ -8,14 +8,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import DirectedGraph, NodeId, _read_lines, parse_id
-from .reference import UndirectedGraph
+from .graph import DirectedGraph, NodeId, UndirectedGraph, _read_lines, parse_id
 
 
 def label_propagation(
     graph: DirectedGraph, rng_seed: int = 0, max_iters: int = 100
 ) -> dict[NodeId, int]:
-    """Asynchronous label propagation on the undirected view.
+    """Asynchronous label propagation on the undirected view
+    (UndirectedGraph.from_directed), whose rows list each node's neighbors.
 
     Each node adopts the most frequent label among its neighbors, ties broken
     by lowest label; the visit order is reshuffled every iteration under
@@ -29,7 +29,7 @@ def label_propagation(
         raise ValueError("label_propagation requires a non-empty graph")
     rng = random.Random(rng_seed)
     undirected = UndirectedGraph.from_directed(graph)
-    offsets, neighbors = undirected.offsets.tolist(), undirected.neighbors.tolist()
+    offsets, neighbors = undirected.out_offsets.tolist(), undirected.out_targets.tolist()
     # A label is a node index, which orders as the node ids do.
     labels = list(range(graph.num_nodes()))
     order = labels.copy()

@@ -441,12 +441,16 @@ class DirectedGraph:
         self, ids: list[NodeId], index: dict[NodeId, int], sources: np.ndarray, targets: np.ndarray
     ) -> None:
         """Build from the index pairs of the edges, in any order; a repeated edge
-        is dropped."""
+        is dropped. The distinct edge codes ascend by source, then target, so
+        their targets are already laid out row by row: the offsets come from
+        counting the sources, with no sort or gather of the rows."""
         n = len(ids)
         sources, targets = np.divmod(_distinct(sources.astype(np.int64) * n + targets), n)
         self.ids = ids
         self.index = index
-        self.out_offsets, self.out_targets = _csr_rows(sources, targets, n)
+        self.out_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=self.out_offsets[1:])
+        self.out_targets = targets.astype(np.int32)
         self.in_degrees = np.bincount(targets, minlength=n)
 
     @classmethod
@@ -532,7 +536,24 @@ class DirectedGraph:
         return DirectedGraph(ids, index, number[sources[inside]], number[targets[inside]])
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(nodes={self.num_nodes()}, edges={self.num_edges()})"
+        return f"{type(self).__name__}(nodes={self.num_nodes()}, edges={self.num_edges()})"
+
+
+class UndirectedGraph(DirectedGraph):
+    """The undirected view of a DirectedGraph, which the reference sampler and
+    label propagation read: a DirectedGraph that holds each undirected edge in
+    both directions. Row i lists the indices of i's neighbors in ascending
+    order, in_degrees equals the row lengths, and ids and index are shared
+    with the graph it was built from."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_directed(cls, graph: DirectedGraph) -> "UndirectedGraph":
+        """Collapse a directed graph: every directed edge, and each reciprocal
+        pair, becomes one undirected edge; the constructor drops the repeats."""
+        u, v = graph.edge_sources(), graph.out_targets
+        return cls(graph.ids, graph.index, np.concatenate([u, v]), np.concatenate([v, u]))
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:

@@ -16,36 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DirectedGraph, NodeId, _csr_rows, _distinct, _gc_paused
-
-
-@dataclass(slots=True, eq=False, repr=False)
-class UndirectedGraph:
-    """Simple undirected graph in symmetric compressed sparse row (CSR) form;
-    the reference sampler and label propagation read it, and nothing changes
-    it once built.
-
-    Node i has id nodes[i] and index maps each id back, both shared with the
-    DirectedGraph it was built from, so a lower index is a lower id. Row i of
-    neighbors (neighbors[offsets[i]:offsets[i + 1]]) holds the indices of i's
-    neighbors in ascending order; each edge is in two rows.
-    """
-
-    nodes: list[NodeId]
-    index: dict[NodeId, int]
-    offsets: np.ndarray
-    neighbors: np.ndarray
-
-    @classmethod
-    @_gc_paused()
-    def from_directed(cls, graph: DirectedGraph) -> "UndirectedGraph":
-        """Collapse a directed graph: every directed edge (and in particular each
-        reciprocal pair) becomes one undirected edge."""
-        n = graph.num_nodes()
-        u, v = graph.edge_sources(), graph.out_targets
-        low, high = np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n)
-        offsets, neighbors = _csr_rows(np.concatenate([high, low]), np.concatenate([low, high]), n)
-        return cls(graph.ids, graph.index, offsets, neighbors)
+from .graph import NodeId, UndirectedGraph, _gc_paused
 
 
 @dataclass
@@ -88,16 +59,19 @@ def rank_degree(
     Selected undirected edges count as removed from then on; both orientations
     enter the sample. With collapse=True walkers landing on the same node merge.
 
-    The input graph is not modified: current degrees and removed edges are
-    tracked beside it, by node index, which orders as the ids do. Each walked
-    node w keeps a lazy heap of its neighbors, built from w's row on its first
-    visit. An entry for neighbor v is one int, v - degree * n with the degree
-    v had when pushed: it orders as (-degree, v), and v is the entry mod n. A
-    step pops entries whose edge is gone and re-pushes entries whose degree
-    has fallen until the top is current; degrees only fall, so a stale key
-    ranks too high, never too low, and the top is the true best neighbor. The
-    top k are drawn one at a time, which equals ranking once, because removing
-    w-v changes only the degrees of w and v.
+    graph is the undirected view of a follow network, whose row i
+    (out_targets[out_offsets[i]:out_offsets[i + 1]]) lists the indices of
+    node ids[i]'s neighbors, each edge in two rows. It is not modified:
+    current degrees and removed edges are tracked beside it, by node index,
+    which orders as the ids do. Each walked node w keeps a lazy heap of its
+    neighbors, built from w's row on its first visit. An entry for neighbor v
+    is one int, v - degree * n with the degree v had when pushed: it orders
+    as (-degree, v), and v is the entry mod n. A step pops entries whose edge
+    is gone and re-pushes entries whose degree has fallen until the top is
+    current; degrees only fall, so a stale key ranks too high, never too low,
+    and the top is the true best neighbor. The top k are drawn one at a time,
+    which equals ranking once, because removing w-v changes only the degrees
+    of w and v.
 
     Re-seeding triggers once every current seed has degree <= 1 (or degree 0
     with reseed_on_leaf=False) and draws uniformly from the remaining
@@ -112,7 +86,7 @@ def rank_degree(
         raise ValueError(f"sample_size must be >= 0, got {sample_size}")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    ids, offsets, neighbors = graph.nodes, graph.offsets, graph.neighbors
+    ids, offsets, neighbors = graph.ids, graph.out_offsets, graph.out_targets
     index_of = graph.index.get
     n = len(ids)
 

@@ -160,16 +160,6 @@ class SampleGraph:
             self._graph = None
         return added
 
-    def edge_provenance(self, source: NodeId, target: NodeId) -> str:
-        if (source, target) in self._walked:
-            return WALKED
-        if (source, target) in self._symmetric:
-            return SYMMETRIC
-        raise KeyError((source, target))
-
-    def node_provenance(self, node: NodeId) -> str:
-        return self._node_provenance[node]
-
     def num_edges(self) -> int:
         return len(self._walked) + len(self._symmetric)
 
@@ -267,7 +257,7 @@ class RunStats:
 def select_target(
     w: NodeId,
     friends_page: Sequence[NodeId],
-    profiles: Mapping[NodeId, ProfileRecord],
+    profiles: Mapping[NodeId, ProfileRecord | None],
     sample: SampleGraph,
     config: SamplerConfig,
 ) -> NodeId | None:
@@ -308,7 +298,7 @@ def walker_step(
     sample: SampleGraph,
     seed_pool: SeedPool,
     config: SamplerConfig,
-    profile_cache: dict[NodeId, ProfileRecord] | None = None,
+    profile_cache: dict[NodeId, ProfileRecord | None] | None = None,
     page_cache: dict[NodeId, FriendsPage] | None = None,
 ) -> WalkerState:
     """One walker step: read the current node's friends page, walk the best
@@ -317,7 +307,9 @@ def walker_step(
     The page comes from page_cache when it holds one, else from a charged
     get_friends call whose answer is added to it; without a cache every step
     makes that call. A protected or unknown account is never cached: each visit
-    asks again, uncharged, and jumps.
+    asks again, uncharged, and jumps. The friends that profile_cache lacks are
+    looked up together, and a friend the lookup drops is cached as None,
+    so no friend is asked for twice and select_target skips it.
 
     A walk adds one edge to the sample's walked edges, a jump none.
     select_target skips burned edges, so a pick that select_target's burn rule
@@ -341,7 +333,8 @@ def walker_step(
 
     missing = [v for v in page.friends if v not in profiles]
     if missing:
-        profiles.update(oracle.get_profiles(missing))
+        found = oracle.get_profiles(missing)
+        profiles.update(zip(missing, map(found.get, missing)))
 
     v = select_target(w, page.friends, profiles, sample, config)
     if v is None:
@@ -389,8 +382,9 @@ def run_sample(
     pool node and no step can add an edge again: the run stops as "exhausted".
 
     The run keeps every friends page and profile it fetched, in dicts local to
-    this call, so an account's page costs one charged call per run; a
-    protected or unknown account is refused, uncharged, on every visit.
+    this call, so an account's page costs one charged call per run and a
+    friend's profile one lookup, even when it came back empty; a protected or
+    unknown account is refused, uncharged, on every visit.
 
     A resumed run restores the walked edges in the order of the `burned`
     records, then adds every `edge` record, so the walk record and the burn
@@ -403,7 +397,7 @@ def run_sample(
     """
     sample = SampleGraph()
     stats = RunStats()
-    profile_cache: dict[NodeId, ProfileRecord] = {}
+    profile_cache: dict[NodeId, ProfileRecord | None] = {}
     page_cache: dict[NodeId, FriendsPage] = {}
 
     if resume is not None:

@@ -24,10 +24,12 @@ from rankwalk.evaluation import (
     total_reach,
 )
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er, two_class
-from rankwalk.graph import DirectedGraph, k_core, pagerank, read_edge_list, read_profiles
+from rankwalk.graph import (
+    DirectedGraph, UndirectedGraph, k_core, pagerank, read_edge_list, read_profiles,
+)
 from rankwalk.keywords import Doc, chi_squared_keyness, write_docs_jsonl
 from rankwalk.oracle import assert_budget_safety, build_simulated_oracle
-from rankwalk.reference import UndirectedGraph, rank_degree
+from rankwalk.reference import rank_degree
 from rankwalk.sampler import SamplerConfig, SeedPool, read_sample_csv, run_sample
 
 from conftest import random_digraph

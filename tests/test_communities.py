@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import random
 from collections import Counter
 
@@ -14,6 +16,33 @@ from rankwalk.communities import (
     write_assignment,
 )
 from rankwalk.graph import DirectedGraph
+
+
+def imported_modules(module):
+    """The absolute names of the modules that `module`'s source imports from:
+    each `import x`, each `from x import ...`, and each name of `from . import
+    ...`, which may be a module."""
+    spec = importlib.util.find_spec(module)
+    with open(spec.origin, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "rankwalk")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["rankwalk.graph", "rankwalk.communities"])
+def test_imports_nothing_from_the_reference_sampler(module):
+    """The graph types and the community layer sit below the baseline sampler."""
+    assert not {
+        name for name in imported_modules(module)
+        if name == "rankwalk.reference" or name.startswith("rankwalk.reference.")
+    }
 
 
 def two_cliques_with_bridge(*extra_edges):

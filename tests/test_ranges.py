@@ -18,9 +18,9 @@ from rankwalk.generate import (
     reciprocal_er,
     two_class,
 )
-from rankwalk.graph import DirectedGraph, ProfileTable, pagerank
+from rankwalk.graph import DirectedGraph, ProfileTable, UndirectedGraph, pagerank
 from rankwalk.keywords import Doc, TokenDoc, extract_keywords, keywords_by_community, window_docs
-from rankwalk.reference import UndirectedGraph, rank_degree
+from rankwalk.reference import rank_degree
 
 from conftest import profile_record
 

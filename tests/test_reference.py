@@ -3,12 +3,13 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankwalk.graph import DirectedGraph
-from rankwalk.reference import SEED_POLLS_PER_NODE, RankDegreeResult, UndirectedGraph, rank_degree
+from rankwalk.graph import DirectedGraph, UndirectedGraph
+from rankwalk.reference import SEED_POLLS_PER_NODE, RankDegreeResult, rank_degree
 
 
 # Sparse ids, some past 2**63, drawn in no particular order.
@@ -38,9 +39,9 @@ def adjacency(edges, nodes=()):
 
 def rows(graph):
     """Each node's row of the CSR, as a list of ids."""
-    ids, offsets = graph.nodes, graph.offsets.tolist()
+    ids, offsets = graph.ids, graph.out_offsets.tolist()
     return {
-        node: [ids[j] for j in graph.neighbors[offsets[i] : offsets[i + 1]].tolist()]
+        node: [ids[j] for j in graph.out_targets[offsets[i] : offsets[i + 1]].tolist()]
         for i, node in enumerate(ids)
     }
 
@@ -49,7 +50,7 @@ class TestUndirectedGraph:
     def test_from_directed_collapses_reciprocal_pairs(self):
         d = DirectedGraph.from_edges([(0, 1), (1, 0), (1, 2)])
         u = UndirectedGraph.from_directed(d)
-        assert len(u.neighbors) == 2 * 2
+        assert u.num_edges() == 2 * 2
         assert rows(u) == {0: [1], 1: [0, 2], 2: [1]}
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -67,9 +68,13 @@ class TestUndirectedGraph:
         expected.add_nodes_from(directed.nodes)
         expected.add_edges_from(directed.edges())
         got = UndirectedGraph.from_directed(directed)
-        assert got.nodes == sorted(expected.nodes)
+        assert isinstance(got, DirectedGraph)
+        assert got.ids is directed.ids and got.index is directed.index
+        assert got.ids == sorted(expected.nodes)
         assert rows(got) == {node: sorted(expected[node]) for node in expected.nodes}
-        assert len(got.neighbors) == 2 * expected.number_of_edges()
+        assert got.num_edges() == 2 * expected.number_of_edges()
+        assert all(got.has_edge(u, v) == got.has_edge(v, u) for u in nodes for v in nodes)
+        assert np.array_equal(got.in_degrees, np.diff(got.out_offsets))
 
 
 def simulate_rules(
@@ -282,7 +287,7 @@ class TestRankDegree:
         before = rows(graph)
         result = run(rank_degree, graph)
         assert rows(graph) == before
-        assert len(graph.neighbors) == 2 * len(edges)
+        assert graph.num_edges() == 2 * len(edges)
         expected = run(simulate_rules, adjacency(edges, nodes))
         assert result.edges == expected.edges
         assert result.walked == expected.walked

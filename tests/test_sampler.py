@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import tempfile
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er
-from rankwalk.graph import DirectedGraph
+from rankwalk.graph import PROFILE_FIELDS, DirectedGraph, ProfileTable
 from rankwalk import sampler as sampler_module
 from rankwalk.oracle import assert_budget_safety, build_simulated_oracle, write_call_log
 from rankwalk.sampler import (
@@ -88,6 +89,15 @@ def sample_of(walked=(), symmetric=()):
     for edge in symmetric:
         sample.add_edge(*edge, SYMMETRIC)
     return sample
+
+
+def seed_node_records(sample, path):
+    """The nodes of the `seed_node` records that save_run_state writes for
+    `sample`, in file order."""
+    save_run_state(path, sample, [WalkerState(0, 0)], 0.0, SeedPool([0], 0))
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return [record["n"] for record in records if record["type"] == "seed_node"]
 
 
 class TestSelectTarget:
@@ -205,12 +215,9 @@ class TestSampleGraph:
             else:
                 assert sample.add_edge(*op) == reference.add_edge(*op)
         reference.assert_graph_equal(sample.graph)
-        for node in reference._node_provenance:
-            assert sample.node_provenance(node) == reference._node_provenance[node]
+        assert sample._node_provenance == reference._node_provenance
         rows = reference.edges_with_provenance()
         assert sample.edges_with_provenance() == rows
-        for s, t, provenance in rows:
-            assert sample.edge_provenance(s, t) == provenance
         assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
         assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
@@ -221,7 +228,10 @@ class TestSampleGraph:
             assert sample._in_degree.get(node, 0) == graph.in_degree(node)
         assert sum(sample._in_degree.values()) == len(rows)
         # the written file reads back with nodes in ascending id order
-        path = tmp_path_factory.mktemp("sample") / "sample.csv"
+        directory = tmp_path_factory.mktemp("sample")
+        seeds = sorted(n for n, p in reference._node_provenance.items() if p == SEED)
+        assert seed_node_records(sample, directory / "resume.jsonl") == seeds
+        path = directory / "sample.csv"
         write_sample_csv(sample, path)
         read, provenance = read_sample_csv(path)
         assert read.ids == sorted(read.ids)
@@ -241,8 +251,7 @@ class TestSampleGraph:
     def test_absent_edge_has_no_provenance(self):
         sample = SampleGraph()
         sample.add_edge(1, 2, SYMMETRIC)
-        with pytest.raises(KeyError):
-            sample.edge_provenance(2, 1)
+        assert sample.edges_with_provenance() == [(1, 2, SYMMETRIC)]
 
 
 def build_oracle(edges, nodes=(), **profile_kwargs):
@@ -269,13 +278,12 @@ class TestWalkerStep:
         state = walker_step(WalkerState(0, 1), oracle, sample, pool, config())
         assert state.current == 2
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
-        assert sample.edge_provenance(1, 2) == WALKED
-        assert sample.edge_provenance(2, 1) == SYMMETRIC
+        assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         assert list(sample._walked) == [(1, 2)]
         # a later walker at 2 may still walk (2, 1)
         walker_step(WalkerState(1, 2), oracle, sample, pool, config())
         assert list(sample._walked) == [(1, 2), (2, 1)]
-        assert sample.edge_provenance(2, 1) == WALKED
+        assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, WALKED)]
 
     @pytest.mark.parametrize("add_symmetric_edge", [True, False])
     def test_original_rank_degree_burns_the_reciprocal_edge(self, add_symmetric_edge):
@@ -289,14 +297,14 @@ class TestWalkerStep:
         assert walker_step(WalkerState(1, 2), oracle, sample, pool, cfg).current == 1
         assert list(sample._walked) == [(1, 2)]
 
-    def test_dead_end_jumps_without_burning(self):
+    def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
         sample = SampleGraph()
         pool = SeedPool([7], 0)
         state = walker_step(WalkerState(0, 2), oracle, sample, pool, config())
         assert state.current == 7
         assert sample.num_edges() == 0
-        assert sample.node_provenance(7) == SEED
+        assert seed_node_records(sample, tmp_path / "resume.jsonl") == [7]
 
     def test_reburn_aborts_the_step(self, monkeypatch):
         _, oracle = build_oracle([(1, 2)])
@@ -450,6 +458,16 @@ class TestRunSample:
         for node in sample.graph.nodes:
             assert profiles[node].language == "de"
 
+    def test_friend_without_a_profile_is_looked_up_once(self):
+        g = DirectedGraph.from_edges([(1, 2), (2, 1), (1, 3), (3, 1), (1, 99)])
+        profiles = without_profiles(make_profiles(g), {99})
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        _, stats = run_sample(config(), oracle, SeedPool([1], 0))
+        assert stats.walk_log == [(1, 2), (2, 1), (1, 3), (3, 1)]
+        assert stats.stop_reason == "exhausted"
+        assert stats.profile_calls == 2
+        assert sorted(profile_lookups(oracle)) == [1, 2, 3, 99]
+
     def test_walker_count_walkers_spawned(self):
         _, _, stats = run_fixture(seed=8, walker_count=4, max_sample_edges=100)
         assert len(stats.final_walkers) == 4
@@ -587,12 +605,11 @@ class TestRunSample:
         assert sample2.edges_with_provenance() == sample.edges_with_provenance()
         assert oracle2.call_log == oracle.call_log
 
-    def test_seeds_flagged_in_sample(self):
+    def test_seeds_flagged_in_sample(self, tmp_path):
         _, sample, _ = run_fixture(seed=71, walker_count=3, max_sample_edges=60)
-        seeds = [
-            n for n in sample.graph.nodes if sample.node_provenance(n) == SEED
-        ]
+        seeds = seed_node_records(sample, tmp_path / "resume.jsonl")
         assert seeds  # at least the initial walker positions
+        assert set(seeds) <= set(sample.graph.nodes)
 
 
 def record_steps(mp):
@@ -628,6 +645,20 @@ def record_positions(mp):
 
     mp.setattr(sampler_module, "walker_step", step)
     return positions
+
+
+def without_profiles(profiles, dropped):
+    """The table less the accounts in `dropped`, whose friends still list them."""
+    return ProfileTable.from_records(
+        {name: getattr(profiles[node], name) for name in PROFILE_FIELDS}
+        for node in profiles
+        if node not in dropped
+    )
+
+
+def profile_lookups(oracle):
+    """The ids of the oracle's charged profiles calls, one entry per id per call."""
+    return [node for r in oracle.call_log if r.endpoint == oracle.PROFILES for node in r.nodes]
 
 
 def mixed_world(graph_seed, n, p, reciprocal, **profile_kwargs):
@@ -709,19 +740,26 @@ class TestPageCache:
         language_filter=st.booleans(),
         language_fraction=st.sampled_from([1.0, 0.5]),
         protected_fraction=st.sampled_from([0.0, 0.2]),
+        unprofiled_fraction=st.sampled_from([0.0, 0.2]),
         original_rank_degree=st.booleans(),
         steps=st.integers(0, 300),
     )
     def test_run_walks_as_an_uncached_step_loop(
         self, graph_seed, n, p, reciprocal, walker_count, rate_limits, key_count,
-        language_filter, language_fraction, protected_fraction, original_rank_degree, steps,
+        language_filter, language_fraction, protected_fraction, unprofiled_fraction,
+        original_rank_degree, steps,
     ):
         """run_sample fetches each account's friends page once and walks as a
         round-robin loop of walker_step without a page cache, which fetches one
-        page on every step that is not refused."""
+        page on every step that is not refused. Neither asks for a friend's
+        profile twice, even when the lookup found none."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=language_fraction, protected_fraction=protected_fraction,
+        )
+        rng = random.Random(graph_seed)
+        profiles = without_profiles(
+            profiles, {node for node in range(n) if rng.random() < unprofiled_fraction}
         )
         pool_ids = range(n + 2)  # n and n + 1 are unknown ids
         cfg = config(
@@ -772,6 +810,8 @@ class TestPageCache:
         for checked in (oracle, loop_oracle):
             assert_budget_safety(checked.call_log, oracle.FRIENDS, 15, 900.0)
             assert_budget_safety(checked.call_log, oracle.PROFILES, 900, 900.0)
+            asked = profile_lookups(checked)
+            assert len(asked) == len(set(asked))
 
 
 class TestExhausted:

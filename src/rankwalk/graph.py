@@ -670,10 +670,12 @@ def write_edge_list(graph: DirectedGraph, path) -> None:
             fh.write(f"{source},{target}\n")
 
 
-# A block of rows exactly as write_edge_list writes them. Ids are capped at
-# 18 digits because np.fromstring clamps an id past 2**63 - 1 without error;
-# longer ids take the per-line path.
-_CANONICAL_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18}\n)*")
+# The first row of a newline-terminated block that is not exactly as
+# write_edge_list writes it: the start of a line that is not two ids joined by
+# a comma, other than the end of the block. Ids are capped at 18 digits because
+# np.fromstring clamps an id past 2**63 - 1 without error; longer ids take the
+# per-line path.
+_NON_CANONICAL_ROW = re.compile(r"(?m)^(?![0-9]{1,18},[0-9]{1,18}$)(?!\Z)")
 _BLOCK_CHARS = 1 << 20
 
 
@@ -697,8 +699,15 @@ def _gc_paused() -> Iterator[None]:
 def _read_canonical_rows(path, fh) -> np.ndarray | None:
     """Flat [source, target, ...] int64 ids of a canonical body, or None if any row is not canonical.
 
-    Reads ~1 MB blocks cut at the last newline and parses each with one numpy
-    call. A self-loop raises with its line number, as the per-line path would.
+    Reads ~1 MB blocks cut at the last newline, searches each for its first
+    non-canonical row and parses it with one numpy call. So the transient
+    memory is one block's text, with its comma-joined copy, plus the ids: each
+    block's array and, at the end, their concatenation. The check keeps
+    nothing per row. It searches for a bad row because matching the whole
+    block against a repeated row group makes sre keep backtracking state for
+    every repetition, ~180 B a row (~20 MB a block), which stays resident
+    after the read. A self-loop raises with its line number, as the per-line
+    path would.
     """
     blocks: list[np.ndarray] = []
     rows = 0
@@ -707,7 +716,7 @@ def _read_canonical_rows(path, fh) -> np.ndarray | None:
         block = tail + chunk
         cut = block.rfind("\n") + 1
         block, tail = block[:cut], block[cut:]
-        if not _CANONICAL_ROWS.fullmatch(block):
+        if _NON_CANONICAL_ROW.search(block):
             return None
         values = np.fromstring(block.replace("\n", ","), dtype=np.int64, sep=",")
         loops = np.flatnonzero(values[0::2] == values[1::2])
@@ -762,6 +771,10 @@ def read_edge_list(path) -> DirectedGraph:
     19 or more digits, a missing final newline or a malformed row) is parsed
     line by line with parse_id, and that path raises every diagnostic except
     a self-loop in a canonical body.
+    The bulk path holds one block's text at a time plus the parsed ids. Its
+    row check searches each block for a bad row, keeping nothing per row,
+    where a whole-block match would keep ~180 B of sre backtracking state a
+    row. The per-line path holds a tuple per row.
     Both paths give the same graph: nodes and each node's row in ascending id
     order, whatever the order of the file's rows.
     """

@@ -40,7 +40,6 @@ from .oracle import FriendsPage, NotFoundError, ProtectedError, SimulatedOracle
 
 WALKED = "walked"
 SYMMETRIC = "symmetric"
-SEED = "seed"
 
 Edge = tuple[NodeId, NodeId]
 
@@ -106,23 +105,23 @@ class SeedPool:
 
 
 class SampleGraph:
-    """The growing sample and the walk's only record: collected edges plus
-    node/edge provenance.
+    """The growing sample and the walk's only record: collected edges with
+    their provenance, plus the nodes and which of them are seeds.
 
     Provenance per edge is `walked` or `symmetric`. `_walked` holds the walked
     edges in walk order, which are the burned edges; a symmetric edge that is
     later walked moves there, at the end. `_symmetric` holds the other edges.
-    `_in_degree` counts the sample edges into each node. `_node_provenance`
-    holds every node in insertion order; `graph` lists them in ascending id
-    order. Seeds are registered as nodes even when no edge touches them, so
-    downstream filters can drop leaf seeds explicitly.
+    `_in_degree` counts the sample edges into each node. `_nodes` holds every
+    node in insertion order, True for one first registered as a seed; `graph`
+    lists them in ascending id order. Seeds are registered as nodes even when
+    no edge touches them, so downstream filters can drop leaf seeds explicitly.
     """
 
     def __init__(self) -> None:
         self._walked: dict[Edge, None] = {}
         self._symmetric: set[Edge] = set()
         self._in_degree: dict[NodeId, int] = {}
-        self._node_provenance: dict[NodeId, str] = {}
+        self._nodes: dict[NodeId, bool] = {}
         self._graph: DirectedGraph | None = None
 
     @property
@@ -132,12 +131,12 @@ class SampleGraph:
         one."""
         if self._graph is None:
             self._graph = DirectedGraph.from_edges(
-                chain(self._walked, self._symmetric), nodes=self._node_provenance
+                chain(self._walked, self._symmetric), nodes=self._nodes
             )
         return self._graph
 
     def add_seed(self, node: NodeId) -> None:
-        self._node_provenance.setdefault(node, SEED)
+        self._nodes.setdefault(node, True)
         self._graph = None
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
@@ -155,8 +154,8 @@ class SampleGraph:
             self._symmetric.add(edge)
         if added:
             self._in_degree[target] = self._in_degree.get(target, 0) + 1
-            self._node_provenance.setdefault(source, provenance)
-            self._node_provenance.setdefault(target, provenance)
+            self._nodes.setdefault(source, False)
+            self._nodes.setdefault(target, False)
             self._graph = None
         return added
 
@@ -164,7 +163,7 @@ class SampleGraph:
         return len(self._walked) + len(self._symmetric)
 
     def num_nodes(self) -> int:
-        return len(self._node_provenance)
+        return len(self._nodes)
 
     def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
         symmetric = self._symmetric
@@ -541,8 +540,8 @@ def save_run_state(
             fh.write(
                 json.dumps({"type": "edge", "s": source, "t": target, "p": provenance}) + "\n"
             )
-        for node, provenance in sorted(sample._node_provenance.items()):
-            if provenance == SEED:
+        for node, seed in sorted(sample._nodes.items()):
+            if seed:
                 fh.write(json.dumps({"type": "seed_node", "n": node}) + "\n")
         for w in walkers:
             fh.write(json.dumps({"type": "walker", "id": w.walker_id, "current": w.current}) + "\n")

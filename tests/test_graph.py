@@ -450,6 +450,52 @@ class TestEdgeListIO:
         assert g.num_nodes() == 4
 
 
+# A block of rows exactly as write_edge_list writes them, matched whole: the
+# check read_edge_list made before it searched for the first bad row.
+WHOLE_CANONICAL_BLOCK = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18}\n)*")
+DIGIT_RUNS = st.integers(0, 20).flatmap(lambda k: st.text("0123456789", min_size=k, max_size=k))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(
+    lines=st.lists(
+        st.one_of(
+            st.tuples(DIGIT_RUNS, st.just(","), DIGIT_RUNS).map("".join),
+            # "" is an empty line
+            st.lists(
+                st.one_of(DIGIT_RUNS, st.sampled_from([",", "\n", "+", " ", "\r", "\t", "\u0663"])),
+                max_size=6,
+            ).map("".join),
+        ),
+        max_size=12,
+    )
+)
+def test_canonical_check_accepts_exactly_the_whole_block_match(lines):
+    block = "".join(line + "\n" for line in lines)
+    expected = WHOLE_CANONICAL_BLOCK.fullmatch(block) is not None
+    assert (graph_module._NON_CANONICAL_ROW.search(block) is None) == expected
+
+
+def test_canonical_check_keeps_nothing_per_row():
+    """A whole-block match against a repeated row group keeps ~180 B of sre
+    backtracking state a row, ~19 MB on this block; the search for a bad row
+    keeps none, whether it finds one or not."""
+    rng = random.Random(1)
+    rows = [f"{rng.randrange(1000, 10000)},{rng.randrange(1000, 10000)}\n" for _ in range(104_000)]
+    block = "".join(rows)
+    assert len(block) <= graph_module._BLOCK_CHARS
+    bad_last_row = block[: -len(rows[-1])] + "+1,2\n"
+    search = graph_module._NON_CANONICAL_ROW.search
+    tracemalloc.start()
+    try:
+        assert search(block) is None
+        assert search(bad_last_row).start() == len(bad_last_row) - len("+1,2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
     """A dict of sets costs ~270 B per edge and the CSR form ~32, mostly the id
     list and id -> index dict; 64 catches a return to per-edge objects."""

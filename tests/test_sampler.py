@@ -15,7 +15,6 @@ from rankwalk.graph import PROFILE_FIELDS, DirectedGraph, ProfileTable
 from rankwalk import sampler as sampler_module
 from rankwalk.oracle import assert_budget_safety, build_simulated_oracle, write_call_log
 from rankwalk.sampler import (
-    SEED,
     SYMMETRIC,
     WALKED,
     SampleGraph,
@@ -153,9 +152,13 @@ class TestSelectTarget:
             assert select_target(0, friends, profiles, sample, cfg) == expected
 
 
+SEED = "seed"
+
+
 class DictProvenanceSampleGraph:
     """SampleGraph as first written, on plain dicts in insertion order: a
-    provenance entry for every sample node and every sample edge."""
+    provenance entry (`walked`, `symmetric` or `seed`) for every sample node
+    and every sample edge."""
 
     def __init__(self):
         self._edge_provenance = {}
@@ -215,7 +218,9 @@ class TestSampleGraph:
             else:
                 assert sample.add_edge(*op) == reference.add_edge(*op)
         reference.assert_graph_equal(sample.graph)
-        assert sample._node_provenance == reference._node_provenance
+        # every node in insertion order; the seeds among them are the
+        # seed_node records checked below
+        assert list(sample._nodes) == list(reference._node_provenance)
         rows = reference.edges_with_provenance()
         assert sample.edges_with_provenance() == rows
         assert sample.num_nodes() == len(reference._node_provenance)

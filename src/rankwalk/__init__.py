@@ -30,7 +30,6 @@ from .sampler import (
     SampleGraph,
     SamplerConfig,
     SeedPool,
-    WalkerState,
     run_sample,
     select_target,
     walker_step,
@@ -56,7 +55,6 @@ __all__ = [
     "SimulatedClock",
     "SimulatedOracle",
     "UndirectedGraph",
-    "WalkerState",
     "build_simulated_oracle",
     "k_core",
     "pagerank",

@@ -109,7 +109,8 @@ class SampleGraph:
     their provenance, plus the nodes and which of them are seeds.
 
     Provenance per edge is `walked` or `symmetric`. `_walked` holds the walked
-    edges in walk order, which are the burned edges; a symmetric edge that is
+    edges, which are the burned edges, in the order they joined: a resumed
+    run's saved ones, then this run's in walk order; a symmetric edge that is
     later walked moves there, at the end. `_symmetric` holds the other edges.
     `_in_degree` counts the sample edges into each node. `_nodes` holds every
     node in insertion order, True for one first registered as a seed; `graph`
@@ -171,14 +172,6 @@ class SampleGraph:
         return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in edges]
 
 
-@dataclass
-class WalkerState:
-    """Position of one logical walker."""
-
-    walker_id: int
-    current: NodeId
-
-
 class GrowthCurve:
     """The sample's size over a run: a point (simulated seconds since the run
     started, sample edges, sample nodes) at the start and after each step that
@@ -221,7 +214,11 @@ class GrowthCurve:
 class RunStats:
     """What a run did: its counts, its stop reason, `walk_log` (the walked
     edges in step order) and `growth`, the GrowthCurve of the sample's size
-    over simulated time. to_dict() holds the counts and stop reason only."""
+    over simulated time. to_dict() holds the counts and stop reason only.
+
+    `final_walkers` holds each walker's position (a walker is the account it
+    stands on) in the order the walkers step next, so a run resumed from them
+    continues the round-robin where this one stopped."""
 
     steps: int = 0
     jumps: int = 0
@@ -235,8 +232,7 @@ class RunStats:
     stop_reason: str = ""
     walk_log: list[Edge] = field(default_factory=list)
     growth: GrowthCurve = field(default_factory=GrowthCurve)
-    # Run artifacts for resume support; not part of the serialized stats.
-    final_walkers: list["WalkerState"] = field(default_factory=list)
+    final_walkers: list[NodeId] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -292,52 +288,46 @@ def select_target(
 
 
 def walker_step(
-    state: WalkerState,
+    w: NodeId,
     oracle: SimulatedOracle,
     sample: SampleGraph,
     seed_pool: SeedPool,
     config: SamplerConfig,
-    profile_cache: dict[NodeId, ProfileRecord | None] | None = None,
-    page_cache: dict[NodeId, FriendsPage] | None = None,
-) -> WalkerState:
-    """One walker step: read the current node's friends page, walk the best
-    eligible edge into the sample, or jump to a fresh seed when none qualifies.
+    profile_cache: dict[NodeId, ProfileRecord | None],
+    page_cache: dict[NodeId, FriendsPage],
+) -> NodeId:
+    """One step of the walker standing on w: read w's friends page, walk the
+    best eligible edge into the sample, or jump to a fresh seed when none
+    qualifies. Returns where the walker stands next.
 
     The page comes from page_cache when it holds one, else from a charged
-    get_friends call whose answer is added to it; without a cache every step
-    makes that call. A protected or unknown account is never cached: each visit
-    asks again, uncharged, and jumps. The friends that profile_cache lacks are
-    looked up together, and a friend the lookup drops is cached as None,
-    so no friend is asked for twice and select_target skips it.
+    get_friends call whose answer is added to it. A protected or unknown
+    account is never cached: each visit asks again, uncharged, and jumps.
+    The friends that profile_cache lacks are looked up together, and a friend
+    the lookup drops is cached as None, so no friend is asked for twice and
+    select_target skips it.
 
     A walk adds one edge to the sample's walked edges, a jump none.
     select_target skips burned edges, so a pick that select_target's burn rule
     excludes means an edge would be walked twice and aborts the run.
     """
-    w = state.current
-    profiles = profile_cache if profile_cache is not None else {}
-    pages = page_cache if page_cache is not None else {}
-
-    def jump() -> WalkerState:
-        seed = seed_pool.draw()
-        sample.add_seed(seed)
-        return WalkerState(state.walker_id, seed)
-
-    page = pages.get(w)
+    v = None
+    page = page_cache.get(w)
     if page is None:
         try:
-            page = pages[w] = oracle.get_friends(w)
+            page = page_cache[w] = oracle.get_friends(w)
         except (NotFoundError, ProtectedError):
-            return jump()
-
-    missing = [v for v in page.friends if v not in profiles]
-    if missing:
-        found = oracle.get_profiles(missing)
-        profiles.update(zip(missing, map(found.get, missing)))
-
-    v = select_target(w, page.friends, profiles, sample, config)
+            pass
+    if page is not None:
+        missing = [u for u in page.friends if u not in profile_cache]
+        if missing:
+            found = oracle.get_profiles(missing)
+            profile_cache.update(zip(missing, map(found.get, missing)))
+        v = select_target(w, page.friends, profile_cache, sample, config)
     if v is None:
-        return jump()
+        seed = seed_pool.draw()
+        sample.add_seed(seed)
+        return seed
     original = config.original_rank_degree
     if (w, v) in sample._walked or (original and (w, v) in sample._symmetric):
         raise RuntimeError(f"edge {(w, v)} selected after it was burned")
@@ -345,19 +335,20 @@ def walker_step(
     sample.add_edge(w, v, WALKED)
     if (config.add_symmetric_edge or original) and oracle.follows(v, w):
         sample.add_edge(v, w, SYMMETRIC)
-    return WalkerState(state.walker_id, v)
+    return v
 
 
 @dataclass
 class RunState:
-    """Serializable mid-run snapshot for interrupted-run continuation."""
+    """Serializable mid-run snapshot for interrupted-run continuation: each
+    sample edge once with its provenance, the seed nodes, and the walkers'
+    positions in the order they step next."""
 
     clock_now: float
     seed_pool_state: object
-    burned: list[Edge]
     edges: list[tuple[NodeId, NodeId, str]]
     seed_nodes: list[NodeId]
-    walkers: list[WalkerState]
+    walkers: list[NodeId]
 
 
 def run_sample(
@@ -385,11 +376,13 @@ def run_sample(
     friend's profile one lookup, even when it came back empty; a protected or
     unknown account is refused, uncharged, on every visit.
 
-    A resumed run restores the walked edges in the order of the `burned`
-    records, then adds every `edge` record, so the walk record and the burn
-    rule carry over. The caches are not in the resume file, so a resumed run
-    fetches its pages and profiles again. `stats.walk_log` lists this run's
-    walks in step order.
+    A walker is the account it stands on. A resumed run adds every saved
+    sample edge with its provenance, so the walked edges, which are the burned
+    edges, carry over, and starts the round-robin at the first saved walker,
+    so it continues where the saved run stopped. The caches are not in the
+    resume file, so a resumed run fetches its pages and profiles again.
+    `stats.walk_log` lists this run's walks in step order, and
+    `stats.final_walkers` the walkers in the order they step next.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
@@ -404,17 +397,15 @@ def run_sample(
         seed_pool.setstate(resume.seed_pool_state)
         for node in resume.seed_nodes:
             sample.add_seed(node)
-        for source, target in resume.burned:
-            sample.add_edge(source, target, WALKED)
         for source, target, provenance in resume.edges:
             sample.add_edge(source, target, provenance)
         walkers = list(resume.walkers)
     else:
         walkers = []
-        for walker_id in range(config.walker_count):
+        for _ in range(config.walker_count):
             seed = seed_pool.draw()
             sample.add_seed(seed)
-            walkers.append(WalkerState(walker_id, seed))
+            walkers.append(seed)
 
     friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
     profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
@@ -447,13 +438,13 @@ def run_sample(
     with _gc_paused():
         while reason is None:
             walks = len(walked)
-            state = walkers[index]
+            w = walkers[index]
             walkers[index] = walker_step(
-                state, oracle, sample, seed_pool, config, profile_cache, page_cache
+                w, oracle, sample, seed_pool, config, profile_cache, page_cache
             )
             stats.steps += 1
             if len(walked) == walks:  # a jump
-                not_jumped.discard(state.current)
+                not_jumped.discard(w)
                 jump_run += 1
             else:
                 jump_run = 0
@@ -473,7 +464,7 @@ def run_sample(
     stats.sample_edges = sample.num_edges()
     stats.symmetric_edges = len(sample._symmetric)
     stats.walked_edges = len(walked)
-    stats.final_walkers = walkers
+    stats.final_walkers = walkers[index:] + walkers[:index]
     return sample, stats
 
 
@@ -520,13 +511,15 @@ def write_stats_json(stats: RunStats, path) -> None:
 def save_run_state(
     path,
     sample: SampleGraph,
-    walkers: Sequence[WalkerState],
+    walkers: Sequence[NodeId],
     clock_now: float,
     seed_pool: SeedPool,
 ) -> None:
-    """Serialize the sample so far and the walker states as JSONL: `burned`
-    records list the walked edges in walk order, and `edge` records every
-    sample edge with its provenance, in ascending order."""
+    """Serialize the sample so far and the walkers as compact JSONL: one
+    `edge` record per sample edge with its provenance, in ascending order (the
+    walked ones are the burned edges), the seed nodes, and one `walker` record
+    per walker, holding the account it stands on, in the order they step
+    next."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         meta = {
             "type": "meta",
@@ -534,31 +527,26 @@ def save_run_state(
             "seed_pool_state": seed_pool.getstate(),
         }
         fh.write(_compact_json(meta) + "\n")
-        for source, target in sample._walked:
-            fh.write(json.dumps({"type": "burned", "s": source, "t": target}) + "\n")
         for source, target, provenance in sample.edges_with_provenance():
-            fh.write(
-                json.dumps({"type": "edge", "s": source, "t": target, "p": provenance}) + "\n"
-            )
+            fh.write(_compact_json({"type": "edge", "s": source, "t": target, "p": provenance}))
+            fh.write("\n")
         for node, seed in sorted(sample._nodes.items()):
             if seed:
-                fh.write(json.dumps({"type": "seed_node", "n": node}) + "\n")
+                fh.write(_compact_json({"type": "seed_node", "n": node}) + "\n")
         for w in walkers:
-            fh.write(json.dumps({"type": "walker", "id": w.walker_id, "current": w.current}) + "\n")
+            fh.write(_compact_json({"type": "walker", "current": w}) + "\n")
 
 
 def load_run_state(path) -> RunState:
+    """Read a save_run_state file. Files written before the walkers were saved
+    in step order load too: their `burned` records repeat walked `edge`
+    records and are skipped, and their walker records are in `id` order, the
+    order those runs resumed them in. A walker's `id`, like any other extra
+    field, is ignored."""
     meta: list[tuple[float, tuple]] = []
-    burned: list[Edge] = []
     edges: list[tuple[NodeId, NodeId, str]] = []
     seed_nodes: list[NodeId] = []
-    walkers: list[WalkerState] = []
-
-    def edge_of(record: dict) -> Edge:
-        source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
-        if source == target:
-            raise ValueError(f"self-loop {source},{target}")
-        return source, target
+    walkers: list[NodeId] = []
 
     def add(record: dict) -> None:
         kind = record["type"]
@@ -574,10 +562,10 @@ def load_run_state(path) -> RunState:
                     f"field 'clock_now': expected a finite number >= 0, got {clock_now!r}"
                 )
             meta.append((clock_now, state))
-        elif kind == "burned":
-            burned.append(edge_of(record))
         elif kind == "edge":
-            source, target = edge_of(record)
+            source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
+            if source == target:
+                raise ValueError(f"self-loop {source},{target}")
             if record["p"] not in (WALKED, SYMMETRIC):
                 raise ValueError(
                     f"field 'p': expected {WALKED!r} or {SYMMETRIC!r}, got {record['p']!r:.80}"
@@ -586,9 +574,8 @@ def load_run_state(path) -> RunState:
         elif kind == "seed_node":
             seed_nodes.append(_integer_id(record["n"], "n"))
         elif kind == "walker":
-            _check_fields(record, {"id": (int,)})
-            walkers.append(WalkerState(record["id"], _integer_id(record["current"], "current")))
-        else:
+            walkers.append(_integer_id(record["current"], "current"))
+        elif kind != "burned":  # an older file's copy of a walked edge record
             raise ValueError(f"unknown resume record type {kind!r:.80}")
 
     _read_json_lines(path, add)
@@ -596,9 +583,5 @@ def load_run_state(path) -> RunState:
         raise ValueError(f"{path}: missing meta record")
     if not walkers:
         raise ValueError(f"{path}: no walker records")
-    walked = {(s, t) for s, t, provenance in edges if provenance == WALKED}
-    for source, target in burned:
-        if (source, target) not in walked:
-            raise ValueError(f"{path}: burned edge {source},{target} has no walked edge record")
     clock_now, pool_state = meta[-1]
-    return RunState(clock_now, pool_state, burned, edges, seed_nodes, walkers)
+    return RunState(clock_now, pool_state, edges, seed_nodes, walkers)

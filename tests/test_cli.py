@@ -461,7 +461,7 @@ SAMPLE = ["sample", "--profiles", "{d}/profiles.jsonl",
 META = json.dumps(
     {"type": "meta", "clock_now": 0.0, "seed_pool_state": random.Random(0).getstate()}
 )
-WALKER = '{"type": "walker", "id": 0, "current": 1}\n'
+WALKER = '{"type": "walker", "current": 1}\n'
 
 
 def meta_at(clock_now):
@@ -530,14 +530,11 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          META + '\n{"type": "edge", "s": 1, "t": 1, "p": "walked"}\n', 2, "self-loop 1,1"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
-         META + '\n{"type": "burned", "s": 2, "t": 2}\n', 2, "self-loop 2,2"),
+         META + '\n{"type": "walker", "current": "1"}\n', 2, "field 'current'"),
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
-         META + '\n{"type": "burned", "s": 1, "t": 2}\n' + WALKER, None,
-         "burned edge 1,2 has no walked edge record"),
-        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
-         META + '\n{"type": "burned", "s": 1, "t": 2}\n'
-         '{"type": "edge", "s": 1, "t": 2, "p": "symmetric"}\n' + WALKER, None,
-         "burned edge 1,2 has no walked edge record"),
+         META + '\n{"type": "burnt", "s": 1, "t": 2}\n', 2, "unknown resume record type 'burnt'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl", WALKER, None,
+         "missing meta record"),
         (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl", "", None, "holds no documents"),
         (REFERENCE, "edges.csv", "source,target\n", None, "graph has no edges"),
         (["--config", "{d}/config.json"] + SAMPLE, "config.json",
@@ -569,8 +566,8 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "config-bad-json", "edges-not-utf8",
         "edges-not-utf8-past-first-block", "profiles-not-utf8", "stopwords-not-utf8",
         "resume-wrong-size-pool-state", "resume-without-walkers", "resume-bad-provenance",
-        "resume-self-loop", "resume-burned-self-loop", "resume-burned-without-edge",
-        "resume-burned-symmetric-edge", "docs-empty-windowed",
+        "resume-self-loop", "resume-walker-string-current", "resume-unknown-record-type",
+        "resume-without-meta", "docs-empty-windowed",
         "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
         "resume-infinite-clock", "resume-nan-clock", "resume-negative-clock",
         "resume-clock-past-window-resolution", "profile-nan-time", "profile-infinite-time",
@@ -1001,14 +998,14 @@ def run_pipeline(directory):
 PIPELINE_DIGESTS = {
     "activity_hist.csv": "08d028f714ac917df2ba83b3143eee67ec7990e8cf94b48e58a43895c69139c4",
     "assignment.csv": "1b414a65935d0a1a1b44c1cf65495ba2e9fac0d8a0df3c55c1c8857df968c7f9",
-    "call_log.jsonl": "d656da5bc452e8bba8ce6b3fe295081e3681ae298b7b773a9c901a073bd16d39",
+    "call_log.jsonl": "e17248f92aa6ac6476b5cd6ddeaf3920071857ca905daf93021ed1521e4c0bed",
     "call_log_first.jsonl": "99127800ae758908bc728fe27fc61b39c111ce901ad5f37d2c92fa7b89bb8aec",
     "community_graph.csv": "de44ecada27f13882022e9c04047bc7787f77e28f04080edae223e8882d220eb",
     "community_sizes.csv": "79dc74c80bbd204d0692e288b71ebddf18341a3b335424d4d8f25e5e4ac4e00b",
     "core.csv": "a12b4904377746b6d652817eeee88527e48602d22a975b577d59321836aada08",
     "coverage_report.csv": "41d5a16bfe3c00b30b7fa8a1b279e63549675574bb864727bc52208b004a12ed",
     "edges.csv": "e47a014edd48ee034e093dc885ed28cfa573f40a272dd2a8f4751113629618ef",
-    "growth.csv": "6c155f7403e2339a5453667de94113ba53227b95d45e046a2090f3a227fc786b",
+    "growth.csv": "d2f4ddd8de7f7635093fb269226be0bd7a53d691e98723f2f39ea03dd15bce96",
     "growth_first.csv": "ec718a6a0582e2060d3cd4218d9127d97729221bf5b9bcae75a8640e76f42db3",
     "keywords.csv": "2534b607adc369acc539246a4a514656188c0e3d8989381e86a68146cbd07a14",
     "keywords_cap.csv": "68c820ce7bd419f0a33938c6b40a8999a253fbb34cf0a985a3fc50f7b64dd47c",
@@ -1018,8 +1015,8 @@ PIPELINE_DIGESTS = {
     "rank_coverage.csv": "7f66132ff9fe396e54c6ca7e2f57cc3976da382874c47394aa2a6391bfe19f32",
     "rank_reach.csv": "7fe29ab02dd872910a738a036e4783b18c7ba48e0728f7ace2f0cef39f09f7b1",
     "reference_sample.csv": "16f25bb77127cade72395b9e3c69432df88b30c48d2c7a95c8c25a6d8f486d8d",
-    "resume.jsonl": "600147788b184b5c34957d13caa53d228c765a6b448f44aaf249522b97ebfde3",
-    "resume_first.jsonl": "b2a641ffce39f88d394b0697978f1f478ff04d47e888e9776928652f4d4473ce",
+    "resume.jsonl": "e2d3b494ff9e23653917a9ab324e56822a473bb6a7de23952a65020f2772bfa1",
+    "resume_first.jsonl": "35dafd6692ca35508d9448c8eb69ed9a1633b7ba5721ab38c8ef06a39d369f61",
     "sample.csv": "283c43dfee5b9dc9b4095cd63a18f51f52ddc8047f1e6676ab1258d0e9c7dae6",
     "sample_first.csv": "d21c49ecde16964a2cfb65b49744b1534649af678c7deb644aaf9de5eb68c058",
     "stats.json": "7258725fa6313cf0cec0d375f8d6781603800e2bc3596b4e0519839ae1764489",

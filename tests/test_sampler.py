@@ -20,7 +20,6 @@ from rankwalk.sampler import (
     SampleGraph,
     SamplerConfig,
     SeedPool,
-    WalkerState,
     load_run_state,
     read_sample_csv,
     run_sample,
@@ -93,7 +92,7 @@ def sample_of(walked=(), symmetric=()):
 def seed_node_records(sample, path):
     """The nodes of the `seed_node` records that save_run_state writes for
     `sample`, in file order."""
-    save_run_state(path, sample, [WalkerState(0, 0)], 0.0, SeedPool([0], 0))
+    save_run_state(path, sample, [0], 0.0, SeedPool([0], 0))
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     return [record["n"] for record in records if record["type"] == "seed_node"]
@@ -270,8 +269,7 @@ class TestWalkerStep:
         g, oracle = build_oracle([(1, 2), (2, 3)])
         sample = SampleGraph()
         pool = SeedPool([1], 0)
-        state = walker_step(WalkerState(0, 1), oracle, sample, pool, config())
-        assert state.current == 2
+        assert walker_step(1, oracle, sample, pool, config(), {}, {}) == 2
         assert list(sample._walked) == [(1, 2)]
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
@@ -280,13 +278,12 @@ class TestWalkerStep:
         g, oracle = build_oracle([(1, 2), (2, 1)])
         sample = SampleGraph()
         pool = SeedPool([1], 0)
-        state = walker_step(WalkerState(0, 1), oracle, sample, pool, config())
-        assert state.current == 2
+        assert walker_step(1, oracle, sample, pool, config(), {}, {}) == 2
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         assert list(sample._walked) == [(1, 2)]
         # a later walker at 2 may still walk (2, 1)
-        walker_step(WalkerState(1, 2), oracle, sample, pool, config())
+        walker_step(2, oracle, sample, pool, config(), {}, {})
         assert list(sample._walked) == [(1, 2), (2, 1)]
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, WALKED)]
 
@@ -296,18 +293,17 @@ class TestWalkerStep:
         sample = SampleGraph()
         pool = SeedPool([1], 0)
         cfg = config(original_rank_degree=True, add_symmetric_edge=add_symmetric_edge)
-        assert walker_step(WalkerState(0, 1), oracle, sample, pool, cfg).current == 2
+        assert walker_step(1, oracle, sample, pool, cfg, {}, {}) == 2
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         # the reverse edge is burned, so a walker at 2 jumps
-        assert walker_step(WalkerState(1, 2), oracle, sample, pool, cfg).current == 1
+        assert walker_step(2, oracle, sample, pool, cfg, {}, {}) == 1
         assert list(sample._walked) == [(1, 2)]
 
     def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
         sample = SampleGraph()
         pool = SeedPool([7], 0)
-        state = walker_step(WalkerState(0, 2), oracle, sample, pool, config())
-        assert state.current == 7
+        assert walker_step(2, oracle, sample, pool, config(), {}, {}) == 7
         assert sample.num_edges() == 0
         assert seed_node_records(sample, tmp_path / "resume.jsonl") == [7]
 
@@ -322,36 +318,33 @@ class TestWalkerStep:
             rows = sample.edges_with_provenance()
             with pytest.raises(RuntimeError, match="after it was burned"):
                 walker_step(
-                    WalkerState(0, 1), oracle, sample, SeedPool([1], 0),
-                    config(original_rank_degree=original),
+                    1, oracle, sample, SeedPool([1], 0),
+                    config(original_rank_degree=original), {}, {},
                 )
             assert sample.edges_with_provenance() == rows
 
     def test_unknown_current_node_jumps(self):
         _, oracle = build_oracle([(1, 2)])
         pool = SeedPool([1], 0)
-        state = walker_step(WalkerState(0, 999), oracle, SampleGraph(), pool, config())
-        assert state.current == 1
+        assert walker_step(999, oracle, SampleGraph(), pool, config(), {}, {}) == 1
 
     def test_protected_current_node_jumps(self):
         g = DirectedGraph.from_edges([(1, 2), (3, 1)])
         profiles = make_profiles(g, protected={1})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool = SeedPool([3], 0)
-        state = walker_step(WalkerState(0, 1), oracle, SampleGraph(), pool, config())
-        assert state.current == 3
+        assert walker_step(1, oracle, SampleGraph(), pool, config(), {}, {}) == 3
 
     def test_page_cache_serves_a_revisit_without_a_call(self):
         _, oracle = build_oracle([(1, 2), (1, 3)], nodes=[9], protected={9})
         sample, pool, pages = SampleGraph(), SeedPool([1], 0), {}
         for expected in (2, 3):
-            step = walker_step(WalkerState(0, 1), oracle, sample, pool, config(), {}, pages)
-            assert step.current == expected
+            assert walker_step(1, oracle, sample, pool, config(), {}, pages) == expected
         assert pages == {1: oracle.get_friends(1)}
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 2  # the step's call and this one
         # refused accounts jump, uncharged and uncached
         for refused in (9, 999):
-            walker_step(WalkerState(0, refused), oracle, sample, pool, config(), {}, pages)
+            walker_step(refused, oracle, sample, pool, config(), {}, pages)
         assert pages.keys() == {1} and oracle.calls_by_endpoint[oracle.FRIENDS] == 2
 
 
@@ -474,9 +467,10 @@ class TestRunSample:
         assert sorted(profile_lookups(oracle)) == [1, 2, 3, 99]
 
     def test_walker_count_walkers_spawned(self):
-        _, _, stats = run_fixture(seed=8, walker_count=4, max_sample_edges=100)
+        _, sample, stats = run_fixture(seed=8, walker_count=4, max_sample_edges=100)
         assert len(stats.final_walkers) == 4
-        assert sorted(w.walker_id for w in stats.final_walkers) == [0, 1, 2, 3]
+        # a walker stands on a seed or on the target of its last walk
+        assert set(stats.final_walkers) <= set(sample.graph.nodes)
 
     def test_deterministic_mode_reproducible(self, tmp_path):
         outputs = []
@@ -627,10 +621,10 @@ def record_steps(mp):
         picks.append(real_select(*args))
         return picks[-1]
 
-    def step(state, *args):
+    def step(w, *args):
         picks.clear()
-        result = real_step(state, *args)
-        steps.append((state.current, picks[0]) if picks and picks[0] is not None else None)
+        result = real_step(w, *args)
+        steps.append((w, picks[0]) if picks and picks[0] is not None else None)
         return result
 
     mp.setattr(sampler_module, "walker_step", step)
@@ -644,9 +638,9 @@ def record_positions(mp):
     positions = []
     real_step = sampler_module.walker_step
 
-    def step(state, *args):
-        positions.append(state.current)
-        return real_step(state, *args)
+    def step(w, *args):
+        positions.append(w)
+        return real_step(w, *args)
 
     mp.setattr(sampler_module, "walker_step", step)
     return positions
@@ -755,9 +749,9 @@ class TestPageCache:
         original_rank_degree, steps,
     ):
         """run_sample fetches each account's friends page once and walks as a
-        round-robin loop of walker_step without a page cache, which fetches one
-        page on every step that is not refused. Neither asks for a friend's
-        profile twice, even when the lookup found none."""
+        round-robin loop of walker_step with a fresh page cache on every step,
+        which fetches one page on every step that is not refused. Neither asks
+        for a friend's profile twice, even when the lookup found none."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=language_fraction, protected_fraction=protected_fraction,
@@ -787,16 +781,15 @@ class TestPageCache:
         assert stats.steps == steps or stats.stop_reason == "exhausted"
 
         loop_oracle, loop_sample, pool = new_oracle(), SampleGraph(), SeedPool(pool_ids, graph_seed)
-        walkers = []
-        for walker_id in range(walker_count):
-            walkers.append(WalkerState(walker_id, pool.draw()))
-            loop_sample.add_seed(walkers[-1].current)
+        walkers = [pool.draw() for _ in range(walker_count)]
+        for w in walkers:
+            loop_sample.add_seed(w)
         profile_cache, served_steps = {}, 0
         for step in range(stats.steps):
-            state = walkers[step % walker_count]
-            served_steps += served(state.current)
+            w = walkers[step % walker_count]
+            served_steps += served(w)
             walkers[step % walker_count] = walker_step(
-                state, loop_oracle, loop_sample, pool, cfg, profile_cache
+                w, loop_oracle, loop_sample, pool, cfg, profile_cache, {}
             )
 
         assert stats.walk_log == list(loop_sample._walked)
@@ -868,7 +861,7 @@ class TestExhausted:
             ]
 
         # no pool node, and so no walker after a jump, can walk again
-        for u in set(pool) | {w.current for w in stats.final_walkers}:
+        for u in set(pool) | set(stats.final_walkers):
             assert unburned_eligible_edges(u) == []
 
 
@@ -891,7 +884,8 @@ class TestResume:
         oracle2 = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool2 = SeedPool(sorted(g.nodes), 0)  # state is overwritten by the resume file
         resume = load_run_state(state_path)
-        assert resume.burned == stats1.walk_log
+        walked = [(s, t) for s, t, prov in resume.edges if prov == WALKED]
+        assert sorted(walked) == sorted(stats1.walk_log)
         sample2, stats2 = run_sample(
             config(walker_count=3, max_sample_edges=160),
             oracle2,
@@ -900,13 +894,13 @@ class TestResume:
         )
         assert sample2.num_edges() >= 160
         # edges walked before the interruption are never walked again
-        assert not set(stats2.walk_log) & set(resume.burned)
+        assert not set(stats2.walk_log) & set(stats1.walk_log)
         for s, t, _prov in sample2.edges_with_provenance():
             assert g.has_edge(s, t)
 
     def test_walked_edge_records_stay_burned_without_burned_records(self, tmp_path):
-        """The walked `edge` records are the burn record: a resume file without
-        its `burned` lines still burns every edge the first run walked."""
+        """The walked `edge` records are the burn record: a resume file holds no
+        `burned` lines, yet it burns every edge the first run walked."""
         n = 40
         edges = reciprocal_er(n, 0.15, random.Random(83))
         g = DirectedGraph.from_edges(edges, nodes=range(n))
@@ -916,10 +910,8 @@ class TestResume:
         sample, first = run_sample(config(walker_count=3, max_steps=30), oracle, pool)
         path = tmp_path / "resume.jsonl"
         save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if '"burned"' not in line))
+        assert '"burned"' not in path.read_text()
         resume = load_run_state(path)
-        assert resume.burned == []
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         _, resumed = run_sample(
             config(walker_count=3, max_steps=300), oracle, SeedPool(range(n), 0), resume=resume
@@ -927,7 +919,7 @@ class TestResume:
         assert len(first.walk_log) > 10 and len(resumed.walk_log) > 10
         assert not set(resumed.walk_log) & set(first.walk_log)
 
-    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(
         graph_seed=st.integers(0, 10**6),
         n=st.integers(2, 40),
@@ -937,28 +929,32 @@ class TestResume:
         original_rank_degree=st.booleans(),
         language_fraction=st.sampled_from([1.0, 0.5]),
         protected_fraction=st.sampled_from([0.0, 0.1]),
+        rate_limits=st.booleans(),
+        key_count=st.integers(1, 3),
         steps=st.integers(0, 300),
-        rounds=st.integers(0, 60),
+        split=st.integers(0, 300),
     )
     def test_split_run_walks_as_one_run(
         self, graph_seed, n, p, reciprocal, walker_count, original_rank_degree,
-        language_fraction, protected_fraction, steps, rounds,
+        language_fraction, protected_fraction, rate_limits, key_count, steps, split,
     ):
         """k steps, a resume file, then steps - k more walk the edges of one
-        steps-long run, in its order, when k is a whole number of rounds (a
-        resumed run starts at walker 0) and the rate limits are off."""
+        steps-long run, in its order, for any k: the resumed run starts with
+        the walker after the one that stepped last."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=language_fraction, protected_fraction=protected_fraction,
         )
-        first = min(rounds, steps // walker_count) * walker_count
+        first = min(split, steps)
         cfg = dict(
             walker_count=walker_count, original_rank_degree=original_rank_degree,
             max_sample_edges=None,
         )
 
         def run(max_steps, pool, resume=None):
-            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            oracle = build_simulated_oracle(
+                g, profiles, rate_limits_enabled=rate_limits, key_count=key_count
+            )
             cfg_steps = config(max_steps=max_steps, **cfg)
             sample, stats = run_sample(cfg_steps, oracle, pool, resume=resume)
             return oracle, sample, stats
@@ -987,3 +983,48 @@ class TestResume:
         ]
         path.write_text("\n".join(lines) + "\n")
         assert load_run_state(path).walkers == stats.final_walkers
+
+        # a file in the older format, with `burned` records, walker ids and
+        # spaced JSON, loads as the same state and resumes the same walk; that
+        # format resumed at walker 0, so the first run stops after whole rounds
+        n = 40
+        edges = reciprocal_er(n, 0.15, random.Random(85))
+        g = DirectedGraph.from_edges(edges, nodes=range(n))
+        profiles = build_profiles(n, edges, random.Random(86), language_fraction=1.0)
+
+        def run(max_steps, pool, resume=None):
+            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            cfg = config(walker_count=3, max_steps=max_steps)
+            return oracle, *run_sample(cfg, oracle, pool, resume=resume)
+
+        pool = SeedPool(range(n), 11)
+        oracle, sample, first = run(30, pool)
+        assert sample._symmetric and len(first.walk_log) > 10
+        save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
+        old_path = tmp_path / "old_resume.jsonl"
+        old_path.write_text(older_format(sample, first.final_walkers, oracle.clock.now, pool))
+        resume = load_run_state(old_path)
+        assert resume == load_run_state(path)
+        assert resume.walkers == first.final_walkers
+        _, _, resumed = run(70, SeedPool(range(n), 0), resume)
+        _, _, whole = run(100, SeedPool(range(n), 11))
+        assert first.walk_log + resumed.walk_log == whole.walk_log
+
+
+def older_format(sample, walkers, clock_now, pool):
+    """A resume file as written before walkers were saved in step order: a
+    `burned` record per walked edge in walk order, then every `edge`, seed and
+    walker record, each walker with its `id`, all but `meta` in spaced JSON."""
+    meta = {"type": "meta", "clock_now": clock_now, "seed_pool_state": pool.getstate()}
+    records = [json.dumps(meta, separators=(",", ":"))]
+    records += [json.dumps({"type": "burned", "s": s, "t": t}) for s, t in sample._walked]
+    records += [
+        json.dumps({"type": "edge", "s": s, "t": t, "p": prov})
+        for s, t, prov in sample.edges_with_provenance()
+    ]
+    seeds = sorted(node for node, seed in sample._nodes.items() if seed)
+    records += [json.dumps({"type": "seed_node", "n": node}) for node in seeds]
+    records += [
+        json.dumps({"type": "walker", "id": i, "current": w}) for i, w in enumerate(walkers)
+    ]
+    return "".join(record + "\n" for record in records)

@@ -304,9 +304,8 @@ def cmd_kcore(args, out_dir: Path) -> int:
         raise ValueError(f"--min-in-degree must be >= 0, got {args.min_in_degree}")
     graph = _read_graph_any(args.graph)
     if args.min_in_degree > 0:
-        graph = graph.subgraph(
-            n for n in graph.nodes if graph.in_degree(n) >= args.min_in_degree
-        )
+        kept = (graph.in_degrees >= args.min_in_degree).tolist()
+        graph = graph.subgraph(compress(graph.ids, kept))
     core = k_core(graph, args.k)
     write_edge_list(core, out_dir / args.out)
     print(f"{args.k}-core: {core.num_nodes()} nodes, {core.num_edges()} edges")
@@ -318,8 +317,8 @@ def cmd_pagerank(args, out_dir: Path) -> int:
     result = pagerank(graph, **_given(args, pagerank))
     with open(out_dir / args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("node,score\n")
-        for node in sorted(result.scores):
-            fh.write(f"{node},{result.scores[node]:.12e}\n")
+        for node, score in result.scores.items():
+            fh.write(f"{node},{score:.12e}\n")
     if not result.converged:
         print(
             f"warning: pagerank did not converge in {result.iterations} iterations",

@@ -204,7 +204,7 @@ def generate_network(
     Each model reads only its own settings and checks their ranges;
     profile_settings go to build_profiles. The graph is built from the
     profiles' friend rows, which hold every edge, and shares the table's id
-    list and index."""
+    list."""
     edge_rng = substream(rng_seed, f"generate/{model}/edges")
     profile_rng = substream(rng_seed, f"generate/{model}/profiles")
     if model == "preferential-attachment":
@@ -219,5 +219,5 @@ def generate_network(
         raise ValueError(f"unknown model {model!r}")
     profiles = build_profiles(nodes, edges, profile_rng, **profile_settings)
     sources = np.repeat(np.arange(nodes), np.diff(profiles.friend_offsets))
-    graph = DirectedGraph(profiles.ids, profiles.index, sources, profiles.friend_ids)
+    graph = DirectedGraph(profiles.ids, sources, profiles.friend_ids)
     return graph, profiles

@@ -10,6 +10,8 @@ import operator
 import re
 import struct
 from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Set, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, islice, product
@@ -229,9 +231,12 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
     store, which the generator and read_profiles return and SimulatedOracle
     serves, at ~160 B per account plus 8 B per friend.
 
-    Row i holds the account ids[i], with ids ascending and index mapping each
-    id back; ids are Python ints because they may pass 2**63, and each is one
-    object shared by ids and index. The scalar fields are numpy columns by
+    Row i holds the account ids[i], with ids ascending and the dict index
+    mapping each id back; ids are Python ints because they may pass 2**63,
+    and each is one object shared by ids and index. The table keeps that dict,
+    where a DirectedGraph bisects its ids, because the oracle looks up ids on
+    the walk's hot path: ~0.3 us a lookup against ~1 us for a bisect of 100k
+    ids. The scalar fields are numpy columns by
     row: follower_count and status_count int64, created_at float64, protected
     bool, language_codes small ints into the list languages of the distinct
     language strings, and last_status_at float64 wherever last_status_known
@@ -422,24 +427,73 @@ class _ProfileColumns:
         return table
 
 
+def _index_in(ids: list[NodeId], node) -> int | None:
+    """The position of `node` in the ascending list `ids`, by bisection; None
+    for an id not in the list and for a key that is not comparable with an int."""
+    try:
+        i = bisect_left(ids, node)
+    except TypeError:
+        return None
+    return i if i < len(ids) and ids[i] == node else None
+
+
+def _id_column(ids: list[NodeId]) -> np.ndarray:
+    """`ids` as one array for np.searchsorted: int64, or an object array of
+    the Python ints once one passes 2**63 - 1. The dtype is always given,
+    because np.array([1, 2**63]) would silently become float64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+def _number_ends(column: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices in the ascending `column` of the sources and of the targets
+    of flat [source, target, ...] `ends`, each of which is in `column`. The two
+    are searched apart: np.searchsorted runs several times faster over keys in
+    ascending order, as the sources of a written edge list are, and
+    interleaving them with the targets would lose that."""
+    return np.searchsorted(column, ends[0::2]), np.searchsorted(column, ends[1::2])
+
+
+class _NodeSet(Set):
+    """A read-only set view of ascending ids, iterated in that order."""
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: list[NodeId]) -> None:
+        self._ids = ids
+
+    @classmethod
+    def _from_iterable(cls, nodes: Iterable[NodeId]) -> set[NodeId]:
+        return set(nodes)  # what the set operators return, as for a dict's keys
+
+    def __contains__(self, node: object) -> bool:
+        return _index_in(self._ids, node) is not None
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 class DirectedGraph:
     """Simple directed graph (no self-loops, no parallel edges) in compressed
     sparse row (CSR) form, at ~32 B per edge; nothing changes it once built.
 
     Node i (a dense index) has id ids[i], with ids ascending, so a lower index
-    is a lower id, and index maps each id back; ids are Python ints because
-    they may pass 2**63, and each is one object shared by ids and index. Row i
-    of out_targets (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the
-    indices of i's successors in ascending order, so edges() comes in
-    ascending (source id, target id) order; in_degrees[i] counts i's
-    predecessors.
+    is a lower id, and index_of bisects ids to map an id back; ids are Python
+    ints because they may pass 2**63, and the list is the graph's only
+    per-node Python object. Row i of out_targets
+    (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the indices of i's
+    successors in ascending order, so edges() comes in ascending (source id,
+    target id) order; in_degrees[i] counts i's predecessors.
     """
 
-    __slots__ = ("ids", "index", "out_offsets", "out_targets", "in_degrees")
+    __slots__ = ("ids", "out_offsets", "out_targets", "in_degrees")
 
-    def __init__(
-        self, ids: list[NodeId], index: dict[NodeId, int], sources: np.ndarray, targets: np.ndarray
-    ) -> None:
+    def __init__(self, ids: list[NodeId], sources: np.ndarray, targets: np.ndarray) -> None:
         """Build from the index pairs of the edges, in any order; a repeated edge
         is dropped. The distinct edge codes ascend by source, then target, so
         their targets are already laid out row by row: the offsets come from
@@ -447,7 +501,6 @@ class DirectedGraph:
         n = len(ids)
         sources, targets = np.divmod(_distinct(sources.astype(np.int64) * n + targets), n)
         self.ids = ids
-        self.index = index
         self.out_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(sources, minlength=n), out=self.out_offsets[1:])
         self.out_targets = targets.astype(np.int32)
@@ -458,47 +511,57 @@ class DirectedGraph:
         cls, edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
     ) -> "DirectedGraph":
         """The graph of `edges` and `nodes`, a node being listed in either or both.
-        Ids are numbered in ascending order, sorted in Python because they may
-        pass 2**63. A repeated edge is dropped; a self-loop or a negative id
-        raises ValueError."""
+        Ids are sorted in Python, because they may pass 2**63, and the edge
+        ends are numbered by np.searchsorted over them. A repeated edge is
+        dropped; a self-loop or a negative id raises ValueError."""
         ends = [node for edge in edges for node in edge]
         ids = sorted({*nodes, *ends})
         if ids and ids[0] < 0:
             raise ValueError(f"node ids must be non-negative, got {ids[0]}")
-        index = dict(zip(ids, range(len(ids))))
-        numbers = np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))
-        sources, targets = numbers[0::2], numbers[1::2]
+        column = _id_column(ids)
+        sources, targets = _number_ends(column, np.array(ends, dtype=column.dtype))
         loops = np.flatnonzero(sources == targets)
         if loops.size:
             node = ids[sources[loops[0]]]
             raise ValueError(f"self-loop rejected: ({node}, {node})")
-        return cls(ids, index, sources, targets)
+        return cls(ids, sources, targets)
 
     @property
-    def nodes(self):
+    def nodes(self) -> Set[NodeId]:
         """A read-only set view of the ids, in ascending order."""
-        return self.index.keys()
+        return _NodeSet(self.ids)
+
+    def index_of(self, node: NodeId) -> int | None:
+        """The index of `node`, or None for an id not in the graph and for a
+        key that is not an int."""
+        return _index_in(self.ids, node)
+
+    def _index(self, node: NodeId) -> int:
+        i = _index_in(self.ids, node)
+        if i is None:
+            raise KeyError(node)
+        return i
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self.index
+        return _index_in(self.ids, node) is not None
 
     def has_edge(self, source: NodeId, target: NodeId) -> bool:
-        i, j = self.index.get(source), self.index.get(target)
+        i, j = self.index_of(source), self.index_of(target)
         if i is None or j is None:
             return False
         return bool((self.out_targets[self.out_offsets[i] : self.out_offsets[i + 1]] == j).any())
 
     def successors(self, node: NodeId) -> list[NodeId]:
-        i = self.index[node]
+        i = self._index(node)
         row = self.out_targets[self.out_offsets[i] : self.out_offsets[i + 1]]
         return list(map(self.ids.__getitem__, row.tolist()))
 
     def out_degree(self, node: NodeId) -> int:
-        i = self.index[node]
+        i = self._index(node)
         return int(self.out_offsets[i + 1] - self.out_offsets[i])
 
     def in_degree(self, node: NodeId) -> int:
-        return int(self.in_degrees[self.index[node]])
+        return int(self.in_degrees[self._index(node)])
 
     def total_degree(self, node: NodeId) -> int:
         # A reciprocal pair counts 2: one in plus one out.
@@ -520,10 +583,26 @@ class DirectedGraph:
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
         """Induced subgraph on the given ids, in ascending id order; an id not in
-        the graph is ignored."""
-        keep = np.zeros(len(self.ids), dtype=bool)
-        kept = [i for i in map(self.index.get, nodes) if i is not None]
-        keep[np.array(kept, dtype=np.intp)] = True
+        the graph, or a key that is not an int, is ignored. Ints are looked up
+        together, by one np.searchsorted over the ids; any other key, or an int
+        past the ids' dtype, by index_of."""
+        wanted = list(nodes)
+        column = _id_column(self.ids)
+        query = None
+        if _INT_ONLY.issuperset(map(type, wanted)):
+            try:
+                query = np.array(wanted, dtype=column.dtype)
+            except OverflowError:
+                pass
+        if query is None:
+            rows = np.array([i for i in map(self.index_of, wanted) if i is not None], np.intp)
+        else:
+            rows = np.searchsorted(column, query)
+            found = rows < len(column)
+            found[found] = column[rows[found]] == query[found]
+            rows = rows[found]
+        keep = np.zeros(len(column), dtype=bool)
+        keep[rows] = True
         return self._induced(keep)
 
     def _induced(self, keep: np.ndarray) -> "DirectedGraph":
@@ -532,8 +611,7 @@ class DirectedGraph:
         inside = keep[sources] & keep[targets]
         number = np.cumsum(keep) - 1
         ids = list(compress(self.ids, keep.tolist()))
-        index = dict(zip(ids, range(len(ids))))
-        return DirectedGraph(ids, index, number[sources[inside]], number[targets[inside]])
+        return DirectedGraph(ids, number[sources[inside]], number[targets[inside]])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(nodes={self.num_nodes()}, edges={self.num_edges()})"
@@ -543,17 +621,18 @@ class UndirectedGraph(DirectedGraph):
     """The undirected view of a DirectedGraph, which the reference sampler and
     label propagation read: a DirectedGraph that holds each undirected edge in
     both directions. Row i lists the indices of i's neighbors in ascending
-    order, in_degrees equals the row lengths, and ids and index are shared
-    with the graph it was built from."""
+    order, in_degrees equals the row lengths, and the ids list is the one of
+    the graph it was built from."""
 
     __slots__ = ()
 
     @classmethod
     def from_directed(cls, graph: DirectedGraph) -> "UndirectedGraph":
         """Collapse a directed graph: every directed edge, and each reciprocal
-        pair, becomes one undirected edge; the constructor drops the repeats."""
+        pair, becomes one undirected edge; the constructor drops the repeats.
+        The view shares the graph's ids list, its only per-node object."""
         u, v = graph.edge_sources(), graph.out_targets
-        return cls(graph.ids, graph.index, np.concatenate([u, v]), np.concatenate([v, u]))
+        return cls(graph.ids, np.concatenate([u, v]), np.concatenate([v, u]))
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -599,11 +678,53 @@ def k_core(graph: DirectedGraph, k: int) -> DirectedGraph:
     return graph._induced(np.array(keep, dtype=bool))
 
 
+class PageRankScores(Mapping[NodeId, float]):
+    """A read-only mapping from each node id of a graph to its PageRank score,
+    in ascending id order: the graph's ids list and one float64 column, so it
+    keeps no Python object per node. scores[node] bisects the ids; items()
+    and values() read the column whole."""
+
+    __slots__ = ("ids", "column")
+
+    def __init__(self, ids: list[NodeId], column: np.ndarray) -> None:
+        self.ids = ids
+        self.column = column
+
+    def __getitem__(self, node: NodeId) -> float:
+        i = _index_in(self.ids, node)
+        if i is None:
+            raise KeyError(node)
+        return float(self.column[i])
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def items(self) -> ItemsView[NodeId, float]:
+        return _ScoreItems(self)
+
+    def values(self) -> ValuesView[float]:
+        return _ScoreValues(self)
+
+
+class _ScoreItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[NodeId, float]]:
+        return zip(self._mapping.ids, self._mapping.column.tolist())
+
+
+class _ScoreValues(ValuesView):
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping.column.tolist())
+
+
 @dataclass
 class PageRankResult:
-    """PageRank scores plus a convergence flag (scores are returned either way)."""
+    """PageRank scores plus a convergence flag (scores are returned either way).
+    scores is a PageRankScores over the graph's ids list and the score column."""
 
-    scores: dict[NodeId, float]
+    scores: PageRankScores
     converged: bool
     iterations: int
 
@@ -655,7 +776,7 @@ def pagerank(
             converged = True
             break
     return PageRankResult(
-        scores=dict(zip(ids, scores.tolist())),
+        scores=PageRankScores(ids, scores),
         converged=converged,
         iterations=iterations,
     )
@@ -753,10 +874,12 @@ def _read_rows(path) -> list[tuple[NodeId, NodeId]]:
 
 def _graph_from_array(ids: np.ndarray) -> DirectedGraph:
     """DirectedGraph.from_edges for flat [source, target, ...] int64 ids of valid
-    rows: np.unique numbers the nodes in ascending id order."""
-    unique, ends = np.unique(ids, return_inverse=True)
-    nodes = unique.tolist()
-    return DirectedGraph(nodes, dict(zip(nodes, range(len(nodes)))), ends[0::2], ends[1::2])
+    rows: the distinct ids ascend, and np.searchsorted numbers the ends by
+    them. np.unique(ids, return_inverse=True) gives the same numbers, but it
+    sorts with an index array as large as the input: at 5M edges the read
+    then peaked at ~527 MB, against ~362 MB this way."""
+    unique = _distinct(ids)
+    return DirectedGraph(unique.tolist(), *_number_ends(unique, ids))
 
 
 def read_edge_list(path) -> DirectedGraph:

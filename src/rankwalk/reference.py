@@ -87,7 +87,7 @@ def rank_degree(
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     ids, offsets, neighbors = graph.ids, graph.out_offsets, graph.out_targets
-    index_of = graph.index.get
+    index_of = graph.index_of
     n = len(ids)
 
     unknown = [s for s in initial_seeds if index_of(s) is None]

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from rankwalk.graph import DirectedGraph, ProfileTable
+
+# Sparse ids, some past 2**63, drawn in no particular order.
+SPARSE_IDS = st.one_of(st.integers(0, 10**6), st.integers(2**63, 2**64))
 
 
 def make_profiles(graph, language="de", follower_counts=None, languages=None,

@@ -32,7 +32,7 @@ from rankwalk.graph import (
 from rankwalk.keywords import read_docs_jsonl
 from rankwalk.oracle import SimulatedOracle
 
-from conftest import assert_edges_ascend, profile_record, random_digraph
+from conftest import SPARSE_IDS, assert_edges_ascend, profile_record, random_digraph
 
 
 class TestDirectedGraph:
@@ -71,6 +71,59 @@ class TestDirectedGraph:
         sub = g.subgraph([0, 1, 2])
         assert sub.nodes == {0, 1, 2}
         assert set(sub.edges()) == {(0, 1), (1, 2), (2, 0)}
+
+
+def dict_numbered(ids, edges):
+    """The graph of `edges` on the ascending `ids`, its edge ends numbered one
+    by one through a dict from id to index."""
+    index = {node: i for i, node in enumerate(ids)}
+    sources = np.array([index[u] for u, _ in edges], dtype=np.intp)
+    targets = np.array([index[v] for _, v in edges], dtype=np.intp)
+    return DirectedGraph(ids, sources, targets)
+
+
+def assert_same_graph(got, expected):
+    assert got.ids == expected.ids
+    for name in ("out_offsets", "out_targets", "in_degrees"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_numbering_by_sorted_ids_equals_dict_numbering(data):
+    """A graph numbers its nodes by its ascending ids alone: index_of bisects
+    them, and from_edges and subgraph number whole arrays by np.searchsorted,
+    over int64 ids or, once one passes 2**63, Python ints. Each agrees with a
+    dict from id to index, and so do the nodes view and the PageRank scores."""
+    nodes = data.draw(st.lists(SPARSE_IDS, min_size=1, max_size=30, unique=True))
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = [(u, v) for u, v in data.draw(st.lists(pairs, max_size=60)) if u != v]
+    graph = DirectedGraph.from_edges(edges, nodes=nodes)
+    ids = sorted(nodes)
+    index = {node: i for i, node in enumerate(ids)}
+    assert_same_graph(graph, dict_numbered(ids, edges))
+
+    absent = data.draw(st.lists(SPARSE_IDS.filter(lambda n: n not in index), max_size=5))
+    view = graph.nodes
+    assert list(view) == ids and len(view) == len(ids) and view == set(ids)
+    for key in [*ids, *absent, "3", None, 1.5, math.nan]:
+        assert graph.index_of(key) == index.get(key)
+        assert (key in graph) == (key in view) == (key in index)
+    assert "3" not in graph.nodes
+
+    kept = data.draw(st.lists(st.sampled_from(ids + absent), max_size=12))
+    if data.draw(st.booleans()):  # keys that are not ids are ignored
+        kept += ["3", None]
+    kept_ids = [node for node in ids if node in kept]
+    inside = [(u, v) for u, v in graph.edges() if u in kept and v in kept]
+    assert_same_graph(graph.subgraph(kept), dict_numbered(kept_ids, inside))
+
+    scores = pagerank(graph).scores
+    reference = dict(zip(ids, scores.column.tolist()))
+    assert list(scores.items()) == list(reference.items())
+    assert list(scores.values()) == list(reference.values()) and list(scores) == ids
+    assert all(scores[node] == reference[node] for node in ids) and scores == reference
+    assert all(node not in scores and scores.get(node) is None for node in [*absent, "3"])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -424,9 +477,9 @@ class TestEdgeListIO:
         duplicates = len(rows) - len(set(rows))
         assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
         assert bool(per_line_calls) != canonical
-        # one int object per node, shared by ids and index
-        assert got.index == {node: i for i, node in enumerate(got.ids)}
-        assert all(a is b for a, b in zip(got.ids, got.index))
+        # index_of bisects the ids: each id's position, None for any other id
+        assert all(got.index_of(node) == i for i, node in enumerate(got.ids))
+        assert all(got.index_of(node) is None for node in [10**19 + 1, max(got.ids, default=0) + 1])
 
     def test_self_loop_line_same_on_both_paths(self, tmp_path, monkeypatch):
         monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 16)
@@ -497,8 +550,8 @@ def test_canonical_check_keeps_nothing_per_row():
 
 
 def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
-    """A dict of sets costs ~270 B per edge and the CSR form ~32, mostly the id
-    list and id -> index dict; 64 catches a return to per-edge objects."""
+    """A dict of sets costs ~270 B per edge and the CSR form ~32, mostly the
+    arrays and the id list; 64 catches a return to per-edge objects."""
     graph, _ = generate_network("preferential-attachment", 20_000, 1, m=5)
     path = tmp_path / "edges.csv"
     write_edge_list(graph, path)
@@ -514,8 +567,8 @@ def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
 
 
 def test_from_edges_retains_under_64_bytes_per_edge():
-    """The generator's graph: from_edges keeps the CSR arrays, the id list and
-    the id -> index dict, and no per-edge object."""
+    """The generator's graph: from_edges keeps the CSR arrays and the id list,
+    and no per-edge object."""
     n = 20_000
     edges = preferential_attachment(n, 5, random.Random(1))
     tracemalloc.start()
@@ -527,6 +580,34 @@ def test_from_edges_retains_under_64_bytes_per_edge():
         tracemalloc.stop()
     assert graph.num_nodes() == n and graph.num_edges() > 90_000
     assert retained / graph.num_edges() < 64
+
+
+def test_graph_and_scores_keep_no_object_per_node_but_the_id_list(tmp_path):
+    """Beyond its numpy arrays, a graph read from a file keeps only its id
+    list, 8 B a node plus a 28 B int; an id -> index dict added ~80 B more. Its
+    PageRank scores keep the one float64 column, where a dict from id to score
+    kept ~75 B a node."""
+    n = 100_000
+    rng = random.Random(5)
+    ids = [1000 + 3 * i for i in range(n)]
+    rows = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    rows += [(u, v) for u, v in zip(rng.choices(ids, k=n), rng.choices(ids, k=n)) if u != v]
+    path = tmp_path / "edges.csv"
+    path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in rows))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = read_edge_list(path)
+        after_read = tracemalloc.get_traced_memory()[0]
+        result = pagerank(graph)
+        after_pagerank = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.num_nodes() == n and result.converged
+    arrays = graph.out_offsets.nbytes + graph.out_targets.nbytes + graph.in_degrees.nbytes
+    assert (after_read - before - arrays) / n <= 48
+    assert result.scores.ids is graph.ids
+    assert after_pagerank - after_read - result.scores.column.nbytes < 10_000
 
 
 def random_profile(rng, node):

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from rankwalk.graph import DirectedGraph, UndirectedGraph
 from rankwalk.reference import SEED_POLLS_PER_NODE, RankDegreeResult, rank_degree
 
-
-# Sparse ids, some past 2**63, drawn in no particular order.
-SPARSE_IDS = st.one_of(st.integers(0, 10**6), st.integers(2**63, 2**64))
+from conftest import SPARSE_IDS
 
 
 def undirected(edges, nodes=()):
@@ -69,7 +67,9 @@ class TestUndirectedGraph:
         expected.add_edges_from(directed.edges())
         got = UndirectedGraph.from_directed(directed)
         assert isinstance(got, DirectedGraph)
-        assert got.ids is directed.ids and got.index is directed.index
+        assert got.ids is directed.ids
+        assert all(got.index_of(node) == i for i, node in enumerate(got.ids))
+        assert all(got.index_of(node) is None for node in [2**64 + 1, max(got.ids) + 1])
         assert got.ids == sorted(expected.nodes)
         assert rows(got) == {node: sorted(expected[node]) for node in expected.nodes}
         assert got.num_edges() == 2 * expected.number_of_edges()

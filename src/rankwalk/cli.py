@@ -304,8 +304,7 @@ def cmd_kcore(args, out_dir: Path) -> int:
         raise ValueError(f"--min-in-degree must be >= 0, got {args.min_in_degree}")
     graph = _read_graph_any(args.graph)
     if args.min_in_degree > 0:
-        kept = (graph.in_degrees >= args.min_in_degree).tolist()
-        graph = graph.subgraph(compress(graph.ids, kept))
+        graph = graph._induced(graph.in_degrees >= args.min_in_degree)
     core = k_core(graph, args.k)
     write_edge_list(core, out_dir / args.out)
     print(f"{args.k}-core: {core.num_nodes()} nodes, {core.num_edges()} edges")

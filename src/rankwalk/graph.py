@@ -583,25 +583,9 @@ class DirectedGraph:
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "DirectedGraph":
         """Induced subgraph on the given ids, in ascending id order; an id not in
-        the graph, or a key that is not an int, is ignored. Ints are looked up
-        together, by one np.searchsorted over the ids; any other key, or an int
-        past the ids' dtype, by index_of."""
-        wanted = list(nodes)
-        column = _id_column(self.ids)
-        query = None
-        if _INT_ONLY.issuperset(map(type, wanted)):
-            try:
-                query = np.array(wanted, dtype=column.dtype)
-            except OverflowError:
-                pass
-        if query is None:
-            rows = np.array([i for i in map(self.index_of, wanted) if i is not None], np.intp)
-        else:
-            rows = np.searchsorted(column, query)
-            found = rows < len(column)
-            found[found] = column[rows[found]] == query[found]
-            rows = rows[found]
-        keep = np.zeros(len(column), dtype=bool)
+        the graph, or a key that is not an int, is ignored."""
+        rows = np.array([i for i in map(self.index_of, nodes) if i is not None], np.intp)
+        keep = np.zeros(len(self.ids), dtype=bool)
         keep[rows] = True
         return self._induced(keep)
 

@@ -26,6 +26,7 @@ from .oracle import (
 )
 from .reference import RankDegreeResult, rank_degree
 from .sampler import (
+    CrawlCache,
     RunStats,
     SampleGraph,
     SamplerConfig,
@@ -39,6 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApiBudget",
+    "CrawlCache",
     "DirectedGraph",
     "FriendsPage",
     "NotFoundError",

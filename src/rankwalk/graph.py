@@ -187,7 +187,8 @@ class ProfileRecord:
     list of ints), copied from the table's columns.
 
     friends_recent_first is read from the table's friend rows on each access,
-    so a record that a crawl keeps in its profile cache holds no friend list.
+    so a record holds no friend list. A crawl keeps no records: its profile
+    cache is a CrawlCache, which reads the table's columns by row.
     Two records are equal when their eight values are.
     """
 
@@ -666,7 +667,8 @@ class PageRankScores(Mapping[NodeId, float]):
     """A read-only mapping from each node id of a graph to its PageRank score,
     in ascending id order: the graph's ids list and one float64 column, so it
     keeps no Python object per node. scores[node] bisects the ids; items()
-    and values() read the column whole."""
+    and values() yield Python floats, converted one bounded slice of the
+    column at a time."""
 
     __slots__ = ("ids", "column")
 
@@ -693,14 +695,23 @@ class PageRankScores(Mapping[NodeId, float]):
         return _ScoreValues(self)
 
 
+# Scores converted to Python floats at a time by items() and values().
+_SCORE_SLICE = 1 << 12
+
+
+def _floats(column: np.ndarray) -> Iterator[float]:
+    for start in range(0, len(column), _SCORE_SLICE):
+        yield from column[start : start + _SCORE_SLICE].tolist()
+
+
 class _ScoreItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[NodeId, float]]:
-        return zip(self._mapping.ids, self._mapping.column.tolist())
+        return zip(self._mapping.ids, _floats(self._mapping.column))
 
 
 class _ScoreValues(ValuesView):
     def __iter__(self) -> Iterator[float]:
-        return iter(self._mapping.column.tolist())
+        return _floats(self._mapping.column)
 
 
 @dataclass
@@ -713,6 +724,27 @@ class PageRankResult:
     iterations: int
 
 
+# The edges of one block of source rows in pagerank's sum; a row with more
+# edges makes a block of its own.
+_PAGERANK_BLOCK = 1 << 16
+
+
+def _row_blocks(offsets: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(first row, end row, first edge, end edge) of consecutive blocks of CSR
+    rows that cover every row, each of at most _PAGERANK_BLOCK edges unless it
+    is one row."""
+    n = len(offsets) - 1
+    blocks = []
+    lo = 0
+    while lo < n:
+        a = int(offsets[lo])
+        hi = int(np.searchsorted(offsets, a + _PAGERANK_BLOCK, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        blocks.append((lo, hi, a, int(offsets[hi])))
+        lo = hi
+    return blocks
+
+
 def pagerank(
     graph: DirectedGraph,
     damping: float = 0.85,
@@ -722,8 +754,13 @@ def pagerank(
     """Power iteration with uniform teleport; dangling mass is redistributed uniformly.
 
     Stops when the L1 change drops below `tolerance`; if `max_iters` is reached
-    first the result is flagged as non-converged. Each node's incoming terms
-    are summed in edges() order, which is ascending id order of their sources.
+    first the result is flagged as non-converged.
+
+    Each node's incoming terms are summed from 0.0 in edges() order, which is
+    ascending id order of their sources: the rows are taken in blocks of
+    about _PAGERANK_BLOCK edges, and np.add.at adds a block's terms in index
+    order. No array as long as the edge list is made; every per-iteration
+    array is one of a few n-long buffers made once.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
@@ -735,32 +772,41 @@ def pagerank(
         raise ValueError("pagerank requires a non-empty graph")
     ids = graph.ids
     n = len(ids)
-    m = graph.num_edges()
-    src, dst = graph.edge_sources(), graph.out_targets
-    out_degree = np.diff(graph.out_offsets).astype(np.float64)
-    dangling = out_degree == 0.0
+    # The returned column is allocated first, so it sits below every buffer
+    # freed on return and glibc can hand those back to the system.
+    column = scores = np.full(n, 1.0 / n)
+    new_scores = np.empty(n)
+    targets = graph.out_targets
+    degree = np.diff(graph.out_offsets)
+    blocks = _row_blocks(graph.out_offsets)
+    dangling = np.flatnonzero(degree == 0)
     inv_out = np.zeros(n)
-    np.divide(1.0, out_degree, out=inv_out, where=~dangling)
-
-    scores = np.full(n, 1.0 / n)
+    np.divide(1.0, degree, out=inv_out, where=degree > 0)
+    contrib = np.empty(n)
+    dangling_scores = np.empty(len(dangling))
     teleport = (1.0 - damping) / n
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        contrib = scores * inv_out
-        if m:
-            incoming = np.bincount(dst, weights=contrib[src], minlength=n)
-        else:
-            incoming = np.zeros(n)
-        dangling_mass = scores[dangling].sum() / n
-        new_scores = damping * (incoming + dangling_mass) + teleport
-        delta = np.abs(new_scores - scores).sum()
-        scores = new_scores
+        np.multiply(scores, inv_out, out=contrib)
+        new_scores.fill(0.0)
+        for lo, hi, a, b in blocks:
+            np.add.at(new_scores, targets[a:b], np.repeat(contrib[lo:hi], degree[lo:hi]))
+        # mode="clip" lets take() write into `out` unbuffered; every index is valid
+        dangling_mass = np.take(scores, dangling, out=dangling_scores, mode="clip").sum() / n
+        new_scores += dangling_mass
+        new_scores *= damping
+        new_scores += teleport
+        change = np.subtract(new_scores, scores, out=contrib)  # contrib is spent
+        delta = np.abs(change, out=change).sum()
+        scores, new_scores = new_scores, scores
         if delta < tolerance:
             converged = True
             break
+    if scores is not column:
+        column[:] = scores
     return PageRankResult(
-        scores=PageRankScores(ids, scores),
+        scores=PageRankScores(ids, column),
         converged=converged,
         iterations=iterations,
     )

@@ -11,7 +11,9 @@ simulated seconds, growth times and call log count only charged calls.
 What a run keeps after it returns: the sample, its RunStats and the oracle's
 call log. The growth curve (a GrowthCurve) and the call log (a CallLog) hold
 one record per point or charged call as typed columns, with no Python object
-per record; the page and profile caches are freed when run_sample returns.
+per record. While it runs, its page and profile caches are a CrawlCache:
+per-row columns over the oracle's profile table, 9 B a row, with no Python
+object per page or profile, freed when run_sample returns.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .graph import (
     DirectedGraph,
     NodeId,
-    ProfileRecord,
+    ProfileTable,
     _check_fields,
     _compact_json,
     _gc_paused,
@@ -36,7 +38,7 @@ from .graph import (
     _read_json_lines,
     _read_lines,
 )
-from .oracle import FriendsPage, NotFoundError, ProtectedError, SimulatedOracle
+from .oracle import NotFoundError, ProtectedError, SimulatedOracle
 
 WALKED = "walked"
 SYMMETRIC = "symmetric"
@@ -249,10 +251,55 @@ class RunStats:
         }
 
 
+class CrawlCache:
+    """The friends pages and profile lookups a run was served, kept as
+    per-row columns of the ProfileTable the oracle serves, so the crawl keeps
+    no Python object per page or profile.
+
+    page_length[row] is the length of the page that row's account was served
+    by its one charged get_friends call, -1 before that call; the page is the
+    first page_length[row] ids of the table's friend row, which a revisit
+    reads back. looked_up[row] is 1 once the account's profile lookup was
+    charged; it has one more byte than the table has rows, which stays 0 and
+    stands for an id with no row. `unknown` holds the looked-up ids that have
+    no row, which the lookup dropped. 9 B a row in all.
+    """
+
+    __slots__ = ("table", "page_length", "looked_up", "unknown")
+
+    def __init__(self, table: ProfileTable) -> None:
+        n = len(table.ids)
+        self.table = table
+        self.page_length = array("q", [-1]) * n
+        self.looked_up = bytearray(n + 1)
+        self.unknown: set[NodeId] = set()
+
+    def page(self, row: int) -> list[NodeId]:
+        """The page served to row's account, read back from the table: the
+        first page_length[row] ids of table.friends(row)."""
+        return self.table.friends(row)[: self.page_length[row]].tolist()
+
+    def not_looked_up(self, page: Sequence[NodeId]) -> list[NodeId]:
+        """The ids on `page` whose profile lookup has not been charged, in page order."""
+        get, looked_up, unknown = self.table.index.get, self.looked_up, self.unknown
+        no_row = len(self.table.ids)
+        return [u for u in page if not looked_up[get(u, no_row)] and u not in unknown]
+
+    def add_lookups(self, nodes: Sequence[NodeId]) -> None:
+        """Record that the profile lookup of `nodes` was charged."""
+        get, looked_up = self.table.index.get, self.looked_up
+        for u in nodes:
+            row = get(u)
+            if row is None:
+                self.unknown.add(u)
+            else:
+                looked_up[row] = 1
+
+
 def select_target(
     w: NodeId,
     friends_page: Sequence[NodeId],
-    profiles: Mapping[NodeId, ProfileRecord | None],
+    cache: CrawlCache,
     sample: SampleGraph,
     config: SamplerConfig,
 ) -> NodeId | None:
@@ -260,25 +307,37 @@ def select_target(
     language-matching when the filter is on; ties broken by lowest id.
     Returns None when no friend qualifies (the jump signal).
 
+    Only friends whose profile lookup the cache records as charged, and that
+    have a row, are candidates; their follower count and language code are
+    read from the table's columns by row, so no ProfileRecord is built.
+
     The burned edges are the sample's walked edges, and under
     original_rank_degree its symmetric edges too, where the score also loses
     the friend's in-degree in the sample.
     """
+    table = cache.table
+    get, looked_up, no_row = table.index.get, cache.looked_up, len(table.ids)
+    follower_count, language_codes = table._views[:2]
+    language = None
+    if config.language_filter_enabled:
+        languages = table.languages
+        target = config.target_language
+        language = languages.index(target) if target in languages else -1
     best: NodeId | None = None
     best_key: tuple[int, NodeId] | None = None
     original = config.original_rank_degree
     walked = sample._walked
     symmetric = sample._symmetric if original else ()
     for v in friends_page:
-        profile = profiles.get(v)
-        if profile is None:
+        row = get(v, no_row)
+        if not looked_up[row]:  # not looked up, or no row: no profile to rank by
             continue
-        if config.language_filter_enabled and profile.language != config.target_language:
+        if language is not None and language_codes[row] != language:
             continue
         edge = (w, v)
         if edge in walked or edge in symmetric:
             continue
-        score = profile.follower_count
+        score = follower_count[row]
         if original:
             score -= sample._in_degree.get(v, 0)
         key = (-score, v)
@@ -293,37 +352,42 @@ def walker_step(
     sample: SampleGraph,
     seed_pool: SeedPool,
     config: SamplerConfig,
-    profile_cache: dict[NodeId, ProfileRecord | None],
-    page_cache: dict[NodeId, FriendsPage],
+    cache: CrawlCache,
 ) -> NodeId:
     """One step of the walker standing on w: read w's friends page, walk the
     best eligible edge into the sample, or jump to a fresh seed when none
     qualifies. Returns where the walker stands next.
 
-    The page comes from page_cache when it holds one, else from a charged
-    get_friends call whose answer is added to it. A protected or unknown
-    account is never cached: each visit asks again, uncharged, and jumps.
-    The friends that profile_cache lacks are looked up together, and a friend
-    the lookup drops is cached as None, so no friend is asked for twice and
-    select_target skips it.
+    `cache` is a CrawlCache over oracle.profiles. The page is read back from
+    the table when the cache holds its length, else it comes from a charged
+    get_friends call whose length is recorded. A protected or unknown account
+    is never cached: each visit asks again, uncharged, and jumps. When a page
+    is served, its friends whose profile lookup the cache does not record are
+    looked up together and recorded, a friend the lookup drops among them, so
+    no friend is asked for twice, a revisit asks for none, and select_target
+    skips a friend with no profile.
 
     A walk adds one edge to the sample's walked edges, a jump none.
     select_target skips burned edges, so a pick that select_target's burn rule
     excludes means an edge would be walked twice and aborts the run.
     """
     v = None
-    page = page_cache.get(w)
-    if page is None:
+    row = cache.table.index.get(w)
+    if row is not None and cache.page_length[row] >= 0:
+        page = cache.page(row)  # its friends were looked up when it was served
+    else:
         try:
-            page = page_cache[w] = oracle.get_friends(w)
+            page = oracle.get_friends(w).friends
         except (NotFoundError, ProtectedError):
-            pass
+            page = None
+        else:
+            cache.page_length[row] = len(page)
+            missing = cache.not_looked_up(page)
+            if missing:
+                oracle.get_profiles(missing)
+                cache.add_lookups(missing)
     if page is not None:
-        missing = [u for u in page.friends if u not in profile_cache]
-        if missing:
-            found = oracle.get_profiles(missing)
-            profile_cache.update(zip(missing, map(found.get, missing)))
-        v = select_target(w, page.friends, profile_cache, sample, config)
+        v = select_target(w, page, cache, sample, config)
     if v is None:
         seed = seed_pool.draw()
         sample.add_seed(seed)
@@ -371,10 +435,11 @@ def run_sample(
     done so and the last len(walkers) steps all jumped, each walker stands on a
     pool node and no step can add an edge again: the run stops as "exhausted".
 
-    The run keeps every friends page and profile it fetched, in dicts local to
-    this call, so an account's page costs one charged call per run and a
-    friend's profile one lookup, even when it came back empty; a protected or
-    unknown account is refused, uncharged, on every visit.
+    The run records every friends page and profile lookup it was charged for
+    in a CrawlCache local to this call, per-row columns over oracle.profiles,
+    so an account's page costs one charged call per run and a friend's profile
+    one lookup, even when it came back empty; a protected or unknown account
+    is refused, uncharged, on every visit.
 
     A walker is the account it stands on. A resumed run adds every saved
     sample edge with its provenance, so the walked edges, which are the burned
@@ -389,8 +454,7 @@ def run_sample(
     """
     sample = SampleGraph()
     stats = RunStats()
-    profile_cache: dict[NodeId, ProfileRecord | None] = {}
-    page_cache: dict[NodeId, FriendsPage] = {}
+    cache = CrawlCache(oracle.profiles)
 
     if resume is not None:
         oracle.clock.advance_to(resume.clock_now)
@@ -439,9 +503,7 @@ def run_sample(
         while reason is None:
             walks = len(walked)
             w = walkers[index]
-            walkers[index] = walker_step(
-                w, oracle, sample, seed_pool, config, profile_cache, page_cache
-            )
+            walkers[index] = walker_step(w, oracle, sample, seed_pool, config, cache)
             stats.steps += 1
             if len(walked) == walks:  # a jump
                 not_jumped.discard(w)

@@ -310,25 +310,86 @@ class TestPageRank:
         with pytest.raises(ValueError):
             pagerank(DirectedGraph.from_edges([]))
 
-    def test_bit_identical_to_edge_loop_build(self, tmp_path):
+    @pytest.mark.parametrize("block", [5, 64, 1 << 16])
+    def test_bit_identical_to_edge_loop_build(self, tmp_path, monkeypatch, block):
+        """The same scores, bit for bit, and iterations as summing each node's
+        terms edge by edge in edges() order, whatever the size of the blocks
+        of source rows pagerank sums by: the graphs hold a hub whose
+        out-degree passes a small block, dangling nodes and ids past 2**63."""
+        monkeypatch.setattr(graph_module, "_PAGERANK_BLOCK", block)
         for seed in range(8):
             rng = random.Random(seed)
             # sparse ids, some past 2**63, so that set order is not id order
             ids = list({rng.choice([rng.randint(0, 10**6), 2**63 + rng.randint(0, 10**6)]) for _ in range(40)})
             edges = [tuple(rng.sample(ids, 2)) for _ in range(150)]
-            g = DirectedGraph.from_edges(edges, nodes=ids)
+            hub = ids[seed]
+            edges += [(hub, v) for v in rng.sample(ids, 25) if v != hub]
+            sink, isolated = 2**64 + seed, 2**64 + 100  # no friends: dangling
+            edges.append((hub, sink))
+            g = DirectedGraph.from_edges(edges, nodes=[*ids, isolated])
             path = tmp_path / f"edges{seed}.csv"
             path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in edges))
             read = read_edge_list(path)
             # the file's rows are not in id order
             assert edges != sorted(edges)
-            assert g.ids == sorted(ids) and read.ids == sorted(read.ids)
+            assert g.ids == sorted(ids + [sink, isolated]) and read.ids == sorted(read.ids)
+            assert g.out_degree(hub) > 20 and g.out_degree(sink) == g.out_degree(isolated) == 0
+            assert max(ids) > 2**63
+            blocks = graph_module._row_blocks(g.out_offsets)
+            assert len(blocks) == 1 if block == 1 << 16 else len(blocks) > 2
             cases = [(g, g), (read, DirectedGraph.from_edges(edges))]
             for graph, reference in cases:
                 result = pagerank(graph, 0.85, tolerance=1e-12)
                 scores, iterations = pagerank_by_edge_loop(reference, 0.85, tolerance=1e-12)
                 assert list(result.scores.items()) == list(scores.items())
                 assert result.iterations == iterations
+
+    def test_traced_peak_below_one_edge_long_array(self):
+        """The sum runs by blocks of source rows into n-long buffers made once:
+        on m >= 20 n edges the call's traced peak stays below one m-long
+        float64 array. Gathering a weight per edge on every iteration, and
+        casting the targets for np.bincount, traced over 3 such arrays."""
+        n = 20_000
+        rng = np.random.default_rng(3)
+        sources, targets = rng.integers(0, n, 21 * n), rng.integers(0, n, 21 * n)
+        loops = sources == targets
+        graph = DirectedGraph(list(range(n)), sources[~loops], targets[~loops])
+        m = graph.num_edges()
+        assert m >= 20 * n
+        tracemalloc.start()
+        try:
+            result = pagerank(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 8 * m
+
+    def test_items_and_values_yield_python_floats_in_id_order(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_SCORE_SLICE", 7)
+        g = random_digraph(30, 0.1, 3)
+        scores = pagerank(g).scores
+        column = scores.column.tolist()
+        items = list(scores.items())
+        assert items == list(zip(g.ids, column))
+        assert all(type(v) is float for _, v in items)
+        values = list(scores.values())
+        assert values == column and all(type(v) is float for v in values)
+        assert sum(scores.values()) == sum(column) == pytest.approx(1.0)
+
+    def test_values_convert_a_bounded_slice_at_a_time(self):
+        """Summing values() holds one slice of Python floats at a time, where
+        converting the whole column holds 32 B a score."""
+        n = 200_000
+        scores = graph_module.PageRankScores(list(range(n)), np.full(n, 1.0 / n))
+        tracemalloc.start()
+        try:
+            total = sum(scores.values())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == pytest.approx(1.0)
+        assert peak < 1_000_000 < 32 * n
 
 
 @contextmanager

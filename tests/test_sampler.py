@@ -3,6 +3,7 @@ import json
 import random
 import tempfile
 import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from rankwalk.oracle import assert_budget_safety, build_simulated_oracle, write_
 from rankwalk.sampler import (
     SYMMETRIC,
     WALKED,
+    CrawlCache,
     SampleGraph,
     SamplerConfig,
     SeedPool,
@@ -98,6 +100,14 @@ def seed_node_records(sample, path):
     return [record["n"] for record in records if record["type"] == "seed_node"]
 
 
+def looked_up(profiles):
+    """A CrawlCache over `profiles` that records every account's profile
+    lookup as charged, so select_target ranks every friend with a profile."""
+    cache = CrawlCache(profiles)
+    cache.add_lookups(profiles.ids)
+    return cache
+
+
 class TestSelectTarget:
     def fixture(self):
         g = DirectedGraph.from_edges([(0, 5), (0, 9), (0, 3)])
@@ -108,7 +118,7 @@ class TestSelectTarget:
 
     def test_tie_broken_by_lowest_id(self):
         _, profiles = self.fixture()
-        got = select_target(0, [5, 9, 3], profiles, SampleGraph(), config())
+        got = select_target(0, [5, 9, 3], looked_up(profiles), SampleGraph(), config())
         assert got == 3
 
     def test_burned_and_language_mismatch_excluded(self):
@@ -117,14 +127,15 @@ class TestSelectTarget:
             g, follower_counts={5: 10, 9: 3}, languages={9: "en"}
         )
         sample = sample_of(walked=[(0, 5)])
-        assert select_target(0, [5, 9], profiles, sample, config()) is None
+        assert select_target(0, [5, 9], looked_up(profiles), sample, config()) is None
 
     def test_language_filter_can_be_disabled(self):
         g = DirectedGraph.from_edges([(0, 9)])
         profiles = make_profiles(g, languages={9: "en"})
-        assert select_target(0, [9], profiles, SampleGraph(), config()) is None
+        cache = looked_up(profiles)
+        assert select_target(0, [9], cache, SampleGraph(), config()) is None
         assert (
-            select_target(0, [9], profiles, SampleGraph(), config(language_filter_enabled=False))
+            select_target(0, [9], cache, SampleGraph(), config(language_filter_enabled=False))
             == 9
         )
 
@@ -148,7 +159,7 @@ class TestSelectTarget:
             into = Counter(t for _, t in set(walked) | set(symmetric))
             score = {v: followers[v] - (into[v] if original else 0) for v in friends}
             expected = min(eligible, key=lambda v: (-score[v], v)) if eligible else None
-            assert select_target(0, friends, profiles, sample, cfg) == expected
+            assert select_target(0, friends, looked_up(profiles), sample, cfg) == expected
 
 
 SEED = "seed"
@@ -269,7 +280,7 @@ class TestWalkerStep:
         g, oracle = build_oracle([(1, 2), (2, 3)])
         sample = SampleGraph()
         pool = SeedPool([1], 0)
-        assert walker_step(1, oracle, sample, pool, config(), {}, {}) == 2
+        assert walker_step(1, oracle, sample, pool, config(), CrawlCache(oracle.profiles)) == 2
         assert list(sample._walked) == [(1, 2)]
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
@@ -278,12 +289,12 @@ class TestWalkerStep:
         g, oracle = build_oracle([(1, 2), (2, 1)])
         sample = SampleGraph()
         pool = SeedPool([1], 0)
-        assert walker_step(1, oracle, sample, pool, config(), {}, {}) == 2
+        assert walker_step(1, oracle, sample, pool, config(), CrawlCache(oracle.profiles)) == 2
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         assert list(sample._walked) == [(1, 2)]
         # a later walker at 2 may still walk (2, 1)
-        walker_step(2, oracle, sample, pool, config(), {}, {})
+        walker_step(2, oracle, sample, pool, config(), CrawlCache(oracle.profiles))
         assert list(sample._walked) == [(1, 2), (2, 1)]
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, WALKED)]
 
@@ -293,17 +304,17 @@ class TestWalkerStep:
         sample = SampleGraph()
         pool = SeedPool([1], 0)
         cfg = config(original_rank_degree=True, add_symmetric_edge=add_symmetric_edge)
-        assert walker_step(1, oracle, sample, pool, cfg, {}, {}) == 2
+        assert walker_step(1, oracle, sample, pool, cfg, CrawlCache(oracle.profiles)) == 2
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         # the reverse edge is burned, so a walker at 2 jumps
-        assert walker_step(2, oracle, sample, pool, cfg, {}, {}) == 1
+        assert walker_step(2, oracle, sample, pool, cfg, CrawlCache(oracle.profiles)) == 1
         assert list(sample._walked) == [(1, 2)]
 
     def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
         sample = SampleGraph()
         pool = SeedPool([7], 0)
-        assert walker_step(2, oracle, sample, pool, config(), {}, {}) == 7
+        assert walker_step(2, oracle, sample, pool, config(), CrawlCache(oracle.profiles)) == 7
         assert sample.num_edges() == 0
         assert seed_node_records(sample, tmp_path / "resume.jsonl") == [7]
 
@@ -319,33 +330,35 @@ class TestWalkerStep:
             with pytest.raises(RuntimeError, match="after it was burned"):
                 walker_step(
                     1, oracle, sample, SeedPool([1], 0),
-                    config(original_rank_degree=original), {}, {},
+                    config(original_rank_degree=original), CrawlCache(oracle.profiles),
                 )
             assert sample.edges_with_provenance() == rows
 
     def test_unknown_current_node_jumps(self):
         _, oracle = build_oracle([(1, 2)])
         pool = SeedPool([1], 0)
-        assert walker_step(999, oracle, SampleGraph(), pool, config(), {}, {}) == 1
+        assert walker_step(999, oracle, SampleGraph(), pool, config(), CrawlCache(oracle.profiles)) == 1
 
     def test_protected_current_node_jumps(self):
         g = DirectedGraph.from_edges([(1, 2), (3, 1)])
         profiles = make_profiles(g, protected={1})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool = SeedPool([3], 0)
-        assert walker_step(1, oracle, SampleGraph(), pool, config(), {}, {}) == 3
+        assert walker_step(1, oracle, SampleGraph(), pool, config(), CrawlCache(oracle.profiles)) == 3
 
     def test_page_cache_serves_a_revisit_without_a_call(self):
         _, oracle = build_oracle([(1, 2), (1, 3)], nodes=[9], protected={9})
-        sample, pool, pages = SampleGraph(), SeedPool([1], 0), {}
+        sample, pool, cache = SampleGraph(), SeedPool([1], 0), CrawlCache(oracle.profiles)
         for expected in (2, 3):
-            assert walker_step(1, oracle, sample, pool, config(), {}, pages) == expected
-        assert pages == {1: oracle.get_friends(1)}
+            assert walker_step(1, oracle, sample, pool, config(), cache) == expected
+        row = oracle.profiles.index[1]
+        assert cache.page(row) == list(oracle.get_friends(1).friends)
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 2  # the step's call and this one
         # refused accounts jump, uncharged and uncached
         for refused in (9, 999):
-            walker_step(refused, oracle, sample, pool, config(), {}, pages)
-        assert pages.keys() == {1} and oracle.calls_by_endpoint[oracle.FRIENDS] == 2
+            walker_step(refused, oracle, sample, pool, config(), cache)
+        cached = [i for i, length in enumerate(cache.page_length) if length >= 0]
+        assert cached == [row] and oracle.calls_by_endpoint[oracle.FRIENDS] == 2
 
 
 def run_fixture(seed=0, n=120, p=0.06, **config_kwargs):
@@ -749,7 +762,7 @@ class TestPageCache:
         original_rank_degree, steps,
     ):
         """run_sample fetches each account's friends page once and walks as a
-        round-robin loop of walker_step with a fresh page cache on every step,
+        round-robin loop of walker_step whose cache forgets its pages on every step,
         which fetches one page on every step that is not refused. Neither asks
         for a friend's profile twice, even when the lookup found none."""
         g, profiles = mixed_world(
@@ -784,12 +797,13 @@ class TestPageCache:
         walkers = [pool.draw() for _ in range(walker_count)]
         for w in walkers:
             loop_sample.add_seed(w)
-        profile_cache, served_steps = {}, 0
+        cache, served_steps = CrawlCache(profiles), 0
         for step in range(stats.steps):
             w = walkers[step % walker_count]
             served_steps += served(w)
+            cache.page_length = array("q", [-1]) * len(profiles)
             walkers[step % walker_count] = walker_step(
-                w, loop_oracle, loop_sample, pool, cfg, profile_cache, {}
+                w, loop_oracle, loop_sample, pool, cfg, cache
             )
 
         assert stats.walk_log == list(loop_sample._walked)
@@ -810,6 +824,97 @@ class TestPageCache:
             assert_budget_safety(checked.call_log, oracle.PROFILES, 900, 900.0)
             asked = profile_lookups(checked)
             assert len(asked) == len(set(asked))
+
+
+class TestCrawlCache:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(4, 30),
+        p=st.sampled_from([0.1, 0.3, 0.5]),
+        reciprocal=st.booleans(),
+        walker_count=st.integers(1, 5),
+        language_filter=st.booleans(),
+        protected_fraction=st.sampled_from([0.1, 0.3]),
+        unprofiled_fraction=st.sampled_from([0.2, 0.4]),
+        original_rank_degree=st.booleans(),
+        steps=st.integers(1, 200),
+    )
+    def test_cache_holds_only_what_was_charged(
+        self, graph_seed, n, p, reciprocal, walker_count, language_filter, protected_fraction,
+        unprofiled_fraction, original_rank_degree, steps,
+    ):
+        """On every step of a run: the page select_target is given is the one
+        the account's one charged get_friends returned, revisits included; the
+        cache records exactly the charged profile lookups; and select_target
+        ranks only friends whose lookup was charged, by the profiles they
+        were served. An id with no profile is looked up once."""
+        g, profiles = mixed_world(
+            graph_seed, n, p, reciprocal,
+            language_fraction=0.5, protected_fraction=protected_fraction,
+        )
+        rng = random.Random(graph_seed)
+        profiles = without_profiles(
+            profiles, {node for node in range(n) if rng.random() < unprofiled_fraction}
+        )
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        cfg = config(
+            walker_count=walker_count, language_filter_enabled=language_filter,
+            original_rank_degree=original_rank_degree, max_sample_edges=None, max_steps=steps,
+        )
+        served, charged = {}, []  # account -> its charged page; ids of charged lookups
+        real_friends, real_profiles = oracle.get_friends, oracle.get_profiles
+        real_select = sampler_module.select_target
+
+        def get_friends(node):
+            page = real_friends(node)
+            assert node not in served
+            served[node] = page.friends
+            return page
+
+        def get_profiles(nodes):
+            charged.extend(nodes)
+            return real_profiles(nodes)
+
+        def expected_pick(w, candidates, sample):
+            walked = {(s, t) for s, t, prov in sample.edges_with_provenance() if prov == WALKED}
+            burned = {(s, t) for s, t, _ in sample.edges_with_provenance()} if original_rank_degree else walked
+            into = Counter(t for _, t, _ in sample.edges_with_provenance())
+            eligible = [
+                v for v in candidates
+                if v in profiles and (w, v) not in burned
+                and (not language_filter or profiles[v].language == "de")
+            ]
+            score = {
+                v: profiles[v].follower_count - (into[v] if original_rank_degree else 0)
+                for v in eligible
+            }
+            return min(eligible, key=lambda v: (-score[v], v)) if eligible else None
+
+        def select(w, page, cache, sample, config_):
+            assert list(page) == list(served[w])
+            rows = [i for i, flag in enumerate(cache.looked_up) if flag]
+            assert rows == sorted(profiles.index[u] for u in set(charged) if u in profiles)
+            assert cache.unknown == {u for u in charged if u not in profiles}
+            # a cache that records only some of the charged lookups ranks only those
+            some = [u for u in charged if rng.random() < 0.5]
+            partial = CrawlCache(profiles)
+            partial.add_lookups(some)
+            assert real_select(w, page, partial, sample, config_) == expected_pick(
+                w, [v for v in page if v in some], sample
+            )
+            pick = real_select(w, page, cache, sample, config_)
+            assert pick == expected_pick(w, [v for v in page if v in charged], sample)
+            return pick
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "get_friends", get_friends)
+            mp.setattr(oracle, "get_profiles", get_profiles)
+            mp.setattr(sampler_module, "select_target", select)
+            _, stats = run_sample(cfg, oracle, SeedPool(range(n + 2), graph_seed))
+        assert stats.steps == steps or stats.stop_reason == "exhausted"
+        assert len(charged) == len(set(charged))
+        assert stats.friends_calls == len(served)
 
 
 class TestExhausted:

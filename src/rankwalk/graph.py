@@ -326,6 +326,13 @@ class _IdColumn:
         except OverflowError:  # a value past int64: keep Python ints from here on
             self.values = [*self.values, *ints]
 
+    def to_numpy(self) -> np.ndarray:
+        """The values as one array: an int64 view of the array('q'), or an
+        object array of the Python ints."""
+        if isinstance(self.values, array):
+            return np.frombuffer(self.values, np.int64)
+        return np.array(self.values, dtype=object)
+
 
 class _ProfileColumns:
     """Builds a ProfileTable one profile at a time, in any id order: each
@@ -388,11 +395,7 @@ class _ProfileColumns:
         rows = self.rows
         n = len(rows)
         added = np.frombuffer(self.scalars, _SCALAR_ROW)
-        friend_ids = self.friend_ids.values
-        if isinstance(friend_ids, array):
-            friend_ids = np.frombuffer(friend_ids, np.int64)
-        else:
-            friend_ids = np.array(friend_ids, dtype=object)
+        friend_ids = self.friend_ids.to_numpy()
         if all(map(operator.lt, rows, islice(rows, 1, None))):
             ids = list(rows)
             scalars = added
@@ -881,35 +884,95 @@ def _read_canonical_rows(path, fh) -> np.ndarray | None:
     return None if tail else np.concatenate(blocks or [np.empty(0, dtype=np.int64)])
 
 
-def _parse_edge(source: str, target: str) -> tuple[NodeId, NodeId]:
-    u, v = parse_id(source), parse_id(target)
-    if u == v:
-        raise ValueError(f"self-loop {u},{v}")
-    return u, v
+def _read_rows(
+    path, header: str = "source,target", labels: tuple[str, ...] = (),
+    malformed: str = "expected 'source,target', got {!r}",
+) -> tuple[np.ndarray, bytearray]:
+    """Per-line parse of an edge file whose rows are `source,target` or, with
+    `labels`, `source,target,label` with a label from `labels`; raises on the
+    first bad row with its line number, and a row without those fields gives
+    `malformed` formatted with the line.
 
-
-def _read_rows(path) -> list[tuple[NodeId, NodeId]]:
-    """Per-line parse of any edge list; raises on the first bad row with its line number."""
-    edges: list[tuple[NodeId, NodeId]] = []
+    Returns the flat [source, target, ...] ids as one array (int64, or
+    object once an id passes 2**63 - 1) and, per row, the index of its label
+    in `labels` as one byte; no object is kept per row. A labelled file lists
+    each edge once, so there a bad row's error is raised only after any
+    repeat of an earlier edge has been reported, as a reader that checks
+    each row would.
+    """
+    ends = _IdColumn()
+    codes = bytearray()
+    code_of = {label: code for code, label in enumerate(labels)}
+    fields = 3 if labels else 2
 
     def add(line: str) -> None:
         parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'source,target', got {line!r}")
-        edges.append(_parse_edge(*parts))
+        if len(parts) != fields or (labels and parts[2] not in code_of):
+            raise ValueError(malformed.format(line))
+        u, v = parse_id(parts[0]), parse_id(parts[1])
+        if u == v:
+            raise ValueError(f"self-loop {u},{v}")
+        ends.extend([u, v])
+        if labels:
+            codes.append(code_of[parts[2]])
 
-    _read_lines(path, add, header="source,target")
-    return edges
+    try:
+        _read_lines(path, add, header=header)
+    except ValueError:
+        if labels:
+            _raise_repeat(path, header, ends.values)
+        raise
+    return ends.to_numpy(), codes
+
+
+def _raise_repeat(path, header: str, ends) -> None:
+    """Raise ValueError("<path>: line N: edge S,T listed twice") for the first
+    row of the flat [source, target, ...] `ends`, read from `path`, whose edge
+    an earlier row holds; return if there is none. The file is read again to
+    find that row's line, so no line number is kept per row."""
+    seen: set[tuple[NodeId, NodeId]] = set()
+    pairs = iter(ends)
+    for row, edge in enumerate(zip(pairs, pairs)):
+        if edge in seen:
+            break
+        seen.add(edge)
+    else:
+        return
+    rows = iter(range(row + 1))
+
+    def find(line: str) -> None:
+        if next(rows) == row:
+            raise ValueError(f"edge {edge[0]},{edge[1]} listed twice")
+
+    _read_lines(path, find, header=header)
 
 
 def _graph_from_array(ids: np.ndarray) -> DirectedGraph:
-    """DirectedGraph.from_edges for flat [source, target, ...] int64 ids of valid
-    rows: the distinct ids ascend, and np.searchsorted numbers the ends by
-    them. np.unique(ids, return_inverse=True) gives the same numbers, but it
-    sorts with an index array as large as the input: at 5M edges the read
-    then peaked at ~527 MB, against ~362 MB this way."""
+    """DirectedGraph.from_edges for flat [source, target, ...] ids of valid
+    rows, int64 or Python ints in an object array: the distinct ids ascend,
+    and np.searchsorted numbers the ends by them. np.unique(ids,
+    return_inverse=True) gives the same numbers, but it sorts with an index
+    array as large as the input: at 5M edges the read then peaked at ~527 MB,
+    against ~362 MB this way."""
     unique = _distinct(ids)
     return DirectedGraph(unique.tolist(), *_number_ends(unique, ids))
+
+
+def _read_labelled_edges(
+    path, header: str, labels: tuple[str, ...], malformed: str
+) -> tuple[DirectedGraph, np.ndarray]:
+    """The graph of a labelled edge file (see _read_rows), and the index in
+    `labels` of each edge's label, uint8 and aligned with the graph's
+    out_targets. An edge listed twice raises with the line of its repeat."""
+    ends, codes = _read_rows(path, header, labels, malformed)
+    unique = _distinct(ends)
+    sources, targets = _number_ends(unique, ends)
+    graph = DirectedGraph(unique.tolist(), sources, targets)
+    if graph.num_edges() < len(codes):
+        _raise_repeat(path, header, ends.tolist())
+    # with no repeat, the rows in order of their edge codes are the graph's edges
+    order = np.argsort(sources * len(unique) + targets)
+    return graph, np.frombuffer(codes, np.uint8)[order]
 
 
 def read_edge_list(path) -> DirectedGraph:
@@ -927,7 +990,7 @@ def read_edge_list(path) -> DirectedGraph:
     The bulk path holds one block's text at a time plus the parsed ids. Its
     row check searches each block for a bad row, keeping nothing per row,
     where a whole-block match would keep ~180 B of sre backtracking state a
-    row. The per-line path holds a tuple per row.
+    row. The per-line path keeps the parsed ids in one column, 16 B a row.
     Both paths give the same graph: nodes and each node's row in ascending id
     order, whatever the order of the file's rows.
     """
@@ -936,11 +999,9 @@ def read_edge_list(path) -> DirectedGraph:
             canonical = fh.readline() == "source,target\n"
             values = _read_canonical_rows(path, fh) if canonical else None
         if values is None:
-            edges = _read_rows(path)
-            rows, graph = len(edges), DirectedGraph.from_edges(edges)
-        else:
-            rows, graph = len(values) // 2, _graph_from_array(values)
-    duplicates = rows - graph.num_edges()
+            values, _ = _read_rows(path)
+        graph = _graph_from_array(values)
+    duplicates = len(values) // 2 - graph.num_edges()
     if duplicates:
         logger.warning("%s: ignored %d duplicate edge(s)", path, duplicates)
     return graph

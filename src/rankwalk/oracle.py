@@ -8,6 +8,7 @@ import math
 import operator
 from array import array
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -117,6 +118,31 @@ class CallLog:
 
     def __repr__(self) -> str:
         return f"CallLog(calls={len(self)})"
+
+
+class ProfileLookup(Mapping[NodeId, ProfileRecord]):
+    """The answer of one get_profiles call: a read-only mapping from each
+    found id, in the order first asked for, to its ProfileRecord. It holds
+    the table and each found id's row, and builds a record only when a value
+    is read."""
+
+    __slots__ = ("_table", "_rows")
+
+    def __init__(self, table: ProfileTable, rows: dict[NodeId, int]) -> None:
+        self._table = table
+        self._rows = rows
+
+    def __getitem__(self, node: NodeId) -> ProfileRecord:
+        return ProfileRecord(self._table, self._rows[node])
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._rows
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 @dataclass(frozen=True)
@@ -274,23 +300,24 @@ class SimulatedOracle:
         friends = self.profiles.friends(row)
         return FriendsPage(tuple(friends[: self.page_size].tolist()), len(friends) > self.page_size)
 
-    def get_profiles(self, nodes: Sequence[NodeId]) -> dict[NodeId, ProfileRecord]:
+    def get_profiles(self, nodes: Sequence[NodeId]) -> ProfileLookup:
         """Batched profile lookup: ceil(len(nodes) / profile_batch) calls.
 
         Unknown ids are silently dropped from the result, mirroring batched
-        user-lookup endpoints.
+        user-lookup endpoints. The result is a ProfileLookup, so a caller
+        that reads no profile builds no ProfileRecord.
         """
         nodes = list(nodes)
         index = self.profiles.index
-        result: dict[NodeId, ProfileRecord] = {}
+        rows: dict[NodeId, int] = {}
         for start in range(0, len(nodes), self.profile_batch):
             chunk = nodes[start : start + self.profile_batch]
             self._charge(self.PROFILES, self.profiles_limiter, chunk)
             for node in chunk:
                 row = index.get(node)
                 if row is not None:
-                    result[node] = ProfileRecord(self.profiles, row)
-        return result
+                    rows[node] = row
+        return ProfileLookup(self.profiles, rows)
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
         """Ground-truth follow check; uncharged and unlogged. Reads the source's

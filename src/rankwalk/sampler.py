@@ -22,9 +22,12 @@ import json
 import math
 import random
 from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .graph import (
     DirectedGraph,
@@ -34,14 +37,15 @@ from .graph import (
     _compact_json,
     _gc_paused,
     _integer_id,
-    _parse_edge,
     _read_json_lines,
-    _read_lines,
+    _read_labelled_edges,
 )
 from .oracle import NotFoundError, ProtectedError, SimulatedOracle
 
 WALKED = "walked"
 SYMMETRIC = "symmetric"
+# A sample edge's provenance, by the code SampleProvenance keeps for it.
+PROVENANCES = (WALKED, SYMMETRIC)
 
 Edge = tuple[NodeId, NodeId]
 
@@ -263,9 +267,13 @@ class CrawlCache:
     charged; it has one more byte than the table has rows, which stays 0 and
     stands for an id with no row. `unknown` holds the looked-up ids that have
     no row, which the lookup dropped. 9 B a row in all.
+
+    `readers` binds, once per cache, what select_target reads on each call:
+    the table's id -> row lookup, looked_up, the no-row index, and the
+    follower_count and language-code columns.
     """
 
-    __slots__ = ("table", "page_length", "looked_up", "unknown")
+    __slots__ = ("table", "page_length", "looked_up", "unknown", "readers")
 
     def __init__(self, table: ProfileTable) -> None:
         n = len(table.ids)
@@ -273,11 +281,14 @@ class CrawlCache:
         self.page_length = array("q", [-1]) * n
         self.looked_up = bytearray(n + 1)
         self.unknown: set[NodeId] = set()
+        follower_count, language_codes = table._views[:2]
+        self.readers = (table.index.get, self.looked_up, n, follower_count, language_codes)
 
     def page(self, row: int) -> list[NodeId]:
         """The page served to row's account, read back from the table: the
-        first page_length[row] ids of table.friends(row)."""
-        return self.table.friends(row)[: self.page_length[row]].tolist()
+        first page_length[row] ids of its friend row, one slice of friend_ids."""
+        start = self.table._views[-1][row]
+        return self.table.friend_ids[start : start + self.page_length[row]].tolist()
 
     def not_looked_up(self, page: Sequence[NodeId]) -> list[NodeId]:
         """The ids on `page` whose profile lookup has not been charged, in page order."""
@@ -315,12 +326,10 @@ def select_target(
     original_rank_degree its symmetric edges too, where the score also loses
     the friend's in-degree in the sample.
     """
-    table = cache.table
-    get, looked_up, no_row = table.index.get, cache.looked_up, len(table.ids)
-    follower_count, language_codes = table._views[:2]
+    get, looked_up, no_row, follower_count, language_codes = cache.readers
     language = None
     if config.language_filter_enabled:
-        languages = table.languages
+        languages = cache.table.languages
         target = config.target_language
         language = languages.index(target) if target in languages else -1
     best: NodeId | None = None
@@ -538,23 +547,69 @@ def write_sample_csv(sample: SampleGraph, path) -> None:
             fh.write(f"{source},{target},{provenance}\n")
 
 
-def read_sample_csv(path) -> tuple[DirectedGraph, dict[Edge, str]]:
+class SampleProvenance(Mapping[Edge, str]):
+    """The provenance of each edge of a sample graph, as read_sample_csv
+    returns it: a read-only mapping from (source, target) to `walked` or
+    `symmetric` over the graph and one byte per edge, codes[k] being the
+    index in PROVENANCES of the edge at out_targets[k]. It keeps no Python
+    object per edge. Iteration follows edges(), ascending (source, target),
+    the order write_sample_csv writes; provenance[edge] bisects the source's
+    index and searches its row."""
+
+    __slots__ = ("graph", "codes")
+
+    def __init__(self, graph: DirectedGraph, codes: np.ndarray) -> None:
+        self.graph = graph
+        self.codes = codes
+
+    def __getitem__(self, edge: Edge) -> str:
+        try:
+            source, target = edge
+        except (TypeError, ValueError):
+            raise KeyError(edge) from None
+        graph = self.graph
+        i, j = graph.index_of(source), graph.index_of(target)
+        if i is not None and j is not None:
+            start, end = graph.out_offsets[i], graph.out_offsets[i + 1]
+            k = start + int(np.searchsorted(graph.out_targets[start:end], j))
+            if k < end and graph.out_targets[k] == j:
+                return PROVENANCES[self.codes[k]]
+        raise KeyError(edge)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return self.graph.edges()
+
+    def __len__(self) -> int:
+        return self.graph.num_edges()
+
+    def items(self) -> ItemsView[Edge, str]:
+        return _ProvenanceItems(self)
+
+    def values(self) -> ValuesView[str]:
+        return _ProvenanceValues(self)
+
+
+class _ProvenanceItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[Edge, str]]:
+        return zip(self._mapping.graph.edges(), _ProvenanceValues(self._mapping))
+
+
+class _ProvenanceValues(ValuesView):
+    def __iter__(self) -> Iterator[str]:
+        return map(PROVENANCES.__getitem__, self._mapping.codes.tolist())
+
+
+def read_sample_csv(path) -> tuple[DirectedGraph, SampleProvenance]:
     """The sample graph, nodes and each row in ascending id order whatever the
-    file's order, and each edge's provenance. An edge listed twice is rejected:
+    file's order, and each edge's provenance as a SampleProvenance. Rows are
+    read line by line (blank lines and padding allowed, as in any edge list)
+    into one column of ids and one provenance byte a row, with no object per
+    row. An edge listed twice is rejected, with the line of its repeat:
     write_sample_csv writes each edge once."""
-    provenance: dict[Edge, str] = {}
-
-    def add(line: str) -> None:
-        parts = line.split(",")
-        if len(parts) != 3 or parts[2] not in (WALKED, SYMMETRIC):
-            raise ValueError(f"malformed sample row {line!r}")
-        edge = _parse_edge(parts[0], parts[1])
-        if edge in provenance:
-            raise ValueError(f"edge {edge[0]},{edge[1]} listed twice")
-        provenance[edge] = parts[2]
-
-    _read_lines(path, add, header="source,target,provenance")
-    return DirectedGraph.from_edges(provenance), provenance
+    graph, codes = _read_labelled_edges(
+        path, "source,target,provenance", PROVENANCES, "malformed sample row {!r}"
+    )
+    return graph, SampleProvenance(graph, codes)
 
 
 def write_growth_csv(stats: RunStats, path) -> None:

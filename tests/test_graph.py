@@ -447,6 +447,24 @@ def assert_equals_row_build(got, rows, data):
         assert sub.in_degree(node) == len(predecessors)
 
 
+def tuple_read_rows(path):
+    """read_edge_list's per-line parse as it was, one tuple per row: the
+    reference for the column reader."""
+    edges = []
+
+    def add(line):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected 'source,target', got {line!r}")
+        u, v = parse_id(parts[0]), parse_id(parts[1])
+        if u == v:
+            raise ValueError(f"self-loop {u},{v}")
+        edges.append((u, v))
+
+    graph_module._read_lines(path, add, header="source,target")
+    return edges
+
+
 class TestEdgeListIO:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -487,6 +505,14 @@ class TestEdgeListIO:
             g = read_edge_list(path)
         assert g.num_edges() == 2
         assert "2 duplicate" in caplog.text
+
+    def test_duplicate_edges_ignored_with_warning_on_per_line_path(self, tmp_path, caplog):
+        path = tmp_path / "edges.csv"
+        path.write_text("source,target\n1,2\n\n1,2\n 2,3\n1,2")
+        with caplog.at_level("WARNING", logger="rankwalk.graph"):
+            g = read_edge_list(path)
+        assert g.num_edges() == 2
+        assert f"{path}: ignored 2 duplicate edge(s)" in caplog.text
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
@@ -555,6 +581,41 @@ class TestEdgeListIO:
                 read_edge_list(path)
             messages.append(str(info.value).replace(str(path), "FILE"))
         assert messages[0] == messages[1]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_per_line_path_equals_tuple_reader(self, data, tmp_path_factory):
+        """The per-line path against the reader that kept a tuple per row: the
+        same graph and duplicate count, or, for a bad row or byte anywhere in
+        the file, the same message and line."""
+        ids = st.one_of(st.integers(0, 30), st.integers(2**63 - 2, 2**63 + 2))
+        rows = data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=40))
+        forms = st.sampled_from(["{},{}\r\n", " {} , {}\n", "+{},{}\n", "\n{},{}\n", "{},{}\r"])
+        lines = [data.draw(forms).format(u, v).encode() for u, v in rows]
+        faults = data.draw(st.lists(st.sampled_from([
+            b"1,2,3\n", b"bogus\n", b"7,7\n", b"-1,2\n", b"1_0,2\n", b"1,\xff2\n",
+        ]), max_size=2))
+        for fault in faults:
+            lines.insert(data.draw(st.integers(0, len(lines))), fault)
+        path = tmp_path_factory.mktemp("edges") / "edges.csv"
+        path.write_bytes(b"source,target\n\n" + b"".join(lines))  # the blank line: per-line
+
+        try:
+            edges = tuple_read_rows(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_edge_list(path)
+            assert str(info.value) == str(exc)
+            return
+        expected = DirectedGraph.from_edges(edges)
+        with captured_warnings() as warnings:
+            got = read_edge_list(path)
+        assert got.ids == expected.ids
+        assert np.array_equal(got.out_offsets, expected.out_offsets)
+        assert np.array_equal(got.out_targets, expected.out_targets)
+        assert np.array_equal(got.in_degrees, expected.in_degrees)
+        duplicates = len(edges) - expected.num_edges()
+        assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
 
     def test_id_past_int64_not_clamped(self, tmp_path):
         path = tmp_path / "edges.csv"

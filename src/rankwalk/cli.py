@@ -420,8 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-sample-edges", dest="max_sample_edges", type=int)
     s.add_argument("--max-simulated-seconds", dest="max_simulated_seconds", type=float)
     s.add_argument("--max-steps", dest="max_steps", type=int)
-    s.add_argument("--resume-from", help="resume file from an interrupted run")
-    s.add_argument("--resume-to", help="write a resume file at the end of this run")
+    s.add_argument("--resume-from",
+                   help="resume file from an interrupted run, read as given (not under --out-dir)")
+    s.add_argument("--resume-to",
+                   help="write a resume file at the end of this run, under --out-dir")
     s.add_argument("--out-sample", default="sample.csv")
     s.add_argument("--out-stats", default="stats.json")
     s.add_argument("--out-growth", default="growth.csv")
@@ -505,7 +507,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 2
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        # Each output file (an --out* option or --resume-to, read under
+        # out_dir) gets its directory now, so a bad path fails before the work.
+        for name, value in vars(args).items():
+            if value and (name in ("out", "resume_to") or name.startswith("out_") and name != "out_dir"):
+                (out_dir / value).parent.mkdir(parents=True, exist_ok=True)
         seed = config.get("rng_seed", RUN_CONFIG_DEFAULTS["rng_seed"])
 
         if args.command == "generate":

@@ -317,6 +317,12 @@ class _IdColumn:
     def __init__(self) -> None:
         self.values: array | list[int] = array("q")
 
+    def append(self, value: int) -> None:
+        try:
+            self.values.append(value)
+        except OverflowError:  # a value past int64: keep Python ints from here on
+            self.values = [*self.values, value]
+
     def extend(self, ints: list[int]) -> None:
         if isinstance(self.values, list):
             self.values += ints

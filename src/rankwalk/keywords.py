@@ -5,16 +5,20 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .graph import (
     NodeId,
     _check_fields,
     _compact_json,
     _gc_paused,
+    _IdColumn,
     _integer_id,
     _open_text,
     _read_json_lines,
@@ -33,14 +37,47 @@ class Doc:
     text: str
 
 
-@dataclass
+class DocTable(Sequence[Doc]):
+    """A read-only snapshot of documents, stored as columns: what
+    read_docs_jsonl returns, at ~26 B per document besides its text.
+
+    Row i, in file order, is the text texts[i] of the author nodes[i] at time
+    ts[i]. nodes is an array('q') of the ids, or a list of Python ints once
+    an id passes 2**63 - 1; ts is a float64 array; texts is a list of str.
+    table[i] and iteration build a Doc per document; loops over every
+    document read the columns instead.
+    """
+
+    __slots__ = ("nodes", "ts", "texts", "_ts_view")
+
+    def __init__(self, nodes: array | list[NodeId], ts: np.ndarray, texts: list[str]) -> None:
+        self.nodes = nodes
+        self.ts = ts
+        self.ts.flags.writeable = False
+        self.texts = texts
+        self._ts_view = memoryview(ts)  # indexing it gives a Python float
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self.texts))[index]]
+        return Doc(self.nodes[index], self._ts_view[index], self.texts[index])
+
+    def __iter__(self) -> Iterator[Doc]:
+        return map(Doc, self.nodes, self._ts_view, self.texts)
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __repr__(self) -> str:
+        return f"DocTable(docs={len(self.texts)})"
+
+
+@dataclass(slots=True)
 class TokenDoc:
-    """A node's normalized tokens (lowercase, stop-words removed) plus the
-    timestamps of the source texts."""
+    """A node's normalized tokens: lowercase, stop-words removed."""
 
     node: NodeId
     tokens: list[str]
-    timestamps: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -95,6 +132,14 @@ def tokenize(text: str, stopwords: AbstractSet[str]) -> list[str]:
     return _tokens(text, stopwords, {}.setdefault)
 
 
+def _columns(docs: Sequence[Doc]) -> tuple[Sequence[NodeId], Sequence[float], Sequence[str]]:
+    """The node, ts and text columns of `docs`: a DocTable's own, read with no
+    Doc built, or lists made from any other sequence."""
+    if isinstance(docs, DocTable):
+        return docs.nodes, docs._ts_view, docs.texts
+    return [doc.node for doc in docs], [doc.ts for doc in docs], [doc.text for doc in docs]
+
+
 def window_docs(
     docs: Sequence[Doc],
     window_start: float | None = None,
@@ -103,9 +148,11 @@ def window_docs(
 ) -> list[Doc]:
     """Keep texts timestamped in [window_start, window_end], at most
     per_node_cap per node, newest first. A bound left out is the oldest or
-    newest text's timestamp; the start must not lie past the end."""
-    t0 = min((d.ts for d in docs), default=-math.inf) if window_start is None else window_start
-    t1 = max((d.ts for d in docs), default=math.inf) if window_end is None else window_end
+    newest text's timestamp; the start must not lie past the end. Only the
+    Docs kept are read from `docs`."""
+    nodes, times, _ = _columns(docs)
+    t0 = min(times, default=-math.inf) if window_start is None else window_start
+    t1 = max(times, default=math.inf) if window_end is None else window_end
     if not t0 <= t1:  # NaN fails too
         # name a bound the caller gave: the start when it alone was given or is NaN
         if window_start is not None and (window_end is None or math.isnan(window_start)):
@@ -113,35 +160,33 @@ def window_docs(
         raise ValueError(f"window_end must be >= {t0}, got {t1}")
     if per_node_cap is not None and not per_node_cap >= 1:
         raise ValueError(f"per_node_cap must be >= 1, got {per_node_cap}")
-    by_node: dict[NodeId, list[tuple[int, Doc]]] = {}
-    for index, doc in enumerate(docs):
-        if t0 <= doc.ts <= t1:
-            by_node.setdefault(doc.node, []).append((index, doc))
+    by_node: dict[NodeId, list[tuple[float, int]]] = {}
+    for index, (node, ts) in enumerate(zip(nodes, times)):
+        if t0 <= ts <= t1:
+            by_node.setdefault(node, []).append((-ts, index))
     kept: list[Doc] = []
     for node in sorted(by_node):
-        entries = by_node[node]
-        entries.sort(key=lambda item: (-item[1].ts, item[0]))
-        if per_node_cap is not None:
-            entries = entries[:per_node_cap]
-        kept.extend(doc for _, doc in entries)
+        entries = sorted(by_node[node])[:per_node_cap]
+        kept.extend(docs[index] for _, index in entries)
     return kept
 
 
 def tokenize_docs(
     docs: Sequence[Doc], stopwords: AbstractSet[str]
 ) -> list[TokenDoc]:
-    """Aggregate raw texts into one TokenDoc per node: the tokenize() tokens of
-    its texts in order, each distinct token one str object shared by all."""
+    """Aggregate raw texts into one TokenDoc per node, ascending by node: the
+    tokenize() tokens of its texts in order, each distinct token one str
+    object shared by all."""
+    nodes, _, texts = _columns(docs)
     share = {}.setdefault
-    by_node: dict[NodeId, TokenDoc] = {}
+    by_node: dict[NodeId, list[str]] = {}
     with _gc_paused():
-        for doc in docs:
-            token_doc = by_node.get(doc.node)
-            if token_doc is None:
-                token_doc = by_node[doc.node] = TokenDoc(doc.node, [], [])
-            token_doc.tokens.extend(_tokens(doc.text, stopwords, share))
-            token_doc.timestamps.append(doc.ts)
-    return [by_node[node] for node in sorted(by_node)]
+        for node, text in zip(nodes, texts):
+            tokens = by_node.get(node)
+            if tokens is None:
+                tokens = by_node[node] = []
+            tokens += _tokens(text, stopwords, share)
+        return [TokenDoc(node, by_node[node]) for node in sorted(by_node)]
 
 
 # extract_keywords' defaults, which keywords_by_community passes on
@@ -246,17 +291,32 @@ DOC_FIELDS: dict[str, tuple[type, ...]] = {"node": (int,), "ts": (int, float), "
 _DOC_SIGNATURES = frozenset(product(*DOC_FIELDS.values()))
 
 
-def read_docs_jsonl(path) -> list[Doc]:
-    docs = []
+def read_docs_jsonl(path) -> DocTable:
+    """The documents of a JSONL file, in file order, one object a line: an id
+    `node`, a finite number `ts` and a string `text`. A value of a JSON type
+    that DOC_FIELDS does not allow is rejected, not coerced, and so are a
+    negative id and a `ts` that is not finite or too large for a float; the
+    error is a ValueError("<path>: line N: <reason>")."""
+    nodes = _IdColumn()
+    ts_column = array("d")
+    texts: list[str] = []
+    add_ts, add_text = ts_column.append, texts.append
 
     def add(record: dict) -> None:
         node, ts, text = record["node"], record["ts"], record["text"]
         if (type(node), type(ts), type(text)) not in _DOC_SIGNATURES:
             _check_fields(record, DOC_FIELDS)
-        docs.append(Doc(_integer_id(node, "node"), float(ts), text))
+        if node < 0:
+            _integer_id(node, "node")
+        ts = float(ts)  # an int too large for a float raises OverflowError
+        if not math.isfinite(ts):
+            raise ValueError(f"field 'ts' must be finite, got {ts}")
+        nodes.append(node)
+        add_ts(ts)
+        add_text(text)
 
     _read_json_lines(path, add)
-    return docs
+    return DocTable(nodes.values, np.frombuffer(ts_column, np.float64), texts)
 
 
 def write_docs_jsonl(docs: Iterable[Doc], path) -> None:

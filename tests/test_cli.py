@@ -555,6 +555,12 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         (EVALUATE, "profiles.jsonl",
          profile_line(1, 2, last_status_at=math.inf) + profile_line(2, 1), 1,
          "profile 1: last_status_at must be finite, got inf"),
+        (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl",
+         '{"node": 1, "ts": NaN, "text": "a"}\n{"node": 2, "ts": 2.0, "text": "b"}\n', 1,
+         "field 'ts' must be finite, got nan"),
+        (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl",
+         '{"node": 1, "ts": 1.0, "text": "a"}\n{"node": 2, "ts": NaN, "text": "b"}\n', 2,
+         "field 'ts' must be finite, got nan"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -571,6 +577,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
         "resume-infinite-clock", "resume-nan-clock", "resume-negative-clock",
         "resume-clock-past-window-resolution", "profile-nan-time", "profile-infinite-time",
+        "docs-nan-time-first", "docs-nan-time-second",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -615,6 +622,44 @@ def test_keywords_setting_out_of_range_gives_exit_one(tmp_path, capsys, flag, va
     assert run(["--out-dir", str(tmp_path / "out"), *argv, flag, value]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out" / "keywords.csv").exists()
+
+
+def test_keywords_out_in_a_new_directory(tmp_path):
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in KEYWORDS]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, "--out", "sub/kw.csv"]) == 0
+    lines = (tmp_path / "out" / "sub" / "kw.csv").read_text().splitlines()
+    assert lines[0] == "community,rank,token,chi2,user_fraction"
+
+
+def test_resume_to_is_written_under_out_dir(tmp_path, monkeypatch):
+    """--resume-to names a file under --out-dir, whose directory is made as
+    --out-dir is; --resume-from is read as given."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(d=".") for arg in SAMPLE]
+    assert run(["--out-dir", "s1", *argv, "--resume-to", "s1/resume.jsonl"]) == 0
+    assert (tmp_path / "s1" / "sample.csv").is_file()
+    assert (tmp_path / "s1" / "s1" / "resume.jsonl").is_file()
+    assert run(
+        ["--out-dir", "s2", *argv, "--resume-from", "s1/s1/resume.jsonl", "--out-sample", "a/b.csv"]
+    ) == 0
+    assert (tmp_path / "s2" / "a" / "b.csv").is_file()
+
+
+def test_output_directory_that_cannot_be_made_fails_before_the_crawl(tmp_path, capsys):
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "taken").write_text("a file, not a directory\n")
+    argv = [arg.format(d=tmp_path) for arg in SAMPLE]
+    assert run(["--out-dir", str(out), *argv, "--resume-to", "taken/resume.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "taken") in err and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["taken"]
 
 
 KCORE = ["kcore", "--graph", "{d}/edges.csv", "--k", "1"]

@@ -1,15 +1,21 @@
 import json
 import random
 import re
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankwalk import graph as graph_module
+from rankwalk import keywords as keywords_module
 from rankwalk.keywords import (
     Doc,
+    DocTable,
     TokenDoc,
     chi_squared_keyness,
     extract_keywords,
@@ -213,7 +219,7 @@ class TestWindowDocs:
         kept = window_docs(self.docs(), 0.0, 100.0, per_node_cap=1)
         assert {(d.node, d.ts) for d in kept} == {(1, 30.0), (2, 45.0)}
 
-    def test_matches_brute_force_filter(self):
+    def test_matches_brute_force_filter(self, tmp_path):
         rng = random.Random(6)
         docs = [Doc(rng.randrange(5), rng.uniform(0, 100), f"t{i}") for i in range(200)]
         t0, t1 = 20.0, 80.0
@@ -224,6 +230,11 @@ class TestWindowDocs:
         assert sorted(kept, key=lambda d: (d.node, -d.ts, d.text)) == sorted(
             expected, key=lambda d: (d.node, -d.ts, d.text)
         )
+        # a DocTable read back from the same docs keeps the same Docs in the same order
+        write_docs_jsonl(docs, tmp_path / "docs.jsonl")
+        table = read_docs_jsonl(tmp_path / "docs.jsonl")
+        assert window_docs(table, t0, t1) == kept
+        assert window_docs(table, per_node_cap=3) == window_docs(docs, per_node_cap=3)
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError):
@@ -235,7 +246,13 @@ class TestDocsIO:
         docs = [Doc(1, 10.0, "hallo welt"), Doc(2, 20.0, "#zelda stream")]
         path = tmp_path / "docs.jsonl"
         write_docs_jsonl(docs, path)
-        assert read_docs_jsonl(path) == docs
+        table = read_docs_jsonl(path)
+        assert isinstance(table, DocTable)
+        assert list(table) == docs
+        assert [table[i] for i in range(len(table))] == docs
+        assert table[-1] == docs[-1] and table[::-1] == docs[::-1]
+        with pytest.raises(IndexError):
+            table[2]
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -259,12 +276,19 @@ class TestDocsIO:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_docs_jsonl(path)
 
+    @pytest.mark.parametrize("ts, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_non_finite_ts_rejected(self, tmp_path, ts, shown):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(f'{{"node": 1, "ts": 5, "text": "a"}}\n\n{{"node": 2, "ts": {ts}, "text": "b"}}\n')
+        message = f"{path}: line 3: field 'ts' must be finite, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_docs_jsonl(path)
+
     def test_tokenize_docs_groups_by_node(self):
         docs = [Doc(1, 10.0, "alpha beta"), Doc(1, 20.0, "gamma"), Doc(2, 5.0, "delta")]
         token_docs = tokenize_docs(docs, set())
         assert token_docs[0].node == 1
         assert token_docs[0].tokens == ["alpha", "beta", "gamma"]
-        assert token_docs[0].timestamps == [10.0, 20.0]
         assert token_docs[1].tokens == ["delta"]
 
 
@@ -273,7 +297,7 @@ def reference_tokenize_docs(docs, stopwords):
     str per token."""
     by_node = {}
     for doc in docs:
-        token_doc = by_node.setdefault(doc.node, TokenDoc(doc.node, [], []))
+        token_doc = by_node.setdefault(doc.node, TokenDoc(doc.node, []))
         cleaned = re.sub(r"https?://\S+", " ", doc.text.lower())
         for token in re.findall(r"[#@]?\w+", cleaned):
             if token in stopwords:
@@ -281,7 +305,6 @@ def reference_tokenize_docs(docs, stopwords):
             if token.isdigit() and len(token) < 4:
                 continue
             token_doc.tokens.append(token)
-        token_doc.timestamps.append(doc.ts)
     return [by_node[node] for node in sorted(by_node)]
 
 
@@ -324,3 +347,134 @@ def test_tokenize_docs_shares_one_str_per_distinct_token():
         for token in token_doc.tokens:
             assert first.setdefault(token, token) is token
     assert set(first) == {"zelda", "#zelda", "streams"}
+
+
+def reference_read_docs_jsonl(path):
+    """read_docs_jsonl as first written: a list of Doc objects. It accepted a
+    ts that is not finite, so the properties below draw none."""
+    docs = []
+
+    def add(record):
+        node, ts, text = record["node"], record["ts"], record["text"]
+        if (type(node), type(ts), type(text)) not in keywords_module._DOC_SIGNATURES:
+            graph_module._check_fields(record, keywords_module.DOC_FIELDS)
+        docs.append(Doc(graph_module._integer_id(node, "node"), float(ts), text))
+
+    graph_module._read_json_lines(path, add)
+    return docs
+
+
+DOC_IDS = st.one_of(st.integers(0, 30), st.integers(2**63 - 2, 2**63 + 2), st.integers(0, 2**64))
+DOC_TIMES = st.one_of(
+    st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False)
+)
+DOC_TEXTS = st.lists(st.sampled_from(TEXT_PARTS), max_size=12).map("".join)
+BLANK_LINES = st.sampled_from([b"\n", b"  \n", b"\t\r\n"])
+# A line no docs file may hold, each with the first fault the reader meets on it.
+BAD_DOC_LINES = st.sampled_from([
+    b'{"node": true, "ts": 1, "text": "a"}',
+    b'{"node": "1", "ts": 1, "text": "a"}',
+    b'{"node": 1.0, "ts": 1, "text": "a"}',
+    b'{"node": 1, "ts": "1", "text": "a"}',
+    b'{"node": 1, "ts": null, "text": "a"}',
+    b'{"node": 1, "ts": false, "text": "a"}',
+    b'{"node": 1, "ts": 1, "text": 5}',
+    b'{"node": -1, "ts": 1, "text": "a"}',
+    b'{"node": -1, "ts": 1e999999, "text": "a"}',
+    b'{"node": 1, "ts": 1' + b"0" * 400 + b', "text": "a"}',
+    b'{"node": 1, "ts": 1}',
+    b'{"node": 1, "ts": 1, "text": "\xff"}',
+    b'{"node": 1, "ts": 1, "text": "a"',
+    b'{"node": 1, "ts": 1, "text": "a"} 5',
+    b"[1]",
+    b"NaN",
+    b"\xef\xbb\xbf{}",
+])
+
+
+@st.composite
+def doc_lines(draw):
+    """The line of a valid document, its fields in any order, at times with
+    an extra field and JSON's \\u escapes for every non-ASCII character."""
+    record = {"node": draw(DOC_IDS), "ts": draw(DOC_TIMES), "text": draw(DOC_TEXTS)}
+    if draw(st.booleans()):
+        record["lang"] = "de"
+    items = draw(st.permutations(list(record.items())))
+    return json.dumps(dict(items), ensure_ascii=draw(st.booleans())).encode()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    lines=st.lists(st.one_of(doc_lines(), BLANK_LINES), max_size=8),
+    faults=st.one_of(st.just([]), st.lists(BAD_DOC_LINES, min_size=1, max_size=2)),
+    data=st.data(),
+)
+def test_read_docs_equals_list_reader(lines, faults, data, tmp_path_factory):
+    """On a valid file the table holds, row by row, the Docs the list reader
+    read; on a file with a fault it fails with the list reader's message."""
+    for fault in faults:
+        lines.insert(data.draw(st.integers(0, len(lines))), fault)
+    path = tmp_path_factory.mktemp("docs") / "docs.jsonl"
+    path.write_bytes(b"".join(line if line.endswith(b"\n") else line + b"\n" for line in lines))
+    try:
+        expected = reference_read_docs_jsonl(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_docs_jsonl(path)
+        assert str(got.value) == str(exc)
+        return
+    assert not faults
+    table = read_docs_jsonl(path)
+    # repr tells -0.0 from 0.0 and an int ts from a float one, where == would not
+    assert [repr(doc) for doc in table] == [repr(doc) for doc in expected]
+    assert [repr(table[i]) for i in range(-len(table), len(table))] == [
+        repr(doc) for doc in expected + expected
+    ]
+    assert list(table.nodes) == [doc.node for doc in expected]
+    assert table.ts.dtype == np.float64 and table.ts.tolist() == [doc.ts for doc in expected]
+    assert table.texts == [doc.text for doc in expected]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    docs=st.lists(
+        st.builds(
+            Doc,
+            st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64]),
+            DOC_TIMES.map(float),
+            DOC_TEXTS,
+        ),
+        max_size=8,
+    ),
+    stopwords=st.sets(st.sampled_from(STOPWORDS)),
+)
+def test_tokenize_docs_over_the_read_table_equals_reference(docs, stopwords, tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "docs.jsonl"
+    write_docs_jsonl(docs, path)
+    table = read_docs_jsonl(path)
+    assert tokenize_docs(table, stopwords) == reference_tokenize_docs(docs, stopwords)
+
+
+def test_read_docs_keeps_under_48_bytes_per_doc_beyond_its_text(tmp_path):
+    """The table keeps, besides each text, an 8 B id, an 8 B ts and an 8 B
+    list slot, ~26 B a doc with the columns' spare room. A list of Doc
+    objects kept ~116 B a doc besides its text: the Doc, a float, an int and
+    the list slot."""
+    rng = random.Random(7)
+    docs = [
+        Doc(node, rng.uniform(1.5e9, 1.6e9), f"#topic{node % 4} coffee news {rng.getrandbits(32)}")
+        for node in range(10_000)
+        for _ in range(2)
+    ]
+    path = tmp_path / "docs.jsonl"
+    write_docs_jsonl(docs, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read_docs_jsonl(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert list(table) == docs
+    texts = sum(sys.getsizeof(doc.text) for doc in table)
+    assert (retained - texts) / len(docs) < 48

@@ -14,6 +14,8 @@ from .graph import DirectedGraph, NodeId, ProfileTable, _csr_rows, _ProfileColum
 from .rng import substream
 
 SECONDS_PER_DAY = 86400.0
+OTHER_LANGUAGE = "en"  # build_profiles: the language of an account not given target_language
+NOW = 1_600_000_000.0  # build_profiles: the present, before which every account is created
 
 
 def _check_blocks(nodes: int, m: int, blocks: int) -> None:
@@ -143,10 +145,8 @@ def build_profiles(
     rng: random.Random,
     target_language: str = "de",
     language_fraction: float = 1.0,
-    other_language: str = "en",
     protected_fraction: float = 0.0,
     follower_noise: float = 0.0,
-    now: float = 1_600_000_000.0,
 ) -> ProfileTable:
     """Closed-world profiles for nodes 0..nodes-1: follower_count equals the
     ground-truth in-degree (optionally perturbed by a multiplicative noise
@@ -174,12 +174,12 @@ def build_profiles(
         followers = in_degree[node]
         if follower_noise > 0.0:
             followers = max(0, round(followers * (1.0 + rng.uniform(-follower_noise, follower_noise))))
-        language = target_language if rng.random() < language_fraction else other_language
-        created_at = now - rng.uniform(30.0, 3650.0) * SECONDS_PER_DAY
+        language = target_language if rng.random() < language_fraction else OTHER_LANGUAGE
+        created_at = NOW - rng.uniform(30.0, 3650.0) * SECONDS_PER_DAY
         status_count = rng.randint(0, 100 + 10 * in_degree[node])
         last_status_at = None
         if status_count > 0:
-            last_status_at = rng.uniform(created_at, now)
+            last_status_at = rng.uniform(created_at, NOW)
         columns.add(
             node, followers, friends[offsets[node] : offsets[node + 1]], language,
             rng.random() < protected_fraction, created_at, status_count, last_status_at,

@@ -9,6 +9,7 @@ import math
 import operator
 import re
 import struct
+import warnings
 from array import array
 from bisect import bisect_left
 from collections.abc import ItemsView, Set, ValuesView
@@ -830,15 +831,6 @@ def write_edge_list(graph: DirectedGraph, path) -> None:
             fh.write(f"{source},{target}\n")
 
 
-# The first row of a newline-terminated block that is not exactly as
-# write_edge_list writes it: the start of a line that is not two ids joined by
-# a comma, other than the end of the block. Ids are capped at 18 digits because
-# np.fromstring clamps an id past 2**63 - 1 without error; longer ids take the
-# per-line path.
-_NON_CANONICAL_ROW = re.compile(r"(?m)^(?![0-9]{1,18},[0-9]{1,18}$)(?!\Z)")
-_BLOCK_CHARS = 1 << 20
-
-
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """Pause the cyclic collector while a reader or the walk allocates millions
@@ -856,38 +848,36 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _read_canonical_rows(path, fh) -> np.ndarray | None:
-    """Flat [source, target, ...] int64 ids of a canonical body, or None if any row is not canonical.
+def _read_bulk_rows(path, header: str, labels: tuple[str, ...] = ()) -> np.ndarray | None:
+    """An edge file's rows as numpy's reader reads them, int64: [source,
+    target] or, with `labels`, [source, target, index of the label].
 
-    Reads ~1 MB blocks cut at the last newline, searches each for its first
-    non-canonical row and parses it with one numpy call. So the transient
-    memory is one block's text, with its comma-joined copy, plus the ids: each
-    block's array and, at the end, their concatenation. The check keeps
-    nothing per row. It searches for a bad row because matching the whole
-    block against a repeated row group makes sre keep backtracking state for
-    every repetition, ~180 B a row (~20 MB a block), which stays resident
-    after the read. A self-loop raises with its line number, as the per-line
-    path would.
+    None where _read_rows must read the file: a header that, stripped, is not
+    `header`, a body that numpy refuses or reads only with a warning (an empty
+    body's is ignored), or one that fails a check: the column count, no id
+    past 2**63 - 1, no self-loop. Ids are read as uint64, which refuses '-',
+    where int64 reads '-0', which parse_id refuses, as 0; viewed as int64, an
+    id past 2**63 - 1 is negative.
     """
-    blocks: list[np.ndarray] = []
-    rows = 0
-    tail = ""
-    while chunk := fh.read(_BLOCK_CHARS):
-        block = tail + chunk
-        cut = block.rfind("\n") + 1
-        block, tail = block[:cut], block[cut:]
-        if _NON_CANONICAL_ROW.search(block):
-            return None
-        values = np.fromstring(block.replace("\n", ","), dtype=np.int64, sep=",")
-        loops = np.flatnonzero(values[0::2] == values[1::2])
-        if loops.size:
-            row = int(loops[0])
-            source = int(values[2 * row])
-            lineno = rows + row + 2  # the header is line 1
-            raise ValueError(f"{path}: line {lineno}: self-loop {source},{source}")
-        blocks.append(values)
-        rows += len(values) // 2
-    return None if tail else np.concatenate(blocks or [np.empty(0, dtype=np.int64)])
+    converters = None
+    if labels:
+        converters = {2: {label: code for code, label in enumerate(labels)}.__getitem__}
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            if fh.readline().strip() != header:
+                return None
+            warnings.simplefilter("error")  # older releases read '1.0' as an int, with a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(
+                fh, np.uint64, delimiter=",", comments=None, ndmin=2, converters=converters
+            ).view(np.int64)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    fields = 3 if labels else 2
+    if not rows.size:  # numpy gives an empty body one column
+        return rows.reshape(0, fields)
+    ok = rows.shape[1] == fields and rows.min() >= 0
+    return rows if ok and not np.any(rows[:, 0] == rows[:, 1]) else None
 
 
 def _read_rows(
@@ -970,7 +960,13 @@ def _read_labelled_edges(
     """The graph of a labelled edge file (see _read_rows), and the index in
     `labels` of each edge's label, uint8 and aligned with the graph's
     out_targets. An edge listed twice raises with the line of its repeat."""
-    ends, codes = _read_rows(path, header, labels, malformed)
+    rows = _read_bulk_rows(path, header, labels)
+    if rows is None:
+        ends, codes = _read_rows(path, header, labels, malformed)
+        codes = np.frombuffer(codes, np.uint8)
+    else:
+        ends, codes = rows[:, :2].ravel(), rows[:, 2].astype(np.uint8)
+        del rows  # both are copies: free its 24 B a row before the graph is built
     unique = _distinct(ends)
     sources, targets = _number_ends(unique, ends)
     graph = DirectedGraph(unique.tolist(), sources, targets)
@@ -978,7 +974,7 @@ def _read_labelled_edges(
         _raise_repeat(path, header, ends.tolist())
     # with no repeat, the rows in order of their edge codes are the graph's edges
     order = np.argsort(sources * len(unique) + targets)
-    return graph, np.frombuffer(codes, np.uint8)[order]
+    return graph, codes[order]
 
 
 def read_edge_list(path) -> DirectedGraph:
@@ -986,26 +982,18 @@ def read_edge_list(path) -> DirectedGraph:
     with a logged count; malformed lines and self-loops raise with the offending
     line number.
 
-    A body in the form write_edge_list writes (rows of two non-negative ids of
-    at most 18 digits, every row ending in a newline) is parsed in bulk, one
-    numpy call per ~1 MB block; reading in text mode turns CRLF into LF first.
-    Any other file (a padded header, blank lines, padding, '+' signs, ids of
-    19 or more digits, a missing final newline or a malformed row) is parsed
-    line by line with parse_id, and that path raises every diagnostic except
-    a self-loop in a canonical body.
-    The bulk path holds one block's text at a time plus the parsed ids. Its
-    row check searches each block for a bad row, keeping nothing per row,
-    where a whole-block match would keep ~180 B of sre backtracking state a
-    row. The per-line path keeps the parsed ids in one column, 16 B a row.
-    Both paths give the same graph: nodes and each node's row in ascending id
-    order, whatever the order of the file's rows.
+    numpy's reader reads the body first (_read_bulk_rows): rows of two
+    non-negative ids below 2**63, padded or '+'-signed, with blank lines, CR or
+    CRLF line ends and no final newline. Any file it refuses or that fails its
+    checks is read again line by line with parse_id (_read_rows), which names
+    the first bad line and is the one reader of ids past 2**63 - 1; it keeps
+    the parsed ids in one column, 16 B a row. Both give the same graph: nodes
+    and each node's row in ascending id order, whatever the order of the
+    file's rows.
     """
     with _gc_paused():
-        with _open_text(path) as fh:
-            canonical = fh.readline() == "source,target\n"
-            values = _read_canonical_rows(path, fh) if canonical else None
-        if values is None:
-            values, _ = _read_rows(path)
+        rows = _read_bulk_rows(path, "source,target")
+        values = _read_rows(path)[0] if rows is None else rows.ravel()
         graph = _graph_from_array(values)
     duplicates = len(values) // 2 - graph.num_edges()
     if duplicates:

@@ -145,12 +145,12 @@ def window_docs(
     window_start: float | None = None,
     window_end: float | None = None,
     per_node_cap: int | None = None,
-) -> list[Doc]:
+) -> DocTable:
     """Keep texts timestamped in [window_start, window_end], at most
-    per_node_cap per node, newest first. A bound left out is the oldest or
-    newest text's timestamp; the start must not lie past the end. Only the
-    Docs kept are read from `docs`."""
-    nodes, times, _ = _columns(docs)
+    per_node_cap per node, newest first: a DocTable of the kept rows,
+    ascending by node. A bound left out is the oldest or newest text's
+    timestamp; the start must not lie past the end. No Doc is built."""
+    nodes, times, texts = _columns(docs)
     t0 = min(times, default=-math.inf) if window_start is None else window_start
     t1 = max(times, default=math.inf) if window_end is None else window_end
     if not t0 <= t1:  # NaN fails too
@@ -164,11 +164,13 @@ def window_docs(
     for index, (node, ts) in enumerate(zip(nodes, times)):
         if t0 <= ts <= t1:
             by_node.setdefault(node, []).append((-ts, index))
-    kept: list[Doc] = []
-    for node in sorted(by_node):
-        entries = sorted(by_node[node])[:per_node_cap]
-        kept.extend(docs[index] for _, index in entries)
-    return kept
+    kept = [
+        index for node in sorted(by_node) for _, index in sorted(by_node[node])[:per_node_cap]
+    ]
+    kept_nodes = _IdColumn()
+    kept_nodes.extend([nodes[index] for index in kept])
+    kept_times = np.fromiter(map(times.__getitem__, kept), np.float64, len(kept))
+    return DocTable(kept_nodes.values, kept_times, [texts[index] for index in kept])
 
 
 def tokenize_docs(

@@ -270,10 +270,12 @@ class CrawlCache:
 
     `readers` binds, once per cache, what select_target reads on each call:
     the table's id -> row lookup, looked_up, the no-row index, and the
-    follower_count and language-code columns.
+    follower_count and language-code columns; page reads friend_offsets.
+    All three are memoryviews of the table's columns: indexing one gives a
+    Python scalar in about half the time ndarray.item takes.
     """
 
-    __slots__ = ("table", "page_length", "looked_up", "unknown", "readers")
+    __slots__ = ("table", "page_length", "looked_up", "unknown", "readers", "friend_offsets")
 
     def __init__(self, table: ProfileTable) -> None:
         n = len(table.ids)
@@ -281,13 +283,16 @@ class CrawlCache:
         self.page_length = array("q", [-1]) * n
         self.looked_up = bytearray(n + 1)
         self.unknown: set[NodeId] = set()
-        follower_count, language_codes = table._views[:2]
-        self.readers = (table.index.get, self.looked_up, n, follower_count, language_codes)
+        self.readers = (
+            table.index.get, self.looked_up, n,
+            memoryview(table.follower_count), memoryview(table.language_codes),
+        )
+        self.friend_offsets = memoryview(table.friend_offsets)
 
     def page(self, row: int) -> list[NodeId]:
         """The page served to row's account, read back from the table: the
         first page_length[row] ids of its friend row, one slice of friend_ids."""
-        start = self.table._views[-1][row]
+        start = self.friend_offsets[row]
         return self.table.friend_ids[start : start + self.page_length[row]].tolist()
 
     def not_looked_up(self, page: Sequence[NodeId]) -> list[NodeId]:
@@ -602,10 +607,10 @@ class _ProvenanceValues(ValuesView):
 def read_sample_csv(path) -> tuple[DirectedGraph, SampleProvenance]:
     """The sample graph, nodes and each row in ascending id order whatever the
     file's order, and each edge's provenance as a SampleProvenance. Rows are
-    read line by line (blank lines and padding allowed, as in any edge list)
-    into one column of ids and one provenance byte a row, with no object per
-    row. An edge listed twice is rejected, with the line of its repeat:
-    write_sample_csv writes each edge once."""
+    read as read_edge_list reads them, into one column of ids and one
+    provenance byte a row, with no object per row. An edge listed twice is
+    rejected, with the line of its repeat: write_sample_csv writes each edge
+    once."""
     graph, codes = _read_labelled_edges(
         path, "source,target,provenance", PROVENANCES, "malformed sample row {!r}"
     )

@@ -956,6 +956,20 @@ def test_pagerank_non_convergence_gives_one_warning_line(tmp_path, capsys, caplo
     assert not caplog.records
 
 
+@pytest.mark.parametrize("header", ["source,target", "source,target,provenance"])
+@pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n", " \n"])
+def test_no_rows_gives_an_empty_core_and_the_pagerank_error(tmp_path, capsys, header, body):
+    """A header-only or empty-body file is an empty graph, read with no
+    warning: kcore writes an empty core and pagerank ends in its one line."""
+    (tmp_path / "edges.csv").write_bytes((header + body).encode())
+    argv = [arg.format(d=tmp_path) for arg in ["--out-dir", "{d}", *KCORE]]
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("1-core: 0 nodes, 0 edges\n", "")
+    assert (tmp_path / "kcore.csv").read_text() == "source,target\n"
+    assert run([arg.format(d=tmp_path) for arg in ["--out-dir", "{d}", *PAGERANK]]) == 1
+    assert capsys.readouterr() == ("", "error: pagerank requires a non-empty graph\n")
+
+
 def test_unreachable_stop_ends_exhausted(tmp_path):
     """The two-account world holds 2 edges, so a 3-edge stop is never reached."""
     for name, text in GOOD_FILES.items():

@@ -233,8 +233,22 @@ class TestWindowDocs:
         # a DocTable read back from the same docs keeps the same Docs in the same order
         write_docs_jsonl(docs, tmp_path / "docs.jsonl")
         table = read_docs_jsonl(tmp_path / "docs.jsonl")
-        assert window_docs(table, t0, t1) == kept
-        assert window_docs(table, per_node_cap=3) == window_docs(docs, per_node_cap=3)
+        assert list(window_docs(table, t0, t1)) == list(kept)
+        assert list(window_docs(table, per_node_cap=3)) == list(window_docs(docs, per_node_cap=3))
+
+    def test_keeps_a_table_and_builds_no_doc(self, tmp_path, monkeypatch):
+        """The windowed corpus is a DocTable of the kept rows, newest first per
+        node, and tokenize_docs reads its columns: neither builds a Doc."""
+        write_docs_jsonl(self.docs(), tmp_path / "docs.jsonl")
+        for docs in (read_docs_jsonl(tmp_path / "docs.jsonl"), self.docs()):
+            with monkeypatch.context() as mp:
+                mp.setattr(keywords_module, "Doc", None)  # building a Doc would raise
+                kept = window_docs(docs, 0.0, 40.0, per_node_cap=2)
+                token_docs = tokenize_docs(kept, set())
+            assert isinstance(kept, DocTable)
+            assert list(kept.nodes) == [1, 1, 2] and kept.texts == ["c", "b", "d"]
+            assert kept.ts.tolist() == [30.0, 20.0, 15.0] and not kept.ts.flags.writeable
+            assert token_docs == [TokenDoc(1, ["c", "b"]), TokenDoc(2, ["d"])]
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError):

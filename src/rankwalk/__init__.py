@@ -26,21 +26,20 @@ from .oracle import (
 )
 from .reference import RankDegreeResult, rank_degree
 from .sampler import (
-    CrawlCache,
+    Crawl,
     RunStats,
     SampleGraph,
     SamplerConfig,
     SeedPool,
     run_sample,
     select_target,
-    walker_step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApiBudget",
-    "CrawlCache",
+    "Crawl",
     "DirectedGraph",
     "FriendsPage",
     "NotFoundError",
@@ -65,7 +64,6 @@ __all__ = [
     "read_profiles",
     "run_sample",
     "select_target",
-    "walker_step",
     "write_edge_list",
     "write_profiles",
 ]

@@ -269,18 +269,16 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     )
     as_of = args.as_of
     if as_of is None:
-        known = profiles.last_status_at[profiles.last_status_known]
+        known = profiles.last_status_at[~np.isnan(profiles.last_status_at)]
         as_of = np.concatenate([profiles.created_at, known]).max().item()
     activities = [
         evaluation_mod.activity(profiles[n], as_of)
         for n in sorted(influencer)
         if n in profiles and not profiles[n].protected
     ]
-    report = evaluation_mod.coverage_report(
-        test, influencer, baseline, **_given(args, evaluation_mod.coverage_report)
-    )
-    evaluation_mod.write_coverage_report_csv(report, out_dir / args.out_report)
     min_friends = 1 if args.include_all else 2
+    report = evaluation_mod.coverage_report(test, influencer, baseline, min_friends=min_friends)
+    evaluation_mod.write_coverage_report_csv(report, out_dir / args.out_report)
     evaluation_mod.write_rank_csv(
         evaluation_mod.rank_coverage(test, influencer, min_friends=min_friends),
         out_dir / args.out_rank_coverage,

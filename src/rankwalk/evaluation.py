@@ -150,18 +150,17 @@ def coverage_report(
     test: Mapping[NodeId, AbstractSet[NodeId]],
     influencer: AbstractSet[NodeId],
     baseline: AbstractSet[NodeId],
-    include_all: bool = False,
+    min_friends: int = 2,
 ) -> CoverageReport:
     """Coverage statistics of the influencer sample versus a size-matched baseline.
 
-    Test accounts with fewer than 2 friends are excluded; include_all drops
-    that rule down to >= 1 friend (0-friend accounts have no defined coverage).
+    Test accounts with fewer than min_friends friends are excluded; 1 keeps
+    every account with a friend (0-friend accounts have no defined coverage).
     """
     if len(influencer) != len(baseline):
         raise ValueError(
             f"baseline size {len(baseline)} must equal influencer size {len(influencer)}"
         )
-    min_friends = 1 if include_all else 2
     kept = {a: friends for a, friends in test.items() if len(friends) >= min_friends}
     if not kept:
         raise ValueError("no test accounts left after exclusions")

@@ -188,8 +188,8 @@ class ProfileRecord:
     list of ints), copied from the table's columns.
 
     friends_recent_first is read from the table's friend rows on each access,
-    so a record holds no friend list. A crawl keeps no records: its profile
-    cache is a CrawlCache, which reads the table's columns by row.
+    so a record holds no friend list. A crawl keeps no records: its Crawl
+    reads the table's columns by row.
     Two records are equal when their eight values are.
     """
 
@@ -200,14 +200,15 @@ class ProfileRecord:
 
     def __init__(self, table: ProfileTable, row: int) -> None:
         (follower_count, language_codes, protected, created_at, status_count, last_status_at,
-         last_status_known, _) = table._views
+         _) = table._views
         self.node = table.ids[row]
         self.follower_count = follower_count[row]
         self.language = table.languages[language_codes[row]]
         self.protected = protected[row]
         self.created_at = created_at[row]
         self.status_count = status_count[row]
-        self.last_status_at = last_status_at[row] if last_status_known[row] else None
+        last = last_status_at[row]
+        self.last_status_at = None if math.isnan(last) else last
         self._table = table
         self._row = row
 
@@ -241,8 +242,8 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
     ids. The scalar fields are numpy columns by
     row: follower_count and status_count int64, created_at float64, protected
     bool, language_codes small ints into the list languages of the distinct
-    language strings, and last_status_at float64 wherever last_status_known
-    is set (elsewhere the account's last_status_at is None). The friend lists
+    language strings, and last_status_at float64, NaN where the account's
+    last_status_at is None (a given one is always finite). The friend lists
     are one set of compressed sparse rows in recency order: friends(i), that
     is friend_ids[friend_offsets[i]:friend_offsets[i + 1]], holds row i's
     friend ids, int64, or Python ints in an object array once any id passes
@@ -256,8 +257,8 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
 
     __slots__ = (
         "ids", "index", "follower_count", "languages", "language_codes", "protected",
-        "created_at", "status_count", "last_status_at", "last_status_known",
-        "friend_offsets", "friend_ids", "_views",
+        "created_at", "status_count", "last_status_at", "friend_offsets", "friend_ids",
+        "_views",
     )
 
     @classmethod
@@ -299,11 +300,11 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
 
 # The scalar fields of one added profile, packed by _ProfileColumns.add into
 # one row of its scalars buffer, and the numpy type that reads the rows back.
-_pack_scalars = struct.Struct("<qqqqdd??").pack
+_pack_scalars = struct.Struct("<qqqqdd?").pack
 _SCALAR_ROW = np.dtype([
     ("follower_count", "<i8"), ("status_count", "<i8"), ("language_code", "<i8"),
     ("friend_count", "<i8"), ("created_at", "<f8"), ("last_status_at", "<f8"),
-    ("protected", "?"), ("last_status_known", "?"),
+    ("protected", "?"),
 ])
 
 
@@ -365,10 +366,9 @@ class _ProfileColumns:
             raise ValueError(f"duplicate node id {node}")
         _check_profile(node, follower_count, friends, created_at, status_count, last_status_at)
         code = self.languages.setdefault(language, len(self.languages))
-        known = last_status_at is not None
         self.scalars += _pack_scalars(
             follower_count, status_count, code, len(friends), created_at,
-            last_status_at if known else math.nan, protected, known,
+            math.nan if last_status_at is None else last_status_at, protected,
         )
         self.friend_ids.extend(friends)
 
@@ -418,10 +418,7 @@ class _ProfileColumns:
         table = ProfileTable.__new__(ProfileTable)
         table.ids = ids
         table.index = rows
-        for name in (
-            "follower_count", "status_count", "created_at", "last_status_at", "protected",
-            "last_status_known",
-        ):
+        for name in ("follower_count", "status_count", "created_at", "last_status_at", "protected"):
             setattr(table, name, scalars[name].copy())
         table.languages = list(self.languages)
         code_type = np.min_scalar_type(max(len(self.languages) - 1, 0))
@@ -433,7 +430,7 @@ class _ProfileColumns:
         # half the time ndarray.item takes.
         table._views = tuple(memoryview(getattr(table, name)) for name in (
             "follower_count", "language_codes", "protected", "created_at", "status_count",
-            "last_status_at", "last_status_known", "friend_offsets",
+            "last_status_at", "friend_offsets",
         ))
         return table
 
@@ -1011,11 +1008,11 @@ def write_profiles(profiles: ProfileTable, path) -> None:
         profiles.ids, profiles.follower_count.tolist(), offsets, offsets[1:],
         profiles.language_codes.tolist(), profiles.protected.tolist(),
         profiles.created_at.tolist(), profiles.status_count.tolist(),
-        profiles.last_status_at.tolist(), profiles.last_status_known.tolist(),
+        profiles.last_status_at.tolist(),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for (node, follower_count, start, end, code, protected, created_at, status_count,
-             last_status_at, known) in rows:
+             last_status_at) in rows:
             record = {
                 "node": node,
                 "follower_count": follower_count,
@@ -1024,7 +1021,7 @@ def write_profiles(profiles: ProfileTable, path) -> None:
                 "protected": protected,
                 "created_at": created_at,
                 "status_count": status_count,
-                "last_status_at": last_status_at if known else None,
+                "last_status_at": None if math.isnan(last_status_at) else last_status_at,
             }
             fh.write(_compact_json(record) + "\n")
 

@@ -11,9 +11,11 @@ simulated seconds, growth times and call log count only charged calls.
 What a run keeps after it returns: the sample, its RunStats and the oracle's
 call log. The growth curve (a GrowthCurve) and the call log (a CallLog) hold
 one record per point or charged call as typed columns, with no Python object
-per record. While it runs, its page and profile caches are a CrawlCache:
-per-row columns over the oracle's profile table, 9 B a row, with no Python
-object per page or profile, freed when run_sample returns.
+per record. While it runs, its whole state is one Crawl, freed when
+run_sample returns: the sample, the walkers and their cursor, the exhaustion
+state, the counters, and the page and profile caches as per-row columns over
+the oracle's profile table, 9 B a row, with no Python object per page or
+profile. run_sample is a loop over Crawl.step().
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,11 +99,11 @@ class SeedPool:
     def __init__(self, nodes: Sequence[NodeId], rng: random.Random | int) -> None:
         if not nodes:
             raise ValueError("seed pool must not be empty")
-        self._nodes = list(nodes)
+        self.nodes = list(nodes)
         self._rng = rng if isinstance(rng, random.Random) else random.Random(rng)
 
     def draw(self) -> NodeId:
-        return self._nodes[self._rng.randrange(len(self._nodes))]
+        return self.nodes[self._rng.randrange(len(self.nodes))]
 
     def getstate(self):
         return self._rng.getstate()
@@ -255,75 +257,18 @@ class RunStats:
         }
 
 
-class CrawlCache:
-    """The friends pages and profile lookups a run was served, kept as
-    per-row columns of the ProfileTable the oracle serves, so the crawl keeps
-    no Python object per page or profile.
-
-    page_length[row] is the length of the page that row's account was served
-    by its one charged get_friends call, -1 before that call; the page is the
-    first page_length[row] ids of the table's friend row, which a revisit
-    reads back. looked_up[row] is 1 once the account's profile lookup was
-    charged; it has one more byte than the table has rows, which stays 0 and
-    stands for an id with no row. `unknown` holds the looked-up ids that have
-    no row, which the lookup dropped. 9 B a row in all.
-
-    `readers` binds, once per cache, what select_target reads on each call:
-    the table's id -> row lookup, looked_up, the no-row index, and the
-    follower_count and language-code columns; page reads friend_offsets.
-    All three are memoryviews of the table's columns: indexing one gives a
-    Python scalar in about half the time ndarray.item takes.
-    """
-
-    __slots__ = ("table", "page_length", "looked_up", "unknown", "readers", "friend_offsets")
-
-    def __init__(self, table: ProfileTable) -> None:
-        n = len(table.ids)
-        self.table = table
-        self.page_length = array("q", [-1]) * n
-        self.looked_up = bytearray(n + 1)
-        self.unknown: set[NodeId] = set()
-        self.readers = (
-            table.index.get, self.looked_up, n,
-            memoryview(table.follower_count), memoryview(table.language_codes),
-        )
-        self.friend_offsets = memoryview(table.friend_offsets)
-
-    def page(self, row: int) -> list[NodeId]:
-        """The page served to row's account, read back from the table: the
-        first page_length[row] ids of its friend row, one slice of friend_ids."""
-        start = self.friend_offsets[row]
-        return self.table.friend_ids[start : start + self.page_length[row]].tolist()
-
-    def not_looked_up(self, page: Sequence[NodeId]) -> list[NodeId]:
-        """The ids on `page` whose profile lookup has not been charged, in page order."""
-        get, looked_up, unknown = self.table.index.get, self.looked_up, self.unknown
-        no_row = len(self.table.ids)
-        return [u for u in page if not looked_up[get(u, no_row)] and u not in unknown]
-
-    def add_lookups(self, nodes: Sequence[NodeId]) -> None:
-        """Record that the profile lookup of `nodes` was charged."""
-        get, looked_up = self.table.index.get, self.looked_up
-        for u in nodes:
-            row = get(u)
-            if row is None:
-                self.unknown.add(u)
-            else:
-                looked_up[row] = 1
-
-
 def select_target(
     w: NodeId,
     friends_page: Sequence[NodeId],
-    cache: CrawlCache,
+    crawl: Crawl,
     sample: SampleGraph,
     config: SamplerConfig,
 ) -> NodeId | None:
     """Pick the friend with the highest follower count over an unburned edge,
-    language-matching when the filter is on; ties broken by lowest id.
+    language-matching when the crawl's filter is on; ties broken by lowest id.
     Returns None when no friend qualifies (the jump signal).
 
-    Only friends whose profile lookup the cache records as charged, and that
+    Only friends whose profile lookup the crawl records as charged, and that
     have a row, are candidates; their follower count and language code are
     read from the table's columns by row, so no ProfileRecord is built.
 
@@ -331,12 +276,7 @@ def select_target(
     original_rank_degree its symmetric edges too, where the score also loses
     the friend's in-degree in the sample.
     """
-    get, looked_up, no_row, follower_count, language_codes = cache.readers
-    language = None
-    if config.language_filter_enabled:
-        languages = cache.table.languages
-        target = config.target_language
-        language = languages.index(target) if target in languages else -1
+    get, looked_up, no_row, follower_count, language_codes, language = crawl.readers
     best: NodeId | None = None
     best_key: tuple[int, NodeId] | None = None
     original = config.original_rank_degree
@@ -360,62 +300,6 @@ def select_target(
     return best
 
 
-def walker_step(
-    w: NodeId,
-    oracle: SimulatedOracle,
-    sample: SampleGraph,
-    seed_pool: SeedPool,
-    config: SamplerConfig,
-    cache: CrawlCache,
-) -> NodeId:
-    """One step of the walker standing on w: read w's friends page, walk the
-    best eligible edge into the sample, or jump to a fresh seed when none
-    qualifies. Returns where the walker stands next.
-
-    `cache` is a CrawlCache over oracle.profiles. The page is read back from
-    the table when the cache holds its length, else it comes from a charged
-    get_friends call whose length is recorded. A protected or unknown account
-    is never cached: each visit asks again, uncharged, and jumps. When a page
-    is served, its friends whose profile lookup the cache does not record are
-    looked up together and recorded, a friend the lookup drops among them, so
-    no friend is asked for twice, a revisit asks for none, and select_target
-    skips a friend with no profile.
-
-    A walk adds one edge to the sample's walked edges, a jump none.
-    select_target skips burned edges, so a pick that select_target's burn rule
-    excludes means an edge would be walked twice and aborts the run.
-    """
-    v = None
-    row = cache.table.index.get(w)
-    if row is not None and cache.page_length[row] >= 0:
-        page = cache.page(row)  # its friends were looked up when it was served
-    else:
-        try:
-            page = oracle.get_friends(w).friends
-        except (NotFoundError, ProtectedError):
-            page = None
-        else:
-            cache.page_length[row] = len(page)
-            missing = cache.not_looked_up(page)
-            if missing:
-                oracle.get_profiles(missing)
-                cache.add_lookups(missing)
-    if page is not None:
-        v = select_target(w, page, cache, sample, config)
-    if v is None:
-        seed = seed_pool.draw()
-        sample.add_seed(seed)
-        return seed
-    original = config.original_rank_degree
-    if (w, v) in sample._walked or (original and (w, v) in sample._symmetric):
-        raise RuntimeError(f"edge {(w, v)} selected after it was burned")
-
-    sample.add_edge(w, v, WALKED)
-    if (config.add_symmetric_edge or original) and oracle.follows(v, w):
-        sample.add_edge(v, w, SYMMETRIC)
-    return v
-
-
 @dataclass
 class RunState:
     """Serializable mid-run snapshot for interrupted-run continuation: each
@@ -427,6 +311,199 @@ class RunState:
     edges: list[tuple[NodeId, NodeId, str]]
     seed_nodes: list[NodeId]
     walkers: list[NodeId]
+
+
+class Crawl:
+    """The whole state of one run: the sample, the walkers and the cursor
+    (walkers[i] is the account walker i stands on, and walkers[cursor] steps
+    next), the seed pool, the exhaustion state, the caches, the counters at
+    the start and the RunStats. run_sample calls step() until stop_reason()
+    names a reason, then finish().
+
+    A node a step jumped from yields a jump on every later visit (pages and
+    profiles are fixed, the sample only grows). not_jumped holds the pool ids
+    no step has jumped from yet, and jump_run counts the steps since the last
+    walk.
+
+    The caches are per-row columns of the oracle's ProfileTable, 9 B a row,
+    with no Python object per page or profile. page_length[row] is the length
+    of the page that row's account was served by its one charged get_friends
+    call, -1 before it; a revisit reads back that prefix of the table's
+    friend row. looked_up[row] is 1 once the account's profile lookup was
+    charged; its extra last byte stays 0 and stands for an id with no row.
+    `unknown` holds the looked-up ids that have no row.
+
+    `readers` binds once what select_target reads on each call: the table's
+    id -> row lookup, looked_up, the no-row index, the follower_count and
+    language-code columns as memoryviews (an item is a Python scalar in about
+    half the time ndarray.item takes), and the target language's code, None
+    with the filter off and -1 when no account has it.
+
+    A resumed run adds the saved sample edges with their provenance, so the
+    burned edges carry over, and starts at the first saved walker. The caches
+    are not in the resume file, so it fetches its pages and profiles again.
+    """
+
+    def __init__(
+        self,
+        config: SamplerConfig,
+        oracle: SimulatedOracle,
+        seed_pool: SeedPool,
+        resume: RunState | None = None,
+    ) -> None:
+        self.config, self.oracle, self.seed_pool = config, oracle, seed_pool
+        self.sample = sample = SampleGraph()
+        if resume is not None:
+            oracle.clock.advance_to(resume.clock_now)
+            seed_pool.setstate(resume.seed_pool_state)
+            for node in resume.seed_nodes:
+                sample.add_seed(node)
+            for source, target, provenance in resume.edges:
+                sample.add_edge(source, target, provenance)
+            self.walkers = list(resume.walkers)
+        else:
+            self.walkers = [seed_pool.draw() for _ in range(config.walker_count)]
+            for seed in self.walkers:
+                sample.add_seed(seed)
+        self.cursor = 0
+        self.not_jumped = set(seed_pool.nodes)
+        self.jump_run = 0
+
+        self.table = table = oracle.profiles
+        n = len(table.ids)
+        self.page_length = array("q", [-1]) * n
+        self.looked_up = bytearray(n + 1)
+        self.unknown: set[NodeId] = set()
+        language = None
+        if config.language_filter_enabled:
+            languages, target = table.languages, config.target_language
+            language = languages.index(target) if target in languages else -1
+        self.readers = (
+            table.index.get, self.looked_up, n,
+            memoryview(table.follower_count), memoryview(table.language_codes), language,
+        )
+        self.friend_offsets = memoryview(table.friend_offsets)
+
+        self.stats = RunStats()
+        self.friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
+        self.profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
+        self.clock_start = oracle.clock.now
+        self.walks_start = len(sample._walked)
+        self.stats.growth.append(0.0, sample.num_edges(), sample.num_nodes())
+
+    def add_lookups(self, nodes: Iterable[NodeId]) -> None:
+        """Record that the profile lookup of `nodes` was charged."""
+        get, looked_up = self.table.index.get, self.looked_up
+        for u in nodes:
+            row = get(u)
+            if row is None:
+                self.unknown.add(u)
+            else:
+                looked_up[row] = 1
+
+    def step(self) -> None:
+        """One step of the walker at the cursor, which then moves to the next
+        walker: read the friends page of the account it stands on, walk the
+        best eligible edge into the sample, or jump to a fresh seed when none
+        qualifies. A step that changes the edge count adds a growth point.
+
+        The page is read back from the table when page_length holds its
+        length, else it comes from a charged get_friends call whose length is
+        recorded. A protected or unknown account is never cached: each visit
+        asks again, uncharged, and jumps. When a page is served, its friends
+        whose profile lookup is not recorded are looked up together and
+        recorded, a friend the lookup drops among them, so no friend is asked
+        for twice, a revisit asks for none, and select_target skips a friend
+        with no profile.
+
+        A walk adds one edge to the sample's walked edges, a jump none.
+        select_target skips burned edges, so a pick that select_target's burn
+        rule excludes means an edge would be walked twice and aborts the run.
+        """
+        oracle, sample, walkers, cursor = self.oracle, self.sample, self.walkers, self.cursor
+        w = walkers[cursor]
+        get = self.table.index.get
+        row = get(w)
+        page_length = self.page_length
+        if row is not None and page_length[row] >= 0:
+            # its friends were looked up when it was served
+            start = self.friend_offsets[row]
+            page = self.table.friend_ids[start : start + page_length[row]].tolist()
+        else:
+            try:
+                page = oracle.get_friends(w).friends
+            except (NotFoundError, ProtectedError):
+                page = None
+            else:
+                page_length[row] = len(page)
+                looked_up, unknown, no_row = self.looked_up, self.unknown, len(page_length)
+                missing = [u for u in page if not looked_up[get(u, no_row)] and u not in unknown]
+                if missing:
+                    oracle.get_profiles(missing)
+                    self.add_lookups(missing)
+        v = None if page is None else select_target(w, page, self, sample, self.config)
+        if v is None:
+            v = self.seed_pool.draw()
+            sample.add_seed(v)
+            self.not_jumped.discard(w)
+            self.jump_run += 1
+        else:
+            config = self.config
+            original = config.original_rank_degree
+            if (w, v) in sample._walked or (original and (w, v) in sample._symmetric):
+                raise RuntimeError(f"edge {(w, v)} selected after it was burned")
+            sample.add_edge(w, v, WALKED)
+            if (config.add_symmetric_edge or original) and oracle.follows(v, w):
+                sample.add_edge(v, w, SYMMETRIC)
+            self.jump_run = 0
+        walkers[cursor] = v
+        self.cursor = (cursor + 1) % len(walkers)
+        stats = self.stats
+        stats.steps += 1
+        growth, edges = stats.growth, sample.num_edges()
+        if edges != growth.edges[-1]:
+            growth.append(oracle.clock.now - self.clock_start, edges, sample.num_nodes())
+
+    def stop_reason(self) -> str | None:
+        """The first stop condition that holds, or None while the run goes on.
+        Once every seed-pool node has jumped and the last len(walkers) steps
+        all jumped, each walker stands on a pool node and no step can add an
+        edge again: the run is "exhausted"."""
+        config, sample = self.config, self.sample
+        if config.max_sample_edges is not None and sample.num_edges() >= config.max_sample_edges:
+            return "max_sample_edges"
+        if config.max_sample_nodes is not None and sample.num_nodes() >= config.max_sample_nodes:
+            return "max_sample_nodes"
+        if (
+            config.max_simulated_seconds is not None
+            and self.oracle.clock.now - self.clock_start >= config.max_simulated_seconds
+        ):
+            return "max_simulated_seconds"
+        if config.max_steps is not None and self.stats.steps >= config.max_steps:
+            return "max_steps"
+        if self.jump_run >= len(self.walkers) and not self.not_jumped:
+            return "exhausted"
+        return None
+
+    def finish(self) -> RunStats:
+        """The run's RunStats, with its counts and stop reason filled in:
+        `walk_log` lists this run's walks in step order, and `final_walkers`
+        the walkers in the order they step next."""
+        stats, sample, oracle = self.stats, self.sample, self.oracle
+        walked = sample._walked
+        stats.walk_log = list(islice(walked, self.walks_start, None))
+        stats.jumps = stats.steps - len(stats.walk_log)
+        stats.stop_reason = self.stop_reason() or ""
+        stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - self.friends_calls_start
+        stats.profile_calls = oracle.calls_by_endpoint[oracle.PROFILES] - self.profile_calls_start
+        stats.simulated_seconds = oracle.clock.now - self.clock_start
+        stats.sample_nodes = sample.num_nodes()
+        stats.sample_edges = sample.num_edges()
+        stats.symmetric_edges = len(sample._symmetric)
+        stats.walked_edges = len(walked)
+        walkers, cursor = self.walkers, self.cursor
+        stats.final_walkers = walkers[cursor:] + walkers[:cursor]
+        return stats
 
 
 def run_sample(
@@ -444,104 +521,22 @@ def run_sample(
     every step. `deterministic` is accepted for older callers and ignored:
     round-robin is the only schedule.
 
-    A node a step jumped from yields a jump on every later visit (pages and
-    profiles are fixed, the sample only grows). Once every seed-pool node has
-    done so and the last len(walkers) steps all jumped, each walker stands on a
-    pool node and no step can add an edge again: the run stops as "exhausted".
-
-    The run records every friends page and profile lookup it was charged for
-    in a CrawlCache local to this call, per-row columns over oracle.profiles,
-    so an account's page costs one charged call per run and a friend's profile
-    one lookup, even when it came back empty; a protected or unknown account
-    is refused, uncharged, on every visit.
-
-    A walker is the account it stands on. A resumed run adds every saved
-    sample edge with its provenance, so the walked edges, which are the burned
-    edges, carry over, and starts the round-robin at the first saved walker,
-    so it continues where the saved run stopped. The caches are not in the
-    resume file, so a resumed run fetches its pages and profiles again.
-    `stats.walk_log` lists this run's walks in step order, and
-    `stats.final_walkers` the walkers in the order they step next.
+    The run's state is one Crawl, dropped when this call returns. It records
+    every friends page and profile lookup the run was charged for, so an
+    account's page costs one charged call per run and a friend's profile one
+    lookup, even when it came back empty; a protected or unknown account is
+    refused, uncharged, on every visit. A resumed run continues the
+    round-robin where the saved run stopped, and fetches its pages and
+    profiles again.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
     """
-    sample = SampleGraph()
-    stats = RunStats()
-    cache = CrawlCache(oracle.profiles)
-
-    if resume is not None:
-        oracle.clock.advance_to(resume.clock_now)
-        seed_pool.setstate(resume.seed_pool_state)
-        for node in resume.seed_nodes:
-            sample.add_seed(node)
-        for source, target, provenance in resume.edges:
-            sample.add_edge(source, target, provenance)
-        walkers = list(resume.walkers)
-    else:
-        walkers = []
-        for _ in range(config.walker_count):
-            seed = seed_pool.draw()
-            sample.add_seed(seed)
-            walkers.append(seed)
-
-    friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
-    profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
-    clock_start = oracle.clock.now
-    walked = sample._walked
-    walks_start = len(walked)
-    not_jumped = set(seed_pool._nodes)
-    jump_run = 0
-    growth = stats.growth
-    growth.append(0.0, sample.num_edges(), sample.num_nodes())
-
-    def stop_reason() -> str | None:
-        if config.max_sample_edges is not None and sample.num_edges() >= config.max_sample_edges:
-            return "max_sample_edges"
-        if config.max_sample_nodes is not None and sample.num_nodes() >= config.max_sample_nodes:
-            return "max_sample_nodes"
-        if (
-            config.max_simulated_seconds is not None
-            and oracle.clock.now - clock_start >= config.max_simulated_seconds
-        ):
-            return "max_simulated_seconds"
-        if config.max_steps is not None and stats.steps >= config.max_steps:
-            return "max_steps"
-        if jump_run >= len(walkers) and not not_jumped:
-            return "exhausted"
-        return None
-
-    reason = stop_reason()
-    index = 0
+    crawl = Crawl(config, oracle, seed_pool, resume)
     with _gc_paused():
-        while reason is None:
-            walks = len(walked)
-            w = walkers[index]
-            walkers[index] = walker_step(w, oracle, sample, seed_pool, config, cache)
-            stats.steps += 1
-            if len(walked) == walks:  # a jump
-                not_jumped.discard(w)
-                jump_run += 1
-            else:
-                jump_run = 0
-            edges = sample.num_edges()
-            if edges != growth.edges[-1]:
-                growth.append(oracle.clock.now - clock_start, edges, sample.num_nodes())
-            reason = stop_reason()
-            index = (index + 1) % len(walkers)
-
-    stats.walk_log = list(islice(walked, walks_start, None))
-    stats.jumps = stats.steps - len(stats.walk_log)
-    stats.stop_reason = reason
-    stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - friends_calls_start
-    stats.profile_calls = oracle.calls_by_endpoint[oracle.PROFILES] - profile_calls_start
-    stats.simulated_seconds = oracle.clock.now - clock_start
-    stats.sample_nodes = sample.num_nodes()
-    stats.sample_edges = sample.num_edges()
-    stats.symmetric_edges = len(sample._symmetric)
-    stats.walked_edges = len(walked)
-    stats.final_walkers = walkers[index:] + walkers[:index]
-    return sample, stats
+        while crawl.stop_reason() is None:
+            crawl.step()
+    return crawl.sample, crawl.finish()
 
 
 def write_sample_csv(sample: SampleGraph, path) -> None:

@@ -235,7 +235,7 @@ class TestCoverageReport:
         }
         report = coverage_report(test, {5, 6}, {7, 8})
         assert report.n == 2
-        loose = coverage_report(test, {5, 6}, {7, 8}, include_all=True)
+        loose = coverage_report(test, {5, 6}, {7, 8}, min_friends=1)
         assert loose.n == 3
 
     def test_csv_layout_matches_summary_table(self, tmp_path):

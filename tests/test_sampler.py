@@ -15,11 +15,17 @@ from hypothesis import strategies as st
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er
 from rankwalk.graph import PROFILE_FIELDS, DirectedGraph, ProfileTable, _read_lines, parse_id
 from rankwalk import sampler as sampler_module
-from rankwalk.oracle import assert_budget_safety, build_simulated_oracle, write_call_log
+from rankwalk.oracle import (
+    SimulatedOracle,
+    assert_budget_safety,
+    build_simulated_oracle,
+    write_call_log,
+)
 from rankwalk.sampler import (
     SYMMETRIC,
     WALKED,
-    CrawlCache,
+    Crawl,
+    RunState,
     SampleGraph,
     SamplerConfig,
     SeedPool,
@@ -28,7 +34,6 @@ from rankwalk.sampler import (
     run_sample,
     save_run_state,
     select_target,
-    walker_step,
     write_sample_csv,
 )
 
@@ -101,12 +106,13 @@ def seed_node_records(sample, path):
     return [record["n"] for record in records if record["type"] == "seed_node"]
 
 
-def looked_up(profiles):
-    """A CrawlCache over `profiles` that records every account's profile
-    lookup as charged, so select_target ranks every friend with a profile."""
-    cache = CrawlCache(profiles)
-    cache.add_lookups(profiles.ids)
-    return cache
+def looked_up(profiles, cfg):
+    """A Crawl over `profiles` under `cfg` that records every account's
+    profile lookup as charged, so select_target ranks every friend with a
+    profile."""
+    crawl = Crawl(cfg, SimulatedOracle(profiles), SeedPool([0], 0))
+    crawl.add_lookups(profiles.ids)
+    return crawl
 
 
 class TestSelectTarget:
@@ -119,7 +125,8 @@ class TestSelectTarget:
 
     def test_tie_broken_by_lowest_id(self):
         _, profiles = self.fixture()
-        got = select_target(0, [5, 9, 3], looked_up(profiles), SampleGraph(), config())
+        cfg = config()
+        got = select_target(0, [5, 9, 3], looked_up(profiles, cfg), SampleGraph(), cfg)
         assert got == 3
 
     def test_burned_and_language_mismatch_excluded(self):
@@ -127,18 +134,16 @@ class TestSelectTarget:
         profiles = make_profiles(
             g, follower_counts={5: 10, 9: 3}, languages={9: "en"}
         )
-        sample = sample_of(walked=[(0, 5)])
-        assert select_target(0, [5, 9], looked_up(profiles), sample, config()) is None
+        sample, cfg = sample_of(walked=[(0, 5)]), config()
+        assert select_target(0, [5, 9], looked_up(profiles, cfg), sample, cfg) is None
 
     def test_language_filter_can_be_disabled(self):
         g = DirectedGraph.from_edges([(0, 9)])
         profiles = make_profiles(g, languages={9: "en"})
-        cache = looked_up(profiles)
-        assert select_target(0, [9], cache, SampleGraph(), config()) is None
-        assert (
-            select_target(0, [9], cache, SampleGraph(), config(language_filter_enabled=False))
-            == 9
-        )
+        cfg = config()
+        assert select_target(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) is None
+        cfg = config(language_filter_enabled=False)
+        assert select_target(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) == 9
 
     def test_matches_brute_force_argmax(self):
         """Burned: the walked edges, and under original_rank_degree the
@@ -160,7 +165,7 @@ class TestSelectTarget:
             into = Counter(t for _, t in set(walked) | set(symmetric))
             score = {v: followers[v] - (into[v] if original else 0) for v in friends}
             expected = min(eligible, key=lambda v: (-score[v], v)) if eligible else None
-            assert select_target(0, friends, looked_up(profiles), sample, cfg) == expected
+            assert select_target(0, friends, looked_up(profiles, cfg), sample, cfg) == expected
 
 
 SEED = "seed"
@@ -441,48 +446,63 @@ def build_oracle(edges, nodes=(), **profile_kwargs):
     return g, build_simulated_oracle(g, profiles, rate_limits_enabled=False)
 
 
+def crawl_from(oracle, walkers, pool_ids, cfg=None, walked=(), symmetric=()):
+    """A Crawl over `oracle` whose walkers stand on `walkers`, in step order,
+    with `walked` and then `symmetric` in its sample and jumps drawn from
+    `pool_ids`, started as a resumed run starts."""
+    pool = SeedPool(pool_ids, 0)
+    edges = [(*e, WALKED) for e in walked] + [(*e, SYMMETRIC) for e in symmetric]
+    state = RunState(oracle.clock.now, pool.getstate(), edges, [], list(walkers))
+    return Crawl(cfg or config(), oracle, pool, state)
+
+
 class TestWalkerStep:
+    """One step of a walker, taken by Crawl.step()."""
+
     def test_walks_best_edge(self):
         g, oracle = build_oracle([(1, 2), (2, 3)])
-        sample = SampleGraph()
-        pool = SeedPool([1], 0)
-        assert walker_step(1, oracle, sample, pool, config(), CrawlCache(oracle.profiles)) == 2
+        crawl = crawl_from(oracle, [1], [1])
+        crawl.step()
+        assert crawl.walkers == [2]
+        sample = crawl.sample
         assert list(sample._walked) == [(1, 2)]
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
 
     def test_reciprocal_pair_adds_symmetric_without_burning(self):
         g, oracle = build_oracle([(1, 2), (2, 1)])
-        sample = SampleGraph()
-        pool = SeedPool([1], 0)
-        assert walker_step(1, oracle, sample, pool, config(), CrawlCache(oracle.profiles)) == 2
+        crawl = crawl_from(oracle, [1], [1])
+        crawl.step()
+        assert crawl.walkers == [2]
+        sample = crawl.sample
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         assert list(sample._walked) == [(1, 2)]
-        # a later walker at 2 may still walk (2, 1)
-        walker_step(2, oracle, sample, pool, config(), CrawlCache(oracle.profiles))
+        # the walker, now at 2, may still walk (2, 1)
+        crawl.step()
         assert list(sample._walked) == [(1, 2), (2, 1)]
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, WALKED)]
 
     @pytest.mark.parametrize("add_symmetric_edge", [True, False])
     def test_original_rank_degree_burns_the_reciprocal_edge(self, add_symmetric_edge):
         _, oracle = build_oracle([(1, 2), (2, 1)])
-        sample = SampleGraph()
-        pool = SeedPool([1], 0)
         cfg = config(original_rank_degree=True, add_symmetric_edge=add_symmetric_edge)
-        assert walker_step(1, oracle, sample, pool, cfg, CrawlCache(oracle.profiles)) == 2
-        assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
-        # the reverse edge is burned, so a walker at 2 jumps
-        assert walker_step(2, oracle, sample, pool, cfg, CrawlCache(oracle.profiles)) == 1
-        assert list(sample._walked) == [(1, 2)]
+        crawl = crawl_from(oracle, [1], [1], cfg)
+        crawl.step()
+        assert crawl.walkers == [2]
+        assert crawl.sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
+        # the reverse edge is burned, so the walker at 2 jumps
+        crawl.step()
+        assert crawl.walkers == [1]
+        assert list(crawl.sample._walked) == [(1, 2)]
 
     def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
-        sample = SampleGraph()
-        pool = SeedPool([7], 0)
-        assert walker_step(2, oracle, sample, pool, config(), CrawlCache(oracle.profiles)) == 7
-        assert sample.num_edges() == 0
-        assert seed_node_records(sample, tmp_path / "resume.jsonl") == [7]
+        crawl = crawl_from(oracle, [2], [7])
+        crawl.step()
+        assert crawl.walkers == [7]
+        assert crawl.sample.num_edges() == 0
+        assert seed_node_records(crawl.sample, tmp_path / "resume.jsonl") == [7]
 
     def test_reburn_aborts_the_step(self, monkeypatch):
         _, oracle = build_oracle([(1, 2)])
@@ -491,51 +511,58 @@ class TestWalkerStep:
         for walked, symmetric, original in [
             ([(1, 2)], [], False), ([(1, 2)], [], True), ([], [(1, 2)], True)
         ]:
-            sample = sample_of(walked, symmetric)
-            rows = sample.edges_with_provenance()
+            cfg = config(original_rank_degree=original)
+            crawl = crawl_from(oracle, [1], [1], cfg, walked, symmetric)
+            rows = crawl.sample.edges_with_provenance()
             with pytest.raises(RuntimeError, match="after it was burned"):
-                walker_step(
-                    1, oracle, sample, SeedPool([1], 0),
-                    config(original_rank_degree=original), CrawlCache(oracle.profiles),
-                )
-            assert sample.edges_with_provenance() == rows
+                crawl.step()
+            assert crawl.sample.edges_with_provenance() == rows
 
     def test_unknown_current_node_jumps(self):
         _, oracle = build_oracle([(1, 2)])
-        pool = SeedPool([1], 0)
-        assert walker_step(999, oracle, SampleGraph(), pool, config(), CrawlCache(oracle.profiles)) == 1
+        crawl = crawl_from(oracle, [999], [1])
+        crawl.step()
+        assert crawl.walkers == [1]
 
     def test_protected_current_node_jumps(self):
         g = DirectedGraph.from_edges([(1, 2), (3, 1)])
         profiles = make_profiles(g, protected={1})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-        pool = SeedPool([3], 0)
-        assert walker_step(1, oracle, SampleGraph(), pool, config(), CrawlCache(oracle.profiles)) == 3
+        crawl = crawl_from(oracle, [1], [3])
+        crawl.step()
+        assert crawl.walkers == [3]
 
     def test_page_cache_serves_a_revisit_without_a_call(self):
         _, oracle = build_oracle([(1, 2), (1, 3)], nodes=[9], protected={9})
-        sample, pool, cache = SampleGraph(), SeedPool([1], 0), CrawlCache(oracle.profiles)
-        for expected in (2, 3):
-            assert walker_step(1, oracle, sample, pool, config(), cache) == expected
+        # two walkers on 1, then the refused accounts 9 and 999
+        crawl = crawl_from(oracle, [1, 1, 9, 999], [1])
+        crawl.step()
+        crawl.step()
+        assert crawl.walkers[:2] == [2, 3]
         row = oracle.profiles.index[1]
-        assert cache.page(row) == list(oracle.get_friends(1).friends)
+        page = oracle.profiles.friends(row)[: crawl.page_length[row]].tolist()
+        assert page == list(oracle.get_friends(1).friends)
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 2  # the step's call and this one
         # refused accounts jump, uncharged and uncached
-        for refused in (9, 999):
-            walker_step(refused, oracle, sample, pool, config(), cache)
-        cached = [i for i, length in enumerate(cache.page_length) if length >= 0]
+        crawl.step()
+        crawl.step()
+        cached = [i for i, length in enumerate(crawl.page_length) if length >= 0]
         assert cached == [row] and oracle.calls_by_endpoint[oracle.FRIENDS] == 2
 
 
-def run_fixture(seed=0, n=120, p=0.06, **config_kwargs):
+def fixture_inputs(seed=0, n=120, p=0.06):
+    """A reciprocal random graph, an oracle over its profiles and a seed pool."""
     rng = random.Random(seed)
     edges = reciprocal_er(n, p, rng)
     g = DirectedGraph.from_edges(edges, nodes=range(n))
     profiles = build_profiles(n, edges, random.Random(seed + 1), language_fraction=1.0)
     oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-    pool = SeedPool(sorted(g.nodes), seed)
-    cfg = config(**config_kwargs)
-    sample, stats = run_sample(cfg, oracle, pool)
+    return g, oracle, SeedPool(sorted(g.nodes), seed)
+
+
+def run_fixture(seed=0, n=120, p=0.06, **config_kwargs):
+    g, oracle, pool = fixture_inputs(seed, n, p)
+    sample, stats = run_sample(config(**config_kwargs), oracle, pool)
     return g, sample, stats
 
 
@@ -549,22 +576,27 @@ class TestRunSample:
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_walk_restores_gc_state(self, monkeypatch, enabled):
+    def test_walk_restores_gc_state(self, enabled):
         states = []
 
-        def select_recording_gc(*args):
+        def run(get_friends):
+            """run_sample on an oracle whose get_friends is get_friends(real, node)."""
+            _, oracle, pool = fixture_inputs(seed=3)
+            real = oracle.get_friends
+            oracle.get_friends = lambda node: get_friends(real, node)
+            run_sample(config(max_sample_edges=50), oracle, pool)
+
+        def recording_gc(real, node):
             states.append(gc.isenabled())
-            return select_target(*args)
+            return real(node)
 
         (gc.enable if enabled else gc.disable)()
         try:
-            monkeypatch.setattr(sampler_module, "select_target", select_recording_gc)
-            run_fixture(seed=3, max_sample_edges=50)
+            run(recording_gc)
             assert states and not any(states)  # the walk ran with the GC paused
             assert gc.isenabled() == enabled
-            monkeypatch.setattr(sampler_module, "select_target", lambda *args: 1 / 0)
             with pytest.raises(ZeroDivisionError):
-                run_fixture(seed=3, max_sample_edges=50)
+                run(lambda real, node: 1 / 0)
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
@@ -613,10 +645,11 @@ class TestRunSample:
         assert records > 2000
         assert retained / records <= 48
 
-    def test_friends_calls_match_distinct_accounts_on_clean_graph(self, monkeypatch):
+    def test_friends_calls_match_distinct_accounts_on_clean_graph(self):
         # every node exists and is unprotected, so each account's page is fetched once
-        stood = record_positions(monkeypatch)
         _, _, stats = run_fixture(seed=7, max_sample_edges=200)
+        _, oracle, pool = fixture_inputs(seed=7)
+        _, stood, _ = record_walk(config(max_sample_edges=200), oracle, pool)
         assert stats.friends_calls == len(set(stood)) < stats.steps == len(stood)
 
     def test_language_purity_with_prefiltered_pool(self):
@@ -790,39 +823,20 @@ class TestRunSample:
         assert set(seeds) <= set(sample.graph.nodes)
 
 
-def record_steps(mp):
-    """Patch the sampler so that each walker_step appends, to the returned list,
-    the edge it walked, read from select_target's pick, or None for a jump."""
-    steps, picks = [], []
-    real_step, real_select = sampler_module.walker_step, sampler_module.select_target
-
-    def select(*args):
-        picks.append(real_select(*args))
-        return picks[-1]
-
-    def step(w, *args):
-        picks.clear()
-        result = real_step(w, *args)
-        steps.append((w, picks[0]) if picks and picks[0] is not None else None)
-        return result
-
-    mp.setattr(sampler_module, "walker_step", step)
-    mp.setattr(sampler_module, "select_target", select)
-    return steps
-
-
-def record_positions(mp):
-    """Patch the sampler so that each walker_step appends, to the returned
-    list, the account its walker stands on."""
-    positions = []
-    real_step = sampler_module.walker_step
-
-    def step(w, *args):
-        positions.append(w)
-        return real_step(w, *args)
-
-    mp.setattr(sampler_module, "walker_step", step)
-    return positions
+def record_walk(cfg, oracle, pool, resume=None):
+    """Step a Crawl until it stops, as run_sample does, and record from its
+    state after each step the account the walker stood on and the edge it
+    walked, or None for a jump. Returns the crawl, the positions and the
+    edges."""
+    crawl = Crawl(cfg, oracle, pool, resume)
+    stood, walks = [], []
+    while crawl.stop_reason() is None:
+        cursor = crawl.cursor
+        w = crawl.walkers[cursor]
+        crawl.step()
+        stood.append(w)
+        walks.append(None if crawl.jump_run else (w, crawl.walkers[cursor]))
+    return crawl, stood, walks
 
 
 def without_profiles(profiles, dropped):
@@ -884,25 +898,26 @@ class TestWalkLog:
             assert stats.walk_log == [edge for edge in record if edge is not None]
             assert stats.jumps == record.count(None)
 
-        with pytest.MonkeyPatch.context() as mp:
-            record = record_steps(mp)
+        def run_and_record(max_steps, seed, resume=None):
+            """run_sample's stats, and record_walk's record, on the same inputs."""
             oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-            pool = SeedPool(range(n), graph_seed)
-            sample, stats = run_sample(config(max_steps=first, **cfg), oracle, pool)
-            check(stats, record)
-            if split is None:
-                return
-            with tempfile.TemporaryDirectory() as directory:
-                path = Path(directory) / "resume.jsonl"
-                save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
-                resume = load_run_state(path)
-            record.clear()
-            oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-            _, stats = run_sample(
-                config(max_steps=steps - first, **cfg), oracle, SeedPool(range(n), 0),
-                resume=resume,
+            pool = SeedPool(range(n), seed)
+            sample, stats = run_sample(config(max_steps=max_steps, **cfg), oracle, pool, resume=resume)
+            oracle2 = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+            *_, record = record_walk(
+                config(max_steps=max_steps, **cfg), oracle2, SeedPool(range(n), seed), resume
             )
             check(stats, record)
+            return oracle, pool, sample, stats
+
+        oracle, pool, sample, stats = run_and_record(first, graph_seed)
+        if split is None:
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "resume.jsonl"
+            save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
+            resume = load_run_state(path)
+        run_and_record(steps - first, 0, resume)
 
 
 class TestPageCache:
@@ -928,9 +943,9 @@ class TestPageCache:
         original_rank_degree, steps,
     ):
         """run_sample fetches each account's friends page once and walks as a
-        round-robin loop of walker_step whose cache forgets its pages on every step,
-        which fetches one page on every step that is not refused. Neither asks
-        for a friend's profile twice, even when the lookup found none."""
+        Crawl whose page_length is reset before every step, which fetches one
+        page on every step that is not refused. Neither asks for a friend's
+        profile twice, even when the lookup found none."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=language_fraction, protected_fraction=protected_fraction,
@@ -954,23 +969,17 @@ class TestPageCache:
             )
 
         oracle = new_oracle()
-        with pytest.MonkeyPatch.context() as mp:
-            stood = record_positions(mp)
-            sample, stats = run_sample(cfg, oracle, SeedPool(pool_ids, graph_seed))
+        sample, stats = run_sample(cfg, oracle, SeedPool(pool_ids, graph_seed))
+        _, stood, _ = record_walk(cfg, new_oracle(), SeedPool(pool_ids, graph_seed))
         assert stats.steps == steps or stats.stop_reason == "exhausted"
 
-        loop_oracle, loop_sample, pool = new_oracle(), SampleGraph(), SeedPool(pool_ids, graph_seed)
-        walkers = [pool.draw() for _ in range(walker_count)]
-        for w in walkers:
-            loop_sample.add_seed(w)
-        cache, served_steps = CrawlCache(profiles), 0
-        for step in range(stats.steps):
-            w = walkers[step % walker_count]
-            served_steps += served(w)
-            cache.page_length = array("q", [-1]) * len(profiles)
-            walkers[step % walker_count] = walker_step(
-                w, loop_oracle, loop_sample, pool, cfg, cache
-            )
+        loop_oracle = new_oracle()
+        crawl, served_steps = Crawl(cfg, loop_oracle, SeedPool(pool_ids, graph_seed)), 0
+        for _ in range(stats.steps):
+            served_steps += served(crawl.walkers[crawl.cursor])
+            crawl.page_length = array("q", [-1]) * len(profiles)
+            crawl.step()
+        loop_sample = crawl.sample
 
         assert stats.walk_log == list(loop_sample._walked)
         with tempfile.TemporaryDirectory() as directory:
@@ -1010,11 +1019,13 @@ class TestCrawlCache:
         self, graph_seed, n, p, reciprocal, walker_count, language_filter, protected_fraction,
         unprofiled_fraction, original_rank_degree, steps,
     ):
-        """On every step of a run: the page select_target is given is the one
-        the account's one charged get_friends returned, revisits included; the
-        cache records exactly the charged profile lookups; and select_target
-        ranks only friends whose lookup was charged, by the profiles they
-        were served. An id with no profile is looked up once."""
+        """After every step of a crawl: the page the step read, the first
+        page_length[row] ids of the account's friend row, is the one the
+        account's one charged get_friends returned, revisits included; the
+        crawl records exactly the charged profile lookups; and the step picks
+        the best friend whose lookup was charged, by the profiles they were
+        served, as select_target does on a crawl that records only some of
+        them. An id with no profile is looked up once."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=0.5, protected_fraction=protected_fraction,
@@ -1030,7 +1041,6 @@ class TestCrawlCache:
         )
         served, charged = {}, []  # account -> its charged page; ids of charged lookups
         real_friends, real_profiles = oracle.get_friends, oracle.get_profiles
-        real_select = sampler_module.select_target
 
         def get_friends(node):
             page = real_friends(node)
@@ -1042,10 +1052,11 @@ class TestCrawlCache:
             charged.extend(nodes)
             return real_profiles(nodes)
 
-        def expected_pick(w, candidates, sample):
-            walked = {(s, t) for s, t, prov in sample.edges_with_provenance() if prov == WALKED}
-            burned = {(s, t) for s, t, _ in sample.edges_with_provenance()} if original_rank_degree else walked
-            into = Counter(t for _, t, _ in sample.edges_with_provenance())
+        def expected_pick(w, candidates, rows):
+            """The pick among `candidates` on a sample of the edges `rows`."""
+            walked = {(s, t) for s, t, prov in rows if prov == WALKED}
+            burned = {(s, t) for s, t, _ in rows} if original_rank_degree else walked
+            into = Counter(t for _, t, _ in rows)
             eligible = [
                 v for v in candidates
                 if v in profiles and (w, v) not in burned
@@ -1057,27 +1068,33 @@ class TestCrawlCache:
             }
             return min(eligible, key=lambda v: (-score[v], v)) if eligible else None
 
-        def select(w, page, cache, sample, config_):
-            assert list(page) == list(served[w])
-            rows = [i for i, flag in enumerate(cache.looked_up) if flag]
+        oracle.get_friends, oracle.get_profiles = get_friends, get_profiles
+        crawl = Crawl(cfg, oracle, SeedPool(range(n + 2), graph_seed))
+        sample = crawl.sample
+        while crawl.stop_reason() is None:
+            cursor = crawl.cursor
+            w = crawl.walkers[cursor]
+            before = sample.edges_with_provenance()
+            crawl.step()
+            pick = None if crawl.jump_run else crawl.walkers[cursor]
+            rows = [i for i, flag in enumerate(crawl.looked_up) if flag]
             assert rows == sorted(profiles.index[u] for u in set(charged) if u in profiles)
-            assert cache.unknown == {u for u in charged if u not in profiles}
-            # a cache that records only some of the charged lookups ranks only those
+            assert crawl.unknown == {u for u in charged if u not in profiles}
+            if w not in served:  # refused, so no page: a jump
+                assert pick is None
+                continue
+            row = profiles.index[w]
+            page = profiles.friends(row)[: crawl.page_length[row]].tolist()
+            assert page == list(served[w])
+            assert pick == expected_pick(w, [v for v in page if v in charged], before)
+            # a crawl that records only some of the charged lookups ranks only those
             some = [u for u in charged if rng.random() < 0.5]
-            partial = CrawlCache(profiles)
+            partial = Crawl(cfg, SimulatedOracle(profiles), SeedPool([0], 0))
             partial.add_lookups(some)
-            assert real_select(w, page, partial, sample, config_) == expected_pick(
-                w, [v for v in page if v in some], sample
+            assert select_target(w, page, partial, sample, cfg) == expected_pick(
+                w, [v for v in page if v in some], sample.edges_with_provenance()
             )
-            pick = real_select(w, page, cache, sample, config_)
-            assert pick == expected_pick(w, [v for v in page if v in charged], sample)
-            return pick
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "get_friends", get_friends)
-            mp.setattr(oracle, "get_profiles", get_profiles)
-            mp.setattr(sampler_module, "select_target", select)
-            _, stats = run_sample(cfg, oracle, SeedPool(range(n + 2), graph_seed))
+        stats = crawl.finish()
         assert stats.steps == steps or stats.stop_reason == "exhausted"
         assert len(charged) == len(set(charged))
         assert stats.friends_calls == len(served)

@@ -19,6 +19,7 @@ from . import evaluation as evaluation_mod
 from . import keywords as keywords_mod
 from .generate import build_profiles, generate_network
 from .graph import (
+    _ID_TEXT,
     UndirectedGraph,
     _check_fields,
     _open_text,
@@ -206,7 +207,9 @@ def _parse_seed_ids(text: str) -> list[int]:
     for part in text.split(","):
         try:
             ids.append(parse_id(part))
-        except ValueError:
+        except ValueError as exc:
+            if _ID_TEXT.fullmatch(part):  # an integer, but not an account id
+                raise ValueError(f"--seeds: {exc}") from None
             raise ValueError(
                 f"--seeds: expected comma-separated integer ids, got {part!r}"
             ) from None

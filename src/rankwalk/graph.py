@@ -27,22 +27,32 @@ logger = logging.getLogger(__name__)
 NodeId = int
 
 
+# Account ids, follower counts and status counts are integers in [0, 2**63),
+# as the platform API's signed 64-bit user ids are: each fits an int64.
+_INT64_END = 1 << 63
 _ID_TEXT = re.compile(r"\s*\+?([0-9]+)\s*")
 
 
 def parse_id(text: str) -> NodeId:
     """An account id written as text: ASCII digits, at most one leading '+' and
-    surrounding whitespace; anything else raises ValueError naming the text."""
+    surrounding whitespace, for a value below 2**63; anything else raises
+    ValueError naming the text."""
     match = _ID_TEXT.fullmatch(text)
     if match is None:
         raise ValueError(f"expected a non-negative integer account id, got {text!r}")
-    return int(match[1])
+    node = int(match[1])
+    if node >= _INT64_END:
+        raise ValueError(f"expected an account id < 2**63, got {text!r}")
+    return node
 
 
 def _integer_id(value, field: str) -> NodeId:
-    """An account id from JSON: an integer >= 0; a bool, float or string is rejected."""
+    """An account id from JSON: an integer in [0, 2**63); a bool, float or
+    string is rejected."""
     if type(value) is not int or value < 0:
         raise TypeError(f"field {field!r}: expected a JSON integer >= 0, got {value!r:.80}")
+    if value >= _INT64_END:
+        raise ValueError(f"field {field!r}: expected an integer < 2**63, got {value}")
     return value
 
 
@@ -154,16 +164,18 @@ PROFILE_FIELDS: dict[str, tuple[type, ...]] = {
 _PROFILE_SIGNATURES = frozenset(product(*PROFILE_FIELDS.values()))
 _required_values = itemgetter(*list(PROFILE_FIELDS)[:-1])  # all but last_status_at
 _INT_ONLY = frozenset({int})
-_INT64_END = 1 << 63
 
 
 def _check_profile(
     node: NodeId, follower_count: int, friends: list[NodeId], created_at: float,
     status_count: int, last_status_at: float | None,
 ) -> None:
-    """Raise ValueError for a profile no account can have: a count outside
-    [0, 2**63), a time that is not finite, or a friend list that holds the
-    account itself or one friend twice."""
+    """Raise ValueError for a profile no account can have: an id of 2**63 or
+    more, a count outside [0, 2**63), a time that is not finite, or a friend
+    list that holds the account itself or one friend twice. add() checks the
+    friend ids' range as it stores them."""
+    if node >= _INT64_END:
+        _integer_id(node, "node")
     if not (0 <= follower_count < _INT64_END and 0 <= status_count < _INT64_END):
         for name, count in (("follower_count", follower_count), ("status_count", status_count)):
             if count < 0:
@@ -234,20 +246,18 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
     store, which the generator and read_profiles return and SimulatedOracle
     serves, at ~160 B per account plus 8 B per friend.
 
-    Row i holds the account ids[i], with ids ascending and the dict index
-    mapping each id back; ids are Python ints because they may pass 2**63,
-    and each is one object shared by ids and index. The table keeps that dict,
-    where a DirectedGraph bisects its ids, because the oracle looks up ids on
-    the walk's hot path: ~0.3 us a lookup against ~1 us for a bisect of 100k
-    ids. The scalar fields are numpy columns by
+    Row i holds the account ids[i], each in [0, 2**63), with ids ascending
+    and the dict index mapping each id back; ids is a list of Python ints,
+    each one object shared by ids and index, because the oracle looks up ids
+    on the walk's hot path: ~0.3 us a dict lookup against ~1 us for a bisect
+    of 100k ids. The scalar fields are numpy columns by
     row: follower_count and status_count int64, created_at float64, protected
     bool, language_codes small ints into the list languages of the distinct
     language strings, and last_status_at float64, NaN where the account's
     last_status_at is None (a given one is always finite). The friend lists
     are one set of compressed sparse rows in recency order: friends(i), that
     is friend_ids[friend_offsets[i]:friend_offsets[i + 1]], holds row i's
-    friend ids, int64, or Python ints in an object array once any id passes
-    2**63 - 1.
+    friend ids, int64.
 
     table[node] and values() build a ProfileRecord per call; loops over every
     account read the columns instead. Every table is built by _ProfileColumns,
@@ -308,44 +318,10 @@ _SCALAR_ROW = np.dtype([
 ])
 
 
-class _IdColumn:
-    """An append-only column of account ids (or other ints): an array('q') of
-    8 B per value while every value fits in int64, and a list of Python ints,
-    in the same order, from the first value that does not, so an id past
-    2**63 - 1 is kept exactly. Read `values`, which is one or the other."""
-
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: array | list[int] = array("q")
-
-    def append(self, value: int) -> None:
-        try:
-            self.values.append(value)
-        except OverflowError:  # a value past int64: keep Python ints from here on
-            self.values = [*self.values, value]
-
-    def extend(self, ints: list[int]) -> None:
-        if isinstance(self.values, list):
-            self.values += ints
-            return
-        try:
-            self.values.fromlist(ints)  # all or nothing
-        except OverflowError:  # a value past int64: keep Python ints from here on
-            self.values = [*self.values, *ints]
-
-    def to_numpy(self) -> np.ndarray:
-        """The values as one array: an int64 view of the array('q'), or an
-        object array of the Python ints."""
-        if isinstance(self.values, array):
-            return np.frombuffer(self.values, np.int64)
-        return np.array(self.values, dtype=object)
-
-
 class _ProfileColumns:
     """Builds a ProfileTable one profile at a time, in any id order: each
     profile's scalar fields become one packed row of a bytes buffer and its
-    friends are appended to one _IdColumn, so no per-profile object is
+    friends are appended to one array('q'), so no per-profile object is
     kept; build() sorts the rows by id. add() runs _check_profile on every
     profile; add_record() also checks the JSON types of a record first."""
 
@@ -355,7 +331,7 @@ class _ProfileColumns:
         self.rows: dict[NodeId, int] = {}  # id -> the order it was added in
         self.languages: dict[str, int] = {}  # language -> its code
         self.scalars = bytearray()
-        self.friend_ids = _IdColumn()
+        self.friend_ids = array("q")
 
     def add(
         self, node: NodeId, follower_count: int, friends: list[NodeId], language: str,
@@ -370,7 +346,12 @@ class _ProfileColumns:
             follower_count, status_count, code, len(friends), created_at,
             math.nan if last_status_at is None else last_status_at, protected,
         )
-        self.friend_ids.extend(friends)
+        try:
+            self.friend_ids.fromlist(friends)  # all or nothing
+        except OverflowError:  # a friend id outside int64, which no account can have
+            for friend in friends:
+                _integer_id(friend, "friends_recent_first")
+            raise
 
     def add_record(self, record: dict) -> None:
         """add() for one record shaped as a profiles.jsonl line: a value of a
@@ -402,7 +383,7 @@ class _ProfileColumns:
         rows = self.rows
         n = len(rows)
         added = np.frombuffer(self.scalars, _SCALAR_ROW)
-        friend_ids = self.friend_ids.to_numpy()
+        friend_ids = np.frombuffer(self.friend_ids, np.int64)
         if all(map(operator.lt, rows, islice(rows, 1, None))):
             ids = list(rows)
             scalars = added
@@ -445,16 +426,6 @@ def _index_in(ids: list[NodeId], node) -> int | None:
     return i if i < len(ids) and ids[i] == node else None
 
 
-def _id_column(ids: list[NodeId]) -> np.ndarray:
-    """`ids` as one array for np.searchsorted: int64, or an object array of
-    the Python ints once one passes 2**63 - 1. The dtype is always given,
-    because np.array([1, 2**63]) would silently become float64."""
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        return np.array(ids, dtype=object)
-
-
 def _number_ends(column: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices in the ascending `column` of the sources and of the targets
     of flat [source, target, ...] `ends`, each of which is in `column`. The two
@@ -490,13 +461,15 @@ class DirectedGraph:
     """Simple directed graph (no self-loops, no parallel edges) in compressed
     sparse row (CSR) form, at ~32 B per edge; nothing changes it once built.
 
-    Node i (a dense index) has id ids[i], with ids ascending, so a lower index
-    is a lower id, and index_of bisects ids to map an id back; ids are Python
-    ints because they may pass 2**63, and the list is the graph's only
-    per-node Python object. Row i of out_targets
-    (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the indices of i's
-    successors in ascending order, so edges() comes in ascending (source id,
-    target id) order; in_degrees[i] counts i's predecessors.
+    Node i (a dense index) has id ids[i], in [0, 2**63), with ids ascending,
+    so a lower index is a lower id, and index_of bisects ids to map an id
+    back. ids is a list of Python ints, the graph's only per-node Python
+    object, because callers look up ids one at a time: at 1M ids a bisect of
+    the list takes ~0.4 us, np.searchsorted for one id ~1.4 us. Row i of
+    out_targets (out_targets[out_offsets[i]:out_offsets[i + 1]]) holds the
+    indices of i's successors in ascending order, so edges() comes in
+    ascending (source id, target id) order; in_degrees[i] counts i's
+    predecessors.
     """
 
     __slots__ = ("ids", "out_offsets", "out_targets", "in_degrees")
@@ -519,15 +492,18 @@ class DirectedGraph:
         cls, edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
     ) -> "DirectedGraph":
         """The graph of `edges` and `nodes`, a node being listed in either or both.
-        Ids are sorted in Python, because they may pass 2**63, and the edge
-        ends are numbered by np.searchsorted over them. A repeated edge is
-        dropped; a self-loop or a negative id raises ValueError."""
+        The distinct ids are sorted as a Python set, and the edge ends are
+        numbered by np.searchsorted over them: sorting the ends in numpy was
+        ~10% faster on a 100k-edge sample, but its traced peak was ~20%
+        higher. A repeated edge is dropped; a self-loop or an id outside
+        [0, 2**63) raises ValueError."""
         ends = [node for edge in edges for node in edge]
         ids = sorted({*nodes, *ends})
         if ids and ids[0] < 0:
             raise ValueError(f"node ids must be non-negative, got {ids[0]}")
-        column = _id_column(ids)
-        sources, targets = _number_ends(column, np.array(ends, dtype=column.dtype))
+        if ids and ids[-1] >= _INT64_END:
+            raise ValueError(f"node ids must be < 2**63, got {ids[-1]}")
+        sources, targets = _number_ends(np.array(ids, np.int64), np.array(ends, np.int64))
         loops = np.flatnonzero(sources == targets)
         if loops.size:
             node = ids[sources[loops[0]]]
@@ -854,7 +830,8 @@ def _read_bulk_rows(path, header: str, labels: tuple[str, ...] = ()) -> np.ndarr
     body's is ignored), or one that fails a check: the column count, no id
     past 2**63 - 1, no self-loop. Ids are read as uint64, which refuses '-',
     where int64 reads '-0', which parse_id refuses, as 0; viewed as int64, an
-    id past 2**63 - 1 is negative.
+    id past 2**63 - 1 is negative, and the per-line reader then names its
+    line.
     """
     converters = None
     if labels:
@@ -886,14 +863,13 @@ def _read_rows(
     first bad row with its line number, and a row without those fields gives
     `malformed` formatted with the line.
 
-    Returns the flat [source, target, ...] ids as one array (int64, or
-    object once an id passes 2**63 - 1) and, per row, the index of its label
-    in `labels` as one byte; no object is kept per row. A labelled file lists
-    each edge once, so there a bad row's error is raised only after any
-    repeat of an earlier edge has been reported, as a reader that checks
-    each row would.
+    Returns the flat [source, target, ...] ids as one int64 array and, per
+    row, the index of its label in `labels` as one byte; no object is kept
+    per row. A labelled file lists each edge once, so there a bad row's
+    error is raised only after any repeat of an earlier edge has been
+    reported, as a reader that checks each row would.
     """
-    ends = _IdColumn()
+    ends = array("q")
     codes = bytearray()
     code_of = {label: code for code, label in enumerate(labels)}
     fields = 3 if labels else 2
@@ -905,7 +881,7 @@ def _read_rows(
         u, v = parse_id(parts[0]), parse_id(parts[1])
         if u == v:
             raise ValueError(f"self-loop {u},{v}")
-        ends.extend([u, v])
+        ends.extend((u, v))
         if labels:
             codes.append(code_of[parts[2]])
 
@@ -913,9 +889,9 @@ def _read_rows(
         _read_lines(path, add, header=header)
     except ValueError:
         if labels:
-            _raise_repeat(path, header, ends.values)
+            _raise_repeat(path, header, ends)
         raise
-    return ends.to_numpy(), codes
+    return np.frombuffer(ends, np.int64), codes
 
 
 def _raise_repeat(path, header: str, ends) -> None:
@@ -941,12 +917,11 @@ def _raise_repeat(path, header: str, ends) -> None:
 
 
 def _graph_from_array(ids: np.ndarray) -> DirectedGraph:
-    """DirectedGraph.from_edges for flat [source, target, ...] ids of valid
-    rows, int64 or Python ints in an object array: the distinct ids ascend,
-    and np.searchsorted numbers the ends by them. np.unique(ids,
-    return_inverse=True) gives the same numbers, but it sorts with an index
-    array as large as the input: at 5M edges the read then peaked at ~527 MB,
-    against ~362 MB this way."""
+    """DirectedGraph.from_edges for the flat int64 [source, target, ...] ids
+    of valid rows: the distinct ids ascend, and np.searchsorted numbers the
+    ends by them. np.unique(ids, return_inverse=True) gives the same
+    numbers, but it sorts with an index array as large as the input: at 5M
+    edges the read then peaked at ~527 MB, against ~362 MB this way."""
     unique = _distinct(ids)
     return DirectedGraph(unique.tolist(), *_number_ends(unique, ids))
 
@@ -980,13 +955,12 @@ def read_edge_list(path) -> DirectedGraph:
     line number.
 
     numpy's reader reads the body first (_read_bulk_rows): rows of two
-    non-negative ids below 2**63, padded or '+'-signed, with blank lines, CR or
-    CRLF line ends and no final newline. Any file it refuses or that fails its
-    checks is read again line by line with parse_id (_read_rows), which names
-    the first bad line and is the one reader of ids past 2**63 - 1; it keeps
-    the parsed ids in one column, 16 B a row. Both give the same graph: nodes
-    and each node's row in ascending id order, whatever the order of the
-    file's rows.
+    ids in [0, 2**63), padded or '+'-signed, with blank lines, CR or CRLF line
+    ends and no final newline. Any file it refuses or that fails its checks
+    is read again line by line with parse_id (_read_rows), which names the
+    first bad line, an id of 2**63 or more among them; it keeps the parsed
+    ids in one column, 16 B a row. Both give the same graph: nodes and each
+    node's row in ascending id order, whatever the order of the file's rows.
     """
     with _gc_paused():
         rows = _read_bulk_rows(path, "source,target")

@@ -14,11 +14,11 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .graph import (
+    _INT64_END,
     NodeId,
     _check_fields,
     _compact_json,
     _gc_paused,
-    _IdColumn,
     _integer_id,
     _open_text,
     _read_json_lines,
@@ -42,15 +42,15 @@ class DocTable(Sequence[Doc]):
     read_docs_jsonl returns, at ~26 B per document besides its text.
 
     Row i, in file order, is the text texts[i] of the author nodes[i] at time
-    ts[i]. nodes is an array('q') of the ids, or a list of Python ints once
-    an id passes 2**63 - 1; ts is a float64 array; texts is a list of str.
+    ts[i]. nodes is an array('q') of the ids; ts is a float64 array; texts
+    is a list of str.
     table[i] and iteration build a Doc per document; loops over every
     document read the columns instead.
     """
 
     __slots__ = ("nodes", "ts", "texts", "_ts_view")
 
-    def __init__(self, nodes: array | list[NodeId], ts: np.ndarray, texts: list[str]) -> None:
+    def __init__(self, nodes: array, ts: np.ndarray, texts: list[str]) -> None:
         self.nodes = nodes
         self.ts = ts
         self.ts.flags.writeable = False
@@ -167,10 +167,9 @@ def window_docs(
     kept = [
         index for node in sorted(by_node) for _, index in sorted(by_node[node])[:per_node_cap]
     ]
-    kept_nodes = _IdColumn()
-    kept_nodes.extend([nodes[index] for index in kept])
+    kept_nodes = array("q", map(nodes.__getitem__, kept))
     kept_times = np.fromiter(map(times.__getitem__, kept), np.float64, len(kept))
-    return DocTable(kept_nodes.values, kept_times, [texts[index] for index in kept])
+    return DocTable(kept_nodes, kept_times, [texts[index] for index in kept])
 
 
 def tokenize_docs(
@@ -295,11 +294,11 @@ _DOC_SIGNATURES = frozenset(product(*DOC_FIELDS.values()))
 
 def read_docs_jsonl(path) -> DocTable:
     """The documents of a JSONL file, in file order, one object a line: an id
-    `node`, a finite number `ts` and a string `text`. A value of a JSON type
-    that DOC_FIELDS does not allow is rejected, not coerced, and so are a
-    negative id and a `ts` that is not finite or too large for a float; the
-    error is a ValueError("<path>: line N: <reason>")."""
-    nodes = _IdColumn()
+    `node` in [0, 2**63), a finite number `ts` and a string `text`. A value
+    of a JSON type that DOC_FIELDS does not allow is rejected, not coerced,
+    and so are an id out of range and a `ts` that is not finite or too large
+    for a float; the error is a ValueError("<path>: line N: <reason>")."""
+    nodes = array("q")
     ts_column = array("d")
     texts: list[str] = []
     add_ts, add_text = ts_column.append, texts.append
@@ -308,7 +307,7 @@ def read_docs_jsonl(path) -> DocTable:
         node, ts, text = record["node"], record["ts"], record["text"]
         if (type(node), type(ts), type(text)) not in _DOC_SIGNATURES:
             _check_fields(record, DOC_FIELDS)
-        if node < 0:
+        if not 0 <= node < _INT64_END:
             _integer_id(node, "node")
         ts = float(ts)  # an int too large for a float raises OverflowError
         if not math.isfinite(ts):
@@ -318,7 +317,7 @@ def read_docs_jsonl(path) -> DocTable:
         add_text(text)
 
     _read_json_lines(path, add)
-    return DocTable(nodes.values, np.frombuffer(ts_column, np.float64), texts)
+    return DocTable(nodes, np.frombuffer(ts_column, np.float64), texts)
 
 
 def write_docs_jsonl(docs: Iterable[Doc], path) -> None:

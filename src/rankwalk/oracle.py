@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import NodeId, ProfileRecord, ProfileTable, _IdColumn
+from .graph import _INT64_END, NodeId, ProfileRecord, ProfileTable
 
 
 class NotFoundError(LookupError):
@@ -59,11 +59,11 @@ class CallRecord(NamedTuple):
 
 class CallLog:
     """The charged calls of one oracle, in call order, kept as typed columns
-    with no object per call: the times as float64, the key as int64 and the
-    endpoint as a one-byte code, and the calls remaining and the ids of every
-    call each in one _IdColumn, a call's ids up to its end offset; -1 stands
-    for a None key or calls remaining. A call with one id costs 41 B, and each
-    further id 8 B more.
+    with no object per call: the times as float64, the key, the calls
+    remaining and the ids of every call as int64, a call's ids up to its end
+    offset, and the endpoint as a one-byte code; -1 stands for a None key or
+    calls remaining. A call with one id costs 41 B, and each further id 8 B
+    more.
 
     It stands in for the list of CallRecords it replaces: len() counts the
     calls, iteration rebuilds each one's CallRecord (nodes a tuple of ints),
@@ -77,31 +77,32 @@ class CallLog:
         self._key = array("q")  # a key is below key_count, so it fits
         self._endpoint = array("B")
         self._codes: dict[str, int] = {}  # endpoint -> its code
-        self._remaining = _IdColumn()  # a window may allow more than 2**63 calls
-        self._node_ids = _IdColumn()
+        self._remaining = array("q")  # ApiBudget keeps a window's calls below 2**63
+        self._node_ids = array("q")
         self._node_ends = array("q")
 
     def append(
-        self, t: float, key: int | None, endpoint: str, nodes: list[NodeId],
+        self, t: float, key: int | None, endpoint: str, nodes: Iterable[NodeId],
         calls_remaining: int | None,
     ) -> None:
-        self._node_ids.extend(nodes)  # first: a non-int id raises before any column grows
-        self._node_ends.append(len(self._node_ids.values))
+        # first, and whole: an id that is not an int64 raises before any column grows
+        self._node_ids += array("q", nodes)
+        self._node_ends.append(len(self._node_ids))
         self._t.append(t)
         self._key.append(-1 if key is None else key)
         self._endpoint.append(self._codes.setdefault(endpoint, len(self._codes)))
-        self._remaining.extend([-1 if calls_remaining is None else calls_remaining])
+        self._remaining.append(-1 if calls_remaining is None else calls_remaining)
 
     def __len__(self) -> int:
         return len(self._t)
 
     def __iter__(self) -> Iterator[CallRecord]:
         endpoints = list(self._codes)
-        ids = self._node_ids.values
+        ids = self._node_ids
         record = tuple.__new__  # a CallRecord without the Python-level CallRecord.__new__
         start = 0
         for t, key, code, remaining, end in zip(
-            self._t, self._key, self._endpoint, self._remaining.values, self._node_ends
+            self._t, self._key, self._endpoint, self._remaining, self._node_ends
         ):
             # most calls ask for one id, and this skips the slice's copy
             nodes = (ids[start],) if end - start == 1 else tuple(ids[start:end])
@@ -152,9 +153,9 @@ class ApiBudget:
 
     Defaults mirror the public platform: 15 friends calls per key per 900 s
     window, 5,000 friends per page, and 900 profile calls of up to 100 ids
-    per key per window, over 12 keys. Counts must be at least 1 and windows
-    finite and above 0. With rate_limits_enabled off, calls are logged but
-    never charged or blocked.
+    per key per window, over 12 keys. Counts must be at least 1, calls per
+    window also below 2**63, and windows finite and above 0. With
+    rate_limits_enabled off, calls are logged but never charged or blocked.
     """
 
     key_count: int = 12
@@ -174,6 +175,8 @@ class ApiBudget:
             value = getattr(self, name)
             if not value >= 1:  # NaN fails too
                 raise ValueError(f"{name} must be >= 1, got {value}")
+            if name.endswith("_calls_per_window") and value >= _INT64_END:
+                raise ValueError(f"{name} must be < 2**63, got {value}")
         for name in ("friends_window_seconds", "profile_window_seconds"):
             value = getattr(self, name)
             # an infinite window never frees a slot, so a crawl would block for good
@@ -276,7 +279,7 @@ class SimulatedOracle:
         self.call_log = CallLog()
         self.calls_by_endpoint: dict[str, int] = {self.FRIENDS: 0, self.PROFILES: 0}
 
-    def _charge(self, endpoint: str, limiter: RateLimiter | None, nodes: list[NodeId]) -> None:
+    def _charge(self, endpoint: str, limiter: RateLimiter | None, nodes: Sequence[NodeId]) -> None:
         key: int | None = None
         remaining: int | None = None
         if limiter is not None:
@@ -305,13 +308,18 @@ class SimulatedOracle:
 
         Unknown ids are silently dropped from the result, mirroring batched
         user-lookup endpoints. The result is a ProfileLookup, so a caller
-        that reads no profile builds no ProfileRecord.
+        that reads no profile builds no ProfileRecord. An id that is not an
+        int64 integer raises TypeError or ValueError before any call is
+        charged.
         """
-        nodes = list(nodes)
+        try:
+            ids = array("q", nodes)  # a float, str or None raises TypeError
+        except OverflowError:
+            raise ValueError("account ids must fit an int64") from None
         index = self.profiles.index
         rows: dict[NodeId, int] = {}
-        for start in range(0, len(nodes), self.profile_batch):
-            chunk = nodes[start : start + self.profile_batch]
+        for start in range(0, len(ids), self.profile_batch):
+            chunk = ids[start : start + self.profile_batch]
             self._charge(self.PROFILES, self.profiles_limiter, chunk)
             for node in chunk:
                 row = index.get(node)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from rankwalk.graph import DirectedGraph, ProfileTable
 
-# Sparse ids, some past 2**63, drawn in no particular order.
-SPARSE_IDS = st.one_of(st.integers(0, 10**6), st.integers(2**63, 2**64))
+# Sparse ids, some up to the largest an account id may be, 2**63 - 1, drawn
+# in no particular order.
+SPARSE_IDS = st.one_of(st.integers(0, 10**6), st.integers(2**63 - 10**6, 2**63 - 1))
 
 
 def make_profiles(graph, language="de", follower_counts=None, languages=None,

@@ -707,6 +707,74 @@ def test_analysis_setting_out_of_range_gives_exit_one(
     assert not any((tmp_path / "out").iterdir())
 
 
+RESUME = SAMPLE + ["--resume-from", "{d}/resume.jsonl"]
+
+
+def resume_text(record):
+    """A resume file: META, then `record`, then a walker at account 1."""
+    return f"{META}\n{json.dumps(record)}\n{WALKER}"
+
+
+# Each reader of account ids: the command, the file, the file's text holding
+# the id n once, and that id's line (None for a file read whole).
+ID_READERS = {
+    "edges": (PAGERANK, "edges.csv", lambda n: f"source,target\n1,2\n2,{n}\n", 3),
+    "sample": (["kcore", "--graph", "{d}/sample.csv", "--k", "1"], "sample.csv",
+               lambda n: f"source,target,provenance\n1,2,walked\n{n},1,symmetric\n", 3),
+    "profile-node": (SAMPLE, "profiles.jsonl",
+                     lambda n: profile_line(1, 2) + profile_line(n, 1), 2),
+    "profile-friend": (SAMPLE, "profiles.jsonl",
+                       lambda n: profile_line(1, n) + profile_line(2, 1), 1),
+    "docs": (KEYWORDS, "docs.jsonl",
+             lambda n: GOOD_FILES["docs.jsonl"] + json.dumps({"node": n, "ts": 3.0, "text": "c"}),
+             3),
+    "resume-s": (RESUME, "resume.jsonl",
+                 lambda n: resume_text({"type": "edge", "s": n, "t": 1, "p": "walked"}), 2),
+    "resume-t": (RESUME, "resume.jsonl",
+                 lambda n: resume_text({"type": "edge", "s": 1, "t": n, "p": "walked"}), 2),
+    "resume-n": (RESUME, "resume.jsonl", lambda n: resume_text({"type": "seed_node", "n": n}), 2),
+    "resume-current": (RESUME, "resume.jsonl",
+                       lambda n: resume_text({"type": "walker", "current": n}), 2),
+    "seed-pool": (SAMPLE + ["--seed-pool", "{d}/pool.txt"], "pool.txt", lambda n: f"1\n{n}\n", 2),
+    "assignment": (KEYWORDS, "assignment.csv", lambda n: f"node,community\n1,0\n{n},1\n", 3),
+    "config-calls-per-window": (["--config", "{d}/config.json"] + SAMPLE, "config.json",
+                                lambda n: json.dumps({"friends_calls_per_window": n}), None),
+}
+
+
+@pytest.mark.parametrize("argv, name, text, lineno", ID_READERS.values(), ids=ID_READERS)
+def test_each_reader_rejects_2_to_the_63_and_takes_one_less(
+    tmp_path, capsys, argv, name, text, lineno
+):
+    """Account ids, and calls per rate window, are in [0, 2**63): 2**63 ends in
+    exit 1 with one line naming the file and line, and the same file with
+    2**63 - 1 is read and the command succeeds."""
+    for good_name, good_text in GOOD_FILES.items():
+        (tmp_path / good_name).write_text(good_text, encoding="utf-8")
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    path = tmp_path / name
+    path.write_text(text(2**63), encoding="utf-8")
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err
+    where = "" if lineno is None else f"line {lineno}: "
+    assert err.startswith(f"error: {path}: {where}") and err.count("\n") == 1
+    assert "< 2**63" in err and str(2**63) in err
+    path.write_text(text(2**63 - 1), encoding="utf-8")
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 0
+
+
+def test_reference_seed_of_2_to_the_63_gives_one_line_and_one_less_is_taken(tmp_path, capsys):
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "edges.csv").write_text(f"source,target\n1,2\n2,{2**63 - 1}\n")
+    argv = [arg.format(d=tmp_path) for arg in REFERENCE]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, "--seeds", f"1,{2**63}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --seeds: expected an account id < 2**63, got '{2**63}'\n"
+    )
+    assert run(["--out-dir", str(tmp_path / "out"), *argv, "--seeds", f"1,{2**63 - 1}"]) == 0
+
+
 def generate_argv(model):
     return ["generate", "--model", model, "--nodes", "10"]
 

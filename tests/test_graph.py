@@ -47,6 +47,13 @@ class TestDirectedGraph:
             with pytest.raises(ValueError, match="non-negative, got -3"):
                 DirectedGraph.from_edges(edges, nodes=nodes)
 
+    def test_rejects_id_past_int64(self):
+        for edges, nodes in [([(1, 2**63)], ()), ([(1, 2)], [4, 2**64])]:
+            largest = max(nodes, default=2**63)
+            with pytest.raises(ValueError, match=rf"^node ids must be < 2\*\*63, got {largest}$"):
+                DirectedGraph.from_edges(edges, nodes=nodes)
+        assert DirectedGraph.from_edges([(1, 2**63 - 1)]).ids == [1, 2**63 - 1]
+
     def test_duplicate_edge_not_double_counted(self):
         g = DirectedGraph.from_edges([(1, 2), (1, 2)])
         assert g.num_edges() == 1
@@ -94,9 +101,9 @@ def assert_same_graph(got, expected):
 @given(data=st.data())
 def test_numbering_by_sorted_ids_equals_dict_numbering(data):
     """A graph numbers its nodes by its ascending ids alone: index_of bisects
-    them, and from_edges and subgraph number whole arrays by np.searchsorted,
-    over int64 ids or, once one passes 2**63, Python ints. Each agrees with a
-    dict from id to index, and so do the nodes view and the PageRank scores."""
+    them, and from_edges and subgraph number whole arrays by np.searchsorted
+    over int64 ids. Each agrees with a dict from id to index, and so do the
+    nodes view and the PageRank scores; a key past 2**63 - 1 is absent."""
     nodes = data.draw(st.lists(SPARSE_IDS, min_size=1, max_size=30, unique=True))
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
     edges = [(u, v) for u, v in data.draw(st.lists(pairs, max_size=60)) if u != v]
@@ -106,6 +113,7 @@ def test_numbering_by_sorted_ids_equals_dict_numbering(data):
     assert_same_graph(graph, dict_numbered(ids, edges))
 
     absent = data.draw(st.lists(SPARSE_IDS.filter(lambda n: n not in index), max_size=5))
+    absent.append(2**63)
     view = graph.nodes
     assert list(view) == ids and len(view) == len(ids) and view == set(ids)
     for key in [*ids, *absent, "3", None, 1.5, math.nan]:
@@ -317,16 +325,17 @@ class TestPageRank:
         """The same scores, bit for bit, and iterations as summing each node's
         terms edge by edge in edges() order, whatever the size of the blocks
         of source rows pagerank sums by: the graphs hold a hub whose
-        out-degree passes a small block, dangling nodes and ids past 2**63."""
+        out-degree passes a small block, dangling nodes and ids up to 2**63 - 1."""
         monkeypatch.setattr(graph_module, "_PAGERANK_BLOCK", block)
         for seed in range(8):
             rng = random.Random(seed)
-            # sparse ids, some past 2**63, so that set order is not id order
-            ids = list({rng.choice([rng.randint(0, 10**6), 2**63 + rng.randint(0, 10**6)]) for _ in range(40)})
+            # sparse ids, some near 2**63, so that set order is not id order
+            near_edge = 2**63 - 200  # below the sink and the isolated node
+            ids = list({rng.choice([rng.randint(0, 10**6), near_edge - rng.randint(0, 10**6)]) for _ in range(40)})
             edges = [tuple(rng.sample(ids, 2)) for _ in range(150)]
             hub = ids[seed]
             edges += [(hub, v) for v in rng.sample(ids, 25) if v != hub]
-            sink, isolated = 2**64 + seed, 2**64 + 100  # no friends: dangling
+            sink, isolated = 2**63 - 1 - seed, 2**63 - 100  # no friends: dangling
             edges.append((hub, sink))
             g = DirectedGraph.from_edges(edges, nodes=[*ids, isolated])
             path = tmp_path / f"edges{seed}.csv"
@@ -336,7 +345,7 @@ class TestPageRank:
             assert edges != sorted(edges)
             assert g.ids == sorted(ids + [sink, isolated]) and read.ids == sorted(read.ids)
             assert g.out_degree(hub) > 20 and g.out_degree(sink) == g.out_degree(isolated) == 0
-            assert max(ids) > 2**63
+            assert max(ids) > 2**62
             blocks = graph_module._row_blocks(g.out_offsets)
             assert len(blocks) == 1 if block == 1 << 16 else len(blocks) > 2
             cases = [(g, g), (read, DirectedGraph.from_edges(edges))]
@@ -519,11 +528,11 @@ class TestEdgeListIO:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_equals_row_by_row_build(self, data, tmp_path_factory):
-        # ids past 2**63 - 1 must take the per-line path
+        # ids up to the largest, 2**63 - 1, which numpy's reader must take
         ids = st.one_of(
             st.integers(0, 40),
             st.integers(0, 10**6),
-            st.sampled_from([10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19]),
+            st.sampled_from([10**18 - 1, 10**18, 2**63 - 2, 2**63 - 1]),
         )
         rows = [
             (u, v)
@@ -557,8 +566,8 @@ class TestEdgeListIO:
         assert_equals_row_build(got, rows, data)
         duplicates = len(rows) - len(set(rows))
         assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
-        # numpy's reader takes every form drawn here; only an id past int64 is read per line
-        assert bool(per_line_calls) == any(u >= 2**63 or v >= 2**63 for u, v in rows)
+        # numpy's reader takes every form and id drawn here
+        assert per_line_calls == []
         # index_of bisects the ids: each id's position, None for any other id
         assert all(got.index_of(node) == i for i, node in enumerate(got.ids))
         assert all(got.index_of(node) is None for node in [10**19 + 1, max(got.ids, default=0) + 1])
@@ -634,7 +643,8 @@ class TestEdgeListIO:
     def test_per_line_reader_reads_only_ids_past_int64(self, tmp_path, monkeypatch):
         """numpy's reader takes padded, '+'-signed, CRLF and blank-line files,
         and a sample as write_sample_csv writes it; only a file with an id of
-        2**63 or more goes to the per-line reader."""
+        2**63 or more goes to the per-line reader, which rejects that id with
+        its line."""
         calls = []
         read_rows = graph_module._read_rows
         monkeypatch.setattr(graph_module, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
@@ -653,15 +663,18 @@ class TestEdgeListIO:
         assert [(u, v, p) for (u, v), p in provenance.items()] == sample.edges_with_provenance()
         assert calls == []
         path.write_text("source,target\n1,2\n9223372036854775808,3\n")
-        assert list(read_edge_list(path).edges()) == [(1, 2), (2**63, 3)]
+        message = f"{path}: line 3: expected an account id < 2**63, got '9223372036854775808'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_edge_list(path)
         assert len(calls) == 1
 
     def test_id_past_int64_not_clamped(self, tmp_path):
+        """An id past int64 is rejected with its line, not clamped or wrapped."""
         path = tmp_path / "edges.csv"
         path.write_text("source,target\n1,2\n99999999999999999999,3\n")
-        g = read_edge_list(path)
-        assert g.has_edge(99999999999999999999, 3)
-        assert g.num_nodes() == 4
+        message = f"{path}: line 3: expected an account id < 2**63, got '99999999999999999999'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_edge_list(path)
 
 
 # Edge file bodies that numpy's reader and the per-line reader may each take
@@ -978,9 +991,25 @@ class TestProfileIO:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_profiles(path)
 
+    @pytest.mark.parametrize(
+        "field, value, bad",
+        [("node", 2**63, 2**63), ("friends_recent_first", [2, 2**64, 2**63], 2**64)],
+    )
+    def test_id_past_int64_rejected_by_the_file_and_the_records(self, tmp_path, field, value, bad):
+        """The first id of 2**63 or more is named, with its field; the table
+        builder rejects it whether the record comes from a file or not."""
+        record = {**json.loads(VALID_RECORD), field: value}
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        message = f"field {field!r}: expected an integer < 2**63, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 1: {message}')}$"):
+            read_profiles(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProfileTable.from_records([record])
 
-# Ids of either size: small ones, and ones past 2**63 that int64 cannot hold.
-PROFILE_IDS = st.one_of(st.integers(0, 60), st.integers(2**63 - 2, 2**63 + 60))
+
+# Small ids, and ones up to the largest an account id may be, 2**63 - 1.
+PROFILE_IDS = st.one_of(st.integers(0, 60), st.integers(2**63 - 63, 2**63 - 1))
 TIMES = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -1086,7 +1115,8 @@ def test_profile_table_holds_no_object_per_account(tmp_path):
         del table, oracle
 
 
-# The id rule as stated: optional whitespace, at most one '+', ASCII digits.
+# The id rule as stated: optional whitespace, at most one '+', ASCII digits,
+# and a value below 2**63.
 ID_TEXT = re.compile(r"\s*\+?[0-9]+\s*")
 
 
@@ -1094,12 +1124,13 @@ ID_TEXT = re.compile(r"\s*\+?[0-9]+\s*")
 @given(
     text=st.one_of(
         st.from_regex(ID_TEXT, fullmatch=True),
+        st.integers(2**63 - 2, 2**63 + 1).map(str),
         st.text(alphabet=" \t\x0b\x1c\x85\xa0\u2003+-_.e0123456789\u0663\uff11x", max_size=12),
         st.text(max_size=12),
     )
 )
 def test_parse_id_accepts_exactly_the_id_rule(text):
-    if ID_TEXT.fullmatch(text):
+    if ID_TEXT.fullmatch(text) and int(text.strip()) < 2**63:
         # int() rejects the separators \x1c-\x1f, which \s and str.strip() count as whitespace
         assert parse_id(text) == int(text.strip())
     else:

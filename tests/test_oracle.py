@@ -44,6 +44,8 @@ class TestApiBudget:
             ("key_count", 0, ">= 1"),
             ("friends_calls_per_window", 0, ">= 1"),
             ("profile_calls_per_window", -1, ">= 1"),
+            ("friends_calls_per_window", 2**63, "< 2**63"),
+            ("profile_calls_per_window", 2**63, "< 2**63"),
             ("page_size", 0, ">= 1"),
             ("profile_batch", 0, ">= 1"),
             ("friends_window_seconds", 0.0, "finite and > 0"),
@@ -254,6 +256,28 @@ class TestProfiles:
         result = oracle.get_profiles([0, 99999])
         assert set(result) == {0}
 
+    @pytest.mark.parametrize(
+        "nodes, error",
+        [(["x"], TypeError), ([1.5], TypeError), ([None], TypeError), ([2**63], ValueError),
+         ([0, 2, 5, 2**64], ValueError), ([0, 2, 5, "7"], TypeError)],
+    )
+    def test_bad_id_raises_and_charges_nothing(self, nodes, error):
+        """An id that is not an int64 integer, anywhere in the batch, raises
+        before the first chunk is charged: no limiter load, count or log record."""
+        oracle = simple_oracle(profile_batch=2)
+        oracle.get_profiles([0, 2, 5])  # two calls: charged and logged
+        before = (
+            list(map(len, oracle.profiles_limiter._charges)), dict(oracle.calls_by_endpoint),
+            list(oracle.call_log),
+        )
+        with pytest.raises(error):
+            oracle.get_profiles(nodes)
+        assert before == (
+            list(map(len, oracle.profiles_limiter._charges)), oracle.calls_by_endpoint,
+            list(oracle.call_log),
+        )
+        assert len(oracle.call_log) == oracle.calls_by_endpoint[oracle.PROFILES] == 2
+
 class TestConstruction:
     def test_consistent_oracle_serves_out_neighbors(self):
         g = DirectedGraph.from_edges([(i, (i + 1) % 100) for i in range(100)])
@@ -310,8 +334,8 @@ class TestConstruction:
         assert oracle.calls_by_endpoint[oracle.PROFILES] == 0
 
 
-# Ids of either size, so that some friend rows cannot be held as int64.
-ORACLE_IDS = st.one_of(st.integers(0, 30), st.integers(2**63 - 3, 2**63 + 30))
+# Small ids, and ones up to the largest an account id may be, 2**63 - 1.
+ORACLE_IDS = st.one_of(st.integers(0, 30), st.integers(2**63 - 34, 2**63 - 1))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -337,7 +361,7 @@ def test_oracle_on_a_table_answers_as_the_profiles_it_was_built_from(data, tmp_p
     write_profiles(built, path)
     budget = ApiBudget(page_size=data.draw(st.integers(1, 4)), profile_batch=3)
     from_file, from_records = SimulatedOracle(read_profiles(path), budget), SimulatedOracle(built, budget)
-    asked = [*nodes, 7, 2**63 + 31]
+    asked = [*nodes, 7, 2**63 - 35]
 
     def answer(oracle, call, *args):
         try:
@@ -437,10 +461,10 @@ class ListLog(list):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_call_log_holds_the_records_a_list_would(data, tmp_path_factory):
-    """Random friends and profiles calls, with rate limits on and off, on ids of
-    either size, known and unknown: the log iterates as the list of CallRecords
-    the same calls fill, writes the same bytes, equals the log of a second
-    identical run and keeps the budget."""
+    """Random friends and profiles calls, with rate limits on and off, on small
+    ids and ones near 2**63, known and unknown: the log iterates as the list of
+    CallRecords the same calls fill, writes the same bytes, equals the log of
+    a second identical run and keeps the budget."""
     nodes = data.draw(st.lists(ORACLE_IDS, unique=True, max_size=8))
     table = ProfileTable.from_records(
         profile_record(
@@ -454,10 +478,10 @@ def test_call_log_holds_the_records_a_list_would(data, tmp_path_factory):
     )
     budget = ApiBudget(
         key_count=data.draw(st.integers(1, 3)),
-        # 2**64 calls a window leaves more calls than int64 holds
-        friends_calls_per_window=data.draw(st.sampled_from([1, 2, 5, 2**64])),
+        # the most calls a window may allow, so calls remaining is near the int64 edge
+        friends_calls_per_window=data.draw(st.sampled_from([1, 2, 5, 2**63 - 1])),
         friends_window_seconds=data.draw(st.sampled_from([1.0, 900.0])),
-        profile_calls_per_window=data.draw(st.sampled_from([1, 3, 2**64])),
+        profile_calls_per_window=data.draw(st.sampled_from([1, 3, 2**63 - 1])),
         profile_window_seconds=data.draw(st.sampled_from([0.5, 900.0])),
         profile_batch=data.draw(st.integers(1, 4)),
         rate_limits_enabled=data.draw(st.booleans()),

@@ -259,7 +259,7 @@ class TestRankDegree:
     def test_matches_sorted_reference(
         self, graph_seed, n, p, rho, collapse, reseed_on_leaf, use_seed_source, data
     ):
-        # node i gets id label[i]: dense ids in order, or sparse ones (some past
+        # node i gets id label[i]: dense ids in order, or sparse ones (some near
         # 2**63) in no particular order, so that first appearance is not id order
         label = data.draw(
             st.one_of(

@@ -36,6 +36,9 @@ from .oracle import ApiBudget, SimulatedOracle, write_call_log
 from .reference import rank_degree
 from .rng import substream
 from .sampler import (
+    SAMPLE_HEADER,
+    SYMMETRIC,
+    WALKED,
     SamplerConfig,
     SampleGraph,
     SeedPool,
@@ -125,7 +128,7 @@ def _read_graph_any(path):
     """Edge-list CSV with or without the sample provenance column."""
     with _open_text(path) as fh:
         header = fh.readline().strip()
-    if header == "source,target,provenance":
+    if header == SAMPLE_HEADER:
         graph, _ = read_sample_csv(path)
         return graph
     return read_edge_list(path)
@@ -238,8 +241,8 @@ def cmd_reference(args, out_dir: Path, seed: int) -> int:
     )
     sample = SampleGraph()
     for w, v in result.walked:
-        sample.add_edge(w, v, "walked")
-        sample.add_edge(v, w, "symmetric")
+        sample.add_edge(w, v, WALKED)
+        sample.add_edge(v, w, SYMMETRIC)
     write_sample_csv(sample, out_dir / args.out_sample)
     flag = "" if result.reached_target else " (graph exhausted early)"
     print(f"reference sample: {len(result.edges)} directed edges{flag}")

@@ -497,18 +497,7 @@ class DirectedGraph:
         ~10% faster on a 100k-edge sample, but its traced peak was ~20%
         higher. A repeated edge is dropped; a self-loop or an id outside
         [0, 2**63) raises ValueError."""
-        ends = [node for edge in edges for node in edge]
-        ids = sorted({*nodes, *ends})
-        if ids and ids[0] < 0:
-            raise ValueError(f"node ids must be non-negative, got {ids[0]}")
-        if ids and ids[-1] >= _INT64_END:
-            raise ValueError(f"node ids must be < 2**63, got {ids[-1]}")
-        sources, targets = _number_ends(np.array(ids, np.int64), np.array(ends, np.int64))
-        loops = np.flatnonzero(sources == targets)
-        if loops.size:
-            node = ids[sources[loops[0]]]
-            raise ValueError(f"self-loop rejected: ({node}, {node})")
-        return cls(ids, sources, targets)
+        return cls(*_numbered(edges, nodes))
 
     @property
     def nodes(self) -> Set[NodeId]:
@@ -583,6 +572,35 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(nodes={self.num_nodes()}, edges={self.num_edges()})"
+
+
+def _numbered(
+    edges: Iterable[tuple[NodeId, NodeId]], nodes: Iterable[NodeId]
+) -> tuple[list[NodeId], np.ndarray, np.ndarray]:
+    """DirectedGraph.from_edges' input numbered: the ascending distinct ids,
+    and the index of each edge's source and target among them, in input
+    order."""
+    ends = [node for edge in edges for node in edge]
+    ids = sorted({*nodes, *ends})
+    if ids and ids[0] < 0:
+        raise ValueError(f"node ids must be non-negative, got {ids[0]}")
+    if ids and ids[-1] >= _INT64_END:
+        raise ValueError(f"node ids must be < 2**63, got {ids[-1]}")
+    sources, targets = _number_ends(np.array(ids, np.int64), np.array(ends, np.int64))
+    loops = np.flatnonzero(sources == targets)
+    if loops.size:
+        node = ids[sources[loops[0]]]
+        raise ValueError(f"self-loop rejected: ({node}, {node})")
+    return ids, sources, targets
+
+
+def _labelled_graph(ids, sources, targets, codes) -> tuple[DirectedGraph, np.ndarray]:
+    """The graph of the edges sources[k] -> targets[k], indices into `ids`,
+    and codes[k] of each edge, aligned with its out_targets. The edges must
+    be distinct: then sorting them by source, then target, lays them out as
+    out_targets."""
+    graph = DirectedGraph(ids, sources, targets)
+    return graph, codes[np.argsort(sources * len(ids) + targets)]
 
 
 class UndirectedGraph(DirectedGraph):
@@ -940,13 +958,10 @@ def _read_labelled_edges(
         ends, codes = rows[:, :2].ravel(), rows[:, 2].astype(np.uint8)
         del rows  # both are copies: free its 24 B a row before the graph is built
     unique = _distinct(ends)
-    sources, targets = _number_ends(unique, ends)
-    graph = DirectedGraph(unique.tolist(), sources, targets)
+    graph, codes = _labelled_graph(unique.tolist(), *_number_ends(unique, ends), codes)
     if graph.num_edges() < len(codes):
         _raise_repeat(path, header, ends.tolist())
-    # with no repeat, the rows in order of their edge codes are the graph's edges
-    order = np.argsort(sources * len(unique) + targets)
-    return graph, codes[order]
+    return graph, codes
 
 
 def read_edge_list(path) -> DirectedGraph:

@@ -57,6 +57,16 @@ class DocTable(Sequence[Doc]):
         self.texts = texts
         self._ts_view = memoryview(ts)  # indexing it gives a Python float
 
+    @classmethod
+    def from_docs(cls, docs: Sequence[Doc]) -> DocTable:
+        """`docs` itself if it is a DocTable, else a DocTable of its Docs, each
+        node an id by read_docs_jsonl's rule (_integer_id)."""
+        if isinstance(docs, DocTable):
+            return docs
+        nodes = array("q", [_integer_id(doc.node, "node") for doc in docs])
+        ts = np.fromiter((doc.ts for doc in docs), np.float64, len(docs))
+        return cls(nodes, ts, [doc.text for doc in docs])
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self.texts))[index]]
@@ -132,14 +142,6 @@ def tokenize(text: str, stopwords: AbstractSet[str]) -> list[str]:
     return _tokens(text, stopwords, {}.setdefault)
 
 
-def _columns(docs: Sequence[Doc]) -> tuple[Sequence[NodeId], Sequence[float], Sequence[str]]:
-    """The node, ts and text columns of `docs`: a DocTable's own, read with no
-    Doc built, or lists made from any other sequence."""
-    if isinstance(docs, DocTable):
-        return docs.nodes, docs._ts_view, docs.texts
-    return [doc.node for doc in docs], [doc.ts for doc in docs], [doc.text for doc in docs]
-
-
 def window_docs(
     docs: Sequence[Doc],
     window_start: float | None = None,
@@ -150,7 +152,8 @@ def window_docs(
     per_node_cap per node, newest first: a DocTable of the kept rows,
     ascending by node. A bound left out is the oldest or newest text's
     timestamp; the start must not lie past the end. No Doc is built."""
-    nodes, times, texts = _columns(docs)
+    table = DocTable.from_docs(docs)
+    nodes, times, texts = table.nodes, table._ts_view, table.texts
     t0 = min(times, default=-math.inf) if window_start is None else window_start
     t1 = max(times, default=math.inf) if window_end is None else window_end
     if not t0 <= t1:  # NaN fails too
@@ -178,11 +181,11 @@ def tokenize_docs(
     """Aggregate raw texts into one TokenDoc per node, ascending by node: the
     tokenize() tokens of its texts in order, each distinct token one str
     object shared by all."""
-    nodes, _, texts = _columns(docs)
+    table = DocTable.from_docs(docs)
     share = {}.setdefault
     by_node: dict[NodeId, list[str]] = {}
     with _gc_paused():
-        for node, text in zip(nodes, texts):
+        for node, text in zip(table.nodes, table.texts):
             tokens = by_node.get(node)
             if tokens is None:
                 tokens = by_node[node] = []

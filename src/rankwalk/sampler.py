@@ -9,13 +9,17 @@ reads it from its cache on every later visit, so the run's friends calls,
 simulated seconds, growth times and call log count only charged calls.
 
 What a run keeps after it returns: the sample, its RunStats and the oracle's
-call log. The growth curve (a GrowthCurve) and the call log (a CallLog) hold
-one record per point or charged call as typed columns, with no Python object
-per record. While it runs, its whole state is one Crawl, freed when
-run_sample returns: the sample, the walkers and their cursor, the exhaustion
-state, the counters, and the page and profile caches as per-row columns over
-the oracle's profile table, 9 B a row, with no Python object per page or
-profile. run_sample is a loop over Crawl.step().
+call log. A sample has one finished form, the run's own and one read back
+alike: its DirectedGraph and one PROVENANCES code per edge, aligned with the
+graph's out_targets. sample.csv and the resume file's `edge` records are
+written from it, and read_sample_csv returns it. The growth curve (a
+GrowthCurve) and the call log (a CallLog) hold one record per point or
+charged call as typed columns, with no Python object per record. While it
+runs, its whole state is one Crawl, freed when run_sample returns: the
+sample, the walkers and their cursor, the exhaustion state, the counters,
+and the page and profile caches as per-row columns over the oracle's profile
+table, 9 B a row, with no Python object per page or profile. run_sample is a
+loop over Crawl.step().
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import json
 import math
 import random
 from array import array
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +42,8 @@ from .graph import (
     _compact_json,
     _gc_paused,
     _integer_id,
+    _labelled_graph,
+    _numbered,
     _read_json_lines,
     _read_labelled_edges,
 )
@@ -46,8 +51,10 @@ from .oracle import NotFoundError, ProtectedError, SimulatedOracle
 
 WALKED = "walked"
 SYMMETRIC = "symmetric"
-# A sample edge's provenance, by the code SampleProvenance keeps for it.
+# A sample edge's provenance, by its code: PROVENANCES[code].
 PROVENANCES = (WALKED, SYMMETRIC)
+# The first line of sample.csv, whose rows are source,target,provenance.
+SAMPLE_HEADER = "source,target,provenance"
 
 Edge = tuple[NodeId, NodeId]
 
@@ -121,9 +128,15 @@ class SampleGraph:
     run's saved ones, then this run's in walk order; a symmetric edge that is
     later walked moves there, at the end. `_symmetric` holds the other edges.
     `_in_degree` counts the sample edges into each node. `_nodes` holds every
-    node in insertion order, True for one first registered as a seed; `graph`
-    lists them in ascending id order. Seeds are registered as nodes even when
-    no edge touches them, so downstream filters can drop leaf seeds explicitly.
+    node in insertion order, True for one first registered as a seed. Seeds
+    are registered as nodes even when no edge touches them, so downstream
+    filters can drop leaf seeds explicitly.
+
+    `graph` and `codes`, the form every writer reads, are the DirectedGraph,
+    nodes and rows in ascending id order, and one uint8 PROVENANCES index per
+    edge, aligned with its out_targets. Both are built on the first read after
+    a change, a walked symmetric edge's new code included, and kept until the
+    next one.
     """
 
     def __init__(self) -> None:
@@ -131,22 +144,28 @@ class SampleGraph:
         self._symmetric: set[Edge] = set()
         self._in_degree: dict[NodeId, int] = {}
         self._nodes: dict[NodeId, bool] = {}
-        self._graph: DirectedGraph | None = None
+        self._columns: tuple[DirectedGraph, np.ndarray] | None = None
+
+    def _built(self) -> tuple[DirectedGraph, np.ndarray]:
+        if self._columns is None:
+            walked, symmetric = self._walked, self._symmetric
+            ids, sources, targets = _numbered(chain(walked, symmetric), self._nodes)
+            # the walked edges come first, then the symmetric ones: codes 0 and 1
+            codes = np.repeat(np.arange(2, dtype=np.uint8), [len(walked), len(symmetric)])
+            self._columns = _labelled_graph(ids, sources, targets, codes)
+        return self._columns
 
     @property
     def graph(self) -> DirectedGraph:
-        """The sample as a DirectedGraph, nodes and each row in ascending id
-        order; built on the first read after a change and kept until the next
-        one."""
-        if self._graph is None:
-            self._graph = DirectedGraph.from_edges(
-                chain(self._walked, self._symmetric), nodes=self._nodes
-            )
-        return self._graph
+        return self._built()[0]
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._built()[1]
 
     def add_seed(self, node: NodeId) -> None:
         self._nodes.setdefault(node, True)
-        self._graph = None
+        self._columns = None
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
         """Collect an edge; True when it is new to the sample."""
@@ -161,11 +180,13 @@ class SampleGraph:
             self._walked[edge] = None
         elif added:
             self._symmetric.add(edge)
+        else:
+            return False
         if added:
             self._in_degree[target] = self._in_degree.get(target, 0) + 1
             self._nodes.setdefault(source, False)
             self._nodes.setdefault(target, False)
-            self._graph = None
+        self._columns = None
         return added
 
     def num_edges(self) -> int:
@@ -175,9 +196,9 @@ class SampleGraph:
         return len(self._nodes)
 
     def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
-        symmetric = self._symmetric
-        edges = sorted(chain(self._walked, symmetric))
-        return [(*e, SYMMETRIC if e in symmetric else WALKED) for e in edges]
+        """(source, target, provenance) of each edge, ascending (source, target)."""
+        edges, codes = self.graph.edges(), self.codes.tolist()
+        return [(s, t, PROVENANCES[code]) for (s, t), code in zip(edges, codes)]
 
 
 class GrowthCurve:
@@ -540,76 +561,24 @@ def run_sample(
 
 
 def write_sample_csv(sample: SampleGraph, path) -> None:
-    """Edge list with a provenance column, sorted for determinism."""
+    """The sample's graph and codes as an edge list with a provenance column,
+    in edges() order: ascending (source, target)."""
+    edges, codes = sample.graph.edges(), sample.codes.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("source,target,provenance\n")
-        for source, target, provenance in sample.edges_with_provenance():
-            fh.write(f"{source},{target},{provenance}\n")
+        fh.write(SAMPLE_HEADER + "\n")
+        for (source, target), code in zip(edges, codes):
+            fh.write(f"{source},{target},{PROVENANCES[code]}\n")
 
 
-class SampleProvenance(Mapping[Edge, str]):
-    """The provenance of each edge of a sample graph, as read_sample_csv
-    returns it: a read-only mapping from (source, target) to `walked` or
-    `symmetric` over the graph and one byte per edge, codes[k] being the
-    index in PROVENANCES of the edge at out_targets[k]. It keeps no Python
-    object per edge. Iteration follows edges(), ascending (source, target),
-    the order write_sample_csv writes; provenance[edge] bisects the source's
-    index and searches its row."""
-
-    __slots__ = ("graph", "codes")
-
-    def __init__(self, graph: DirectedGraph, codes: np.ndarray) -> None:
-        self.graph = graph
-        self.codes = codes
-
-    def __getitem__(self, edge: Edge) -> str:
-        try:
-            source, target = edge
-        except (TypeError, ValueError):
-            raise KeyError(edge) from None
-        graph = self.graph
-        i, j = graph.index_of(source), graph.index_of(target)
-        if i is not None and j is not None:
-            start, end = graph.out_offsets[i], graph.out_offsets[i + 1]
-            k = start + int(np.searchsorted(graph.out_targets[start:end], j))
-            if k < end and graph.out_targets[k] == j:
-                return PROVENANCES[self.codes[k]]
-        raise KeyError(edge)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return self.graph.edges()
-
-    def __len__(self) -> int:
-        return self.graph.num_edges()
-
-    def items(self) -> ItemsView[Edge, str]:
-        return _ProvenanceItems(self)
-
-    def values(self) -> ValuesView[str]:
-        return _ProvenanceValues(self)
-
-
-class _ProvenanceItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[Edge, str]]:
-        return zip(self._mapping.graph.edges(), _ProvenanceValues(self._mapping))
-
-
-class _ProvenanceValues(ValuesView):
-    def __iter__(self) -> Iterator[str]:
-        return map(PROVENANCES.__getitem__, self._mapping.codes.tolist())
-
-
-def read_sample_csv(path) -> tuple[DirectedGraph, SampleProvenance]:
+def read_sample_csv(path) -> tuple[DirectedGraph, np.ndarray]:
     """The sample graph, nodes and each row in ascending id order whatever the
-    file's order, and each edge's provenance as a SampleProvenance. Rows are
-    read as read_edge_list reads them, into one column of ids and one
-    provenance byte a row, with no object per row. An edge listed twice is
-    rejected, with the line of its repeat: write_sample_csv writes each edge
-    once."""
-    graph, codes = _read_labelled_edges(
-        path, "source,target,provenance", PROVENANCES, "malformed sample row {!r}"
-    )
-    return graph, SampleProvenance(graph, codes)
+    file's order, and each edge's provenance code, uint8 and aligned with its
+    out_targets: a SampleGraph's graph and codes, so a sample written and
+    read back equals them array for array. Rows are read as read_edge_list
+    reads them, into one column of ids and one provenance byte a row, with
+    no object per row. An edge listed twice is rejected, with the line of
+    its repeat: write_sample_csv writes each edge once."""
+    return _read_labelled_edges(path, SAMPLE_HEADER, PROVENANCES, "malformed sample row {!r}")
 
 
 def write_growth_csv(stats: RunStats, path) -> None:
@@ -637,6 +606,7 @@ def save_run_state(
     walked ones are the burned edges), the seed nodes, and one `walker` record
     per walker, holding the account it stands on, in the order they step
     next."""
+    edges, codes = sample.graph.edges(), sample.codes.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         meta = {
             "type": "meta",
@@ -644,9 +614,9 @@ def save_run_state(
             "seed_pool_state": seed_pool.getstate(),
         }
         fh.write(_compact_json(meta) + "\n")
-        for source, target, provenance in sample.edges_with_provenance():
-            fh.write(_compact_json({"type": "edge", "s": source, "t": target, "p": provenance}))
-            fh.write("\n")
+        for (source, target), code in zip(edges, codes):
+            record = {"type": "edge", "s": source, "t": target, "p": PROVENANCES[code]}
+            fh.write(_compact_json(record) + "\n")
         for node, seed in sorted(sample._nodes.items()):
             if seed:
                 fh.write(_compact_json({"type": "seed_node", "n": node}) + "\n")
@@ -659,9 +629,11 @@ def load_run_state(path) -> RunState:
     in step order load too: their `burned` records repeat walked `edge`
     records and are skipped, and their walker records are in `id` order, the
     order those runs resumed them in. A walker's `id`, like any other extra
-    field, is ignored."""
+    field, is ignored. An edge listed twice is rejected, as read_sample_csv
+    rejects it."""
     meta: list[tuple[float, tuple]] = []
     edges: list[tuple[NodeId, NodeId, str]] = []
+    listed: set[Edge] = set()
     seed_nodes: list[NodeId] = []
     walkers: list[NodeId] = []
 
@@ -683,10 +655,13 @@ def load_run_state(path) -> RunState:
             source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
             if source == target:
                 raise ValueError(f"self-loop {source},{target}")
-            if record["p"] not in (WALKED, SYMMETRIC):
+            if record["p"] not in PROVENANCES:
                 raise ValueError(
                     f"field 'p': expected {WALKED!r} or {SYMMETRIC!r}, got {record['p']!r:.80}"
                 )
+            if (source, target) in listed:
+                raise ValueError(f"edge {source},{target} listed twice")
+            listed.add((source, target))
             edges.append((source, target, record["p"]))
         elif kind == "seed_node":
             seed_nodes.append(_integer_id(record["n"], "n"))

@@ -164,9 +164,10 @@ class TestPipelineCommands:
             ]
         )
         assert rc == 0
-        sample_graph, provenance = read_sample_csv(fixture_dir / "sample.csv")
+        sample_graph, codes = read_sample_csv(fixture_dir / "sample.csv")
         assert sample_graph.num_edges() >= 120
-        assert set(provenance.values()) <= {"walked", "symmetric"}
+        # one code an edge, each that of `walked` or `symmetric`
+        assert len(codes) == sample_graph.num_edges() and set(codes.tolist()) <= {0, 1}
         stats = json.loads((fixture_dir / "stats.json").read_text())
         assert stats["sample_edges"] == sample_graph.num_edges()
         growth_lines = (fixture_dir / "growth.csv").read_text().strip().split("\n")
@@ -211,7 +212,7 @@ class TestPipelineCommands:
             ]
         )
         assert rc == 0
-        graph, provenance = read_sample_csv(fixture_dir / "reference_sample.csv")
+        graph, _ = read_sample_csv(fixture_dir / "reference_sample.csv")
         assert graph.num_edges() >= 40
 
     def test_communities_and_keywords(self, fixture_dir):
@@ -561,6 +562,10 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         (KEYWORDS + ["--per-node-cap", "1"], "docs.jsonl",
          '{"node": 1, "ts": 1.0, "text": "a"}\n{"node": 2, "ts": NaN, "text": "b"}\n', 2,
          "field 'ts' must be finite, got nan"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "edge", "s": 1, "t": 2, "p": "symmetric"}\n'
+         '{"type": "edge", "s": 1, "t": 2, "p": "walked"}\n' + WALKER, 3,
+         "edge 1,2 listed twice"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -577,7 +582,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "reference-no-edges", "seed-pool-no-target-language", "evaluate-language-absent",
         "resume-infinite-clock", "resume-nan-clock", "resume-negative-clock",
         "resume-clock-past-window-resolution", "profile-nan-time", "profile-infinite-time",
-        "docs-nan-time-first", "docs-nan-time-second",
+        "docs-nan-time-first", "docs-nan-time-second", "resume-repeated-edge",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(

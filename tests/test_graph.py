@@ -633,8 +633,8 @@ class TestEdgeListIO:
         with warnings.catch_warnings(record=True) as caught, captured_warnings() as logged:
             warnings.simplefilter("always")
             if labels:
-                graph, provenance = read_sample_csv(path)
-                assert len(provenance) == 0
+                graph, codes = read_sample_csv(path)
+                assert len(codes) == 0
             else:
                 graph = read_edge_list(path)
         assert graph.ids == [] and graph.num_edges() == 0
@@ -659,8 +659,9 @@ class TestEdgeListIO:
         for u, v, provenance in [(5, 1, "walked"), (1, 5, "symmetric"), (2**63 - 1, 5, "walked")]:
             sample.add_edge(u, v, provenance)
         write_sample_csv(sample, path)
-        _, provenance = read_sample_csv(path)
-        assert [(u, v, p) for (u, v), p in provenance.items()] == sample.edges_with_provenance()
+        graph, codes = read_sample_csv(path)
+        assert list(graph.edges()) == list(sample.graph.edges())
+        assert np.array_equal(codes, sample.codes)
         assert calls == []
         path.write_text("source,target\n1,2\n9223372036854775808,3\n")
         message = f"{path}: line 3: expected an account id < 2**63, got '9223372036854775808'"

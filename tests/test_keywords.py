@@ -254,6 +254,22 @@ class TestWindowDocs:
         with pytest.raises(ValueError):
             window_docs(self.docs(), 10.0, 5.0)
 
+    @pytest.mark.parametrize("node, error, message", [
+        (2**63, ValueError, "field 'node': expected an integer < 2**63, got 9223372036854775808"),
+        (-1, TypeError, "field 'node': expected a JSON integer >= 0, got -1"),
+        (True, TypeError, "field 'node': expected a JSON integer >= 0, got True"),
+        (1.0, TypeError, "field 'node': expected a JSON integer >= 0, got 1.0"),
+    ])
+    def test_docs_take_read_docs_jsonls_id_rule(self, node, error, message):
+        """A list of Docs becomes a DocTable by one constructor, which takes
+        the ids read_docs_jsonl takes: window_docs and tokenize_docs give one
+        answer for a node that is not an id."""
+        docs = [Doc(1, 1.0, "a"), Doc(node, 1.0, "a")]
+        for call in (lambda: window_docs(docs), lambda: tokenize_docs(docs, set())):
+            with pytest.raises(error) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestDocsIO:
     def test_jsonl_round_trip(self, tmp_path):

@@ -22,6 +22,7 @@ from rankwalk.oracle import (
     write_call_log,
 )
 from rankwalk.sampler import (
+    PROVENANCES,
     SYMMETRIC,
     WALKED,
     Crawl,
@@ -225,9 +226,10 @@ class TestSampleGraph:
         sample, reference = SampleGraph(), DictProvenanceSampleGraph()
         for op in ops:
             if op is None:
-                graph = sample.graph
+                graph, codes = sample.graph, sample.codes
                 reference.assert_graph_equal(graph)
-                assert sample.graph is graph  # cached until the next change
+                # cached until the next change
+                assert sample.graph is graph and sample.codes is codes
             elif isinstance(op, int):
                 sample.add_seed(op)
                 reference.add_seed(op)
@@ -239,6 +241,8 @@ class TestSampleGraph:
         assert list(sample._nodes) == list(reference._node_provenance)
         rows = reference.edges_with_provenance()
         assert sample.edges_with_provenance() == rows
+        assert provenance_codes(rows).tolist() == sample.codes.tolist()
+        assert sample.codes.dtype == np.uint8
         assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
         assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
@@ -254,10 +258,10 @@ class TestSampleGraph:
         assert seed_node_records(sample, directory / "resume.jsonl") == seeds
         path = directory / "sample.csv"
         write_sample_csv(sample, path)
-        read, provenance = read_sample_csv(path)
+        read, codes = read_sample_csv(path)
         assert read.ids == sorted(read.ids)
         assert list(read.edges()) == [(s, t) for s, t, _ in rows]
-        assert provenance == {(s, t): p for s, t, p in rows}
+        assert_same_sample(read, codes, sample.graph, sample.codes)
         # and its rows ascend whatever the order of the file's rows
         body = "".join(f"{s},{t},{p}\n" for s, t, p in reversed(rows))
         path.write_text("source,target,provenance\n" + body)
@@ -273,6 +277,27 @@ class TestSampleGraph:
         sample = SampleGraph()
         sample.add_edge(1, 2, SYMMETRIC)
         assert sample.edges_with_provenance() == [(1, 2, SYMMETRIC)]
+
+
+def provenance_codes(rows):
+    """The provenance code of each (source, target, provenance) row."""
+    return np.array([PROVENANCES.index(p) for *_, p in rows], np.uint8)
+
+
+def edge_ids(graph):
+    """The source ids and the target ids of the graph's edges, in edges() order."""
+    ids = np.array(graph.ids, np.int64)
+    return ids[graph.edge_sources()], ids[graph.out_targets]
+
+
+def assert_same_sample(graph, codes, expected_graph, expected_codes):
+    """Two samples in column form hold the same edges, in the same order,
+    with the same codes, array for array; a node without an edge, which no
+    sample file holds, is not compared."""
+    for got, expected in zip(edge_ids(graph), edge_ids(expected_graph)):
+        assert np.array_equal(got, expected)
+    assert codes.dtype == expected_codes.dtype == np.uint8
+    assert np.array_equal(codes, expected_codes)
 
 
 def dict_read_sample_csv(path):
@@ -332,24 +357,16 @@ class TestReadSampleCsv:
         path = tmp_path_factory.mktemp("sample") / "sample.csv"
         path.write_bytes((data.draw(SAMPLE_HEADERS) + body).encode())
 
-        graph, provenance = read_sample_csv(path)
+        graph, codes = read_sample_csv(path)
         expected_graph, expected = dict_read_sample_csv(path)
         assert graph.ids == expected_graph.ids
         assert list(graph.edges()) == list(expected_graph.edges())
         assert np.array_equal(graph.in_degrees, expected_graph.in_degrees)
         assert np.array_equal(graph.out_offsets, expected_graph.out_offsets)
-        assert provenance == expected
-        assert dict(provenance) == expected  # each value by a lookup
-        assert len(provenance) == len(expected)
-        # iteration is ascending (source, target), the order write_sample_csv writes
-        assert list(provenance.items()) == sorted(expected.items())
-        assert list(provenance.values()) == [expected[edge] for edge in sorted(expected)]
-        absent = [(v, u) for u, v, _ in rows if (v, u) not in expected]
-        absent += [(2**70, 1), (1, 2**70), (0, 0), (1,), (1, 2, 3), "ab", 5, None]
-        for edge in absent:
-            assert edge not in provenance
-            with pytest.raises(KeyError):
-                provenance[edge]
+        # one code an edge, aligned with the graph's edges, ascending (source, target)
+        expected_codes = provenance_codes((*edge, expected[edge]) for edge in sorted(expected))
+        assert_same_sample(graph, codes, expected_graph, expected_codes)
+        assert [PROVENANCES[c] for c in codes.tolist()] == [expected[e] for e in graph.edges()]
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
@@ -431,11 +448,11 @@ class TestReadSampleCsv:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            graph, provenance = read_sample_csv(path)
+            graph, codes = read_sample_csv(path)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert graph.num_edges() == len(provenance) == len(edges)
+        assert graph.num_edges() == len(codes) == len(edges)
         assert (kept - before) / len(edges) < 64
         assert (peak - before) / len(edges) < 128
 
@@ -1228,7 +1245,9 @@ class TestResume:
     ):
         """k steps, a resume file, then steps - k more walk the edges of one
         steps-long run, in its order, for any k: the resumed run starts with
-        the walker after the one that stepped last."""
+        the walker after the one that stepped last. Each sample round-trips:
+        the resume file's `edge` records are the first run's rows, and
+        sample.csv reads back as the sample's own graph and codes."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=language_fraction, protected_fraction=protected_fraction,
@@ -1253,10 +1272,20 @@ class TestResume:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "resume.jsonl"
             save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
+            with open(path, encoding="utf-8") as fh:
+                records = [json.loads(line) for line in fh]
+            assert [
+                (r["s"], r["t"], r["p"]) for r in records if r["type"] == "edge"
+            ] == sample.edges_with_provenance()
             resume = load_run_state(path)
-        _, resumed, resumed_stats = run(steps - first, SeedPool(range(n), 0), resume)
+            _, resumed, resumed_stats = run(steps - first, SeedPool(range(n), 0), resume)
+            for sampled in (sample, resumed, whole):
+                write_sample_csv(sampled, Path(directory) / "sample.csv")
+                read_back = read_sample_csv(Path(directory) / "sample.csv")
+                assert_same_sample(*read_back, sampled.graph, sampled.codes)
         assert stats.walk_log + resumed_stats.walk_log == whole_stats.walk_log
         assert resumed.edges_with_provenance() == whole.edges_with_provenance()
+        assert_same_sample(resumed.graph, resumed.codes, whole.graph, whole.codes)
 
     def test_walker_records_may_carry_extra_fields(self, tmp_path):
         # resume files written before walker records lost "hops" still load

@@ -189,6 +189,12 @@ def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
                 f"{args.resume_from}: clock_now {resume.clock_now!r} is too large to add "
                 f"a {window!r} s rate window to"
             )
+        keys = [key for _, key, _ in resume.charges]
+        if budget.rate_limits_enabled and keys and max(keys) >= budget.key_count:
+            raise ValueError(
+                f"{args.resume_from}: charges of key {max(keys)}, but key_count is "
+                f"{budget.key_count}"
+            )
     sample, stats = run_sample(sampler_config, oracle, seed_pool, resume=resume)
     write_sample_csv(sample, out_dir / args.out_sample)
     write_stats_json(stats, out_dir / args.out_stats)
@@ -196,7 +202,8 @@ def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
     write_call_log(oracle.call_log, out_dir / args.out_call_log)
     if args.resume_to:
         save_run_state(
-            out_dir / args.resume_to, sample, stats.final_walkers, oracle.clock.now, seed_pool
+            out_dir / args.resume_to, sample, stats.final_walkers, oracle.clock.now, seed_pool,
+            oracle.window_charges(),
         )
     print(
         f"sampled {stats.sample_edges} edges / {stats.sample_nodes} nodes "
@@ -354,6 +361,8 @@ def cmd_communities(args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_keywords(args, out_dir: Path) -> int:
+    if args.min_size < 1:
+        raise ValueError(f"--min-size must be >= 1, got {args.min_size}")
     docs = keywords_mod.read_docs_jsonl(args.docs)
     stopwords = keywords_mod.read_stopwords(args.stopwords) if args.stopwords else set()
     assignment = communities_mod.load_assignment(args.assignment)

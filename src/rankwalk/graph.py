@@ -839,17 +839,19 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _read_bulk_rows(path, header: str, labels: tuple[str, ...] = ()) -> np.ndarray | None:
-    """An edge file's rows as numpy's reader reads them, int64: [source,
-    target] or, with `labels`, [source, target, index of the label].
+def _load_rows(
+    path, header: str, labels: tuple[str, ...], lines: Callable[[TextIO], Iterable[str]]
+) -> np.ndarray | None:
+    """An edge file's rows as numpy's reader reads `lines(fh)`, the body of
+    the open file, int64: [source, target] or, with `labels`, [source,
+    target, index of the label].
 
-    None where _read_rows must read the file: a header that, stripped, is not
-    `header`, a body that numpy refuses or reads only with a warning (an empty
-    body's is ignored), or one that fails a check: the column count, no id
-    past 2**63 - 1, no self-loop. Ids are read as uint64, which refuses '-',
-    where int64 reads '-0', which parse_id refuses, as 0; viewed as int64, an
-    id past 2**63 - 1 is negative, and the per-line reader then names its
-    line.
+    None where numpy does not read the file: a header that, stripped, is
+    not `header`, a body that numpy refuses or reads only with a warning (an
+    empty body's is ignored), or one that fails a check: the column count,
+    no id past 2**63 - 1, no self-loop. Ids are read as uint64, which
+    refuses '-', where int64 reads '-0', which parse_id refuses, as 0;
+    viewed as int64, an id past 2**63 - 1 is negative.
     """
     converters = None
     if labels:
@@ -861,7 +863,7 @@ def _read_bulk_rows(path, header: str, labels: tuple[str, ...] = ()) -> np.ndarr
             warnings.simplefilter("error")  # older releases read '1.0' as an int, with a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(
-                fh, np.uint64, delimiter=",", comments=None, ndmin=2, converters=converters
+                lines(fh), np.uint64, delimiter=",", comments=None, ndmin=2, converters=converters
             ).view(np.int64)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
@@ -872,119 +874,93 @@ def _read_bulk_rows(path, header: str, labels: tuple[str, ...] = ()) -> np.ndarr
     return rows if ok and not np.any(rows[:, 0] == rows[:, 1]) else None
 
 
-def _read_rows(
-    path, header: str = "source,target", labels: tuple[str, ...] = (),
-    malformed: str = "expected 'source,target', got {!r}",
-) -> tuple[np.ndarray, bytearray]:
-    """Per-line parse of an edge file whose rows are `source,target` or, with
-    `labels`, `source,target,label` with a label from `labels`; raises on the
-    first bad row with its line number, and a row without those fields gives
-    `malformed` formatted with the line.
+def _stripped(fh: TextIO) -> Iterator[str]:
+    """The lines of `fh` without trailing whitespace, and no whitespace-only
+    line: numpy's reader refuses both, and the per-line rules allow them."""
+    return filter(None, map(str.rstrip, fh))
 
-    Returns the flat [source, target, ...] ids as one int64 array and, per
-    row, the index of its label in `labels` as one byte; no object is kept
-    per row. A labelled file lists each edge once, so there a bad row's
-    error is raised only after any repeat of an earlier edge has been
-    reported, as a reader that checks each row would.
-    """
-    ends = array("q")
-    codes = bytearray()
-    code_of = {label: code for code, label in enumerate(labels)}
+
+def _check_lines(path, header: str, labels: tuple[str, ...], malformed: str) -> None:
+    """Raise ValueError("<path>: line N: <reason>") for the first bad line of
+    an edge file, in _read_lines' order: a header that is not `header`, a row
+    that is not `source,target` or, with `labels`, `source,target,label` with
+    a label from `labels` (`malformed` formatted with the line), an id that
+    parse_id rejects, a self-loop and, with `labels`, an edge that an earlier
+    row lists. A file with no bad line returns."""
     fields = 3 if labels else 2
+    listed: set[tuple[NodeId, NodeId]] = set()
 
-    def add(line: str) -> None:
+    def check(line: str) -> None:
         parts = line.split(",")
-        if len(parts) != fields or (labels and parts[2] not in code_of):
+        if len(parts) != fields or (labels and parts[2] not in labels):
             raise ValueError(malformed.format(line))
         u, v = parse_id(parts[0]), parse_id(parts[1])
         if u == v:
             raise ValueError(f"self-loop {u},{v}")
-        ends.extend((u, v))
         if labels:
-            codes.append(code_of[parts[2]])
+            if (u, v) in listed:
+                raise ValueError(f"edge {u},{v} listed twice")
+            listed.add((u, v))
 
-    try:
-        _read_lines(path, add, header=header)
-    except ValueError:
+    _read_lines(path, check, header=header)
+
+
+def _read_edge_file(
+    path, header: str = "source,target", labels: tuple[str, ...] = (),
+    malformed: str = "expected 'source,target', got {!r}",
+) -> tuple[DirectedGraph, np.ndarray | None]:
+    """The graph of an edge file, nodes and each row in ascending id order
+    whatever the file's order, and, with `labels`, the index in `labels` of
+    each edge's label, uint8 and aligned with the graph's out_targets; a
+    repeated edge of an edge list is dropped with a logged count, and one of
+    a labelled file raises.
+
+    numpy's reader reads the file as it stands, and if it refuses, once more
+    from _stripped. A file it refuses both times, and a labelled file that
+    lists an edge twice, go to _check_lines, which raises for the first bad
+    line; so does the reader if _check_lines finds none. np.unique(ids,
+    return_inverse=True) would number the ends too, but it sorts with an
+    index array as large as the input: at 5M edges the read then peaked at
+    ~527 MB, against ~362 MB with np.searchsorted.
+    """
+    with _gc_paused():
+        for lines in (iter, _stripped):
+            rows = _load_rows(path, header, labels, lines)
+            if rows is not None:
+                break
+        else:
+            _check_lines(path, header, labels, malformed)
+            raise ValueError(f"{path}: numpy's reader refuses the file, yet no line is bad")
+        ends = rows[:, :2].ravel()  # a view of an edge list's rows
+        codes = rows[:, 2].astype(np.uint8) if labels else None
+        del rows  # a sample's ends and codes are copies: free its 24 B a row
+        unique = _distinct(ends)
+        ids = unique.tolist()
         if labels:
-            _raise_repeat(path, header, ends)
-        raise
-    return np.frombuffer(ends, np.int64), codes
-
-
-def _raise_repeat(path, header: str, ends) -> None:
-    """Raise ValueError("<path>: line N: edge S,T listed twice") for the first
-    row of the flat [source, target, ...] `ends`, read from `path`, whose edge
-    an earlier row holds; return if there is none. The file is read again to
-    find that row's line, so no line number is kept per row."""
-    seen: set[tuple[NodeId, NodeId]] = set()
-    pairs = iter(ends)
-    for row, edge in enumerate(zip(pairs, pairs)):
-        if edge in seen:
-            break
-        seen.add(edge)
-    else:
-        return
-    rows = iter(range(row + 1))
-
-    def find(line: str) -> None:
-        if next(rows) == row:
-            raise ValueError(f"edge {edge[0]},{edge[1]} listed twice")
-
-    _read_lines(path, find, header=header)
-
-
-def _graph_from_array(ids: np.ndarray) -> DirectedGraph:
-    """DirectedGraph.from_edges for the flat int64 [source, target, ...] ids
-    of valid rows: the distinct ids ascend, and np.searchsorted numbers the
-    ends by them. np.unique(ids, return_inverse=True) gives the same
-    numbers, but it sorts with an index array as large as the input: at 5M
-    edges the read then peaked at ~527 MB, against ~362 MB this way."""
-    unique = _distinct(ids)
-    return DirectedGraph(unique.tolist(), *_number_ends(unique, ids))
-
-
-def _read_labelled_edges(
-    path, header: str, labels: tuple[str, ...], malformed: str
-) -> tuple[DirectedGraph, np.ndarray]:
-    """The graph of a labelled edge file (see _read_rows), and the index in
-    `labels` of each edge's label, uint8 and aligned with the graph's
-    out_targets. An edge listed twice raises with the line of its repeat."""
-    rows = _read_bulk_rows(path, header, labels)
-    if rows is None:
-        ends, codes = _read_rows(path, header, labels, malformed)
-        codes = np.frombuffer(codes, np.uint8)
-    else:
-        ends, codes = rows[:, :2].ravel(), rows[:, 2].astype(np.uint8)
-        del rows  # both are copies: free its 24 B a row before the graph is built
-    unique = _distinct(ends)
-    graph, codes = _labelled_graph(unique.tolist(), *_number_ends(unique, ends), codes)
-    if graph.num_edges() < len(codes):
-        _raise_repeat(path, header, ends.tolist())
+            graph, codes = _labelled_graph(ids, *_number_ends(unique, ends), codes)
+        else:
+            graph = DirectedGraph(ids, *_number_ends(unique, ends))
+        repeats = len(ends) // 2 - graph.num_edges()
+        if repeats and labels:
+            _check_lines(path, header, labels, malformed)
+            raise ValueError(f"{path}: an edge is listed twice, yet no line is bad")
+    if repeats:
+        logger.warning("%s: ignored %d duplicate edge(s)", path, repeats)
     return graph, codes
 
 
 def read_edge_list(path) -> DirectedGraph:
-    """Parse a `source,target` CSV into a DirectedGraph. Duplicate edges are dropped
-    with a logged count; malformed lines and self-loops raise with the offending
-    line number.
+    """Parse a `source,target` CSV into a DirectedGraph. Duplicate edges are
+    dropped with a logged count; malformed lines and self-loops raise with
+    the offending line number.
 
-    numpy's reader reads the body first (_read_bulk_rows): rows of two
-    ids in [0, 2**63), padded or '+'-signed, with blank lines, CR or CRLF line
-    ends and no final newline. Any file it refuses or that fails its checks
-    is read again line by line with parse_id (_read_rows), which names the
-    first bad line, an id of 2**63 or more among them; it keeps the parsed
-    ids in one column, 16 B a row. Both give the same graph: nodes and each
-    node's row in ascending id order, whatever the order of the file's rows.
+    numpy's reader (_read_edge_file) reads rows of two ids in [0, 2**63),
+    padded or '+'-signed, with blank or whitespace-only lines, CR or CRLF
+    line ends and no final newline, into one column of ids, 16 B a row. For
+    any other file, an id of 2**63 or more among them, the per-line check
+    names the first bad line.
     """
-    with _gc_paused():
-        rows = _read_bulk_rows(path, "source,target")
-        values = _read_rows(path)[0] if rows is None else rows.ravel()
-        graph = _graph_from_array(values)
-    duplicates = len(values) // 2 - graph.num_edges()
-    if duplicates:
-        logger.warning("%s: ignored %d duplicate edge(s)", path, duplicates)
-    return graph
+    return _read_edge_file(path)[0]
 
 
 def write_profiles(profiles: ProfileTable, path) -> None:

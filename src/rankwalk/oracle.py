@@ -237,6 +237,19 @@ class RateLimiter:
         self._charges[key].append(clock.now)
         return key, self.calls_per_window - len(self._charges[key])
 
+    def charges_in_window(self, now: float) -> list[list[float]]:
+        """Each key's charges that still count at `now`, oldest first."""
+        cutoff = now - self.window_seconds
+        return [[t for t in charges if t > cutoff] for charges in self._charges]
+
+    def restore(self, key: int, times: Iterable[float]) -> None:
+        """Charge `key` again at `times`, the charges of an earlier run; the
+        next key choice prunes the expired ones."""
+        if not 0 <= key < self.key_count:
+            raise ValueError(f"charges of key {key}, but key_count is {self.key_count}")
+        self._charges[key] = deque(sorted([*self._charges[key], *times]))
+        self._pruned_at = None
+
 
 class SimulatedOracle:
     """Answers friend and profile lookups from a fixed snapshot of profiles,
@@ -250,7 +263,8 @@ class SimulatedOracle:
     identical queries.
 
     `call_log` is a CallLog of every charged call, and `calls_by_endpoint`
-    counts them per endpoint.
+    counts them per endpoint. window_charges() and restore_charges() carry
+    the limiters' charges that still count over a resume.
     """
 
     FRIENDS = "friends"
@@ -286,6 +300,31 @@ class SimulatedOracle:
             key, remaining = limiter.charge(self.clock)
         self.calls_by_endpoint[endpoint] += 1
         self.call_log.append(self.clock.now, key, endpoint, nodes, remaining)
+
+    def _limiters(self) -> dict[str, RateLimiter]:
+        """Each endpoint's limiter; none with rate limits off."""
+        if self.friends_limiter is None or self.profiles_limiter is None:
+            return {}
+        return {self.FRIENDS: self.friends_limiter, self.PROFILES: self.profiles_limiter}
+
+    def window_charges(self) -> list[tuple[str, int, list[float]]]:
+        """(endpoint, key, times) of each key with charges that still count at
+        the clock's now, the times oldest first."""
+        return [
+            (endpoint, key, times)
+            for endpoint, limiter in self._limiters().items()
+            for key, times in enumerate(limiter.charges_in_window(self.clock.now))
+            if times
+        ]
+
+    def restore_charges(self, charges: Iterable[tuple[str, int, Sequence[float]]]) -> None:
+        """Charge each (endpoint, key, times) of window_charges() again, so a
+        resumed run keeps the per-key budget across the resume; ignored with
+        rate limits off. A key not below key_count raises ValueError."""
+        limiters = self._limiters()
+        for endpoint, key, times in charges:
+            if endpoint in limiters:
+                limiters[endpoint].restore(key, times)
 
     def get_friends(self, node: NodeId) -> FriendsPage:
         """First page of the node's friends, most recent first.

@@ -44,8 +44,8 @@ from .graph import (
     _integer_id,
     _labelled_graph,
     _numbered,
+    _read_edge_file,
     _read_json_lines,
-    _read_labelled_edges,
 )
 from .oracle import NotFoundError, ProtectedError, SimulatedOracle
 
@@ -324,14 +324,16 @@ def select_target(
 @dataclass
 class RunState:
     """Serializable mid-run snapshot for interrupted-run continuation: each
-    sample edge once with its provenance, the seed nodes, and the walkers'
-    positions in the order they step next."""
+    sample edge once with its provenance, the seed nodes, the walkers'
+    positions in the order they step next, and the rate limiters' charges
+    that still count, as SimulatedOracle.window_charges() lists them."""
 
     clock_now: float
     seed_pool_state: object
     edges: list[tuple[NodeId, NodeId, str]]
     seed_nodes: list[NodeId]
     walkers: list[NodeId]
+    charges: list[tuple[str, int, list[float]]] = field(default_factory=list)
 
 
 class Crawl:
@@ -361,8 +363,10 @@ class Crawl:
     with the filter off and -1 when no account has it.
 
     A resumed run adds the saved sample edges with their provenance, so the
-    burned edges carry over, and starts at the first saved walker. The caches
-    are not in the resume file, so it fetches its pages and profiles again.
+    burned edges carry over, gives the saved rate-limit charges back to the
+    oracle, so the per-key budget holds across the resume, and starts at the
+    first saved walker. The caches are not in the resume file, so it fetches
+    its pages and profiles again.
     """
 
     def __init__(
@@ -376,6 +380,7 @@ class Crawl:
         self.sample = sample = SampleGraph()
         if resume is not None:
             oracle.clock.advance_to(resume.clock_now)
+            oracle.restore_charges(resume.charges)
             seed_pool.setstate(resume.seed_pool_state)
             for node in resume.seed_nodes:
                 sample.add_seed(node)
@@ -547,8 +552,8 @@ def run_sample(
     account's page costs one charged call per run and a friend's profile one
     lookup, even when it came back empty; a protected or unknown account is
     refused, uncharged, on every visit. A resumed run continues the
-    round-robin where the saved run stopped, and fetches its pages and
-    profiles again.
+    round-robin where the saved run stopped, with the saved rate-limit
+    charges, and fetches its pages and profiles again.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
@@ -574,11 +579,11 @@ def read_sample_csv(path) -> tuple[DirectedGraph, np.ndarray]:
     """The sample graph, nodes and each row in ascending id order whatever the
     file's order, and each edge's provenance code, uint8 and aligned with its
     out_targets: a SampleGraph's graph and codes, so a sample written and
-    read back equals them array for array. Rows are read as read_edge_list
-    reads them, into one column of ids and one provenance byte a row, with
-    no object per row. An edge listed twice is rejected, with the line of
-    its repeat: write_sample_csv writes each edge once."""
-    return _read_labelled_edges(path, SAMPLE_HEADER, PROVENANCES, "malformed sample row {!r}")
+    read back equals them array for array. The one reader of read_edge_list
+    reads it, into one column of ids and one provenance byte a row, with no
+    object per row. An edge listed twice is rejected, with the line of its
+    repeat: write_sample_csv writes each edge once."""
+    return _read_edge_file(path, SAMPLE_HEADER, PROVENANCES, "malformed sample row {!r}")
 
 
 def write_growth_csv(stats: RunStats, path) -> None:
@@ -600,12 +605,15 @@ def save_run_state(
     walkers: Sequence[NodeId],
     clock_now: float,
     seed_pool: SeedPool,
+    charges: Iterable[tuple[str, int, Sequence[float]]] = (),
 ) -> None:
     """Serialize the sample so far and the walkers as compact JSONL: one
-    `edge` record per sample edge with its provenance, in ascending order (the
-    walked ones are the burned edges), the seed nodes, and one `walker` record
-    per walker, holding the account it stands on, in the order they step
-    next."""
+    `charges` record per (endpoint, key, times) of `charges`, the rate
+    limiters' charges that still count (SimulatedOracle.window_charges()),
+    one `edge` record per sample edge with its provenance, in ascending
+    order (the walked ones are the burned edges), the seed nodes, and one
+    `walker` record per walker, holding the account it stands on, in the
+    order they step next."""
     edges, codes = sample.graph.edges(), sample.codes.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         meta = {
@@ -614,6 +622,9 @@ def save_run_state(
             "seed_pool_state": seed_pool.getstate(),
         }
         fh.write(_compact_json(meta) + "\n")
+        for endpoint, key, times in charges:
+            record = {"type": "charges", "endpoint": endpoint, "key": key, "t": list(times)}
+            fh.write(_compact_json(record) + "\n")
         for (source, target), code in zip(edges, codes):
             record = {"type": "edge", "s": source, "t": target, "p": PROVENANCES[code]}
             fh.write(_compact_json(record) + "\n")
@@ -630,8 +641,10 @@ def load_run_state(path) -> RunState:
     records and are skipped, and their walker records are in `id` order, the
     order those runs resumed them in. A walker's `id`, like any other extra
     field, is ignored. An edge listed twice is rejected, as read_sample_csv
-    rejects it."""
+    rejects it. A file without `charges` records, as older versions wrote,
+    resumes with no charge in the limiters."""
     meta: list[tuple[float, tuple]] = []
+    charges: list[tuple[str, int, list[float]]] = []
     edges: list[tuple[NodeId, NodeId, str]] = []
     listed: set[Edge] = set()
     seed_nodes: list[NodeId] = []
@@ -651,6 +664,16 @@ def load_run_state(path) -> RunState:
                     f"field 'clock_now': expected a finite number >= 0, got {clock_now!r}"
                 )
             meta.append((clock_now, state))
+        elif kind == "charges":
+            _check_fields(record, {"endpoint": (str,), "key": (int,), "t": (list,)})
+            endpoint, key, times = record["endpoint"], record["key"], record["t"]
+            if endpoint not in (SimulatedOracle.FRIENDS, SimulatedOracle.PROFILES):
+                raise ValueError(f"field 'endpoint': unknown endpoint {endpoint!r:.80}")
+            if key < 0:
+                raise ValueError(f"field 'key': expected an integer >= 0, got {key}")
+            if not all(type(t) in (int, float) and 0.0 <= t < math.inf for t in times):
+                raise ValueError(f"field 't': expected finite numbers >= 0, got {times!r:.80}")
+            charges.append((endpoint, key, [float(t) for t in times]))
         elif kind == "edge":
             source, target = _integer_id(record["s"], "s"), _integer_id(record["t"], "t")
             if source == target:
@@ -676,4 +699,7 @@ def load_run_state(path) -> RunState:
     if not walkers:
         raise ValueError(f"{path}: no walker records")
     clock_now, pool_state = meta[-1]
-    return RunState(clock_now, pool_state, edges, seed_nodes, walkers)
+    late = [t for _, _, times in charges for t in times if t > clock_now]
+    if late:
+        raise ValueError(f"{path}: a charge at t={late[0]!r} is after clock_now {clock_now!r}")
+    return RunState(clock_now, pool_state, edges, seed_nodes, walkers, charges)

@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from rankwalk.evaluation import activity, coverage_report
 from rankwalk.generate import build_profiles, generate_network
 from rankwalk.graph import k_core, pagerank, read_edge_list, read_profiles
 from rankwalk.keywords import Doc, keywords_by_community, window_docs, write_docs_jsonl
-from rankwalk.oracle import ApiBudget
+from rankwalk.oracle import ApiBudget, CallRecord, assert_budget_safety
 from rankwalk.reference import rank_degree
 from rankwalk.sampler import SamplerConfig, read_sample_csv
 
@@ -317,6 +319,37 @@ class TestConfigDrivenRuns:
         for s, t in first.edges():
             assert combined.has_edge(s, t)
 
+    @pytest.mark.parametrize("first_steps", [18, 20, 23, 26, 30, 37])
+    def test_split_crawl_keeps_the_rate_budget(self, tmp_path, first_steps):
+        """One key, five walkers: a crawl split by a resume file keeps each
+        key's budget on both endpoints over its two call logs together."""
+        d = str(tmp_path)
+        (tmp_path / "config.json").write_text('{"key_count": 1, "walker_count": 5}')
+        assert run([
+            "--out-dir", d, "--seed", "3", "generate", "--model", "preferential-attachment",
+            "--nodes", "3000", "--m", "3",
+        ]) == 0
+        sample = ["--out-dir", d, "--config", f"{d}/config.json", "sample",
+                  "--profiles", f"{d}/profiles.jsonl", "--no-language-filter"]
+        assert run([
+            *sample, "--max-steps", str(first_steps), "--resume-to", "state.jsonl",
+            "--out-call-log", "calls_first.jsonl",
+        ]) == 0
+        resumed = [*sample, "--max-steps", str(first_steps), "--resume-from", f"{d}/state.jsonl"]
+        assert run(resumed) == 0
+        calls = [
+            CallRecord(r["t"], r["key"], r["endpoint"], tuple(r["nodes"]), r["calls_remaining"])
+            for name in ("calls_first.jsonl", "call_log.jsonl")
+            for r in map(json.loads, (tmp_path / name).read_text().splitlines())
+        ]
+        budget = ApiBudget(key_count=1)
+        assert_budget_safety(
+            calls, "friends", budget.friends_calls_per_window, budget.friends_window_seconds
+        )
+        assert_budget_safety(
+            calls, "profiles", budget.profile_calls_per_window, budget.profile_window_seconds
+        )
+
 
 # Commands to run on GOOD_FILES, the two-account world defined further down.
 EVALUATE = ["evaluate", "--sample", "{d}/sample.csv", "--profiles", "{d}/profiles.jsonl"]
@@ -566,6 +599,21 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
          META + '\n{"type": "edge", "s": 1, "t": 2, "p": "symmetric"}\n'
          '{"type": "edge", "s": 1, "t": 2, "p": "walked"}\n' + WALKER, 3,
          "edge 1,2 listed twice"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "charges", "endpoint": "friends", "key": 12, "t": [0.0]}\n'
+         + WALKER, None, "charges of key 12, but key_count is 12"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "charges", "endpoint": "profiles", "key": 0, "t": [5.0]}\n'
+         + WALKER, None, "a charge at t=5.0 is after clock_now 0.0"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "charges", "endpoint": "follows", "key": 0, "t": []}\n'
+         + WALKER, 2, "field 'endpoint'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "charges", "endpoint": "friends", "key": -1, "t": []}\n'
+         + WALKER, 2, "field 'key'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + '\n{"type": "charges", "endpoint": "friends", "key": 0, "t": [NaN]}\n'
+         + WALKER, 2, "field 't'"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -583,6 +631,9 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "resume-infinite-clock", "resume-nan-clock", "resume-negative-clock",
         "resume-clock-past-window-resolution", "profile-nan-time", "profile-infinite-time",
         "docs-nan-time-first", "docs-nan-time-second", "resume-repeated-edge",
+        "resume-charges-key-past-key-count", "resume-charge-after-clock",
+        "resume-charges-unknown-endpoint", "resume-charges-negative-key",
+        "resume-charges-nan-time",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -618,6 +669,8 @@ def test_malformed_input_gives_one_line_naming_path_and_line(
         ("--window-end", "nan", "--window-end must be >= 1.0, got nan"),
         ("--window-start", "3", "--window-start must be <= 2.0, got 3.0"),
         ("--window-end", "0.5", "--window-end must be >= 1.0, got 0.5"),
+        ("--min-size", "0", "--min-size must be >= 1, got 0"),
+        ("--min-size", "-3", "--min-size must be >= 1, got -3"),
     ],
 )
 def test_keywords_setting_out_of_range_gives_exit_one(tmp_path, capsys, flag, value, message):
@@ -718,6 +771,19 @@ RESUME = SAMPLE + ["--resume-from", "{d}/resume.jsonl"]
 def resume_text(record):
     """A resume file: META, then `record`, then a walker at account 1."""
     return f"{META}\n{json.dumps(record)}\n{WALKER}"
+
+
+def test_resume_charges_are_ignored_with_rate_limits_off(tmp_path):
+    """With rate limits off a resume file's charges are not read into a
+    limiter, so a key past key_count is no error."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    record = {"type": "charges", "endpoint": "friends", "key": 12, "t": [0.0]}
+    (tmp_path / "resume.jsonl").write_text(resume_text(record), encoding="utf-8")
+    (tmp_path / "config.json").write_text('{"rate_limits_enabled": false}', encoding="utf-8")
+    argv = ["--out-dir", str(tmp_path / "out"), *(arg.format(d=tmp_path) for arg in RESUME)]
+    assert run(["--config", f"{tmp_path}/config.json", *argv]) == 0
+    assert run(argv) == 1
 
 
 # Each reader of account ids: the command, the file, the file's text holding
@@ -1130,14 +1196,14 @@ def run_pipeline(directory):
 PIPELINE_DIGESTS = {
     "activity_hist.csv": "08d028f714ac917df2ba83b3143eee67ec7990e8cf94b48e58a43895c69139c4",
     "assignment.csv": "1b414a65935d0a1a1b44c1cf65495ba2e9fac0d8a0df3c55c1c8857df968c7f9",
-    "call_log.jsonl": "e17248f92aa6ac6476b5cd6ddeaf3920071857ca905daf93021ed1521e4c0bed",
+    "call_log.jsonl": "a214572b1f9cdf27fd86f7297d85f0a93d9df83926c2464f1891f283c03b248f",
     "call_log_first.jsonl": "99127800ae758908bc728fe27fc61b39c111ce901ad5f37d2c92fa7b89bb8aec",
     "community_graph.csv": "de44ecada27f13882022e9c04047bc7787f77e28f04080edae223e8882d220eb",
     "community_sizes.csv": "79dc74c80bbd204d0692e288b71ebddf18341a3b335424d4d8f25e5e4ac4e00b",
     "core.csv": "a12b4904377746b6d652817eeee88527e48602d22a975b577d59321836aada08",
     "coverage_report.csv": "41d5a16bfe3c00b30b7fa8a1b279e63549675574bb864727bc52208b004a12ed",
     "edges.csv": "e47a014edd48ee034e093dc885ed28cfa573f40a272dd2a8f4751113629618ef",
-    "growth.csv": "d2f4ddd8de7f7635093fb269226be0bd7a53d691e98723f2f39ea03dd15bce96",
+    "growth.csv": "58f17b8d85b60da773cb4ddb0c634b767f52e85dc4c07000b131217426d4236f",
     "growth_first.csv": "ec718a6a0582e2060d3cd4218d9127d97729221bf5b9bcae75a8640e76f42db3",
     "keywords.csv": "2534b607adc369acc539246a4a514656188c0e3d8989381e86a68146cbd07a14",
     "keywords_cap.csv": "68c820ce7bd419f0a33938c6b40a8999a253fbb34cf0a985a3fc50f7b64dd47c",
@@ -1147,8 +1213,8 @@ PIPELINE_DIGESTS = {
     "rank_coverage.csv": "7f66132ff9fe396e54c6ca7e2f57cc3976da382874c47394aa2a6391bfe19f32",
     "rank_reach.csv": "7fe29ab02dd872910a738a036e4783b18c7ba48e0728f7ace2f0cef39f09f7b1",
     "reference_sample.csv": "16f25bb77127cade72395b9e3c69432df88b30c48d2c7a95c8c25a6d8f486d8d",
-    "resume.jsonl": "e2d3b494ff9e23653917a9ab324e56822a473bb6a7de23952a65020f2772bfa1",
-    "resume_first.jsonl": "35dafd6692ca35508d9448c8eb69ed9a1633b7ba5721ab38c8ef06a39d369f61",
+    "resume.jsonl": "36028e35eaf5f3b445fcf7078f6becddee13d343835c03317f469b701107e29f",
+    "resume_first.jsonl": "39b422c4588922984443c1376f2322ce027f5d77a4271b473582022a22f82f34",
     "sample.csv": "283c43dfee5b9dc9b4095cd63a18f51f52ddc8047f1e6676ab1258d0e9c7dae6",
     "sample_first.csv": "d21c49ecde16964a2cfb65b49744b1534649af678c7deb644aaf9de5eb68c058",
     "stats.json": "7258725fa6313cf0cec0d375f8d6781603800e2bc3596b4e0519839ae1764489",
@@ -1158,3 +1224,34 @@ PIPELINE_DIGESTS = {
 
 def test_pipeline_outputs_match_recorded_digests(tmp_path):
     assert run_pipeline(tmp_path) == PIPELINE_DIGESTS
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_pipeline():
+    """The arguments of each `rankwalk` line of README's pipeline block, its
+    `\\` continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("A complete pipeline on synthetic data", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rankwalk ")]
+
+
+def test_readme_pipeline_runs(tmp_path, monkeypatch):
+    """Each command of README's pipeline exits 0, run in order in a directory
+    that holds only the two files the user supplies: docs.jsonl and
+    stopwords.txt."""
+    monkeypatch.chdir(tmp_path)
+    docs = [Doc(node, node % 7, f"the w{node % 11} tag{node % 13}") for node in range(0, 5000, 7)]
+    write_docs_jsonl(docs, tmp_path / "docs.jsonl")
+    (tmp_path / "stopwords.txt").write_text("the\na\n", encoding="utf-8")
+    commands = readme_pipeline()
+    names = {"generate", "sample", "reference", "evaluate", "kcore", "pagerank", "communities",
+             "keywords"}
+    assert [name for argv in commands for name in argv if name in names] == [
+        "generate", "sample", "evaluate", "kcore", "communities", "keywords", "reference",
+        "pagerank",
+    ]
+    for argv in commands:
+        assert run(argv) == 0, argv

@@ -32,7 +32,7 @@ from rankwalk.graph import (
 )
 from rankwalk.keywords import read_docs_jsonl
 from rankwalk.oracle import SimulatedOracle
-from rankwalk.sampler import SampleGraph, read_sample_csv, write_sample_csv
+from rankwalk.sampler import SAMPLE_HEADER, SampleGraph, read_sample_csv, write_sample_csv
 
 from conftest import SPARSE_IDS, assert_edges_ascend, profile_record, random_digraph
 
@@ -458,22 +458,45 @@ def assert_equals_row_build(got, rows, data):
         assert sub.in_degree(node) == len(predecessors)
 
 
-def tuple_read_rows(path):
+def tuple_read_rows(path, labels=()):
     """read_edge_list's per-line parse as it was, one tuple per row: the
-    reference for the column reader."""
-    edges = []
+    reference for the column reader. With `labels`, read_sample_csv's: rows
+    (source, target, label) under the sample header, the label one of
+    `labels`, and an edge listed twice rejected."""
+    rows = []
+    listed = set()
 
     def add(line):
         parts = line.split(",")
-        if len(parts) != 2:
+        if labels and (len(parts) != 3 or parts[2] not in labels):
+            raise ValueError(f"malformed sample row {line!r}")
+        if not labels and len(parts) != 2:
             raise ValueError(f"expected 'source,target', got {line!r}")
         u, v = parse_id(parts[0]), parse_id(parts[1])
         if u == v:
             raise ValueError(f"self-loop {u},{v}")
-        edges.append((u, v))
+        if labels and (u, v) in listed:
+            raise ValueError(f"edge {u},{v} listed twice")
+        listed.add((u, v))
+        rows.append((u, v, *parts[2:]))
 
-    graph_module._read_lines(path, add, header="source,target")
-    return edges
+    header = "source,target,provenance" if labels else "source,target"
+    graph_module._read_lines(path, add, header=header)
+    return rows
+
+
+@contextmanager
+def reader_steps():
+    """The steps the edge-file reader takes past numpy's first attempt, in
+    order: 'stripped' for its second attempt, 'check' for the line check."""
+    steps = []
+    stripped, check_lines = graph_module._stripped, graph_module._check_lines
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_stripped", lambda fh: steps.append("stripped") or stripped(fh))
+        mp.setattr(
+            graph_module, "_check_lines", lambda *a: steps.append("check") or check_lines(*a)
+        )
+        yield steps
 
 
 class TestEdgeListIO:
@@ -556,18 +579,14 @@ class TestEdgeListIO:
             body = body[:-1]
         path = tmp_path_factory.mktemp("edges") / "edges.csv"
         path.write_bytes(("source,target\n" + body).encode())
-        per_line_calls = []
-        read_rows = graph_module._read_rows
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "_read_rows", lambda *a: per_line_calls.append(1) or read_rows(*a))
-            with captured_warnings() as warnings:
-                got = read_edge_list(path)
+        with reader_steps() as steps, captured_warnings() as warnings:
+            got = read_edge_list(path)
 
         assert_equals_row_build(got, rows, data)
         duplicates = len(rows) - len(set(rows))
         assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
-        # numpy's reader takes every form and id drawn here
-        assert per_line_calls == []
+        # numpy's reader takes every form and id drawn here, on its first attempt
+        assert steps == []
         # index_of bisects the ids: each id's position, None for any other id
         assert all(got.index_of(node) == i for i, node in enumerate(got.ids))
         assert all(got.index_of(node) is None for node in [10**19 + 1, max(got.ids, default=0) + 1])
@@ -601,7 +620,7 @@ class TestEdgeListIO:
         for fault in faults:
             lines.insert(data.draw(st.integers(0, len(lines))), fault)
         path = tmp_path_factory.mktemp("edges") / "edges.csv"
-        path.write_bytes(b"source,target\n\n" + b"".join(lines))  # the blank line: per-line
+        path.write_bytes(b"source,target\n\n" + b"".join(lines))
 
         try:
             edges = tuple_read_rows(path)
@@ -627,12 +646,9 @@ class TestEdgeListIO:
         reader warns on an empty body, and that warning must not escape."""
         path = tmp_path / "edges.csv"
         path.write_bytes((header + body).encode())
-        labels = ("walked", "symmetric") if header.endswith("provenance") else ()
-        ends, codes = graph_module._read_rows(path, header, labels)
-        assert len(ends) == len(codes) == 0
         with warnings.catch_warnings(record=True) as caught, captured_warnings() as logged:
             warnings.simplefilter("always")
-            if labels:
+            if header.endswith("provenance"):
                 graph, codes = read_sample_csv(path)
                 assert len(codes) == 0
             else:
@@ -640,34 +656,52 @@ class TestEdgeListIO:
         assert graph.ids == [] and graph.num_edges() == 0
         assert caught == [] and logged == []
 
-    def test_per_line_reader_reads_only_ids_past_int64(self, tmp_path, monkeypatch):
+    def test_per_line_reader_reads_only_ids_past_int64(self, tmp_path):
         """numpy's reader takes padded, '+'-signed, CRLF and blank-line files,
-        and a sample as write_sample_csv writes it; only a file with an id of
-        2**63 or more goes to the per-line reader, which rejects that id with
-        its line."""
-        calls = []
-        read_rows = graph_module._read_rows
-        monkeypatch.setattr(graph_module, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+        and a sample as write_sample_csv writes it, on its first attempt;
+        whitespace-only lines and a label's trailing whitespace on its second.
+        Only a file with an id of 2**63 or more goes on to the line check,
+        which rejects that id with its line."""
         path = tmp_path / "edges.csv"
-        for body in [
-            " 1 , 2 \n\t3,4\xa0\n", "+1,2\n3,+4\n", "1,2\r\n3,4\r\n", "\n1,2\n\n\n3,4\n\n",
-            "1,2\n3,4",
+        for body, expected_steps in [
+            (" 1 , 2 \n\t3,4\xa0\n", []), ("+1,2\n3,+4\n", []), ("1,2\r\n3,4\r\n", []),
+            ("\n1,2\n\n\n3,4\n\n", []), ("1,2\n3,4", []), ("1,2\n \t\n3,4\n", ["stripped"]),
         ]:
             path.write_bytes(("source,target\n" + body).encode())
-            assert list(read_edge_list(path).edges()) == [(1, 2), (3, 4)]
+            with reader_steps() as steps:
+                assert list(read_edge_list(path).edges()) == [(1, 2), (3, 4)]
+            assert steps == expected_steps
         sample = SampleGraph()
         for u, v, provenance in [(5, 1, "walked"), (1, 5, "symmetric"), (2**63 - 1, 5, "walked")]:
             sample.add_edge(u, v, provenance)
         write_sample_csv(sample, path)
-        graph, codes = read_sample_csv(path)
+        with reader_steps() as steps:
+            graph, codes = read_sample_csv(path)
+        assert steps == []
         assert list(graph.edges()) == list(sample.graph.edges())
         assert np.array_equal(codes, sample.codes)
-        assert calls == []
+        path.write_text(SAMPLE_HEADER + "\n1,5,symmetric \n")
+        with reader_steps() as steps:
+            graph, codes = read_sample_csv(path)
+        assert steps == ["stripped"]
+        assert list(graph.edges()) == [(1, 5)] and codes.tolist() == [1]
         path.write_text("source,target\n1,2\n9223372036854775808,3\n")
         message = f"{path}: line 3: expected an account id < 2**63, got '9223372036854775808'"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with reader_steps() as steps, pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_edge_list(path)
-        assert len(calls) == 1
+        assert steps == ["stripped", "check"]
+
+    def test_refused_file_without_a_bad_line_raises(self, tmp_path, monkeypatch):
+        """A file numpy refuses twice, or a sample with a repeat, in which the
+        line check finds no bad line raises one line, not an empty graph."""
+        monkeypatch.setattr(graph_module, "_check_lines", lambda *a: None)
+        path = tmp_path / "edges.csv"
+        path.write_text("source,target\nbogus\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: numpy's reader refuses"):
+            read_edge_list(path)
+        path.write_text(SAMPLE_HEADER + "\n1,2,walked\n1,2,symmetric\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: an edge is listed twice"):
+            read_sample_csv(path)
 
     def test_id_past_int64_not_clamped(self, tmp_path):
         """An id past int64 is rejected with its line, not clamped or wrapped."""
@@ -678,8 +712,8 @@ class TestEdgeListIO:
             read_edge_list(path)
 
 
-# Edge file bodies that numpy's reader and the per-line reader may each take
-# or refuse: ids as digit runs, '+' or '-' signed, with '_', '.' or an
+# Edge file bodies that numpy's reader and the tuple reader may each take or
+# refuse: ids as digit runs, '+' or '-' signed, with '_', '.' or an
 # Arabic-Indic digit, near 2**63, padded with characters that str.strip and
 # numpy may strip; wrong field counts, labels and near-labels, blank and
 # whitespace-only lines, LF, CRLF and CR line ends, no final newline. Each
@@ -696,7 +730,9 @@ def digit_runs(most):
     return st.tuples(zeros, st.integers(0, 10**most - 1).map(str)).map(lambda t: "".join(t)[-most:])
 
 
-PADDING = st.one_of(st.just(""), st.text(" \t\xa0\x0b\x1c", min_size=1, max_size=2))
+# every character str.isspace() holds but the line ends '\n' and '\r': 27 of them
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\n\r")
+PADDING = st.one_of(st.just(""), st.text(WHITESPACE, min_size=1, max_size=2))
 ID_FIELDS = st.tuples(
     PADDING,
     mostly(st.just(""), st.sampled_from(["+", "-"])),
@@ -728,30 +764,38 @@ def join_lines(drawn):
     return body if final_end or not lines else body[: -len(lines[-1][1])]
 
 
-def assert_bulk_rows_equal_per_line_rows(path, header, labels):
-    """Where numpy's reader returns rows, the per-line reader reads the file
-    without error as the same ids and label codes."""
-    rows = graph_module._read_bulk_rows(path, header, labels)
-    if rows is not None:
-        ends, codes = graph_module._read_rows(path, header, labels)
-        assert rows[:, :2].ravel().tolist() == ends.tolist()
-        assert rows[:, 2:].ravel().tolist() == list(codes)
-
-
-@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
-@given(body=edge_file_bodies([ID_FIELDS, ID_FIELDS]))
-def test_bulk_edge_rows_equal_per_line_rows(body, tmp_path_factory):
+@settings(max_examples=2000, derandomize=True, deadline=None, database=None)
+@given(labelled=st.booleans(), data=st.data())
+def test_readers_equal_tuple_reader(labelled, data, tmp_path_factory):
+    """Any edge file or sample: read_edge_list or read_sample_csv gives the
+    tuple reader's graph, codes and duplicate warning, or its error text."""
+    columns = [ID_FIELDS, ID_FIELDS, LABEL_FIELDS] if labelled else [ID_FIELDS, ID_FIELDS]
+    body = data.draw(edge_file_bodies(columns))
+    labels = LABELS if labelled else ()
     path = tmp_path_factory.mktemp("edges") / "edges.csv"
-    path.write_bytes(("source,target\n" + body).encode())
-    assert_bulk_rows_equal_per_line_rows(path, "source,target", ())
+    path.write_bytes(((SAMPLE_HEADER if labelled else "source,target") + "\n" + body).encode())
 
+    def read():
+        return read_sample_csv(path) if labelled else (read_edge_list(path), None)
 
-@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
-@given(body=edge_file_bodies([ID_FIELDS, ID_FIELDS, LABEL_FIELDS]))
-def test_bulk_labelled_rows_equal_per_line_rows(body, tmp_path_factory):
-    path = tmp_path_factory.mktemp("sample") / "sample.csv"
-    path.write_bytes(("source,target,provenance\n" + body).encode())
-    assert_bulk_rows_equal_per_line_rows(path, "source,target,provenance", LABELS)
+    try:
+        rows = tuple_read_rows(path, labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == str(exc)
+        return
+    expected = DirectedGraph.from_edges(row[:2] for row in rows)
+    with captured_warnings() as warnings:
+        got, codes = read()
+    assert got.ids == expected.ids
+    assert np.array_equal(got.out_offsets, expected.out_offsets)
+    assert np.array_equal(got.out_targets, expected.out_targets)
+    if labelled:
+        expected_codes = [labels.index(label) for *_, label in sorted(rows)]
+        assert codes.dtype == np.uint8 and codes.tolist() == expected_codes
+    duplicates = len(rows) - expected.num_edges()
+    assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
 
 
 def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):

@@ -1247,7 +1247,9 @@ class TestResume:
         steps-long run, in its order, for any k: the resumed run starts with
         the walker after the one that stepped last. Each sample round-trips:
         the resume file's `edge` records are the first run's rows, and
-        sample.csv reads back as the sample's own graph and codes."""
+        sample.csv reads back as the sample's own graph and codes. With rate
+        limits on, the two call logs together keep every key's budget on
+        both endpoints."""
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
             language_fraction=language_fraction, protected_fraction=protected_fraction,
@@ -1271,14 +1273,18 @@ class TestResume:
         oracle, sample, stats = run(first, pool)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "resume.jsonl"
-            save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
+            save_run_state(
+                path, sample, stats.final_walkers, oracle.clock.now, pool, oracle.window_charges()
+            )
             with open(path, encoding="utf-8") as fh:
                 records = [json.loads(line) for line in fh]
             assert [
                 (r["s"], r["t"], r["p"]) for r in records if r["type"] == "edge"
             ] == sample.edges_with_provenance()
             resume = load_run_state(path)
-            _, resumed, resumed_stats = run(steps - first, SeedPool(range(n), 0), resume)
+            resumed_oracle, resumed, resumed_stats = run(
+                steps - first, SeedPool(range(n), 0), resume
+            )
             for sampled in (sample, resumed, whole):
                 write_sample_csv(sampled, Path(directory) / "sample.csv")
                 read_back = read_sample_csv(Path(directory) / "sample.csv")
@@ -1286,6 +1292,14 @@ class TestResume:
         assert stats.walk_log + resumed_stats.walk_log == whole_stats.walk_log
         assert resumed.edges_with_provenance() == whole.edges_with_provenance()
         assert_same_sample(resumed.graph, resumed.codes, whole.graph, whole.codes)
+        calls = [*oracle.call_log, *resumed_oracle.call_log]
+        budget = resumed_oracle.budget
+        assert_budget_safety(
+            calls, "friends", budget.friends_calls_per_window, budget.friends_window_seconds
+        )
+        assert_budget_safety(
+            calls, "profiles", budget.profile_calls_per_window, budget.profile_window_seconds
+        )
 
     def test_walker_records_may_carry_extra_fields(self, tmp_path):
         # resume files written before walker records lost "hops" still load

@@ -164,13 +164,13 @@ def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
     if args.seed_pool:
         pool_ids = _read_seed_pool_file(args.seed_pool)
     else:
-        pool_ids = sorted(profiles)
+        pool_ids = profiles.ids.tolist()
     if settings["filter_seed_pool_language"]:
-        unknown = [n for n in pool_ids if n not in profiles]
-        if unknown:
-            raise ValueError(f"{args.seed_pool}: seed id {unknown[0]} has no profile")
+        rows = profiles.rows(np.array(pool_ids, np.int64))
+        unknown = np.flatnonzero(rows == len(profiles))
+        if unknown.size:
+            raise ValueError(f"{args.seed_pool}: seed id {pool_ids[unknown[0]]} has no profile")
         language = sampler_config.target_language
-        rows = np.fromiter(map(profiles.index.__getitem__, pool_ids), np.intp, len(pool_ids))
         pool_ids = list(compress(pool_ids, profiles.has_language(language)[rows].tolist()))
         if not pool_ids:
             # the filter is on only through a config file
@@ -264,7 +264,7 @@ def cmd_evaluate(args, out_dir: Path, seed: int) -> int:
     influencer = evaluation_mod.influencer_nodes(sample_graph)
     if not influencer:
         raise ValueError("influencer sample is empty (no sampled node has in-degree >= 1)")
-    population = profiles.ids
+    population = profiles.ids.tolist()
     if args.language is not None:
         population = list(compress(population, profiles.has_language(args.language).tolist()))
         if not population:

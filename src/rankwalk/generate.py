@@ -203,8 +203,8 @@ def generate_network(
     """One-call generator: edges plus consistent profiles for the chosen model.
     Each model reads only its own settings and checks their ranges;
     profile_settings go to build_profiles. The graph is built from the
-    profiles' friend rows, which hold every edge, and shares the table's id
-    list."""
+    profiles' friend rows, which hold every edge, over a list of the table's
+    ids."""
     edge_rng = substream(rng_seed, f"generate/{model}/edges")
     profile_rng = substream(rng_seed, f"generate/{model}/profiles")
     if model == "preferential-attachment":
@@ -219,5 +219,5 @@ def generate_network(
         raise ValueError(f"unknown model {model!r}")
     profiles = build_profiles(nodes, edges, profile_rng, **profile_settings)
     sources = np.repeat(np.arange(nodes), np.diff(profiles.friend_offsets))
-    graph = DirectedGraph(profiles.ids, sources, profiles.friend_ids)
+    graph = DirectedGraph(profiles.ids.tolist(), sources, profiles.friend_ids)
     return graph, profiles

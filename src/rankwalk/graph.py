@@ -6,7 +6,6 @@ import gc
 import json
 import logging
 import math
-import operator
 import re
 import struct
 import warnings
@@ -15,10 +14,11 @@ from bisect import bisect_left
 from collections.abc import ItemsView, Set, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, islice, product
+from functools import partial
+from itertools import compress, islice, product, repeat
 from operator import attrgetter, itemgetter
 from types import NoneType
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -170,12 +170,10 @@ def _check_profile(
     node: NodeId, follower_count: int, friends: list[NodeId], created_at: float,
     status_count: int, last_status_at: float | None,
 ) -> None:
-    """Raise ValueError for a profile no account can have: an id of 2**63 or
-    more, a count outside [0, 2**63), a time that is not finite, or a friend
-    list that holds the account itself or one friend twice. add() checks the
-    friend ids' range as it stores them."""
-    if node >= _INT64_END:
-        _integer_id(node, "node")
+    """Raise ValueError for a profile no account can have: a count outside
+    [0, 2**63), a time that is not finite, or a friend list that holds the
+    account itself or one friend twice. add() checks the range of the id and
+    of the friend ids as it stores them."""
     if not (0 <= follower_count < _INT64_END and 0 <= status_count < _INT64_END):
         for name, count in (("follower_count", follower_count), ("status_count", status_count)):
             if count < 0:
@@ -197,7 +195,9 @@ def _check_profile(
 class ProfileRecord:
     """One account of a ProfileTable: the eight fields of a profiles.jsonl
     line, with the Python types read_profiles gives them (int, float, None, a
-    list of ints), copied from the table's columns.
+    list of ints), copied from the table's columns, the id column included:
+    a record is built only when it is read, so the table keeps no Python int
+    per account.
 
     friends_recent_first is read from the table's friend rows on each access,
     so a record holds no friend list. A crawl keeps no records: its Crawl
@@ -211,9 +211,9 @@ class ProfileRecord:
     )
 
     def __init__(self, table: ProfileTable, row: int) -> None:
-        (follower_count, language_codes, protected, created_at, status_count, last_status_at,
-         _) = table._views
-        self.node = table.ids[row]
+        (ids, follower_count, language_codes, protected, created_at, status_count,
+         last_status_at, _) = table._views
+        self.node = ids[row]
         self.follower_count = follower_count[row]
         self.language = table.languages[language_codes[row]]
         self.protected = protected[row]
@@ -244,31 +244,32 @@ _profile_attributes = attrgetter(*PROFILE_FIELDS)
 class ProfileTable(Mapping[NodeId, ProfileRecord]):
     """A read-only snapshot of profiles, stored as columns: the one profile
     store, which the generator and read_profiles return and SimulatedOracle
-    serves, at ~160 B per account plus 8 B per friend.
+    serves, at ~50 B per account plus 8 B per friend, with no Python object
+    per account.
 
-    Row i holds the account ids[i], each in [0, 2**63), with ids ascending
-    and the dict index mapping each id back; ids is a list of Python ints,
-    each one object shared by ids and index, because the oracle looks up ids
-    on the walk's hot path: ~0.3 us a dict lookup against ~1 us for a bisect
-    of 100k ids. The scalar fields are numpy columns by
-    row: follower_count and status_count int64, created_at float64, protected
-    bool, language_codes small ints into the list languages of the distinct
-    language strings, and last_status_at float64, NaN where the account's
-    last_status_at is None (a given one is always finite). The friend lists
-    are one set of compressed sparse rows in recency order: friends(i), that
-    is friend_ids[friend_offsets[i]:friend_offsets[i + 1]], holds row i's
-    friend ids, int64.
+    Row i holds the account ids[i]. ids is a read-only int64 column, each id
+    in [0, 2**63), ascending, and an id is mapped to its row by bisecting it
+    (rows() maps an array of ids with one vector search); a crawl works in
+    rows, so it maps no id on its hot path. The scalar fields are numpy
+    columns by row: follower_count and status_count int64, created_at
+    float64, protected bool, language_codes small ints into the list
+    languages of the distinct language strings, and last_status_at float64,
+    NaN where the account's last_status_at is None (a given one is always
+    finite). The friend lists are one set of compressed sparse rows in
+    recency order: friends(i), that is
+    friend_ids[friend_offsets[i]:friend_offsets[i + 1]], holds row i's friend
+    ids, int64.
 
-    table[node] and values() build a ProfileRecord per call; loops over every
-    account read the columns instead. Every table is built by _ProfileColumns,
-    through read_profiles, ProfileTable.from_records or
+    table[node] and each record of values() and items() are a ProfileRecord
+    built per call; values() and items() walk the rows, and loops over every
+    account read the columns instead. Every table is built by
+    _ProfileColumns, through read_profiles, ProfileTable.from_records or
     generate.build_profiles, never by hand.
     """
 
     __slots__ = (
-        "ids", "index", "follower_count", "languages", "language_codes", "protected",
-        "created_at", "status_count", "last_status_at", "friend_offsets", "friend_ids",
-        "_views",
+        "ids", "follower_count", "languages", "language_codes", "protected", "created_at",
+        "status_count", "last_status_at", "friend_offsets", "friend_ids", "_views",
     )
 
     @classmethod
@@ -276,27 +277,55 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
         """The table of `records`, in any order, each a dict shaped as one
         profiles.jsonl line; a record that read_profiles would reject raises
         the same error here, without the path and line."""
-        columns = _ProfileColumns()
-        for record in records:
-            columns.add_record(record)
-        return columns.build()
+
+        def add_all(add: Callable[[dict], None]) -> None:
+            for record in records:
+                add(record)
+
+        return _profile_table(add_all)
 
     def __getitem__(self, node: NodeId) -> ProfileRecord:
-        return ProfileRecord(self, self.index[node])
+        row = _index_in(self._views[0], node)
+        if row is None:
+            raise KeyError(node)
+        return ProfileRecord(self, row)
 
     def __contains__(self, node: object) -> bool:
-        return node in self.index
+        return _index_in(self._views[0], node) is not None
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self.ids)
+        return iter(self._views[0])
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def values(self) -> ValuesView[ProfileRecord]:
+        return _ProfileValues(self)
+
+    def items(self) -> ItemsView[NodeId, ProfileRecord]:
+        return _ProfileItems(self)
 
     def friends(self, row: int) -> np.ndarray:
         """Row `row`'s friend ids, most recently followed first (a view)."""
         offsets = self._views[-1]
         return self.friend_ids[offsets[row] : offsets[row + 1]]
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The row of each id of the int64 array `nodes`, int32 (a table
+        holds fewer than 2**31 accounts), and len(self) for an id with no
+        row. Blocks of _ROW_BLOCK ids are searched in turn, so no int64 array
+        as long as `nodes` is made."""
+        n = len(self.ids)
+        rows = np.full(len(nodes), n, dtype=np.int32)
+        if not n:
+            return rows
+        for start in range(0, len(nodes), _ROW_BLOCK):
+            block = nodes[start : start + _ROW_BLOCK]
+            found = np.searchsorted(self.ids, block)
+            np.minimum(found, n - 1, out=found)
+            hit = self.ids[found] == block
+            rows[start : start + len(block)][hit] = found[hit]
+        return rows
 
     def has_language(self, language: str) -> np.ndarray:
         """A bool per row: whether that account's language is `language`."""
@@ -306,6 +335,22 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
 
     def __repr__(self) -> str:
         return f"ProfileTable(accounts={len(self.ids)}, friends={len(self.friend_ids)})"
+
+
+# The ids ProfileTable.rows searches for at a time.
+_ROW_BLOCK = 1 << 16
+
+
+class _ProfileValues(ValuesView):
+    def __iter__(self) -> Iterator[ProfileRecord]:
+        table = self._mapping
+        return map(ProfileRecord, repeat(table), range(len(table)))
+
+
+class _ProfileItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[NodeId, ProfileRecord]]:
+        table = self._mapping
+        return zip(table, table.values())
 
 
 # The scalar fields of one added profile, packed by _ProfileColumns.add into
@@ -318,17 +363,28 @@ _SCALAR_ROW = np.dtype([
 ])
 
 
+class _RepeatedId(ValueError):
+    """A profile whose id an earlier one has; `position` counts the profiles
+    added before it."""
+
+    def __init__(self, node: NodeId, position: int) -> None:
+        super().__init__(f"duplicate node id {node}")
+        self.position = position
+
+
 class _ProfileColumns:
     """Builds a ProfileTable one profile at a time, in any id order: each
-    profile's scalar fields become one packed row of a bytes buffer and its
-    friends are appended to one array('q'), so no per-profile object is
-    kept; build() sorts the rows by id. add() runs _check_profile on every
-    profile; add_record() also checks the JSON types of a record first."""
+    profile's id is appended to one array('q'), its scalar fields become one
+    packed row of a bytes buffer and its friends are appended to one
+    array('q'), so no per-profile object is kept; build() sorts the rows by
+    id. add() runs _check_profile on every profile; add_record() also checks
+    the JSON types of a record first. A repeated id is found by sorting the
+    ids, in build() or, after a later profile's error, in order()."""
 
-    __slots__ = ("rows", "languages", "scalars", "friend_ids")
+    __slots__ = ("ids", "languages", "scalars", "friend_ids")
 
     def __init__(self) -> None:
-        self.rows: dict[NodeId, int] = {}  # id -> the order it was added in
+        self.ids = array("q")  # in the order added
         self.languages: dict[str, int] = {}  # language -> its code
         self.scalars = bytearray()
         self.friend_ids = array("q")
@@ -337,9 +393,10 @@ class _ProfileColumns:
         self, node: NodeId, follower_count: int, friends: list[NodeId], language: str,
         protected: bool, created_at: float, status_count: int, last_status_at: float | None,
     ) -> None:
-        row = len(self.rows)
-        if self.rows.setdefault(node, row) != row:
-            raise ValueError(f"duplicate node id {node}")
+        if node >= _INT64_END:
+            _integer_id(node, "node")
+        # the id goes first, so that a repeated id is the first error order() names
+        self.ids.append(node)
         _check_profile(node, follower_count, friends, created_at, status_count, last_status_at)
         code = self.languages.setdefault(language, len(self.languages))
         self.scalars += _pack_scalars(
@@ -377,28 +434,40 @@ class _ProfileColumns:
             last_status_at,
         )
 
+    def order(self) -> np.ndarray | None:
+        """The position of each added id in ascending id order, or None when
+        they were added ascending, as write_profiles writes them. Raises
+        _RepeatedId for the first profile whose id an earlier one has: a
+        stable sort lists the repeats of an id after its first profile."""
+        ids = np.frombuffer(self.ids, np.int64)
+        if np.all(ids[1:] > ids[:-1]):
+            return None
+        order = np.argsort(ids, kind="stable")
+        repeats = np.flatnonzero(ids[order[1:]] == ids[order[:-1]])
+        if repeats.size:
+            position = int(order[repeats + 1].min())
+            raise _RepeatedId(self.ids[position], position)
+        return order
+
     def build(self) -> ProfileTable:
-        """The table, rows in ascending id order; add nothing after this. Rows
-        added in id order, as write_profiles writes them, are kept as they are."""
-        rows = self.rows
-        n = len(rows)
+        """The table, rows in ascending id order; add nothing after this."""
+        order = self.order()
+        ids = np.frombuffer(self.ids, np.int64)
+        n = len(ids)
         added = np.frombuffer(self.scalars, _SCALAR_ROW)
         friend_ids = np.frombuffer(self.friend_ids, np.int64)
-        if all(map(operator.lt, rows, islice(rows, 1, None))):
-            ids = list(rows)
+        if order is None:
             scalars = added
         else:
-            ids = sorted(rows)
-            order = np.fromiter(map(rows.__getitem__, ids), np.intp, n)  # the added row of each id
-            rows.update(zip(ids, range(n)))  # now the index: the same keys, their sorted rows
+            ids = ids[order]
             scalars = added[order]
             rank = np.empty(n, dtype=np.intp)
             rank[order] = np.arange(n)  # the sorted row of each added row
             # each friend goes to its row's sorted place, keeping its place in the row
             friend_ids = friend_ids[np.argsort(np.repeat(rank, added["friend_count"]), kind="stable")]
+        ids.flags.writeable = False
         table = ProfileTable.__new__(ProfileTable)
         table.ids = ids
-        table.index = rows
         for name in ("follower_count", "status_count", "created_at", "last_status_at", "protected"):
             setattr(table, name, scalars[name].copy())
         table.languages = list(self.languages)
@@ -410,15 +479,28 @@ class _ProfileColumns:
         # Per-row reads index these: a memoryview gives a Python scalar in about
         # half the time ndarray.item takes.
         table._views = tuple(memoryview(getattr(table, name)) for name in (
-            "follower_count", "language_codes", "protected", "created_at", "status_count",
-            "last_status_at", "friend_offsets",
+            "ids", "follower_count", "language_codes", "protected", "created_at",
+            "status_count", "last_status_at", "friend_offsets",
         ))
         return table
 
 
-def _index_in(ids: list[NodeId], node) -> int | None:
-    """The position of `node` in the ascending list `ids`, by bisection; None
-    for an id not in the list and for a key that is not comparable with an int."""
+def _profile_table(add_all: Callable[[Callable[[dict], None]], None]) -> ProfileTable:
+    """The table of the records that add_all passes to its argument, one at a
+    time. A repeated id raises _RepeatedId, also when a later record raises:
+    the first bad record's error is the one raised."""
+    columns = _ProfileColumns()
+    try:
+        add_all(columns.add_record)
+    except (ValueError, TypeError, KeyError, OverflowError):
+        columns.order()
+        raise
+    return columns.build()
+
+
+def _index_in(ids: Sequence[NodeId], node) -> int | None:
+    """The position of `node` in the ascending sequence `ids`, by bisection;
+    None for an id not in it and for a key that is not comparable with an int."""
     try:
         i = bisect_left(ids, node)
     except TypeError:
@@ -970,7 +1052,7 @@ def write_profiles(profiles: ProfileTable, path) -> None:
     friend_ids = profiles.friend_ids.tolist()
     languages = profiles.languages
     rows = zip(
-        profiles.ids, profiles.follower_count.tolist(), offsets, offsets[1:],
+        profiles.ids.tolist(), profiles.follower_count.tolist(), offsets, offsets[1:],
         profiles.language_codes.tolist(), profiles.protected.tolist(),
         profiles.created_at.tolist(), profiles.status_count.tolist(),
         profiles.last_status_at.tolist(),
@@ -995,8 +1077,19 @@ def read_profiles(path) -> ProfileTable:
     """Parse JSONL profiles, one JSON object per line in any id order, into a
     ProfileTable. Each line passes the one per-record check that
     ProfileTable.from_records runs (_ProfileColumns.add_record), and an error
-    names the path and line. The records go straight into the table's
-    columns: no per-account object outlives the read."""
-    columns = _ProfileColumns()
-    _read_json_lines(path, columns.add_record)
-    return columns.build()
+    names the path and the first bad line: for a repeated id, which the
+    table's build finds by sorting the ids, the line is counted again. The
+    records go straight into the table's columns: no per-account object
+    outlives the read."""
+    try:
+        return _profile_table(partial(_read_json_lines, path))
+    except _RepeatedId as exc:
+        raise ValueError(f"{path}: line {_record_line(path, exc.position)}: {exc}") from None
+
+
+def _record_line(path, position: int) -> int:
+    """The number of the line that holds a JSONL file's record at `position`,
+    counted from 0 over the non-blank lines, as _read_lines counts them."""
+    with _open_text(path) as fh:
+        lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(islice(lines, position, None))

@@ -7,10 +7,13 @@ import json
 import math
 import operator
 from array import array
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .graph import _INT64_END, NodeId, ProfileRecord, ProfileTable
 
@@ -124,14 +127,24 @@ class CallLog:
 class ProfileLookup(Mapping[NodeId, ProfileRecord]):
     """The answer of one get_profiles call: a read-only mapping from each
     found id, in the order first asked for, to its ProfileRecord. It holds
-    the table and each found id's row, and builds a record only when a value
-    is read."""
+    the table and the ids asked for; the first read maps them to rows with
+    one ProfileTable.rows search, and a record is built only when a value is
+    read, so a caller that reads no answer, as a crawl does, maps no id."""
 
-    __slots__ = ("_table", "_rows")
+    __slots__ = ("_table", "_asked", "_found")
 
-    def __init__(self, table: ProfileTable, rows: dict[NodeId, int]) -> None:
+    def __init__(self, table: ProfileTable, asked: array) -> None:
         self._table = table
-        self._rows = rows
+        self._asked = asked
+        self._found: dict[NodeId, int] | None = None
+
+    @property
+    def _rows(self) -> dict[NodeId, int]:
+        if self._found is None:
+            rows = self._table.rows(np.frombuffer(self._asked, np.int64)).tolist()
+            no_row = len(self._table)
+            self._found = {node: row for node, row in zip(self._asked, rows) if row != no_row}
+        return self._found
 
     def __getitem__(self, node: NodeId) -> ProfileRecord:
         return ProfileRecord(self._table, self._rows[node])
@@ -262,6 +275,12 @@ class SimulatedOracle:
     construction inputs); only the clock and budget state change between
     identical queries.
 
+    The endpoints take and return ids. get_friends and follows map an id to
+    its row with one bisect of the table's id column, in C: ~0.5 us at 100k
+    ids, against ~40 ns for the id -> row dict the table no longer keeps at
+    ~100 B per account. A get_profiles answer maps its whole batch with one
+    vector search, and only when it is read.
+
     `call_log` is a CallLog of every charged call, and `calls_by_endpoint`
     counts them per endpoint. window_charges() and restore_charges() carry
     the limiters' charges that still count over a resume.
@@ -277,6 +296,7 @@ class SimulatedOracle:
         clock: SimulatedClock | None = None,
     ) -> None:
         self.profiles = profiles
+        self._ids = memoryview(profiles.ids)  # bisected by get_friends and follows
         self.budget = budget
         self.clock = clock if clock is not None else SimulatedClock()
         self.friends_limiter: RateLimiter | None = None
@@ -331,10 +351,12 @@ class SimulatedOracle:
 
         Charges one friends-endpoint call; blocks (on the simulated clock) when
         all keys are exhausted. Unknown ids raise NotFoundError, protected
-        accounts ProtectedError; neither consumes budget.
+        accounts ProtectedError; neither consumes budget. The id is mapped to
+        its row by one bisect of the table's id column.
         """
-        row = self.profiles.index.get(node)
-        if row is None:
+        ids = self._ids
+        row = bisect_left(ids, node)
+        if row == len(ids) or ids[row] != node:
             raise NotFoundError(f"unknown account id {node}")
         if self.profiles.protected[row]:
             raise ProtectedError(f"account {node} is protected")
@@ -347,31 +369,28 @@ class SimulatedOracle:
 
         Unknown ids are silently dropped from the result, mirroring batched
         user-lookup endpoints. The result is a ProfileLookup, so a caller
-        that reads no profile builds no ProfileRecord. An id that is not an
-        int64 integer raises TypeError or ValueError before any call is
-        charged.
+        that reads no profile maps no id and builds no ProfileRecord. An id
+        that is not an int64 integer raises TypeError or ValueError before
+        any call is charged.
         """
         try:
             ids = array("q", nodes)  # a float, str or None raises TypeError
         except OverflowError:
             raise ValueError("account ids must fit an int64") from None
-        index = self.profiles.index
-        rows: dict[NodeId, int] = {}
-        for start in range(0, len(ids), self.profile_batch):
-            chunk = ids[start : start + self.profile_batch]
-            self._charge(self.PROFILES, self.profiles_limiter, chunk)
-            for node in chunk:
-                row = index.get(node)
-                if row is not None:
-                    rows[node] = row
-        return ProfileLookup(self.profiles, rows)
+        batch = self.profile_batch
+        for start in range(0, len(ids), batch):
+            self._charge(self.PROFILES, self.profiles_limiter, ids[start : start + batch])
+        return ProfileLookup(self.profiles, ids)
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
         """Ground-truth follow check; uncharged and unlogged. Reads the source's
         friend list, so an id with no profile follows nobody."""
-        row = self.profiles.index.get(source)
+        ids = self._ids
+        row = bisect_left(ids, source)
+        if row == len(ids) or ids[row] != source:
+            return False
         # a short row's list is searched ~10x faster than the numpy row
-        return row is not None and target in self.profiles.friends(row).tolist()
+        return target in self.profiles.friends(row).tolist()
 
 
 def build_simulated_oracle(

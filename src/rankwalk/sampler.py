@@ -18,7 +18,8 @@ charged call as typed columns, with no Python object per record. While it
 runs, its whole state is one Crawl, freed when run_sample returns: the
 sample, the walkers and their cursor, the exhaustion state, the counters,
 and the page and profile caches as per-row columns over the oracle's profile
-table, 9 B a row, with no Python object per page or profile. run_sample is a
+table, 9 B a row, with no Python object per page or profile. The crawl works
+in the table's rows, so its hot path maps no id to a row. run_sample is a
 loop over Crawl.step().
 """
 
@@ -110,7 +111,11 @@ class SeedPool:
         self._rng = rng if isinstance(rng, random.Random) else random.Random(rng)
 
     def draw(self) -> NodeId:
-        return self.nodes[self._rng.randrange(len(self.nodes))]
+        return self.nodes[self.draw_index()]
+
+    def draw_index(self) -> int:
+        """The position in `nodes` of the next draw."""
+        return self._rng.randrange(len(self.nodes))
 
     def getstate(self):
         return self._rng.getstate()
@@ -279,45 +284,50 @@ class RunStats:
 
 
 def select_target(
-    w: NodeId,
-    friends_page: Sequence[NodeId],
+    w: int,
+    friends_page: Sequence[int],
     crawl: Crawl,
     sample: SampleGraph,
     config: SamplerConfig,
-) -> NodeId | None:
+) -> int | None:
     """Pick the friend with the highest follower count over an unburned edge,
     language-matching when the crawl's filter is on; ties broken by lowest id.
     Returns None when no friend qualifies (the jump signal).
 
-    Only friends whose profile lookup the crawl records as charged, and that
-    have a row, are candidates; their follower count and language code are
-    read from the table's columns by row, so no ProfileRecord is built.
+    The walker and the friends are rows of the crawl's table: `w` is the
+    walker's row, `friends_page` its page's friends, each as its row or, for
+    a friend with no profile, the no-row index, and the pick is a row. Rows
+    ascend with ids, so the lowest row is the lowest id. Only friends whose
+    profile lookup the crawl records as charged are candidates; their
+    follower count and language code are read from the table's columns by
+    row, so no id is looked up and no ProfileRecord is built.
 
     The burned edges are the sample's walked edges, and under
     original_rank_degree its symmetric edges too, where the score also loses
-    the friend's in-degree in the sample.
+    the friend's in-degree in the sample. Only a friend that would beat the
+    best so far is checked for a burned edge.
     """
-    get, looked_up, no_row, follower_count, language_codes, language = crawl.readers
-    best: NodeId | None = None
-    best_key: tuple[int, NodeId] | None = None
+    ids, looked_up, follower_count, language_codes, language = crawl.readers
+    source = ids[w]
     original = config.original_rank_degree
     walked = sample._walked
     symmetric = sample._symmetric if original else ()
+    best: int | None = None
+    best_score = 0
     for v in friends_page:
-        row = get(v, no_row)
-        if not looked_up[row]:  # not looked up, or no row: no profile to rank by
+        if not looked_up[v]:  # not looked up, or no row: no profile to rank by
             continue
-        if language is not None and language_codes[row] != language:
+        if language is not None and language_codes[v] != language:
             continue
-        edge = (w, v)
+        score = follower_count[v]
+        if original:
+            score -= sample._in_degree.get(ids[v], 0)
+        if best is not None and (score < best_score or (score == best_score and v > best)):
+            continue
+        edge = (source, ids[v])
         if edge in walked or edge in symmetric:
             continue
-        score = follower_count[row]
-        if original:
-            score -= sample._in_degree.get(v, 0)
-        key = (-score, v)
-        if best_key is None or key < best_key:
-            best, best_key = v, key
+        best, best_score = v, score
     return best
 
 
@@ -338,29 +348,39 @@ class RunState:
 
 class Crawl:
     """The whole state of one run: the sample, the walkers and the cursor
-    (walkers[i] is the account walker i stands on, and walkers[cursor] steps
+    (walkers[i] is the position of walker i, and walkers[cursor] steps
     next), the seed pool, the exhaustion state, the caches, the counters at
     the start and the RunStats. run_sample calls step() until stop_reason()
     names a reason, then finish().
 
+    The crawl works in rows of the oracle's ProfileTable, so its hot path
+    maps no id to a row. A position is the row of the account a walker
+    stands on, or ~id (below 0) for an account with no profile, which only
+    a pool draw or a resumed walker can be. friend_rows holds the row of
+    each of the table's friend ids, int32, and no_row, the table's length,
+    for a friend with no profile; pool_rows does the same for the seed
+    pool's ids. Both are numbered once per run. The sample keeps ids: a
+    walked edge reads both ends' ids from the table's id column.
+
     A node a step jumped from yields a jump on every later visit (pages and
-    profiles are fixed, the sample only grows). not_jumped holds the pool ids
-    no step has jumped from yet, and jump_run counts the steps since the last
-    walk.
+    profiles are fixed, the sample only grows). not_jumped holds one byte
+    per row, 1 for a pool account no step has jumped from yet, counted by
+    not_jumped_count; pool ids with no row that no step has jumped from are
+    in not_jumped_ids. jump_run counts the steps since the last walk.
 
-    The caches are per-row columns of the oracle's ProfileTable, 9 B a row,
-    with no Python object per page or profile. page_length[row] is the length
-    of the page that row's account was served by its one charged get_friends
-    call, -1 before it; a revisit reads back that prefix of the table's
-    friend row. looked_up[row] is 1 once the account's profile lookup was
-    charged; its extra last byte stays 0 and stands for an id with no row.
-    `unknown` holds the looked-up ids that have no row.
+    The caches are per-row columns, 9 B a row, with no Python object per
+    page or profile. page_length[row] is the length of the page that row's
+    account was served by its one charged get_friends call, -1 before it; a
+    revisit reads back that prefix of the friend row. looked_up[row] is 1
+    once the account's profile lookup was charged; its extra last byte, at
+    the no-row index, stays 0. `unknown` holds the looked-up ids that have
+    no row.
 
-    `readers` binds once what select_target reads on each call: the table's
-    id -> row lookup, looked_up, the no-row index, the follower_count and
-    language-code columns as memoryviews (an item is a Python scalar in about
-    half the time ndarray.item takes), and the target language's code, None
-    with the filter off and -1 when no account has it.
+    `readers` binds once what select_target reads on each call: the id,
+    follower_count and language-code columns as memoryviews (an item is a
+    Python scalar in about half the time ndarray.item takes), looked_up,
+    and the target language's code, None with the filter off and -1 when no
+    account has it.
 
     A resumed run adds the saved sample edges with their provenance, so the
     burned edges carry over, gives the saved rate-limit charges back to the
@@ -377,6 +397,21 @@ class Crawl:
         resume: RunState | None = None,
     ) -> None:
         self.config, self.oracle, self.seed_pool = config, oracle, seed_pool
+        self.table = table = oracle.profiles
+        self.no_row = n = len(table)
+        self.ids = ids = memoryview(table.ids)
+        self.friend_offsets = memoryview(table.friend_offsets)
+        self.friend_ids = memoryview(table.friend_ids)
+        self.friend_rows = memoryview(table.rows(table.friend_ids))
+        pool_rows = table.rows(np.array(seed_pool.nodes, np.int64))
+        self.pool_rows = memoryview(pool_rows)
+        self.not_jumped = bytearray(n)
+        np.frombuffer(self.not_jumped, np.uint8)[pool_rows[pool_rows < n]] = 1
+        self.not_jumped_count = self.not_jumped.count(1)
+        no_rows = np.flatnonzero(pool_rows == n).tolist()
+        self.not_jumped_ids = {seed_pool.nodes[i] for i in no_rows}
+        self.jump_run = 0
+
         self.sample = sample = SampleGraph()
         if resume is not None:
             oracle.clock.advance_to(resume.clock_now)
@@ -386,17 +421,12 @@ class Crawl:
                 sample.add_seed(node)
             for source, target, provenance in resume.edges:
                 sample.add_edge(source, target, provenance)
-            self.walkers = list(resume.walkers)
+            rows = table.rows(np.array(resume.walkers, np.int64)).tolist()
+            self.walkers = [r if r < n else ~u for r, u in zip(rows, resume.walkers)]
         else:
-            self.walkers = [seed_pool.draw() for _ in range(config.walker_count)]
-            for seed in self.walkers:
-                sample.add_seed(seed)
+            self.walkers = [self.draw() for _ in range(config.walker_count)]
         self.cursor = 0
-        self.not_jumped = set(seed_pool.nodes)
-        self.jump_run = 0
 
-        self.table = table = oracle.profiles
-        n = len(table.ids)
         self.page_length = array("q", [-1]) * n
         self.looked_up = bytearray(n + 1)
         self.unknown: set[NodeId] = set()
@@ -405,10 +435,9 @@ class Crawl:
             languages, target = table.languages, config.target_language
             language = languages.index(target) if target in languages else -1
         self.readers = (
-            table.index.get, self.looked_up, n,
-            memoryview(table.follower_count), memoryview(table.language_codes), language,
+            ids, self.looked_up, memoryview(table.follower_count),
+            memoryview(table.language_codes), language,
         )
-        self.friend_offsets = memoryview(table.friend_offsets)
 
         self.stats = RunStats()
         self.friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
@@ -417,15 +446,37 @@ class Crawl:
         self.walks_start = len(sample._walked)
         self.stats.growth.append(0.0, sample.num_edges(), sample.num_nodes())
 
-    def add_lookups(self, nodes: Iterable[NodeId]) -> None:
-        """Record that the profile lookup of `nodes` was charged."""
-        get, looked_up = self.table.index.get, self.looked_up
-        for u in nodes:
-            row = get(u)
-            if row is None:
-                self.unknown.add(u)
-            else:
+    def draw(self) -> int:
+        """Draw a seed from the pool, register it in the sample and return its
+        position."""
+        i = self.seed_pool.draw_index()
+        node, row = self.seed_pool.nodes[i], self.pool_rows[i]
+        self.sample.add_seed(node)
+        return row if row != self.no_row else ~node
+
+    def walker_ids(self) -> list[NodeId]:
+        """The id of the account each walker stands on, in walkers order."""
+        ids = self.ids
+        return [ids[w] if w >= 0 else ~w for w in self.walkers]
+
+    def look_up(self, page: list[int], start: int) -> None:
+        """Look up together, in page order, the friends of a page served from
+        friend_ids[start:] whose profile lookup is not recorded, a friend
+        with no profile among them, and record them, so no friend is asked
+        for twice."""
+        friend_ids, looked_up, unknown = self.friend_ids, self.looked_up, self.unknown
+        missing = []
+        for i, row in enumerate(page, start):
+            if looked_up[row]:
+                continue
+            if row != self.no_row:
                 looked_up[row] = 1
+                missing.append(self.ids[row])
+            elif friend_ids[i] not in unknown:
+                unknown.add(friend_ids[i])
+                missing.append(friend_ids[i])
+        if missing:
+            self.oracle.get_profiles(missing)
 
     def step(self) -> None:
         """One step of the walker at the cursor, which then moves to the next
@@ -433,14 +484,11 @@ class Crawl:
         best eligible edge into the sample, or jump to a fresh seed when none
         qualifies. A step that changes the edge count adds a growth point.
 
-        The page is read back from the table when page_length holds its
+        The page is read back from friend_rows when page_length holds its
         length, else it comes from a charged get_friends call whose length is
-        recorded. A protected or unknown account is never cached: each visit
-        asks again, uncharged, and jumps. When a page is served, its friends
-        whose profile lookup is not recorded are looked up together and
-        recorded, a friend the lookup drops among them, so no friend is asked
-        for twice, a revisit asks for none, and select_target skips a friend
-        with no profile.
+        recorded, and the page's friends not looked up yet are (look_up). A
+        protected or unknown account is never cached: each visit asks again,
+        uncharged, and jumps. select_target skips a friend with no profile.
 
         A walk adds one edge to the sample's walked edges, a jump none.
         select_target skips burned edges, so a pick that select_target's burn
@@ -448,39 +496,40 @@ class Crawl:
         """
         oracle, sample, walkers, cursor = self.oracle, self.sample, self.walkers, self.cursor
         w = walkers[cursor]
-        get = self.table.index.get
-        row = get(w)
         page_length = self.page_length
-        if row is not None and page_length[row] >= 0:
-            # its friends were looked up when it was served
-            start = self.friend_offsets[row]
-            page = self.table.friend_ids[start : start + page_length[row]].tolist()
+        if w >= 0 and page_length[w] >= 0:
+            start = self.friend_offsets[w]
+            page = self.friend_rows[start : start + page_length[w]].tolist()
         else:
             try:
-                page = oracle.get_friends(w).friends
+                length = len(oracle.get_friends(self.ids[w] if w >= 0 else ~w).friends)
             except (NotFoundError, ProtectedError):
                 page = None
             else:
-                page_length[row] = len(page)
-                looked_up, unknown, no_row = self.looked_up, self.unknown, len(page_length)
-                missing = [u for u in page if not looked_up[get(u, no_row)] and u not in unknown]
-                if missing:
-                    oracle.get_profiles(missing)
-                    self.add_lookups(missing)
+                page_length[w] = length
+                start = self.friend_offsets[w]
+                page = self.friend_rows[start : start + length].tolist()
+                self.look_up(page, start)
         v = None if page is None else select_target(w, page, self, sample, self.config)
         if v is None:
-            v = self.seed_pool.draw()
-            sample.add_seed(v)
-            self.not_jumped.discard(w)
+            v = self.draw()
+            if w >= 0:
+                if self.not_jumped[w]:
+                    self.not_jumped[w] = 0
+                    self.not_jumped_count -= 1
+            else:
+                self.not_jumped_ids.discard(~w)
             self.jump_run += 1
         else:
             config = self.config
             original = config.original_rank_degree
-            if (w, v) in sample._walked or (original and (w, v) in sample._symmetric):
-                raise RuntimeError(f"edge {(w, v)} selected after it was burned")
-            sample.add_edge(w, v, WALKED)
-            if (config.add_symmetric_edge or original) and oracle.follows(v, w):
-                sample.add_edge(v, w, SYMMETRIC)
+            edge = (self.ids[w], self.ids[v])
+            if edge in sample._walked or (original and edge in sample._symmetric):
+                raise RuntimeError(f"edge {edge} selected after it was burned")
+            source, target = edge
+            sample.add_edge(source, target, WALKED)
+            if (config.add_symmetric_edge or original) and oracle.follows(target, source):
+                sample.add_edge(target, source, SYMMETRIC)
             self.jump_run = 0
         walkers[cursor] = v
         self.cursor = (cursor + 1) % len(walkers)
@@ -492,11 +541,13 @@ class Crawl:
 
     def stop_reason(self) -> str | None:
         """The first stop condition that holds, or None while the run goes on.
-        Once every seed-pool node has jumped and the last len(walkers) steps
-        all jumped, each walker stands on a pool node and no step can add an
-        edge again: the run is "exhausted"."""
-        config, sample = self.config, self.sample
-        if config.max_sample_edges is not None and sample.num_edges() >= config.max_sample_edges:
+        The edge count is the growth curve's last, which every step that
+        changes it appends. Once every seed-pool node has jumped and the last
+        len(walkers) steps all jumped, each walker stands on a pool node and
+        no step can add an edge again: the run is "exhausted"."""
+        config, stats, sample = self.config, self.stats, self.sample
+        edges = stats.growth.edges[-1]
+        if config.max_sample_edges is not None and edges >= config.max_sample_edges:
             return "max_sample_edges"
         if config.max_sample_nodes is not None and sample.num_nodes() >= config.max_sample_nodes:
             return "max_sample_nodes"
@@ -505,16 +556,16 @@ class Crawl:
             and self.oracle.clock.now - self.clock_start >= config.max_simulated_seconds
         ):
             return "max_simulated_seconds"
-        if config.max_steps is not None and self.stats.steps >= config.max_steps:
+        if config.max_steps is not None and stats.steps >= config.max_steps:
             return "max_steps"
-        if self.jump_run >= len(self.walkers) and not self.not_jumped:
+        if self.jump_run >= len(self.walkers) and not (self.not_jumped_count or self.not_jumped_ids):
             return "exhausted"
         return None
 
     def finish(self) -> RunStats:
         """The run's RunStats, with its counts and stop reason filled in:
         `walk_log` lists this run's walks in step order, and `final_walkers`
-        the walkers in the order they step next."""
+        the walkers' ids in the order they step next."""
         stats, sample, oracle = self.stats, self.sample, self.oracle
         walked = sample._walked
         stats.walk_log = list(islice(walked, self.walks_start, None))
@@ -527,7 +578,7 @@ class Crawl:
         stats.sample_edges = sample.num_edges()
         stats.symmetric_edges = len(sample._symmetric)
         stats.walked_edges = len(walked)
-        walkers, cursor = self.walkers, self.cursor
+        walkers, cursor = self.walker_ids(), self.cursor
         stats.final_walkers = walkers[cursor:] + walkers[:cursor]
         return stats
 

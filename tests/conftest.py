@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
@@ -65,3 +66,40 @@ def assert_edges_ascend(graph):
 @pytest.fixture
 def triangle():
     return DirectedGraph.from_edges([(0, 1), (1, 2), (2, 0)])
+
+
+class ReferenceRateLimiter:
+    """RateLimiter as first written: prunes every key at every key choice."""
+
+    def __init__(self, calls_per_window, window_seconds, key_count):
+        self.calls_per_window = calls_per_window
+        self.window_seconds = float(window_seconds)
+        self.key_count = key_count
+        self._charges = [deque() for _ in range(key_count)]
+
+    def _prune(self, key, now):
+        cutoff = now - self.window_seconds
+        charges = self._charges[key]
+        while charges and charges[0] <= cutoff:
+            charges.popleft()
+
+    def _available_key(self, now):
+        best = None
+        best_load = None
+        for key in range(self.key_count):
+            self._prune(key, now)
+            load = len(self._charges[key])
+            if load < self.calls_per_window and (best_load is None or load < best_load):
+                best, best_load = key, load
+        return best
+
+    def next_expiry(self):
+        return min(charges[0] + self.window_seconds for charges in self._charges if charges)
+
+    def charge(self, clock):
+        key = self._available_key(clock.now)
+        if key is None:
+            clock.advance_to(self.next_expiry())
+            key = self._available_key(clock.now)
+        self._charges[key].append(clock.now)
+        return key, self.calls_per_window - len(self._charges[key])

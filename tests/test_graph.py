@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+import unittest.mock
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -1080,6 +1081,69 @@ def profile_sets(draw):
     return records
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    nodes=st.lists(PROFILE_IDS, min_size=1, max_size=8),
+    bad=st.none() | st.tuples(st.integers(0, 8), PROFILE_IDS),
+    blanks=st.lists(st.booleans(), min_size=9, max_size=9),
+)
+def test_a_repeated_id_is_named_at_its_line_like_any_bad_line(nodes, bad, blanks, tmp_path_factory):
+    """The table's build finds a repeated id by sorting, yet the error names
+    the first bad line, as a per-line check with a set of the ids seen
+    would: a repeat before a later bad line, and a bad line before a later
+    repeat. A profile that both repeats an id and fails a check is named as
+    the repeat."""
+    records = [profile_record(node) for node in nodes]
+    if bad is not None:
+        position, node = bad
+        records.insert(position, profile_record(node, follower_count=-1))
+    lines = [("\n" if blank else "") + json.dumps(r) + "\n" for r, blank in zip(records, blanks)]
+    path = tmp_path_factory.mktemp("profiles") / "profiles.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    seen, expected = set(), None
+    for lineno, line in enumerate("".join(lines).splitlines(), start=1):
+        if not line:
+            continue
+        record = json.loads(line)
+        node = record["node"]
+        if node in seen:
+            expected = f"line {lineno}: duplicate node id {node}"
+        elif record["follower_count"] < 0:
+            expected = f"line {lineno}: profile {node}: negative follower_count"
+        if expected is not None:
+            break
+        seen.add(node)
+    if expected is None:
+        assert read_profiles(path).ids.tolist() == sorted(seen)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+        read_profiles(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(expected.split(': ', 1)[1])}$"):
+        ProfileTable.from_records(records)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(records=profile_sets(), asked=st.lists(PROFILE_IDS, max_size=20), block=st.integers(1, 4))
+def test_rows_and_lookups_agree_with_a_dict_from_id_to_row(records, asked, block):
+    """ProfileTable.rows, searching `block` ids at a time, and the bisecting
+    table[id] and `in` give what a dict from id to row gives; len(table)
+    stands for an id with no row."""
+    table = ProfileTable.from_records(records)
+    index = {node: row for row, node in enumerate(table)}
+    with unittest.mock.patch.object(graph_module, "_ROW_BLOCK", block):
+        for nodes in (asked, table.friend_ids.tolist()):
+            got = table.rows(np.array(nodes, np.int64))
+            assert got.dtype == np.int32
+            assert got.tolist() == [index.get(u, len(table)) for u in nodes]
+    for node in asked:
+        assert (node in table) == (node in index)
+        if node in index:
+            assert table[node].node == node
+        else:
+            with pytest.raises(KeyError):
+                table[node]
+
+
 def typed_fields(values):
     """Each field value with its Python type, and each friend's type."""
     values = list(values)
@@ -1115,9 +1179,10 @@ def test_profile_table_round_trips_field_by_field_and_byte_for_byte(
     )
     expected = {r["node"]: record_fields(r) for r in records}
     for table in (built, read_profiles(written), read_profiles(directory / "shuffled.jsonl")):
-        assert list(table) == table.ids == sorted(expected)
+        assert list(table) == table.ids.tolist() == sorted(expected)
         assert {node: table_fields(table[node]) for node in table} == expected
-        assert [table_fields(p) for p in table.values()] == [expected[n] for n in table.ids]
+        assert [table_fields(p) for p in table.values()] == [expected[n] for n in table]
+        assert [(n, table_fields(p)) for n, p in table.items()] == sorted(expected.items())
         assert table == built
         write_profiles(table, rewritten)
         assert rewritten.read_bytes() == written.read_bytes()
@@ -1138,10 +1203,12 @@ def test_generated_profile_table_equals_the_table_read_back(tmp_path):
 
 
 def test_profile_table_holds_no_object_per_account(tmp_path):
-    """A profile table plus the oracle built on it keep the id list and index,
-    the numpy columns and the friend rows: at most 300 B per account on a
-    preferential-attachment world, whether the table was read from a file or
-    made by the generator, where a dict of per-account objects kept ~510 B."""
+    """A profile table plus the oracle built on it keep the numpy columns and
+    the friend rows, with no id -> row dict and no Python int per account:
+    at most 120 B per account on a preferential-attachment world (~92 B, 40
+    of them friend ids), whether the table was read from a file or made by
+    the generator, where the id list and dict kept ~180 B and a dict of
+    per-account objects ~510 B."""
     n = 20_000
     edges = preferential_attachment(n, 5, random.Random(11))
     path = tmp_path / "profiles.jsonl"
@@ -1156,7 +1223,10 @@ def test_profile_table_holds_no_object_per_account(tmp_path):
         finally:
             tracemalloc.stop()
         assert oracle.profiles is table and len(table) == n
-        assert retained / n <= 300
+        assert type(table.ids) is np.ndarray and table.ids.dtype == np.int64
+        assert not table.ids.flags.writeable
+        assert not hasattr(table, "index")
+        assert retained / n <= 120
         del table, oracle
 
 

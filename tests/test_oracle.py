@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from collections import deque
 from itertools import product
 
 import pytest
@@ -23,7 +22,7 @@ from rankwalk.oracle import (
     write_call_log,
 )
 
-from conftest import make_profiles, profile_record
+from conftest import ReferenceRateLimiter, make_profiles, profile_record
 
 
 class TestSimulatedClock:
@@ -62,12 +61,12 @@ class TestApiBudget:
 
     def test_oracle_takes_its_limits_from_the_budget(self):
         budget = ApiBudget(key_count=3, friends_calls_per_window=4, profile_window_seconds=60.0)
-        oracle = SimulatedOracle({}, budget)
+        oracle = SimulatedOracle(ProfileTable.from_records([]), budget)
         assert oracle.budget is budget
         friends = oracle.friends_limiter
         assert (friends.key_count, friends.calls_per_window) == (3, 4)
         assert oracle.profiles_limiter.window_seconds == 60.0
-        unlimited = SimulatedOracle({}, ApiBudget(rate_limits_enabled=False))
+        unlimited = SimulatedOracle(ProfileTable.from_records([]), ApiBudget(rate_limits_enabled=False))
         assert unlimited.friends_limiter is None and unlimited.profiles_limiter is None
 
 
@@ -197,43 +196,6 @@ class TestRateBudget:
                 ref_clock.advance_to(ref_clock.now + step)
             assert clock.now == ref_clock.now
         assert_budget_safety(log, "friends", calls_per_window, window)
-
-
-class ReferenceRateLimiter:
-    """RateLimiter as first written: prunes every key at every key choice."""
-
-    def __init__(self, calls_per_window, window_seconds, key_count):
-        self.calls_per_window = calls_per_window
-        self.window_seconds = float(window_seconds)
-        self.key_count = key_count
-        self._charges = [deque() for _ in range(key_count)]
-
-    def _prune(self, key, now):
-        cutoff = now - self.window_seconds
-        charges = self._charges[key]
-        while charges and charges[0] <= cutoff:
-            charges.popleft()
-
-    def _available_key(self, now):
-        best = None
-        best_load = None
-        for key in range(self.key_count):
-            self._prune(key, now)
-            load = len(self._charges[key])
-            if load < self.calls_per_window and (best_load is None or load < best_load):
-                best, best_load = key, load
-        return best
-
-    def next_expiry(self):
-        return min(charges[0] + self.window_seconds for charges in self._charges if charges)
-
-    def charge(self, clock):
-        key = self._available_key(clock.now)
-        if key is None:
-            clock.advance_to(self.next_expiry())
-            key = self._available_key(clock.now)
-        self._charges[key].append(clock.now)
-        return key, self.calls_per_window - len(self._charges[key])
 
 
 class TestProfiles:

@@ -16,6 +16,8 @@ from rankwalk.generate import build_profiles, preferential_attachment, reciproca
 from rankwalk.graph import PROFILE_FIELDS, DirectedGraph, ProfileTable, _read_lines, parse_id
 from rankwalk import sampler as sampler_module
 from rankwalk.oracle import (
+    ApiBudget,
+    SimulatedClock,
     SimulatedOracle,
     assert_budget_safety,
     build_simulated_oracle,
@@ -35,10 +37,12 @@ from rankwalk.sampler import (
     run_sample,
     save_run_state,
     select_target,
+    write_growth_csv,
     write_sample_csv,
+    write_stats_json,
 )
 
-from conftest import assert_edges_ascend, make_profiles, random_digraph
+from conftest import ReferenceRateLimiter, assert_edges_ascend, make_profiles, random_digraph
 
 
 def config(**kwargs):
@@ -107,13 +111,28 @@ def seed_node_records(sample, path):
     return [record["n"] for record in records if record["type"] == "seed_node"]
 
 
-def looked_up(profiles, cfg):
-    """A Crawl over `profiles` under `cfg` that records every account's
-    profile lookup as charged, so select_target ranks every friend with a
-    profile."""
+def rows_of(profiles, nodes):
+    """The row of each id of `nodes` in `profiles`, len(profiles) for one with no row."""
+    return profiles.rows(np.array(list(nodes), np.int64)).tolist()
+
+
+def looked_up(profiles, cfg, nodes=None):
+    """A Crawl over `profiles` under `cfg` that records the profile lookup of
+    `nodes`, every account's by default, as charged, so select_target ranks
+    each of them that has a profile."""
     crawl = Crawl(cfg, SimulatedOracle(profiles), SeedPool([0], 0))
-    crawl.add_lookups(profiles.ids)
+    for row in rows_of(profiles, profiles if nodes is None else nodes):
+        if row < len(profiles):
+            crawl.looked_up[row] = 1
     return crawl
+
+
+def select(w, page, crawl, sample, cfg):
+    """select_target in ids: the id it picks for a walker on `w` among the
+    friend ids `page`, or None."""
+    table = crawl.table
+    pick = select_target(rows_of(table, [w])[0], rows_of(table, page), crawl, sample, cfg)
+    return None if pick is None else table.ids[pick].item()
 
 
 class TestSelectTarget:
@@ -127,7 +146,7 @@ class TestSelectTarget:
     def test_tie_broken_by_lowest_id(self):
         _, profiles = self.fixture()
         cfg = config()
-        got = select_target(0, [5, 9, 3], looked_up(profiles, cfg), SampleGraph(), cfg)
+        got = select(0, [5, 9, 3], looked_up(profiles, cfg), SampleGraph(), cfg)
         assert got == 3
 
     def test_burned_and_language_mismatch_excluded(self):
@@ -136,15 +155,15 @@ class TestSelectTarget:
             g, follower_counts={5: 10, 9: 3}, languages={9: "en"}
         )
         sample, cfg = sample_of(walked=[(0, 5)]), config()
-        assert select_target(0, [5, 9], looked_up(profiles, cfg), sample, cfg) is None
+        assert select(0, [5, 9], looked_up(profiles, cfg), sample, cfg) is None
 
     def test_language_filter_can_be_disabled(self):
         g = DirectedGraph.from_edges([(0, 9)])
         profiles = make_profiles(g, languages={9: "en"})
         cfg = config()
-        assert select_target(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) is None
+        assert select(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) is None
         cfg = config(language_filter_enabled=False)
-        assert select_target(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) == 9
+        assert select(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) == 9
 
     def test_matches_brute_force_argmax(self):
         """Burned: the walked edges, and under original_rank_degree the
@@ -166,7 +185,7 @@ class TestSelectTarget:
             into = Counter(t for _, t in set(walked) | set(symmetric))
             score = {v: followers[v] - (into[v] if original else 0) for v in friends}
             expected = min(eligible, key=lambda v: (-score[v], v)) if eligible else None
-            assert select_target(0, friends, looked_up(profiles, cfg), sample, cfg) == expected
+            assert select(0, friends, looked_up(profiles, cfg), sample, cfg) == expected
 
 
 SEED = "seed"
@@ -480,7 +499,7 @@ class TestWalkerStep:
         g, oracle = build_oracle([(1, 2), (2, 3)])
         crawl = crawl_from(oracle, [1], [1])
         crawl.step()
-        assert crawl.walkers == [2]
+        assert crawl.walker_ids() == [2]
         sample = crawl.sample
         assert list(sample._walked) == [(1, 2)]
         assert sample.graph.has_edge(1, 2)
@@ -490,7 +509,7 @@ class TestWalkerStep:
         g, oracle = build_oracle([(1, 2), (2, 1)])
         crawl = crawl_from(oracle, [1], [1])
         crawl.step()
-        assert crawl.walkers == [2]
+        assert crawl.walker_ids() == [2]
         sample = crawl.sample
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
         assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
@@ -506,25 +525,26 @@ class TestWalkerStep:
         cfg = config(original_rank_degree=True, add_symmetric_edge=add_symmetric_edge)
         crawl = crawl_from(oracle, [1], [1], cfg)
         crawl.step()
-        assert crawl.walkers == [2]
+        assert crawl.walker_ids() == [2]
         assert crawl.sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         # the reverse edge is burned, so the walker at 2 jumps
         crawl.step()
-        assert crawl.walkers == [1]
+        assert crawl.walker_ids() == [1]
         assert list(crawl.sample._walked) == [(1, 2)]
 
     def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
         crawl = crawl_from(oracle, [2], [7])
         crawl.step()
-        assert crawl.walkers == [7]
+        assert crawl.walker_ids() == [7]
         assert crawl.sample.num_edges() == 0
         assert seed_node_records(crawl.sample, tmp_path / "resume.jsonl") == [7]
 
     def test_reburn_aborts_the_step(self, monkeypatch):
         _, oracle = build_oracle([(1, 2)])
-        # a selector that ignores the burn rule
-        monkeypatch.setattr(sampler_module, "select_target", lambda *args: 2)
+        # a selector that ignores the burn rule: it picks account 2's row
+        row = rows_of(oracle.profiles, [2])[0]
+        monkeypatch.setattr(sampler_module, "select_target", lambda *args: row)
         for walked, symmetric, original in [
             ([(1, 2)], [], False), ([(1, 2)], [], True), ([], [(1, 2)], True)
         ]:
@@ -539,7 +559,7 @@ class TestWalkerStep:
         _, oracle = build_oracle([(1, 2)])
         crawl = crawl_from(oracle, [999], [1])
         crawl.step()
-        assert crawl.walkers == [1]
+        assert crawl.walker_ids() == [1]
 
     def test_protected_current_node_jumps(self):
         g = DirectedGraph.from_edges([(1, 2), (3, 1)])
@@ -547,7 +567,7 @@ class TestWalkerStep:
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         crawl = crawl_from(oracle, [1], [3])
         crawl.step()
-        assert crawl.walkers == [3]
+        assert crawl.walker_ids() == [3]
 
     def test_page_cache_serves_a_revisit_without_a_call(self):
         _, oracle = build_oracle([(1, 2), (1, 3)], nodes=[9], protected={9})
@@ -555,8 +575,8 @@ class TestWalkerStep:
         crawl = crawl_from(oracle, [1, 1, 9, 999], [1])
         crawl.step()
         crawl.step()
-        assert crawl.walkers[:2] == [2, 3]
-        row = oracle.profiles.index[1]
+        assert crawl.walker_ids()[:2] == [2, 3]
+        row = rows_of(oracle.profiles, [1])[0]
         page = oracle.profiles.friends(row)[: crawl.page_length[row]].tolist()
         assert page == list(oracle.get_friends(1).friends)
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 2  # the step's call and this one
@@ -661,6 +681,27 @@ class TestRunSample:
             tracemalloc.stop()
         assert records > 2000
         assert retained / records <= 48
+
+    def test_crawl_keeps_at_most_48_bytes_an_account(self):
+        """A Crawl's state is per-row columns, no Python object per account:
+        page_length, looked_up and not_jumped, 10 B a row, and the int32
+        pool_rows and friend_rows, 4 B a pool id and a friend, ~34 B an
+        account here; with not_jumped a set of the pool's ids, a Crawl kept
+        ~115 B an account."""
+        n = 20_000
+        edges = preferential_attachment(n, 5, random.Random(1))
+        oracle = SimulatedOracle(build_profiles(n, edges, random.Random(2)))
+        pool = SeedPool(range(n), 3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            crawl = Crawl(config(walker_count=200), oracle, pool)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(crawl.walkers) == 200
+        assert kept / n <= 48
 
     def test_friends_calls_match_distinct_accounts_on_clean_graph(self):
         # every node exists and is unprotected, so each account's page is fetched once
@@ -849,10 +890,10 @@ def record_walk(cfg, oracle, pool, resume=None):
     stood, walks = [], []
     while crawl.stop_reason() is None:
         cursor = crawl.cursor
-        w = crawl.walkers[cursor]
+        w = crawl.walker_ids()[cursor]
         crawl.step()
         stood.append(w)
-        walks.append(None if crawl.jump_run else (w, crawl.walkers[cursor]))
+        walks.append(None if crawl.jump_run else (w, crawl.walker_ids()[cursor]))
     return crawl, stood, walks
 
 
@@ -879,6 +920,179 @@ def mixed_world(graph_seed, n, p, reciprocal, **profile_kwargs):
     g = DirectedGraph.from_edges(edges, nodes=range(n))
     profiles = build_profiles(n, edges, random.Random(graph_seed + 1), **profile_kwargs)
     return g, profiles
+
+
+def reference_crawl(cfg, budget, profiles, pool):
+    """run_sample's walk, told with plain sets and lists over the profile
+    records: the sample.csv, growth.csv and stats.json texts and the walk log.
+
+    Walkers step round-robin from pool draws. A walker on an account with an
+    unprotected profile reads the first page_size ids of its friend list;
+    the first read costs one friends call, and one profiles call per
+    profile_batch of the page's ids not asked for before. It walks to the
+    asked-for friend with a profile, in the target language when the filter
+    is on, over an unburned edge, that has the most followers (less its
+    in-degree in the sample under original_rank_degree), the lowest id on a
+    tie. A reverse edge in the ground truth joins as symmetric. Any other
+    step jumps to a fresh draw. Calls are charged to ReferenceRateLimiters
+    on one clock."""
+    records = {node: profiles[node] for node in profiles}
+    original = cfg.original_rank_degree
+    clock = SimulatedClock()
+    limiters = {"friends": None, "profiles": None}
+    if budget.rate_limits_enabled:
+        limiters = {
+            "friends": ReferenceRateLimiter(
+                budget.friends_calls_per_window, budget.friends_window_seconds, budget.key_count
+            ),
+            "profiles": ReferenceRateLimiter(
+                budget.profile_calls_per_window, budget.profile_window_seconds, budget.key_count
+            ),
+        }
+    calls = Counter()
+
+    def charge(endpoint):
+        calls[endpoint] += 1
+        if limiters[endpoint] is not None:
+            limiters[endpoint].charge(clock)
+
+    walkers = [pool.draw() for _ in range(cfg.walker_count)]
+    nodes, walked, symmetric = set(walkers), [], set()
+    fetched, asked, not_jumped = set(), set(), set(pool.nodes)
+    growth = [(0.0, 0, len(nodes))]
+    steps = jump_run = cursor = 0
+
+    def stop():
+        edges = len(walked) + len(symmetric)
+        for limit, value, reason in (
+            (cfg.max_sample_edges, edges, "max_sample_edges"),
+            (cfg.max_sample_nodes, len(nodes), "max_sample_nodes"),
+            (cfg.max_simulated_seconds, clock.now, "max_simulated_seconds"),
+            (cfg.max_steps, steps, "max_steps"),
+        ):
+            if limit is not None and value >= limit:
+                return reason
+        return "exhausted" if jump_run >= len(walkers) and not not_jumped else None
+
+    while (reason := stop()) is None:
+        w, pick = walkers[cursor], None
+        profile = records.get(w)
+        if profile is not None and not profile.protected:
+            page = profile.friends_recent_first[: budget.page_size]
+            if w not in fetched:
+                fetched.add(w)
+                charge("friends")
+                missing = [u for u in page if u not in asked]
+                asked.update(missing)
+                for _ in range(0, len(missing), budget.profile_batch):
+                    charge("profiles")
+            burned = set(walked) | (symmetric if original else set())
+            into = Counter(t for _, t in [*walked, *symmetric])
+            candidates = [
+                v for v in page
+                if v in asked and v in records and (w, v) not in burned
+                and (not cfg.language_filter_enabled or records[v].language == cfg.target_language)
+            ]
+            score = {v: records[v].follower_count - (into[v] if original else 0) for v in candidates}
+            pick = min(candidates, key=lambda v: (-score[v], v), default=None)
+        if pick is None:
+            pick = pool.draw()
+            nodes.add(pick)
+            not_jumped.discard(w)
+            jump_run += 1
+        else:
+            symmetric.discard((w, pick))
+            walked.append((w, pick))
+            nodes.add(pick)
+            reverse = (pick, w)
+            if (cfg.add_symmetric_edge or original) and w in records[pick].friends_recent_first:
+                if reverse not in walked:
+                    symmetric.add(reverse)
+            jump_run = 0
+        walkers[cursor] = pick
+        cursor = (cursor + 1) % len(walkers)
+        steps += 1
+        edges = len(walked) + len(symmetric)
+        if edges != growth[-1][1]:
+            growth.append((clock.now, edges, len(nodes)))
+
+    provenance = {**{e: SYMMETRIC for e in symmetric}, **{e: WALKED for e in walked}}
+    sample_csv = "source,target,provenance\n" + "".join(
+        f"{s},{t},{provenance[s, t]}\n" for s, t in sorted(provenance)
+    )
+    growth_csv = "simulated_seconds,edges,nodes\n" + "".join(f"{t},{e},{n}\n" for t, e, n in growth)
+    stats = {
+        "steps": steps, "jumps": steps - len(walked), "friends_calls": calls["friends"],
+        "profile_calls": calls["profiles"], "simulated_seconds": clock.now,
+        "sample_nodes": len(nodes), "sample_edges": len(provenance),
+        "walked_edges": len(walked), "symmetric_edges": len(symmetric), "stop_reason": reason,
+    }
+    return sample_csv, growth_csv, json.dumps(stats, indent=2, sort_keys=True) + "\n", walked
+
+
+class TestReferenceCrawl:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 30),
+        p=st.sampled_from([0.1, 0.2, 0.4]),
+        reciprocal=st.booleans(),
+        walker_count=st.integers(1, 5),
+        language_filter=st.booleans(),
+        language_fraction=st.sampled_from([1.0, 0.5]),
+        protected_fraction=st.sampled_from([0.0, 0.2]),
+        unprofiled_fraction=st.sampled_from([0.0, 0.2]),
+        add_symmetric_edge=st.booleans(),
+        original_rank_degree=st.booleans(),
+        pool_extra=st.lists(st.integers(0, 3), max_size=3),  # n + 1 .. n + 3 have no profile
+        rate_limits=st.booleans(),
+        budget=st.tuples(
+            st.integers(1, 3), st.integers(1, 4), st.sampled_from([1.0, 900.0]),
+            st.integers(1, 4), st.integers(1, 6), st.integers(1, 3),
+        ),
+        stops=st.tuples(
+            st.integers(0, 250), st.none() | st.integers(0, 60), st.none() | st.integers(1, 30),
+            st.none() | st.sampled_from([0.5, 2.0, 1800.0]),
+        ),
+    )
+    def test_run_equals_the_reference_crawl(
+        self, graph_seed, n, p, reciprocal, walker_count, language_filter, language_fraction,
+        protected_fraction, unprofiled_fraction, add_symmetric_edge, original_rank_degree,
+        pool_extra, rate_limits, budget, stops, tmp_path_factory,
+    ):
+        g, profiles = mixed_world(
+            graph_seed, n, p, reciprocal,
+            language_fraction=language_fraction, protected_fraction=protected_fraction,
+        )
+        rng = random.Random(graph_seed)
+        profiles = without_profiles(
+            profiles, {node for node in range(n) if rng.random() < unprofiled_fraction}
+        )
+        keys, friends_calls, window, profile_calls, page_size, batch = budget
+        api = ApiBudget(
+            key_count=keys, friends_calls_per_window=friends_calls, friends_window_seconds=window,
+            profile_calls_per_window=profile_calls, profile_window_seconds=window,
+            page_size=page_size, profile_batch=batch, rate_limits_enabled=rate_limits,
+        )
+        max_steps, max_edges, max_nodes, max_seconds = stops
+        cfg = config(
+            walker_count=walker_count, language_filter_enabled=language_filter,
+            add_symmetric_edge=add_symmetric_edge, original_rank_degree=original_rank_degree,
+            max_steps=max_steps, max_sample_edges=max_edges, max_sample_nodes=max_nodes,
+            max_simulated_seconds=max_seconds,
+        )
+        pool_ids = [*range(n), *(n + k for k in pool_extra)]
+        sample, stats = run_sample(
+            cfg, SimulatedOracle(profiles, api), SeedPool(pool_ids, graph_seed)
+        )
+        directory = tmp_path_factory.mktemp("run")
+        write_sample_csv(sample, directory / "sample.csv")
+        write_growth_csv(stats, directory / "growth.csv")
+        write_stats_json(stats, directory / "stats.json")
+        *texts, walk_log = reference_crawl(cfg, api, profiles, SeedPool(pool_ids, graph_seed))
+        assert stats.walk_log == walk_log
+        for name, text in zip(("sample.csv", "growth.csv", "stats.json"), texts):
+            assert (directory / name).read_text(encoding="utf-8") == text, name
 
 
 class TestWalkLog:
@@ -993,7 +1207,7 @@ class TestPageCache:
         loop_oracle = new_oracle()
         crawl, served_steps = Crawl(cfg, loop_oracle, SeedPool(pool_ids, graph_seed)), 0
         for _ in range(stats.steps):
-            served_steps += served(crawl.walkers[crawl.cursor])
+            served_steps += served(crawl.walker_ids()[crawl.cursor])
             crawl.page_length = array("q", [-1]) * len(profiles)
             crawl.step()
         loop_sample = crawl.sample
@@ -1090,25 +1304,24 @@ class TestCrawlCache:
         sample = crawl.sample
         while crawl.stop_reason() is None:
             cursor = crawl.cursor
-            w = crawl.walkers[cursor]
+            w = crawl.walker_ids()[cursor]
             before = sample.edges_with_provenance()
             crawl.step()
-            pick = None if crawl.jump_run else crawl.walkers[cursor]
+            pick = None if crawl.jump_run else crawl.walker_ids()[cursor]
             rows = [i for i, flag in enumerate(crawl.looked_up) if flag]
-            assert rows == sorted(profiles.index[u] for u in set(charged) if u in profiles)
+            assert rows == sorted(rows_of(profiles, {u for u in charged if u in profiles}))
             assert crawl.unknown == {u for u in charged if u not in profiles}
             if w not in served:  # refused, so no page: a jump
                 assert pick is None
                 continue
-            row = profiles.index[w]
+            row = rows_of(profiles, [w])[0]
             page = profiles.friends(row)[: crawl.page_length[row]].tolist()
             assert page == list(served[w])
             assert pick == expected_pick(w, [v for v in page if v in charged], before)
             # a crawl that records only some of the charged lookups ranks only those
             some = [u for u in charged if rng.random() < 0.5]
-            partial = Crawl(cfg, SimulatedOracle(profiles), SeedPool([0], 0))
-            partial.add_lookups(some)
-            assert select_target(w, page, partial, sample, cfg) == expected_pick(
+            partial = looked_up(profiles, cfg, some)
+            assert select(w, page, partial, sample, cfg) == expected_pick(
                 w, [v for v in page if v in some], sample.edges_with_provenance()
             )
         stats = crawl.finish()

@@ -19,8 +19,8 @@ runs, its whole state is one Crawl, freed when run_sample returns: the
 sample, the walkers and their cursor, the exhaustion state, the counters,
 and the page and profile caches as per-row columns over the oracle's profile
 table, 9 B a row, with no Python object per page or profile. The crawl works
-in the table's rows, so its hot path maps no id to a row. run_sample is a
-loop over Crawl.step().
+in rows, the table's and one for each id with no profile it can meet, so its
+hot path maps no id to a row. run_sample is a loop over Crawl.step().
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .graph import (
     ProfileTable,
     _check_fields,
     _compact_json,
+    _distinct,
     _gc_paused,
     _integer_id,
     _labelled_graph,
@@ -294,20 +295,20 @@ def select_target(
     language-matching when the crawl's filter is on; ties broken by lowest id.
     Returns None when no friend qualifies (the jump signal).
 
-    The walker and the friends are rows of the crawl's table: `w` is the
-    walker's row, `friends_page` its page's friends, each as its row or, for
-    a friend with no profile, the no-row index, and the pick is a row. Rows
-    ascend with ids, so the lowest row is the lowest id. Only friends whose
-    profile lookup the crawl records as charged are candidates; their
-    follower count and language code are read from the table's columns by
-    row, so no id is looked up and no ProfileRecord is built.
+    The walker, its page's friends and the pick are rows of the crawl. A
+    row from no_profile on has no profile to rank by and is skipped; the
+    table's rows ascend with ids, so the lowest row is the lowest id. Only
+    friends whose profile lookup the crawl records as charged are
+    candidates; their follower count and language code are read from the
+    table's columns by row, so no id is looked up and no ProfileRecord is
+    built.
 
     The burned edges are the sample's walked edges, and under
     original_rank_degree its symmetric edges too, where the score also loses
     the friend's in-degree in the sample. Only a friend that would beat the
     best so far is checked for a burned edge.
     """
-    ids, looked_up, follower_count, language_codes, language = crawl.readers
+    ids, no_profile, looked_up, follower_count, language_codes, language = crawl.readers
     source = ids[w]
     original = config.original_rank_degree
     walked = sample._walked
@@ -315,7 +316,7 @@ def select_target(
     best: int | None = None
     best_score = 0
     for v in friends_page:
-        if not looked_up[v]:  # not looked up, or no row: no profile to rank by
+        if v >= no_profile or not looked_up[v]:
             continue
         if language is not None and language_codes[v] != language:
             continue
@@ -353,34 +354,34 @@ class Crawl:
     the start and the RunStats. run_sample calls step() until stop_reason()
     names a reason, then finish().
 
-    The crawl works in rows of the oracle's ProfileTable, so its hot path
-    maps no id to a row. A position is the row of the account a walker
-    stands on, or ~id (below 0) for an account with no profile, which only
-    a pool draw or a resumed walker can be. friend_rows holds the row of
-    each of the table's friend ids, int32, and no_row, the table's length,
-    for a friend with no profile; pool_rows does the same for the seed
-    pool's ids. Both are numbered once per run. The sample keeps ids: a
-    walked edge reads both ends' ids from the table's id column.
+    The crawl works in rows, so its hot path maps no id to a row. Each run
+    numbers once every account it can meet: the rows of the oracle's
+    ProfileTable come first, and from no_profile, the table's length, on,
+    each distinct friend, pool or resumed-walker id with no profile gets one
+    more row, in ascending id order. ids[row] is the id of any row: a view
+    of the table's id column, or one concatenation when some id has no
+    profile. A position is the row of the account a walker stands on.
+    friend_rows holds the row of each of the table's friend ids, int32, and
+    pool_rows the row of each seed-pool id. The sample keeps ids: a walked
+    edge reads both ends' ids from ids.
 
     A node a step jumped from yields a jump on every later visit (pages and
     profiles are fixed, the sample only grows). not_jumped holds one byte
     per row, 1 for a pool account no step has jumped from yet, counted by
-    not_jumped_count; pool ids with no row that no step has jumped from are
-    in not_jumped_ids. jump_run counts the steps since the last walk.
+    not_jumped_count. jump_run counts the steps since the last walk.
 
     The caches are per-row columns, 9 B a row, with no Python object per
     page or profile. page_length[row] is the length of the page that row's
     account was served by its one charged get_friends call, -1 before it; a
     revisit reads back that prefix of the friend row. looked_up[row] is 1
-    once the account's profile lookup was charged; its extra last byte, at
-    the no-row index, stays 0. `unknown` holds the looked-up ids that have
-    no row.
+    once the account's profile lookup was charged, whether or not it has a
+    profile.
 
-    `readers` binds once what select_target reads on each call: the id,
-    follower_count and language-code columns as memoryviews (an item is a
-    Python scalar in about half the time ndarray.item takes), looked_up,
-    and the target language's code, None with the filter off and -1 when no
-    account has it.
+    `readers` binds once what select_target reads on each call: ids,
+    no_profile, looked_up, the follower_count and language-code columns as
+    memoryviews (an item is a Python scalar in about half the time
+    ndarray.item takes), and the target language's code, None with the
+    filter off and -1 when no account has it.
 
     A resumed run adds the saved sample edges with their provenance, so the
     burned edges carry over, gives the saved rate-limit charges back to the
@@ -397,19 +398,22 @@ class Crawl:
         resume: RunState | None = None,
     ) -> None:
         self.config, self.oracle, self.seed_pool = config, oracle, seed_pool
-        self.table = table = oracle.profiles
-        self.no_row = n = len(table)
-        self.ids = ids = memoryview(table.ids)
+        table = oracle.profiles
+        self.no_profile = n = len(table)
+        nodes = [table.friend_ids, np.array(seed_pool.nodes, np.int64)]
+        if resume is not None:
+            nodes.append(np.array(resume.walkers, np.int64))
+        rows = [table.rows(column) for column in nodes]
+        unprofiled = [column[r == n] for column, r in zip(nodes, rows)]
+        extra = _distinct(np.concatenate(unprofiled))
+        for r, column in zip(rows, unprofiled):
+            r[r == n] = n + np.searchsorted(extra, column)
+        self.ids = ids = memoryview(np.concatenate([table.ids, extra]) if len(extra) else table.ids)
         self.friend_offsets = memoryview(table.friend_offsets)
-        self.friend_ids = memoryview(table.friend_ids)
-        self.friend_rows = memoryview(table.rows(table.friend_ids))
-        pool_rows = table.rows(np.array(seed_pool.nodes, np.int64))
-        self.pool_rows = memoryview(pool_rows)
-        self.not_jumped = bytearray(n)
-        np.frombuffer(self.not_jumped, np.uint8)[pool_rows[pool_rows < n]] = 1
+        self.friend_rows, self.pool_rows = memoryview(rows[0]), memoryview(rows[1])
+        self.not_jumped = bytearray(len(ids))
+        np.frombuffer(self.not_jumped, np.uint8)[rows[1]] = 1
         self.not_jumped_count = self.not_jumped.count(1)
-        no_rows = np.flatnonzero(pool_rows == n).tolist()
-        self.not_jumped_ids = {seed_pool.nodes[i] for i in no_rows}
         self.jump_run = 0
 
         self.sample = sample = SampleGraph()
@@ -421,21 +425,19 @@ class Crawl:
                 sample.add_seed(node)
             for source, target, provenance in resume.edges:
                 sample.add_edge(source, target, provenance)
-            rows = table.rows(np.array(resume.walkers, np.int64)).tolist()
-            self.walkers = [r if r < n else ~u for r, u in zip(rows, resume.walkers)]
+            self.walkers = rows[2].tolist()
         else:
             self.walkers = [self.draw() for _ in range(config.walker_count)]
         self.cursor = 0
 
-        self.page_length = array("q", [-1]) * n
-        self.looked_up = bytearray(n + 1)
-        self.unknown: set[NodeId] = set()
+        self.page_length = array("q", [-1]) * len(ids)
+        self.looked_up = bytearray(len(ids))
         language = None
         if config.language_filter_enabled:
             languages, target = table.languages, config.target_language
             language = languages.index(target) if target in languages else -1
         self.readers = (
-            ids, self.looked_up, memoryview(table.follower_count),
+            ids, n, self.looked_up, memoryview(table.follower_count),
             memoryview(table.language_codes), language,
         )
 
@@ -450,31 +452,24 @@ class Crawl:
         """Draw a seed from the pool, register it in the sample and return its
         position."""
         i = self.seed_pool.draw_index()
-        node, row = self.seed_pool.nodes[i], self.pool_rows[i]
-        self.sample.add_seed(node)
-        return row if row != self.no_row else ~node
+        self.sample.add_seed(self.seed_pool.nodes[i])
+        return self.pool_rows[i]
 
     def walker_ids(self) -> list[NodeId]:
         """The id of the account each walker stands on, in walkers order."""
         ids = self.ids
-        return [ids[w] if w >= 0 else ~w for w in self.walkers]
+        return [ids[w] for w in self.walkers]
 
-    def look_up(self, page: list[int], start: int) -> None:
-        """Look up together, in page order, the friends of a page served from
-        friend_ids[start:] whose profile lookup is not recorded, a friend
-        with no profile among them, and record them, so no friend is asked
-        for twice."""
-        friend_ids, looked_up, unknown = self.friend_ids, self.looked_up, self.unknown
+    def look_up(self, page: list[int]) -> None:
+        """Look up together, in page order, the friends of a page whose
+        profile lookup is not recorded, a friend with no profile among them,
+        and record them, so no friend is asked for twice."""
+        ids, looked_up = self.ids, self.looked_up
         missing = []
-        for i, row in enumerate(page, start):
-            if looked_up[row]:
-                continue
-            if row != self.no_row:
+        for row in page:
+            if not looked_up[row]:
                 looked_up[row] = 1
-                missing.append(self.ids[row])
-            elif friend_ids[i] not in unknown:
-                unknown.add(friend_ids[i])
-                missing.append(friend_ids[i])
+                missing.append(ids[row])
         if missing:
             self.oracle.get_profiles(missing)
 
@@ -497,28 +492,25 @@ class Crawl:
         oracle, sample, walkers, cursor = self.oracle, self.sample, self.walkers, self.cursor
         w = walkers[cursor]
         page_length = self.page_length
-        if w >= 0 and page_length[w] >= 0:
+        if page_length[w] >= 0:
             start = self.friend_offsets[w]
             page = self.friend_rows[start : start + page_length[w]].tolist()
         else:
             try:
-                length = len(oracle.get_friends(self.ids[w] if w >= 0 else ~w).friends)
+                length = len(oracle.get_friends(self.ids[w]).friends)
             except (NotFoundError, ProtectedError):
                 page = None
             else:
                 page_length[w] = length
                 start = self.friend_offsets[w]
                 page = self.friend_rows[start : start + length].tolist()
-                self.look_up(page, start)
+                self.look_up(page)
         v = None if page is None else select_target(w, page, self, sample, self.config)
         if v is None:
             v = self.draw()
-            if w >= 0:
-                if self.not_jumped[w]:
-                    self.not_jumped[w] = 0
-                    self.not_jumped_count -= 1
-            else:
-                self.not_jumped_ids.discard(~w)
+            if self.not_jumped[w]:
+                self.not_jumped[w] = 0
+                self.not_jumped_count -= 1
             self.jump_run += 1
         else:
             config = self.config
@@ -558,7 +550,7 @@ class Crawl:
             return "max_simulated_seconds"
         if config.max_steps is not None and stats.steps >= config.max_steps:
             return "max_steps"
-        if self.jump_run >= len(self.walkers) and not (self.not_jumped_count or self.not_jumped_ids):
+        if self.jump_run >= len(self.walkers) and not self.not_jumped_count:
             return "exhausted"
         return None
 

@@ -356,6 +356,7 @@ class TestPageRank:
                 assert list(result.scores.items()) == list(scores.items())
                 assert result.iterations == iterations
 
+    @pytest.mark.memory
     def test_traced_peak_below_one_edge_long_array(self):
         """The sum runs by blocks of source rows into n-long buffers made once:
         on m >= 20 n edges the call's traced peak stays below one m-long
@@ -389,6 +390,7 @@ class TestPageRank:
         assert values == column and all(type(v) is float for v in values)
         assert sum(scores.values()) == sum(column) == pytest.approx(1.0)
 
+    @pytest.mark.memory
     def test_values_convert_a_bounded_slice_at_a_time(self):
         """Summing values() holds one slice of Python floats at a time, where
         converting the whole column holds 32 B a score."""
@@ -799,6 +801,7 @@ def test_readers_equal_tuple_reader(labelled, data, tmp_path_factory):
     assert warnings == ([f"{path}: ignored {duplicates} duplicate edge(s)"] if duplicates else [])
 
 
+@pytest.mark.memory
 def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
     """A dict of sets costs ~270 B per edge and the CSR form ~32, mostly the
     arrays and the id list; 64 catches a return to per-edge objects."""
@@ -816,6 +819,7 @@ def test_read_edge_list_retains_under_64_bytes_per_edge(tmp_path):
     assert retained / frozen.num_edges() < 64
 
 
+@pytest.mark.memory
 def test_from_edges_retains_under_64_bytes_per_edge():
     """The generator's graph: from_edges keeps the CSR arrays and the id list,
     and no per-edge object."""
@@ -832,6 +836,7 @@ def test_from_edges_retains_under_64_bytes_per_edge():
     assert retained / graph.num_edges() < 64
 
 
+@pytest.mark.memory
 def test_graph_and_scores_keep_no_object_per_node_but_the_id_list(tmp_path):
     """Beyond its numpy arrays, a graph read from a file keeps only its id
     list, 8 B a node plus a 28 B int; an id -> index dict added ~80 B more. Its
@@ -844,6 +849,8 @@ def test_graph_and_scores_keep_no_object_per_node_but_the_id_list(tmp_path):
     rows += [(u, v) for u, v in zip(rng.choices(ids, k=n), rng.choices(ids, k=n)) if u != v]
     path = tmp_path / "edges.csv"
     path.write_text("source,target\n" + "".join(f"{u},{v}\n" for u, v in rows))
+    # pagerank's first call in a process keeps ~11 KB that later calls reuse
+    pagerank(DirectedGraph.from_edges([(0, 1), (1, 0)]))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1202,6 +1209,7 @@ def test_generated_profile_table_equals_the_table_read_back(tmp_path):
     assert read == generated
 
 
+@pytest.mark.memory
 def test_profile_table_holds_no_object_per_account(tmp_path):
     """A profile table plus the oracle built on it keep the numpy columns and
     the friend rows, with no id -> row dict and no Python int per account:

@@ -486,6 +486,7 @@ def test_tokenize_docs_over_the_read_table_equals_reference(docs, stopwords, tmp
     assert tokenize_docs(table, stopwords) == reference_tokenize_docs(docs, stopwords)
 
 
+@pytest.mark.memory
 def test_read_docs_keeps_under_48_bytes_per_doc_beyond_its_text(tmp_path):
     """The table keeps, besides each text, an 8 B id, an 8 B ts and an 8 B
     list slot, ~26 B a doc with the columns' spare room. A list of Doc

@@ -116,23 +116,27 @@ def rows_of(profiles, nodes):
     return profiles.rows(np.array(list(nodes), np.int64)).tolist()
 
 
+def crawl_rows(crawl, nodes):
+    """The crawl's row of each id of `nodes`."""
+    index = {node: row for row, node in enumerate(crawl.ids)}
+    return [index[node] for node in nodes]
+
+
 def looked_up(profiles, cfg, nodes=None):
     """A Crawl over `profiles` under `cfg` that records the profile lookup of
-    `nodes`, every account's by default, as charged, so select_target ranks
-    each of them that has a profile."""
+    `nodes`, ids the crawl numbers (every account's by default), as charged,
+    so select_target ranks each of them that has a profile."""
     crawl = Crawl(cfg, SimulatedOracle(profiles), SeedPool([0], 0))
-    for row in rows_of(profiles, profiles if nodes is None else nodes):
-        if row < len(profiles):
-            crawl.looked_up[row] = 1
+    for row in crawl_rows(crawl, profiles if nodes is None else nodes):
+        crawl.looked_up[row] = 1
     return crawl
 
 
 def select(w, page, crawl, sample, cfg):
     """select_target in ids: the id it picks for a walker on `w` among the
     friend ids `page`, or None."""
-    table = crawl.table
-    pick = select_target(rows_of(table, [w])[0], rows_of(table, page), crawl, sample, cfg)
-    return None if pick is None else table.ids[pick].item()
+    pick = select_target(crawl_rows(crawl, [w])[0], crawl_rows(crawl, page), crawl, sample, cfg)
+    return None if pick is None else crawl.ids[pick]
 
 
 class TestSelectTarget:
@@ -449,6 +453,7 @@ class TestReadSampleCsv:
                 with pytest.raises(ValueError, match=message):
                     reader(path)
 
+    @pytest.mark.memory
     def test_keeps_under_64_and_peaks_under_128_bytes_per_edge(self, tmp_path):
         """The dict of edge tuples with a provenance str a row kept 224 B an
         edge and peaked at 276 on this file; the id column and provenance
@@ -561,6 +566,28 @@ class TestWalkerStep:
         crawl.step()
         assert crawl.walker_ids() == [1]
 
+    def test_ids_with_no_profile_get_one_row_each(self):
+        """A friend (9), pool (5, 5, 7) or resumed-walker (8) id with no
+        profile gets one row from no_profile on, in id order. A walker on one
+        is refused, uncharged, and jumps; the run is exhausted once the last
+        two steps jumped and both pool ids were jumped from, after 7 steps,
+        as before these ids had rows."""
+        g = DirectedGraph.from_edges([(1, 2), (2, 1), (1, 9)])
+        oracle = SimulatedOracle(without_profiles(make_profiles(g), {9}))
+        crawl = crawl_from(oracle, [8, 5], [5, 5, 7])
+        assert crawl.no_profile == 2 and list(crawl.ids) == [1, 2, 5, 7, 8, 9]
+        assert list(crawl.pool_rows) == [2, 2, 3]
+        assert crawl.walker_ids() == [8, 5]
+        stood = []
+        while crawl.stop_reason() is None:
+            stood.append(crawl.walker_ids()[crawl.cursor])
+            crawl.step()
+            assert crawl.jump_run == len(stood)
+        assert crawl.finish().stop_reason == "exhausted"
+        assert stood == [8, 5, 5, 5, 5, 5, 7]
+        assert len(stood) == next(s for s in range(2, 8) if {5, 7} <= set(stood[:s]))
+        assert len(oracle.call_log) == 0 and set(crawl.page_length) == {-1}
+
     def test_protected_current_node_jumps(self):
         g = DirectedGraph.from_edges([(1, 2), (3, 1)])
         profiles = make_profiles(g, protected={1})
@@ -659,6 +686,7 @@ class TestRunSample:
         edge_counts = [edges for _, edges, _ in stats.growth]
         assert edge_counts == sorted(edge_counts)
 
+    @pytest.mark.memory
     def test_call_log_and_growth_keep_at_most_48_bytes_a_record(self):
         """Both keep typed columns, no object per record: a list of CallRecords
         and of growth tuples retains ~150 B a record on this run."""
@@ -682,6 +710,7 @@ class TestRunSample:
         assert records > 2000
         assert retained / records <= 48
 
+    @pytest.mark.memory
     def test_crawl_keeps_at_most_48_bytes_an_account(self):
         """A Crawl's state is per-row columns, no Python object per account:
         page_length, looked_up and not_jumped, 10 B a row, and the int32
@@ -935,7 +964,10 @@ def reference_crawl(cfg, budget, profiles, pool):
     in-degree in the sample under original_rank_degree), the lowest id on a
     tie. A reverse edge in the ground truth joins as symmetric. Any other
     step jumps to a fresh draw. Calls are charged to ReferenceRateLimiters
-    on one clock."""
+    on one clock, and each charge is logged as (t, key, endpoint, ids,
+    calls_remaining): a friends call asks for the walker's id, and the
+    profiles calls for the page's new ids in page order, profile_batch at a
+    time."""
     records = {node: profiles[node] for node in profiles}
     original = cfg.original_rank_degree
     clock = SimulatedClock()
@@ -949,12 +981,14 @@ def reference_crawl(cfg, budget, profiles, pool):
                 budget.profile_calls_per_window, budget.profile_window_seconds, budget.key_count
             ),
         }
-    calls = Counter()
+    calls, call_log = Counter(), []
 
-    def charge(endpoint):
+    def charge(endpoint, ids):
         calls[endpoint] += 1
+        key = remaining = None
         if limiters[endpoint] is not None:
-            limiters[endpoint].charge(clock)
+            key, remaining = limiters[endpoint].charge(clock)
+        call_log.append((clock.now, key, endpoint, tuple(ids), remaining))
 
     walkers = [pool.draw() for _ in range(cfg.walker_count)]
     nodes, walked, symmetric = set(walkers), [], set()
@@ -981,11 +1015,11 @@ def reference_crawl(cfg, budget, profiles, pool):
             page = profile.friends_recent_first[: budget.page_size]
             if w not in fetched:
                 fetched.add(w)
-                charge("friends")
+                charge("friends", [w])
                 missing = [u for u in page if u not in asked]
                 asked.update(missing)
-                for _ in range(0, len(missing), budget.profile_batch):
-                    charge("profiles")
+                for start in range(0, len(missing), budget.profile_batch):
+                    charge("profiles", missing[start : start + budget.profile_batch])
             burned = set(walked) | (symmetric if original else set())
             into = Counter(t for _, t in [*walked, *symmetric])
             candidates = [
@@ -1027,7 +1061,8 @@ def reference_crawl(cfg, budget, profiles, pool):
         "sample_nodes": len(nodes), "sample_edges": len(provenance),
         "walked_edges": len(walked), "symmetric_edges": len(symmetric), "stop_reason": reason,
     }
-    return sample_csv, growth_csv, json.dumps(stats, indent=2, sort_keys=True) + "\n", walked
+    stats_json = json.dumps(stats, indent=2, sort_keys=True) + "\n"
+    return sample_csv, growth_csv, stats_json, walked, call_log
 
 
 class TestReferenceCrawl:
@@ -1044,7 +1079,8 @@ class TestReferenceCrawl:
         unprofiled_fraction=st.sampled_from([0.0, 0.2]),
         add_symmetric_edge=st.booleans(),
         original_rank_degree=st.booleans(),
-        pool_extra=st.lists(st.integers(0, 3), max_size=3),  # n + 1 .. n + 3 have no profile
+        pool_known=st.booleans(),  # whether the pool holds the ids 0 .. n - 1
+        pool_extra=st.lists(st.integers(0, 3), max_size=4),  # n .. n + 3 have no profile
         rate_limits=st.booleans(),
         budget=st.tuples(
             st.integers(1, 3), st.integers(1, 4), st.sampled_from([1.0, 900.0]),
@@ -1058,7 +1094,7 @@ class TestReferenceCrawl:
     def test_run_equals_the_reference_crawl(
         self, graph_seed, n, p, reciprocal, walker_count, language_filter, language_fraction,
         protected_fraction, unprofiled_fraction, add_symmetric_edge, original_rank_degree,
-        pool_extra, rate_limits, budget, stops, tmp_path_factory,
+        pool_known, pool_extra, rate_limits, budget, stops, tmp_path_factory,
     ):
         g, profiles = mixed_world(
             graph_seed, n, p, reciprocal,
@@ -1081,16 +1117,19 @@ class TestReferenceCrawl:
             max_steps=max_steps, max_sample_edges=max_edges, max_sample_nodes=max_nodes,
             max_simulated_seconds=max_seconds,
         )
-        pool_ids = [*range(n), *(n + k for k in pool_extra)]
-        sample, stats = run_sample(
-            cfg, SimulatedOracle(profiles, api), SeedPool(pool_ids, graph_seed)
-        )
+        # a pool may repeat an id, and may hold only ids with no profile
+        pool_ids = [*(range(n) if pool_known else ()), *(n + k for k in pool_extra)] or [n, n]
+        oracle = SimulatedOracle(profiles, api)
+        sample, stats = run_sample(cfg, oracle, SeedPool(pool_ids, graph_seed))
         directory = tmp_path_factory.mktemp("run")
         write_sample_csv(sample, directory / "sample.csv")
         write_growth_csv(stats, directory / "growth.csv")
         write_stats_json(stats, directory / "stats.json")
-        *texts, walk_log = reference_crawl(cfg, api, profiles, SeedPool(pool_ids, graph_seed))
+        *texts, walk_log, call_log = reference_crawl(
+            cfg, api, profiles, SeedPool(pool_ids, graph_seed)
+        )
         assert stats.walk_log == walk_log
+        assert [tuple(r) for r in oracle.call_log] == call_log
         for name, text in zip(("sample.csv", "growth.csv", "stats.json"), texts):
             assert (directory / name).read_text(encoding="utf-8") == text, name
 
@@ -1208,7 +1247,7 @@ class TestPageCache:
         crawl, served_steps = Crawl(cfg, loop_oracle, SeedPool(pool_ids, graph_seed)), 0
         for _ in range(stats.steps):
             served_steps += served(crawl.walker_ids()[crawl.cursor])
-            crawl.page_length = array("q", [-1]) * len(profiles)
+            crawl.page_length = array("q", [-1]) * len(crawl.page_length)
             crawl.step()
         loop_sample = crawl.sample
 
@@ -1308,9 +1347,8 @@ class TestCrawlCache:
             before = sample.edges_with_provenance()
             crawl.step()
             pick = None if crawl.jump_run else crawl.walker_ids()[cursor]
-            rows = [i for i, flag in enumerate(crawl.looked_up) if flag]
-            assert rows == sorted(rows_of(profiles, {u for u in charged if u in profiles}))
-            assert crawl.unknown == {u for u in charged if u not in profiles}
+            asked = [crawl.ids[r] for r, flag in enumerate(crawl.looked_up) if flag]
+            assert len(asked) == len(set(asked)) and set(asked) == set(charged)
             if w not in served:  # refused, so no page: a jump
                 assert pick is None
                 continue

@@ -252,7 +252,7 @@ def cmd_reference(args, out_dir: Path, seed: int) -> int:
         sample.add_edge(v, w, SYMMETRIC)
     write_sample_csv(sample, out_dir / args.out_sample)
     flag = "" if result.reached_target else " (graph exhausted early)"
-    print(f"reference sample: {len(result.edges)} directed edges{flag}")
+    print(f"reference sample: {2 * len(result.walked)} directed edges{flag}")
     return 0
 
 
@@ -327,7 +327,7 @@ def cmd_pagerank(args, out_dir: Path) -> int:
     result = pagerank(graph, **_given(args, pagerank))
     with open(out_dir / args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("node,score\n")
-        for node, score in result.scores.items():
+        for node, score in zip(result.scores, result.scores.values()):
             fh.write(f"{node},{score:.12e}\n")
     if not result.converged:
         print(

@@ -11,7 +11,7 @@ import struct
 import warnings
 from array import array
 from bisect import bisect_left
-from collections.abc import ItemsView, Set, ValuesView
+from collections.abc import Set, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -260,11 +260,11 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
     friend_ids[friend_offsets[i]:friend_offsets[i + 1]], holds row i's friend
     ids, int64.
 
-    table[node] and each record of values() and items() are a ProfileRecord
-    built per call; values() and items() walk the rows, and loops over every
-    account read the columns instead. Every table is built by
-    _ProfileColumns, through read_profiles, ProfileTable.from_records or
-    generate.build_profiles, never by hand.
+    table[node] and each record of values() are a ProfileRecord built per
+    call; values() walks the rows, and loops over every account read the
+    columns instead. Every table is built by _ProfileColumns, through
+    read_profiles, ProfileTable.from_records or generate.build_profiles,
+    never by hand.
     """
 
     __slots__ = (
@@ -301,9 +301,6 @@ class ProfileTable(Mapping[NodeId, ProfileRecord]):
 
     def values(self) -> ValuesView[ProfileRecord]:
         return _ProfileValues(self)
-
-    def items(self) -> ItemsView[NodeId, ProfileRecord]:
-        return _ProfileItems(self)
 
     def friends(self, row: int) -> np.ndarray:
         """Row `row`'s friend ids, most recently followed first (a view)."""
@@ -345,12 +342,6 @@ class _ProfileValues(ValuesView):
     def __iter__(self) -> Iterator[ProfileRecord]:
         table = self._mapping
         return map(ProfileRecord, repeat(table), range(len(table)))
-
-
-class _ProfileItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[NodeId, ProfileRecord]]:
-        table = self._mapping
-        return zip(table, table.values())
 
 
 # The scalar fields of one added profile, packed by _ProfileColumns.add into
@@ -749,9 +740,9 @@ def k_core(graph: DirectedGraph, k: int) -> DirectedGraph:
 class PageRankScores(Mapping[NodeId, float]):
     """A read-only mapping from each node id of a graph to its PageRank score,
     in ascending id order: the graph's ids list and one float64 column, so it
-    keeps no Python object per node. scores[node] bisects the ids; items()
-    and values() yield Python floats, converted one bounded slice of the
-    column at a time."""
+    keeps no Python object per node. scores[node] bisects the ids; values()
+    yields Python floats, converted one bounded slice of the column at a
+    time, so zip(scores, scores.values()) walks the pairs in id order."""
 
     __slots__ = ("ids", "column")
 
@@ -771,25 +762,17 @@ class PageRankScores(Mapping[NodeId, float]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def items(self) -> ItemsView[NodeId, float]:
-        return _ScoreItems(self)
-
     def values(self) -> ValuesView[float]:
         return _ScoreValues(self)
 
 
-# Scores converted to Python floats at a time by items() and values().
+# Scores converted to Python floats at a time by values().
 _SCORE_SLICE = 1 << 12
 
 
 def _floats(column: np.ndarray) -> Iterator[float]:
     for start in range(0, len(column), _SCORE_SLICE):
         yield from column[start : start + _SCORE_SLICE].tolist()
-
-
-class _ScoreItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[NodeId, float]]:
-        return zip(self._mapping.ids, _floats(self._mapping.column))
 
 
 class _ScoreValues(ValuesView):

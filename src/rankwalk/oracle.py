@@ -9,13 +9,10 @@ import operator
 from array import array
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .graph import _INT64_END, NodeId, ProfileRecord, ProfileTable
+from .graph import _INT64_END, NodeId, ProfileTable
 
 
 class NotFoundError(LookupError):
@@ -122,41 +119,6 @@ class CallLog:
 
     def __repr__(self) -> str:
         return f"CallLog(calls={len(self)})"
-
-
-class ProfileLookup(Mapping[NodeId, ProfileRecord]):
-    """The answer of one get_profiles call: a read-only mapping from each
-    found id, in the order first asked for, to its ProfileRecord. It holds
-    the table and the ids asked for; the first read maps them to rows with
-    one ProfileTable.rows search, and a record is built only when a value is
-    read, so a caller that reads no answer, as a crawl does, maps no id."""
-
-    __slots__ = ("_table", "_asked", "_found")
-
-    def __init__(self, table: ProfileTable, asked: array) -> None:
-        self._table = table
-        self._asked = asked
-        self._found: dict[NodeId, int] | None = None
-
-    @property
-    def _rows(self) -> dict[NodeId, int]:
-        if self._found is None:
-            rows = self._table.rows(np.frombuffer(self._asked, np.int64)).tolist()
-            no_row = len(self._table)
-            self._found = {node: row for node, row in zip(self._asked, rows) if row != no_row}
-        return self._found
-
-    def __getitem__(self, node: NodeId) -> ProfileRecord:
-        return ProfileRecord(self._table, self._rows[node])
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._rows
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 @dataclass(frozen=True)
@@ -275,11 +237,11 @@ class SimulatedOracle:
     construction inputs); only the clock and budget state change between
     identical queries.
 
-    The endpoints take and return ids. get_friends and follows map an id to
-    its row with one bisect of the table's id column, in C: ~0.5 us at 100k
-    ids, against ~40 ns for the id -> row dict the table no longer keeps at
-    ~100 B per account. A get_profiles answer maps its whole batch with one
-    vector search, and only when it is read.
+    The endpoints take ids. get_friends and follows map an id to its row
+    with one bisect of the table's id column, in C: ~0.5 us at 100k ids,
+    against ~40 ns for the id -> row dict the table no longer keeps at
+    ~100 B per account. get_profiles only charges and logs: a caller reads
+    the profiles it paid for from the table's columns.
 
     `call_log` is a CallLog of every charged call, and `calls_by_endpoint`
     counts them per endpoint. window_charges() and restore_charges() carry
@@ -364,14 +326,13 @@ class SimulatedOracle:
         friends = self.profiles.friends(row)
         return FriendsPage(tuple(friends[: self.page_size].tolist()), len(friends) > self.page_size)
 
-    def get_profiles(self, nodes: Sequence[NodeId]) -> ProfileLookup:
-        """Batched profile lookup: ceil(len(nodes) / profile_batch) calls.
-
-        Unknown ids are silently dropped from the result, mirroring batched
-        user-lookup endpoints. The result is a ProfileLookup, so a caller
-        that reads no profile maps no id and builds no ProfileRecord. An id
-        that is not an int64 integer raises TypeError or ValueError before
-        any call is charged.
+    def get_profiles(self, nodes: Sequence[NodeId]) -> None:
+        """Batched profile lookup: charges and logs ceil(len(nodes) /
+        profile_batch) calls, unknown ids included, and answers nothing. A
+        caller reads the looked-up profiles from the `profiles` table's
+        columns, as a crawl reads follower counts and languages. An id that
+        is not an int64 integer raises TypeError or ValueError before any
+        call is charged.
         """
         try:
             ids = array("q", nodes)  # a float, str or None raises TypeError
@@ -380,7 +341,6 @@ class SimulatedOracle:
         batch = self.profile_batch
         for start in range(0, len(ids), batch):
             self._charge(self.PROFILES, self.profiles_limiter, ids[start : start + batch])
-        return ProfileLookup(self.profiles, ids)
 
     def follows(self, source: NodeId, target: NodeId) -> bool:
         """Ground-truth follow check; uncharged and unlogged. Reads the source's

@@ -105,9 +105,11 @@ class TestGetFriends:
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         with pytest.raises(ProtectedError):
             oracle.get_friends(0)
-        assert oracle.get_profiles([0])[0].protected
-        # the refused friends call consumed no budget
+        assert oracle.get_profiles([0]) is None
+        assert oracle.profiles[0].protected
+        # the refused friends call consumed no budget; the profile lookup was charged
         assert oracle.calls_by_endpoint[oracle.FRIENDS] == 0
+        assert oracle.calls_by_endpoint[oracle.PROFILES] == 1
 
 
 class TestRateBudget:
@@ -203,20 +205,25 @@ class TestProfiles:
         g = DirectedGraph.from_edges([(1, 2)])
         profiles = make_profiles(g, follower_counts={2: 42})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
-        assert oracle.get_profiles([2])[2].follower_count == 42
+        assert oracle.get_profiles([2]) is None
+        assert oracle.profiles[2].follower_count == 42
 
     def test_batch_charges_ceil_division(self):
         g = DirectedGraph.from_edges([], nodes=range(250))
         profiles = make_profiles(g)
         oracle = build_simulated_oracle(g, profiles, profile_batch=100, rate_limits_enabled=False)
-        result = oracle.get_profiles(list(range(250)))
-        assert len(result) == 250
+        assert oracle.get_profiles(list(range(250))) is None
         assert oracle.calls_by_endpoint[oracle.PROFILES] == 3
+        assert [r.nodes for r in oracle.call_log] == [
+            tuple(range(0, 100)), tuple(range(100, 200)), tuple(range(200, 250)),
+        ]
 
     def test_batch_skips_unknown_ids(self):
         oracle = simple_oracle(rate_limits_enabled=False)
-        result = oracle.get_profiles([0, 99999])
-        assert set(result) == {0}
+        assert oracle.get_profiles([0, 99999]) is None
+        # the unknown id is charged and logged, and the table has no row for it
+        assert [r.nodes for r in oracle.call_log] == [(0, 99999)]
+        assert 0 in oracle.profiles and 99999 not in oracle.profiles
 
     @pytest.mark.parametrize(
         "nodes, error",
@@ -284,7 +291,9 @@ class TestConstruction:
         ])
         oracle = build_simulated_oracle(None, profiles, rate_limits_enabled=False)
         assert oracle.get_friends(1).friends == (9, 2)
-        assert set(oracle.get_profiles([9, 2])) == {2}
+        assert oracle.get_profiles([9, 2]) is None
+        assert [r.nodes for r in oracle.call_log if r.endpoint == oracle.PROFILES] == [(9, 2)]
+        assert 9 not in oracle.profiles and 2 in oracle.profiles
         assert oracle.follows(1, 9)
         assert not oracle.follows(9, 1)
 
@@ -349,9 +358,11 @@ def test_oracle_on_a_table_answers_as_the_profiles_it_was_built_from(data, tmp_p
     batch = data.draw(st.permutations(asked))
     expected = {node: records[node] for node in batch if node in records}
     for oracle in (from_file, from_records):
-        answers = oracle.get_profiles(batch)
+        assert oracle.get_profiles(batch) is None
+        table = oracle.profiles
         assert {
-            node: {name: getattr(p, name) for name in PROFILE_FIELDS} for node, p in answers.items()
+            node: {name: getattr(table[node], name) for name in PROFILE_FIELDS}
+            for node in batch if node in table
         } == expected
     assert from_file.call_log == from_records.call_log
 

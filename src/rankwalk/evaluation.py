@@ -30,16 +30,11 @@ def coverage(friends_of_a: AbstractSet[NodeId], sample_nodes: AbstractSet[NodeId
     return 100.0 * len(friends_of_a & sample_nodes) / len(friends_of_a)
 
 
-def reach(s: NodeId, test: Mapping[NodeId, AbstractSet[NodeId]]) -> float:
-    """Percentage of test accounts that follow s (i.e. have s among their friends)."""
-    if not test:
-        raise ValueError("reach requires a non-empty test sample")
-    return 100.0 * sum(1 for friends in test.values() if s in friends) / len(test)
-
-
 def reach_by_node(
     sample_nodes: AbstractSet[NodeId], test: Mapping[NodeId, AbstractSet[NodeId]]
 ) -> dict[NodeId, float]:
+    """Each sample node's reach: the percentage of test accounts that follow
+    it (have it among their friends)."""
     if not test:
         raise ValueError("reach requires a non-empty test sample")
     counts: dict[NodeId, int] = {s: 0 for s in sample_nodes}

@@ -9,7 +9,9 @@ reads it from its cache on every later visit, so the run's friends calls,
 simulated seconds, growth times and call log count only charged calls.
 
 What a run keeps after it returns: the sample, its RunStats and the oracle's
-call log. A sample has one finished form, the run's own and one read back
+call log. A growing sample keeps one dict, each edge to its provenance code,
+and the walk order is only in RunStats.walk_log, appended at each walk. A
+sample has one finished form, the run's own and one read back
 alike: its DirectedGraph and one PROVENANCES code per edge, aligned with the
 graph's out_targets. sample.csv and the resume file's `edge` records are
 written from it, and read_sample_csv returns it. The growth curve (a
@@ -30,7 +32,6 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -126,17 +127,17 @@ class SeedPool:
 
 
 class SampleGraph:
-    """The growing sample and the walk's only record: collected edges with
-    their provenance, plus the nodes and which of them are seeds.
+    """The growing sample, the walk's burn record: collected edges with their
+    provenance, plus the nodes and which of them are seeds.
 
-    Provenance per edge is `walked` or `symmetric`. `_walked` holds the walked
-    edges, which are the burned edges, in the order they joined: a resumed
-    run's saved ones, then this run's in walk order; a symmetric edge that is
-    later walked moves there, at the end. `_symmetric` holds the other edges.
-    `_in_degree` counts the sample edges into each node. `_nodes` holds every
-    node in insertion order, True for one first registered as a seed. Seeds
-    are registered as nodes even when no edge touches them, so downstream
-    filters can drop leaf seeds explicitly.
+    `_provenance` maps each sample edge to its PROVENANCES code, 0 for
+    `walked` (a burned edge) and 1 for `symmetric`; a symmetric edge that is
+    later walked turns 0 in place. The walk order is not kept here: a run
+    appends each walk to its RunStats.walk_log. `_in_degree` counts the
+    sample edges into each node. `_nodes` holds every node in insertion
+    order, True for one first registered as a seed. Seeds are registered as
+    nodes even when no edge touches them, so downstream filters can drop leaf
+    seeds explicitly.
 
     `graph` and `codes`, the form every writer reads, are the DirectedGraph,
     nodes and rows in ascending id order, and one uint8 PROVENANCES index per
@@ -146,18 +147,16 @@ class SampleGraph:
     """
 
     def __init__(self) -> None:
-        self._walked: dict[Edge, None] = {}
-        self._symmetric: set[Edge] = set()
+        self._provenance: dict[Edge, int] = {}
         self._in_degree: dict[NodeId, int] = {}
         self._nodes: dict[NodeId, bool] = {}
         self._columns: tuple[DirectedGraph, np.ndarray] | None = None
 
     def _built(self) -> tuple[DirectedGraph, np.ndarray]:
         if self._columns is None:
-            walked, symmetric = self._walked, self._symmetric
-            ids, sources, targets = _numbered(chain(walked, symmetric), self._nodes)
-            # the walked edges come first, then the symmetric ones: codes 0 and 1
-            codes = np.repeat(np.arange(2, dtype=np.uint8), [len(walked), len(symmetric)])
+            provenance = self._provenance
+            ids, sources, targets = _numbered(provenance, self._nodes)
+            codes = np.fromiter(provenance.values(), np.uint8, len(provenance))
             self._columns = _labelled_graph(ids, sources, targets, codes)
         return self._columns
 
@@ -175,36 +174,36 @@ class SampleGraph:
 
     def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
         """Collect an edge; True when it is new to the sample."""
+        if provenance not in PROVENANCES:
+            raise ValueError(
+                f"provenance must be {WALKED!r} or {SYMMETRIC!r}, got {provenance!r:.80}"
+            )
         if source == target:
             raise ValueError(f"self-loop rejected: ({source}, {target})")
-        edge = (source, target)
-        if edge in self._walked:
+        return self._add((source, target), PROVENANCES.index(provenance))
+
+    def _add(self, edge: Edge, code: int) -> bool:
+        """Collect `edge`, two distinct ids, with PROVENANCES code `code`;
+        True when it is new to the sample. A new edge keeps `edge` itself as
+        its key. Walking a symmetric edge turns its code to 0; any other
+        repeat changes nothing."""
+        known = self._provenance.get(edge)
+        if known is not None and code >= known:
             return False
-        added = edge not in self._symmetric
-        if provenance == WALKED:
-            self._symmetric.discard(edge)
-            self._walked[edge] = None
-        elif added:
-            self._symmetric.add(edge)
-        else:
-            return False
-        if added:
+        self._provenance[edge] = code
+        if known is None:
+            source, target = edge
             self._in_degree[target] = self._in_degree.get(target, 0) + 1
             self._nodes.setdefault(source, False)
             self._nodes.setdefault(target, False)
         self._columns = None
-        return added
+        return known is None
 
     def num_edges(self) -> int:
-        return len(self._walked) + len(self._symmetric)
+        return len(self._provenance)
 
     def num_nodes(self) -> int:
         return len(self._nodes)
-
-    def edges_with_provenance(self) -> list[tuple[NodeId, NodeId, str]]:
-        """(source, target, provenance) of each edge, ascending (source, target)."""
-        edges, codes = self.graph.edges(), self.codes.tolist()
-        return [(s, t, PROVENANCES[code]) for (s, t), code in zip(edges, codes)]
 
 
 class GrowthCurve:
@@ -247,9 +246,11 @@ class GrowthCurve:
 
 @dataclass
 class RunStats:
-    """What a run did: its counts, its stop reason, `walk_log` (the walked
-    edges in step order) and `growth`, the GrowthCurve of the sample's size
-    over simulated time. to_dict() holds the counts and stop reason only.
+    """What a run did: its counts, its stop reason, `walk_log` (this run's
+    walked edges in step order, each appended as it is walked and the very
+    tuple the sample keys it by unless it was symmetric before) and `growth`,
+    the GrowthCurve of the sample's size over simulated time. to_dict() holds
+    the counts and stop reason only.
 
     `final_walkers` holds each walker's position (a walker is the account it
     stands on) in the order the walkers step next, so a run resumed from them
@@ -303,16 +304,16 @@ def select_target(
     table's columns by row, so no id is looked up and no ProfileRecord is
     built.
 
-    The burned edges are the sample's walked edges, and under
-    original_rank_degree its symmetric edges too, where the score also loses
-    the friend's in-degree in the sample. Only a friend that would beat the
-    best so far is checked for a burned edge.
+    An edge is burned when its provenance code in the sample is 0
+    (`walked`), and under original_rank_degree when it has any code, where
+    the score also loses the friend's in-degree in the sample. Only a friend
+    that would beat the best so far is checked for a burned edge, with one
+    lookup.
     """
     ids, no_profile, looked_up, follower_count, language_codes, language = crawl.readers
     source = ids[w]
     original = config.original_rank_degree
-    walked = sample._walked
-    symmetric = sample._symmetric if original else ()
+    provenance = sample._provenance
     best: int | None = None
     best_score = 0
     for v in friends_page:
@@ -325,8 +326,8 @@ def select_target(
             score -= sample._in_degree.get(ids[v], 0)
         if best is not None and (score < best_score or (score == best_score and v > best)):
             continue
-        edge = (source, ids[v])
-        if edge in walked or edge in symmetric:
+        code = provenance.get((source, ids[v]))
+        if code == 0 or (original and code is not None):
             continue
         best, best_score = v, score
     return best
@@ -351,8 +352,10 @@ class Crawl:
     """The whole state of one run: the sample, the walkers and the cursor
     (walkers[i] is the position of walker i, and walkers[cursor] steps
     next), the seed pool, the exhaustion state, the caches, the counters at
-    the start and the RunStats. run_sample calls step() until stop_reason()
-    names a reason, then finish().
+    the start and the RunStats, whose walk_log each walk appends to. The
+    sample's one dict is the burn record and the walk_log the walk order.
+    run_sample calls step() until stop_reason() names a reason, then
+    finish().
 
     The crawl works in rows, so its hot path maps no id to a row. Each run
     numbers once every account it can meet: the rows of the oracle's
@@ -445,7 +448,6 @@ class Crawl:
         self.friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
         self.profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
         self.clock_start = oracle.clock.now
-        self.walks_start = len(sample._walked)
         self.stats.growth.append(0.0, sample.num_edges(), sample.num_nodes())
 
     def draw(self) -> int:
@@ -485,9 +487,10 @@ class Crawl:
         protected or unknown account is never cached: each visit asks again,
         uncharged, and jumps. select_target skips a friend with no profile.
 
-        A walk adds one edge to the sample's walked edges, a jump none.
-        select_target skips burned edges, so a pick that select_target's burn
-        rule excludes means an edge would be walked twice and aborts the run.
+        A walk adds one edge to the sample as walked and appends that same
+        tuple to the walk_log, a jump neither. select_target skips burned
+        edges, so a pick that select_target's burn rule excludes means an edge
+        would be walked twice and aborts the run.
         """
         oracle, sample, walkers, cursor = self.oracle, self.sample, self.walkers, self.cursor
         w = walkers[cursor]
@@ -516,12 +519,14 @@ class Crawl:
             config = self.config
             original = config.original_rank_degree
             edge = (self.ids[w], self.ids[v])
-            if edge in sample._walked or (original and edge in sample._symmetric):
+            code = sample._provenance.get(edge)
+            if code == 0 or (original and code is not None):
                 raise RuntimeError(f"edge {edge} selected after it was burned")
+            sample._add(edge, 0)  # walked
+            self.stats.walk_log.append(edge)
             source, target = edge
-            sample.add_edge(source, target, WALKED)
             if (config.add_symmetric_edge or original) and oracle.follows(target, source):
-                sample.add_edge(target, source, SYMMETRIC)
+                sample._add((target, source), 1)  # symmetric
             self.jump_run = 0
         walkers[cursor] = v
         self.cursor = (cursor + 1) % len(walkers)
@@ -555,12 +560,10 @@ class Crawl:
         return None
 
     def finish(self) -> RunStats:
-        """The run's RunStats, with its counts and stop reason filled in:
-        `walk_log` lists this run's walks in step order, and `final_walkers`
-        the walkers' ids in the order they step next."""
+        """The run's RunStats, with its counts and stop reason filled in and
+        `final_walkers` the walkers' ids in the order they step next; each
+        step() has already appended its walk, if any, to `walk_log`."""
         stats, sample, oracle = self.stats, self.sample, self.oracle
-        walked = sample._walked
-        stats.walk_log = list(islice(walked, self.walks_start, None))
         stats.jumps = stats.steps - len(stats.walk_log)
         stats.stop_reason = self.stop_reason() or ""
         stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - self.friends_calls_start
@@ -568,8 +571,9 @@ class Crawl:
         stats.simulated_seconds = oracle.clock.now - self.clock_start
         stats.sample_nodes = sample.num_nodes()
         stats.sample_edges = sample.num_edges()
-        stats.symmetric_edges = len(sample._symmetric)
-        stats.walked_edges = len(walked)
+        # a walked edge's code is 0 and a symmetric one's 1
+        stats.symmetric_edges = sum(sample._provenance.values())
+        stats.walked_edges = stats.sample_edges - stats.symmetric_edges
         walkers, cursor = self.walker_ids(), self.cursor
         stats.final_walkers = walkers[cursor:] + walkers[:cursor]
         return stats

@@ -20,7 +20,7 @@ from rankwalk.evaluation import (
     coverage_report,
     influencer_nodes,
     rank_reach,
-    reach,
+    reach_by_node,
     total_reach,
 )
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er, two_class
@@ -223,7 +223,7 @@ def test_acceptance_5_evaluation_oracle_equivalence():
             expected_reach = (
                 100.0 * sum(1 for f in test.values() if probe in f) / len(test)
             )
-            assert abs(reach(probe, test) - expected_reach) <= 1e-9
+            assert abs(reach_by_node(influencer, test)[probe] - expected_reach) <= 1e-9
 
             restricted = {a: f for a, f in test.items() if len(f) >= 2}
             if restricted:

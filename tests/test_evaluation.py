@@ -15,7 +15,6 @@ from rankwalk.evaluation import (
     influencer_nodes,
     rank_coverage,
     rank_reach,
-    reach,
     total_reach,
     write_coverage_report_csv,
 )
@@ -55,17 +54,9 @@ class TestCoverage:
 
 
 class TestReach:
-    def test_followed_by_all(self):
-        test = {1: {9}, 2: {9, 3}, 3: {9}}
-        assert reach(9, test) == 100.0
-
-    def test_followed_by_none(self):
-        test = {1: {2}, 2: {3}}
-        assert reach(9, test) == 0.0
-
     def test_empty_test_rejected(self):
         with pytest.raises(ValueError):
-            reach(1, {})
+            rank_reach({1}, {})
 
     def test_rank_reach_matches_count_and_sort(self):
         rng = random.Random(6)

@@ -203,15 +203,12 @@ class DictProvenanceSampleGraph:
     def __init__(self):
         self._edge_provenance = {}
         self._node_provenance = {}
-        self.walk_order = []  # each edge once, when first added as walked
 
     def add_seed(self, node):
         self._node_provenance.setdefault(node, SEED)
 
     def add_edge(self, source, target, provenance):
         added = (source, target) not in self._edge_provenance
-        if provenance == WALKED and (source, target) not in self.walk_order:
-            self.walk_order.append((source, target))
         if added or provenance == WALKED:
             self._edge_provenance[(source, target)] = provenance
         self._node_provenance.setdefault(source, provenance)
@@ -263,14 +260,16 @@ class TestSampleGraph:
         # seed_node records checked below
         assert list(sample._nodes) == list(reference._node_provenance)
         rows = reference.edges_with_provenance()
-        assert sample.edges_with_provenance() == rows
+        assert edge_rows(sample) == rows
         assert provenance_codes(rows).tolist() == sample.codes.tolist()
         assert sample.codes.dtype == np.uint8
         assert sample.num_nodes() == len(reference._node_provenance)
         assert sample.num_edges() == len(rows)
-        assert len(sample._symmetric) == Counter(p for *_, p in rows)[SYMMETRIC]
-        # the walked edges, the burn record, are kept in walk order
-        assert list(sample._walked) == reference.walk_order
+        # one code per edge, in the order the edges joined; a walked
+        # symmetric edge's code turns 0 in place
+        assert list(sample._provenance.items()) == [
+            (edge, PROVENANCES.index(p)) for edge, p in reference._edge_provenance.items()
+        ]
         graph = sample.graph
         for node in graph.nodes:
             assert sample._in_degree.get(node, 0) == graph.in_degree(node)
@@ -296,10 +295,22 @@ class TestSampleGraph:
         with pytest.raises(ValueError, match="self-loop"):
             SampleGraph().add_edge(3, 3, WALKED)
 
+    def test_rejects_unknown_provenance(self):
+        sample = SampleGraph()
+        with pytest.raises(ValueError, match="'walked' or 'symmetric', got 'walk'"):
+            sample.add_edge(1, 2, "walk")
+        assert sample.num_edges() == sample.num_nodes() == 0
+
     def test_absent_edge_has_no_provenance(self):
         sample = SampleGraph()
         sample.add_edge(1, 2, SYMMETRIC)
-        assert sample.edges_with_provenance() == [(1, 2, SYMMETRIC)]
+        assert edge_rows(sample) == [(1, 2, SYMMETRIC)]
+
+
+def edge_rows(sample):
+    """(source, target, provenance) of each sample edge, ascending (source, target)."""
+    edges, codes = sample.graph.edges(), sample.codes.tolist()
+    return [(s, t, PROVENANCES[code]) for (s, t), code in zip(edges, codes)]
 
 
 def provenance_codes(rows):
@@ -506,7 +517,8 @@ class TestWalkerStep:
         crawl.step()
         assert crawl.walker_ids() == [2]
         sample = crawl.sample
-        assert list(sample._walked) == [(1, 2)]
+        assert crawl.stats.walk_log == [(1, 2)]
+        assert sample._provenance == {(1, 2): 0}
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
 
@@ -517,12 +529,12 @@ class TestWalkerStep:
         assert crawl.walker_ids() == [2]
         sample = crawl.sample
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
-        assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
-        assert list(sample._walked) == [(1, 2)]
+        assert edge_rows(sample) == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
+        assert crawl.stats.walk_log == [(1, 2)]
         # the walker, now at 2, may still walk (2, 1)
         crawl.step()
-        assert list(sample._walked) == [(1, 2), (2, 1)]
-        assert sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, WALKED)]
+        assert crawl.stats.walk_log == [(1, 2), (2, 1)]
+        assert edge_rows(sample) == [(1, 2, WALKED), (2, 1, WALKED)]
 
     @pytest.mark.parametrize("add_symmetric_edge", [True, False])
     def test_original_rank_degree_burns_the_reciprocal_edge(self, add_symmetric_edge):
@@ -531,11 +543,12 @@ class TestWalkerStep:
         crawl = crawl_from(oracle, [1], [1], cfg)
         crawl.step()
         assert crawl.walker_ids() == [2]
-        assert crawl.sample.edges_with_provenance() == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
+        assert edge_rows(crawl.sample) == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
         # the reverse edge is burned, so the walker at 2 jumps
         crawl.step()
         assert crawl.walker_ids() == [1]
-        assert list(crawl.sample._walked) == [(1, 2)]
+        assert crawl.stats.walk_log == [(1, 2)]
+        assert crawl.sample._provenance == {(1, 2): 0, (2, 1): 1}
 
     def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
@@ -555,10 +568,10 @@ class TestWalkerStep:
         ]:
             cfg = config(original_rank_degree=original)
             crawl = crawl_from(oracle, [1], [1], cfg, walked, symmetric)
-            rows = crawl.sample.edges_with_provenance()
+            rows = edge_rows(crawl.sample)
             with pytest.raises(RuntimeError, match="after it was burned"):
                 crawl.step()
-            assert crawl.sample.edges_with_provenance() == rows
+            assert edge_rows(crawl.sample) == rows
 
     def test_unknown_current_node_jumps(self):
         _, oracle = build_oracle([(1, 2)])
@@ -672,12 +685,12 @@ class TestRunSample:
 
     def test_sample_soundness(self):
         g, sample, _ = run_fixture(seed=4, max_sample_edges=300)
-        for s, t, _prov in sample.edges_with_provenance():
+        for s, t, _prov in edge_rows(sample):
             assert g.has_edge(s, t)
 
     def test_symmetric_edges_have_ground_truth_reverse(self):
         g, sample, _ = run_fixture(seed=5, max_sample_edges=300)
-        for s, t, prov in sample.edges_with_provenance():
+        for s, t, prov in edge_rows(sample):
             if prov == SYMMETRIC:
                 assert g.has_edge(t, s)
 
@@ -787,7 +800,7 @@ class TestRunSample:
                 config(walker_count=3, max_sample_edges=60), oracle, SeedPool(range(40), 1),
                 **kwargs,
             )
-            return sample.edges_with_provenance(), oracle.call_log
+            return edge_rows(sample), oracle.call_log
 
         assert run() == run(deterministic=True) == run(deterministic=False)
 
@@ -888,7 +901,7 @@ class TestRunSample:
         log = stats.walk_log
         assert len(log) == len(set(log))
         burned = set(log)
-        for s, t, prov in sample.edges_with_provenance():
+        for s, t, prov in edge_rows(sample):
             assert g.has_edge(s, t)
             assert ((s, t) in burned) == (prov == WALKED)
         assert_budget_safety(oracle.call_log, "friends", 15, 900.0)
@@ -900,7 +913,7 @@ class TestRunSample:
             assert stop_at <= sample.num_edges() <= stop_at + 1
 
         oracle2, sample2, _ = run()
-        assert sample2.edges_with_provenance() == sample.edges_with_provenance()
+        assert edge_rows(sample2) == edge_rows(sample)
         assert oracle2.call_log == oracle.call_log
 
     def test_seeds_flagged_in_sample(self, tmp_path):
@@ -1189,6 +1202,28 @@ class TestWalkLog:
             resume = load_run_state(path)
         run_and_record(steps - first, 0, resume)
 
+    def test_walk_log_shares_the_sample_keys(self):
+        """Each walk_log entry is the very tuple the sample keys its edge by,
+        unless the edge was in the sample as symmetric before its walk, so
+        the log holds no second tuple per walk."""
+        n = 40
+        edges = reciprocal_er(n, 0.15, random.Random(87))
+        g = DirectedGraph.from_edges(edges, nodes=range(n))
+        profiles = build_profiles(n, edges, random.Random(88), language_fraction=1.0)
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        cfg = config(walker_count=3, max_steps=200)
+        sample, stats = run_sample(cfg, oracle, SeedPool(range(n), 12))
+        keys = {k: k for k in sample._provenance}
+        walked, shared = set(), 0
+        for edge in stats.walk_log:
+            # every graph edge is reciprocal, so walking an edge adds its
+            # reverse as symmetric
+            if edge[::-1] not in walked:
+                assert keys[edge] is edge
+                shared += 1
+            walked.add(edge)
+        assert 10 < shared < len(stats.walk_log)
+
 
 class TestPageCache:
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -1251,13 +1286,14 @@ class TestPageCache:
             crawl.step()
         loop_sample = crawl.sample
 
-        assert stats.walk_log == list(loop_sample._walked)
+        assert stats.walk_log == crawl.stats.walk_log
+        assert list(loop_sample._provenance.values()).count(0) == len(stats.walk_log)
         with tempfile.TemporaryDirectory() as directory:
             paths = [Path(directory) / name for name in ("run.csv", "loop.csv")]
             write_sample_csv(sample, paths[0])
             write_sample_csv(loop_sample, paths[1])
             assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert stats.jumps == stats.steps - len(loop_sample._walked)
+        assert stats.jumps == stats.steps - len(crawl.stats.walk_log)
         assert stats.profile_calls == loop_oracle.calls_by_endpoint[oracle.PROFILES]
         assert loop_oracle.calls_by_endpoint[oracle.FRIENDS] == served_steps
         fetched = [r.nodes[0] for r in oracle.call_log if r.endpoint == oracle.FRIENDS]
@@ -1344,7 +1380,7 @@ class TestCrawlCache:
         while crawl.stop_reason() is None:
             cursor = crawl.cursor
             w = crawl.walker_ids()[cursor]
-            before = sample.edges_with_provenance()
+            before = edge_rows(sample)
             crawl.step()
             pick = None if crawl.jump_run else crawl.walker_ids()[cursor]
             asked = [crawl.ids[r] for r, flag in enumerate(crawl.looked_up) if flag]
@@ -1360,7 +1396,7 @@ class TestCrawlCache:
             some = [u for u in charged if rng.random() < 0.5]
             partial = looked_up(profiles, cfg, some)
             assert select(w, page, partial, sample, cfg) == expected_pick(
-                w, [v for v in page if v in some], sample.edges_with_provenance()
+                w, [v for v in page if v in some], edge_rows(sample)
             )
         stats = crawl.finish()
         assert stats.steps == steps or stats.stop_reason == "exhausted"
@@ -1400,7 +1436,7 @@ class TestExhausted:
         # the burn rule: walked edges, and under the switch every sample edge
         burned = {
             (s, t)
-            for s, t, prov in sample.edges_with_provenance()
+            for s, t, prov in edge_rows(sample)
             if prov == WALKED or original_rank_degree
         }
 
@@ -1451,7 +1487,7 @@ class TestResume:
         assert sample2.num_edges() >= 160
         # edges walked before the interruption are never walked again
         assert not set(stats2.walk_log) & set(stats1.walk_log)
-        for s, t, _prov in sample2.edges_with_provenance():
+        for s, t, _prov in edge_rows(sample2):
             assert g.has_edge(s, t)
 
     def test_walked_edge_records_stay_burned_without_burned_records(self, tmp_path):
@@ -1531,7 +1567,7 @@ class TestResume:
                 records = [json.loads(line) for line in fh]
             assert [
                 (r["s"], r["t"], r["p"]) for r in records if r["type"] == "edge"
-            ] == sample.edges_with_provenance()
+            ] == edge_rows(sample)
             resume = load_run_state(path)
             resumed_oracle, resumed, resumed_stats = run(
                 steps - first, SeedPool(range(n), 0), resume
@@ -1541,7 +1577,7 @@ class TestResume:
                 read_back = read_sample_csv(Path(directory) / "sample.csv")
                 assert_same_sample(*read_back, sampled.graph, sampled.codes)
         assert stats.walk_log + resumed_stats.walk_log == whole_stats.walk_log
-        assert resumed.edges_with_provenance() == whole.edges_with_provenance()
+        assert edge_rows(resumed) == edge_rows(whole)
         assert_same_sample(resumed.graph, resumed.codes, whole.graph, whole.codes)
         calls = [*oracle.call_log, *resumed_oracle.call_log]
         budget = resumed_oracle.budget
@@ -1551,6 +1587,26 @@ class TestResume:
         assert_budget_safety(
             calls, "profiles", budget.profile_calls_per_window, budget.profile_window_seconds
         )
+
+    def test_resumed_run_walks_a_saved_symmetric_edge(self, tmp_path):
+        """A resume file's symmetric edge (2, 1) is not burned: the resumed
+        run walks it, logs it at its step and writes it as walked."""
+        _, oracle = build_oracle([(1, 2), (2, 1)])
+        pool = SeedPool([1], 0)
+        sample, first = run_sample(config(max_steps=1), oracle, pool)
+        assert first.walk_log == [(1, 2)] and edge_rows(sample)[1] == (2, 1, SYMMETRIC)
+        path = tmp_path / "resume.jsonl"
+        save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
+        _, oracle = build_oracle([(1, 2), (2, 1)])
+        resumed, stats = run_sample(
+            config(max_steps=2), oracle, SeedPool([1], 0), resume=load_run_state(path)
+        )
+        assert stats.walk_log == [(2, 1)]
+        assert (stats.walked_edges, stats.symmetric_edges) == (2, 0)
+        write_sample_csv(resumed, tmp_path / "sample.csv")
+        assert (tmp_path / "sample.csv").read_text().splitlines()[1:] == [
+            "1,2,walked", "2,1,walked"
+        ]
 
     def test_walker_records_may_carry_extra_fields(self, tmp_path):
         # resume files written before walker records lost "hops" still load
@@ -1581,10 +1637,12 @@ class TestResume:
 
         pool = SeedPool(range(n), 11)
         oracle, sample, first = run(30, pool)
-        assert sample._symmetric and len(first.walk_log) > 10
+        assert 1 in sample._provenance.values() and len(first.walk_log) > 10
         save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
         old_path = tmp_path / "old_resume.jsonl"
-        old_path.write_text(older_format(sample, first.final_walkers, oracle.clock.now, pool))
+        old_path.write_text(
+            older_format(sample, first.walk_log, first.final_walkers, oracle.clock.now, pool)
+        )
         resume = load_run_state(old_path)
         assert resume == load_run_state(path)
         assert resume.walkers == first.final_walkers
@@ -1593,16 +1651,16 @@ class TestResume:
         assert first.walk_log + resumed.walk_log == whole.walk_log
 
 
-def older_format(sample, walkers, clock_now, pool):
+def older_format(sample, walk_log, walkers, clock_now, pool):
     """A resume file as written before walkers were saved in step order: a
     `burned` record per walked edge in walk order, then every `edge`, seed and
     walker record, each walker with its `id`, all but `meta` in spaced JSON."""
     meta = {"type": "meta", "clock_now": clock_now, "seed_pool_state": pool.getstate()}
     records = [json.dumps(meta, separators=(",", ":"))]
-    records += [json.dumps({"type": "burned", "s": s, "t": t}) for s, t in sample._walked]
+    records += [json.dumps({"type": "burned", "s": s, "t": t}) for s, t in walk_log]
     records += [
         json.dumps({"type": "edge", "s": s, "t": t, "p": prov})
-        for s, t, prov in sample.edges_with_provenance()
+        for s, t, prov in edge_rows(sample)
     ]
     seeds = sorted(node for node, seed in sample._nodes.items() if seed)
     records += [json.dumps({"type": "seed_node", "n": node}) for node in seeds]

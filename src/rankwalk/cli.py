@@ -195,6 +195,13 @@ def cmd_sample(args, out_dir: Path, seed: int, config: dict) -> int:
                 f"{args.resume_from}: charges of key {max(keys)}, but key_count is "
                 f"{budget.key_count}"
             )
+        walker_count = sampler_config.walker_count
+        given = args.walker_count is not None or "walker_count" in config
+        if given and len(resume.walkers) != walker_count:
+            raise ValueError(
+                f"{args.resume_from}: holds {len(resume.walkers)} walkers, but walker_count is "
+                f"{walker_count}"
+            )
     sample, stats = run_sample(sampler_config, oracle, seed_pool, resume=resume)
     write_sample_csv(sample, out_dir / args.out_sample)
     write_stats_json(stats, out_dir / args.out_stats)

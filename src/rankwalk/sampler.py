@@ -135,7 +135,8 @@ class SampleGraph:
     later walked turns 0 in place. The walk order is not kept here: a run
     appends each walk to its RunStats.walk_log. `_in_degree` counts the
     sample edges into each node. `_nodes` holds every node in insertion
-    order, True for one first registered as a seed. Seeds are registered as
+    order, True for one first registered as a seed or listed as a seed by
+    the resume file it was loaded from. Seeds are registered as
     nodes even when no edge touches them, so downstream filters can drop leaf
     seeds explicitly.
 
@@ -144,6 +145,9 @@ class SampleGraph:
     edge, aligned with its out_targets. Both are built on the first read after
     a change, a walked symmetric edge's new code included, and kept until the
     next one.
+
+    Two samples are == when they hold the same edges with the same codes and
+    the same nodes with the same seed flags, in any insertion order.
     """
 
     def __init__(self) -> None:
@@ -151,6 +155,11 @@ class SampleGraph:
         self._in_degree: dict[NodeId, int] = {}
         self._nodes: dict[NodeId, bool] = {}
         self._columns: tuple[DirectedGraph, np.ndarray] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleGraph):
+            return NotImplemented
+        return (self._provenance, self._nodes) == (other._provenance, other._nodes)
 
     def _built(self) -> tuple[DirectedGraph, np.ndarray]:
         if self._columns is None:
@@ -335,15 +344,19 @@ def select_target(
 
 @dataclass
 class RunState:
-    """Serializable mid-run snapshot for interrupted-run continuation: each
-    sample edge once with its provenance, the seed nodes, the walkers'
-    positions in the order they step next, and the rate limiters' charges
-    that still count, as SimulatedOracle.window_charges() lists them."""
+    """Serializable mid-run snapshot for interrupted-run continuation: the
+    sample so far, its edges with their provenance and its nodes with their
+    seed flags, the walkers' positions in the order they step next, and the
+    rate limiters' charges that still count, as
+    SimulatedOracle.window_charges() lists them.
+
+    `sample` is the very SampleGraph the resumed run continues and grows, so
+    one RunState starts one run: Crawl takes the sample and sets `sample` to
+    None, and a second Crawl from the same state raises ValueError."""
 
     clock_now: float
     seed_pool_state: object
-    edges: list[tuple[NodeId, NodeId, str]]
-    seed_nodes: list[NodeId]
+    sample: SampleGraph | None
     walkers: list[NodeId]
     charges: list[tuple[str, int, list[float]]] = field(default_factory=list)
 
@@ -386,10 +399,12 @@ class Crawl:
     ndarray.item takes), and the target language's code, None with the
     filter off and -1 when no account has it.
 
-    A resumed run adds the saved sample edges with their provenance, so the
-    burned edges carry over, gives the saved rate-limit charges back to the
-    oracle, so the per-key budget holds across the resume, and starts at the
-    first saved walker. The caches are not in the resume file, so it fetches
+    A resumed run continues the RunState's sample in place, so the burned
+    edges carry over and the sample is held once, gives the saved rate-limit
+    charges back to the oracle, so the per-key budget holds across the
+    resume, and starts at the first saved walker. It takes the sample from
+    the RunState, which then starts no other run: a second Crawl from it
+    raises ValueError. The caches are not in the resume file, so it fetches
     its pages and profiles again.
     """
 
@@ -400,6 +415,8 @@ class Crawl:
         seed_pool: SeedPool,
         resume: RunState | None = None,
     ) -> None:
+        if resume is not None and resume.sample is None:
+            raise ValueError("this RunState has started a run already; load the resume file again")
         self.config, self.oracle, self.seed_pool = config, oracle, seed_pool
         table = oracle.profiles
         self.no_profile = n = len(table)
@@ -419,17 +436,14 @@ class Crawl:
         self.not_jumped_count = self.not_jumped.count(1)
         self.jump_run = 0
 
-        self.sample = sample = SampleGraph()
         if resume is not None:
             oracle.clock.advance_to(resume.clock_now)
             oracle.restore_charges(resume.charges)
             seed_pool.setstate(resume.seed_pool_state)
-            for node in resume.seed_nodes:
-                sample.add_seed(node)
-            for source, target, provenance in resume.edges:
-                sample.add_edge(source, target, provenance)
             self.walkers = rows[2].tolist()
+            self.sample, resume.sample = resume.sample, None
         else:
+            self.sample = SampleGraph()
             self.walkers = [self.draw() for _ in range(config.walker_count)]
         self.cursor = 0
 
@@ -448,7 +462,7 @@ class Crawl:
         self.friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
         self.profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
         self.clock_start = oracle.clock.now
-        self.stats.growth.append(0.0, sample.num_edges(), sample.num_nodes())
+        self.stats.growth.append(0.0, self.sample.num_edges(), self.sample.num_nodes())
 
     def draw(self) -> int:
         """Draw a seed from the pool, register it in the sample and return its
@@ -600,7 +614,8 @@ def run_sample(
     lookup, even when it came back empty; a protected or unknown account is
     refused, uncharged, on every visit. A resumed run continues the
     round-robin where the saved run stopped, with the saved rate-limit
-    charges, and fetches its pages and profiles again.
+    charges, grows and returns the RunState's own sample, and fetches its
+    pages and profiles again.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
@@ -683,18 +698,20 @@ def save_run_state(
 
 
 def load_run_state(path) -> RunState:
-    """Read a save_run_state file. Files written before the walkers were saved
-    in step order load too: their `burned` records repeat walked `edge`
-    records and are skipped, and their walker records are in `id` order, the
-    order those runs resumed them in. A walker's `id`, like any other extra
-    field, is ignored. An edge listed twice is rejected, as read_sample_csv
-    rejects it. A file without `charges` records, as older versions wrote,
-    resumes with no charge in the limiters."""
+    """Read a save_run_state file. Each `edge` record goes straight into the
+    RunState's SampleGraph, the sample the resumed run continues, so the
+    file's sample is held once. A `seed_node` record flags its node a seed
+    even when an edge registered the node first, as the file lists edges
+    before seeds. Files written before the walkers were saved in step order
+    load too: their `burned` records repeat walked `edge` records and are
+    skipped, and their walker records are in `id` order, the order those runs
+    resumed them in. A walker's `id`, like any other extra field, is ignored.
+    An edge listed twice is rejected, as read_sample_csv rejects it. A file
+    without `charges` records, as older versions wrote, resumes with no
+    charge in the limiters."""
     meta: list[tuple[float, tuple]] = []
     charges: list[tuple[str, int, list[float]]] = []
-    edges: list[tuple[NodeId, NodeId, str]] = []
-    listed: set[Edge] = set()
-    seed_nodes: list[NodeId] = []
+    sample = SampleGraph()
     walkers: list[NodeId] = []
 
     def add(record: dict) -> None:
@@ -729,12 +746,10 @@ def load_run_state(path) -> RunState:
                 raise ValueError(
                     f"field 'p': expected {WALKED!r} or {SYMMETRIC!r}, got {record['p']!r:.80}"
                 )
-            if (source, target) in listed:
+            if not sample._add((source, target), PROVENANCES.index(record["p"])):
                 raise ValueError(f"edge {source},{target} listed twice")
-            listed.add((source, target))
-            edges.append((source, target, record["p"]))
         elif kind == "seed_node":
-            seed_nodes.append(_integer_id(record["n"], "n"))
+            sample._nodes[_integer_id(record["n"], "n")] = True
         elif kind == "walker":
             walkers.append(_integer_id(record["current"], "current"))
         elif kind != "burned":  # an older file's copy of a walked edge record
@@ -749,4 +764,4 @@ def load_run_state(path) -> RunState:
     late = [t for _, _, times in charges for t in times if t > clock_now]
     if late:
         raise ValueError(f"{path}: a charge at t={late[0]!r} is after clock_now {clock_now!r}")
-    return RunState(clock_now, pool_state, edges, seed_nodes, walkers, charges)
+    return RunState(clock_now, pool_state, sample, walkers, charges)

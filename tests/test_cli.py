@@ -614,6 +614,8 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
          META + '\n{"type": "charges", "endpoint": "friends", "key": 0, "t": [NaN]}\n'
          + WALKER, 2, "field 't'"),
+        (SAMPLE + ["--resume-from", "{d}/resume.jsonl"], "resume.jsonl",
+         META + "\n" + WALKER + WALKER, None, "holds 2 walkers, but walker_count is 1"),
     ],
     ids=[
         "edges-underscore", "edges-non-ascii-digit", "sample-non-integer", "sample-self-loop",
@@ -633,7 +635,7 @@ KEYWORDS = ["keywords", "--docs", "{d}/docs.jsonl", "--assignment", "{d}/assignm
         "docs-nan-time-first", "docs-nan-time-second", "resume-repeated-edge",
         "resume-charges-key-past-key-count", "resume-charge-after-clock",
         "resume-charges-unknown-endpoint", "resume-charges-negative-key",
-        "resume-charges-nan-time",
+        "resume-charges-nan-time", "resume-walkers-past-walker-count",
     ],
 )
 def test_malformed_input_gives_one_line_naming_path_and_line(
@@ -786,6 +788,27 @@ def test_resume_charges_are_ignored_with_rate_limits_off(tmp_path):
     assert run(argv) == 1
 
 
+def test_resume_file_sets_the_walker_count_unless_one_is_given(tmp_path, capsys):
+    """With no --walker-count and no config walker_count, the resume file's
+    two walkers step on and are saved again; a config walker_count that
+    differs from them ends in exit 1 and one line naming the resume file."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "resume.jsonl").write_text(f"{META}\n{WALKER}{WALKER}", encoding="utf-8")
+    argv = ["--out-dir", str(tmp_path / "out"), "sample", "--profiles",
+            f"{tmp_path}/profiles.jsonl", "--max-sample-edges", "2",
+            "--resume-from", f"{tmp_path}/resume.jsonl"]
+    assert run([*argv, "--resume-to", "again.jsonl"]) == 0
+    saved = (tmp_path / "out" / "again.jsonl").read_text()
+    assert saved.count('"type":"walker"') == 2
+    (tmp_path / "config.json").write_text('{"walker_count": 3}', encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", f"{tmp_path}/config.json", *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}/resume.jsonl: holds 2 walkers, but walker_count is 3\n"
+    )
+
+
 # Each reader of account ids: the command, the file, the file's text holding
 # the id n once, and that id's line (None for a file read whole).
 ID_READERS = {
@@ -804,7 +827,8 @@ ID_READERS = {
     "resume-t": (RESUME, "resume.jsonl",
                  lambda n: resume_text({"type": "edge", "s": 1, "t": n, "p": "walked"}), 2),
     "resume-n": (RESUME, "resume.jsonl", lambda n: resume_text({"type": "seed_node", "n": n}), 2),
-    "resume-current": (RESUME, "resume.jsonl",
+    # the file holds two walkers: this one and resume_text's
+    "resume-current": (RESUME + ["--walker-count", "2"], "resume.jsonl",
                        lambda n: resume_text({"type": "walker", "current": n}), 2),
     "seed-pool": (SAMPLE + ["--seed-pool", "{d}/pool.txt"], "pool.txt", lambda n: f"1\n{n}\n", 2),
     "assignment": (KEYWORDS, "assignment.csv", lambda n: f"node,community\n1,0\n{n},1\n", 3),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er
@@ -503,8 +503,11 @@ def crawl_from(oracle, walkers, pool_ids, cfg=None, walked=(), symmetric=()):
     with `walked` and then `symmetric` in its sample and jumps drawn from
     `pool_ids`, started as a resumed run starts."""
     pool = SeedPool(pool_ids, 0)
-    edges = [(*e, WALKED) for e in walked] + [(*e, SYMMETRIC) for e in symmetric]
-    state = RunState(oracle.clock.now, pool.getstate(), edges, [], list(walkers))
+    sample = SampleGraph()
+    for provenance, edges in ((WALKED, walked), (SYMMETRIC, symmetric)):
+        for source, target in edges:
+            sample.add_edge(source, target, provenance)
+    state = RunState(oracle.clock.now, pool.getstate(), sample, list(walkers))
     return Crawl(cfg or config(), oracle, pool, state)
 
 
@@ -1181,14 +1184,16 @@ class TestWalkLog:
             assert stats.walk_log == [edge for edge in record if edge is not None]
             assert stats.jumps == record.count(None)
 
-        def run_and_record(max_steps, seed, resume=None):
-            """run_sample's stats, and record_walk's record, on the same inputs."""
+        def run_and_record(max_steps, seed, path=None):
+            """run_sample's stats, and record_walk's record, on the same inputs,
+            each resumed from its own load of the resume file at `path`."""
+            load = (lambda: None) if path is None else (lambda: load_run_state(path))
             oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
             pool = SeedPool(range(n), seed)
-            sample, stats = run_sample(config(max_steps=max_steps, **cfg), oracle, pool, resume=resume)
+            sample, stats = run_sample(config(max_steps=max_steps, **cfg), oracle, pool, resume=load())
             oracle2 = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
             *_, record = record_walk(
-                config(max_steps=max_steps, **cfg), oracle2, SeedPool(range(n), seed), resume
+                config(max_steps=max_steps, **cfg), oracle2, SeedPool(range(n), seed), load()
             )
             check(stats, record)
             return oracle, pool, sample, stats
@@ -1199,8 +1204,7 @@ class TestWalkLog:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "resume.jsonl"
             save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
-            resume = load_run_state(path)
-        run_and_record(steps - first, 0, resume)
+            run_and_record(steps - first, 0, path)
 
     def test_walk_log_shares_the_sample_keys(self):
         """Each walk_log entry is the very tuple the sample keys its edge by,
@@ -1476,7 +1480,7 @@ class TestResume:
         oracle2 = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         pool2 = SeedPool(sorted(g.nodes), 0)  # state is overwritten by the resume file
         resume = load_run_state(state_path)
-        walked = [(s, t) for s, t, prov in resume.edges if prov == WALKED]
+        walked = [(s, t) for s, t, prov in edge_rows(resume.sample) if prov == WALKED]
         assert sorted(walked) == sorted(stats1.walk_log)
         sample2, stats2 = run_sample(
             config(walker_count=3, max_sample_edges=160),
@@ -1649,6 +1653,101 @@ class TestResume:
         _, _, resumed = run(70, SeedPool(range(n), 0), resume)
         _, _, whole = run(100, SeedPool(range(n), 11))
         assert first.walk_log + resumed.walk_log == whole.walk_log
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        graph_seed=st.integers(0, 10**6),
+        n=st.integers(2, 40),
+        p=st.sampled_from([0.05, 0.1, 0.3]),
+        walker_count=st.integers(1, 6),
+        key_count=st.integers(1, 3),
+        steps=st.integers(0, 200),
+        case=st.sampled_from(["charges", "no-charges", "symmetric"]),
+    )
+    def test_saved_state_loads_as_the_run_state(
+        self, graph_seed, n, p, walker_count, key_count, steps, case
+    ):
+        """A resume file saved after any number of steps loads as the run's
+        own RunState: its clock, pool state, walkers, charges and sample, each
+        edge with its code and each node with its seed flag, though the file
+        lists a seed's edges before its seed_node record. The cases are a
+        run with rate limits on and charges that still count, one with rate
+        limits off and so no charges, and a reciprocal world's run whose
+        sample holds symmetric edges."""
+        g, profiles = mixed_world(graph_seed, n, p, reciprocal=case == "symmetric")
+        oracle = build_simulated_oracle(
+            g, profiles, rate_limits_enabled=case == "charges", key_count=key_count
+        )
+        pool = SeedPool(range(n), graph_seed)
+        cfg = config(walker_count=walker_count, max_steps=steps, max_sample_edges=None)
+        sample, stats = run_sample(cfg, oracle, pool)
+        charges = oracle.window_charges()
+        if case == "charges":
+            assume(charges)
+        else:
+            assert not charges  # rate limits off
+        if case == "symmetric":
+            assume(1 in sample._provenance.values())
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "resume.jsonl"
+            save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool, charges)
+            loaded = load_run_state(path)
+        assert loaded == RunState(
+            oracle.clock.now, pool.getstate(), sample, stats.final_walkers, charges
+        )
+
+    def test_one_run_state_starts_one_run(self, tmp_path):
+        """A resumed run continues the loaded sample in place, so the RunState
+        starts one run: a second run from it raises ValueError before it
+        touches the oracle or the pool."""
+        _, oracle = build_oracle([(1, 2), (2, 3), (3, 1)])
+        pool = SeedPool([1, 2, 3], 0)
+        sample, stats = run_sample(config(max_steps=2), oracle, pool)
+        path = tmp_path / "resume.jsonl"
+        save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
+        state = load_run_state(path)
+        loaded = state.sample
+        _, oracle = build_oracle([(1, 2), (2, 3), (3, 1)])
+        resumed, _ = run_sample(config(max_steps=1), oracle, SeedPool([1, 2, 3], 0), resume=state)
+        assert resumed is loaded and state.sample is None
+        _, oracle = build_oracle([(1, 2), (2, 3), (3, 1)])
+        pool = SeedPool([1, 2, 3], 5)
+        pool_state = pool.getstate()
+        with pytest.raises(ValueError, match="load the resume file again"):
+            run_sample(config(max_steps=1), oracle, pool, resume=state)
+        assert oracle.clock.now == 0.0 and pool.getstate() == pool_state
+
+    @pytest.mark.memory
+    def test_resumed_crawl_holds_its_sample_once(self, tmp_path):
+        """A loaded resume file is the sample the resumed Crawl continues, so
+        with the RunState still referenced, as cmd_sample holds it, the state
+        and the Crawl keep ~190 B a resumed edge here, the sample's dicts and
+        the Crawl's per-row columns; with an edge list and a set of the
+        file's edges beside a sample rebuilt from them, they kept ~330 B."""
+        n = 2000
+        edges = preferential_attachment(n, 5, random.Random(1))
+        g = DirectedGraph.from_edges(edges, nodes=range(n))
+        profiles = build_profiles(n, edges, random.Random(2), language_fraction=1.0)
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        pool = SeedPool(range(n), 3)
+        sample, stats = run_sample(config(walker_count=20, max_sample_edges=3000), oracle, pool)
+        path = tmp_path / "resume.jsonl"
+        save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
+        resumed_edges = sample.num_edges()
+        del sample, stats
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        pool = SeedPool(range(n), 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = load_run_state(path)
+            crawl = Crawl(config(walker_count=20, max_sample_edges=6000), oracle, pool, state)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert crawl.sample.num_edges() == resumed_edges == 3000
+        assert kept / resumed_edges <= 256
 
 
 def older_format(sample, walk_log, walkers, clock_now, pool):

@@ -9,26 +9,27 @@ reads it from its cache on every later visit, so the run's friends calls,
 simulated seconds, growth times and call log count only charged calls.
 
 What a run keeps after it returns: the sample, its RunStats and the oracle's
-call log. A growing sample keeps one dict, each edge to its provenance code,
-and the walk order is only in RunStats.walk_log, appended at each walk. A
-sample has one finished form, the run's own and one read back
+call log. A sample is a SampleGraph, id columns with no Python object per
+edge or node, and has one finished form, the run's own and one read back
 alike: its DirectedGraph and one PROVENANCES code per edge, aligned with the
 graph's out_targets. sample.csv and the resume file's `edge` records are
 written from it, and read_sample_csv returns it. The growth curve (a
-GrowthCurve) and the call log (a CallLog) hold one record per point or
-charged call as typed columns, with no Python object per record. While it
-runs, its whole state is one Crawl, freed when run_sample returns: the
-sample, the walkers and their cursor, the exhaustion state, the counters,
-and the page and profile caches as per-row columns over the oracle's profile
-table, 9 B a row, with no Python object per page or profile. The crawl works
-in rows, the table's and one for each id with no profile it can meet, so its
-hot path maps no id to a row. run_sample is a loop over Crawl.step().
+GrowthCurve), the walk order (RunStats.walk_log) and the call log (a
+CallLog) are typed columns too. While it runs, its whole state is one Crawl,
+freed when run_sample returns: the sample, the walkers and their cursor, the
+exhaustion state, the counters, and the page and profile caches, all
+columns over the oracle's profile table. The sample is one byte per friend
+slot, a position in the table's friend_ids, which names one follow edge, and
+one byte per row for the nodes. The crawl works in rows, the table's and one
+for each id with no profile it can meet, so its hot path maps no id to a
+row. run_sample is a loop over Crawl.step().
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -37,16 +38,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph import (
+    _INT64_END,
     DirectedGraph,
     NodeId,
-    ProfileTable,
     _check_fields,
     _compact_json,
     _distinct,
     _gc_paused,
     _integer_id,
-    _labelled_graph,
-    _numbered,
     _read_edge_file,
     _read_json_lines,
 )
@@ -58,8 +57,6 @@ SYMMETRIC = "symmetric"
 PROVENANCES = (WALKED, SYMMETRIC)
 # The first line of sample.csv, whose rows are source,target,provenance.
 SAMPLE_HEADER = "source,target,provenance"
-
-Edge = tuple[NodeId, NodeId]
 
 
 @dataclass
@@ -126,48 +123,92 @@ class SeedPool:
         self._rng.setstate(state)
 
 
+def _account_id(node) -> NodeId:
+    """`node` as an int in [0, 2**63), or ValueError."""
+    node = operator.index(node)
+    if not 0 <= node < _INT64_END:
+        raise ValueError(f"node ids must be in [0, 2**63), got {node}")
+    return node
+
+
+def _int64_column(values) -> array:
+    """An array('q') holding `values`, copied from one int64 buffer."""
+    column = array("q")
+    column.frombytes(memoryview(np.ascontiguousarray(values, np.int64)).cast("B"))
+    return column
+
+
 class SampleGraph:
-    """The growing sample, the walk's burn record: collected edges with their
-    provenance, plus the nodes and which of them are seeds.
+    """A sample: its edges, each with a PROVENANCES code, 0 for `walked` (a
+    burned edge) and 1 for `symmetric`, and its seeds. It keeps them as
+    columns, with no Python object per edge or node: int64 sources and
+    targets, one code byte an edge, and int64 seeds. Its nodes are the ends
+    of its edges and its seeds; a seed is a node even when no edge touches
+    it, so downstream filters can drop leaf seeds explicitly.
 
-    `_provenance` maps each sample edge to its PROVENANCES code, 0 for
-    `walked` (a burned edge) and 1 for `symmetric`; a symmetric edge that is
-    later walked turns 0 in place. The walk order is not kept here: a run
-    appends each walk to its RunStats.walk_log. `_in_degree` counts the
-    sample edges into each node. `_nodes` holds every node in insertion
-    order, True for one first registered as a seed or listed as a seed by
-    the resume file it was loaded from. Seeds are registered as
-    nodes even when no edge touches them, so downstream filters can drop leaf
-    seeds explicitly.
+    An edge added twice is one edge with its lowest code, so a symmetric
+    edge that is later walked is walked. add_seed flags a node a seed only
+    when no edge has registered it yet; a run's sample, handed over by its
+    Crawl, and a loaded resume file set the seeds they list.
 
-    `graph` and `codes`, the form every writer reads, are the DirectedGraph,
-    nodes and rows in ascending id order, and one uint8 PROVENANCES index per
-    edge, aligned with its out_targets. Both are built on the first read after
-    a change, a walked symmetric edge's new code included, and kept until the
-    next one.
-
-    Two samples are == when they hold the same edges with the same codes and
-    the same nodes with the same seed flags, in any insertion order.
+    `graph`, `codes` and `seeds`, the form every writer reads, are the
+    DirectedGraph, nodes and rows in ascending id order, one uint8
+    PROVENANCES index per edge, aligned with its out_targets, and the seed
+    ids, ascending and int64. They are built with numpy on the first read
+    after a change and kept until the next one; num_edges(), num_nodes()
+    and == read them. Two samples are == when they hold the same edges with
+    the same codes and the same nodes with the same seed flags, in any
+    insertion order.
     """
 
     def __init__(self) -> None:
-        self._provenance: dict[Edge, int] = {}
-        self._in_degree: dict[NodeId, int] = {}
-        self._nodes: dict[NodeId, bool] = {}
-        self._columns: tuple[DirectedGraph, np.ndarray] | None = None
+        self._hold()
+
+    def _hold(self, sources=(), targets=(), codes=(), seeds=()) -> None:
+        """Hold these edge ends and codes and these seeds, and nothing else."""
+        self._sources, self._targets, self._seeds = map(_int64_column, (sources, targets, seeds))
+        self._codes = bytearray(codes)
+        self._form: tuple[DirectedGraph, np.ndarray, np.ndarray] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampleGraph):
             return NotImplemented
-        return (self._provenance, self._nodes) == (other._provenance, other._nodes)
+        (graph, codes, seeds), (theirs, their_codes, their_seeds) = self._built(), other._built()
+        return graph.ids == theirs.ids and all(map(
+            np.array_equal,
+            (graph.out_offsets, graph.out_targets, codes, seeds),
+            (theirs.out_offsets, theirs.out_targets, their_codes, their_seeds),
+        ))
 
-    def _built(self) -> tuple[DirectedGraph, np.ndarray]:
-        if self._columns is None:
-            provenance = self._provenance
-            ids, sources, targets = _numbered(provenance, self._nodes)
-            codes = np.fromiter(provenance.values(), np.uint8, len(provenance))
-            self._columns = _labelled_graph(ids, sources, targets, codes)
-        return self._columns
+    def _built(self) -> tuple[DirectedGraph, np.ndarray, np.ndarray]:
+        """The graph, codes and seeds, built once: the distinct ids are
+        sorted, and each edge becomes one key, its ends' indices, times two
+        plus its code, so one sort of the keys orders the edges as
+        out_targets and puts each edge's lowest code first. Each column is
+        sorted apart and the keys in place, so the build's temporaries stay
+        at a few arrays as long as the sample."""
+        if self._form is None:
+            sources, targets, seeds = (
+                np.frombuffer(column, np.int64)
+                for column in (self._sources, self._targets, self._seeds)
+            )
+            seeds = _distinct(seeds)
+            ids = _distinct(np.concatenate([_distinct(sources), _distinct(targets), seeds]))
+            n = len(ids)
+            keys = np.searchsorted(ids, sources)
+            keys *= n
+            keys += np.searchsorted(ids, targets)
+            keys *= 2
+            keys += np.frombuffer(self._codes, np.uint8)
+            keys.sort()
+            first = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:] >> 1, keys[:-1] >> 1, out=first[1:])
+            keys = keys[first]
+            codes = (keys & 1).astype(np.uint8)
+            keys >>= 1
+            graph = DirectedGraph(ids.tolist(), *np.divmod(keys, n))
+            self._form = graph, codes, seeds
+        return self._form
 
     @property
     def graph(self) -> DirectedGraph:
@@ -177,42 +218,37 @@ class SampleGraph:
     def codes(self) -> np.ndarray:
         return self._built()[1]
 
-    def add_seed(self, node: NodeId) -> None:
-        self._nodes.setdefault(node, True)
-        self._columns = None
+    @property
+    def seeds(self) -> np.ndarray:
+        return self._built()[2]
 
-    def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> bool:
-        """Collect an edge; True when it is new to the sample."""
+    def add_seed(self, node: NodeId) -> None:
+        """Flag `node` a seed, unless an edge has registered it already: a
+        scan of the edge columns."""
+        node = _account_id(node)
+        if not any(node in np.frombuffer(c, np.int64) for c in (self._sources, self._targets)):
+            self._seeds.append(node)
+            self._form = None
+
+    def add_edge(self, source: NodeId, target: NodeId, provenance: str) -> None:
+        """Collect an edge with its provenance."""
         if provenance not in PROVENANCES:
             raise ValueError(
                 f"provenance must be {WALKED!r} or {SYMMETRIC!r}, got {provenance!r:.80}"
             )
         if source == target:
             raise ValueError(f"self-loop rejected: ({source}, {target})")
-        return self._add((source, target), PROVENANCES.index(provenance))
-
-    def _add(self, edge: Edge, code: int) -> bool:
-        """Collect `edge`, two distinct ids, with PROVENANCES code `code`;
-        True when it is new to the sample. A new edge keeps `edge` itself as
-        its key. Walking a symmetric edge turns its code to 0; any other
-        repeat changes nothing."""
-        known = self._provenance.get(edge)
-        if known is not None and code >= known:
-            return False
-        self._provenance[edge] = code
-        if known is None:
-            source, target = edge
-            self._in_degree[target] = self._in_degree.get(target, 0) + 1
-            self._nodes.setdefault(source, False)
-            self._nodes.setdefault(target, False)
-        self._columns = None
-        return known is None
+        source, target = _account_id(source), _account_id(target)
+        self._sources.append(source)
+        self._targets.append(target)
+        self._codes.append(PROVENANCES.index(provenance))
+        self._form = None
 
     def num_edges(self) -> int:
-        return len(self._provenance)
+        return self.graph.num_edges()
 
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return self.graph.num_nodes()
 
 
 class GrowthCurve:
@@ -256,9 +292,9 @@ class GrowthCurve:
 @dataclass
 class RunStats:
     """What a run did: its counts, its stop reason, `walk_log` (this run's
-    walked edges in step order, each appended as it is walked and the very
-    tuple the sample keys it by unless it was symmetric before) and `growth`,
-    the GrowthCurve of the sample's size over simulated time. to_dict() holds
+    walks in step order, each appended as it is walked as its friend slot,
+    a position in the oracle's table.friend_ids, int64) and `growth`, the
+    GrowthCurve of the sample's size over simulated time. to_dict() holds
     the counts and stop reason only.
 
     `final_walkers` holds each walker's position (a walker is the account it
@@ -275,7 +311,7 @@ class RunStats:
     walked_edges: int = 0
     symmetric_edges: int = 0
     stop_reason: str = ""
-    walk_log: list[Edge] = field(default_factory=list)
+    walk_log: array = field(default_factory=lambda: array("q"))
     growth: GrowthCurve = field(default_factory=GrowthCurve)
     final_walkers: list[NodeId] = field(default_factory=list)
 
@@ -298,47 +334,48 @@ def select_target(
     w: int,
     friends_page: Sequence[int],
     crawl: Crawl,
-    sample: SampleGraph,
+    burned: bytearray,
     config: SamplerConfig,
 ) -> int | None:
     """Pick the friend with the highest follower count over an unburned edge,
     language-matching when the crawl's filter is on; ties broken by lowest id.
-    Returns None when no friend qualifies (the jump signal).
+    Returns the pick's position in the page, or None when no friend
+    qualifies (the jump signal).
 
-    The walker, its page's friends and the pick are rows of the crawl. A
-    row from no_profile on has no profile to rank by and is skipped; the
-    table's rows ascend with ids, so the lowest row is the lowest id. Only
-    friends whose profile lookup the crawl records as charged are
-    candidates; their follower count and language code are read from the
-    table's columns by row, so no id is looked up and no ProfileRecord is
-    built.
+    The walker and its page's friends are rows of the crawl, and the page is
+    a prefix of the walker's friend row, so the friend at position i is the
+    friend slot friend_offsets[w] + i. A row from no_profile on has no
+    profile to rank by and is skipped; the table's rows ascend with ids, so
+    the lowest row is the lowest id. Only friends whose profile lookup the
+    crawl records as charged are candidates; their follower count and
+    language code are read from the table's columns by row, so no id is
+    looked up and no ProfileRecord is built.
 
-    An edge is burned when its provenance code in the sample is 0
-    (`walked`), and under original_rank_degree when it has any code, where
-    the score also loses the friend's in-degree in the sample. Only a friend
-    that would beat the best so far is checked for a burned edge, with one
-    lookup.
+    `burned` is the crawl's `edges`, one byte per friend slot. An edge is
+    burned when its byte is 1 (`walked`), and under original_rank_degree
+    when it is not 0, where the score also loses the friend's in-degree in
+    the sample. Only a friend that would beat the best so far is checked for
+    a burned edge.
     """
-    ids, no_profile, looked_up, follower_count, language_codes, language = crawl.readers
-    source = ids[w]
+    no_profile, looked_up, follower_count, language_codes, language, in_degree = crawl.readers
+    start = crawl.friend_offsets[w]
     original = config.original_rank_degree
-    provenance = sample._provenance
-    best: int | None = None
+    best = best_row = None
     best_score = 0
-    for v in friends_page:
+    for i, v in enumerate(friends_page):
         if v >= no_profile or not looked_up[v]:
             continue
         if language is not None and language_codes[v] != language:
             continue
         score = follower_count[v]
         if original:
-            score -= sample._in_degree.get(ids[v], 0)
-        if best is not None and (score < best_score or (score == best_score and v > best)):
+            score -= in_degree[v]
+        if best is not None and (score < best_score or (score == best_score and v > best_row)):
             continue
-        code = provenance.get((source, ids[v]))
-        if code == 0 or (original and code is not None):
+        code = burned[start + i]
+        if code == 1 or (original and code):
             continue
-        best, best_score = v, score
+        best, best_row, best_score = i, v, score
     return best
 
 
@@ -348,38 +385,52 @@ class RunState:
     sample so far, its edges with their provenance and its nodes with their
     seed flags, the walkers' positions in the order they step next, and the
     rate limiters' charges that still count, as
-    SimulatedOracle.window_charges() lists them.
+    SimulatedOracle.window_charges() lists them. `path` names the resume
+    file it was loaded from in the errors of the run it starts.
 
-    `sample` is the very SampleGraph the resumed run continues and grows, so
-    one RunState starts one run: Crawl takes the sample and sets `sample` to
-    None, and a second Crawl from the same state raises ValueError."""
+    `sample` is the very SampleGraph the resumed run hands its sample back
+    into, so one RunState starts one run: Crawl takes the sample and sets
+    `sample` to None, and a second Crawl from the same state raises
+    ValueError."""
 
     clock_now: float
     seed_pool_state: object
     sample: SampleGraph | None
     walkers: list[NodeId]
     charges: list[tuple[str, int, list[float]]] = field(default_factory=list)
+    path: object = field(default=None, compare=False)
 
 
 class Crawl:
     """The whole state of one run: the sample, the walkers and the cursor
     (walkers[i] is the position of walker i, and walkers[cursor] steps
     next), the seed pool, the exhaustion state, the caches, the counters at
-    the start and the RunStats, whose walk_log each walk appends to. The
-    sample's one dict is the burn record and the walk_log the walk order.
+    the start and the RunStats, whose walk_log each walk appends to.
     run_sample calls step() until stop_reason() names a reason, then
-    finish().
+    finish(), and takes `sample`.
 
     The crawl works in rows, so its hot path maps no id to a row. Each run
     numbers once every account it can meet: the rows of the oracle's
     ProfileTable come first, and from no_profile, the table's length, on,
-    each distinct friend, pool or resumed-walker id with no profile gets one
-    more row, in ascending id order. ids[row] is the id of any row: a view
-    of the table's id column, or one concatenation when some id has no
-    profile. A position is the row of the account a walker stands on.
-    friend_rows holds the row of each of the table's friend ids, int32, and
-    pool_rows the row of each seed-pool id. The sample keeps ids: a walked
-    edge reads both ends' ids from ids.
+    each distinct friend, pool, resumed-walker or resumed-seed id with no
+    profile gets one more row, in ascending id order. ids[row] is the id of
+    any row: a view of the table's id column, or one concatenation when
+    some id has no profile. A position is the row of the account a walker
+    stands on. friend_rows holds the row of each of the table's friend ids,
+    int32, and pool_rows the row of each seed-pool id.
+
+    The sample is kept as bits over the table's friend slots, with no
+    Python object per edge or node. A slot is a position in
+    table.friend_ids: a walk from w to v is a slot of w's friend row,
+    because w's page is a prefix of it, a symmetric edge (v, w) is the slot
+    of w in v's row, and a friend row holds no repeats, so a slot names one
+    edge. edges[slot] is 0 for an edge not in the sample, 1 for a walked
+    one and 2 for a symmetric one. nodes[row] is 0 for an account not in
+    the sample, 1 for one that is and 2 for one first registered as a seed.
+    edge_count and node_count count them, and under original_rank_degree
+    in_degree[row] counts the sample edges into each row (None otherwise).
+    `sample` hands the sample over as a SampleGraph; walk_log holds the
+    walk order as slots.
 
     A node a step jumped from yields a jump on every later visit (pages and
     profiles are fixed, the sample only grows). not_jumped holds one byte
@@ -393,18 +444,21 @@ class Crawl:
     once the account's profile lookup was charged, whether or not it has a
     profile.
 
-    `readers` binds once what select_target reads on each call: ids,
-    no_profile, looked_up, the follower_count and language-code columns as
-    memoryviews (an item is a Python scalar in about half the time
-    ndarray.item takes), and the target language's code, None with the
-    filter off and -1 when no account has it.
+    `readers` binds once what select_target reads on each call: no_profile,
+    looked_up, the follower_count and language-code columns as memoryviews
+    (an item is a Python scalar in about half the time ndarray.item takes),
+    the target language's code, None with the filter off and -1 when no
+    account has it, and in_degree.
 
-    A resumed run continues the RunState's sample in place, so the burned
-    edges carry over and the sample is held once, gives the saved rate-limit
-    charges back to the oracle, so the per-key budget holds across the
-    resume, and starts at the first saved walker. It takes the sample from
-    the RunState, which then starts no other run: a second Crawl from it
-    raises ValueError. The caches are not in the resume file, so it fetches
+    A resumed run sets the slot of each edge of the RunState's sample, with
+    its code, and its nodes, with the sample's seeds flagged; an edge that
+    is no slot of this world, its source without a profile or its target not
+    on the source's friend list, raises ValueError naming the resume file.
+    It takes the sample from the RunState, which then starts no other run (a
+    second Crawl from it raises ValueError), and hands the run's sample back
+    into that SampleGraph. It gives the saved rate-limit charges back to the
+    oracle, so the per-key budget holds across the resume, and starts at the
+    first saved walker. The caches are not in the resume file, so it fetches
     its pages and profiles again.
     """
 
@@ -420,9 +474,12 @@ class Crawl:
         self.config, self.oracle, self.seed_pool = config, oracle, seed_pool
         table = oracle.profiles
         self.no_profile = n = len(table)
-        nodes = [table.friend_ids, np.array(seed_pool.nodes, np.int64)]
-        if resume is not None:
-            nodes.append(np.array(resume.walkers, np.int64))
+        sample = SampleGraph() if resume is None else resume.sample
+        nodes = [
+            table.friend_ids, np.array(seed_pool.nodes, np.int64),
+            np.array([] if resume is None else resume.walkers, np.int64),
+            np.array(sample._seeds, np.int64),
+        ]
         rows = [table.rows(column) for column in nodes]
         unprofiled = [column[r == n] for column, r in zip(nodes, rows)]
         extra = _distinct(np.concatenate(unprofiled))
@@ -436,14 +493,18 @@ class Crawl:
         self.not_jumped_count = self.not_jumped.count(1)
         self.jump_run = 0
 
+        self.edges = bytearray(len(table.friend_ids))
+        self.nodes = bytearray(len(ids))
+        self.in_degree = array("i", [0]) * len(ids) if config.original_rank_degree else None
+        self._sample = sample
+        self._set_slots(sample, rows[3], resume)
         if resume is not None:
+            resume.sample = None
             oracle.clock.advance_to(resume.clock_now)
             oracle.restore_charges(resume.charges)
             seed_pool.setstate(resume.seed_pool_state)
             self.walkers = rows[2].tolist()
-            self.sample, resume.sample = resume.sample, None
         else:
-            self.sample = SampleGraph()
             self.walkers = [self.draw() for _ in range(config.walker_count)]
         self.cursor = 0
 
@@ -454,22 +515,73 @@ class Crawl:
             languages, target = table.languages, config.target_language
             language = languages.index(target) if target in languages else -1
         self.readers = (
-            ids, n, self.looked_up, memoryview(table.follower_count),
-            memoryview(table.language_codes), language,
+            n, self.looked_up, memoryview(table.follower_count),
+            memoryview(table.language_codes), language, self.in_degree,
         )
 
         self.stats = RunStats()
         self.friends_calls_start = oracle.calls_by_endpoint[oracle.FRIENDS]
         self.profile_calls_start = oracle.calls_by_endpoint[oracle.PROFILES]
         self.clock_start = oracle.clock.now
-        self.stats.growth.append(0.0, self.sample.num_edges(), self.sample.num_nodes())
+        self.stats.growth.append(0.0, self.edge_count, self.node_count)
+
+    def _set_slots(self, sample: SampleGraph, seed_rows: np.ndarray, resume: RunState | None):
+        """Set the slot of each edge of `sample`, a repeat to its lowest
+        code, and the bytes of its nodes, with the rows `seed_rows` of its
+        seeds flagged, then empty `sample`. Each edge's slot is looked up in
+        its source's friend row, one edge at a time."""
+        table, offsets, edges = self.oracle.profiles, self.friend_offsets, self.edges
+        source_rows = table.rows(np.frombuffer(sample._sources, np.int64)).tolist()
+        for source, target, row, code in zip(
+            sample._sources, sample._targets, source_rows, sample._codes
+        ):
+            friends = [] if row == self.no_profile else table.friends(row).tolist()
+            if target not in friends:
+                raise ValueError(
+                    f"{resume.path or 'resume state'}: edge {source},{target} is not in the "
+                    f"profiles: no profile {source} lists friend {target}"
+                )
+            slot = offsets[row] + friends.index(target)
+            edges[slot] = min(edges[slot] or 3, code + 1)
+        sample._hold()
+        slots = np.flatnonzero(np.frombuffer(edges, np.uint8))
+        targets = np.asarray(self.friend_rows)[slots]
+        nodes = np.frombuffer(self.nodes, np.uint8)
+        nodes[self._slot_sources(slots)] = nodes[targets] = 1
+        nodes[seed_rows] = 2
+        self.edge_count, self.node_count = len(slots), int(np.count_nonzero(nodes))
+        if self.in_degree is not None:
+            np.frombuffer(self.in_degree, np.int32)[:] = np.bincount(targets, minlength=len(nodes))
+
+    def _slot_sources(self, slots: np.ndarray) -> np.ndarray:
+        """The row whose friend row holds each slot of `slots`."""
+        rows = np.searchsorted(np.asarray(self.friend_offsets), slots, side="right")
+        rows -= 1
+        return rows
+
+    @property
+    def sample(self) -> SampleGraph:
+        """The sample so far, handed over from the slots into the crawl's
+        SampleGraph, the RunState's own for a resumed run: its edges in slot
+        order and its seeds. One id column is made at a time, so no more
+        than a few int64 arrays as long as the sample are alive at once."""
+        ids, sample = np.asarray(self.ids), self._sample
+        edges = np.frombuffer(self.edges, np.uint8)
+        slots = np.flatnonzero(edges)
+        seeds = ids[np.flatnonzero(np.frombuffer(self.nodes, np.uint8) == 2)]
+        sample._hold(codes=edges[slots] - 1, seeds=seeds)
+        sample._sources = _int64_column(ids[self._slot_sources(slots)])
+        sample._targets = _int64_column(ids[np.asarray(self.friend_rows)[slots]])
+        return sample
 
     def draw(self) -> int:
         """Draw a seed from the pool, register it in the sample and return its
         position."""
-        i = self.seed_pool.draw_index()
-        self.sample.add_seed(self.seed_pool.nodes[i])
-        return self.pool_rows[i]
+        row = self.pool_rows[self.seed_pool.draw_index()]
+        if not self.nodes[row]:
+            self.nodes[row] = 2
+            self.node_count += 1
+        return row
 
     def walker_ids(self) -> list[NodeId]:
         """The id of the account each walker stands on, in walkers order."""
@@ -489,6 +601,17 @@ class Crawl:
         if missing:
             self.oracle.get_profiles(missing)
 
+    def _join(self, source: int, target: int) -> None:
+        """Count a new sample edge from row `source` to row `target`."""
+        self.edge_count += 1
+        nodes = self.nodes
+        for row in (source, target):
+            if not nodes[row]:
+                nodes[row] = 1
+                self.node_count += 1
+        if self.in_degree is not None:
+            self.in_degree[target] += 1
+
     def step(self) -> None:
         """One step of the walker at the cursor, which then moves to the next
         walker: read the friends page of the account it stands on, walk the
@@ -501,12 +624,14 @@ class Crawl:
         protected or unknown account is never cached: each visit asks again,
         uncharged, and jumps. select_target skips a friend with no profile.
 
-        A walk adds one edge to the sample as walked and appends that same
-        tuple to the walk_log, a jump neither. select_target skips burned
-        edges, so a pick that select_target's burn rule excludes means an edge
-        would be walked twice and aborts the run.
+        A walk sets its slot to walked and appends the slot to the walk_log,
+        a jump neither. When the ground truth holds the reverse edge, its
+        slot, the walker's position in the pick's friend row, joins as
+        symmetric unless it is in the sample already. select_target skips
+        burned edges, so a pick that select_target's burn rule excludes
+        means an edge would be walked twice and aborts the run.
         """
-        oracle, sample, walkers, cursor = self.oracle, self.sample, self.walkers, self.cursor
+        oracle, walkers, cursor = self.oracle, self.walkers, self.cursor
         w = walkers[cursor]
         page_length = self.page_length
         if page_length[w] >= 0:
@@ -522,45 +647,49 @@ class Crawl:
                 start = self.friend_offsets[w]
                 page = self.friend_rows[start : start + length].tolist()
                 self.look_up(page)
-        v = None if page is None else select_target(w, page, self, sample, self.config)
-        if v is None:
+        i = None if page is None else select_target(w, page, self, self.edges, self.config)
+        if i is None:
             v = self.draw()
             if self.not_jumped[w]:
                 self.not_jumped[w] = 0
                 self.not_jumped_count -= 1
             self.jump_run += 1
         else:
-            config = self.config
+            v, slot = page[i], start + i
+            config, ids, edges = self.config, self.ids, self.edges
             original = config.original_rank_degree
-            edge = (self.ids[w], self.ids[v])
-            code = sample._provenance.get(edge)
-            if code == 0 or (original and code is not None):
-                raise RuntimeError(f"edge {edge} selected after it was burned")
-            sample._add(edge, 0)  # walked
-            self.stats.walk_log.append(edge)
-            source, target = edge
-            if (config.add_symmetric_edge or original) and oracle.follows(target, source):
-                sample._add((target, source), 1)  # symmetric
+            code = edges[slot]
+            if code == 1 or (original and code):
+                raise RuntimeError(f"edge {(ids[w], ids[v])} selected after it was burned")
+            if not code:
+                self._join(w, v)
+            edges[slot] = 1  # walked
+            self.stats.walk_log.append(slot)
+            if (config.add_symmetric_edge or original) and oracle.follows(ids[v], ids[w]):
+                offsets = self.friend_offsets
+                row = self.friend_rows[offsets[v] : offsets[v + 1]].tolist()
+                reverse = offsets[v] + row.index(w)
+                if not edges[reverse]:
+                    edges[reverse] = 2  # symmetric
+                    self._join(v, w)
             self.jump_run = 0
         walkers[cursor] = v
         self.cursor = (cursor + 1) % len(walkers)
         stats = self.stats
         stats.steps += 1
-        growth, edges = stats.growth, sample.num_edges()
-        if edges != growth.edges[-1]:
-            growth.append(oracle.clock.now - self.clock_start, edges, sample.num_nodes())
+        growth = stats.growth
+        if self.edge_count != growth.edges[-1]:
+            growth.append(oracle.clock.now - self.clock_start, self.edge_count, self.node_count)
 
     def stop_reason(self) -> str | None:
         """The first stop condition that holds, or None while the run goes on.
-        The edge count is the growth curve's last, which every step that
-        changes it appends. Once every seed-pool node has jumped and the last
-        len(walkers) steps all jumped, each walker stands on a pool node and
-        no step can add an edge again: the run is "exhausted"."""
-        config, stats, sample = self.config, self.stats, self.sample
-        edges = stats.growth.edges[-1]
-        if config.max_sample_edges is not None and edges >= config.max_sample_edges:
+        Once every seed-pool node has jumped and the last len(walkers) steps
+        all jumped, each walker stands on a pool node and no step can add an
+        edge again: the run is "exhausted"."""
+        config, stats = self.config, self.stats
+        if config.max_sample_edges is not None and self.edge_count >= config.max_sample_edges:
             return "max_sample_edges"
-        if config.max_sample_nodes is not None and sample.num_nodes() >= config.max_sample_nodes:
+        if config.max_sample_nodes is not None and self.node_count >= config.max_sample_nodes:
             return "max_sample_nodes"
         if (
             config.max_simulated_seconds is not None
@@ -577,16 +706,14 @@ class Crawl:
         """The run's RunStats, with its counts and stop reason filled in and
         `final_walkers` the walkers' ids in the order they step next; each
         step() has already appended its walk, if any, to `walk_log`."""
-        stats, sample, oracle = self.stats, self.sample, self.oracle
+        stats, oracle = self.stats, self.oracle
         stats.jumps = stats.steps - len(stats.walk_log)
         stats.stop_reason = self.stop_reason() or ""
         stats.friends_calls = oracle.calls_by_endpoint[oracle.FRIENDS] - self.friends_calls_start
         stats.profile_calls = oracle.calls_by_endpoint[oracle.PROFILES] - self.profile_calls_start
         stats.simulated_seconds = oracle.clock.now - self.clock_start
-        stats.sample_nodes = sample.num_nodes()
-        stats.sample_edges = sample.num_edges()
-        # a walked edge's code is 0 and a symmetric one's 1
-        stats.symmetric_edges = sum(sample._provenance.values())
+        stats.sample_nodes, stats.sample_edges = self.node_count, self.edge_count
+        stats.symmetric_edges = self.edges.count(2)
         stats.walked_edges = stats.sample_edges - stats.symmetric_edges
         walkers, cursor = self.walker_ids(), self.cursor
         stats.final_walkers = walkers[cursor:] + walkers[:cursor]
@@ -614,8 +741,8 @@ def run_sample(
     lookup, even when it came back empty; a protected or unknown account is
     refused, uncharged, on every visit. A resumed run continues the
     round-robin where the saved run stopped, with the saved rate-limit
-    charges, grows and returns the RunState's own sample, and fetches its
-    pages and profiles again.
+    charges, returns its sample in the RunState's own SampleGraph, and
+    fetches its pages and profiles again.
 
     The steps run with the cyclic GC paused: they build no reference cycles,
     so a collection during the walk finds nothing to free.
@@ -624,7 +751,8 @@ def run_sample(
     with _gc_paused():
         while crawl.stop_reason() is None:
             crawl.step()
-    return crawl.sample, crawl.finish()
+    stats = crawl.finish()
+    return crawl.sample, stats
 
 
 def write_sample_csv(sample: SampleGraph, path) -> None:
@@ -690,25 +818,27 @@ def save_run_state(
         for (source, target), code in zip(edges, codes):
             record = {"type": "edge", "s": source, "t": target, "p": PROVENANCES[code]}
             fh.write(_compact_json(record) + "\n")
-        for node, seed in sorted(sample._nodes.items()):
-            if seed:
-                fh.write(_compact_json({"type": "seed_node", "n": node}) + "\n")
+        for node in sample.seeds.tolist():
+            fh.write(_compact_json({"type": "seed_node", "n": node}) + "\n")
         for w in walkers:
             fh.write(_compact_json({"type": "walker", "current": w}) + "\n")
 
 
 def load_run_state(path) -> RunState:
     """Read a save_run_state file. Each `edge` record goes straight into the
-    RunState's SampleGraph, the sample the resumed run continues, so the
-    file's sample is held once. A `seed_node` record flags its node a seed
-    even when an edge registered the node first, as the file lists edges
-    before seeds. Files written before the walkers were saved in step order
-    load too: their `burned` records repeat walked `edge` records and are
-    skipped, and their walker records are in `id` order, the order those runs
-    resumed them in. A walker's `id`, like any other extra field, is ignored.
-    An edge listed twice is rejected, as read_sample_csv rejects it. A file
-    without `charges` records, as older versions wrote, resumes with no
-    charge in the limiters."""
+    columns of the RunState's SampleGraph, the sample the resumed run
+    continues. A `seed_node` record flags its node a seed even when an edge
+    registered the node first, as the file lists edges before seeds. Files
+    written before the walkers were saved in step order load too: their
+    `burned` records repeat walked `edge` records and are skipped, and their
+    walker records are in `id` order, the order those runs resumed them in.
+    A walker's `id`, like any other extra field, is ignored. An edge listed
+    twice is rejected with the line of its repeat, as read_sample_csv
+    rejects it; the sample's build finds a repeat once the file is read,
+    so a bad record after the repeat is reported first. A file without
+    `charges` records, as older versions wrote, resumes with no charge in
+    the limiters. Whether each edge is one of the world's is checked by the
+    Crawl the RunState starts."""
     meta: list[tuple[float, tuple]] = []
     charges: list[tuple[str, int, list[float]]] = []
     sample = SampleGraph()
@@ -746,16 +876,17 @@ def load_run_state(path) -> RunState:
                 raise ValueError(
                     f"field 'p': expected {WALKED!r} or {SYMMETRIC!r}, got {record['p']!r:.80}"
                 )
-            if not sample._add((source, target), PROVENANCES.index(record["p"])):
-                raise ValueError(f"edge {source},{target} listed twice")
+            sample.add_edge(source, target, record["p"])
         elif kind == "seed_node":
-            sample._nodes[_integer_id(record["n"], "n")] = True
+            sample._seeds.append(_integer_id(record["n"], "n"))
         elif kind == "walker":
             walkers.append(_integer_id(record["current"], "current"))
         elif kind != "burned":  # an older file's copy of a walked edge record
             raise ValueError(f"unknown resume record type {kind!r:.80}")
 
     _read_json_lines(path, add)
+    if sample.num_edges() < len(sample._codes):
+        _read_json_lines(path, _edge_repeats())
     if not meta:
         raise ValueError(f"{path}: missing meta record")
     if not walkers:
@@ -764,4 +895,19 @@ def load_run_state(path) -> RunState:
     late = [t for _, _, times in charges for t in times if t > clock_now]
     if late:
         raise ValueError(f"{path}: a charge at t={late[0]!r} is after clock_now {clock_now!r}")
-    return RunState(clock_now, pool_state, sample, walkers, charges)
+    return RunState(clock_now, pool_state, sample, walkers, charges, path)
+
+
+def _edge_repeats():
+    """A parse for _read_json_lines that raises at the first `edge` record
+    of a resume file that repeats an earlier one."""
+    listed: set[tuple[NodeId, NodeId]] = set()
+
+    def check(record: dict) -> None:
+        if record["type"] == "edge":
+            edge = record["s"], record["t"]
+            if edge in listed:
+                raise ValueError(f"edge {edge[0]},{edge[1]} listed twice")
+            listed.add(edge)
+
+    return check

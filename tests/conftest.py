@@ -1,6 +1,7 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -61,6 +62,15 @@ def assert_edges_ascend(graph):
     (source id, target id) order."""
     edges = list(graph.edges())
     assert edges == sorted(set(edges))
+
+
+def walked_edges(profiles, walk_log):
+    """The (source id, target id) of each slot of a RunStats.walk_log, in
+    order: a slot is a position in the ProfileTable's friend_ids, of the
+    friend row of the account that walked."""
+    slots = np.array(walk_log, np.int64)
+    rows = np.searchsorted(profiles.friend_offsets, slots, side="right") - 1
+    return list(zip(profiles.ids[rows].tolist(), profiles.friend_ids[slots].tolist()))
 
 
 @pytest.fixture

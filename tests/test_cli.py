@@ -768,11 +768,36 @@ def test_analysis_setting_out_of_range_gives_exit_one(
 
 
 RESUME = SAMPLE + ["--resume-from", "{d}/resume.jsonl"]
+# RESUME in a world of accounts 1 and 2**63 - 1, each the other's friend, so a
+# resumed edge between them is an edge of the world.
+WIDE = 2**63 - 1
+RESUME_WIDE = [arg.replace("profiles.jsonl", "wide.jsonl") for arg in RESUME]
 
 
 def resume_text(record):
     """A resume file: META, then `record`, then a walker at account 1."""
     return f"{META}\n{json.dumps(record)}\n{WALKER}"
+
+
+@pytest.mark.parametrize("edges, first", [
+    ([(1, 3, "walked")], "1,3"),  # 3 is no friend of 1, and has no profile
+    ([(1, 2, "walked"), (3, 1, "symmetric"), (2, 3, "walked")], "3,1"),  # no profile 3
+    ([(2, 1, "symmetric"), (2, 9, "walked"), (7, 1, "walked")], "2,9"),
+])
+def test_resume_edge_outside_the_world_gives_one_line(tmp_path, capsys, edges, first):
+    """Every resumed edge must be one that a crawl of the profiles can meet:
+    the first that is not ends the run with exit 1 and one line naming the
+    resume file and that edge, and no output is written."""
+    for name, text in GOOD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    records = [json.dumps({"type": "edge", "s": s, "t": t, "p": p}) for s, t, p in edges]
+    (tmp_path / "resume.jsonl").write_text("\n".join([META, *records, WALKER]))
+    argv = [arg.format(d=tmp_path) for arg in RESUME]
+    assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'resume.jsonl'}: edge {first} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "sample.csv").exists()
 
 
 def test_resume_charges_are_ignored_with_rate_limits_off(tmp_path):
@@ -822,9 +847,9 @@ ID_READERS = {
     "docs": (KEYWORDS, "docs.jsonl",
              lambda n: GOOD_FILES["docs.jsonl"] + json.dumps({"node": n, "ts": 3.0, "text": "c"}),
              3),
-    "resume-s": (RESUME, "resume.jsonl",
+    "resume-s": (RESUME_WIDE, "resume.jsonl",
                  lambda n: resume_text({"type": "edge", "s": n, "t": 1, "p": "walked"}), 2),
-    "resume-t": (RESUME, "resume.jsonl",
+    "resume-t": (RESUME_WIDE, "resume.jsonl",
                  lambda n: resume_text({"type": "edge", "s": 1, "t": n, "p": "walked"}), 2),
     "resume-n": (RESUME, "resume.jsonl", lambda n: resume_text({"type": "seed_node", "n": n}), 2),
     # the file holds two walkers: this one and resume_text's
@@ -846,6 +871,7 @@ def test_each_reader_rejects_2_to_the_63_and_takes_one_less(
     2**63 - 1 is read and the command succeeds."""
     for good_name, good_text in GOOD_FILES.items():
         (tmp_path / good_name).write_text(good_text, encoding="utf-8")
+    (tmp_path / "wide.jsonl").write_text(profile_line(1, WIDE) + profile_line(WIDE, 1))
     argv = [arg.format(d=tmp_path) for arg in argv]
     path = tmp_path / name
     path.write_text(text(2**63), encoding="utf-8")

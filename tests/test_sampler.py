@@ -13,8 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankwalk.generate import build_profiles, preferential_attachment, reciprocal_er
-from rankwalk.graph import PROFILE_FIELDS, DirectedGraph, ProfileTable, _read_lines, parse_id
+from rankwalk.graph import (
+    PROFILE_FIELDS,
+    DirectedGraph,
+    ProfileTable,
+    UndirectedGraph,
+    _read_lines,
+    parse_id,
+)
 from rankwalk import sampler as sampler_module
+from rankwalk.reference import rank_degree
 from rankwalk.oracle import (
     ApiBudget,
     SimulatedClock,
@@ -42,7 +50,13 @@ from rankwalk.sampler import (
     write_stats_json,
 )
 
-from conftest import ReferenceRateLimiter, assert_edges_ascend, make_profiles, random_digraph
+from conftest import (
+    ReferenceRateLimiter,
+    assert_edges_ascend,
+    make_profiles,
+    random_digraph,
+    walked_edges,
+)
 
 
 def config(**kwargs):
@@ -92,16 +106,6 @@ class TestSeedPool:
             SeedPool([], 0)
 
 
-def sample_of(walked=(), symmetric=()):
-    """A SampleGraph holding `walked` in walk order and the `symmetric` edges."""
-    sample = SampleGraph()
-    for edge in walked:
-        sample.add_edge(*edge, WALKED)
-    for edge in symmetric:
-        sample.add_edge(*edge, SYMMETRIC)
-    return sample
-
-
 def seed_node_records(sample, path):
     """The nodes of the `seed_node` records that save_run_state writes for
     `sample`, in file order."""
@@ -122,21 +126,27 @@ def crawl_rows(crawl, nodes):
     return [index[node] for node in nodes]
 
 
-def looked_up(profiles, cfg, nodes=None):
-    """A Crawl over `profiles` under `cfg` that records the profile lookup of
-    `nodes`, ids the crawl numbers (every account's by default), as charged,
-    so select_target ranks each of them that has a profile."""
-    crawl = Crawl(cfg, SimulatedOracle(profiles), SeedPool([0], 0))
-    for row in crawl_rows(crawl, profiles if nodes is None else nodes):
-        crawl.looked_up[row] = 1
+def ranking_crawl(profiles, cfg, walked=(), symmetric=()):
+    """A Crawl over `profiles` under `cfg`, with `walked` and then
+    `symmetric` in its sample, that records every account's profile lookup
+    as charged, so select_target ranks each friend that has a profile."""
+    crawl = crawl_from(SimulatedOracle(profiles), [0], [0], cfg, walked, symmetric)
+    crawl.looked_up[:] = b"\x01" * len(crawl.looked_up)
     return crawl
 
 
-def select(w, page, crawl, sample, cfg):
+def select(w, page, crawl):
     """select_target in ids: the id it picks for a walker on `w` among the
-    friend ids `page`, or None."""
-    pick = select_target(crawl_rows(crawl, [w])[0], crawl_rows(crawl, page), crawl, sample, cfg)
-    return None if pick is None else crawl.ids[pick]
+    friend ids `page`, a prefix of w's friend list, or None."""
+    row, rows = crawl_rows(crawl, [w])[0], crawl_rows(crawl, page)
+    start = crawl.friend_offsets[row]
+    assert rows == crawl.friend_rows[start : start + len(rows)].tolist()
+    pick = select_target(row, rows, crawl, crawl.edges, crawl.config)
+    return None if pick is None else page[pick]
+
+
+def friends_of(profiles, node):
+    return list(profiles[node].friends_recent_first)
 
 
 class TestSelectTarget:
@@ -149,25 +159,23 @@ class TestSelectTarget:
 
     def test_tie_broken_by_lowest_id(self):
         _, profiles = self.fixture()
-        cfg = config()
-        got = select(0, [5, 9, 3], looked_up(profiles, cfg), SampleGraph(), cfg)
-        assert got == 3
+        assert friends_of(profiles, 0) == [9, 5, 3]
+        assert select(0, [9, 5, 3], ranking_crawl(profiles, config())) == 3
 
     def test_burned_and_language_mismatch_excluded(self):
         g = DirectedGraph.from_edges([(0, 5), (0, 9)])
         profiles = make_profiles(
             g, follower_counts={5: 10, 9: 3}, languages={9: "en"}
         )
-        sample, cfg = sample_of(walked=[(0, 5)]), config()
-        assert select(0, [5, 9], looked_up(profiles, cfg), sample, cfg) is None
+        crawl = ranking_crawl(profiles, config(), walked=[(0, 5)])
+        assert select(0, [9, 5], crawl) is None
 
     def test_language_filter_can_be_disabled(self):
         g = DirectedGraph.from_edges([(0, 9)])
         profiles = make_profiles(g, languages={9: "en"})
-        cfg = config()
-        assert select(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) is None
+        assert select(0, [9], ranking_crawl(profiles, config())) is None
         cfg = config(language_filter_enabled=False)
-        assert select(0, [9], looked_up(profiles, cfg), SampleGraph(), cfg) == 9
+        assert select(0, [9], ranking_crawl(profiles, cfg)) == 9
 
     def test_matches_brute_force_argmax(self):
         """Burned: the walked edges, and under original_rank_degree the
@@ -175,21 +183,22 @@ class TestSelectTarget:
         rng = random.Random(4)
         for original in [False, True] * 30:
             friends = rng.sample(range(1, 60), 20)
-            g = DirectedGraph.from_edges([(0, v) for v in friends])
-            followers = {v: rng.randint(0, 40) for v in friends}
-            languages = {v: rng.choice(["de", "en"]) for v in friends}
             walked = [(0, v) for v in friends if rng.random() < 0.3]
             symmetric = [(0, v) for v in friends if rng.random() < 0.2]
             symmetric += [(rng.randrange(60, 70), rng.choice(friends)) for _ in range(30)]
-            sample = sample_of(walked, symmetric)
+            # every sample edge is an edge of the world
+            g = DirectedGraph.from_edges([(0, v) for v in friends] + symmetric)
+            followers = {v: rng.randint(0, 40) for v in friends}
+            languages = {v: rng.choice(["de", "en"]) for v in friends}
             profiles = make_profiles(g, follower_counts=followers, languages=languages)
             cfg = config(original_rank_degree=original)
+            crawl = ranking_crawl(profiles, cfg, walked, symmetric)
             burned = set(walked) | (set(symmetric) if original else set())
             eligible = [v for v in friends if languages[v] == "de" and (0, v) not in burned]
             into = Counter(t for _, t in set(walked) | set(symmetric))
             score = {v: followers[v] - (into[v] if original else 0) for v in friends}
             expected = min(eligible, key=lambda v: (-score[v], v)) if eligible else None
-            assert select(0, friends, looked_up(profiles, cfg), sample, cfg) == expected
+            assert select(0, friends_of(profiles, 0), crawl) == expected
 
 
 SEED = "seed"
@@ -217,6 +226,23 @@ class DictProvenanceSampleGraph:
 
     def edges_with_provenance(self):
         return [(s, t, p) for (s, t), p in sorted(self._edge_provenance.items())]
+
+    def seeds(self):
+        return sorted(n for n, p in self._node_provenance.items() if p == SEED)
+
+    def assert_sample_equal(self, sample):
+        """sample counts the nodes and edges added so far, flags their seeds,
+        and == this model's own, built seeds first and then the edges in
+        ascending order."""
+        assert sample.num_edges() == len(self._edge_provenance)
+        assert sample.num_nodes() == len(self._node_provenance)
+        assert sample.seeds.tolist() == self.seeds()
+        built = SampleGraph()
+        for node in self.seeds():
+            built.add_seed(node)
+        for row in self.edges_with_provenance():
+            built.add_edge(*row)
+        assert sample == built
 
     def assert_graph_equal(self, graph):
         """graph shows every node and edge added so far: nodes, and each row, in
@@ -254,29 +280,19 @@ class TestSampleGraph:
                 sample.add_seed(op)
                 reference.add_seed(op)
             else:
-                assert sample.add_edge(*op) == reference.add_edge(*op)
+                sample.add_edge(*op)
+                reference.add_edge(*op)
+            reference.assert_sample_equal(sample)
+        # every node, each row's in-degree included, and each edge once with
+        # its lowest code: a walked symmetric edge is walked
         reference.assert_graph_equal(sample.graph)
-        # every node in insertion order; the seeds among them are the
-        # seed_node records checked below
-        assert list(sample._nodes) == list(reference._node_provenance)
         rows = reference.edges_with_provenance()
         assert edge_rows(sample) == rows
         assert provenance_codes(rows).tolist() == sample.codes.tolist()
         assert sample.codes.dtype == np.uint8
-        assert sample.num_nodes() == len(reference._node_provenance)
-        assert sample.num_edges() == len(rows)
-        # one code per edge, in the order the edges joined; a walked
-        # symmetric edge's code turns 0 in place
-        assert list(sample._provenance.items()) == [
-            (edge, PROVENANCES.index(p)) for edge, p in reference._edge_provenance.items()
-        ]
-        graph = sample.graph
-        for node in graph.nodes:
-            assert sample._in_degree.get(node, 0) == graph.in_degree(node)
-        assert sum(sample._in_degree.values()) == len(rows)
         # the written file reads back with nodes in ascending id order
         directory = tmp_path_factory.mktemp("sample")
-        seeds = sorted(n for n, p in reference._node_provenance.items() if p == SEED)
+        seeds = reference.seeds()
         assert seed_node_records(sample, directory / "resume.jsonl") == seeds
         path = directory / "sample.csv"
         write_sample_csv(sample, path)
@@ -291,9 +307,79 @@ class TestSampleGraph:
         assert_edges_ascend(read)
         assert list(read.edges()) == [(s, t) for s, t, _ in rows]
 
+    def test_equal_whatever_the_order_of_adding(self):
+        """The same edges, seeds and repeats, added in two orders, make ==
+        samples; a sample that differs in one code or one seed flag is not
+        ==."""
+        edges = [
+            (1, 2, SYMMETRIC), (2, 1, WALKED), (1, 2, WALKED), (3, 1, SYMMETRIC),
+            (2, 1, SYMMETRIC), (2**63 - 1, 3, WALKED),
+        ]
+        forward, backward = SampleGraph(), SampleGraph()
+        forward.add_seed(7)
+        forward.add_seed(3)
+        for edge in edges:
+            forward.add_edge(*edge)
+        for edge in reversed(edges):
+            backward.add_edge(*edge)
+        backward.add_seed(7)
+        assert forward != backward  # 3 was registered by an edge before its add_seed
+        backward = SampleGraph()
+        backward.add_seed(3)
+        backward.add_seed(7)
+        for edge in reversed(edges):
+            backward.add_edge(*edge)
+        assert forward == backward and backward == forward
+        assert edge_rows(forward) == [
+            (1, 2, WALKED), (2, 1, WALKED), (3, 1, SYMMETRIC), (2**63 - 1, 3, WALKED)
+        ]
+        assert forward.seeds.tolist() == [3, 7]
+        backward.add_edge(3, 1, WALKED)
+        assert forward != backward
+        forward.add_edge(3, 1, WALKED)
+        assert forward == backward
+
+    @pytest.mark.memory
+    def test_add_edge_keeps_at_most_32_bytes_a_call(self):
+        """The reference path, rank_degree's walk added edge by edge, as the
+        reference command writes it: the id columns and a code byte keep
+        ~18 B a call here, and the graph's build peaks at ~90 B a call; the
+        dict of edge tuples beside the in-degree and node dicts kept ~102 B
+        a call and peaked at ~162 B."""
+        n = 3000
+        edges = preferential_attachment(n, 5, random.Random(1))
+        graph = UndirectedGraph.from_directed(DirectedGraph.from_edges(edges, nodes=range(n)))
+        walked = rank_degree(graph, [0], 4000, rho=1.0, rng_seed=1, collapse=True).walked
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample = SampleGraph()
+            for w, v in walked:
+                sample.add_edge(w, v, WALKED)
+                sample.add_edge(v, w, SYMMETRIC)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            sample.graph
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        calls = 2 * len(walked)
+        assert calls >= 4000 and sample.num_edges() > len(walked)
+        assert kept / calls <= 32
+        assert peak / calls <= 128
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             SampleGraph().add_edge(3, 3, WALKED)
+
+    def test_rejects_an_id_outside_int64(self):
+        sample = SampleGraph()
+        for source, target in [(1, 2**63), (-1, 2)]:
+            with pytest.raises(ValueError, match=r"node ids must be in \[0, 2\*\*63\)"):
+                sample.add_edge(source, target, WALKED)
+        with pytest.raises(ValueError, match=r"node ids must be in \[0, 2\*\*63\)"):
+            sample.add_seed(2**63)
+        assert sample.num_edges() == sample.num_nodes() == 0
 
     def test_rejects_unknown_provenance(self):
         sample = SampleGraph()
@@ -520,8 +606,8 @@ class TestWalkerStep:
         crawl.step()
         assert crawl.walker_ids() == [2]
         sample = crawl.sample
-        assert crawl.stats.walk_log == [(1, 2)]
-        assert sample._provenance == {(1, 2): 0}
+        assert walked_edges(oracle.profiles, crawl.stats.walk_log) == [(1, 2)]
+        assert edge_rows(sample) == [(1, 2, WALKED)]
         assert sample.graph.has_edge(1, 2)
         assert not sample.graph.has_edge(2, 3)
 
@@ -533,11 +619,11 @@ class TestWalkerStep:
         sample = crawl.sample
         assert sample.graph.has_edge(1, 2) and sample.graph.has_edge(2, 1)
         assert edge_rows(sample) == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
-        assert crawl.stats.walk_log == [(1, 2)]
+        assert walked_edges(oracle.profiles, crawl.stats.walk_log) == [(1, 2)]
         # the walker, now at 2, may still walk (2, 1)
         crawl.step()
-        assert crawl.stats.walk_log == [(1, 2), (2, 1)]
-        assert edge_rows(sample) == [(1, 2, WALKED), (2, 1, WALKED)]
+        assert walked_edges(oracle.profiles, crawl.stats.walk_log) == [(1, 2), (2, 1)]
+        assert edge_rows(crawl.sample) == [(1, 2, WALKED), (2, 1, WALKED)]
 
     @pytest.mark.parametrize("add_symmetric_edge", [True, False])
     def test_original_rank_degree_burns_the_reciprocal_edge(self, add_symmetric_edge):
@@ -550,8 +636,8 @@ class TestWalkerStep:
         # the reverse edge is burned, so the walker at 2 jumps
         crawl.step()
         assert crawl.walker_ids() == [1]
-        assert crawl.stats.walk_log == [(1, 2)]
-        assert crawl.sample._provenance == {(1, 2): 0, (2, 1): 1}
+        assert walked_edges(oracle.profiles, crawl.stats.walk_log) == [(1, 2)]
+        assert edge_rows(crawl.sample) == [(1, 2, WALKED), (2, 1, SYMMETRIC)]
 
     def test_dead_end_jumps_without_burning(self, tmp_path):
         g, oracle = build_oracle([(1, 2)])
@@ -563,9 +649,9 @@ class TestWalkerStep:
 
     def test_reburn_aborts_the_step(self, monkeypatch):
         _, oracle = build_oracle([(1, 2)])
-        # a selector that ignores the burn rule: it picks account 2's row
-        row = rows_of(oracle.profiles, [2])[0]
-        monkeypatch.setattr(sampler_module, "select_target", lambda *args: row)
+        # a selector that ignores the burn rule: it picks the page's first
+        # friend, account 2
+        monkeypatch.setattr(sampler_module, "select_target", lambda *args: 0)
         for walked, symmetric, original in [
             ([(1, 2)], [], False), ([(1, 2)], [], True), ([], [(1, 2)], True)
         ]:
@@ -727,12 +813,40 @@ class TestRunSample:
         assert retained / records <= 48
 
     @pytest.mark.memory
+    def test_run_keeps_at_most_80_bytes_a_sample_edge(self):
+        """What run_sample returns, the sample and its RunStats, holds id
+        columns and a code byte an edge, an 8 B slot a walk and a 24 B growth
+        point, ~57 B a sample edge here; the sample's dicts of id tuples and
+        walk_log's tuples held ~192 B."""
+        n = 3000
+        edges = preferential_attachment(n, 5, random.Random(1))
+        g = DirectedGraph.from_edges(edges, nodes=range(n))
+        profiles = build_profiles(n, edges, random.Random(2), language_fraction=0.9)
+        oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
+        cfg = config(walker_count=20, max_sample_edges=4000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sample, stats = run_sample(cfg, oracle, SeedPool(range(n), 3))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            sample_edges = sample.num_edges()
+            sample = stats = None
+            gc.collect()
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sample_edges == 4000
+        assert kept / sample_edges <= 80
+
+    @pytest.mark.memory
     def test_crawl_keeps_at_most_48_bytes_an_account(self):
         """A Crawl's state is per-row columns, no Python object per account:
-        page_length, looked_up and not_jumped, 10 B a row, and the int32
-        pool_rows and friend_rows, 4 B a pool id and a friend, ~34 B an
-        account here; with not_jumped a set of the pool's ids, a Crawl kept
-        ~115 B an account."""
+        page_length, looked_up, not_jumped and the sample's nodes, 11 B a
+        row, the int32 pool_rows and friend_rows, 4 B a pool id and a
+        friend, and the sample's edges, 1 B a friend, ~41 B an account here;
+        with not_jumped a set of the pool's ids, a Crawl kept ~115 B an
+        account."""
         n = 20_000
         edges = preferential_attachment(n, 5, random.Random(1))
         oracle = SimulatedOracle(build_profiles(n, edges, random.Random(2)))
@@ -776,7 +890,7 @@ class TestRunSample:
         profiles = without_profiles(make_profiles(g), {99})
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         _, stats = run_sample(config(), oracle, SeedPool([1], 0))
-        assert stats.walk_log == [(1, 2), (2, 1), (1, 3), (3, 1)]
+        assert walked_edges(profiles, stats.walk_log) == [(1, 2), (2, 1), (1, 3), (3, 1)]
         assert stats.stop_reason == "exhausted"
         assert stats.profile_calls == 2
         assert sorted(profile_lookups(oracle)) == [1, 2, 3, 99]
@@ -901,7 +1015,7 @@ class TestRunSample:
             return oracle, sample, stats
 
         oracle, sample, stats = run()
-        log = stats.walk_log
+        log = walked_edges(profiles, stats.walk_log)
         assert len(log) == len(set(log))
         burned = set(log)
         for s, t, prov in edge_rows(sample):
@@ -1144,7 +1258,7 @@ class TestReferenceCrawl:
         *texts, walk_log, call_log = reference_crawl(
             cfg, api, profiles, SeedPool(pool_ids, graph_seed)
         )
-        assert stats.walk_log == walk_log
+        assert walked_edges(profiles, stats.walk_log) == walk_log
         assert [tuple(r) for r in oracle.call_log] == call_log
         for name, text in zip(("sample.csv", "growth.csv", "stats.json"), texts):
             assert (directory / name).read_text(encoding="utf-8") == text, name
@@ -1181,7 +1295,8 @@ class TestWalkLog:
 
         def check(stats, record):
             assert stats.steps == len(record)
-            assert stats.walk_log == [edge for edge in record if edge is not None]
+            walked = walked_edges(profiles, stats.walk_log)
+            assert walked == [edge for edge in record if edge is not None]
             assert stats.jumps == record.count(None)
 
         def run_and_record(max_steps, seed, path=None):
@@ -1206,10 +1321,10 @@ class TestWalkLog:
             save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool)
             run_and_record(steps - first, 0, path)
 
-    def test_walk_log_shares_the_sample_keys(self):
-        """Each walk_log entry is the very tuple the sample keys its edge by,
-        unless the edge was in the sample as symmetric before its walk, so
-        the log holds no second tuple per walk."""
+    def test_walk_log_holds_one_int_slot_per_walk(self, monkeypatch):
+        """walk_log is an int64 array of friend slots, one per walk, each
+        naming its walked edge, so the log holds no tuple per walk; a pick
+        whose slot is walked already still aborts the run."""
         n = 40
         edges = reciprocal_er(n, 0.15, random.Random(87))
         g = DirectedGraph.from_edges(edges, nodes=range(n))
@@ -1217,16 +1332,23 @@ class TestWalkLog:
         oracle = build_simulated_oracle(g, profiles, rate_limits_enabled=False)
         cfg = config(walker_count=3, max_steps=200)
         sample, stats = run_sample(cfg, oracle, SeedPool(range(n), 12))
-        keys = {k: k for k in sample._provenance}
-        walked, shared = set(), 0
-        for edge in stats.walk_log:
-            # every graph edge is reciprocal, so walking an edge adds its
-            # reverse as symmetric
-            if edge[::-1] not in walked:
-                assert keys[edge] is edge
-                shared += 1
-            walked.add(edge)
-        assert 10 < shared < len(stats.walk_log)
+        log = stats.walk_log
+        assert isinstance(log, array) and log.typecode == "q"
+        assert all(type(slot) is int for slot in log)
+        assert len(log) == stats.steps - stats.jumps > 10
+        walked = walked_edges(profiles, log)
+        assert sorted(walked) == [(s, t) for s, t, p in edge_rows(sample) if p == WALKED]
+        # a selector that always picks the page's first friend walks a
+        # walked slot again as soon as a walker comes back to an account
+        _, oracle = build_oracle([(1, 2), (2, 1)])
+        monkeypatch.setattr(sampler_module, "select_target", lambda *args: 0)
+        crawl = crawl_from(oracle, [1], [1])
+        crawl.step()
+        crawl.step()
+        assert walked_edges(oracle.profiles, crawl.stats.walk_log) == [(1, 2), (2, 1)]
+        with pytest.raises(RuntimeError, match=r"edge \(1, 2\) selected after it was burned"):
+            crawl.step()
+        assert len(crawl.stats.walk_log) == 2
 
 
 class TestPageCache:
@@ -1291,7 +1413,7 @@ class TestPageCache:
         loop_sample = crawl.sample
 
         assert stats.walk_log == crawl.stats.walk_log
-        assert list(loop_sample._provenance.values()).count(0) == len(stats.walk_log)
+        assert loop_sample.codes.tolist().count(0) == len(stats.walk_log)
         with tempfile.TemporaryDirectory() as directory:
             paths = [Path(directory) / name for name in ("run.csv", "loop.csv")]
             write_sample_csv(sample, paths[0])
@@ -1380,11 +1502,10 @@ class TestCrawlCache:
 
         oracle.get_friends, oracle.get_profiles = get_friends, get_profiles
         crawl = Crawl(cfg, oracle, SeedPool(range(n + 2), graph_seed))
-        sample = crawl.sample
         while crawl.stop_reason() is None:
             cursor = crawl.cursor
             w = crawl.walker_ids()[cursor]
-            before = edge_rows(sample)
+            before = edge_rows(crawl.sample)
             crawl.step()
             pick = None if crawl.jump_run else crawl.walker_ids()[cursor]
             asked = [crawl.ids[r] for r, flag in enumerate(crawl.looked_up) if flag]
@@ -1398,10 +1519,14 @@ class TestCrawlCache:
             assert pick == expected_pick(w, [v for v in page if v in charged], before)
             # a crawl that records only some of the charged lookups ranks only those
             some = [u for u in charged if rng.random() < 0.5]
-            partial = looked_up(profiles, cfg, some)
-            assert select(w, page, partial, sample, cfg) == expected_pick(
-                w, [v for v in page if v in some], edge_rows(sample)
+            recorded = bytes(crawl.looked_up)
+            crawl.looked_up[:] = bytes(len(recorded))
+            for row in crawl_rows(crawl, some):
+                crawl.looked_up[row] = 1
+            assert select(w, page, crawl) == expected_pick(
+                w, [v for v in page if v in some], edge_rows(crawl.sample)
             )
+            crawl.looked_up[:] = recorded
         stats = crawl.finish()
         assert stats.steps == steps or stats.stop_reason == "exhausted"
         assert len(charged) == len(set(charged))
@@ -1481,7 +1606,7 @@ class TestResume:
         pool2 = SeedPool(sorted(g.nodes), 0)  # state is overwritten by the resume file
         resume = load_run_state(state_path)
         walked = [(s, t) for s, t, prov in edge_rows(resume.sample) if prov == WALKED]
-        assert sorted(walked) == sorted(stats1.walk_log)
+        assert sorted(walked) == sorted(walked_edges(profiles, stats1.walk_log))
         sample2, stats2 = run_sample(
             config(walker_count=3, max_sample_edges=160),
             oracle2,
@@ -1598,19 +1723,34 @@ class TestResume:
         _, oracle = build_oracle([(1, 2), (2, 1)])
         pool = SeedPool([1], 0)
         sample, first = run_sample(config(max_steps=1), oracle, pool)
-        assert first.walk_log == [(1, 2)] and edge_rows(sample)[1] == (2, 1, SYMMETRIC)
+        assert walked_edges(oracle.profiles, first.walk_log) == [(1, 2)]
+        assert edge_rows(sample)[1] == (2, 1, SYMMETRIC)
         path = tmp_path / "resume.jsonl"
         save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
         _, oracle = build_oracle([(1, 2), (2, 1)])
         resumed, stats = run_sample(
             config(max_steps=2), oracle, SeedPool([1], 0), resume=load_run_state(path)
         )
-        assert stats.walk_log == [(2, 1)]
+        assert walked_edges(oracle.profiles, stats.walk_log) == [(2, 1)]
         assert (stats.walked_edges, stats.symmetric_edges) == (2, 0)
         write_sample_csv(resumed, tmp_path / "sample.csv")
         assert (tmp_path / "sample.csv").read_text().splitlines()[1:] == [
             "1,2,walked", "2,1,walked"
         ]
+
+    def test_resumed_seed_without_a_profile_stays_a_seed(self):
+        """A resumed seed need not have a profile or be in the pool: it gets a
+        row of its own, counts as a node and is handed back as a seed."""
+        _, oracle = build_oracle([(1, 2), (2, 1)])
+        sample = SampleGraph()
+        sample.add_seed(9)
+        sample.add_edge(1, 2, WALKED)
+        pool = SeedPool([1], 0)
+        state = RunState(0.0, pool.getstate(), sample, [1])
+        resumed, stats = run_sample(config(max_steps=1), oracle, pool, resume=state)
+        assert stats.jumps == 1  # the walker's one edge is burned
+        assert resumed.seeds.tolist() == [9] and list(resumed.graph.nodes) == [1, 2, 9]
+        assert stats.sample_nodes == 3 and edge_rows(resumed) == [(1, 2, WALKED)]
 
     def test_walker_records_may_carry_extra_fields(self, tmp_path):
         # resume files written before walker records lost "hops" still load
@@ -1641,11 +1781,12 @@ class TestResume:
 
         pool = SeedPool(range(n), 11)
         oracle, sample, first = run(30, pool)
-        assert 1 in sample._provenance.values() and len(first.walk_log) > 10
+        assert 1 in sample.codes and len(first.walk_log) > 10
         save_run_state(path, sample, first.final_walkers, oracle.clock.now, pool)
         old_path = tmp_path / "old_resume.jsonl"
+        walked = walked_edges(profiles, first.walk_log)
         old_path.write_text(
-            older_format(sample, first.walk_log, first.final_walkers, oracle.clock.now, pool)
+            older_format(sample, walked, first.final_walkers, oracle.clock.now, pool)
         )
         resume = load_run_state(old_path)
         assert resume == load_run_state(path)
@@ -1687,7 +1828,7 @@ class TestResume:
         else:
             assert not charges  # rate limits off
         if case == "symmetric":
-            assume(1 in sample._provenance.values())
+            assume(1 in sample.codes)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "resume.jsonl"
             save_run_state(path, sample, stats.final_walkers, oracle.clock.now, pool, charges)
@@ -1719,11 +1860,13 @@ class TestResume:
 
     @pytest.mark.memory
     def test_resumed_crawl_holds_its_sample_once(self, tmp_path):
-        """A loaded resume file is the sample the resumed Crawl continues, so
-        with the RunState still referenced, as cmd_sample holds it, the state
-        and the Crawl keep ~190 B a resumed edge here, the sample's dicts and
-        the Crawl's per-row columns; with an edge list and a set of the
-        file's edges beside a sample rebuilt from them, they kept ~330 B."""
+        """A loaded resume file is the sample the resumed Crawl continues: the
+        Crawl sets its edges' slots and empties it, so with the RunState
+        still referenced, as cmd_sample holds it, the state and the Crawl
+        keep ~38 B a resumed edge here, the Crawl's per-row and per-slot
+        columns. With the sample's dicts they kept ~190 B, and with an edge
+        list and a set of the file's edges beside a sample rebuilt from
+        them, ~330 B."""
         n = 2000
         edges = preferential_attachment(n, 5, random.Random(1))
         g = DirectedGraph.from_edges(edges, nodes=range(n))
@@ -1747,22 +1890,22 @@ class TestResume:
         finally:
             tracemalloc.stop()
         assert crawl.sample.num_edges() == resumed_edges == 3000
-        assert kept / resumed_edges <= 256
+        assert kept / resumed_edges <= 64
 
 
-def older_format(sample, walk_log, walkers, clock_now, pool):
+def older_format(sample, walked, walkers, clock_now, pool):
     """A resume file as written before walkers were saved in step order: a
-    `burned` record per walked edge in walk order, then every `edge`, seed and
-    walker record, each walker with its `id`, all but `meta` in spaced JSON."""
+    `burned` record per edge of `walked`, in walk order, then every `edge`,
+    seed and walker record, each walker with its `id`, all but `meta` in
+    spaced JSON."""
     meta = {"type": "meta", "clock_now": clock_now, "seed_pool_state": pool.getstate()}
     records = [json.dumps(meta, separators=(",", ":"))]
-    records += [json.dumps({"type": "burned", "s": s, "t": t}) for s, t in walk_log]
+    records += [json.dumps({"type": "burned", "s": s, "t": t}) for s, t in walked]
     records += [
         json.dumps({"type": "edge", "s": s, "t": t, "p": prov})
         for s, t, prov in edge_rows(sample)
     ]
-    seeds = sorted(node for node, seed in sample._nodes.items() if seed)
-    records += [json.dumps({"type": "seed_node", "n": node}) for node in seeds]
+    records += [json.dumps({"type": "seed_node", "n": node}) for node in sample.seeds.tolist()]
     records += [
         json.dumps({"type": "walker", "id": i, "current": w}) for i, w in enumerate(walkers)
     ]
